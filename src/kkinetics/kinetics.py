@@ -11,11 +11,27 @@ source ``omega`` (see :mod:`kkinetics.specfun`):
 Each solution is a double series: an outer k-Bessel-type sum whose n-th
 term carries the factor ``Gamma(beta_n) * E_{nu,beta_n}(-rate**nu * t**nu)``
 with ``beta_n = mu+2n+1`` (variant 1) or ``nu*(mu+2n)+1`` (variants 2-3).
-That factor is always evaluated through :func:`specfun.scaled_ml`, because
+That factor is always evaluated fused, term by term as
+``exp(lgamma(beta_n) - lgamma(nu*m + beta_n)) * x**m``, because
 ``Gamma(beta_n)`` on its own overflows once the outer sum passes n ~ 85.
 
 The inner Mittag-Leffler sums run at a 10x tighter relative tolerance than
 the outer sum so the reported outer tail estimate dominates the error.
+
+Two evaluation paths, chosen by the kind of input:
+
+* :func:`solve_point` (and the ``solve_theoremN`` functions) evaluate one t
+  on the scalar path: :func:`series.sum_log_terms` over the outer terms,
+  with one :func:`specfun.scaled_ml` call per term.
+* :func:`solve_grid` evaluates the grid in chunks of up to 256 points as
+  one batch (:func:`series.sum_log_terms_batch`).  The t-independent
+  coefficients are tabulated once per call, the inner sums of every
+  (point, n) pair advance together over m, and the outer sums advance
+  together over n.
+
+Both apply the same summation rules, so they give the same term counts
+and stopping decisions; values and tails agree to rounding (numpy's exp is
+not libm's).
 """
 
 from __future__ import annotations
@@ -23,9 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
-from .series import DEFAULT_CONTROL, DomainError, SeriesControl, SeriesResult, sum_log_terms
+import numpy as np
+
+from .series import (
+    DEFAULT_CONTROL,
+    DomainError,
+    SeriesControl,
+    SeriesResult,
+    sum_log_terms,
+    sum_log_terms_batch,
+)
 from .specfun import (
     FoxWrightSpec,
     KBesselParams,
@@ -33,9 +58,9 @@ from .specfun import (
     fox_wright,
     gen_k_bessel,
     k_bessel_j,
+    k_bessel_log_coefficient,
     k_wright_w,
-    log_k_gamma,
-    log_k_pochhammer,
+    ml_negative_bound,
     scaled_ml,
 )
 
@@ -92,10 +117,7 @@ class KineticProblem:
 
     def source(self, t: float, ctl: SeriesControl | None = None) -> float:
         """Source value N0-free: omega(t) or omega(d**nu * t**nu)."""
-        if self.variant == Theorem.T1:
-            return gen_k_bessel(self.params, t, ctl).value
-        z = self.d ** self.nu * t ** self.nu
-        return gen_k_bessel(self.params, z, ctl).value
+        return gen_k_bessel(self.params, _series_form(self).z(t), ctl).value
 
 
 @dataclass(frozen=True)
@@ -124,49 +146,70 @@ class SolutionTable:
         return max(self.tails, default=0.0)
 
 
-def _series_solution(
-    params: KBesselParams,
-    n0: float,
-    nu: float,
-    z: float,
-    beta_of_n: Callable[[int], float],
-    ml_arg: float,
-    ctl: SeriesControl,
-    label: str,
-) -> SeriesResult:
+class _SeriesForm(NamedTuple):
+    """How one variant maps time onto the shared double series
+
+        N(t) = n0 * sum_n coeff_n * (z/2)**(mu+2n) * Gamma(beta_n) E_{nu,beta_n}(x)
+
+    with coeff_n from :func:`specfun.k_bessel_log_coefficient`.  Variant 1
+    has z = t and beta_n = mu+2n+1; variants 2 and 3 (``scaled``) have
+    z = d**nu t**nu and beta_n = nu(mu+2n)+1.  All three have
+    x = -rate**nu t**nu.
+    """
+
+    params: KBesselParams
+    n0: float
+    nu: float
+    d: float
+    rate: float
+    scaled: bool
+    label: str
+
+    def z(self, t: float) -> float:
+        return self.d ** self.nu * t ** self.nu if self.scaled else t
+
+    def ml_arg(self, t: float) -> float:
+        return -(self.rate ** self.nu) * t ** self.nu
+
+    def beta(self, n: int) -> float:
+        if self.scaled:
+            return self.nu * (self.params.mu + 2.0 * n) + 1.0
+        return self.params.mu + 2.0 * n + 1.0
+
+
+def _series_form(prob: KineticProblem) -> _SeriesForm:
+    if prob.variant == Theorem.T1:
+        return _SeriesForm(prob.params, prob.n0, prob.nu, prob.d, prob.d, False, "solve_theorem1")
+    return _SeriesForm(
+        prob.params, prob.n0, prob.nu, prob.d, prob.rate, True, "solve_scaled_source"
+    )
+
+
+def _series_solution(form: _SeriesForm, t: float, ctl: SeriesControl | None) -> SeriesResult:
     """Outer k-Bessel-type sum with a fused Gamma*E Mittag-Leffler factor."""
+    if t < 0.0:
+        raise DomainError(f"t must be >= 0, got {t}")
+    z = form.z(t)
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
+    ctl = ctl or DEFAULT_CONTROL
     inner_ctl = ctl.tightened(10.0)
+    params = form.params
     log_hz = math.log(z / 2.0)
-    log_ac = math.log(abs(params.c)) if params.c != 0.0 else -math.inf
-    half_shift = (params.b + 1.0) / 2.0
+    ml_arg = form.ml_arg(t)
 
     def term(n: int) -> tuple[float, float]:
-        arg = params.mu + params.lam * n + half_shift
-        if arg <= 0.0:
-            raise DomainError(f"{label}: k-gamma argument {arg} <= 0 at term index {n}")
-        if n > 0 and params.c == 0.0:
+        sign, log_coeff = k_bessel_log_coefficient(params, n)
+        if log_coeff == -math.inf:
             return 1.0, -math.inf
-        ml = scaled_ml(MLParams(nu, beta_of_n(n)), ml_arg, inner_ctl)
+        ml = scaled_ml(MLParams(form.nu, form.beta(n)), ml_arg, inner_ctl)
         if ml.value == 0.0:
             return 1.0, -math.inf
-        log_mag = (
-            log_k_pochhammer(params.gamma, n, params.k)
-            - log_k_gamma(arg, params.k)
-            - 2.0 * math.lgamma(n + 1.0)
-            + (params.mu + 2.0 * n) * log_hz
-            + math.log(abs(ml.value))
-        )
-        if n > 0:
-            log_mag += n * log_ac
-        sign = 1.0 if n % 2 == 0 or -params.c > 0.0 else -1.0
-        if ml.value < 0.0:
-            sign = -sign
-        return sign, log_mag
+        log_mag = log_coeff + (params.mu + 2.0 * n) * log_hz + math.log(abs(ml.value))
+        return (-sign if ml.value < 0.0 else sign), log_mag
 
-    res = sum_log_terms(term, ctl, label=label)
-    return SeriesResult(n0 * res.value, res.terms, abs(n0) * res.tail)
+    res = sum_log_terms(term, ctl, label=form.label)
+    return SeriesResult(form.n0 * res.value, res.terms, abs(form.n0) * res.tail)
 
 
 def solve_theorem1(
@@ -175,14 +218,7 @@ def solve_theorem1(
     """Series solution of variant 1 at time t >= 0."""
     if prob.variant != Theorem.T1:
         raise DomainError(f"solve_theorem1 requires a variant-1 problem, got {prob.variant}")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    p = prob.params
-    ml_arg = -(prob.d ** prob.nu) * t ** prob.nu
-    return _series_solution(
-        p, prob.n0, prob.nu, t, lambda n: p.mu + 2.0 * n + 1.0, ml_arg, ctl or DEFAULT_CONTROL,
-        "solve_theorem1",
-    )
+    return _series_solution(_series_form(prob), t, ctl)
 
 
 def solve_scaled_source(
@@ -200,15 +236,8 @@ def solve_scaled_source(
     ``rate == d`` evaluates the variant-3 formula at a = d, which coincides
     with variant 2 term for term.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    z = d ** nu * t ** nu
-    ml_arg = -(rate ** nu) * t ** nu
-    return _series_solution(
-        params, n0, nu, z,
-        lambda n: nu * (params.mu + 2.0 * n) + 1.0,
-        ml_arg, ctl or DEFAULT_CONTROL, "solve_scaled_source",
-    )
+    form = _SeriesForm(params, n0, nu, d, rate, True, "solve_scaled_source")
+    return _series_solution(form, t, ctl)
 
 
 def solve_theorem2(
@@ -241,12 +270,130 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     return _SOLVERS[prob.variant](prob, t, ctl)
 
 
+# Grid points that solve_grid evaluates together.  The inner sums of a chunk
+# are (points x outer terms) arrays, so a fixed chunk keeps peak memory
+# independent of the grid length.
+_GRID_CHUNK = 256
+# Outer indices in the first block of inner sums; later blocks double it.
+_FIRST_BLOCK = 16
+# Inner-sum columns built before the first growth of the lgamma table.
+_FIRST_COLUMNS = 32
+
+
+class _GridTables:
+    """The t-independent coefficients of one problem's double series.
+
+    ``outer(n)`` is the k-Bessel (sign, log|coeff_n|) and ``inner(ns, m_stop)``
+    the rows lgamma(beta_n) - lgamma(nu*m + beta_n), m < m_stop, for the
+    outer indices ``ns``.  Both grow as the evaluation needs them.
+    """
+
+    def __init__(self, form: _SeriesForm):
+        self.form = form
+        self._outer: list[tuple[float, float]] = []
+        self._inner: list[list[float]] = []
+
+    def outer(self, n: int) -> tuple[float, float]:
+        while len(self._outer) <= n:
+            self._outer.append(k_bessel_log_coefficient(self.form.params, len(self._outer)))
+        return self._outer[n]
+
+    def inner(self, ns: range, m_stop: int) -> np.ndarray:
+        nu = self.form.nu
+        while len(self._inner) < ns.stop:
+            self._inner.append([])
+        for n in ns:
+            row = self._inner[n]
+            if len(row) < m_stop:
+                beta = self.form.beta(n)
+                lg_beta = math.lgamma(beta)
+                row.extend(lg_beta - math.lgamma(nu * m + beta) for m in range(len(row), m_stop))
+        return np.array([self._inner[n][:m_stop] for n in ns])
+
+
+def _solve_chunk(
+    form: _SeriesForm, tables: _GridTables, times: Sequence[float], ctl: SeriesControl
+) -> tuple[list[float], list[int], list[float]] | None:
+    """Values, term counts and tails at ``times``; None if any point fails.
+
+    The inner sums of every (point, n) pair advance together over m, in
+    blocks of outer indices computed as the outer sums reach them; the
+    outer sums then advance together over n.
+    """
+    zs = [form.z(t) for t in times]
+    live = [i for i, z in enumerate(zs) if z != 0.0]
+    values = np.zeros(len(times))
+    terms = np.ones(len(times), dtype=np.intp)
+    tails = np.zeros(len(times))
+    if live:
+        xs = [form.ml_arg(times[i]) for i in live]
+        if any(-x > ml_negative_bound(form.nu) for x in xs):
+            return None
+        log_hz = np.array([math.log(zs[i] / 2.0) for i in live])
+        log_ax = np.array([[math.log(abs(x)) if x != 0.0 else 0.0] for x in xs])
+        x = np.array(xs)[:, None]
+        alternating = np.where(x < 0.0, -1.0, 1.0)
+        inner_ctl = ctl.tightened(10.0)
+
+        def inner_sums(ns: range) -> tuple[np.ndarray, np.ndarray]:
+            cols = tables.inner(ns, _FIRST_COLUMNS)
+
+            def term(m: int) -> tuple[np.ndarray | float, np.ndarray]:
+                nonlocal cols
+                if m >= cols.shape[1]:
+                    cols = tables.inner(ns, 2 * m)
+                return (alternating if m % 2 else 1.0), cols[:, m] + m * log_ax
+
+            res = sum_log_terms_batch(
+                term, (len(live), len(ns)), inner_ctl, cancellation_guard=x < 0.0
+            )
+            # scaled_ml is exactly 1 at x = 0; a failed sum gets a finite
+            # stand-in so the outer sum runs on and the failure is reported.
+            failed = (res.failure != 0) & (x != 0.0)
+            return np.where(failed | (x == 0.0), 1.0, res.value), failed
+
+        ml = np.empty((len(live), 0))
+        ml_failed = np.empty((len(live), 0), dtype=bool)
+        mu = form.params.mu
+
+        def outer_term(n: int) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal ml, ml_failed
+            sign, log_coeff = tables.outer(n)
+            if log_coeff == -math.inf:
+                return np.ones(len(live)), np.full(len(live), -math.inf)
+            if n >= ml.shape[1]:
+                more = range(ml.shape[1], min(max(2 * ml.shape[1], _FIRST_BLOCK), ctl.max_terms))
+                block, block_failed = inner_sums(more)
+                ml = np.hstack([ml, block])
+                ml_failed = np.hstack([ml_failed, block_failed])
+            col = ml[:, n]
+            with np.errstate(divide="ignore"):
+                log_mag = log_coeff + (mu + 2.0 * n) * log_hz + np.log(np.abs(col))
+            return np.where(col < 0.0, -sign, np.where(col == 0.0, 1.0, sign)), log_mag
+
+        outer = sum_log_terms_batch(outer_term, (len(live),), ctl)
+        n_idx = np.arange(ml.shape[1])
+        evaluated = np.array([tables.outer(n)[1] != -math.inf for n in n_idx], dtype=bool)
+        used = (n_idx < outer.terms[:, None]) & evaluated
+        if outer.failure.any() or (ml_failed & used).any():
+            return None
+        values[live] = form.n0 * outer.value
+        terms[live] = outer.terms
+        tails[live] = abs(form.n0) * outer.tail
+    return values.tolist(), terms.tolist(), tails.tolist()
+
+
 def solve_grid(
     prob: KineticProblem, grid: Sequence[float], ctl: SeriesControl | None = None
 ) -> SolutionTable:
-    """Evaluate the variant solver on a strictly increasing grid of t >= 0.
+    """Evaluate the variant solution on a strictly increasing grid of t >= 0.
 
-    Raises on the first failing point; a partial table is never returned.
+    The grid is evaluated in chunks of up to 256 points, each as one
+    batched double series with the same terms and tails that
+    :func:`solve_point` gives at each t.  A chunk in which any point fails
+    is evaluated again point by point, so the exception raised is the one
+    :func:`solve_point` raises at the earliest failing t; a partial table
+    is never returned.
     """
     times = tuple(float(t) for t in grid)
     for t in times:
@@ -255,13 +402,27 @@ def solve_grid(
     for t0, t1 in zip(times, times[1:]):
         if not t1 > t0:
             raise DomainError("grid times must be strictly increasing")
-    solver = _SOLVERS[prob.variant]
-    results = [solver(prob, t, ctl) for t in times]
+    ctl = ctl or DEFAULT_CONTROL
+    form = _series_form(prob)
+    tables = _GridTables(form)
+    values: list[float] = []
+    terms: list[int] = []
+    tails: list[float] = []
+    for lo in range(0, len(times), _GRID_CHUNK):
+        chunk = times[lo:lo + _GRID_CHUNK]
+        batch = _solve_chunk(form, tables, chunk, ctl)
+        if batch is None:
+            results = [solve_point(prob, t, ctl) for t in chunk]
+            batch = ([r.value for r in results], [r.terms for r in results],
+                     [r.tail for r in results])
+        values += batch[0]
+        terms += batch[1]
+        tails += batch[2]
     return SolutionTable(
         times=times,
-        values=tuple(r.value for r in results),
-        terms=tuple(r.terms for r in results),
-        tails=tuple(r.tail for r in results),
+        values=tuple(values),
+        terms=tuple(terms),
+        tails=tuple(tails),
         problem=prob,
     )
 

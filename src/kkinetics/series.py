@@ -9,6 +9,9 @@ values) instead of overflowing near ``Gamma(171)``.
 Truncation policy: stop once ``stagnation_window`` consecutive terms are
 below ``rel_tol`` times the running partial sum.  A single small term is not
 enough because alternating series stall near sign changes.
+
+:func:`sum_log_terms` sums one series; :func:`sum_log_terms_batch` applies
+the same rules element-wise to a numpy array of series that share an index.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 LOG_DBL_MAX = math.log(sys.float_info.max)
 
@@ -166,3 +171,81 @@ def sum_log_terms(
     else:
         tail = mag
     return SeriesResult(total, n_used, tail)
+
+
+class SeriesBatch(NamedTuple):
+    """Element-wise results of :func:`sum_log_terms_batch`.
+
+    ``failure`` is 0 where the element has a result, and otherwise the index
+    in :data:`BATCH_FAILURES` of the exception :func:`sum_log_terms` raises
+    for that series.  ``value`` and ``terms`` of a failed element hold the
+    partial sum and term count at the point of failure.
+    """
+
+    value: np.ndarray
+    terms: np.ndarray
+    tail: np.ndarray
+    failure: np.ndarray
+
+
+BATCH_FAILURES = (None, OverflowLogError, NonConvergenceError, CancellationError)
+_OVERFLOW, _NO_STAGNATION, _CANCELLATION = 1, 2, 3
+
+
+def sum_log_terms_batch(
+    term: Callable[[int], tuple[np.ndarray | float, np.ndarray]],
+    shape: tuple[int, ...],
+    ctl: SeriesControl,
+    *,
+    cancellation_guard: np.ndarray | bool = False,
+) -> SeriesBatch:
+    """:func:`sum_log_terms` for a numpy batch of series, all advanced together.
+
+    ``term(n)`` returns ``(sign, log|term|)`` of term n of every series, as
+    arrays broadcastable to ``shape``.  Each element follows the scalar
+    rules: the same Kahan step, stagnation rule, overflow check, term
+    budget, cancellation guard (per element when ``cancellation_guard`` is
+    an array) and tail formula.  An element that has stopped or failed
+    stays frozen while the others advance, so its value, term count and
+    tail are the ones :func:`sum_log_terms` returns for it.  Failures are
+    recorded in :attr:`SeriesBatch.failure` instead of raised.
+    """
+    total = np.zeros(shape)
+    comp = np.zeros(shape)
+    mag = np.zeros(shape)
+    prev_mag = np.zeros(shape)
+    max_mag = np.zeros(shape)
+    quiet = np.zeros(shape, dtype=np.intp)
+    terms = np.zeros(shape, dtype=np.intp)
+    failure = np.zeros(shape, dtype=np.int8)
+    running = np.ones(shape, dtype=bool)
+    # Frozen elements are still computed (and may overflow) but never stored.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(ctl.max_terms):
+            sign, log_mag = term(n)
+            over = log_mag > LOG_DBL_MAX
+            if over.any():
+                over &= running
+                failure[over] = _OVERFLOW
+                running &= ~over
+            new_mag = np.exp(log_mag)
+            # Kahan step
+            y = sign * new_mag - comp
+            s = total + y
+            np.copyto(comp, (s - total) - y, where=running)
+            np.copyto(total, s, where=running)
+            np.copyto(prev_mag, mag, where=running)
+            np.copyto(mag, new_mag, where=running)
+            np.maximum(max_mag, mag, out=max_mag)
+            terms += running
+            quiet = np.where(mag <= ctl.rel_tol * np.abs(total), quiet + 1, 0)
+            running &= quiet < ctl.stagnation_window
+            if not running.any():
+                break
+        failure[running] = _NO_STAGNATION
+        limit = CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(total), sys.float_info.min)
+        failure[(failure == 0) & cancellation_guard & (max_mag > limit)] = _CANCELLATION
+        decreasing = (mag > 0.0) & (mag < prev_mag)
+        ratio = np.where(decreasing, mag / prev_mag, 0.0)
+        geometric = np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag)
+    return SeriesBatch(total, terms, np.where(decreasing, geometric, mag), failure)

@@ -54,6 +54,7 @@ __all__ = [
     "mittag_leffler",
     "scaled_ml",
     "gen_k_bessel",
+    "k_bessel_log_coefficient",
     "k_bessel_j",
     "k_wright_w",
     "fox_wright",
@@ -287,6 +288,38 @@ def scaled_ml(p: MLParams, x: float, ctl: SeriesControl | None = None) -> Series
     return sum_log_terms(term, ctl, cancellation_guard=x < 0.0, label="scaled_ml")
 
 
+def k_bessel_log_coefficient(p: KBesselParams, n: int) -> tuple[float, float]:
+    """Sign and log magnitude of the z-free factor of term n of omega,
+
+        (-c)^n (g)_{n,k} / [Gamma_k(mu + lam*n + (b+1)/2) * (n!)^2],
+
+    so that term n of omega(z) is that factor times (z/2)^(mu+2n).  The
+    kinetic solutions multiply the same factor by a Mittag-Leffler term.
+    A zero coefficient (c = 0, n > 0) has log magnitude -inf.
+    """
+    arg = p.mu + p.lam * n + (p.b + 1.0) / 2.0
+    if arg <= 0.0:
+        raise DomainError(
+            f"k_bessel_log_coefficient: k-gamma argument {arg} <= 0 at term index {n}"
+        )
+    # ln Gamma_k(arg) and ln (g)_{n,k} as in log_k_gamma and log_k_pochhammer,
+    # without their argument checks (KBesselParams guarantees k, g > 0):
+    # this runs once per series term.
+    log_k = math.log(p.k)
+    log_mag = -((arg / p.k - 1.0) * log_k + math.lgamma(arg / p.k))
+    if n == 0:
+        return 1.0, log_mag
+    if p.c == 0.0:
+        return 1.0, -math.inf
+    g = p.gamma / p.k
+    log_mag += (
+        n * log_k + math.lgamma(g + n) - math.lgamma(g)
+        - 2.0 * math.lgamma(n + 1.0)
+        + n * math.log(abs(p.c))
+    )
+    return (1.0 if n % 2 == 0 or p.c < 0.0 else -1.0), log_mag
+
+
 def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """The generalized k-Bessel series omega(z) for z >= 0 (see module docs)."""
     ctl = ctl or DEFAULT_CONTROL
@@ -296,26 +329,11 @@ def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -
         # every term carries (z/2)**(mu+2n) with mu > 0
         return SeriesResult(0.0, 1, 0.0)
     log_hz = math.log(z / 2.0)
-    log_ac = math.log(abs(p.c)) if p.c != 0.0 else -math.inf
-    half_shift = (p.b + 1.0) / 2.0
+    mu = p.mu
 
     def term(n: int) -> tuple[float, float]:
-        arg = p.mu + p.lam * n + half_shift
-        if arg <= 0.0:
-            raise DomainError(
-                f"gen_k_bessel: k-gamma argument {arg} <= 0 at term index {n}"
-            )
-        if n > 0 and p.c == 0.0:
-            return 1.0, -math.inf
-        log_mag = (
-            log_k_pochhammer(p.gamma, n, p.k)
-            - log_k_gamma(arg, p.k)
-            - 2.0 * math.lgamma(n + 1.0)
-            + (p.mu + 2.0 * n) * log_hz
-        )
-        if n > 0:
-            log_mag += n * log_ac
-        return _sign_pow(-p.c, n), log_mag
+        sign, log_coeff = k_bessel_log_coefficient(p, n)
+        return sign, log_coeff + (mu + 2.0 * n) * log_hz
 
     return sum_log_terms(term, ctl, label="gen_k_bessel")
 

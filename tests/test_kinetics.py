@@ -6,24 +6,31 @@ import numpy as np
 import pytest
 
 from kkinetics import (
+    CancellationError,
     DomainError,
+    EvaluationError,
     KBesselParams,
     KineticProblem,
     MLParams,
+    NonConvergenceError,
     QuadratureGrid,
     SeriesControl,
+    SolutionTable,
     Theorem,
     corollary_source,
     gen_k_bessel,
     psi_form_source,
     scaled_ml,
     solve_grid,
+    solve_point,
     solve_scaled_source,
     solve_theorem1,
     solve_theorem2,
     solve_theorem3,
     solve_volterra,
 )
+from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
+from kkinetics.kinetics import _GRID_CHUNK
 from kkinetics.specfun import log_k_gamma, log_k_pochhammer
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
@@ -163,9 +170,10 @@ def test_first_order_limit_satisfies_ode():
 def test_solve_grid_empty_and_singleton():
     prob = fig_problem(Theorem.T1)
     empty = solve_grid(prob, [])
+    assert empty == SolutionTable((), (), (), (), prob)
     assert len(empty) == 0 and empty.max_tail == 0.0
     single = solve_grid(prob, [0.0])
-    assert single.values == (0.0,)
+    assert single == SolutionTable((0.0,), (0.0,), (1,), (0.0,), prob)
 
 
 def test_solve_grid_validates_ordering():
@@ -183,6 +191,85 @@ def test_solve_grid_fig1_metadata():
     assert table.max_tail <= 1e-12
     assert all(n >= 1 for n in table.terms)
     assert table.problem is prob
+
+
+
+# ---------------------------------------------------------------- batched grid vs pointwise
+
+
+def _assert_grid_matches_points(table, indices, points):
+    # term counts and stopping decisions are exact; values and tails may
+    # differ in the last bits because numpy's exp is not libm's
+    scale = max(1.0, max(abs(r.value) for r in points))
+    for i, r in zip(indices, points):
+        assert table.terms[i] == r.terms, i
+        assert abs(table.values[i] - r.value) <= 1e-12 * scale, i
+        assert abs(table.tails[i] - r.tail) <= 1e-12 * r.tail, i
+
+
+def _first_non_positive(times, values):
+    return next((i for i, (t, v) in enumerate(zip(times, values)) if t > 0.0 and not v > 0.0),
+                None)
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_solve_grid_matches_solve_point_on_figure_sweeps(fig_id):
+    spec = FIGURES[fig_id]
+    grid = figure_grid(spec)
+    for lam in LAMBDAS:
+        prob = figure_problem(spec, lam)
+        table = solve_grid(prob, grid)
+        points = [solve_point(prob, float(t)) for t in grid]
+        _assert_grid_matches_points(table, range(len(grid)), points)
+        assert _first_non_positive(table.times, table.values) == _first_non_positive(
+            table.times, [r.value for r in points]
+        )
+
+
+def test_solve_grid_matches_solve_point_at_chunk_seams():
+    # the figure-1 verify grid (h = 1/2048) spans several chunks
+    prob = fig_problem(Theorem.T1)
+    grid = np.linspace(0.0, 1.0, 2049)
+    table = solve_grid(prob, grid)
+    seams = range(_GRID_CHUNK, len(grid), _GRID_CHUNK)
+    assert len(seams) >= 2
+    indices = [i for seam in seams for i in (seam - 1, seam)]
+    points = [solve_point(prob, float(grid[i])) for i in indices]
+    _assert_grid_matches_points(table, indices, points)
+
+
+def _earliest_point_failure(prob, grid, ctl):
+    for t in grid:
+        try:
+            solve_point(prob, float(t), ctl)
+        except EvaluationError as exc:
+            return exc
+    raise AssertionError("no grid point fails")
+
+
+@pytest.mark.parametrize(
+    "variant, nu, grid, ctl, expected",
+    [
+        # the inner budget runs out first near t = 1.44, in the second chunk
+        (Theorem.T1, 1.0, np.linspace(0.0, 3.0, 600), SeriesControl(max_terms=35),
+         NonConvergenceError),
+        # x = -900 is beyond the refused bound 700**nu
+        (Theorem.T1, 1.0, [0.0, 0.5, 300.0], None, CancellationError),
+        # the inner cancellation guard trips first near t = 10.1
+        (Theorem.T1, 1.0, np.linspace(0.0, 15.0, 61), None, CancellationError),
+        (Theorem.T2, 0.5, np.linspace(0.0, 60.0, 61), None, CancellationError),
+    ],
+    ids=["budget", "ml_bound", "inner_guard", "inner_guard_half_order"],
+)
+def test_solve_grid_raises_like_solve_point_at_earliest_failure(variant, nu, grid, ctl, expected):
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=params)
+    want = _earliest_point_failure(prob, grid, ctl)
+    assert type(want) is expected
+    with pytest.raises(expected) as got:
+        solve_grid(prob, grid, ctl)
+    assert type(got.value) is type(want)
+    assert str(got.value) == str(want)
 
 
 # ---------------------------------------------------------------- reduced forms
