@@ -17,8 +17,7 @@ from kkinetics import (
     KineticProblem,
     Theorem,
     solve_grid,
-    solve_scaled_source,
-    solve_theorem2,
+    solve_point,
 )
 
 params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
@@ -51,8 +50,13 @@ for t, v2, v3 in zip(grid, t2.values, t3.values):
 print()
 print("variant 3 evaluated at a = d reproduces variant 2 bit for bit:")
 t = 0.04
-v2 = solve_theorem2(prob2, t).value
-v3_at_d = solve_scaled_source(params, prob2.n0, prob2.nu, prob2.d, prob2.d, t).value
+# KineticProblem refuses a = d for variant 3; set it past the check on purpose
+prob3_at_d = KineticProblem(
+    n0=2.0, d=3.0, nu=1.0, variant=Theorem.T3, params=params, a=2.0 * prob2.d
+)
+object.__setattr__(prob3_at_d, "a", prob2.d)
+v2 = solve_point(prob2, t).value
+v3_at_d = solve_point(prob3_at_d, t).value
 print(f"  variant 2:        {v2!r}")
 print(f"  variant 3 at a=d: {v3_at_d!r}")
 print(f"  identical: {v2 == v3_at_d}")

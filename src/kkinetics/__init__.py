@@ -44,10 +44,6 @@ from .kinetics import (
     psi_form_source,
     solve_grid,
     solve_point,
-    solve_scaled_source,
-    solve_theorem1,
-    solve_theorem2,
-    solve_theorem3,
 )
 from .fracoracle import (
     OracleSolution,
@@ -89,10 +85,6 @@ __all__ = [
     "psi_form_source",
     "solve_grid",
     "solve_point",
-    "solve_scaled_source",
-    "solve_theorem1",
-    "solve_theorem2",
-    "solve_theorem3",
     "OracleSolution",
     "QuadratureGrid",
     "haubold_mathai",

@@ -139,7 +139,6 @@ class OracleSolution:
 
     grid: QuadratureGrid
     values: np.ndarray
-    source_label: str
     rate: float
 
 
@@ -148,7 +147,6 @@ def solve_volterra(
     source: Callable[[float], float],
     rate: float,
     grid: QuadratureGrid,
-    label: str = "",
 ) -> OracleSolution:
     """March N_j = n0 f(t_j) - rate**nu * (I^nu N)(t_j) forward in j.
 
@@ -171,7 +169,7 @@ def solve_volterra(
         w = grid.row(j)
         conv = float(w[:j] @ values[:j])
         values[j] = (n0 * f[j] - r * conv) / denom
-    return OracleSolution(grid=grid, values=values, source_label=label, rate=rate)
+    return OracleSolution(grid=grid, values=values, rate=rate)
 
 
 def haubold_mathai(
@@ -185,7 +183,7 @@ def haubold_mathai(
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     r = mittag_leffler(MLParams(nu, 1.0), -(c_rate ** nu) * t ** nu, ctl)
-    return SeriesResult(n0 * r.value, r.terms, n0 * r.tail)
+    return SeriesResult(n0 * r.value, r.terms, abs(n0) * r.tail)
 
 
 def residual(prob: KineticProblem, series_values: SolutionTable, grid: QuadratureGrid) -> float:

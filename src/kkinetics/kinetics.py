@@ -20,9 +20,9 @@ the outer sum so the reported outer tail estimate dominates the error.
 
 Two evaluation paths, chosen by the kind of input:
 
-* :func:`solve_point` (and the ``solve_theoremN`` functions) evaluate one t
-  on the scalar path: :func:`series.sum_log_terms` over the outer terms,
-  with one :func:`specfun.scaled_ml` call per term.
+* :func:`solve_point` evaluates one t on the scalar path:
+  :func:`series.sum_log_terms` over the outer terms, with one
+  :func:`specfun.scaled_ml` call per term.
 * :func:`solve_grid` evaluates the grid in chunks of up to 256 points as
   one batch (:func:`series.sum_log_terms_batch`).  The t-independent
   coefficients are tabulated once per call, the inner sums of every
@@ -68,10 +68,7 @@ __all__ = [
     "Theorem",
     "KineticProblem",
     "SolutionTable",
-    "solve_theorem1",
-    "solve_theorem2",
-    "solve_theorem3",
-    "solve_scaled_source",
+    "solve_point",
     "solve_grid",
     "corollary_source",
     "psi_form_source",
@@ -163,7 +160,6 @@ class _SeriesForm(NamedTuple):
     d: float
     rate: float
     scaled: bool
-    label: str
 
     def z(self, t: float) -> float:
         return self.d ** self.nu * t ** self.nu if self.scaled else t
@@ -178,17 +174,20 @@ class _SeriesForm(NamedTuple):
 
 
 def _series_form(prob: KineticProblem) -> _SeriesForm:
-    if prob.variant == Theorem.T1:
-        return _SeriesForm(prob.params, prob.n0, prob.nu, prob.d, prob.d, False, "solve_theorem1")
     return _SeriesForm(
-        prob.params, prob.n0, prob.nu, prob.d, prob.rate, True, "solve_scaled_source"
+        prob.params, prob.n0, prob.nu, prob.d, prob.rate, prob.variant != Theorem.T1
     )
 
 
-def _series_solution(form: _SeriesForm, t: float, ctl: SeriesControl | None) -> SeriesResult:
-    """Outer k-Bessel-type sum with a fused Gamma*E Mittag-Leffler factor."""
+def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
+    """Series solution of ``prob`` at one time t >= 0.
+
+    The outer k-Bessel-type sum carries a fused Gamma*E Mittag-Leffler
+    factor per term (one :func:`specfun.scaled_ml` call each).
+    """
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
+    form = _series_form(prob)
     z = form.z(t)
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
@@ -208,66 +207,8 @@ def _series_solution(form: _SeriesForm, t: float, ctl: SeriesControl | None) -> 
         log_mag = log_coeff + (params.mu + 2.0 * n) * log_hz + math.log(abs(ml.value))
         return (-sign if ml.value < 0.0 else sign), log_mag
 
-    res = sum_log_terms(term, ctl, label=form.label)
+    res = sum_log_terms(term, ctl, label="solve_point")
     return SeriesResult(form.n0 * res.value, res.terms, abs(form.n0) * res.tail)
-
-
-def solve_theorem1(
-    prob: KineticProblem, t: float, ctl: SeriesControl | None = None
-) -> SeriesResult:
-    """Series solution of variant 1 at time t >= 0."""
-    if prob.variant != Theorem.T1:
-        raise DomainError(f"solve_theorem1 requires a variant-1 problem, got {prob.variant}")
-    return _series_solution(_series_form(prob), t, ctl)
-
-
-def solve_scaled_source(
-    params: KBesselParams,
-    n0: float,
-    nu: float,
-    d: float,
-    rate: float,
-    t: float,
-    ctl: SeriesControl | None = None,
-) -> SeriesResult:
-    """Shared kernel of variants 2 and 3: source omega(d**nu t**nu), rate ``rate``.
-
-    Variant 2 is ``rate=d`` and variant 3 is ``rate=a``; calling this with
-    ``rate == d`` evaluates the variant-3 formula at a = d, which coincides
-    with variant 2 term for term.
-    """
-    form = _SeriesForm(params, n0, nu, d, rate, True, "solve_scaled_source")
-    return _series_solution(form, t, ctl)
-
-
-def solve_theorem2(
-    prob: KineticProblem, t: float, ctl: SeriesControl | None = None
-) -> SeriesResult:
-    """Series solution of variant 2 at time t >= 0."""
-    if prob.variant != Theorem.T2:
-        raise DomainError(f"solve_theorem2 requires a variant-2 problem, got {prob.variant}")
-    return solve_scaled_source(prob.params, prob.n0, prob.nu, prob.d, prob.d, t, ctl)
-
-
-def solve_theorem3(
-    prob: KineticProblem, t: float, ctl: SeriesControl | None = None
-) -> SeriesResult:
-    """Series solution of variant 3 at time t >= 0."""
-    if prob.variant != Theorem.T3:
-        raise DomainError(f"solve_theorem3 requires a variant-3 problem, got {prob.variant}")
-    return solve_scaled_source(prob.params, prob.n0, prob.nu, prob.d, prob.a, t, ctl)
-
-
-_SOLVERS = {
-    Theorem.T1: solve_theorem1,
-    Theorem.T2: solve_theorem2,
-    Theorem.T3: solve_theorem3,
-}
-
-
-def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
-    """Dispatch to the variant solver of ``prob``."""
-    return _SOLVERS[prob.variant](prob, t, ctl)
 
 
 # Grid points that solve_grid evaluates together.  The inner sums of a chunk
@@ -433,7 +374,7 @@ def corollary_source(
     z: float,
     ctl: SeriesControl | None = None,
 ) -> SeriesResult:
-    """Evaluate omega(z) through its reduced form.
+    """Evaluate omega(z), z >= 0, through its reduced form.
 
     ``reduction="bessel_j"`` requires b = c = 1 and returns
     ``(z/2)**mu * J(z**2/2)``; ``reduction="wright_w"`` requires b = -1,
@@ -444,19 +385,20 @@ def corollary_source(
             raise DomainError(
                 f"bessel_j reduction requires b=c=1, got b={params.b}, c={params.c}"
             )
-        if z == 0.0:
-            return SeriesResult(0.0, 1, 0.0)
-        inner = k_bessel_j(params.k, params.gamma, params.lam, params.mu, z * z / 2.0, ctl)
+        reduced, w = k_bessel_j, z * z / 2.0
     elif reduction == "wright_w":
         if not (params.b == -1.0 and params.c == 1.0):
             raise DomainError(
                 f"wright_w reduction requires b=-1, c=1, got b={params.b}, c={params.c}"
             )
-        if z == 0.0:
-            return SeriesResult(0.0, 1, 0.0)
-        inner = k_wright_w(params.k, params.gamma, params.lam, params.mu, -z * z / 2.0, ctl)
+        reduced, w = k_wright_w, -z * z / 2.0
     else:
         raise DomainError(f"unknown reduction {reduction!r}")
+    if z < 0.0:
+        raise DomainError(f"corollary_source requires z >= 0, got {z}")
+    if z == 0.0:
+        return SeriesResult(0.0, 1, 0.0)
+    inner = reduced(params.k, params.gamma, params.lam, params.mu, w, ctl)
     pref = (z / 2.0) ** params.mu
     return SeriesResult(pref * inner.value, inner.terms, pref * inner.tail)
 

@@ -101,10 +101,10 @@ class MLParams:
     beta: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise DomainError(f"MLParams.alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0.0:
-            raise DomainError(f"MLParams.beta must be > 0, got {self.beta}")
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError(f"MLParams.alpha must be finite and > 0, got {self.alpha}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"MLParams.beta must be finite and > 0, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -244,22 +244,30 @@ def ml_negative_bound(alpha: float) -> float:
     return 700.0 ** alpha
 
 
-def mittag_leffler(p: MLParams, x: float, ctl: SeriesControl | None = None) -> SeriesResult:
-    """E_{alpha,beta}(x) = sum_n x^n / Gamma(alpha n + beta)."""
+def _ml_sum(
+    p: MLParams, x: float, ctl: SeriesControl | None, log_scale: float, label: str
+) -> SeriesResult:
+    """exp(log_scale) * E_{alpha,beta}(x), with log_scale folded into every term."""
     ctl = ctl or DEFAULT_CONTROL
     if x == 0.0:
-        return SeriesResult(math.exp(-math.lgamma(p.beta)), 1, 0.0)
+        return SeriesResult(math.exp(log_scale - math.lgamma(p.beta)), 1, 0.0)
     if x < 0.0 and -x > ml_negative_bound(p.alpha):
         raise CancellationError(
-            f"mittag_leffler: x = {x} is beyond the safe negative bound "
+            f"{label}: x = {x} is beyond the safe negative bound "
             f"-{ml_negative_bound(p.alpha):.4g} for alpha = {p.alpha}"
         )
     log_ax = math.log(abs(x))
+    alpha, beta = p.alpha, p.beta
 
     def term(n: int) -> tuple[float, float]:
-        return _sign_pow(x, n), n * log_ax - math.lgamma(p.alpha * n + p.beta)
+        return _sign_pow(x, n), log_scale - math.lgamma(alpha * n + beta) + n * log_ax
 
-    return sum_log_terms(term, ctl, cancellation_guard=x < 0.0, label="mittag_leffler")
+    return sum_log_terms(term, ctl, cancellation_guard=x < 0.0, label=label)
+
+
+def mittag_leffler(p: MLParams, x: float, ctl: SeriesControl | None = None) -> SeriesResult:
+    """E_{alpha,beta}(x) = sum_n x^n / Gamma(alpha n + beta)."""
+    return _ml_sum(p, x, ctl, 0.0, "mittag_leffler")
 
 
 def scaled_ml(p: MLParams, x: float, ctl: SeriesControl | None = None) -> SeriesResult:
@@ -268,24 +276,7 @@ def scaled_ml(p: MLParams, x: float, ctl: SeriesControl | None = None) -> Series
     Each term is exp(lgamma(beta) - lgamma(beta + alpha n)) * x^n, which
     stays bounded even when Gamma(beta) alone would not fit in a double.
     """
-    ctl = ctl or DEFAULT_CONTROL
-    if x == 0.0:
-        return SeriesResult(1.0, 1, 0.0)
-    if x < 0.0 and -x > ml_negative_bound(p.alpha):
-        raise CancellationError(
-            f"scaled_ml: x = {x} is beyond the safe negative bound "
-            f"-{ml_negative_bound(p.alpha):.4g} for alpha = {p.alpha}"
-        )
-    log_ax = math.log(abs(x))
-    lg_beta = math.lgamma(p.beta)
-
-    def term(n: int) -> tuple[float, float]:
-        return (
-            _sign_pow(x, n),
-            lg_beta - math.lgamma(p.alpha * n + p.beta) + n * log_ax,
-        )
-
-    return sum_log_terms(term, ctl, cancellation_guard=x < 0.0, label="scaled_ml")
+    return _ml_sum(p, x, ctl, math.lgamma(p.beta), "scaled_ml")
 
 
 def k_bessel_log_coefficient(p: KBesselParams, n: int) -> tuple[float, float]:

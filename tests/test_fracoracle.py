@@ -201,6 +201,14 @@ def test_haubold_mathai_half_order_value():
     assert got == pytest.approx(2.0 * 0.427583576155807, rel=1e-12)
 
 
+def test_haubold_mathai_tail_is_nonnegative_for_negative_n0():
+    # n0 scales the value; the error bound scales by |n0|
+    neg = haubold_mathai(-2.0, 1.0, 0.5, 1.0)
+    pos = haubold_mathai(2.0, 1.0, 0.5, 1.0)
+    assert neg.value == -pos.value
+    assert neg.tail == pos.tail > 0.0
+
+
 def test_haubold_mathai_cross_checks_volterra():
     grid = QuadratureGrid(1.0, 1024, 0.5)
     sol = solve_volterra(2.0, lambda t: 1.0, 1.0, grid)
@@ -242,8 +250,8 @@ def test_laplace_check_requires_p_beyond_rate():
 
 
 def test_laplace_check_on_series_solution():
-    from kkinetics import solve_theorem1
+    from kkinetics import solve_point
 
     prob = fig1_problem()
-    defect = laplace_check(prob, lambda t: solve_theorem1(prob, t).value, 10.0)
+    defect = laplace_check(prob, lambda t: solve_point(prob, t).value, 10.0)
     assert defect <= 1e-3

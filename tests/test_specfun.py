@@ -207,6 +207,13 @@ def test_scaled_ml_zero_argument_is_one():
     assert scaled_ml(MLParams(1, 3), 0.0).value == 1.0
 
 
+def test_ml_params_reject_non_finite_indices():
+    # lgamma(inf) = inf, so scaled_ml at x = 0 would be exp(inf - inf) = nan
+    for alpha, beta in ((1.0, math.inf), (math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)):
+        with pytest.raises(DomainError):
+            MLParams(alpha, beta)
+
+
 def test_scaled_ml_extended_precision_value():
     # mpmath dps=60: sum_r gamma(150)/gamma(150+r/2)*(-2)**r
     #              = 0.85949512556619133978...
