@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,14 @@ def _as_number(cfg: dict, key: str) -> float:
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"config field {key!r}: expected a number, got {v!r}")
-    return float(v)
+    # json.loads accepts NaN and Infinity, and integers beyond the double range
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"config field {key!r}: expected a finite number, got {x}")
+    return x
 
 
 def _as_int(cfg: dict, key: str) -> int:
@@ -133,14 +140,12 @@ def load_config(path: str | Path) -> JobConfig:
         mt = _as_int(cfg, "max_terms")
         if mt < 1:
             raise ConfigError(f"config field 'max_terms': must be >= 1, got {mt}")
-        control = SeriesControl(max_terms=mt, rel_tol=control.rel_tol,
-                                stagnation_window=control.stagnation_window)
+        control = replace(control, max_terms=mt)
     if "rel_tol" in cfg:
         rt = _as_number(cfg, "rel_tol")
         if not 0.0 < rt < 1.0:
             raise ConfigError(f"config field 'rel_tol': must be in (0, 1), got {rt}")
-        control = SeriesControl(max_terms=control.max_terms, rel_tol=rt,
-                                stagnation_window=control.stagnation_window)
+        control = replace(control, rel_tol=rt)
 
     try:
         params = KBesselParams(

@@ -16,7 +16,8 @@ That factor is always evaluated fused, term by term as
 ``Gamma(beta_n)`` on its own overflows once the outer sum passes n ~ 85.
 
 The inner Mittag-Leffler sums run at a 10x tighter relative tolerance than
-the outer sum so the reported outer tail estimate dominates the error.
+the outer sum (:meth:`series.SeriesControl.tightened`) so the reported
+outer tail estimate dominates the error.
 
 Two evaluation paths, chosen by the kind of input:
 
@@ -32,6 +33,9 @@ Two evaluation paths, chosen by the kind of input:
 Both apply the same summation rules, so they give the same term counts
 and stopping decisions; values and tails agree to rounding (numpy's exp is
 not libm's).
+
+:func:`corollary_source` evaluates the source through its reduced form, the
+family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,11 +59,10 @@ from .specfun import (
     FoxWrightSpec,
     KBesselParams,
     MLParams,
+    _reduced_k_bessel,
     fox_wright,
     gen_k_bessel,
-    k_bessel_j,
     k_bessel_log_coefficient,
-    k_wright_w,
     ml_negative_bound,
     scaled_ml,
 )
@@ -85,7 +88,15 @@ class Theorem(IntEnum):
 
 @dataclass(frozen=True)
 class KineticProblem:
-    """A kinetic-equation instance: initial density, rates, order, source."""
+    """A kinetic-equation instance: initial density, rates, order, source.
+
+    All three variants share one double series,
+
+        N(t) = n0 * sum_n coeff_n * (z/2)**(mu+2n) * Gamma(beta_n) E_{nu,beta_n}(x),
+
+    with coeff_n from :func:`specfun.k_bessel_log_coefficient`.
+    :meth:`z`, :meth:`ml_arg` and :meth:`beta` map a variant onto it.
+    """
 
     n0: float
     d: float
@@ -95,26 +106,41 @@ class KineticProblem:
     a: float | None = None
 
     def __post_init__(self):
-        if not self.n0 > 0.0:
-            raise DomainError(f"n0 must be > 0, got {self.n0}")
-        if not self.d > 0.0:
-            raise DomainError(f"d must be > 0, got {self.d}")
-        if not self.nu > 0.0:
-            raise DomainError(f"nu must be > 0, got {self.nu}")
+        for name in ("n0", "d", "nu"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {v}")
         if self.variant == Theorem.T3:
-            if self.a is None or not self.a > 0.0:
-                raise DomainError(f"variant 3 requires a > 0, got {self.a}")
+            if self.a is None or not 0.0 < self.a < math.inf:
+                raise DomainError(f"variant 3 requires a finite a > 0, got {self.a}")
             if not abs(self.a - self.d) > 0.0:
                 raise DomainError("variant 3 requires a != d")
+
+    def source(self, t: float, ctl: SeriesControl | None = None) -> float:
+        """Source value N0-free: omega(t) or omega(d**nu * t**nu)."""
+        return gen_k_bessel(self.params, self.z(t), ctl).value
+
+    # These run once per time point or outer term, so they compare the variant
+    # with plain ints: on CPython 3.11 looking up Theorem.T1 alone takes ~0.15 us.
 
     @property
     def rate(self) -> float:
         """Relaxation rate entering the integral term (d, d, or a)."""
-        return self.a if self.variant == Theorem.T3 else self.d
+        return self.a if self.variant == 3 else self.d
 
-    def source(self, t: float, ctl: SeriesControl | None = None) -> float:
-        """Source value N0-free: omega(t) or omega(d**nu * t**nu)."""
-        return gen_k_bessel(self.params, _series_form(self).z(t), ctl).value
+    def z(self, t: float) -> float:
+        """Source argument at time t: t (variant 1) or d**nu t**nu."""
+        return self.d ** self.nu * t ** self.nu if self.variant != 1 else t
+
+    def ml_arg(self, t: float) -> float:
+        """Mittag-Leffler argument at time t: -rate**nu t**nu."""
+        return -(self.rate ** self.nu) * t ** self.nu
+
+    def beta(self, n: int) -> float:
+        """Mittag-Leffler index of outer term n: mu+2n+1 (variant 1) or nu(mu+2n)+1."""
+        if self.variant != 1:
+            return self.nu * (self.params.mu + 2.0 * n) + 1.0
+        return self.params.mu + 2.0 * n + 1.0
 
 
 @dataclass(frozen=True)
@@ -143,42 +169,6 @@ class SolutionTable:
         return max(self.tails, default=0.0)
 
 
-class _SeriesForm(NamedTuple):
-    """How one variant maps time onto the shared double series
-
-        N(t) = n0 * sum_n coeff_n * (z/2)**(mu+2n) * Gamma(beta_n) E_{nu,beta_n}(x)
-
-    with coeff_n from :func:`specfun.k_bessel_log_coefficient`.  Variant 1
-    has z = t and beta_n = mu+2n+1; variants 2 and 3 (``scaled``) have
-    z = d**nu t**nu and beta_n = nu(mu+2n)+1.  All three have
-    x = -rate**nu t**nu.
-    """
-
-    params: KBesselParams
-    n0: float
-    nu: float
-    d: float
-    rate: float
-    scaled: bool
-
-    def z(self, t: float) -> float:
-        return self.d ** self.nu * t ** self.nu if self.scaled else t
-
-    def ml_arg(self, t: float) -> float:
-        return -(self.rate ** self.nu) * t ** self.nu
-
-    def beta(self, n: int) -> float:
-        if self.scaled:
-            return self.nu * (self.params.mu + 2.0 * n) + 1.0
-        return self.params.mu + 2.0 * n + 1.0
-
-
-def _series_form(prob: KineticProblem) -> _SeriesForm:
-    return _SeriesForm(
-        prob.params, prob.n0, prob.nu, prob.d, prob.rate, prob.variant != Theorem.T1
-    )
-
-
 def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """Series solution of ``prob`` at one time t >= 0.
 
@@ -187,28 +177,27 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     """
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
-    form = _series_form(prob)
-    z = form.z(t)
+    z = prob.z(t)
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
     ctl = ctl or DEFAULT_CONTROL
-    inner_ctl = ctl.tightened(10.0)
-    params = form.params
+    inner_ctl = ctl.tightened()
+    params = prob.params
     log_hz = math.log(z / 2.0)
-    ml_arg = form.ml_arg(t)
+    ml_arg = prob.ml_arg(t)
 
     def term(n: int) -> tuple[float, float]:
         sign, log_coeff = k_bessel_log_coefficient(params, n)
         if log_coeff == -math.inf:
             return 1.0, -math.inf
-        ml = scaled_ml(MLParams(form.nu, form.beta(n)), ml_arg, inner_ctl)
+        ml = scaled_ml(MLParams(prob.nu, prob.beta(n)), ml_arg, inner_ctl)
         if ml.value == 0.0:
             return 1.0, -math.inf
         log_mag = log_coeff + (params.mu + 2.0 * n) * log_hz + math.log(abs(ml.value))
         return (-sign if ml.value < 0.0 else sign), log_mag
 
     res = sum_log_terms(term, ctl, label="solve_point")
-    return SeriesResult(form.n0 * res.value, res.terms, abs(form.n0) * res.tail)
+    return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
 
 
 # Grid points that solve_grid evaluates together.  The inner sums of a chunk
@@ -229,31 +218,31 @@ class _GridTables:
     outer indices ``ns``.  Both grow as the evaluation needs them.
     """
 
-    def __init__(self, form: _SeriesForm):
-        self.form = form
+    def __init__(self, prob: KineticProblem):
+        self.prob = prob
         self._outer: list[tuple[float, float]] = []
         self._inner: list[list[float]] = []
 
     def outer(self, n: int) -> tuple[float, float]:
         while len(self._outer) <= n:
-            self._outer.append(k_bessel_log_coefficient(self.form.params, len(self._outer)))
+            self._outer.append(k_bessel_log_coefficient(self.prob.params, len(self._outer)))
         return self._outer[n]
 
     def inner(self, ns: range, m_stop: int) -> np.ndarray:
-        nu = self.form.nu
+        nu = self.prob.nu
         while len(self._inner) < ns.stop:
             self._inner.append([])
         for n in ns:
             row = self._inner[n]
             if len(row) < m_stop:
-                beta = self.form.beta(n)
+                beta = self.prob.beta(n)
                 lg_beta = math.lgamma(beta)
                 row.extend(lg_beta - math.lgamma(nu * m + beta) for m in range(len(row), m_stop))
         return np.array([self._inner[n][:m_stop] for n in ns])
 
 
 def _solve_chunk(
-    form: _SeriesForm, tables: _GridTables, times: Sequence[float], ctl: SeriesControl
+    prob: KineticProblem, tables: _GridTables, times: Sequence[float], ctl: SeriesControl
 ) -> tuple[list[float], list[int], list[float]] | None:
     """Values, term counts and tails at ``times``; None if any point fails.
 
@@ -261,20 +250,20 @@ def _solve_chunk(
     blocks of outer indices computed as the outer sums reach them; the
     outer sums then advance together over n.
     """
-    zs = [form.z(t) for t in times]
+    zs = [prob.z(t) for t in times]
     live = [i for i, z in enumerate(zs) if z != 0.0]
     values = np.zeros(len(times))
     terms = np.ones(len(times), dtype=np.intp)
     tails = np.zeros(len(times))
     if live:
-        xs = [form.ml_arg(times[i]) for i in live]
-        if any(-x > ml_negative_bound(form.nu) for x in xs):
+        xs = [prob.ml_arg(times[i]) for i in live]
+        if any(-x > ml_negative_bound(prob.nu) for x in xs):
             return None
         log_hz = np.array([math.log(zs[i] / 2.0) for i in live])
         log_ax = np.array([[math.log(abs(x)) if x != 0.0 else 0.0] for x in xs])
         x = np.array(xs)[:, None]
         alternating = np.where(x < 0.0, -1.0, 1.0)
-        inner_ctl = ctl.tightened(10.0)
+        inner_ctl = ctl.tightened()
 
         def inner_sums(ns: range) -> tuple[np.ndarray, np.ndarray]:
             cols = tables.inner(ns, _FIRST_COLUMNS)
@@ -295,7 +284,7 @@ def _solve_chunk(
 
         ml = np.empty((len(live), 0))
         ml_failed = np.empty((len(live), 0), dtype=bool)
-        mu = form.params.mu
+        mu = prob.params.mu
 
         def outer_term(n: int) -> tuple[np.ndarray, np.ndarray]:
             nonlocal ml, ml_failed
@@ -318,9 +307,9 @@ def _solve_chunk(
         used = (n_idx < outer.terms[:, None]) & evaluated
         if outer.failure.any() or (ml_failed & used).any():
             return None
-        values[live] = form.n0 * outer.value
+        values[live] = prob.n0 * outer.value
         terms[live] = outer.terms
-        tails[live] = abs(form.n0) * outer.tail
+        tails[live] = abs(prob.n0) * outer.tail
     return values.tolist(), terms.tolist(), tails.tolist()
 
 
@@ -344,14 +333,13 @@ def solve_grid(
         if not t1 > t0:
             raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
-    form = _series_form(prob)
-    tables = _GridTables(form)
+    tables = _GridTables(prob)
     values: list[float] = []
     terms: list[int] = []
     tails: list[float] = []
     for lo in range(0, len(times), _GRID_CHUNK):
         chunk = times[lo:lo + _GRID_CHUNK]
-        batch = _solve_chunk(form, tables, chunk, ctl)
+        batch = _solve_chunk(prob, tables, chunk, ctl)
         if batch is None:
             results = [solve_point(prob, t, ctl) for t in chunk]
             batch = ([r.value for r in results], [r.terms for r in results],
@@ -369,36 +357,29 @@ def solve_grid(
 
 
 def corollary_source(
-    params: KBesselParams,
-    reduction: str,
-    z: float,
-    ctl: SeriesControl | None = None,
+    params: KBesselParams, z: float, ctl: SeriesControl | None = None
 ) -> SeriesResult:
     """Evaluate omega(z), z >= 0, through its reduced form.
 
-    ``reduction="bessel_j"`` requires b = c = 1 and returns
-    ``(z/2)**mu * J(z**2/2)``; ``reduction="wright_w"`` requires b = -1,
-    c = 1 and returns ``(z/2)**mu * W(-z**2/2)``.
+    The selectors pick the family: b = c = 1 gives ``(z/2)**mu * J(z**2/2)``
+    (:func:`specfun.k_bessel_j`) and b = -1, c = 1 gives
+    ``(z/2)**mu * W(-z**2/2)`` (:func:`specfun.k_wright_w`).  Any other
+    (b, c) has no reduced form and raises :class:`DomainError`.
     """
-    if reduction == "bessel_j":
-        if not (params.b == 1.0 and params.c == 1.0):
-            raise DomainError(
-                f"bessel_j reduction requires b=c=1, got b={params.b}, c={params.c}"
-            )
-        reduced, w = k_bessel_j, z * z / 2.0
-    elif reduction == "wright_w":
-        if not (params.b == -1.0 and params.c == 1.0):
-            raise DomainError(
-                f"wright_w reduction requires b=-1, c=1, got b={params.b}, c={params.c}"
-            )
-        reduced, w = k_wright_w, -z * z / 2.0
-    else:
-        raise DomainError(f"unknown reduction {reduction!r}")
+    if params.c != 1.0 or params.b not in (1.0, -1.0):
+        raise DomainError(
+            "corollary_source requires c = 1 and b = 1 (k-Bessel J) or b = -1 "
+            f"(k-Wright W), got b={params.b}, c={params.c}"
+        )
     if z < 0.0:
         raise DomainError(f"corollary_source requires z >= 0, got {z}")
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
-    inner = reduced(params.k, params.gamma, params.lam, params.mu, w, ctl)
+    label = "k_bessel_j" if params.b == 1.0 else "k_wright_w"
+    inner = _reduced_k_bessel(
+        params.k, params.gamma, params.lam, params.mu, (params.b + 1.0) / 2.0,
+        -(z * z / 2.0), ctl, label,
+    )
     pref = (z / 2.0) ** params.mu
     return SeriesResult(pref * inner.value, inner.terms, pref * inner.tail)
 

@@ -30,6 +30,10 @@ LOG_DBL_MAX = math.log(sys.float_info.max)
 # total is usually pure roundoff noise.
 CANCELLATION_RATIO_LIMIT = 1e12
 
+# How much tighter than its outer sum the inner sums of a double series
+# run, so that the outer tail estimate dominates the error.
+INNER_TOL_FACTOR = 10.0
+
 
 class EvaluationError(Exception):
     """Base class for numerical evaluation failures."""
@@ -95,9 +99,10 @@ class SeriesControl:
                 f"stagnation_window must be >= 1, got {self.stagnation_window}"
             )
 
-    def tightened(self, factor: float = 10.0) -> "SeriesControl":
-        """Same policy with ``rel_tol`` divided by ``factor`` (for inner sums)."""
-        return SeriesControl(self.max_terms, self.rel_tol / factor, self.stagnation_window)
+    def tightened(self) -> "SeriesControl":
+        """Same policy with ``rel_tol`` divided by :data:`INNER_TOL_FACTOR` (for inner sums)."""
+        return SeriesControl(self.max_terms, self.rel_tol / INNER_TOL_FACTOR,
+                             self.stagnation_window)
 
 
 DEFAULT_CONTROL = SeriesControl()

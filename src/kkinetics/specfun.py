@@ -15,6 +15,9 @@ Conventions used throughout:
   with selectors ``b`` and ``c``: ``b=c=1`` reduces it to
   ``(z/2)^mu * J(z^2/2)`` for the k-Bessel function of the first kind, and
   ``b=-1, c=1`` to ``(z/2)^mu * W(-z^2/2)`` for the k-Wright function.
+  J and W are one term loop, with k-gamma argument ``lam*n + order + 1``
+  for J and ``lam*n + order`` for W, and their own gamma bookkeeping, so
+  the reductions check :func:`gen_k_bessel` against an independent route.
 * ``E_{alpha,beta}(x) = sum_n x^n / Gamma(alpha*n + beta)`` is the
   two-parameter Mittag-Leffler function; :func:`scaled_ml` returns
   ``Gamma(beta) * E_{alpha,beta}(x)`` without ever forming ``Gamma(beta)``
@@ -81,8 +84,8 @@ class KBesselParams:
     def __post_init__(self):
         for name in ("k", "gamma", "lam", "mu"):
             v = getattr(self, name)
-            if not v > 0.0:
-                raise DomainError(f"KBesselParams.{name} must be > 0, got {v}")
+            if not 0.0 < v < math.inf:
+                raise DomainError(f"KBesselParams.{name} must be finite and > 0, got {v}")
         if not (math.isfinite(self.b) and math.isfinite(self.c)):
             raise DomainError("KBesselParams.b and .c must be finite")
         # mu + lam*n + (b+1)/2 is increasing in n, so n=0 is the worst case.
@@ -91,6 +94,11 @@ class KBesselParams:
                 f"leading k-gamma argument mu+(b+1)/2 = {self.mu + (self.b + 1.0) / 2.0} "
                 "is non-positive"
             )
+
+
+# The largest double whose lgamma is finite.  MLParams keeps beta below it,
+# so the lgamma(beta) of the Mittag-Leffler sums never overflows.
+_LGAMMA_ARG_MAX = 2.5599833278516383e305
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,8 @@ class MLParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
             raise DomainError(f"MLParams.alpha must be finite and > 0, got {self.alpha}")
-        if not 0.0 < self.beta < math.inf:
-            raise DomainError(f"MLParams.beta must be finite and > 0, got {self.beta}")
+        if not 0.0 < self.beta < _LGAMMA_ARG_MAX:
+            raise DomainError(f"MLParams.beta must be > 0 with finite lgamma, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -329,6 +337,33 @@ def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -
     return sum_log_terms(term, ctl, label="gen_k_bessel")
 
 
+def _reduced_k_bessel(
+    k: float, gamma: float, lam: float, order: float, shift: float, x: float,
+    ctl: SeriesControl | None, label: str,
+) -> SeriesResult:
+    """sum_n (gamma)_{n,k} / Gamma_k(lam n + order + shift) * (x/2)^n / (n!)^2.
+
+    The term loop of :func:`k_bessel_j` (shift 1, x = -w) and :func:`k_wright_w`
+    (shift 0).  It must not call :func:`k_bessel_log_coefficient`: the reduction
+    identity tests use it as the independent reference for :func:`gen_k_bessel`.
+    """
+    ctl = ctl or DEFAULT_CONTROL
+    if x == 0.0:
+        return SeriesResult(math.exp(-log_k_gamma(order + shift, k)), 1, 0.0)
+    log_hx = math.log(abs(x) / 2.0)
+
+    def term(n: int) -> tuple[float, float]:
+        log_mag = (
+            log_k_pochhammer(gamma, n, k)
+            - log_k_gamma(lam * n + order + shift, k)
+            + n * log_hx
+            - 2.0 * math.lgamma(n + 1.0)
+        )
+        return _sign_pow(x, n), log_mag
+
+    return sum_log_terms(term, ctl, label=label)
+
+
 def k_bessel_j(
     k: float,
     gamma: float,
@@ -345,24 +380,10 @@ def k_bessel_j(
     The rising factorial uses the ``gamma`` parameter, which is what makes
     the reduction omega(z; b=c=1) = (z/2)^mu J(z^2/2) hold.
     """
-    ctl = ctl or DEFAULT_CONTROL
     for name, v in (("k", k), ("gamma", gamma), ("lam", lam), ("nu_order", nu_order)):
         if not v > 0.0:
             raise DomainError(f"k_bessel_j requires {name} > 0, got {v}")
-    if w == 0.0:
-        return SeriesResult(math.exp(-log_k_gamma(nu_order + 1.0, k)), 1, 0.0)
-    log_hw = math.log(abs(w) / 2.0)
-
-    def term(n: int) -> tuple[float, float]:
-        log_mag = (
-            log_k_pochhammer(gamma, n, k)
-            - log_k_gamma(lam * n + nu_order + 1.0, k)
-            + n * log_hw
-            - 2.0 * math.lgamma(n + 1.0)
-        )
-        return _sign_pow(-w, n), log_mag
-
-    return sum_log_terms(term, ctl, label="k_bessel_j")
+    return _reduced_k_bessel(k, gamma, lam, nu_order, 1.0, -w, ctl, "k_bessel_j")
 
 
 def k_wright_w(
@@ -380,24 +401,10 @@ def k_wright_w(
     omega(z; b=-1, c=1) = (z/2)^mu W(-z^2/2) exact: substituting x = -z^2/2
     reproduces the (-1)^n (z^2/4)^n pattern of the reduced series.
     """
-    ctl = ctl or DEFAULT_CONTROL
     for name, v in (("k", k), ("gamma", gamma), ("lam", lam), ("mu", mu)):
         if not v > 0.0:
             raise DomainError(f"k_wright_w requires {name} > 0, got {v}")
-    if x == 0.0:
-        return SeriesResult(math.exp(-log_k_gamma(mu, k)), 1, 0.0)
-    log_hx = math.log(abs(x) / 2.0)
-
-    def term(n: int) -> tuple[float, float]:
-        log_mag = (
-            log_k_pochhammer(gamma, n, k)
-            - log_k_gamma(lam * n + mu, k)
-            + n * log_hx
-            - 2.0 * math.lgamma(n + 1.0)
-        )
-        return _sign_pow(x, n), log_mag
-
-    return sum_log_terms(term, ctl, label="k_wright_w")
+    return _reduced_k_bessel(k, gamma, lam, mu, 0.0, x, ctl, "k_wright_w")
 
 
 def fox_wright(spec: FoxWrightSpec, z: float, ctl: SeriesControl | None = None) -> SeriesResult:

@@ -81,6 +81,18 @@ def test_eval_domain_error_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ml", "--alpha", "1", "--beta", "1e306", "--x", "0"],
+    ["omega", "--k", "inf", "--gamma", "1", "--lambda", "1", "--mu", "1",
+     "--b", "3", "--c", "2", "--z", "0.5"],
+], ids=["ml_beta_1e306", "omega_k_inf"])
+def test_eval_out_of_range_parameter_exits_one(argv, capsys):
+    # both used to end in a traceback (OverflowError, math domain error)
+    rc = cli.main(["eval", *argv])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_eval_unknown_function_exits_two():
     assert cli.main(["eval", "nope", "--x", "1"]) == 2
 
@@ -168,6 +180,27 @@ def test_solve_rejects_bad_json(tmp_path):
 def test_solve_rejects_equal_rates_for_variant_three(tmp_path):
     cfg = write_config(tmp_path, theorem=3, a=3)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("solve", "k", math.inf),
+    ("solve", "n0", math.inf),
+    ("solve", "mu", math.nan),
+    ("solve", "d", 10 ** 400),
+    ("verify", "t_end", math.inf),
+], ids=["k_inf", "n0_inf", "mu_nan", "d_huge_int", "t_end_inf"])
+def test_config_rejects_non_finite_numbers(tmp_path, capsys, command, key, value):
+    # json.loads reads NaN and Infinity; these used to fail with a traceback
+    # (k, t_end) or to write inf cells with exit 0 (n0)
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "x.csv"
+    if command == "verify":
+        rc = cli.main(["verify", "--config", str(cfg)])
+    else:
+        rc = cli.main(["solve", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"config field {key!r}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_missing_config_file(tmp_path):

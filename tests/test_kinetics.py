@@ -53,6 +53,16 @@ def test_problem_validation():
         KineticProblem(n0=1, d=2, nu=1, variant=Theorem.T3, params=FIG_PARAMS, a=2.0)
 
 
+@pytest.mark.parametrize("field", ["n0", "d", "nu", "a"])
+def test_problem_rejects_non_finite_fields(field):
+    # an infinite n0 used to be accepted and give inf cells
+    good = dict(n0=2.0, d=3.0, nu=1.0, variant=Theorem.T3, params=FIG_PARAMS, a=1.0)
+    message = "requires a finite a" if field == "a" else f"^{field} must be finite"
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=message):
+            KineticProblem(**{**good, field: bad})
+
+
 # ---------------------------------------------------------------- basic structure
 
 
@@ -112,13 +122,21 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
 
     count(kinetics, "scaled_ml")
     count(kinetics, "sum_log_terms")
+    count(kinetics, "gen_k_bessel")
     count(specfun, "sum_log_terms")
-    res = solve_point(fig_problem(Theorem.T1), 0.5)
+    prob = fig_problem(Theorem.T1)
+    res = solve_point(prob, 0.5)
     assert res.terms > 1
     assert calls == {
         "kkinetics.kinetics.sum_log_terms": 1,
         "kkinetics.kinetics.scaled_ml": res.terms,  # one per outer term
         "kkinetics.specfun.sum_log_terms": res.terms,
+    }
+    calls.clear()
+    prob.source(0.5)
+    assert calls == {
+        "kkinetics.kinetics.gen_k_bessel": 1,
+        "kkinetics.specfun.sum_log_terms": 1,
     }
     calls.clear()
     specfun.mittag_leffler(MLParams(0.5, 1.0), -1.0)
@@ -295,29 +313,41 @@ def test_solve_grid_raises_like_solve_point_at_earliest_failure(variant, nu, gri
 
 
 def test_corollary_source_requires_matching_selectors():
-    with pytest.raises(DomainError):
-        corollary_source(FIG_PARAMS, "bessel_j", 1.0)  # b=3 is not the J family
-    with pytest.raises(DomainError):
-        corollary_source(FIG_PARAMS, "no_such_reduction", 1.0)
+    # only (b, c) = (1, 1) and (-1, 1) have a reduced form
+    for b, c in ((3.0, 2.0), (3.0, 1.0), (1.0, 2.0), (-1.0, 2.0)):
+        params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=b, c=c)
+        with pytest.raises(DomainError, match="corollary_source requires c = 1"):
+            corollary_source(params, 1.0)
     # omega is defined for z >= 0 only, as in gen_k_bessel
     bessel = KBesselParams(k=1.0, gamma=1.0, lam=1.0, mu=0.5, b=1.0, c=1.0)
     wright = KBesselParams(k=1.0, gamma=1.0, lam=1.0, mu=0.5, b=-1.0, c=1.0)
     with pytest.raises(DomainError, match="z >= 0"):
-        corollary_source(bessel, "bessel_j", -1.0)
+        corollary_source(bessel, -1.0)
     with pytest.raises(DomainError, match="z >= 0"):
-        corollary_source(wright, "wright_w", -1.0)
+        corollary_source(wright, -1.0)
+
+
+@pytest.mark.parametrize("b", [1.0, -1.0], ids=["bessel_j", "wright_w"])
+def test_corollary_source_selectors_pick_the_reduced_function(b):
+    # b = 1 is (z/2)**mu J(z**2/2), b = -1 is (z/2)**mu W(-z**2/2), bit for bit
+    params = KBesselParams(k=2.0, gamma=1.5, lam=1.25, mu=0.75, b=b, c=1.0)
+    reduced = specfun.k_bessel_j if b == 1.0 else specfun.k_wright_w
+    for z in (0.3, 1.0, 2.5):
+        inner = reduced(params.k, params.gamma, params.lam, params.mu, (z * z / 2.0) * b)
+        pref = (z / 2.0) ** params.mu
+        assert corollary_source(params, z) == (pref * inner.value, inner.terms, pref * inner.tail)
 
 
 def test_corollary_source_bessel_route():
     params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=1.0, c=1.0)
-    assert corollary_source(params, "bessel_j", 0.0).value == 0.0
+    assert corollary_source(params, 0.0).value == 0.0
     want = gen_k_bessel(params, 1.0).value
-    assert corollary_source(params, "bessel_j", 1.0).value == pytest.approx(want, rel=1e-12)
+    assert corollary_source(params, 1.0).value == pytest.approx(want, rel=1e-12)
 
 
 def test_corollary_source_wright_route():
     params = KBesselParams(k=1.0, gamma=1.0, lam=1.0, mu=1.0, b=-1.0, c=1.0)
-    got = corollary_source(params, "wright_w", 0.5).value
+    got = corollary_source(params, 0.5).value
     # mpmath dps=60 canonical series: 0.23461745181020322606
     assert got == pytest.approx(0.2346174518102032, rel=1e-12)
     assert got == pytest.approx(gen_k_bessel(params, 0.5).value, rel=1e-12)

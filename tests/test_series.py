@@ -33,7 +33,7 @@ def test_control_defaults_and_tightening():
     assert ctl.max_terms == 500
     assert ctl.rel_tol == 1e-15
     assert ctl.stagnation_window == 3
-    tight = ctl.tightened(10.0)
+    tight = ctl.tightened()
     assert tight.rel_tol == pytest.approx(1e-16)
     assert tight.max_terms == ctl.max_terms
 

@@ -32,6 +32,7 @@ from kkinetics import (
     mittag_leffler,
     scaled_ml,
 )
+from kkinetics.specfun import _LGAMMA_ARG_MAX
 
 mpmath.mp.dps = 40
 
@@ -214,6 +215,21 @@ def test_ml_params_reject_non_finite_indices():
             MLParams(alpha, beta)
 
 
+def test_ml_params_refuse_beta_whose_lgamma_overflows():
+    # MLParams(1, 1e306) used to be accepted, and lgamma(beta) then raised a
+    # bare OverflowError from inside both Mittag-Leffler sums
+    limit = _LGAMMA_ARG_MAX
+    assert math.isfinite(math.lgamma(limit))
+    with pytest.raises(OverflowError):
+        math.lgamma(math.nextafter(limit, math.inf))
+    for beta in (limit, 1e306):
+        with pytest.raises(DomainError, match="MLParams.beta"):
+            MLParams(1.0, beta)
+    below = MLParams(1.0, math.nextafter(limit, 0.0))
+    assert mittag_leffler(below, 0.0).value == 0.0
+    assert scaled_ml(below, 0.0).value == 1.0
+
+
 def test_scaled_ml_extended_precision_value():
     # mpmath dps=60: sum_r gamma(150)/gamma(150+r/2)*(-2)**r
     #              = 0.85949512556619133978...
@@ -286,6 +302,15 @@ def test_params_reject_invalid_leading_gamma_argument():
         KBesselParams(k=1.0, gamma=1.0, lam=1.0, mu=0.5, b=-3.0, c=1.0)
     with pytest.raises(DomainError):
         KBesselParams(k=-1.0, gamma=1.0, lam=1.0, mu=1.0, b=1.0, c=1.0)
+
+
+def test_params_reject_non_finite_fields():
+    # an infinite k used to be accepted and end in "math domain error"
+    fields = dict(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
+    for name in fields:
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="KBesselParams"):
+                KBesselParams(**{**fields, name: bad})
 
 
 # ---------------------------------------------------------------- k-Bessel J and k-Wright W
