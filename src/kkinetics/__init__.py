@@ -32,7 +32,6 @@ from .specfun import (
     k_gamma,
     k_pochhammer,
     k_wright_w,
-    log_gamma,
     mittag_leffler,
     scaled_ml,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "k_gamma",
     "k_pochhammer",
     "k_wright_w",
-    "log_gamma",
     "mittag_leffler",
     "scaled_ml",
     "KineticProblem",

@@ -17,12 +17,16 @@ node i splits into two one-dimensional coefficient families
     A_m = h^nu [ (m^(nu+1) - (m-1)^(nu+1))/(nu+1) - (m-1)(m^nu - (m-1)^nu)/nu ]
     B_m = h^nu [ m (m^nu - (m-1)^nu)/nu - (m^(nu+1) - (m-1)^(nu+1))/(nu+1) ]
 
-so the row is w[j][0] = A_j, w[j][i] = A_{j-i} + B_{j-i+1} for interior i,
-and w[j][j] = B_1, all divided by Gamma(nu).  A_m + B_m telescopes to
-h^nu (m^nu - (m-1)^nu)/nu, which makes every row integrate constants
-exactly; B is therefore stored as (A+B) - A with the telescoping sum
-computed cancellation-free via expm1/log1p, keeping row sums accurate to
-a few ulp even for thousands of steps.
+so the weights are w[j][0] = A_j, w[j][i] = A_{j-i} + B_{j-i+1} for
+interior i, and w[j][j] = B_1, all divided by Gamma(nu).  Apart from
+column 0 they depend on j - i only: w[j][i] = kernel[j-i] with the
+Toeplitz kernel [B_1, C_1, ..., C_{n-1}], C_m = A_m + B_{m+1}.  So
+(I^nu f) at every node is A_j f_0 plus one convolution of the kernel
+with f_1..f_n.  A_m + B_m telescopes to h^nu (m^nu - (m-1)^nu)/nu, which
+makes every row integrate constants exactly; B is therefore stored as
+(A+B) - A with the telescoping sum computed cancellation-free via
+expm1/log1p, keeping row sums accurate to a few ulp even for thousands
+of steps.
 """
 
 from __future__ import annotations
@@ -84,18 +88,19 @@ class QuadratureGrid:
         d_nu = _power_increments(m, self.nu)
         d_nu1 = _power_increments(m, self.nu + 1.0)
         scale = self.h ** self.nu / math.gamma(self.nu)
-        self._a = scale * (d_nu1 / (self.nu + 1.0) - (m - 1.0) * d_nu / self.nu)
+        a = scale * (d_nu1 / (self.nu + 1.0) - (m - 1.0) * d_nu / self.nu)
         pair_sum = scale * d_nu / self.nu  # A_m + B_m, telescoping form
-        self._b = pair_sum - self._a
-        self._a[0] = self._b[0] = 0.0
-        # interior coefficient C_m = A_m + B_{m+1}
-        self._c = self._a[1:-1] + self._b[2:] if self.n_steps >= 2 else np.empty(0)
-
-        if self.nu <= 1.0 and (np.any(self._a[1:] < 0.0) or np.any(self._b[1:] < 0.0)):
+        b = pair_sum - a
+        a[0] = b[0] = 0.0
+        if self.nu <= 1.0 and (np.any(a[1:] < 0.0) or np.any(b[1:] < 0.0)):
             raise InstabilityError(
                 f"negative quadrature weight for nu = {self.nu}; weights must be "
                 "non-negative for nu <= 1"
             )
+        # column 0 is A_j; the rest is the Toeplitz kernel [B_1, C_1, ..., C_{n-1}]
+        # with the interior coefficient C_m = A_m + B_{m+1}
+        self._a = a
+        self._kernel = np.concatenate((b[1:2], a[1:-1] + b[2:]))
         # every row must integrate constants exactly: sum_i w[j][i] = t_j^nu / Gamma(nu+1)
         sums = np.cumsum(pair_sum[1:])
         exact = self.times[1:] ** self.nu / math.gamma(self.nu + 1.0)
@@ -108,29 +113,16 @@ class QuadratureGrid:
     @property
     def diag(self) -> float:
         """w[j][j], identical for every j >= 1."""
-        return float(self._b[1])
+        return float(self._kernel[0])
 
-    def row(self, j: int) -> np.ndarray:
-        """Weights w[j][0..j] such that (I^nu f)(t_j) ~= row . f[:j+1]."""
-        if not 0 <= j <= self.n_steps:
-            raise DomainError(f"row index {j} outside 0..{self.n_steps}")
-        if j == 0:
-            return np.zeros(1)
-        w = np.empty(j + 1)
-        w[0] = self._a[j]
-        if j >= 2:
-            w[1:j] = self._c[j - 2 :: -1]  # C_{j-1}, ..., C_1
-        w[j] = self._b[1]
-        return w
-
-    def rl_integral(self, samples: Sequence[float], j: int) -> float:
-        """Product-trapezoidal value of the order-nu RL integral at t_j."""
-        if j == 0:
-            return 0.0
+    def rl_integral(self, samples: Sequence[float]) -> np.ndarray:
+        """Product-trapezoidal values of the order-nu RL integral at every node."""
         s = np.asarray(samples, dtype=float)
-        if s.shape[0] < j + 1:
-            raise DomainError(f"need {j + 1} samples for row {j}, got {s.shape[0]}")
-        return float(self.row(j) @ s[: j + 1])
+        if s.shape != self.times.shape:
+            raise DomainError(f"need {self.times.shape[0]} samples, got shape {s.shape}")
+        out = self._a * s[0]
+        out[1:] += np.convolve(self._kernel, s[1:])[: self.n_steps]
+        return out
 
 
 @dataclass
@@ -163,12 +155,16 @@ def solve_volterra(
     if denom <= 0.0:
         raise InstabilityError(f"implicit step denominator {denom} <= 0")
     n = grid.n_steps
-    values = np.empty(n + 1)
-    values[0] = n0 * f[0]
+    # The history is stored newest-first, hist[n - i] = N_i, so that step j
+    # dots the contiguous kernel slice C_1..C_{j-1} with the contiguous
+    # N_{j-1}..N_1: a reversed (negative-stride) operand would leave BLAS.
+    kernel, a = grid._kernel, grid._a
+    hist = np.empty(n + 1)
+    hist[n] = v0 = n0 * f[0]
     for j in range(1, n + 1):
-        w = grid.row(j)
-        conv = float(w[:j] @ values[:j])
-        values[j] = (n0 * f[j] - r * conv) / denom
+        conv = a[j] * v0 + kernel[1:j] @ hist[n - j + 1 : n]
+        hist[n - j] = (n0 * f[j] - r * conv) / denom
+    values = hist[::-1]
     return OracleSolution(grid=grid, values=values, rate=rate)
 
 
@@ -202,10 +198,7 @@ def residual(prob: KineticProblem, series_values: SolutionTable, grid: Quadratur
     values = np.asarray(series_values.values)
     f = np.array([prob.source(t) for t in grid.times])
     r = prob.rate ** grid.nu
-    worst = 0.0
-    for j in range(grid.n_steps + 1):
-        defect = values[j] - prob.n0 * f[j] + r * grid.rl_integral(values, j)
-        worst = max(worst, abs(defect))
+    worst = float(np.max(np.abs(values - prob.n0 * f + r * grid.rl_integral(values))))
     return worst / max(1.0, float(np.max(np.abs(values))))
 
 

@@ -50,6 +50,7 @@ import numpy as np
 from .series import (
     DEFAULT_CONTROL,
     DomainError,
+    OverflowLogError,
     SeriesControl,
     SeriesResult,
     sum_log_terms,
@@ -130,17 +131,33 @@ class KineticProblem:
 
     def z(self, t: float) -> float:
         """Source argument at time t: t (variant 1) or d**nu t**nu."""
-        return self.d ** self.nu * t ** self.nu if self.variant != 1 else t
+        if self.variant == 1:
+            return t
+        try:
+            return self.d ** self.nu * t ** self.nu
+        except OverflowError:
+            raise _power_overflow("source argument", self.d, t, self.nu) from None
 
     def ml_arg(self, t: float) -> float:
         """Mittag-Leffler argument at time t: -rate**nu t**nu."""
-        return -(self.rate ** self.nu) * t ** self.nu
+        try:
+            return -(self.rate ** self.nu) * t ** self.nu
+        except OverflowError:
+            raise _power_overflow("Mittag-Leffler argument", self.rate, t, self.nu) from None
 
     def beta(self, n: int) -> float:
         """Mittag-Leffler index of outer term n: mu+2n+1 (variant 1) or nu(mu+2n)+1."""
         if self.variant != 1:
             return self.nu * (self.params.mu + 2.0 * n) + 1.0
         return self.params.mu + 2.0 * n + 1.0
+
+
+def _power_overflow(what: str, base: float, t: float, nu: float) -> OverflowLogError:
+    """The error for a base**nu or t**nu factor past the double range."""
+    big = max(base, t)
+    return OverflowLogError(
+        f"{what} at t = {t}: {big}**{nu} overflows double range", nu * math.log(big)
+    )
 
 
 @dataclass(frozen=True)
@@ -339,7 +356,10 @@ def solve_grid(
     tails: list[float] = []
     for lo in range(0, len(times), _GRID_CHUNK):
         chunk = times[lo:lo + _GRID_CHUNK]
-        batch = _solve_chunk(prob, tables, chunk, ctl)
+        try:
+            batch = _solve_chunk(prob, tables, chunk, ctl)
+        except OverflowError:  # a power or lgamma past the double range
+            batch = None
         if batch is None:
             results = [solve_point(prob, t, ctl) for t in chunk]
             batch = ([r.value for r in results], [r.terms for r in results],

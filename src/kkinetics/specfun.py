@@ -49,7 +49,6 @@ __all__ = [
     "KBesselParams",
     "MLParams",
     "FoxWrightSpec",
-    "log_gamma",
     "log_k_gamma",
     "k_gamma",
     "k_pochhammer",
@@ -147,55 +146,12 @@ class FoxWrightSpec:
         return sum(w for _, w in self.lower) - sum(w for _, w in self.upper)
 
 
-# zeta(2) .. zeta(32), for the series expansions of ln Gamma around its
-# zeros at x = 1 and x = 2 where a library lgamma only delivers absolute
-# (not relative) accuracy.
-_ZETA = (
-    1.64493406684822644, 1.20205690315959429, 1.08232323371113819,
-    1.03692775514336993, 1.01734306198444914, 1.00834927738192283,
-    1.00407735619794434, 1.00200839282608221, 1.00099457512781809,
-    1.00049418860411946, 1.00024608655330805, 1.00012271334757849,
-    1.0000612481350587, 1.00003058823630702, 1.00001528225940865,
-    1.0000076371976379, 1.000003817293265, 1.00000190821271655,
-    1.00000095396203387, 1.00000047693298679, 1.00000023845050273,
-    1.00000011921992597, 1.00000005960818905, 1.00000002980350351,
-    1.00000001490155483, 1.00000000745071179, 1.00000000372533402,
-    1.00000000186265972, 1.00000000093132743, 1.00000000046566291,
-    1.00000000023283118,
-)
-_EULER_GAMMA = 0.577215664901532861
-
-
-def _lgamma_near_root(e: float, at_two: bool) -> float:
-    # ln Gamma(1+e) = -gamma*e + sum_{k>=2} (-1)^k zeta(k)/k e^k
-    # ln Gamma(2+e) = (1-gamma)*e + sum_{k>=2} (-1)^k (zeta(k)-1)/k e^k
-    shift = 1.0 if at_two else 0.0
-    acc = 0.0
-    for k in range(len(_ZETA) + 1, 1, -1):  # smallest terms first
-        coeff = _ZETA[k - 2] - shift
-        term = coeff / k * e ** k
-        acc += term if k % 2 == 0 else -term
-    linear = (1.0 - _EULER_GAMMA) if at_two else -_EULER_GAMMA
-    return linear * e + acc
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, relatively accurate through the zeros at 1 and 2."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if abs(x - 1.0) <= 0.25:
-        return _lgamma_near_root(x - 1.0, at_two=False)
-    if abs(x - 2.0) <= 0.25:
-        return _lgamma_near_root(x - 2.0, at_two=True)
-    return math.lgamma(x)
-
-
 def log_k_gamma(gamma: float, k: float) -> float:
     """ln Gamma_k(gamma) = (gamma/k - 1) ln k + ln Gamma(gamma/k)."""
-    if not gamma > 0.0:
-        raise DomainError(f"log_k_gamma requires gamma > 0, got {gamma}")
-    if not k > 0.0:
-        raise DomainError(f"log_k_gamma requires k > 0, got {k}")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"log_k_gamma requires a finite gamma > 0, got {gamma}")
+    if not 0.0 < k < math.inf:
+        raise DomainError(f"log_k_gamma requires a finite k > 0, got {k}")
     return (gamma / k - 1.0) * math.log(k) + math.lgamma(gamma / k)
 
 
@@ -209,8 +165,10 @@ def k_gamma(gamma: float, k: float) -> float:
 
 def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
     """ln (gamma)_{n,k} through the Gamma_k ratio form."""
-    if not gamma > 0.0 or not k > 0.0:
-        raise DomainError(f"log_k_pochhammer requires gamma, k > 0, got ({gamma}, {k})")
+    if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
+        raise DomainError(
+            f"log_k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})"
+        )
     if n < 0:
         raise DomainError(f"log_k_pochhammer requires n >= 0, got {n}")
     if n == 0:
@@ -226,8 +184,8 @@ def k_pochhammer(gamma: float, n: int, k: float) -> float:
     ``k_pochhammer(g, n+1, k) == k_pochhammer(g, n, k) * (g + n*k)`` holds
     bit for bit.
     """
-    if not gamma > 0.0 or not k > 0.0:
-        raise DomainError(f"k_pochhammer requires gamma, k > 0, got ({gamma}, {k})")
+    if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
+        raise DomainError(f"k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})")
     if n < 0:
         raise DomainError(f"k_pochhammer requires n >= 0, got {n}")
     prod = 1.0
@@ -247,9 +205,13 @@ def _sign_pow(base_sign: float, n: int) -> float:
 
 # Documented safe bound for negative Mittag-Leffler arguments: beyond
 # |x| = 700**alpha the peak series term dwarfs the sum so badly that double
-# precision cannot represent the cancellation.
+# precision cannot represent the cancellation.  Past the double range
+# (alpha > 108.3) no double x is beyond it.
 def ml_negative_bound(alpha: float) -> float:
-    return 700.0 ** alpha
+    try:
+        return 700.0 ** alpha
+    except OverflowError:
+        return math.inf
 
 
 def _ml_sum(
@@ -270,7 +232,15 @@ def _ml_sum(
     def term(n: int) -> tuple[float, float]:
         return _sign_pow(x, n), log_scale - math.lgamma(alpha * n + beta) + n * log_ax
 
-    return sum_log_terms(term, ctl, cancellation_guard=x < 0.0, label=label)
+    try:
+        return sum_log_terms(term, ctl, cancellation_guard=x < 0.0, label=label)
+    except OverflowLogError:
+        raise
+    except OverflowError:  # math.lgamma: alpha*n + beta is past the double range
+        raise OverflowLogError(
+            f"{label}: Gamma(alpha*n + beta) overflows double range for alpha = {alpha}",
+            math.inf,
+        ) from None
 
 
 def mittag_leffler(p: MLParams, x: float, ctl: SeriesControl | None = None) -> SeriesResult:

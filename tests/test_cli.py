@@ -85,9 +85,13 @@ def test_eval_domain_error_exits_one(capsys):
     ["ml", "--alpha", "1", "--beta", "1e306", "--x", "0"],
     ["omega", "--k", "inf", "--gamma", "1", "--lambda", "1", "--mu", "1",
      "--b", "3", "--c", "2", "--z", "0.5"],
-], ids=["ml_beta_1e306", "omega_k_inf"])
+    ["ml", "--alpha", "1e306", "--beta", "1", "--x", "1"],
+    ["kgamma", "--gamma", "inf", "--k", "1"],
+    ["kgamma", "--gamma", "1", "--k", "inf"],
+], ids=["ml_beta_1e306", "omega_k_inf", "ml_alpha_1e306", "kgamma_gamma_inf", "kgamma_k_inf"])
 def test_eval_out_of_range_parameter_exits_one(argv, capsys):
-    # both used to end in a traceback (OverflowError, math domain error)
+    # each used to end in a traceback (OverflowError, math domain error),
+    # except kgamma_gamma_inf, which printed nan with exit 0
     rc = cli.main(["eval", *argv])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -200,6 +204,15 @@ def test_config_rejects_non_finite_numbers(tmp_path, capsys, command, key, value
         rc = cli.main(["solve", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert f"config field {key!r}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_large_order_exits_one(tmp_path, capsys):
+    # d**nu = 3**700 used to end in a bare OverflowError traceback
+    cfg = write_config(tmp_path, theorem=2, nu=700)
+    out = tmp_path / "x.csv"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

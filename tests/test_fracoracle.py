@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,17 +35,20 @@ def fig1_problem(n0=2.0):
 @pytest.mark.parametrize("nu", [0.25, 0.5, 0.75, 1.0, 1.5])
 def test_weight_rows_integrate_constants(nu):
     grid = QuadratureGrid(2.0, 256, nu)
+    row_sums = grid.rl_integral(np.ones(257))
     for j in range(1, 257):
-        row_sum = float(grid.row(j).sum())
         exact = grid.times[j] ** nu / math.gamma(nu + 1.0)
-        assert row_sum == pytest.approx(exact, rel=1e-12), f"j={j}"
+        assert row_sums[j] == pytest.approx(exact, rel=1e-12), f"j={j}"
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0])
 def test_weights_nonnegative_for_low_order(nu):
+    # rl_integral of the unit impulse at node i is column i of the weights
     grid = QuadratureGrid(1.0, 128, nu)
-    for j in (1, 2, 17, 128):
-        assert np.all(grid.row(j) >= 0.0)
+    for i in range(129):
+        impulse = np.zeros(129)
+        impulse[i] = 1.0
+        assert np.all(grid.rl_integral(impulse) >= 0.0), f"column {i}"
 
 
 def test_grid_validation():
@@ -58,18 +62,16 @@ def test_grid_validation():
 
 def test_rl_integral_of_linear_is_exact_at_unit_order():
     grid = QuadratureGrid(2.0, 64, 1.0)
-    samples = grid.times.copy()
+    got = grid.rl_integral(grid.times)
     for j in (1, 10, 64):
-        assert grid.rl_integral(samples, j) == pytest.approx(
-            grid.times[j] ** 2 / 2.0, rel=1e-12
-        )
+        assert got[j] == pytest.approx(grid.times[j] ** 2 / 2.0, rel=1e-12)
 
 
 def test_rl_integral_power_rule_half_order():
     # I^{1/2} s^2 = Gamma(3)/Gamma(3.5) t^{2.5}, second-order accurate
     def err(n):
         grid = QuadratureGrid(1.0, n, 0.5)
-        got = grid.rl_integral(grid.times ** 2, n)
+        got = grid.rl_integral(grid.times ** 2)[n]
         want = math.gamma(3.0) / math.gamma(3.5)
         return abs(got - want) / want
 
@@ -80,7 +82,62 @@ def test_rl_integral_power_rule_half_order():
 
 def test_rl_integral_at_origin_is_zero():
     grid = QuadratureGrid(1.0, 8, 0.7)
-    assert grid.rl_integral(np.ones(9), 0) == 0.0
+    assert grid.rl_integral(np.ones(9))[0] == 0.0
+
+
+def test_rl_integral_needs_one_sample_per_node():
+    grid = QuadratureGrid(1.0, 8, 0.7)
+    with pytest.raises(DomainError):
+        grid.rl_integral(np.ones(8))
+
+
+def _dense_weights(t_end, n, nu):
+    """The full matrix W of the product-trapezoid rule, entry by entry from the
+    A_m and B_m formulas of the fracoracle docstring, in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        h, nu = mpmath.mpf(t_end) / n, mpmath.mpf(nu)
+
+        def a(m):
+            return h ** nu * (
+                (m ** (nu + 1) - (m - 1) ** (nu + 1)) / (nu + 1)
+                - (m - 1) * (m ** nu - (m - 1) ** nu) / nu
+            )
+
+        def b(m):
+            return h ** nu * (
+                m * (m ** nu - (m - 1) ** nu) / nu
+                - (m ** (nu + 1) - (m - 1) ** (nu + 1)) / (nu + 1)
+            )
+
+        w = np.zeros((n + 1, n + 1))
+        for j in range(1, n + 1):
+            w[j, 0] = a(j) / mpmath.gamma(nu)
+            for i in range(1, j):
+                w[j, i] = (a(j - i) + b(j - i + 1)) / mpmath.gamma(nu)
+            w[j, j] = b(1) / mpmath.gamma(nu)
+    return w
+
+
+def _wave(t):
+    return math.exp(-t) * math.cos(3.0 * t) + 0.5 * t
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5])
+def test_rule_matches_dense_weight_matrix(nu, n):
+    grid = QuadratureGrid(2.0, n, nu)
+    w = _dense_weights(2.0, n, nu)
+    samples = np.random.default_rng(n).normal(size=n + 1)
+    want = w @ samples
+    assert np.max(np.abs(grid.rl_integral(samples) - want)) <= 1e-13 * max(
+        1.0, np.max(np.abs(want))
+    )
+    # the marcher solves (I + r^nu W) N = n0 f
+    n0, rate = 1.7, 1.3
+    sol = solve_volterra(n0, _wave, rate, grid)
+    f = np.array([_wave(t) for t in grid.times])
+    defect = sol.values + rate ** nu * (w @ sol.values) - n0 * f
+    assert np.max(np.abs(defect)) <= 1e-13 * max(1.0, np.max(np.abs(sol.values)))
 
 
 # ---------------------------------------------------------------- Volterra solver

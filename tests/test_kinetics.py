@@ -14,6 +14,7 @@ from kkinetics import (
     KineticProblem,
     MLParams,
     NonConvergenceError,
+    OverflowLogError,
     QuadratureGrid,
     SeriesControl,
     SolutionTable,
@@ -61,6 +62,21 @@ def test_problem_rejects_non_finite_fields(field):
     for bad in (math.inf, math.nan):
         with pytest.raises(DomainError, match=message):
             KineticProblem(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("d,nu,variant,t", [
+    (3.0, 700.0, Theorem.T2, 1.0),    # d**nu
+    (3.0, 700.0, Theorem.T1, 1.0),    # rate**nu
+    (1.0, 1e306, Theorem.T1, 1.0),    # lgamma(nu*m + beta) in the Mittag-Leffler sums
+    (0.25, 700.0, Theorem.T2, 5.0),   # t**nu
+])
+def test_large_order_overflow_is_an_evaluation_error(d, nu, variant, t):
+    # each used to end in a bare OverflowError
+    prob = KineticProblem(n0=1.0, d=d, nu=nu, variant=variant, params=FIG_PARAMS)
+    with pytest.raises(OverflowLogError):
+        solve_point(prob, t)
+    with pytest.raises(OverflowLogError):
+        solve_grid(prob, [0.0, t])
 
 
 # ---------------------------------------------------------------- basic structure

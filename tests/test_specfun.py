@@ -28,47 +28,12 @@ from kkinetics import (
     k_gamma,
     k_pochhammer,
     k_wright_w,
-    log_gamma,
     mittag_leffler,
     scaled_ml,
 )
-from kkinetics.specfun import _LGAMMA_ARG_MAX
+from kkinetics.specfun import _LGAMMA_ARG_MAX, log_k_gamma, log_k_pochhammer
 
 mpmath.mp.dps = 40
-
-
-# ---------------------------------------------------------------- log_gamma
-
-
-def test_log_gamma_trivial_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(2.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-15)
-
-
-def test_log_gamma_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-3.2)
-
-
-def test_log_gamma_relative_accuracy():
-    # contract: relative error <= 1e-14 on (0, 170], zeros at 1 and 2 included
-    rng = np.random.default_rng(7)
-    xs = np.concatenate([
-        rng.uniform(1e-6, 170.0, 250),
-        rng.uniform(0.8, 2.2, 150),
-        [0.999999, 1.000001, 1.9999999, 2.0000001],
-    ])
-    for x in xs:
-        x = float(x)
-        ref = mpmath.loggamma(mpmath.mpf(x))
-        got = log_gamma(x)
-        if ref != 0:
-            assert abs((got - ref) / ref) <= 1e-14, f"x={x}"
-        else:
-            assert got == 0.0
 
 
 # ---------------------------------------------------------------- k-gamma
@@ -141,6 +106,17 @@ def test_k_pochhammer_recurrence_exact():
 def test_k_pochhammer_rejects_negative_n():
     with pytest.raises(DomainError):
         k_pochhammer(1.0, -1, 1.0)
+
+
+@pytest.mark.parametrize("gamma,k", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                                     (1.0, math.nan)])
+def test_k_calculus_rejects_non_finite_inputs(gamma, k):
+    # k_gamma(inf, 1) used to return nan and k_gamma(1, inf) to raise a bare
+    # ValueError from lgamma(0)
+    for call in (lambda: log_k_gamma(gamma, k), lambda: k_gamma(gamma, k),
+                 lambda: log_k_pochhammer(gamma, 2, k), lambda: k_pochhammer(gamma, 2, k)):
+        with pytest.raises(DomainError):
+            call()
 
 
 # ---------------------------------------------------------------- Mittag-Leffler
