@@ -285,7 +285,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     diff = float(np.max(np.abs(series - oracle.values)))
     scale = max(1.0, float(np.max(np.abs(oracle.values))))
     rel_diff = diff / scale
-    res = fracoracle.residual(job.problem, table, grid)
+    res = fracoracle.residual(table, oracle)
     print(f"residual: {res:.6e}")
     print(f"max-rel-diff: {rel_diff:.6e}")
     failures = []

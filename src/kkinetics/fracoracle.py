@@ -2,8 +2,9 @@
 
 Nothing here trusts the series solvers: the fractional integral is done by
 product-trapezoidal quadrature, the kinetic equation is solved directly as
-a discretized Volterra equation, and the transform-domain identity is
-verified with adaptive Simpson quadrature.
+a discretized Volterra equation (its right-hand side n0 f(t_j) is sampled
+once and kept, and :func:`residual` checks a table against it), and the
+transform-domain identity is verified with adaptive Simpson quadrature.
 
 Product-trapezoidal weights.  For the order-``nu`` Riemann-Liouville
 integral on a uniform grid ``t_j = j h``,
@@ -38,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kinetics import KineticProblem, SolutionTable
-from .series import DomainError, EvaluationError, SeriesControl, SeriesResult
+from .series import DomainError, EvaluationError, OverflowLogError, SeriesControl, SeriesResult
 from .specfun import MLParams, mittag_leffler
 
 __all__ = [
@@ -82,12 +83,17 @@ class QuadratureGrid:
         self.nu = float(nu)
         self.h = self.t_end / self.n_steps
         self.times = np.linspace(0.0, self.t_end, self.n_steps + 1)
+        try:  # Gamma(nu + 1) leaves the double range above nu ~ 170.6
+            gamma_nu, gamma_nu1 = math.gamma(self.nu), math.gamma(self.nu + 1.0)
+        except OverflowError:
+            raise OverflowLogError(f"Gamma({self.nu + 1.0}) of the weights overflows double range",
+                                   math.lgamma(self.nu + 1.0)) from None
 
         m = np.arange(0, self.n_steps + 1, dtype=float)
         m[0] = 1.0  # placeholder; index 0 is never used
         d_nu = _power_increments(m, self.nu)
         d_nu1 = _power_increments(m, self.nu + 1.0)
-        scale = self.h ** self.nu / math.gamma(self.nu)
+        scale = self.h ** self.nu / gamma_nu
         a = scale * (d_nu1 / (self.nu + 1.0) - (m - 1.0) * d_nu / self.nu)
         pair_sum = scale * d_nu / self.nu  # A_m + B_m, telescoping form
         b = pair_sum - a
@@ -103,17 +109,12 @@ class QuadratureGrid:
         self._kernel = np.concatenate((b[1:2], a[1:-1] + b[2:]))
         # every row must integrate constants exactly: sum_i w[j][i] = t_j^nu / Gamma(nu+1)
         sums = np.cumsum(pair_sum[1:])
-        exact = self.times[1:] ** self.nu / math.gamma(self.nu + 1.0)
+        exact = self.times[1:] ** self.nu / gamma_nu1
         err = np.max(np.abs(sums - exact) / exact)
         if err > 1e-12:
             raise EvaluationError(
                 f"quadrature weight rows drifted from the constant rule by {err:.3g}"
             )
-
-    @property
-    def diag(self) -> float:
-        """w[j][j], identical for every j >= 1."""
-        return float(self._kernel[0])
 
     def rl_integral(self, samples: Sequence[float]) -> np.ndarray:
         """Product-trapezoidal values of the order-nu RL integral at every node."""
@@ -132,6 +133,7 @@ class OracleSolution:
     grid: QuadratureGrid
     values: np.ndarray
     rate: float
+    forcing: np.ndarray  # the right-hand side n0 f(t_j) the march solved for
 
 
 def solve_volterra(
@@ -149,23 +151,22 @@ def solve_volterra(
     """
     if not rate > 0.0:
         raise DomainError(f"rate must be > 0, got {rate}")
-    f = np.array([source(t) for t in grid.times])
+    forcing = n0 * np.array([source(t) for t in grid.times])
+    kernel, a = grid._kernel, grid._a
     r = rate ** grid.nu
-    denom = 1.0 + r * grid.diag
+    denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
     if denom <= 0.0:
         raise InstabilityError(f"implicit step denominator {denom} <= 0")
     n = grid.n_steps
     # The history is stored newest-first, hist[n - i] = N_i, so that step j
     # dots the contiguous kernel slice C_1..C_{j-1} with the contiguous
     # N_{j-1}..N_1: a reversed (negative-stride) operand would leave BLAS.
-    kernel, a = grid._kernel, grid._a
     hist = np.empty(n + 1)
-    hist[n] = v0 = n0 * f[0]
+    hist[n] = v0 = forcing[0]
     for j in range(1, n + 1):
         conv = a[j] * v0 + kernel[1:j] @ hist[n - j + 1 : n]
-        hist[n - j] = (n0 * f[j] - r * conv) / denom
-    values = hist[::-1]
-    return OracleSolution(grid=grid, values=values, rate=rate)
+        hist[n - j] = (forcing[j] - r * conv) / denom
+    return OracleSolution(grid=grid, values=hist[::-1], rate=rate, forcing=forcing)
 
 
 def haubold_mathai(
@@ -182,23 +183,18 @@ def haubold_mathai(
     return SeriesResult(n0 * r.value, r.terms, abs(n0) * r.tail)
 
 
-def residual(prob: KineticProblem, series_values: SolutionTable, grid: QuadratureGrid) -> float:
-    """Normalized defect of a candidate solution in the defining equation.
+def residual(table: SolutionTable, oracle: OracleSolution) -> float:
+    """Normalized defect of a candidate solution in the oracle's equation.
 
-    Returns max_j |N_j - n0 f(t_j) + rate**nu (I^nu N)(t_j)| / max(1, max_j |N_j|)
-    with the source and rate chosen by the problem variant.
+    Returns max_j |N_j - F_j + rate**nu (I^nu N)(t_j)| / max(1, max_j |N_j|)
+    with the grid, rate and forcing F_j = n0 f(t_j) of ``oracle``, so no
+    source is evaluated here.
     """
-    if len(series_values) != grid.n_steps + 1:
-        raise DomainError(
-            f"solution table has {len(series_values)} points, grid has {grid.n_steps + 1}"
-        )
-    times = np.asarray(series_values.times)
-    if np.max(np.abs(times - grid.times)) > 1e-12 * max(1.0, grid.t_end):
+    grid, values = oracle.grid, np.asarray(table.values)
+    integral = grid.rl_integral(values)  # DomainError unless one value per node
+    if np.max(np.abs(np.asarray(table.times) - grid.times)) > 1e-12 * max(1.0, grid.t_end):
         raise DomainError("solution table times do not match the quadrature grid")
-    values = np.asarray(series_values.values)
-    f = np.array([prob.source(t) for t in grid.times])
-    r = prob.rate ** grid.nu
-    worst = float(np.max(np.abs(values - prob.n0 * f + r * grid.rl_integral(values))))
+    worst = float(np.max(np.abs(values - oracle.forcing + oracle.rate ** grid.nu * integral)))
     return worst / max(1.0, float(np.max(np.abs(values))))
 
 
@@ -297,7 +293,7 @@ def laplace_check(
     if not (p > prob.d and p > prob.rate):
         raise DomainError(f"laplace_check requires p > rate, got p={p}")
     n_tilde = laplace_transform(series_solver, p, rel_tol)
-    f_tilde = laplace_transform(lambda t: prob.source(t), p, rel_tol)
+    f_tilde = laplace_transform(prob.source, p, rel_tol)
     lhs = n_tilde * (1.0 + prob.rate ** prob.nu * p ** (-prob.nu))
     rhs = prob.n0 * f_tilde
     if rhs == 0.0:

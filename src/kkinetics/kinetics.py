@@ -49,6 +49,7 @@ import numpy as np
 
 from .series import (
     DEFAULT_CONTROL,
+    LOG_DBL_MAX,
     DomainError,
     OverflowLogError,
     SeriesControl,
@@ -131,19 +132,11 @@ class KineticProblem:
 
     def z(self, t: float) -> float:
         """Source argument at time t: t (variant 1) or d**nu t**nu."""
-        if self.variant == 1:
-            return t
-        try:
-            return self.d ** self.nu * t ** self.nu
-        except OverflowError:
-            raise _power_overflow("source argument", self.d, t, self.nu) from None
+        return t if self.variant == 1 else _scaled_power("source argument", self.d, t, self.nu)
 
     def ml_arg(self, t: float) -> float:
         """Mittag-Leffler argument at time t: -rate**nu t**nu."""
-        try:
-            return -(self.rate ** self.nu) * t ** self.nu
-        except OverflowError:
-            raise _power_overflow("Mittag-Leffler argument", self.rate, t, self.nu) from None
+        return -_scaled_power("Mittag-Leffler argument", self.rate, t, self.nu)
 
     def beta(self, n: int) -> float:
         """Mittag-Leffler index of outer term n: mu+2n+1 (variant 1) or nu(mu+2n)+1."""
@@ -152,12 +145,21 @@ class KineticProblem:
         return self.params.mu + 2.0 * n + 1.0
 
 
-def _power_overflow(what: str, base: float, t: float, nu: float) -> OverflowLogError:
-    """The error for a base**nu or t**nu factor past the double range."""
-    big = max(base, t)
-    return OverflowLogError(
-        f"{what} at t = {t}: {big}**{nu} overflows double range", nu * math.log(big)
-    )
+def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
+    """base**nu * t**nu, refused only when (base t)**nu leaves the double range."""
+    if t == 0.0:
+        return 0.0
+    try:
+        power = base ** nu * t ** nu
+    except OverflowError:  # a factor past the range, such as 3**700 at t = 0.1
+        power = math.inf
+    if 0.0 != power != math.inf:
+        return power
+    log_power = nu * (math.log(base) + math.log(t))
+    if log_power > LOG_DBL_MAX:
+        raise OverflowLogError(f"{what} at t = {t}: ({base} t)**{nu} overflows double range",
+                               log_power)
+    return math.exp(log_power)  # may underflow to 0
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from kkinetics import cli
+from kkinetics import SeriesControl, cli, kinetics
 from kkinetics.kinetics import SolutionTable
 
 FIG1_CONFIG = {
@@ -216,6 +216,13 @@ def test_solve_large_order_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_large_order_exits_one(tmp_path, capsys):
+    # math.gamma(700) in the quadrature weights used to end in a bare OverflowError
+    cfg = write_config(tmp_path, theorem=2, nu=700)
+    assert cli.main(["verify", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_solve_missing_config_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -235,6 +242,23 @@ def test_verify_passes_on_fig1(tmp_path, capsys):
     assert float(metrics["residual"]) <= 1e-3
     assert float(metrics["max-rel-diff"]) <= 1e-3
     assert "PASS" in out
+
+
+def test_verify_evaluates_the_source_once_per_node(tmp_path, capsys, monkeypatch):
+    # the residual reads the forcing the oracle sampled, so verify makes one
+    # source call per node, each under the job's series control
+    monkeypatch.delenv("KKINETICS_MAX_TERMS", raising=False)
+    controls = []
+    real = kinetics.gen_k_bessel
+
+    def recording(params, z, ctl=None):
+        controls.append(ctl)
+        return real(params, z, ctl)
+
+    monkeypatch.setattr(kinetics, "gen_k_bessel", recording)
+    cfg = write_config(tmp_path, rel_tol=1e-12)
+    assert cli.main(["verify", "--config", str(cfg), "--grid-step", "0.015625"]) == 0
+    assert controls == [SeriesControl(rel_tol=1e-12)] * 65  # n + 1 nodes, n = 64
 
 
 def test_verify_fails_when_series_budget_is_crippled(tmp_path, capsys):

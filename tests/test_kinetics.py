@@ -79,6 +79,27 @@ def test_large_order_overflow_is_an_evaluation_error(d, nu, variant, t):
         solve_grid(prob, [0.0, t])
 
 
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_large_order_in_range_source_argument_is_evaluated(t):
+    # 3**700 alone overflows, but (3 t)**700 is 0 at t = 0 and underflows to 0
+    # at t = 0.1; both points used to be refused
+    prob = KineticProblem(n0=1.0, d=3.0, nu=700.0, variant=Theorem.T2, params=FIG_PARAMS)
+    assert solve_point(prob, t).value == 0.0
+    assert solve_grid(prob, [t]).values == (0.0,)
+
+
+def test_power_arguments_are_finite_or_refused():
+    # d * t past the double range: a finite (d t)**nu is returned, never inf
+    prob = KineticProblem(n0=1.0, d=1e300, nu=0.5, variant=Theorem.T2, params=FIG_PARAMS)
+    assert prob.z(1e300) == pytest.approx(1e300, rel=1e-14)
+    assert prob.ml_arg(1e300) == pytest.approx(-1e300, rel=1e-14)
+    prob = KineticProblem(n0=1.0, d=1e300, nu=1.0, variant=Theorem.T2, params=FIG_PARAMS)
+    with pytest.raises(OverflowLogError):
+        prob.z(1e300)
+    with pytest.raises(OverflowLogError):
+        prob.ml_arg(1e300)
+
+
 # ---------------------------------------------------------------- basic structure
 
 
@@ -166,7 +187,7 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
 def test_theorem1_matches_volterra_at_half():
     prob = fig_problem(Theorem.T1)
     grid = QuadratureGrid(0.5, 1024, prob.nu)  # h = 1/2048
-    oracle = solve_volterra(prob.n0, lambda t: prob.source(t), prob.rate, grid)
+    oracle = solve_volterra(prob.n0, prob.source, prob.rate, grid)
     got = solve_point(prob, 0.5).value
     assert got == pytest.approx(float(oracle.values[-1]), rel=5e-4)
 
@@ -174,7 +195,7 @@ def test_theorem1_matches_volterra_at_half():
 def test_theorem3_matches_volterra_on_fig6_setup():
     prob = fig_problem(Theorem.T3, lam=2.0, a=1.0)
     grid = QuadratureGrid(0.05, 128, prob.nu)
-    oracle = solve_volterra(prob.n0, lambda t: prob.source(t), prob.rate, grid)
+    oracle = solve_volterra(prob.n0, prob.source, prob.rate, grid)
     got = solve_point(prob, 0.05).value
     assert got > 0.0
     assert got == pytest.approx(float(oracle.values[-1]), rel=5e-4)
