@@ -289,9 +289,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"residual: {res:.6e}")
     print(f"max-rel-diff: {rel_diff:.6e}")
     failures = []
-    if res > VERIFY_THRESHOLD:
+    if not res <= VERIFY_THRESHOLD:
         failures.append(f"residual {res:.3e} > {VERIFY_THRESHOLD:.0e}")
-    if rel_diff > VERIFY_THRESHOLD:
+    if not rel_diff <= VERIFY_THRESHOLD:
         failures.append(f"max-rel-diff {rel_diff:.3e} > {VERIFY_THRESHOLD:.0e}")
     if failures:
         print(f"verification: FAIL ({'; '.join(failures)})")

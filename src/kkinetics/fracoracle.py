@@ -39,7 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kinetics import KineticProblem, SolutionTable
-from .series import DomainError, EvaluationError, OverflowLogError, SeriesControl, SeriesResult
+from .series import (LOG_DBL_MAX, DomainError, EvaluationError, OverflowLogError,
+                     SeriesControl, SeriesResult)
 from .specfun import MLParams, mittag_leffler
 
 __all__ = [
@@ -88,6 +89,10 @@ class QuadratureGrid:
         except OverflowError:
             raise OverflowLogError(f"Gamma({self.nu + 1.0}) of the weights overflows double range",
                                    math.lgamma(self.nu + 1.0)) from None
+        log_peak = (self.nu + 1.0) * math.log(self.n_steps)
+        if log_peak > LOG_DBL_MAX:
+            raise OverflowLogError(f"{self.n_steps}**{self.nu + 1.0} of the weights overflows "
+                                   "double range", log_peak)
 
         m = np.arange(0, self.n_steps + 1, dtype=float)
         m[0] = 1.0  # placeholder; index 0 is never used
@@ -111,7 +116,7 @@ class QuadratureGrid:
         sums = np.cumsum(pair_sum[1:])
         exact = self.times[1:] ** self.nu / gamma_nu1
         err = np.max(np.abs(sums - exact) / exact)
-        if err > 1e-12:
+        if not err <= 1e-12:
             raise EvaluationError(
                 f"quadrature weight rows drifted from the constant rule by {err:.3g}"
             )

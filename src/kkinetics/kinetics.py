@@ -131,11 +131,15 @@ class KineticProblem:
         return self.a if self.variant == 3 else self.d
 
     def z(self, t: float) -> float:
-        """Source argument at time t: t (variant 1) or d**nu t**nu."""
-        return t if self.variant == 1 else _scaled_power("source argument", self.d, t, self.nu)
+        """Source argument at time t >= 0: t (variant 1) or d**nu t**nu."""
+        if self.variant != 1:
+            return _scaled_power("source argument", self.d, t, self.nu)
+        if t < 0.0:
+            raise DomainError(f"t must be >= 0, got {t}")
+        return t
 
     def ml_arg(self, t: float) -> float:
-        """Mittag-Leffler argument at time t: -rate**nu t**nu."""
+        """Mittag-Leffler argument at time t >= 0: -rate**nu t**nu."""
         return -_scaled_power("Mittag-Leffler argument", self.rate, t, self.nu)
 
     def beta(self, n: int) -> float:
@@ -146,7 +150,9 @@ class KineticProblem:
 
 
 def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
-    """base**nu * t**nu, refused only when (base t)**nu leaves the double range."""
+    """base**nu * t**nu for t >= 0, refused only when (base t)**nu leaves the double range."""
+    if t < 0.0:
+        raise DomainError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0
     try:
@@ -194,8 +200,6 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     The outer k-Bessel-type sum carries a fused Gamma*E Mittag-Leffler
     factor per term (one :func:`specfun.scaled_ml` call each).
     """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
     z = prob.z(t)
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
@@ -293,12 +297,10 @@ def _solve_chunk(
                     cols = tables.inner(ns, 2 * m)
                 return (alternating if m % 2 else 1.0), cols[:, m] + m * log_ax
 
-            res = sum_log_terms_batch(
-                term, (len(live), len(ns)), inner_ctl, cancellation_guard=x < 0.0
-            )
+            res = sum_log_terms_batch(term, (len(live), len(ns)), inner_ctl)
             # scaled_ml is exactly 1 at x = 0; a failed sum gets a finite
             # stand-in so the outer sum runs on and the failure is reported.
-            failed = (res.failure != 0) & (x != 0.0)
+            failed = res.failed & (x != 0.0)
             return np.where(failed | (x == 0.0), 1.0, res.value), failed
 
         ml = np.empty((len(live), 0))
@@ -324,7 +326,7 @@ def _solve_chunk(
         n_idx = np.arange(ml.shape[1])
         evaluated = np.array([tables.outer(n)[1] != -math.inf for n in n_idx], dtype=bool)
         used = (n_idx < outer.terms[:, None]) & evaluated
-        if outer.failure.any() or (ml_failed & used).any():
+        if outer.failed.any() or (ml_failed & used).any():
             return None
         values[live] = prob.n0 * outer.value
         terms[live] = outer.terms

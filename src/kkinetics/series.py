@@ -10,8 +10,14 @@ Truncation policy: stop once ``stagnation_window`` consecutive terms are
 below ``rel_tol`` times the running partial sum.  A single small term is not
 enough because alternating series stall near sign changes.
 
+Every sum is guarded: one whose largest term exceeds
+:data:`CANCELLATION_RATIO_LIMIT` times the sum raises
+:class:`CancellationError`, because cancellation has left it no reliable
+digits.  A series of positive terms cannot trip the guard.
+
 :func:`sum_log_terms` sums one series; :func:`sum_log_terms_batch` applies
-the same rules element-wise to a numpy array of series that share an index.
+the same rules element-wise to a numpy array of series that share an index
+and marks the elements for which the scalar sum would raise.
 """
 
 from __future__ import annotations
@@ -112,7 +118,6 @@ def sum_log_terms(
     term: Callable[[int], tuple[float, float]],
     ctl: SeriesControl,
     *,
-    cancellation_guard: bool = False,
     label: str = "series",
 ) -> SeriesResult:
     """Sum ``term(n) -> (sign, log|term|)`` for n = 0, 1, ... under ``ctl``.
@@ -122,9 +127,9 @@ def sum_log_terms(
     factorially-decaying series used here the term ratio shrinks with n, so
     the extrapolation bounds the discarded remainder.
 
-    With ``cancellation_guard`` the ratio of the largest intermediate term
-    to the final sum is checked, and a :class:`CancellationError` is raised
-    instead of returning a digit-starved result.
+    A sum whose largest term exceeds :data:`CANCELLATION_RATIO_LIMIT` times
+    the sum raises :class:`CancellationError` instead of returning a
+    digit-starved result.
     """
     total = 0.0
     comp = 0.0
@@ -132,88 +137,72 @@ def sum_log_terms(
     prev_mag = 0.0
     mag = 0.0
     quiet = 0
-    n_used = 0
-    stopped = False
     for n in range(ctl.max_terms):
         sign, log_mag = term(n)
         if log_mag > LOG_DBL_MAX:
             raise OverflowLogError(f"{label}: term {n} overflows double range", log_mag)
         prev_mag = mag
-        mag = math.exp(log_mag) if log_mag != -math.inf else 0.0
+        mag = math.exp(log_mag)
         t = sign * mag
         # Kahan step
         y = t - comp
         s = total + y
         comp = (s - total) - y
         total = s
-        n_used = n + 1
         if mag > max_mag:
             max_mag = mag
         if mag <= ctl.rel_tol * abs(total):
             quiet += 1
             if quiet >= ctl.stagnation_window:
-                stopped = True
                 break
         else:
             quiet = 0
-    if not stopped:
+    else:
         raise NonConvergenceError(
-            f"{label}: no stagnation within {ctl.max_terms} terms", total, n_used
+            f"{label}: no stagnation within {ctl.max_terms} terms", total, ctl.max_terms
         )
-    if cancellation_guard and max_mag > CANCELLATION_RATIO_LIMIT * max(
-        abs(total), sys.float_info.min
-    ):
+    scale = max(abs(total), sys.float_info.min)
+    if max_mag > CANCELLATION_RATIO_LIMIT * scale:
         raise CancellationError(
-            f"{label}: cancellation ratio {max_mag / max(abs(total), sys.float_info.min):.3g} "
+            f"{label}: cancellation ratio {max_mag / scale:.3g} "
             f"exceeds {CANCELLATION_RATIO_LIMIT:.0e}; result would carry no significant digits"
         )
-    if mag == 0.0:
-        tail = 0.0
-    elif 0.0 < mag < prev_mag:
+    if 0.0 < mag < prev_mag:
         ratio = mag / prev_mag
-        tail = 2.0 * mag * ratio / (1.0 - ratio)
-        tail = max(tail, mag)
+        tail = max(2.0 * mag * ratio / (1.0 - ratio), mag)
     else:
         tail = mag
-    return SeriesResult(total, n_used, tail)
+    return SeriesResult(total, n + 1, tail)
 
 
 class SeriesBatch(NamedTuple):
     """Element-wise results of :func:`sum_log_terms_batch`.
 
-    ``failure`` is 0 where the element has a result, and otherwise the index
-    in :data:`BATCH_FAILURES` of the exception :func:`sum_log_terms` raises
-    for that series.  ``value`` and ``terms`` of a failed element hold the
-    partial sum and term count at the point of failure.
+    ``failed`` marks the elements for which :func:`sum_log_terms` raises;
+    their ``value``, ``terms`` and ``tail`` are meaningless.
     """
 
     value: np.ndarray
     terms: np.ndarray
     tail: np.ndarray
-    failure: np.ndarray
-
-
-BATCH_FAILURES = (None, OverflowLogError, NonConvergenceError, CancellationError)
-_OVERFLOW, _NO_STAGNATION, _CANCELLATION = 1, 2, 3
+    failed: np.ndarray
 
 
 def sum_log_terms_batch(
     term: Callable[[int], tuple[np.ndarray | float, np.ndarray]],
     shape: tuple[int, ...],
     ctl: SeriesControl,
-    *,
-    cancellation_guard: np.ndarray | bool = False,
 ) -> SeriesBatch:
     """:func:`sum_log_terms` for a numpy batch of series, all advanced together.
 
     ``term(n)`` returns ``(sign, log|term|)`` of term n of every series, as
     arrays broadcastable to ``shape``.  Each element follows the scalar
     rules: the same Kahan step, stagnation rule, overflow check, term
-    budget, cancellation guard (per element when ``cancellation_guard`` is
-    an array) and tail formula.  An element that has stopped or failed
-    stays frozen while the others advance, so its value, term count and
-    tail are the ones :func:`sum_log_terms` returns for it.  Failures are
-    recorded in :attr:`SeriesBatch.failure` instead of raised.
+    budget, cancellation guard and tail formula.  An element that has
+    stopped stays frozen while the others advance, so its value, term count
+    and tail are the ones :func:`sum_log_terms` returns for it.  An element
+    for which :func:`sum_log_terms` raises is marked in
+    :attr:`SeriesBatch.failed` instead.
     """
     total = np.zeros(shape)
     comp = np.zeros(shape)
@@ -222,7 +211,7 @@ def sum_log_terms_batch(
     max_mag = np.zeros(shape)
     quiet = np.zeros(shape, dtype=np.intp)
     terms = np.zeros(shape, dtype=np.intp)
-    failure = np.zeros(shape, dtype=np.int8)
+    failed = np.zeros(shape, dtype=bool)
     running = np.ones(shape, dtype=bool)
     # Frozen elements are still computed (and may overflow) but never stored.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,7 +220,7 @@ def sum_log_terms_batch(
             over = log_mag > LOG_DBL_MAX
             if over.any():
                 over &= running
-                failure[over] = _OVERFLOW
+                failed |= over
                 running &= ~over
             new_mag = np.exp(log_mag)
             # Kahan step
@@ -247,10 +236,9 @@ def sum_log_terms_batch(
             running &= quiet < ctl.stagnation_window
             if not running.any():
                 break
-        failure[running] = _NO_STAGNATION
         limit = CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(total), sys.float_info.min)
-        failure[(failure == 0) & cancellation_guard & (max_mag > limit)] = _CANCELLATION
+        failed |= running | (max_mag > limit)
         decreasing = (mag > 0.0) & (mag < prev_mag)
         ratio = np.where(decreasing, mag / prev_mag, 0.0)
         geometric = np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag)
-    return SeriesBatch(total, terms, np.where(decreasing, geometric, mag), failure)
+    return SeriesBatch(total, terms, np.where(decreasing, geometric, mag), failed)

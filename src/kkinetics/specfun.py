@@ -233,7 +233,7 @@ def _ml_sum(
         return _sign_pow(x, n), log_scale - math.lgamma(alpha * n + beta) + n * log_ax
 
     try:
-        return sum_log_terms(term, ctl, cancellation_guard=x < 0.0, label=label)
+        return sum_log_terms(term, ctl, label=label)
     except OverflowLogError:
         raise
     except OverflowError:  # math.lgamma: alpha*n + beta is past the double range
@@ -413,4 +413,4 @@ def fox_wright(spec: FoxWrightSpec, z: float, ctl: SeriesControl | None = None) 
     def term(n: int) -> tuple[float, float]:
         return _sign_pow(z, n), log_ratio(n) + n * log_az - math.lgamma(n + 1.0)
 
-    return sum_log_terms(term, ctl, cancellation_guard=z < 0.0, label="fox_wright")
+    return sum_log_terms(term, ctl, label="fox_wright")

@@ -223,6 +223,15 @@ def test_verify_large_order_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_overflowing_weights_exit_one(tmp_path, capsys):
+    # at h = 1/2048, nu = 150 used to print "residual: nan" and PASS with exit 0
+    cfg = write_config(tmp_path, theorem=1, nu=150)
+    assert cli.main(["verify", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "PASS" not in captured.out
+
+
 def test_solve_missing_config_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -285,6 +294,23 @@ def test_verify_fails_on_metric_breach(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out and "max-rel-diff" in out
+
+
+def test_verify_fails_on_nan_metrics(tmp_path, capsys, monkeypatch):
+    # NaN compares false against the threshold, so it used to pass as PASS
+    real = cli.solve_grid
+
+    def poisoned(prob, grid, ctl=None):
+        table = real(prob, grid, ctl)
+        return SolutionTable(times=table.times, values=(math.nan,) * len(table),
+                             terms=table.terms, tails=table.tails, problem=table.problem)
+
+    monkeypatch.setattr(cli, "solve_grid", poisoned)
+    cfg = write_config(tmp_path)
+    rc = cli.main(["verify", "--config", str(cfg), "--grid-step", "0.0078125"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL (residual nan > 1e-03; max-rel-diff nan > 1e-03)" in out
 
 
 def test_verify_rejects_bad_grid_step(tmp_path):

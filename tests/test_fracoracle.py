@@ -67,6 +67,12 @@ def test_grid_refuses_an_order_whose_gamma_overflows():
         QuadratureGrid(1.0, 8, 700.0)
 
 
+def test_grid_refuses_weights_that_overflow():
+    # 2048**151 overflows: the weights used to turn NaN and pass the drift check
+    with pytest.raises(OverflowLogError, match=r"2048\*\*151\.0 of the weights"):
+        QuadratureGrid(1.0, 2048, 150.0)
+
+
 def test_rl_integral_of_linear_is_exact_at_unit_order():
     grid = QuadratureGrid(2.0, 64, 1.0)
     got = grid.rl_integral(grid.times)

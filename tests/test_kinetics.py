@@ -100,6 +100,16 @@ def test_power_arguments_are_finite_or_refused():
         prob.ml_arg(1e300)
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+@pytest.mark.parametrize("variant", list(Theorem))
+def test_negative_time_is_a_domain_error(variant, nu):
+    # at nu = 0.5, t**nu went complex and source(-0.5) ended in a bare TypeError
+    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=1.0)
+    for evaluate in (prob.z, prob.ml_arg, prob.source, lambda t: solve_point(prob, t)):
+        with pytest.raises(DomainError, match=r"^t must be >= 0, got -0\.5$"):
+            evaluate(-0.5)
+
+
 # ---------------------------------------------------------------- basic structure
 
 
@@ -312,6 +322,12 @@ def test_solve_grid_matches_solve_point_at_chunk_seams():
     _assert_grid_matches_points(table, indices, points)
 
 
+def test_outer_sum_refuses_cancellation():
+    # variant 2 at t = 4 used to return -65.47 with a tail of 3.3e-16
+    with pytest.raises(CancellationError, match="^solve_point: cancellation ratio"):
+        solve_point(fig_problem(Theorem.T2), 4.0)
+
+
 def _earliest_point_failure(prob, grid, ctl):
     for t in grid:
         try:
@@ -332,8 +348,10 @@ def _earliest_point_failure(prob, grid, ctl):
         # the inner cancellation guard trips first near t = 10.1
         (Theorem.T1, 1.0, np.linspace(0.0, 15.0, 61), None, CancellationError),
         (Theorem.T2, 0.5, np.linspace(0.0, 60.0, 61), None, CancellationError),
+        # the outer guard trips first at t = 3
+        (Theorem.T2, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0], None, CancellationError),
     ],
-    ids=["budget", "ml_bound", "inner_guard", "inner_guard_half_order"],
+    ids=["budget", "ml_bound", "inner_guard", "inner_guard_half_order", "outer_guard"],
 )
 def test_solve_grid_raises_like_solve_point_at_earliest_failure(variant, nu, grid, ctl, expected):
     params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)

@@ -250,6 +250,13 @@ def test_gen_k_bessel_frozen_values():
     )
 
 
+@pytest.mark.parametrize("z", [12.0, 15.0, 20.0])
+def test_gen_k_bessel_refuses_cancellation(z):
+    # the true value is about 0.262; z = 20 used to return -8.6e18
+    with pytest.raises(CancellationError, match="^gen_k_bessel: cancellation ratio"):
+        gen_k_bessel(FIG_PARAMS, z)
+
+
 def test_gen_k_bessel_matches_half_j_at_unit_selectors():
     p = KBesselParams(k=1, gamma=1, lam=1, mu=1, b=1, c=1)
     lhs = gen_k_bessel(p, 1.0).value
@@ -317,6 +324,13 @@ def test_k_wright_w_frozen_value():
     got = k_wright_w(1.0, 1.0, 1.0, 2.0, -0.25)
     assert got.value == pytest.approx(0.9387886043841643, rel=1e-12)
     assert got.tail < 1e-15
+
+
+def test_reduced_forms_refuse_cancellation():
+    with pytest.raises(CancellationError, match="^k_bessel_j: cancellation ratio"):
+        k_bessel_j(2.0, 1.0, 1.0, 1.0, 200.0)
+    with pytest.raises(CancellationError, match="^k_wright_w: cancellation ratio"):
+        k_wright_w(2.0, 1.0, 1.0, 1.0, -200.0)
 
 
 def test_reduction_identities_randomized():
