@@ -1,8 +1,9 @@
 """Validating the closed-form solutions without trusting the series code.
 
-The oracle machinery solves the same kinetic equation by direct
-product-integration marching, measures the defining-equation residual of a
-candidate solution against the source samples the march kept (the source
+The oracle machinery solves the same kinetic equation directly as a
+discretized Volterra system (product-trapezoid weights, solved by recursive
+halving with FFT convolutions), measures the defining-equation residual of
+a candidate solution against the source samples the solve kept (the source
 is evaluated once per node), and checks the transform-domain relation
 Ntilde(p) (1 + rate^nu p^-nu) = N0 Ftilde(p) by numeric quadrature.
 
@@ -31,7 +32,7 @@ from kkinetics import (
 params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 prob = KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=Theorem.T1, params=params)
 
-print("=== series vs direct Volterra marching (h = 1/2048) ===")
+print("=== series vs direct Volterra solve (h = 1/2048) ===")
 grid = QuadratureGrid(1.0, 2048, prob.nu)
 series = solve_grid(prob, grid.times)
 oracle = solve_volterra(prob.n0, prob.source, prob.rate, grid)
@@ -49,7 +50,7 @@ sol = solve_volterra(2.0, lambda t: 1.0, 1.0, g)
 t_probe = 1.0
 j = int(round(t_probe / g.h))
 closed = haubold_mathai(2.0, 1.0, 0.5, t_probe).value
-print(f"half-order relaxation at t=1: marching {sol.values[j]:.10f}, "
+print(f"half-order relaxation at t=1: oracle {sol.values[j]:.10f}, "
       f"Mittag-Leffler closed form {closed:.10f}")
 
 print()

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 LOG_DBL_MAX = math.log(sys.float_info.max)
+LOG_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
 
 # |largest term| / |sum| beyond which an alternating sum in double
 # precision retains fewer than ~4 significant digits; past it the computed

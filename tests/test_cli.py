@@ -232,6 +232,18 @@ def test_verify_overflowing_weights_exit_one(tmp_path, capsys):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("t_end, nu, step", [
+    (100.0, 160, "100"),  # 100**160 used to end in a bare OverflowError
+    (1e-3, 150, "0.00025"),  # (2.5e-4)**150 is 0.0 and the drift check divided 0/0
+])
+def test_verify_weight_scale_out_of_range_exits_one(tmp_path, capsys, t_end, nu, step):
+    cfg = write_config(tmp_path, t_end=t_end, nu=nu)
+    assert cli.main(["verify", "--config", str(cfg), "--grid-step", step]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "PASS" not in captured.out
+
+
 def test_solve_missing_config_file(tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,6 +1,11 @@
-"""Quadrature weights, Volterra marching, residual and Laplace checks."""
+"""Quadrature weights, Volterra solving, residual and Laplace checks."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 
 from kkinetics import (
     DomainError,
+    EvaluationError,
     KBesselParams,
     KineticProblem,
     MLParams,
@@ -23,6 +29,9 @@ from kkinetics import (
     solve_grid,
     solve_volterra,
 )
+from kkinetics.fracoracle import _BASE_BLOCK
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def fig1_problem(n0=2.0):
@@ -71,6 +80,28 @@ def test_grid_refuses_weights_that_overflow():
     # 2048**151 overflows: the weights used to turn NaN and pass the drift check
     with pytest.raises(OverflowLogError, match=r"2048\*\*151\.0 of the weights"):
         QuadratureGrid(1.0, 2048, 150.0)
+
+
+def test_grid_forms_its_scale_in_logs():
+    # 100**160 overflows on its own; 100**160 / Gamma(160) does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = QuadratureGrid(100.0, 1, 160.0)
+    want = math.exp(160.0 * math.log(100.0) - math.lgamma(161.0))
+    assert grid.rl_integral(np.ones(2))[1] == pytest.approx(want, rel=1e-12)
+
+
+def test_grid_refuses_a_scale_that_overflows():
+    with pytest.raises(OverflowLogError, match=r"t_end\*\*nu / Gamma\(nu\)"):
+        QuadratureGrid(1e5, 1, 160.0)
+
+
+def test_grid_refuses_a_scale_that_underflows():
+    # h**nu = 2.5e-4**150 is 0.0 in double: the drift check used to divide 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="underflows"):
+            QuadratureGrid(1e-3, 4, 150.0)
 
 
 def test_rl_integral_of_linear_is_exact_at_unit_order():
@@ -145,7 +176,7 @@ def test_rule_matches_dense_weight_matrix(nu, n):
     assert np.max(np.abs(grid.rl_integral(samples) - want)) <= 1e-13 * max(
         1.0, np.max(np.abs(want))
     )
-    # the marcher solves (I + r^nu W) N = n0 f
+    # the oracle solves (I + r^nu W) N = n0 f
     n0, rate = 1.7, 1.3
     sol = solve_volterra(n0, _wave, rate, grid)
     f = np.array([_wave(t) for t in grid.times])
@@ -153,7 +184,61 @@ def test_rule_matches_dense_weight_matrix(nu, n):
     assert np.max(np.abs(defect)) <= 1e-13 * max(1.0, np.max(np.abs(sol.values)))
 
 
+def test_rl_integral_fft_branch_matches_direct_convolution():
+    n = 5000  # not a power of two, far past the direct-convolution cutoff
+    grid = QuadratureGrid(2.0, n, 0.5)
+    samples = np.random.default_rng(5).normal(size=n + 1)
+    want = grid._a * samples[0]
+    want[1:] += np.convolve(grid._kernel, samples[1:])[:n]
+    got = grid.rl_integral(samples)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_import_does_not_load_numpy_fft():
+    # loading numpy.fft adds about 6 ms to every `import kkinetics`
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import kkinetics, sys; print('numpy.fft' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
+
+
 # ---------------------------------------------------------------- Volterra solver
+
+
+def _forward_substitution(n0, source, rate, grid):
+    """The O(n^2) step-by-step march, the reference for the halving solve:
+    N_j = (F_j - r (A_j N_0 + sum_{0<i<j} w[j][i] N_i)) / (1 + r B_1), with
+    the history stored newest-first so each step dots contiguous slices."""
+    forcing = n0 * np.array([source(t) for t in grid.times])
+    kernel, a = grid._kernel, grid._a
+    r = rate ** grid.nu
+    denom = 1.0 + r * kernel[0]
+    n = grid.n_steps
+    hist = np.empty(n + 1)
+    hist[n] = v0 = forcing[0]
+    for j in range(1, n + 1):
+        conv = a[j] * v0 + kernel[1:j] @ hist[n - j + 1 : n]
+        hist[n - j] = (forcing[j] - r * conv) / denom
+    return hist[::-1]
+
+
+B = _BASE_BLOCK
+
+
+@pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 5, 4096])
+def test_volterra_matches_forward_substitution(n, nu):
+    grid = QuadratureGrid(2.0, n, nu)
+    for rate in (0.5, 1.3, 2.0):
+        for source in (lambda t: 1.0, _wave):
+            got = solve_volterra(1.7, source, rate, grid).values
+            want = _forward_substitution(1.7, source, rate, grid)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (
+                f"rate={rate}, source={source}"
+            )
 
 
 def test_volterra_zero_source_is_zero():
@@ -223,6 +308,16 @@ def test_residual_of_discrete_solution_is_roundoff():
     oracle = solve_volterra(prob.n0, prob.source, prob.rate, grid)
     table = _table_from_values(prob, grid, oracle.values)
     assert residual(table, oracle) <= 1e-13
+
+
+def test_residual_of_discrete_solution_is_roundoff_at_large_n():
+    # both FFT uses end to end: the halving solve and the residual's rl_integral
+    prob = KineticProblem(n0=2.0, d=1.0, nu=0.5, variant=Theorem.T1,
+                          params=fig1_problem().params)
+    grid = QuadratureGrid(2.0, 32768, 0.5)
+    oracle = solve_volterra(2.0, lambda t: 1.0, 1.3, grid)
+    table = _table_from_values(prob, grid, oracle.values)
+    assert residual(table, oracle) <= 1e-12
 
 
 def test_residual_of_series_solution_is_small():
