@@ -43,6 +43,7 @@ from .kinetics import (
     psi_form_source,
     solve_grid,
     solve_point,
+    source_grid,
 )
 from .fracoracle import (
     OracleSolution,
@@ -83,6 +84,7 @@ __all__ = [
     "psi_form_source",
     "solve_grid",
     "solve_point",
+    "source_grid",
     "OracleSolution",
     "QuadratureGrid",
     "haubold_mathai",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fracoracle
 from .figures import FIGURES, GRID_POINTS, LAMBDAS, figure_grid, figure_problem
-from .kinetics import KineticProblem, Theorem, solve_grid
+from .kinetics import KineticProblem, Theorem, solve_grid, source_grid
 from .series import EvaluationError, SeriesControl, SeriesResult
 from .specfun import (
     FoxWrightSpec,
@@ -277,9 +277,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_steps = max(1, math.ceil(steps_exact))
     grid = fracoracle.QuadratureGrid(job.t_end, n_steps, job.problem.nu)
     table = solve_grid(job.problem, grid.times, job.control)
+    # The source is summed once over the grid; the oracle reads it node by node.
+    samples = source_grid(job.problem, grid.times, job.control)
     oracle = fracoracle.solve_volterra(
-        job.problem.n0, lambda t: job.problem.source(t, job.control),
-        job.problem.rate, grid,
+        job.problem.n0, dict(zip(grid.times, samples)).__getitem__, job.problem.rate, grid,
     )
     series = np.asarray(table.values)
     diff = float(np.max(np.abs(series - oracle.values)))

@@ -19,7 +19,7 @@ The inner Mittag-Leffler sums run at a 10x tighter relative tolerance than
 the outer sum (:meth:`series.SeriesControl.tightened`) so the reported
 outer tail estimate dominates the error.
 
-Two evaluation paths, chosen by the kind of input:
+Two evaluation paths for the solution, chosen by the kind of input:
 
 * :func:`solve_point` evaluates one t on the scalar path:
   :func:`series.sum_log_terms` over the outer terms, with one
@@ -33,6 +33,12 @@ Two evaluation paths, chosen by the kind of input:
 Both apply the same summation rules, so they give the same term counts
 and stopping decisions; values and tails agree to rounding (numpy's exp is
 not libm's).
+
+The source has the same pair: :meth:`KineticProblem.source` evaluates
+omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, and
+:func:`source_grid` sums it at every grid time as one batch over the
+outer coefficients that :func:`solve_grid` tabulates, under the same
+contract.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -51,6 +57,7 @@ from .series import (
     DEFAULT_CONTROL,
     LOG_DBL_MAX,
     DomainError,
+    EvaluationError,
     OverflowLogError,
     SeriesControl,
     SeriesResult,
@@ -61,6 +68,7 @@ from .specfun import (
     FoxWrightSpec,
     KBesselParams,
     MLParams,
+    _log_half,
     _reduced_k_bessel,
     fox_wright,
     gen_k_bessel,
@@ -75,6 +83,7 @@ __all__ = [
     "SolutionTable",
     "solve_point",
     "solve_grid",
+    "source_grid",
     "corollary_source",
     "psi_form_source",
 ]
@@ -206,7 +215,7 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     ctl = ctl or DEFAULT_CONTROL
     inner_ctl = ctl.tightened()
     params = prob.params
-    log_hz = math.log(z / 2.0)
+    log_hz = _log_half(z)
     ml_arg = prob.ml_arg(t)
 
     def term(n: int) -> tuple[float, float]:
@@ -282,7 +291,7 @@ def _solve_chunk(
         xs = [prob.ml_arg(times[i]) for i in live]
         if any(-x > ml_negative_bound(prob.nu) for x in xs):
             return None
-        log_hz = np.array([math.log(zs[i] / 2.0) for i in live])
+        log_hz = np.array([_log_half(zs[i]) for i in live])
         log_ax = np.array([[math.log(abs(x)) if x != 0.0 else 0.0] for x in xs])
         x = np.array(xs)[:, None]
         alternating = np.where(x < 0.0, -1.0, 1.0)
@@ -378,6 +387,52 @@ def solve_grid(
         tails=tuple(tails),
         problem=prob,
     )
+
+
+def _source_batch(
+    prob: KineticProblem, times: Sequence[float], ctl: SeriesControl
+) -> tuple[np.ndarray, np.ndarray]:
+    """omega(z(t)) at ``times`` and the mask of points whose scalar sum raises."""
+    zs = [prob.z(t) for t in times]
+    live = [i for i, z in enumerate(zs) if z != 0.0]
+    values = np.zeros(len(times))
+    failed = np.zeros(len(times), dtype=bool)
+    if live:
+        outer = _GridTables(prob).outer
+        log_hz = np.array([_log_half(zs[i]) for i in live])
+        mu = prob.params.mu
+
+        def term(n: int) -> tuple[float, np.ndarray]:
+            sign, log_coeff = outer(n)
+            return sign, log_coeff + (mu + 2.0 * n) * log_hz
+
+        res = sum_log_terms_batch(term, (len(live),), ctl)
+        values[live] = res.value
+        failed[live] = res.failed
+    return values, failed
+
+
+def source_grid(
+    prob: KineticProblem, times: Sequence[float], ctl: SeriesControl | None = None
+) -> np.ndarray:
+    """The source omega(z(t)) of ``prob`` (N0-free) at every t >= 0 in ``times``.
+
+    All points are summed as one batch over the tabulated outer
+    coefficients, with the terms and stopping decision that
+    :func:`specfun.gen_k_bessel` gives at each t.  The points the batch
+    marks as failed are evaluated again one by one in order, as is every
+    point when the batch raises, so the exception raised is the one
+    :meth:`KineticProblem.source` raises at the earliest failing t.
+    """
+    times = [float(t) for t in times]
+    ctl = ctl or DEFAULT_CONTROL
+    try:
+        values, failed = _source_batch(prob, times, ctl)
+    except (OverflowError, EvaluationError):  # t < 0, or a value past the double range
+        values, failed = np.zeros(len(times)), np.ones(len(times), dtype=bool)
+    for i in np.flatnonzero(failed):
+        values[i] = prob.source(times[i], ctl)
+    return values
 
 
 def corollary_source(

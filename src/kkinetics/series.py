@@ -215,7 +215,8 @@ def sum_log_terms_batch(
     failed = np.zeros(shape, dtype=bool)
     running = np.ones(shape, dtype=bool)
     # Frozen elements are still computed (and may overflow) but never stored.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # One that stops after term 0 keeps prev_mag = 0; the tail masks that ratio.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(ctl.max_terms):
             sign, log_mag = term(n)
             over = log_mag > LOG_DBL_MAX

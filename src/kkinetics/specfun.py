@@ -31,6 +31,7 @@ hard :class:`DomainError`, never a silently skipped term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .series import (
@@ -289,6 +290,17 @@ def k_bessel_log_coefficient(p: KBesselParams, n: int) -> tuple[float, float]:
     return (1.0 if n % 2 == 0 or p.c < 0.0 else -1.0), log_mag
 
 
+# Below this z, z/2 is subnormal: inexact for an odd z and 0 for the smallest.
+_HALVING_EXACT_MIN = 2.0 * sys.float_info.min
+
+
+def _log_half(z: float) -> float:
+    """log(z/2) for z > 0, also where z/2 would round in the subnormal range."""
+    if z < _HALVING_EXACT_MIN:
+        return math.log(z) - math.log(2.0)
+    return math.log(z / 2.0)
+
+
 def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """The generalized k-Bessel series omega(z) for z >= 0 (see module docs)."""
     ctl = ctl or DEFAULT_CONTROL
@@ -297,7 +309,7 @@ def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -
     if z == 0.0:
         # every term carries (z/2)**(mu+2n) with mu > 0
         return SeriesResult(0.0, 1, 0.0)
-    log_hz = math.log(z / 2.0)
+    log_hz = _log_half(z)
     mu = p.mu
 
     def term(n: int) -> tuple[float, float]:

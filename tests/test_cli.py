@@ -4,9 +4,19 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from kkinetics import SeriesControl, cli, kinetics
+from kkinetics import (
+    QuadratureGrid,
+    SeriesControl,
+    cli,
+    kinetics,
+    residual,
+    solve_grid,
+    solve_volterra,
+)
+from kkinetics.figures import LAMBDAS
 from kkinetics.kinetics import SolutionTable
 
 FIG1_CONFIG = {
@@ -59,6 +69,17 @@ def test_eval_omega_finite_with_small_tail(capsys):
     assert rc == 0
     assert float(out[0]) > 0.0
     assert float(out[2].split(":")[1]) <= 1e-12
+
+
+def test_eval_omega_at_subnormal_z(capsys):
+    # used to end in a traceback: log(z/2) saw z/2 round to 0
+    rc = cli.main([
+        "eval", "omega", "--k", "2", "--gamma", "1", "--lambda", "1",
+        "--mu", "0.25", "--b", "3", "--c", "2", "--z", "5e-324",
+    ])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert float(out[0]) > 0.0
 
 
 def test_eval_foxwright(capsys):
@@ -266,20 +287,48 @@ def test_verify_passes_on_fig1(tmp_path, capsys):
 
 
 def test_verify_evaluates_the_source_once_per_node(tmp_path, capsys, monkeypatch):
-    # the residual reads the forcing the oracle sampled, so verify makes one
-    # source call per node, each under the job's series control
+    # verify sums the source over all nodes in one source_grid call under the
+    # job's series control, and the oracle and the residual read those
+    # samples; no scalar source call is made while no node fails
     monkeypatch.delenv("KKINETICS_MAX_TERMS", raising=False)
-    controls = []
-    real = kinetics.gen_k_bessel
+    grid_calls = []
+    scalar_calls = []
+    real_grid = cli.source_grid
+    real_scalar = kinetics.gen_k_bessel
 
-    def recording(params, z, ctl=None):
-        controls.append(ctl)
-        return real(params, z, ctl)
+    def recording_grid(prob, times, ctl=None):
+        grid_calls.append((len(times), ctl))
+        return real_grid(prob, times, ctl)
 
-    monkeypatch.setattr(kinetics, "gen_k_bessel", recording)
+    def recording_scalar(params, z, ctl=None):
+        scalar_calls.append(z)
+        return real_scalar(params, z, ctl)
+
+    monkeypatch.setattr(cli, "source_grid", recording_grid)
+    monkeypatch.setattr(kinetics, "gen_k_bessel", recording_scalar)
     cfg = write_config(tmp_path, rel_tol=1e-12)
     assert cli.main(["verify", "--config", str(cfg), "--grid-step", "0.015625"]) == 0
-    assert controls == [SeriesControl(rel_tol=1e-12)] * 65  # n + 1 nodes, n = 64
+    assert grid_calls == [(65, SeriesControl(rel_tol=1e-12))]  # n + 1 nodes, n = 64
+    assert scalar_calls == []
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_verify_prints_the_lines_of_the_scalar_source(tmp_path, capsys, monkeypatch, lam):
+    # the figure-1 jobs print what an oracle fed one gen_k_bessel call per
+    # node gives
+    monkeypatch.delenv("KKINETICS_MAX_TERMS", raising=False)
+    cfg = write_config(tmp_path, **{"lambda": lam})
+    assert cli.main(["verify", "--config", str(cfg), "--grid-step", "0.00390625"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    job = cli.load_config(cfg)
+    prob, ctl = job.problem, job.control
+    grid = QuadratureGrid(1.0, 256, prob.nu)
+    table = solve_grid(prob, grid.times, ctl)
+    oracle = solve_volterra(prob.n0, lambda t: prob.source(t, ctl), prob.rate, grid)
+    diff = float(np.max(np.abs(np.asarray(table.values) - oracle.values)))
+    rel_diff = diff / max(1.0, float(np.max(np.abs(oracle.values))))
+    assert out[:2] == [f"residual: {residual(table, oracle):.6e}",
+                       f"max-rel-diff: {rel_diff:.6e}"]
 
 
 def test_verify_fails_when_series_budget_is_crippled(tmp_path, capsys):

@@ -26,6 +26,7 @@ from kkinetics import (
     solve_grid,
     solve_point,
     solve_volterra,
+    source_grid,
 )
 from kkinetics import kinetics, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
@@ -350,8 +351,12 @@ def _earliest_point_failure(prob, grid, ctl):
         (Theorem.T2, 0.5, np.linspace(0.0, 60.0, 61), None, CancellationError),
         # the outer guard trips first at t = 3
         (Theorem.T2, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0], None, CancellationError),
+        # outer term 1 overflows at t = 0.5; the batch used to warn dividing by
+        # the zero magnitude before it
+        (Theorem.T2, 700.0, [0.0, 0.1, 0.5], None, OverflowLogError),
     ],
-    ids=["budget", "ml_bound", "inner_guard", "inner_guard_half_order", "outer_guard"],
+    ids=["budget", "ml_bound", "inner_guard", "inner_guard_half_order", "outer_guard",
+         "outer_overflow"],
 )
 def test_solve_grid_raises_like_solve_point_at_earliest_failure(variant, nu, grid, ctl, expected):
     params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
@@ -362,6 +367,104 @@ def test_solve_grid_raises_like_solve_point_at_earliest_failure(variant, nu, gri
         solve_grid(prob, grid, ctl)
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("variant", list(Theorem))
+def test_subnormal_time_is_evaluated(variant):
+    # log(z/2) used to raise a math domain error where z/2 rounds to 0;
+    # this close to t = 0 the solution is n0 * omega(z(t)) to rounding
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.25, b=3.0, c=2.0)
+    a = 1.0 if variant == Theorem.T3 else None
+    prob = KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=variant, params=params, a=a)
+    t = 5e-324
+    want = prob.n0 * gen_k_bessel(params, prob.z(t)).value
+    assert want > 0.0
+    assert solve_point(prob, t).value == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert solve_grid(prob, [0.0, t]).values[1] == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert source_grid(prob, [0.0, t]).tolist() == [0.0, pytest.approx(want / prob.n0, rel=1e-13,
+                                                                         abs=0.0)]
+
+
+# ---------------------------------------------------------------- batched source
+
+
+def _record_batches(monkeypatch):
+    """Keep every result of ``kinetics.sum_log_terms_batch`` in the returned list."""
+    batches = []
+    real = kinetics.sum_log_terms_batch
+
+    def recording(term, shape, ctl):
+        batches.append(real(term, shape, ctl))
+        return batches[-1]
+
+    monkeypatch.setattr(kinetics, "sum_log_terms_batch", recording)
+    return batches
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_source_grid_matches_gen_k_bessel_on_figure_sweeps(fig_id, monkeypatch):
+    # every figure grid starts at t = 0; figures 4-7 are variants 2 and 3,
+    # where z = d**nu t**nu
+    batches = _record_batches(monkeypatch)
+    spec = FIGURES[fig_id]
+    grid = figure_grid(spec)
+    assert grid[0] == 0.0
+    for lam in LAMBDAS:
+        prob = figure_problem(spec, lam)
+        batches.clear()
+        got = source_grid(prob, grid)
+        points = [gen_k_bessel(prob.params, prob.z(float(t))) for t in grid]
+        assert got[0] == 0.0
+        # one batch over the points with z != 0, with the scalar term counts
+        assert len(batches) == 1
+        assert batches[0].terms.tolist() == [r.terms for r in points[1:]]
+        for value, r in zip(got[1:], points[1:]):
+            assert value == pytest.approx(r.value, rel=1e-13, abs=0.0)
+
+
+def _earliest_source_failure(prob, grid, ctl=None):
+    for i, t in enumerate(grid):
+        try:
+            prob.source(float(t), ctl)
+        except EvaluationError as exc:
+            return i, exc
+    raise AssertionError("no grid point fails")
+
+
+@pytest.mark.parametrize(
+    "nu, grid, ctl, expected",
+    [
+        # the guard refuses omega from z = 3t ~ 10.15 on
+        (1.0, np.linspace(0.0, 5.0, 51), None, CancellationError),
+        (1.0, np.linspace(0.0, 1.0, 11), SeriesControl(max_terms=2), NonConvergenceError),
+        # 1.5**700 is a double, but the terms of omega there overflow
+        (700.0, [0.0, 0.1, 0.5], None, OverflowLogError),
+        # 3**700 is not: z itself overflows, before any sum is formed
+        (700.0, [0.0, 0.1, 1.0], None, OverflowLogError),
+        # a refused point before a point that the batch cannot even form
+        (1.0, [0.0, 4.0, -1.0], None, CancellationError),
+    ],
+    ids=["guard", "budget", "term_overflow", "argument_overflow", "refusal_first"],
+)
+def test_source_grid_raises_like_the_scalar_source_at_earliest_failure(nu, grid, ctl, expected):
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=Theorem.T2, params=params)
+    _, want = _earliest_source_failure(prob, grid, ctl)
+    assert type(want) is expected
+    with pytest.raises(expected) as got:
+        source_grid(prob, grid, ctl)
+    assert str(got.value) == str(want)
+
+
+def test_source_grid_refuses_from_the_first_refused_time():
+    # variant 2 of the figures at lambda = 1: z = 3t passes 10.15 near t = 3.4
+    prob = figure_problem(FIGURES[4], 1.0)
+    grid = np.linspace(0.0, 4.0, 401)
+    first, _ = _earliest_source_failure(prob, grid)
+    assert 3.3 < grid[first] < 3.5
+    assert len(source_grid(prob, grid[:first])) == first
+    with pytest.raises(CancellationError):
+        source_grid(prob, grid[:first + 1])
 
 
 # ---------------------------------------------------------------- reduced forms

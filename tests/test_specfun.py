@@ -273,6 +273,17 @@ def test_gen_k_bessel_small_z_leading_term():
     assert got == pytest.approx(lead, rel=1e-6)
 
 
+@pytest.mark.parametrize("z", [5e-324, 3 * 5e-324], ids=["smallest", "odd_subnormal"])
+def test_gen_k_bessel_at_subnormal_z(z):
+    # log(z/2) used to see z/2 round to 0 (a math domain error) or, for an
+    # odd subnormal z, to its even neighbour; past n = 0 every term underflows
+    p = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.25, b=3.0, c=2.0)
+    arg = mpmath.mpf(p.mu) + (mpmath.mpf(p.b) + 1) / 2  # k-gamma argument of term 0
+    k = mpmath.mpf(p.k)
+    lead = (mpmath.mpf(z) / 2) ** mpmath.mpf(p.mu) / (k ** (arg / k - 1) * mpmath.gamma(arg / k))
+    assert gen_k_bessel(p, z).value == pytest.approx(float(lead), rel=1e-13, abs=0.0)
+
+
 def test_gen_k_bessel_zero_c_keeps_leading_term_only():
     p = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=0.0)
     z = 0.8
