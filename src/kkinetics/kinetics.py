@@ -11,24 +11,35 @@ source ``omega`` (see :mod:`kkinetics.specfun`):
 Each solution is a double series: an outer k-Bessel-type sum whose n-th
 term carries the factor ``Gamma(beta_n) * E_{nu,beta_n}(-rate**nu * t**nu)``
 with ``beta_n = mu+2n+1`` (variant 1) or ``nu*(mu+2n)+1`` (variants 2-3).
-That factor is always evaluated fused, term by term as
+
+Where the exponents align -- variants 2 and 3 at any nu, variant 1 at
+nu = 1, which covers every figure sweep -- term (n, m) of the double series
+is a multiple of s**(mu+2n+m), s = t**nu, divided by
+Gamma(nu*(mu+2n+m) + 1).  Grouping the terms by j = 2n+m gives one power
+series, N(t) = n0 * sum_j a_j s**(mu+j), whose t-free coefficients follow a
+two-term recurrence (:class:`_PowerTable`).  The table is built once per
+problem and kept on it; the inner Mittag-Leffler sums disappear.  The sum
+is refused with :class:`series.CancellationError` where the sum of every
+|term (n, m)| exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times |N|.
+
+Variant 1 at nu != 1 keeps the double series.  Its Mittag-Leffler factor
+is always evaluated fused, term by term as
 ``exp(lgamma(beta_n) - lgamma(nu*m + beta_n)) * x**m``, because
 ``Gamma(beta_n)`` on its own overflows once the outer sum passes n ~ 85.
-
-The inner Mittag-Leffler sums run at a 10x tighter relative tolerance than
-the outer sum (:meth:`series.SeriesControl.tightened`) so the reported
-outer tail estimate dominates the error.
+The inner sums run at a 10x tighter relative tolerance than the outer sum
+(:meth:`series.SeriesControl.tightened`) so the reported outer tail
+estimate dominates the error.
 
 Two evaluation paths for the solution, chosen by the kind of input:
 
-* :func:`solve_point` evaluates one t on the scalar path:
-  :func:`series.sum_log_terms` over the outer terms, with one
-  :func:`specfun.scaled_ml` call per term.
-* :func:`solve_grid` evaluates the grid in chunks of up to 256 points as
-  one batch (:func:`series.sum_log_terms_batch`).  The t-independent
-  coefficients are tabulated once per call, the inner sums of every
-  (point, n) pair advance together over m, and the outer sums advance
-  together over n.
+* :func:`solve_point` evaluates one t on the scalar path,
+  :func:`series.sum_log_terms` over the power series or over the outer
+  terms of the double series (one :func:`specfun.scaled_ml` call each).
+* :func:`solve_grid` evaluates the grid as one batch
+  (:func:`series.sum_log_terms_batch`): the power series over all points
+  at once, or the double series in chunks of up to 256 points, where the
+  inner sums of every (point, n) pair advance together over m and the
+  outer sums advance together over n.
 
 Both apply the same summation rules, so they give the same term counts
 and stopping decisions; values and tails agree to rounding (numpy's exp is
@@ -37,8 +48,7 @@ not libm's).
 The source has the same pair: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, and
 :func:`source_grid` sums it at every grid time as one batch over the
-outer coefficients that :func:`solve_grid` tabulates, under the same
-contract.
+outer coefficients of the double series, under the same contract.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -47,7 +57,8 @@ family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Sequence
 
@@ -55,7 +66,10 @@ import numpy as np
 
 from .series import (
     DEFAULT_CONTROL,
+    CANCELLATION_RATIO_LIMIT,
     LOG_DBL_MAX,
+    LOG_DBL_MIN,
+    CancellationError,
     DomainError,
     EvaluationError,
     OverflowLogError,
@@ -107,6 +121,11 @@ class KineticProblem:
 
     with coeff_n from :func:`specfun.k_bessel_log_coefficient`.
     :meth:`z`, :meth:`ml_arg` and :meth:`beta` map a variant onto it.
+
+    Where the exponents align (variants 2 and 3 at any nu, variant 1 at
+    nu = 1) the double series is one power series in s = t**nu,
+    N(t) = n0 * sum_j a_j s**(mu+j).  Its coefficients are tabulated on
+    the instance the first time a solver needs them, and grow from there.
     """
 
     n0: float
@@ -115,6 +134,7 @@ class KineticProblem:
     variant: Theorem
     params: KBesselParams
     a: float | None = None
+    _power: "_PowerTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n0", "d", "nu"):
@@ -157,6 +177,14 @@ class KineticProblem:
             return self.nu * (self.params.mu + 2.0 * n) + 1.0
         return self.params.mu + 2.0 * n + 1.0
 
+    def _power_table(self) -> "_PowerTable | None":
+        """The power-series table where the exponents align, else None."""
+        if self.variant == 1 and self.nu != 1.0:
+            return None
+        if self._power is None:
+            object.__setattr__(self, "_power", _PowerTable(self))
+        return self._power
+
 
 def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
     """base**nu * t**nu for t >= 0, refused only when (base t)**nu leaves the double range."""
@@ -175,6 +203,132 @@ def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
         raise OverflowLogError(f"{what} at t = {t}: ({base} t)**{nu} overflows double range",
                                log_power)
     return math.exp(log_power)  # may underflow to 0
+
+
+_LN2 = math.log(2.0)
+_DBL_MIN = sys.float_info.min
+
+# A number m * 2**e as (m, e) with 0.5 <= |m| < 1, or m = 0.  Scaling by a
+# power of two is exact, so the power-series recurrences below round as
+# plain doubles would, and also run where a value leaves the double range.
+_Scaled = tuple[float, int]
+
+
+def _scaled(sign: float, log_mag: float) -> _Scaled:
+    """sign * exp(log_mag) as a scaled number."""
+    if log_mag == -math.inf:
+        return 0.0, 0
+    e = 0 if abs(log_mag) < 700.0 else int(log_mag / _LN2)
+    m, e2 = math.frexp(sign * math.exp(log_mag - e * _LN2))
+    return m, e + e2
+
+
+def _scaled_from_power(base: float, nu: float) -> _Scaled:
+    """base**nu for base > 0, rounded once where it is a normal double."""
+    try:
+        power = base ** nu
+    except OverflowError:
+        power = math.inf
+    if _DBL_MIN <= power < math.inf:
+        return math.frexp(power)
+    return _scaled(1.0, nu * math.log(base))
+
+
+def _scaled_gamma(x: float) -> _Scaled:
+    """Gamma(x) for x >= 1, from math.gamma while it is a double."""
+    if x < 171.0:
+        return math.frexp(math.gamma(x))
+    try:
+        return _scaled(1.0, math.lgamma(x))
+    except OverflowError:  # x is past the double range
+        raise OverflowLogError(f"solve_point: Gamma({x}) overflows double range",
+                               math.inf) from None
+
+
+def _scaled_mul(x: _Scaled, y: _Scaled) -> _Scaled:
+    m, e = math.frexp(x[0] * y[0])
+    return m, x[1] + y[1] + e
+
+
+def _scaled_div(x: _Scaled, y: _Scaled) -> _Scaled:
+    m, e = math.frexp(x[0] / y[0])
+    return m, x[1] - y[1] + e
+
+
+def _scaled_add(x: _Scaled, y: _Scaled) -> _Scaled:
+    if x[0] == 0.0:
+        return y
+    if y[0] == 0.0:
+        return x
+    top = max(x[1], y[1])
+    m, e = math.frexp(math.ldexp(x[0], x[1] - top) + math.ldexp(y[0], y[1] - top))
+    return m, top + e
+
+
+def _scaled_log(x: _Scaled) -> float:
+    """log|x|, -inf for 0."""
+    m, e = x
+    if m == 0.0:
+        return -math.inf
+    if -1021 <= e <= 1024:  # m * 2**e is a normal double
+        return math.log(abs(math.ldexp(m, e)))
+    return math.log(abs(m)) + e * _LN2
+
+
+class _PowerTable:
+    """Coefficients of N(t) / n0 = sum_j a_j s**(mu+j), s = t**nu, for aligned exponents.
+
+    Term (n, m) of the double series carries s**(mu+2n+m) and the gamma
+    G_j = Gamma(nu*(mu+j) + 1) of j = 2n+m, so each j shares one gamma:
+    a_j = b_j / G_j with
+
+        b_j = -r * b_{j-1} + [j even] coeff_{j/2} * q**(mu+j) * G_j,   b_{-1} = 0,
+
+    r = rate**nu and q = d**nu / 2 (variants 2 and 3) or 1/2 (variant 1).
+    Every gamma enters a_j as one ratio G_{2n} / G_j, so its rounding does
+    not accumulate along j.  The absolute table A_j runs the same
+    recurrence on |.|, so sum_j A_j s**(mu+j) is the sum of every
+    |term (n, m)|.  Both grow as the sums reach them.
+    """
+
+    def __init__(self, prob: KineticProblem):
+        self.params = prob.params
+        self.nu = prob.nu
+        self.r = _scaled_from_power(prob.rate, prob.nu)
+        self.log_q = (prob.nu * math.log(prob.d) if prob.variant != 1 else 0.0) - _LN2
+        self.signs: list[float] = []
+        self.mags: list[float] = []  # |a_j|, or 0 where it is not a normal double
+        self.log_a: list[float] = []
+        self.log_abs: list[float] = []  # log A_j
+        self._b: _Scaled = (0.0, 0)
+        self._abs_b: _Scaled = (0.0, 0)
+
+    def coefficient(self, j: int) -> tuple[float, float, float]:
+        """Sign, magnitude (0 outside the normal doubles) and log magnitude of a_j."""
+        if j >= len(self.log_a):
+            self.grow(j + 1)
+        return self.signs[j], self.mags[j], self.log_a[j]
+
+    def grow(self, stop: int) -> None:
+        """Extend both tables to at least ``stop`` coefficients."""
+        mu = self.params.mu
+        neg_r = (-self.r[0], self.r[1])
+        while len(self.log_a) < stop:
+            j = len(self.log_a)
+            gamma = _scaled_gamma(self.nu * (mu + j) + 1.0)
+            b = _scaled_mul(self._b, neg_r)
+            abs_b = _scaled_mul(self._abs_b, self.r)
+            if j % 2 == 0:
+                sign, log_coeff = k_bessel_log_coefficient(self.params, j // 2)
+                e_n = _scaled_mul(_scaled(sign, log_coeff + (mu + j) * self.log_q), gamma)
+                b = _scaled_add(b, e_n)
+                abs_b = _scaled_add(abs_b, (abs(e_n[0]), e_n[1]))
+            self._b, self._abs_b = b, abs_b
+            a = _scaled_div(b, gamma)
+            self.signs.append(-1.0 if a[0] < 0.0 else 1.0)
+            self.mags.append(abs(math.ldexp(*a)) if -1021 <= a[1] <= 1024 else 0.0)
+            self.log_a.append(_scaled_log(a))
+            self.log_abs.append(_scaled_log(_scaled_div(abs_b, gamma)))
 
 
 @dataclass(frozen=True)
@@ -206,17 +360,24 @@ class SolutionTable:
 def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """Series solution of ``prob`` at one time t >= 0.
 
-    The outer k-Bessel-type sum carries a fused Gamma*E Mittag-Leffler
-    factor per term (one :func:`specfun.scaled_ml` call each).
+    Where the exponents align this is one sum over the power-series table
+    (see :class:`KineticProblem`), refused with :class:`CancellationError`
+    when the sum of all |terms| of the double series exceeds
+    :data:`series.CANCELLATION_RATIO_LIMIT` times the value.  Otherwise the
+    outer k-Bessel-type sum carries a fused Gamma*E Mittag-Leffler factor
+    per term (one :func:`specfun.scaled_ml` call each).
     """
     z = prob.z(t)
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
     ctl = ctl or DEFAULT_CONTROL
+    ml_arg = prob.ml_arg(t)  # also refuses a (rate t)**nu past the double range
+    table = prob._power_table()
+    if table is not None:
+        return _power_point(prob, table, t, ctl)
     inner_ctl = ctl.tightened()
     params = prob.params
     log_hz = _log_half(z)
-    ml_arg = prob.ml_arg(t)
 
     def term(n: int) -> tuple[float, float]:
         sign, log_coeff = k_bessel_log_coefficient(params, n)
@@ -230,6 +391,98 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
 
     res = sum_log_terms(term, ctl, label="solve_point")
     return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
+
+
+# The power-series terms |a_j| s**(mu+j) are formed as products where they
+# are normal doubles (|log| <= -LOG_DBL_MIN).  Formed as logs,
+# (mu+j) * log s would carry the rounding of log s into every term,
+# multiplied by mu+j and all in one direction.
+def _power_point(
+    prob: KineticProblem, table: _PowerTable, t: float, ctl: SeriesControl
+) -> SeriesResult:
+    """The power series at one t > 0, guarded by its absolute table."""
+    mu, nu = prob.params.mu, prob.nu
+    try:
+        s = t ** nu
+    except OverflowError:  # the terms then take the log route
+        s = math.inf
+    log_s = nu * math.log(t)
+
+    def term(j: int) -> tuple[float, float]:
+        sign, mag, log_a = table.coefficient(j)
+        try:
+            log_mag = math.log(mag * s ** (mu + j))
+        except (OverflowError, ValueError):  # the product overflows or is 0
+            log_mag = math.inf
+        if abs(log_mag) <= -LOG_DBL_MIN:
+            return sign, log_mag
+        return sign, log_a + (mu + j) * log_s
+
+    res = sum_log_terms(term, ctl, label="solve_point")
+    log_value = math.log(max(abs(res.value), _DBL_MIN))
+    try:
+        ratio = sum(math.exp(log_abs + (mu + j) * log_s - log_value)
+                    for j, log_abs in enumerate(table.log_abs[:res.terms]))
+    except OverflowError:
+        ratio = math.inf
+    if ratio > CANCELLATION_RATIO_LIMIT:
+        raise CancellationError(
+            f"solve_point: cancellation ratio {ratio:.3g} "
+            f"exceeds {CANCELLATION_RATIO_LIMIT:.0e}; result would carry no significant digits"
+        )
+    return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
+
+
+def _power_batch(
+    prob: KineticProblem, table: _PowerTable, times: Sequence[float], ctl: SeriesControl
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_power_point` at every time as one batch: values, terms, tails, failure mask."""
+    n = len(times)
+    values = np.zeros(n)
+    terms = np.ones(n, dtype=np.intp)
+    tails = np.zeros(n)
+    failed = np.zeros(n, dtype=bool)
+    if n:
+        # |z| and |x| grow with t: the last time is refused if any time is
+        prob.z(times[-1])
+        prob.ml_arg(times[-1])
+    first = 0  # z underflows to 0 on a prefix of the grid, t = 0 included
+    while first < n and prob.z(times[first]) == 0.0:
+        first += 1
+    if first == n:
+        return values, terms, tails, failed
+    mu, nu = prob.params.mu, prob.nu
+    live = np.array(times[first:])
+    with np.errstate(over="ignore"):  # inf: the terms then take the log route
+        s = np.power(live, nu)
+    log_s = nu * np.log(live)
+
+    def term(j: int) -> tuple[float, np.ndarray]:
+        # sum_log_terms_batch calls this with over, invalid and divide warnings off
+        sign, mag, log_a = table.coefficient(j)
+        log_mag = np.log(mag * np.power(s, mu + j))
+        normal = np.abs(log_mag) <= -LOG_DBL_MIN
+        if normal.all():
+            return sign, log_mag
+        return sign, np.where(normal, log_mag, log_a + (mu + j) * log_s)
+
+    res = sum_log_terms_batch(term, s.shape, ctl)
+    # A failed element may hold any value, inf and nan included; the
+    # caller evaluates it again.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_value = np.log(np.maximum(np.abs(res.value), _DBL_MIN))
+        js = np.arange(int(res.terms.max()))
+        log_abs = np.array(table.log_abs[:js.size])
+        ratio = np.empty(s.shape)
+        for lo in range(0, s.size, _GRID_CHUNK):  # (points x terms) blocks of bounded size
+            rows = slice(lo, lo + _GRID_CHUNK)
+            logs = log_abs + (mu + js) * log_s[rows, None] - log_value[rows, None]
+            ratio[rows] = np.where(js < res.terms[rows, None], np.exp(logs), 0.0).sum(axis=1)
+        values[first:] = prob.n0 * res.value
+        tails[first:] = abs(prob.n0) * res.tail
+    terms[first:] = res.terms
+    failed[first:] = res.failed | ~(ratio <= CANCELLATION_RATIO_LIMIT)
+    return values, terms, tails, failed
 
 
 # Grid points that solve_grid evaluates together.  The inner sums of a chunk
@@ -348,12 +601,13 @@ def solve_grid(
 ) -> SolutionTable:
     """Evaluate the variant solution on a strictly increasing grid of t >= 0.
 
-    The grid is evaluated in chunks of up to 256 points, each as one
-    batched double series with the same terms and tails that
-    :func:`solve_point` gives at each t.  A chunk in which any point fails
-    is evaluated again point by point, so the exception raised is the one
-    :func:`solve_point` raises at the earliest failing t; a partial table
-    is never returned.
+    The grid is evaluated as one batch over the power series where the
+    exponents align, and otherwise in chunks of up to 256 points, each as
+    one batched double series; either way with the terms and tails that
+    :func:`solve_point` gives at each t.  The points of a failed batch are
+    evaluated again one by one (for the double series, the whole chunk),
+    so the exception raised is the one :func:`solve_point` raises at the
+    earliest failing t; a partial table is never returned.
     """
     times = tuple(float(t) for t in grid)
     for t in times:
@@ -363,6 +617,32 @@ def solve_grid(
         if not t1 > t0:
             raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
+    table = prob._power_table()
+    if table is None:
+        values, terms, tails = _double_series_grid(prob, times, ctl)
+    else:
+        n = len(times)
+        try:
+            values, terms, tails, failed = _power_batch(prob, table, times, ctl)
+        except (OverflowError, EvaluationError):  # a power or gamma past the double range
+            values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
+            failed = np.ones(n, dtype=bool)
+        for i in np.flatnonzero(failed):
+            values[i], terms[i], tails[i] = solve_point(prob, times[i], ctl)
+        values, terms, tails = values.tolist(), terms.tolist(), tails.tolist()
+    return SolutionTable(
+        times=times,
+        values=tuple(values),
+        terms=tuple(terms),
+        tails=tuple(tails),
+        problem=prob,
+    )
+
+
+def _double_series_grid(
+    prob: KineticProblem, times: tuple[float, ...], ctl: SeriesControl
+) -> tuple[list[float], list[int], list[float]]:
+    """Values, term counts and tails of the double series, chunk by chunk."""
     tables = _GridTables(prob)
     values: list[float] = []
     terms: list[int] = []
@@ -380,13 +660,7 @@ def solve_grid(
         values += batch[0]
         terms += batch[1]
         tails += batch[2]
-    return SolutionTable(
-        times=times,
-        values=tuple(values),
-        terms=tuple(terms),
-        tails=tuple(tails),
-        problem=prob,
-    )
+    return values, terms, tails
 
 
 def _source_batch(
@@ -435,6 +709,17 @@ def source_grid(
     return values
 
 
+def _half_power(z: float, mu: float) -> float:
+    """(z/2)**mu for z > 0, also where z/2 would round in the subnormal range.
+
+    The reference routes below form their own prefactor, apart from the
+    log(z/2) of :func:`specfun.gen_k_bessel` that they are checked against.
+    """
+    if z < 2.0 * _DBL_MIN:
+        return math.exp(mu * (math.log(z) - math.log(2.0)))
+    return (z / 2.0) ** mu
+
+
 def corollary_source(
     params: KBesselParams, z: float, ctl: SeriesControl | None = None
 ) -> SeriesResult:
@@ -459,7 +744,7 @@ def corollary_source(
         params.k, params.gamma, params.lam, params.mu, (params.b + 1.0) / 2.0,
         -(z * z / 2.0), ctl, label,
     )
-    pref = (z / 2.0) ** params.mu
+    pref = _half_power(z, params.mu)
     return SeriesResult(pref * inner.value, inner.terms, pref * inner.tail)
 
 
@@ -491,5 +776,5 @@ def psi_form_source(
     psi = fox_wright(spec, x, ctl)
     pref = math.exp(
         (1.0 - mu / k - (b + 1.0) / (2.0 * k)) * math.log(k) - math.lgamma(g / k)
-    ) * (t / 2.0) ** mu
+    ) * _half_power(t, mu)
     return SeriesResult(pref * psi.value, psi.terms, abs(pref) * psi.tail)

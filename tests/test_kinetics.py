@@ -1,8 +1,12 @@
 """Closed-form kinetic solutions: structure, identities, oracle agreement."""
 
+import importlib.util
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,10 +34,11 @@ from kkinetics import (
 )
 from kkinetics import kinetics, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
-from kkinetics.kinetics import _GRID_CHUNK
+from kkinetics.kinetics import _GRID_CHUNK, _GridTables, _solve_chunk
 from kkinetics.specfun import log_k_gamma, log_k_pochhammer
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
+KKBENCH = Path(__file__).resolve().parent.parent / "kkbench"
 
 
 def fig_problem(variant, lam=1.0, a=None, n0=2.0):
@@ -170,9 +175,11 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
 
     count(kinetics, "scaled_ml")
     count(kinetics, "sum_log_terms")
+    count(kinetics, "sum_log_terms_batch")
     count(kinetics, "gen_k_bessel")
     count(specfun, "sum_log_terms")
-    prob = fig_problem(Theorem.T1)
+    # variant 1 at nu != 1 is the double series: one scaled_ml per outer term
+    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
     res = solve_point(prob, 0.5)
     assert res.terms > 1
     assert calls == {
@@ -180,6 +187,14 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
         "kkinetics.kinetics.scaled_ml": res.terms,  # one per outer term
         "kkinetics.specfun.sum_log_terms": res.terms,
     }
+    # at nu = 1 the exponents align: one power series, no inner sums
+    calls.clear()
+    prob = fig_problem(Theorem.T1)
+    assert solve_point(prob, 0.5).terms > 1
+    assert calls == {"kkinetics.kinetics.sum_log_terms": 1}
+    calls.clear()
+    solve_grid(prob, np.linspace(0.0, 1.0, 11))
+    assert calls == {"kkinetics.kinetics.sum_log_terms_batch": 1}
     calls.clear()
     prob.source(0.5)
     assert calls == {
@@ -312,8 +327,9 @@ def test_solve_grid_matches_solve_point_on_figure_sweeps(fig_id):
 
 
 def test_solve_grid_matches_solve_point_at_chunk_seams():
-    # the figure-1 verify grid (h = 1/2048) spans several chunks
-    prob = fig_problem(Theorem.T1)
+    # only the double series (variant 1 at nu != 1) is chunked; the figure-1
+    # verify grid (h = 1/2048) spans several chunks
+    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
     grid = np.linspace(0.0, 1.0, 2049)
     table = solve_grid(prob, grid)
     seams = range(_GRID_CHUNK, len(grid), _GRID_CHUNK)
@@ -339,34 +355,136 @@ def _earliest_point_failure(prob, grid, ctl):
 
 
 @pytest.mark.parametrize(
-    "variant, nu, grid, ctl, expected",
+    "variant, nu, grid, ctl, expected, refused_by",
     [
-        # the inner budget runs out first near t = 1.44, in the second chunk
+        # double series (variant 1 at nu != 1): the inner budget runs out
+        # first near t = 0.27, in the second chunk
+        (Theorem.T1, 0.5, np.linspace(0.0, 0.5, 600), SeriesControl(max_terms=35),
+         NonConvergenceError, "scaled_ml: no stagnation"),
+        # x = -30 is beyond the refused bound 700**nu = 26.5
+        (Theorem.T1, 0.5, [0.0, 0.5, 300.0], None, CancellationError,
+         "scaled_ml: x = -30.0 is beyond"),
+        # the inner cancellation guard trips first near t = 9.5
+        (Theorem.T1, 2.0, np.linspace(0.0, 15.0, 61), None, CancellationError,
+         "scaled_ml: cancellation ratio"),
+        # the rest is the power series, refused by its absolute table
+        (Theorem.T2, 0.5, np.linspace(0.0, 60.0, 61), None, CancellationError,
+         "solve_point: cancellation ratio"),
+        (Theorem.T2, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0], None, CancellationError,
+         "solve_point: cancellation ratio"),
+        # a term overflows at t = 0.5; the batch used to warn dividing by the
+        # zero magnitude before it
+        (Theorem.T2, 700.0, [0.0, 0.1, 0.5], None, OverflowLogError,
+         "solve_point: term 2 overflows"),
         (Theorem.T1, 1.0, np.linspace(0.0, 3.0, 600), SeriesControl(max_terms=35),
-         NonConvergenceError),
-        # x = -900 is beyond the refused bound 700**nu
-        (Theorem.T1, 1.0, [0.0, 0.5, 300.0], None, CancellationError),
-        # the inner cancellation guard trips first near t = 10.1
-        (Theorem.T1, 1.0, np.linspace(0.0, 15.0, 61), None, CancellationError),
-        (Theorem.T2, 0.5, np.linspace(0.0, 60.0, 61), None, CancellationError),
-        # the outer guard trips first at t = 3
-        (Theorem.T2, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0], None, CancellationError),
-        # outer term 1 overflows at t = 0.5; the batch used to warn dividing by
-        # the zero magnitude before it
-        (Theorem.T2, 700.0, [0.0, 0.1, 0.5], None, OverflowLogError),
+         NonConvergenceError, "solve_point: no stagnation"),
+        (Theorem.T1, 1.0, np.linspace(0.0, 15.0, 61), None, CancellationError,
+         "solve_point: cancellation ratio"),
+        (Theorem.T1, 1.0, [0.0, 0.5, 300.0], None, OverflowLogError,
+         "solve_point: term 255 overflows"),
     ],
     ids=["budget", "ml_bound", "inner_guard", "inner_guard_half_order", "outer_guard",
-         "outer_overflow"],
+         "outer_overflow", "power_budget", "power_guard", "power_overflow"],
 )
-def test_solve_grid_raises_like_solve_point_at_earliest_failure(variant, nu, grid, ctl, expected):
+def test_solve_grid_raises_like_solve_point_at_earliest_failure(
+    variant, nu, grid, ctl, expected, refused_by
+):
     params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
     prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=params)
     want = _earliest_point_failure(prob, grid, ctl)
     assert type(want) is expected
+    assert str(want).startswith(refused_by)
     with pytest.raises(expected) as got:
         solve_grid(prob, grid, ctl)
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
+
+
+# ---------------------------------------------------------------- one power series
+
+
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.75, 1.7])
+@pytest.mark.parametrize("variant", [Theorem.T2, Theorem.T3])
+def test_power_series_matches_the_double_series(variant, nu):
+    # the collapsed sum and the batched double series are two orderings of
+    # the same terms
+    a = 1.0 if variant == Theorem.T3 else None
+    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=a)
+    times = np.linspace(0.0, 0.5, 1001).tolist()
+    ctl = SeriesControl()
+    double = _solve_chunk(prob, _GridTables(prob), times, ctl)
+    assert double is not None
+    got = np.array(solve_grid(prob, times, ctl).values)
+    want = np.array(double[0])
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _mp_unit_order_solution(prob, t):
+    # variant 1 at nu = 1: N = n0 sum_n coeff_n (t/2)^(mu+2n) 1F1(1; mu+2n+1; -d t),
+    # and the sum of every |term| replaces each 1F1 by 1F1(1; mu+2n+1; d t)
+    p = prob.params
+    with mpmath.workdps(40):
+        k, g, lam, mu, b, c = (mpmath.mpf(v) for v in (p.k, p.gamma, p.lam, p.mu, p.b, p.c))
+        hz, x = mpmath.mpf(t) / 2, prob.d * mpmath.mpf(t)
+        value = abs_sum = mpmath.mpf(0)
+        for n in range(80):
+            arg = mu + lam * n + (b + 1) / 2
+            coeff = (c ** n * k ** n * mpmath.rf(g / k, n)
+                     / (k ** (arg / k - 1) * mpmath.gamma(arg / k) * mpmath.factorial(n) ** 2))
+            beta = mu + 2 * n + 1
+            value += (-1) ** n * coeff * hz ** (mu + 2 * n) * mpmath.hyp1f1(1, beta, -x)
+            abs_sum += coeff * hz ** (mu + 2 * n) * mpmath.hyp1f1(1, beta, x)
+        return float(prob.n0 * value), float(prob.n0 * abs_sum)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_unit_order_power_series_matches_mpmath(lam):
+    prob = fig_problem(Theorem.T1, lam=lam)
+    times = [0.01, 0.3, 1.0, 1.845, 2.5, 3.0, 5.0]
+    table = solve_grid(prob, times)
+    for t, got_grid in zip(times, table.values):
+        want, abs_sum = _mp_unit_order_solution(prob, t)
+        got = solve_point(prob, t).value
+        assert abs(got - want) <= 64 * 2.0 ** -52 * abs_sum, t
+        assert abs(got_grid - want) <= 64 * 2.0 ** -52 * abs_sum, t
+
+
+def _kkbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"kkbench_{name}", KKBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_figure_sweeps_match_the_benchmark_reference():
+    # the benchmark's mpmath reference for all 35 (figure, lambda) sweeps,
+    # within the benchmark's conditioning-aware tolerance
+    tolerance = _kkbench_module("reference").tolerance
+    ref = json.loads((KKBENCH / "figures_ref.json").read_text())["figures"]
+    checked = 0
+    for fig_id, spec in FIGURES.items():
+        grid = figure_grid(spec)
+        for lam in LAMBDAS:
+            col = ref[str(fig_id)][f"{lam:.2f}"]
+            want, abs_sum = np.array(col["value"]), np.array(col["abs_sum"])
+            got = np.array(solve_grid(figure_problem(spec, lam), grid).values)
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.all(np.abs(got - want) <= tolerance(scale, abs_sum)), (fig_id, lam)
+            checked += 1
+    assert checked == 35
+
+
+@pytest.mark.parametrize("t", [7.0, 8.0])
+def test_unit_order_refuses_where_cancellation_leaves_no_digits(t):
+    # the sum of every |term| is 1.9e12 |N| at t = 7 and 7e13 |N| at t = 8.
+    # At t = 7 the largest power-series term is only 8e10 |N|, so the
+    # absolute table alone refuses.  The double series used to return
+    # -2.1222e-4 at t = 8, against a true -2.0846e-4.
+    prob = fig_problem(Theorem.T1)
+    with pytest.raises(CancellationError, match="^solve_point: cancellation ratio"):
+        solve_point(prob, t)
+    with pytest.raises(CancellationError, match="^solve_point: cancellation ratio"):
+        solve_grid(prob, [0.0, 1.0, t])
 
 
 @pytest.mark.parametrize("variant", list(Theorem))
@@ -494,6 +612,17 @@ def test_corollary_source_selectors_pick_the_reduced_function(b):
         inner = reduced(params.k, params.gamma, params.lam, params.mu, (z * z / 2.0) * b)
         pref = (z / 2.0) ** params.mu
         assert corollary_source(params, z) == (pref * inner.value, inner.terms, pref * inner.tail)
+
+
+@pytest.mark.parametrize("z", [5e-324, 3 * 5e-324], ids=["smallest", "odd_subnormal"])
+def test_reference_sources_at_subnormal_z(z):
+    # (z/2)**mu used to give 0 at the smallest z, where z/2 rounds to 0, and a
+    # value 7.5% high at z = 3 * 5e-324, where it rounds to 2 * 5e-324
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.25, b=1.0, c=1.0)
+    want = gen_k_bessel(params, z).value
+    assert want == pytest.approx(1.13e-81 if z == 5e-324 else 1.49e-81, rel=1e-2)
+    assert corollary_source(params, z).value == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert psi_form_source(params, z).value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_corollary_source_bessel_route():
