@@ -247,7 +247,7 @@ def haubold_mathai(
         raise DomainError(f"c_rate must be > 0, got {c_rate}")
     if not nu > 0.0:
         raise DomainError(f"nu must be > 0, got {nu}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     r = mittag_leffler(MLParams(nu, 1.0), -(c_rate ** nu) * t ** nu, ctl)
     return SeriesResult(n0 * r.value, r.terms, abs(n0) * r.tail)

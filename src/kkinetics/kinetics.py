@@ -37,18 +37,21 @@ Two evaluation paths for the solution, chosen by the kind of input:
   terms of the double series (one :func:`specfun.scaled_ml` call each).
 * :func:`solve_grid` evaluates the grid as one batch
   (:func:`series.sum_log_terms_batch`): the power series over all points
-  at once, or the double series in chunks of up to 256 points, where the
-  inner sums of every (point, n) pair advance together over m and the
-  outer sums advance together over n.
-
-Both apply the same summation rules, so they give the same term counts
-and stopping decisions; values and tails agree to rounding (numpy's exp is
-not libm's).
+  at once, or the double series in chunks of up to 256 points.
 
 The source has the same pair: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, and
 :func:`source_grid` sums it at every grid time as one batch over the
-outer coefficients of the double series, under the same contract.
+outer coefficients of the double series.
+
+Both grids follow one contract.  The batch applies the scalar summation
+rules, so it gives the same term counts and stopping decisions; values
+and tails agree to rounding (numpy's exp is not libm's).  It sums the
+times with z(t) > 0 (a time with z = 0 gives 0.0 after one term) and marks
+the points whose scalar call raises.  Those points, and every point when
+the batch itself raises, are evaluated again in order through the scalar
+call, so a grid raises what the scalar call raises at the earliest
+failing time.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -60,7 +63,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Sequence
+from functools import partial
+from itertools import compress
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -163,7 +168,7 @@ class KineticProblem:
         """Source argument at time t >= 0: t (variant 1) or d**nu t**nu."""
         if self.variant != 1:
             return _scaled_power("source argument", self.d, t, self.nu)
-        if t < 0.0:
+        if not t >= 0.0:
             raise DomainError(f"t must be >= 0, got {t}")
         return t
 
@@ -188,7 +193,7 @@ class KineticProblem:
 
 def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
     """base**nu * t**nu for t >= 0, refused only when (base t)**nu leaves the double range."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return 0.0
@@ -433,29 +438,21 @@ def _power_point(
     return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
 
 
+# A grid batch's values, term counts, tails and failure mask (see _evaluate_grid).
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _power_batch(
-    prob: KineticProblem, table: _PowerTable, times: Sequence[float], ctl: SeriesControl
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_power_point` at every time as one batch: values, terms, tails, failure mask."""
-    n = len(times)
-    values = np.zeros(n)
-    terms = np.ones(n, dtype=np.intp)
-    tails = np.zeros(n)
-    failed = np.zeros(n, dtype=bool)
-    if n:
-        # |z| and |x| grow with t: the last time is refused if any time is
-        prob.z(times[-1])
-        prob.ml_arg(times[-1])
-    first = 0  # z underflows to 0 on a prefix of the grid, t = 0 included
-    while first < n and prob.z(times[first]) == 0.0:
-        first += 1
-    if first == n:
-        return values, terms, tails, failed
+    prob: KineticProblem, ctl: SeriesControl, times: Sequence[float], zs: Sequence[float]
+) -> _Batch:
+    """:func:`_power_point` at every time of an increasing grid as one batch."""
+    prob.ml_arg(times[-1])  # |x| grows with t: the last time is refused if any time is
+    table = prob._power_table()
     mu, nu = prob.params.mu, prob.nu
-    live = np.array(times[first:])
+    t = np.array(times)
     with np.errstate(over="ignore"):  # inf: the terms then take the log route
-        s = np.power(live, nu)
-    log_s = nu * np.log(live)
+        s = np.power(t, nu)
+    log_s = nu * np.log(t)
 
     def term(j: int) -> tuple[float, np.ndarray]:
         # sum_log_terms_batch calls this with over, invalid and divide warnings off
@@ -478,16 +475,13 @@ def _power_batch(
             rows = slice(lo, lo + _GRID_CHUNK)
             logs = log_abs + (mu + js) * log_s[rows, None] - log_value[rows, None]
             ratio[rows] = np.where(js < res.terms[rows, None], np.exp(logs), 0.0).sum(axis=1)
-        values[first:] = prob.n0 * res.value
-        tails[first:] = abs(prob.n0) * res.tail
-    terms[first:] = res.terms
-    failed[first:] = res.failed | ~(ratio <= CANCELLATION_RATIO_LIMIT)
-    return values, terms, tails, failed
+        failed = res.failed | ~(ratio <= CANCELLATION_RATIO_LIMIT)
+        return prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail, failed
 
 
-# Grid points that solve_grid evaluates together.  The inner sums of a chunk
-# are (points x outer terms) arrays, so a fixed chunk keeps peak memory
-# independent of the grid length.
+# Grid points that solve_grid evaluates together on the double series.  The
+# inner sums of a chunk are (points x outer terms) arrays, so a fixed chunk
+# keeps peak memory independent of the grid length.
 _GRID_CHUNK = 256
 # Outer indices in the first block of inner sums; later blocks double it.
 _FIRST_BLOCK = 16
@@ -496,22 +490,16 @@ _FIRST_COLUMNS = 32
 
 
 class _GridTables:
-    """The t-independent coefficients of one problem's double series.
+    """The t-independent inner coefficients of one problem's double series.
 
-    ``outer(n)`` is the k-Bessel (sign, log|coeff_n|) and ``inner(ns, m_stop)``
-    the rows lgamma(beta_n) - lgamma(nu*m + beta_n), m < m_stop, for the
-    outer indices ``ns``.  Both grow as the evaluation needs them.
+    ``inner(ns, m_stop)`` gives the rows lgamma(beta_n) - lgamma(nu*m + beta_n),
+    m < m_stop, for the outer indices ``ns``, and grows as the evaluation
+    needs them.
     """
 
     def __init__(self, prob: KineticProblem):
         self.prob = prob
-        self._outer: list[tuple[float, float]] = []
         self._inner: list[list[float]] = []
-
-    def outer(self, n: int) -> tuple[float, float]:
-        while len(self._outer) <= n:
-            self._outer.append(k_bessel_log_coefficient(self.prob.params, len(self._outer)))
-        return self._outer[n]
 
     def inner(self, ns: range, m_stop: int) -> np.ndarray:
         nu = self.prob.nu
@@ -527,73 +515,122 @@ class _GridTables:
 
 
 def _solve_chunk(
-    prob: KineticProblem, tables: _GridTables, times: Sequence[float], ctl: SeriesControl
-) -> tuple[list[float], list[int], list[float]] | None:
-    """Values, term counts and tails at ``times``; None if any point fails.
+    prob: KineticProblem, tables: _GridTables, times: Sequence[float], zs: Sequence[float],
+    ctl: SeriesControl,
+) -> _Batch:
+    """The double series at ``times``, where z(t) = ``zs`` > 0, as one batch.
 
     The inner sums of every (point, n) pair advance together over m, in
     blocks of outer indices computed as the outer sums reach them; the
-    outer sums then advance together over n.
+    outer sums then advance together over n.  A point fails where
+    :func:`solve_point` raises: its Mittag-Leffler argument is beyond
+    :func:`specfun.ml_negative_bound`, an inner sum its outer sum uses
+    fails, or the outer sum itself does.
     """
-    zs = [prob.z(t) for t in times]
-    live = [i for i, z in enumerate(zs) if z != 0.0]
-    values = np.zeros(len(times))
-    terms = np.ones(len(times), dtype=np.intp)
-    tails = np.zeros(len(times))
-    if live:
-        xs = [prob.ml_arg(times[i]) for i in live]
-        if any(-x > ml_negative_bound(prob.nu) for x in xs):
-            return None
-        log_hz = np.array([_log_half(zs[i]) for i in live])
-        log_ax = np.array([[math.log(abs(x)) if x != 0.0 else 0.0] for x in xs])
-        x = np.array(xs)[:, None]
-        alternating = np.where(x < 0.0, -1.0, 1.0)
-        inner_ctl = ctl.tightened()
+    n_points = len(times)
+    bound = ml_negative_bound(prob.nu)
+    xs = [prob.ml_arg(t) for t in times]
+    refused = np.array([-x > bound for x in xs], dtype=bool)
+    xs = [0.0 if -x > bound else x for x in xs]  # summed at x = 0, and reported as failed
+    log_hz = np.array([_log_half(z) for z in zs])
+    log_ax = np.array([[math.log(abs(x)) if x != 0.0 else 0.0] for x in xs])
+    x = np.array(xs)[:, None]
+    alternating = np.where(x < 0.0, -1.0, 1.0)
+    inner_ctl = ctl.tightened()
 
-        def inner_sums(ns: range) -> tuple[np.ndarray, np.ndarray]:
-            cols = tables.inner(ns, _FIRST_COLUMNS)
+    def inner_sums(ns: range) -> tuple[np.ndarray, np.ndarray]:
+        cols = tables.inner(ns, _FIRST_COLUMNS)
 
-            def term(m: int) -> tuple[np.ndarray | float, np.ndarray]:
-                nonlocal cols
-                if m >= cols.shape[1]:
-                    cols = tables.inner(ns, 2 * m)
-                return (alternating if m % 2 else 1.0), cols[:, m] + m * log_ax
+        def term(m: int) -> tuple[np.ndarray | float, np.ndarray]:
+            nonlocal cols
+            if m >= cols.shape[1]:
+                cols = tables.inner(ns, 2 * m)
+            return (alternating if m % 2 else 1.0), cols[:, m] + m * log_ax
 
-            res = sum_log_terms_batch(term, (len(live), len(ns)), inner_ctl)
-            # scaled_ml is exactly 1 at x = 0; a failed sum gets a finite
-            # stand-in so the outer sum runs on and the failure is reported.
-            failed = res.failed & (x != 0.0)
-            return np.where(failed | (x == 0.0), 1.0, res.value), failed
+        res = sum_log_terms_batch(term, (n_points, len(ns)), inner_ctl)
+        # scaled_ml is exactly 1 at x = 0; a failed sum gets a finite
+        # stand-in so the outer sum runs on and the failure is reported.
+        failed = res.failed & (x != 0.0)
+        return np.where(failed | (x == 0.0), 1.0, res.value), failed
 
-        ml = np.empty((len(live), 0))
-        ml_failed = np.empty((len(live), 0), dtype=bool)
-        mu = prob.params.mu
+    ml = np.empty((n_points, 0))
+    ml_failed = np.empty((n_points, 0), dtype=bool)
+    read: dict[int, np.ndarray] = {}  # outer index -> failures of the inner sums it read
+    mu = prob.params.mu
 
-        def outer_term(n: int) -> tuple[np.ndarray, np.ndarray]:
-            nonlocal ml, ml_failed
-            sign, log_coeff = tables.outer(n)
-            if log_coeff == -math.inf:
-                return np.ones(len(live)), np.full(len(live), -math.inf)
-            if n >= ml.shape[1]:
-                more = range(ml.shape[1], min(max(2 * ml.shape[1], _FIRST_BLOCK), ctl.max_terms))
-                block, block_failed = inner_sums(more)
-                ml = np.hstack([ml, block])
-                ml_failed = np.hstack([ml_failed, block_failed])
-            col = ml[:, n]
-            with np.errstate(divide="ignore"):
-                log_mag = log_coeff + (mu + 2.0 * n) * log_hz + np.log(np.abs(col))
-            return np.where(col < 0.0, -sign, np.where(col == 0.0, 1.0, sign)), log_mag
+    def outer_term(n: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal ml, ml_failed
+        sign, log_coeff = k_bessel_log_coefficient(prob.params, n)
+        if log_coeff == -math.inf:
+            return np.ones(n_points), np.full(n_points, -math.inf)
+        if n >= ml.shape[1]:
+            more = range(ml.shape[1], min(max(2 * ml.shape[1], _FIRST_BLOCK), ctl.max_terms))
+            block, block_failed = inner_sums(more)
+            ml = np.hstack([ml, block])
+            ml_failed = np.hstack([ml_failed, block_failed])
+        col = ml[:, n]
+        read[n] = ml_failed[:, n]
+        with np.errstate(divide="ignore"):
+            log_mag = log_coeff + (mu + 2.0 * n) * log_hz + np.log(np.abs(col))
+        return np.where(col < 0.0, -sign, np.where(col == 0.0, 1.0, sign)), log_mag
 
-        outer = sum_log_terms_batch(outer_term, (len(live),), ctl)
-        n_idx = np.arange(ml.shape[1])
-        evaluated = np.array([tables.outer(n)[1] != -math.inf for n in n_idx], dtype=bool)
-        used = (n_idx < outer.terms[:, None]) & evaluated
-        if outer.failed.any() or (ml_failed & used).any():
-            return None
-        values[live] = prob.n0 * outer.value
-        terms[live] = outer.terms
-        tails[live] = abs(prob.n0) * outer.tail
-    return values.tolist(), terms.tolist(), tails.tolist()
+    outer = sum_log_terms_batch(outer_term, (n_points,), ctl)
+    failed = refused | outer.failed
+    for n, inner_failed in read.items():
+        failed |= inner_failed & (n < outer.terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # failed points may hold inf or nan
+        return prob.n0 * outer.value, outer.terms, abs(prob.n0) * outer.tail, failed
+
+
+def _double_series_batch(
+    prob: KineticProblem, ctl: SeriesControl, times: Sequence[float], zs: Sequence[float]
+) -> _Batch:
+    """:func:`_solve_chunk` over chunks of up to 256 points, sharing one table."""
+    tables = _GridTables(prob)
+    chunks = [_solve_chunk(prob, tables, times[lo:lo + _GRID_CHUNK], zs[lo:lo + _GRID_CHUNK], ctl)
+              for lo in range(0, len(times), _GRID_CHUNK)]
+    return tuple(np.concatenate(col) for col in zip(*chunks))
+
+
+def _source_batch(
+    prob: KineticProblem, ctl: SeriesControl, times: Sequence[float], zs: Sequence[float]
+) -> _Batch:
+    """omega(z) at every z = ``zs`` as one batch over the outer coefficients."""
+    params, mu = prob.params, prob.params.mu
+    log_hz = np.array([_log_half(z) for z in zs])
+
+    def term(n: int) -> tuple[float, np.ndarray]:
+        sign, log_coeff = k_bessel_log_coefficient(params, n)
+        return sign, log_coeff + (mu + 2.0 * n) * log_hz
+
+    return sum_log_terms_batch(term, log_hz.shape, ctl)
+
+
+def _evaluate_grid(
+    prob: KineticProblem,
+    times: Sequence[float],
+    batch: Callable[[list[float], list[float]], _Batch],
+    scalar: Callable[[float], SeriesResult],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, term counts and tails at ``times`` under the grid contract (see module docs).
+
+    ``batch(times, zs)`` gets the times with z(t) > 0 and their z(t);
+    ``scalar(t)`` evaluates one time.
+    """
+    n = len(times)
+    values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
+    failed = np.zeros(n, dtype=bool)
+    try:
+        zs = [prob.z(t) for t in times]
+        live = np.fromiter(zs, float, n) != 0.0
+        if live.any():
+            values[live], terms[live], tails[live], failed[live] = batch(
+                list(compress(times, live)), list(compress(zs, live)))
+    except (OverflowError, EvaluationError):  # t < 0, or a value past the double range
+        failed[:] = True
+    for i in np.flatnonzero(failed):
+        values[i], terms[i], tails[i] = scalar(times[i])
+    return values, terms, tails
 
 
 def solve_grid(
@@ -601,89 +638,28 @@ def solve_grid(
 ) -> SolutionTable:
     """Evaluate the variant solution on a strictly increasing grid of t >= 0.
 
-    The grid is evaluated as one batch over the power series where the
-    exponents align, and otherwise in chunks of up to 256 points, each as
-    one batched double series; either way with the terms and tails that
-    :func:`solve_point` gives at each t.  The points of a failed batch are
-    evaluated again one by one (for the double series, the whole chunk),
-    so the exception raised is the one :func:`solve_point` raises at the
-    earliest failing t; a partial table is never returned.
+    One batch under the grid contract (see module docs), with the terms
+    and tails :func:`solve_point` gives at each t; a partial table is
+    never returned.
     """
     times = tuple(float(t) for t in grid)
     for t in times:
-        if t < 0.0:
+        if not t >= 0.0:
             raise DomainError(f"grid times must be >= 0, got {t}")
     for t0, t1 in zip(times, times[1:]):
         if not t1 > t0:
             raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
-    table = prob._power_table()
-    if table is None:
-        values, terms, tails = _double_series_grid(prob, times, ctl)
-    else:
-        n = len(times)
-        try:
-            values, terms, tails, failed = _power_batch(prob, table, times, ctl)
-        except (OverflowError, EvaluationError):  # a power or gamma past the double range
-            values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
-            failed = np.ones(n, dtype=bool)
-        for i in np.flatnonzero(failed):
-            values[i], terms[i], tails[i] = solve_point(prob, times[i], ctl)
-        values, terms, tails = values.tolist(), terms.tolist(), tails.tolist()
+    batch = _double_series_batch if prob._power_table() is None else _power_batch
+    values, terms, tails = _evaluate_grid(
+        prob, times, partial(batch, prob, ctl), lambda t: solve_point(prob, t, ctl))
     return SolutionTable(
         times=times,
-        values=tuple(values),
-        terms=tuple(terms),
-        tails=tuple(tails),
+        values=tuple(values.tolist()),
+        terms=tuple(terms.tolist()),
+        tails=tuple(tails.tolist()),
         problem=prob,
     )
-
-
-def _double_series_grid(
-    prob: KineticProblem, times: tuple[float, ...], ctl: SeriesControl
-) -> tuple[list[float], list[int], list[float]]:
-    """Values, term counts and tails of the double series, chunk by chunk."""
-    tables = _GridTables(prob)
-    values: list[float] = []
-    terms: list[int] = []
-    tails: list[float] = []
-    for lo in range(0, len(times), _GRID_CHUNK):
-        chunk = times[lo:lo + _GRID_CHUNK]
-        try:
-            batch = _solve_chunk(prob, tables, chunk, ctl)
-        except OverflowError:  # a power or lgamma past the double range
-            batch = None
-        if batch is None:
-            results = [solve_point(prob, t, ctl) for t in chunk]
-            batch = ([r.value for r in results], [r.terms for r in results],
-                     [r.tail for r in results])
-        values += batch[0]
-        terms += batch[1]
-        tails += batch[2]
-    return values, terms, tails
-
-
-def _source_batch(
-    prob: KineticProblem, times: Sequence[float], ctl: SeriesControl
-) -> tuple[np.ndarray, np.ndarray]:
-    """omega(z(t)) at ``times`` and the mask of points whose scalar sum raises."""
-    zs = [prob.z(t) for t in times]
-    live = [i for i, z in enumerate(zs) if z != 0.0]
-    values = np.zeros(len(times))
-    failed = np.zeros(len(times), dtype=bool)
-    if live:
-        outer = _GridTables(prob).outer
-        log_hz = np.array([_log_half(zs[i]) for i in live])
-        mu = prob.params.mu
-
-        def term(n: int) -> tuple[float, np.ndarray]:
-            sign, log_coeff = outer(n)
-            return sign, log_coeff + (mu + 2.0 * n) * log_hz
-
-        res = sum_log_terms_batch(term, (len(live),), ctl)
-        values[live] = res.value
-        failed[live] = res.failed
-    return values, failed
 
 
 def source_grid(
@@ -691,21 +667,13 @@ def source_grid(
 ) -> np.ndarray:
     """The source omega(z(t)) of ``prob`` (N0-free) at every t >= 0 in ``times``.
 
-    All points are summed as one batch over the tabulated outer
-    coefficients, with the terms and stopping decision that
-    :func:`specfun.gen_k_bessel` gives at each t.  The points the batch
-    marks as failed are evaluated again one by one in order, as is every
-    point when the batch raises, so the exception raised is the one
-    :meth:`KineticProblem.source` raises at the earliest failing t.
+    One batch under the grid contract (see module docs), with the terms
+    :func:`specfun.gen_k_bessel` gives at each t.
     """
     times = [float(t) for t in times]
     ctl = ctl or DEFAULT_CONTROL
-    try:
-        values, failed = _source_batch(prob, times, ctl)
-    except (OverflowError, EvaluationError):  # t < 0, or a value past the double range
-        values, failed = np.zeros(len(times)), np.ones(len(times), dtype=bool)
-    for i in np.flatnonzero(failed):
-        values[i] = prob.source(times[i], ctl)
+    values, _, _ = _evaluate_grid(prob, times, partial(_source_batch, prob, ctl),
+                                  lambda t: gen_k_bessel(prob.params, prob.z(t), ctl))
     return values
 
 
@@ -735,7 +703,7 @@ def corollary_source(
             "corollary_source requires c = 1 and b = 1 (k-Bessel J) or b = -1 "
             f"(k-Wright W), got b={params.b}, c={params.c}"
         )
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError(f"corollary_source requires z >= 0, got {z}")
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
@@ -763,7 +731,7 @@ def psi_form_source(
     :func:`specfun.gen_k_bessel`, which is the defining series; the two
     routes share no gamma bookkeeping, so the agreement is a real check.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"psi_form_source requires t >= 0, got {t}")
     if t == 0.0:
         return SeriesResult(0.0, 1, 0.0)

@@ -222,11 +222,14 @@ def _ml_sum(
     ctl = ctl or DEFAULT_CONTROL
     if x == 0.0:
         return SeriesResult(math.exp(log_scale - math.lgamma(p.beta)), 1, 0.0)
-    if x < 0.0 and -x > ml_negative_bound(p.alpha):
-        raise CancellationError(
-            f"{label}: x = {x} is beyond the safe negative bound "
-            f"-{ml_negative_bound(p.alpha):.4g} for alpha = {p.alpha}"
-        )
+    if x < 0.0:
+        if -x > ml_negative_bound(p.alpha):
+            raise CancellationError(
+                f"{label}: x = {x} is beyond the safe negative bound "
+                f"-{ml_negative_bound(p.alpha):.4g} for alpha = {p.alpha}"
+            )
+    elif not x > 0.0:
+        raise DomainError(f"{label}: x must be a number, got {x}")
     log_ax = math.log(abs(x))
     alpha, beta = p.alpha, p.beta
 
@@ -304,7 +307,7 @@ def _log_half(z: float) -> float:
 def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """The generalized k-Bessel series omega(z) for z >= 0 (see module docs)."""
     ctl = ctl or DEFAULT_CONTROL
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError(f"gen_k_bessel requires z >= 0, got {z}")
     if z == 0.0:
         # every term carries (z/2)**(mu+2n) with mu > 0

@@ -357,6 +357,12 @@ def test_haubold_mathai_at_zero_is_n0():
     assert haubold_mathai(3.5, 1.0, 0.7, 0.0).value == pytest.approx(3.5, rel=1e-15)
 
 
+@pytest.mark.parametrize("t, shown", [(-0.5, r"-0\.5"), (math.nan, "nan")])
+def test_haubold_mathai_rejects_negative_and_nan_time(t, shown):
+    with pytest.raises(DomainError, match=rf"^t must be >= 0, got {shown}$"):
+        haubold_mathai(2.0, 1.0, 0.5, t)
+
+
 def test_haubold_mathai_unit_order_is_exponential():
     got = haubold_mathai(2.0, 1.0, 1.0, 1.0).value
     assert got == pytest.approx(2.0 * 0.36787944117144233, rel=1e-13)

@@ -109,11 +109,16 @@ def test_power_arguments_are_finite_or_refused():
 @pytest.mark.parametrize("nu", [0.5, 1.0])
 @pytest.mark.parametrize("variant", list(Theorem))
 def test_negative_time_is_a_domain_error(variant, nu):
-    # at nu = 0.5, t**nu went complex and source(-0.5) ended in a bare TypeError
+    # at nu = 0.5, t**nu went complex and source(-0.5) ended in a bare TypeError;
+    # a nan time passed `t < 0` and ran the whole term budget on nan terms
     prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=1.0)
-    for evaluate in (prob.z, prob.ml_arg, prob.source, lambda t: solve_point(prob, t)):
-        with pytest.raises(DomainError, match=r"^t must be >= 0, got -0\.5$"):
-            evaluate(-0.5)
+    for t, shown in ((-0.5, r"-0\.5"), (math.nan, "nan")):
+        for evaluate in (prob.z, prob.ml_arg, prob.source, lambda t: solve_point(prob, t),
+                         lambda t: source_grid(prob, [0.0, t])):
+            with pytest.raises(DomainError, match=rf"^t must be >= 0, got {shown}$"):
+                evaluate(t)
+        with pytest.raises(DomainError, match=rf"^grid times must be >= 0, got {shown}$"):
+            solve_grid(prob, [t])
 
 
 # ---------------------------------------------------------------- basic structure
@@ -334,7 +339,8 @@ def test_solve_grid_matches_solve_point_at_chunk_seams():
     table = solve_grid(prob, grid)
     seams = range(_GRID_CHUNK, len(grid), _GRID_CHUNK)
     assert len(seams) >= 2
-    indices = [i for seam in seams for i in (seam - 1, seam)]
+    # the chunks cover the times with z(t) > 0, so t = 0 moves each seam by one
+    indices = [i for seam in seams for i in (seam - 1, seam, seam + 1) if i < len(grid)]
     points = [solve_point(prob, float(grid[i])) for i in indices]
     _assert_grid_matches_points(table, indices, points)
 
@@ -400,6 +406,28 @@ def test_solve_grid_raises_like_solve_point_at_earliest_failure(
     assert str(got.value) == str(want)
 
 
+def test_solve_grid_reevaluates_only_the_points_its_batch_refuses(monkeypatch):
+    # the double series in three chunks; only t = 300 is refused, where
+    # x = -30 is beyond 700**0.5.  The whole chunk holding it used to be
+    # evaluated again point by point.
+    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
+    grid = np.linspace(0.0, 1.0, 600).tolist() + [300.0]
+    with pytest.raises(CancellationError) as want:
+        solve_point(prob, 300.0)
+    calls = []
+    real = kinetics.solve_point
+
+    def counted(prob, t, ctl=None):
+        calls.append(t)
+        return real(prob, t, ctl)
+
+    monkeypatch.setattr(kinetics, "solve_point", counted)
+    with pytest.raises(CancellationError) as got:
+        solve_grid(prob, grid)
+    assert str(got.value) == str(want.value)
+    assert calls == [300.0]
+
+
 # ---------------------------------------------------------------- one power series
 
 
@@ -410,12 +438,12 @@ def test_power_series_matches_the_double_series(variant, nu):
     # the same terms
     a = 1.0 if variant == Theorem.T3 else None
     prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=a)
-    times = np.linspace(0.0, 0.5, 1001).tolist()
+    times = np.linspace(0.0, 0.5, 1001).tolist()[1:]  # z(t) > 0
     ctl = SeriesControl()
-    double = _solve_chunk(prob, _GridTables(prob), times, ctl)
-    assert double is not None
+    want, _, _, failed = _solve_chunk(
+        prob, _GridTables(prob), times, [prob.z(t) for t in times], ctl)
+    assert not failed.any()
     got = np.array(solve_grid(prob, times, ctl).values)
-    want = np.array(double[0])
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -540,6 +568,18 @@ def test_source_grid_matches_gen_k_bessel_on_figure_sweeps(fig_id, monkeypatch):
             assert value == pytest.approx(r.value, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("variant", [Theorem.T1, Theorem.T2])
+def test_source_grid_accepts_unsorted_times_with_zero_inside(variant):
+    # the points with z = 0 are found wherever they are, not only as a prefix
+    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=variant, params=FIG_PARAMS)
+    times = [0.5, 0.0, 0.25]
+    got = source_grid(prob, times)
+    assert got[1] == 0.0
+    for value, t in zip(got, times):
+        want = gen_k_bessel(prob.params, prob.z(t)).value
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def _earliest_source_failure(prob, grid, ctl=None):
     for i, t in enumerate(grid):
         try:
@@ -601,6 +641,11 @@ def test_corollary_source_requires_matching_selectors():
         corollary_source(bessel, -1.0)
     with pytest.raises(DomainError, match="z >= 0"):
         corollary_source(wright, -1.0)
+    # nan included: it used to run the whole term budget on nan terms
+    with pytest.raises(DomainError, match="z >= 0, got nan$"):
+        corollary_source(bessel, math.nan)
+    with pytest.raises(DomainError, match="t >= 0, got nan$"):
+        psi_form_source(bessel, math.nan)
 
 
 @pytest.mark.parametrize("b", [1.0, -1.0], ids=["bessel_j", "wright_w"])

@@ -241,6 +241,15 @@ def test_gen_k_bessel_rejects_negative_z():
         gen_k_bessel(FIG_PARAMS, -0.5)
 
 
+def test_nan_argument_is_a_domain_error():
+    # a nan argument passed `z < 0` and ran the whole term budget on nan terms
+    with pytest.raises(DomainError, match=r"^gen_k_bessel requires z >= 0, got nan$"):
+        gen_k_bessel(FIG_PARAMS, math.nan)
+    for name, ml in (("mittag_leffler", mittag_leffler), ("scaled_ml", scaled_ml)):
+        with pytest.raises(DomainError, match=rf"^{name}: x must be a number, got nan$"):
+            ml(MLParams(0.5, 1.0), math.nan)
+
+
 def test_gen_k_bessel_frozen_values():
     # mpmath dps=60 partial sums of the defining series:
     p = KBesselParams(k=1, gamma=1, lam=1, mu=1, b=1, c=1)
