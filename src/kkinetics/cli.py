@@ -14,6 +14,7 @@ job config takes precedence over both.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -242,22 +243,22 @@ def _eval_hm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 
-def _solution_csv(times, values) -> str:
-    lines = ["t,N"]
-    lines.extend(f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, values))
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns) -> str:
+    """One CSV row per entry of the columns, which hold Python floats (see _fmt)."""
+    rows = (",".join(map(repr, row)) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     job = load_config(args.config)
     grid = np.linspace(0.0, job.t_end, job.n_points)
     table = solve_grid(job.problem, grid, job.control)
-    _atomic_write(Path(args.out), _solution_csv(table.times, table.values))
+    _atomic_write(Path(args.out), _csv("t,N", table.times, table.values))
     if args.svg:
         svg = render_line_chart(
             f"variant {int(job.problem.variant)} solution",
             "t", "N(t)",
-            [("N(t)", list(table.times), list(table.values))],
+            [("N(t)", table.times, table.values)],
         )
         _atomic_write(Path(args.svg), svg)
     return 0
@@ -280,7 +281,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The source is summed once over the grid; the oracle reads it node by node.
     samples = source_grid(job.problem, grid.times, job.control)
     oracle = fracoracle.solve_volterra(
-        job.problem.n0, dict(zip(grid.times, samples)).__getitem__, job.problem.rate, grid,
+        job.problem.n0, dict(zip(grid.times.tolist(), samples.tolist())).__getitem__,
+        job.problem.rate, grid,
     )
     series = np.asarray(table.values)
     diff = float(np.max(np.abs(series - oracle.values)))
@@ -323,16 +325,13 @@ def _write_figure(
                 break
         columns.append(table.values)
     header = "t," + ",".join(f"N_lambda_{lam:.2f}" for lam in LAMBDAS)
-    lines = [header]
-    for i, t in enumerate(grid):
-        lines.append(",".join([_fmt(t)] + [_fmt(col[i]) for col in columns]))
     csv_path = out_dir / f"fig{fig_id}.csv"
-    _atomic_write(csv_path, "\n".join(lines) + "\n")
+    _atomic_write(csv_path, _csv(header, grid.tolist(), *columns))
     svg = render_line_chart(
         f"figure {fig_id} (variant {int(spec.variant)}, t in [0, {spec.t_end:g}])",
         "t", "N(t)",
         [
-            (f"lambda = {lam:.2f}", list(grid), list(col))
+            (f"lambda = {lam:.2f}", grid.tolist(), col)
             for lam, col in zip(LAMBDAS, columns)
         ],
     )
@@ -439,10 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process (parsing does not change it)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -39,8 +39,11 @@ with one convolution, solve the right half.  With L nodes on the left and
 at most 2L in the range, only entries [L, 2L) of that convolution are
 needed, and a cyclic FFT of length 2L gives them exactly (a "middle
 product").  Every range of at most ``_BASE_BLOCK`` nodes has the same
-leading block of the matrix, so it is inverted once per solve and each
-base range is one matrix-vector product: O(n log^2 n) in all.  The same
+leading block of the matrix.  That block is lower-triangular Toeplitz, so
+its inverse is too: the inverse's first column is computed once per solve
+by Newton doubling on the power series 1/c(x), and each base range is one
+matrix-vector product with the inverse built from it: O(n log^2 n) in
+all.  The same
 ``_convolve`` helper gives :meth:`QuadratureGrid.rl_integral`, so
 :func:`residual` is O(n log n) on long grids.
 """
@@ -84,13 +87,33 @@ def _power_increments(m: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-# Node ranges up to this size are solved by one shared dense block inverse;
+# Node ranges up to this size are solved by one shared block inverse;
 # 128-256 measured fastest at n = 32768 on a 2-vCPU VM.
 _BASE_BLOCK = 128
 
 # np.convolve beats an FFT while the shorter operand has at most this many
 # entries (measured on a 2-vCPU VM with numpy 2.4).
 _DIRECT_CONVOLVE_MAX = 256
+
+
+def _lower_toeplitz_inverse(col: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular Toeplitz matrix with first column ``col``.
+
+    Such matrices multiply as power series truncated to len(col)
+    coefficients, so the inverse is lower-triangular Toeplitz too, with
+    first column g = 1/c(x).  Newton doubling: if g holds the first m
+    coefficients, c g = 1 + O(x^m), and g - g (c g - 1) holds the first 2m;
+    only the coefficients m..2m-1 of c g are needed to form it.
+    """
+    size = col.size
+    g = np.array([1.0 / col[0]])
+    while g.size < size:
+        m, stop = g.size, min(2 * g.size, size)
+        defect = np.convolve(col[:stop], g)[m:stop]
+        g = np.concatenate((g, -np.convolve(g, defect)[: stop - m]))
+    # entry [i, j] is g[i - j] on and below the diagonal and 0 above it
+    padded = np.concatenate((np.zeros(size - 1), g))
+    return padded[np.subtract.outer(np.arange(size), np.arange(size)) + size - 1]
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -208,21 +231,24 @@ def solve_volterra(
     It is solved by recursive halving (see the module docstring): the left
     half of a node range is solved first and its effect on the right half is
     subtracted with one middle-product convolution.  Ranges of at most
-    ``_BASE_BLOCK`` nodes share one inverted block of I + r K.
+    ``_BASE_BLOCK`` nodes share the inverse of one leading block of I + r K.
+
+    ``source`` is called once per node, in order, with the node as a
+    Python float.
     """
     if not rate > 0.0:
         raise DomainError(f"rate must be > 0, got {rate}")
-    forcing = n0 * np.array([source(t) for t in grid.times])
     kernel, n = grid._kernel, grid.n_steps
+    forcing = n0 * np.fromiter(map(source, grid.times.tolist()), float, n + 1)
     r = rate ** grid.nu
     denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
     if denom <= 0.0:
         raise InstabilityError(f"implicit step denominator {denom} <= 0")
     x = forcing[1:] - r * grid._a[1:] * forcing[0]
     size = min(_BASE_BLOCK, n)
-    lag = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    block = np.eye(size) + np.tril(r * kernel[lag])
-    inverse = np.linalg.inv(block)
+    col = r * kernel[:size]
+    col[0] = denom
+    inverse = _lower_toeplitz_inverse(col)
 
     def halve(lo: int, hi: int) -> None:
         width = hi - lo

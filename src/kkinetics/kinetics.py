@@ -64,7 +64,6 @@ import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,6 +86,7 @@ from .specfun import (
     FoxWrightSpec,
     KBesselParams,
     MLParams,
+    _HALVING_EXACT_MIN,
     _log_half,
     _reduced_k_bessel,
     fox_wright,
@@ -336,6 +336,11 @@ class _PowerTable:
             self.log_abs.append(_scaled_log(_scaled_div(abs_b, gamma)))
 
 
+def _increasing(t: np.ndarray) -> bool:
+    """True if every time is above the one before it (nan never is)."""
+    return bool((t[1:] > t[:-1]).all())
+
+
 @dataclass(frozen=True)
 class SolutionTable:
     """Solution values on a time grid plus per-point evaluation metadata."""
@@ -350,9 +355,8 @@ class SolutionTable:
         n = len(self.times)
         if not (len(self.values) == len(self.terms) == len(self.tails) == n):
             raise DomainError("SolutionTable columns must have equal length")
-        for t0, t1 in zip(self.times, self.times[1:]):
-            if not t1 > t0:
-                raise DomainError("SolutionTable times must be strictly increasing")
+        if not _increasing(np.asarray(self.times, dtype=float)):
+            raise DomainError("SolutionTable times must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -443,16 +447,15 @@ _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _power_batch(
-    prob: KineticProblem, ctl: SeriesControl, times: Sequence[float], zs: Sequence[float]
+    prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
 ) -> _Batch:
     """:func:`_power_point` at every time of an increasing grid as one batch."""
-    prob.ml_arg(times[-1])  # |x| grows with t: the last time is refused if any time is
+    prob.ml_arg(float(times[-1]))  # |x| grows with t: the last time is refused if any time is
     table = prob._power_table()
     mu, nu = prob.params.mu, prob.nu
-    t = np.array(times)
     with np.errstate(over="ignore"):  # inf: the terms then take the log route
-        s = np.power(t, nu)
-    log_s = nu * np.log(t)
+        s = np.power(times, nu)
+    log_s = nu * np.log(times)
 
     def term(j: int) -> tuple[float, np.ndarray]:
         # sum_log_terms_batch calls this with over, invalid and divide warnings off
@@ -515,7 +518,7 @@ class _GridTables:
 
 
 def _solve_chunk(
-    prob: KineticProblem, tables: _GridTables, times: Sequence[float], zs: Sequence[float],
+    prob: KineticProblem, tables: _GridTables, times: np.ndarray, zs: np.ndarray,
     ctl: SeriesControl,
 ) -> _Batch:
     """The double series at ``times``, where z(t) = ``zs`` > 0, as one batch.
@@ -529,10 +532,10 @@ def _solve_chunk(
     """
     n_points = len(times)
     bound = ml_negative_bound(prob.nu)
-    xs = [prob.ml_arg(t) for t in times]
+    xs = [prob.ml_arg(t) for t in times.tolist()]
     refused = np.array([-x > bound for x in xs], dtype=bool)
     xs = [0.0 if -x > bound else x for x in xs]  # summed at x = 0, and reported as failed
-    log_hz = np.array([_log_half(z) for z in zs])
+    log_hz = _log_half_batch(zs)
     log_ax = np.array([[math.log(abs(x)) if x != 0.0 else 0.0] for x in xs])
     x = np.array(xs)[:, None]
     alternating = np.where(x < 0.0, -1.0, 1.0)
@@ -583,7 +586,7 @@ def _solve_chunk(
 
 
 def _double_series_batch(
-    prob: KineticProblem, ctl: SeriesControl, times: Sequence[float], zs: Sequence[float]
+    prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
 ) -> _Batch:
     """:func:`_solve_chunk` over chunks of up to 256 points, sharing one table."""
     tables = _GridTables(prob)
@@ -592,12 +595,23 @@ def _double_series_batch(
     return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
+def _log_half_batch(zs: np.ndarray) -> np.ndarray:
+    """:func:`specfun._log_half` at every z > 0, bit for bit.
+
+    libm's log, not numpy's: they differ in the last bit on about 0.1% of
+    inputs, and the scalar calls the grids must match use libm's.
+    """
+    if zs.min() >= _HALVING_EXACT_MIN:  # z/2 is exact, in numpy as in Python
+        return np.fromiter(map(math.log, (zs / 2.0).tolist()), float, zs.size)
+    return np.fromiter(map(_log_half, zs.tolist()), float, zs.size)
+
+
 def _source_batch(
-    prob: KineticProblem, ctl: SeriesControl, times: Sequence[float], zs: Sequence[float]
+    prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
 ) -> _Batch:
     """omega(z) at every z = ``zs`` as one batch over the outer coefficients."""
     params, mu = prob.params, prob.params.mu
-    log_hz = np.array([_log_half(z) for z in zs])
+    log_hz = _log_half_batch(zs)
 
     def term(n: int) -> tuple[float, np.ndarray]:
         sign, log_coeff = k_bessel_log_coefficient(params, n)
@@ -608,28 +622,30 @@ def _source_batch(
 
 def _evaluate_grid(
     prob: KineticProblem,
-    times: Sequence[float],
-    batch: Callable[[list[float], list[float]], _Batch],
+    times: np.ndarray,
+    batch: Callable[[np.ndarray, np.ndarray], _Batch],
     scalar: Callable[[float], SeriesResult],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, term counts and tails at ``times`` under the grid contract (see module docs).
 
-    ``batch(times, zs)`` gets the times with z(t) > 0 and their z(t);
-    ``scalar(t)`` evaluates one time.
+    ``batch(times, zs)`` gets the times with z(t) > 0 and their z(t), as
+    arrays; ``scalar(t)`` evaluates one time.
     """
-    n = len(times)
+    n = times.size
     values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
     failed = np.zeros(n, dtype=bool)
     try:
-        zs = [prob.z(t) for t in times]
-        live = np.fromiter(zs, float, n) != 0.0
+        if prob.variant == 1 and (times >= 0.0).all():
+            zs = times  # z(t) = t
+        else:  # KineticProblem.z refuses t < 0 and nan
+            zs = np.array([prob.z(t) for t in times.tolist()], dtype=float)
+        live = zs != 0.0
         if live.any():
-            values[live], terms[live], tails[live], failed[live] = batch(
-                list(compress(times, live)), list(compress(zs, live)))
+            values[live], terms[live], tails[live], failed[live] = batch(times[live], zs[live])
     except (OverflowError, EvaluationError):  # t < 0, or a value past the double range
         failed[:] = True
     for i in np.flatnonzero(failed):
-        values[i], terms[i], tails[i] = scalar(times[i])
+        values[i], terms[i], tails[i] = scalar(float(times[i]))
     return values, terms, tails
 
 
@@ -642,19 +658,18 @@ def solve_grid(
     and tails :func:`solve_point` gives at each t; a partial table is
     never returned.
     """
-    times = tuple(float(t) for t in grid)
-    for t in times:
-        if not t >= 0.0:
-            raise DomainError(f"grid times must be >= 0, got {t}")
-    for t0, t1 in zip(times, times[1:]):
-        if not t1 > t0:
-            raise DomainError("grid times must be strictly increasing")
+    times = np.array(grid, dtype=float)
+    negative = np.flatnonzero(~(times >= 0.0))
+    if negative.size:
+        raise DomainError(f"grid times must be >= 0, got {float(times[negative[0]])}")
+    if not _increasing(times):
+        raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
     batch = _double_series_batch if prob._power_table() is None else _power_batch
     values, terms, tails = _evaluate_grid(
         prob, times, partial(batch, prob, ctl), lambda t: solve_point(prob, t, ctl))
     return SolutionTable(
-        times=times,
+        times=tuple(times.tolist()),
         values=tuple(values.tolist()),
         terms=tuple(terms.tolist()),
         tails=tuple(tails.tolist()),
@@ -670,7 +685,7 @@ def source_grid(
     One batch under the grid contract (see module docs), with the terms
     :func:`specfun.gen_k_bessel` gives at each t.
     """
-    times = [float(t) for t in times]
+    times = np.array(times, dtype=float)
     ctl = ctl or DEFAULT_CONTROL
     values, _, _ = _evaluate_grid(prob, times, partial(_source_batch, prob, ctl),
                                   lambda t: gen_k_bessel(prob.params, prob.z(t), ctl))

@@ -368,6 +368,8 @@ def k_bessel_j(
     for name, v in (("k", k), ("gamma", gamma), ("lam", lam), ("nu_order", nu_order)):
         if not v > 0.0:
             raise DomainError(f"k_bessel_j requires {name} > 0, got {v}")
+    if math.isnan(w):
+        raise DomainError(f"k_bessel_j: w must be a number, got {w}")
     return _reduced_k_bessel(k, gamma, lam, nu_order, 1.0, -w, ctl, "k_bessel_j")
 
 
@@ -389,12 +391,16 @@ def k_wright_w(
     for name, v in (("k", k), ("gamma", gamma), ("lam", lam), ("mu", mu)):
         if not v > 0.0:
             raise DomainError(f"k_wright_w requires {name} > 0, got {v}")
+    if math.isnan(x):
+        raise DomainError(f"k_wright_w: x must be a number, got {x}")
     return _reduced_k_bessel(k, gamma, lam, mu, 0.0, x, ctl, "k_wright_w")
 
 
 def fox_wright(spec: FoxWrightSpec, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """Fox-Wright series for a validated :class:`FoxWrightSpec`."""
     ctl = ctl or DEFAULT_CONTROL
+    if math.isnan(z):
+        raise DomainError(f"fox_wright: z must be a number, got {z}")
     if spec.margin == -1.0 and abs(z) >= 1.0:
         raise ConvergenceGateError(
             f"fox_wright: series on the convergence boundary diverges for |z| >= 1, "

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 _W, _H = 800, 600
 _ML, _MR, _MT, _MB = 70, 160, 40, 60
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
@@ -85,7 +87,12 @@ def render_line_chart(
     )
     for idx, (label, xs, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{xp(x):.2f},{yp(y):.2f}" for x, y in zip(xs, ys))
+        n = min(len(xs), len(ys))
+        # xp and yp on arrays round as on floats; Python float arithmetic never warns
+        with np.errstate(all="ignore"):
+            xy = np.column_stack((xp(np.asarray(xs[:n], dtype=float)),
+                                  yp(np.asarray(ys[:n], dtype=float))))
+        pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{pts}"/>'
         )

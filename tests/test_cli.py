@@ -286,6 +286,22 @@ def test_verify_passes_on_fig1(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_main_gives_the_same_output_on_every_call_in_one_process(tmp_path, capsys):
+    # main keeps one parser per process; no command may leave state in it
+    cfg = write_config(tmp_path)
+    verify = ["verify", "--config", str(cfg), "--grid-step", "0.0078125"]
+    assert cli.main(verify) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["eval", "ml", "--alpha", "0.5", "--beta", "1", "--x", "-0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == repr(
+        cli.mittag_leffler(cli.MLParams(0.5, 1.0), -0.5).value)
+    assert cli.main(["verify", "--config", str(cfg), "--no-such-flag"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert cli.main(verify) == 0
+    assert capsys.readouterr().out == first
+    assert "verification: PASS" in first
+
+
 def test_verify_evaluates_the_source_once_per_node(tmp_path, capsys, monkeypatch):
     # verify sums the source over all nodes in one source_grid call under the
     # job's series control, and the oracle and the residual read those

@@ -29,7 +29,8 @@ from kkinetics import (
     solve_grid,
     solve_volterra,
 )
-from kkinetics.fracoracle import _BASE_BLOCK
+from kkinetics import fracoracle
+from kkinetics.fracoracle import _BASE_BLOCK, _lower_toeplitz_inverse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -239,6 +240,32 @@ def test_volterra_matches_forward_substitution(n, nu):
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (
                 f"rate={rate}, source={source}"
             )
+
+
+def _dense_block(col):
+    size = col.size
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    return np.where(lag >= 0, col[np.abs(lag)], 0.0)
+
+
+@pytest.mark.parametrize("nu, rate, n", [(0.5, 1.3, 37), (1.0, 3.0, B), (1.5, 0.5, 3 * B + 5),
+                                         (0.25, 2.0, 1000)])
+def test_base_block_inverse_matches_the_dense_inverse(nu, rate, n, monkeypatch):
+    grid = QuadratureGrid(2.0, n, nu)
+    r = rate ** nu
+    col = r * grid._kernel[: min(B, n)]
+    col[0] = 1.0 + r * grid._kernel[0]
+    dense = np.linalg.inv(_dense_block(col))
+    got = _lower_toeplitz_inverse(col)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - dense)) <= 4.0 * eps * np.max(np.abs(dense))
+    assert np.all(np.triu(got, 1) == 0.0)
+    # the solve with the Toeplitz inverse against one with the dense inverse
+    values = solve_volterra(1.7, _wave, rate, grid).values
+    monkeypatch.setattr(fracoracle, "_lower_toeplitz_inverse",
+                        lambda c: np.linalg.inv(_dense_block(c)))
+    want = solve_volterra(1.7, _wave, rate, grid).values
+    assert np.max(np.abs(values - want)) <= 4.0 * eps * np.max(np.abs(want))
 
 
 def test_volterra_zero_source_is_zero():

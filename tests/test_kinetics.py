@@ -34,8 +34,8 @@ from kkinetics import (
 )
 from kkinetics import kinetics, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
-from kkinetics.kinetics import _GRID_CHUNK, _GridTables, _solve_chunk
-from kkinetics.specfun import log_k_gamma, log_k_pochhammer
+from kkinetics.kinetics import _GRID_CHUNK, _GridTables, _log_half_batch, _solve_chunk
+from kkinetics.specfun import _log_half, log_k_gamma, log_k_pochhammer
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 KKBENCH = Path(__file__).resolve().parent.parent / "kkbench"
@@ -438,10 +438,10 @@ def test_power_series_matches_the_double_series(variant, nu):
     # the same terms
     a = 1.0 if variant == Theorem.T3 else None
     prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=a)
-    times = np.linspace(0.0, 0.5, 1001).tolist()[1:]  # z(t) > 0
+    times = np.linspace(0.0, 0.5, 1001)[1:]  # z(t) > 0
     ctl = SeriesControl()
     want, _, _, failed = _solve_chunk(
-        prob, _GridTables(prob), times, [prob.z(t) for t in times], ctl)
+        prob, _GridTables(prob), times, np.array([prob.z(t) for t in times.tolist()]), ctl)
     assert not failed.any()
     got = np.array(solve_grid(prob, times, ctl).values)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -566,6 +566,41 @@ def test_source_grid_matches_gen_k_bessel_on_figure_sweeps(fig_id, monkeypatch):
         assert batches[0].terms.tolist() == [r.terms for r in points[1:]]
         for value, r in zip(got[1:], points[1:]):
             assert value == pytest.approx(r.value, rel=1e-13, abs=0.0)
+
+
+DBL_MIN = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("zs", [
+    # every z/2 is exact: the batch takes libm's log of z/2
+    np.random.default_rng(3).uniform(2.0 * DBL_MIN, 12.0, 20000),
+    # z/2 is inexact or 0 below 2 DBL_MIN: every z goes through _log_half
+    np.concatenate((np.random.default_rng(4).uniform(0.0, 12.0, 20000),
+                    [5e-324, 3 * 5e-324, DBL_MIN, 2.0 * DBL_MIN - 5e-324, 2.0 * DBL_MIN])),
+])
+def test_log_half_batch_is_the_scalar_log_bit_for_bit(zs):
+    # numpy's log differs from libm's in the last bit on about 0.1% of
+    # inputs, which would move gen_k_bessel's stopping decisions
+    zs = zs[zs > 0.0]
+    assert _log_half_batch(zs).tolist() == [_log_half(z) for z in zs.tolist()]
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 5e-324, 3 * 5e-324, DBL_MIN, 2.0 * DBL_MIN - 5e-324, 2.0 * DBL_MIN, 1e-300, 0.5, 2.0],
+    [0.0, 2.0 * DBL_MIN, 4.0 * DBL_MIN, 1e-300, 0.5, 2.0],
+])
+def test_source_grid_matches_gen_k_bessel_across_twice_dbl_min(times, monkeypatch):
+    # variant 1 sums at z = t: the first grid straddles 2 DBL_MIN, where
+    # log(z/2) changes form, and the second lies at or above it
+    batches = _record_batches(monkeypatch)
+    prob = KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=Theorem.T1, params=FIG_PARAMS)
+    got = source_grid(prob, times)
+    points = [gen_k_bessel(prob.params, t) for t in times]
+    assert len(batches) == 1
+    assert batches[0].terms.tolist() == [r.terms for r in points[1:]]
+    assert got[0] == 0.0
+    for value, r in zip(got[1:], points[1:]):
+        assert value == pytest.approx(r.value, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("variant", [Theorem.T1, Theorem.T2])

@@ -248,6 +248,12 @@ def test_nan_argument_is_a_domain_error():
     for name, ml in (("mittag_leffler", mittag_leffler), ("scaled_ml", scaled_ml)):
         with pytest.raises(DomainError, match=rf"^{name}: x must be a number, got nan$"):
             ml(MLParams(0.5, 1.0), math.nan)
+    with pytest.raises(DomainError, match=r"^fox_wright: z must be a number, got nan$"):
+        fox_wright(FoxWrightSpec(upper=((1.0, 1.0),), lower=((1.0, 1.0), (1.0, 1.0))), math.nan)
+    with pytest.raises(DomainError, match=r"^k_bessel_j: w must be a number, got nan$"):
+        k_bessel_j(1.0, 1.0, 1.0, 1.0, math.nan)
+    with pytest.raises(DomainError, match=r"^k_wright_w: x must be a number, got nan$"):
+        k_wright_w(1.0, 1.0, 1.0, 1.0, math.nan)
 
 
 def test_gen_k_bessel_frozen_values():
