@@ -37,7 +37,11 @@ Two evaluation paths for the solution, chosen by the kind of input:
   terms of the double series (one :func:`specfun.scaled_ml` call each).
 * :func:`solve_grid` evaluates the grid as one batch
   (:func:`series.sum_log_terms_batch`): the power series over all points
-  at once, or the double series in chunks of up to 256 points.
+  at once, or the double series in chunks of up to 256 points.  Each
+  batch callback builds a block of term rows at a time: one
+  ``np.power(s, mu + j)`` per row of the power series (a broadcast 2-D
+  power is not always bit-identical to it), whole-block arithmetic for
+  the source and the double series.
 
 The source has the same pair: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, and
@@ -46,12 +50,13 @@ outer coefficients of the double series.
 
 Both grids follow one contract.  The batch applies the scalar summation
 rules, so it gives the same term counts and stopping decisions; values
-and tails agree to rounding (numpy's exp is not libm's).  It sums the
-times with z(t) > 0 (a time with z = 0 gives 0.0 after one term) and marks
-the points whose scalar call raises.  Those points, and every point when
-the batch itself raises, are evaluated again in order through the scalar
-call, so a grid raises what the scalar call raises at the earliest
-failing time.
+and tails agree to rounding (numpy's exp is not libm's).  It reads z(t)
+bit for bit as :meth:`KineticProblem.z` gives it
+(:func:`_source_arguments`) and sums the times with z(t) > 0 (a time
+with z = 0 gives 0.0 after one term).  It marks the points whose scalar
+call raises.  Those points, and every point when the batch itself
+raises, are evaluated again in order through the scalar call, so a grid
+raises what the scalar call raises at the earliest failing time.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -64,6 +69,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -212,6 +218,7 @@ def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
 
 _LN2 = math.log(2.0)
 _DBL_MIN = sys.float_info.min
+_DBL_MAX = sys.float_info.max
 
 # A number m * 2**e as (m, e) with 0.5 <= |m| < 1, or m = 0.  Scaling by a
 # power of two is exact, so the power-series recurrences below round as
@@ -307,6 +314,7 @@ class _PowerTable:
         self.log_abs: list[float] = []  # log A_j
         self._b: _Scaled = (0.0, 0)
         self._abs_b: _Scaled = (0.0, 0)
+        self._plain = self.r[0] != 0.0 and -1021 <= self.r[1] <= 1024  # r is a normal double
 
     def coefficient(self, j: int) -> tuple[float, float, float]:
         """Sign, magnitude (0 outside the normal doubles) and log magnitude of a_j."""
@@ -316,6 +324,52 @@ class _PowerTable:
 
     def grow(self, stop: int) -> None:
         """Extend both tables to at least ``stop`` coefficients."""
+        if self._plain:
+            self._grow_plain(stop)
+        self._grow_scaled(stop)
+
+    def _grow_plain(self, stop: int) -> None:
+        """The recurrence in plain doubles, while every value it forms is a normal double.
+
+        Scaling by a power of two is then exact, so each value rounds as in
+        :meth:`_grow_scaled` and the tables are the same.  The loop stops
+        for good at the first coefficient that leaves that range, or whose
+        gamma or coefficient term :meth:`_grow_scaled` would scale.
+        """
+        mu, nu, log_q = self.params.mu, self.nu, self.log_q
+        r = math.ldexp(*self.r)
+        b, abs_b = math.ldexp(*self._b), math.ldexp(*self._abs_b)
+        while len(self.log_a) < stop:
+            j = len(self.log_a)
+            x = nu * (mu + j) + 1.0
+            if not x < 171.0:  # _scaled_gamma takes Gamma(x) from lgamma
+                break
+            gamma = math.gamma(x)
+            new_b, new_abs_b = b * -r, abs_b * r
+            formed = (new_b, new_abs_b) if j else ()  # b_{-1} = 0 is exact
+            if j % 2 == 0:
+                sign, log_coeff = k_bessel_log_coefficient(self.params, j // 2)
+                log_e = log_coeff + (mu + j) * log_q
+                if not abs(log_e) < 700.0:  # _scaled scales exp(log_e)
+                    break
+                e_n = sign * math.exp(log_e) * gamma
+                new_b, new_abs_b = new_b + e_n, new_abs_b + abs(e_n)
+                formed += (e_n, new_b, new_abs_b)
+            a, abs_a = new_b / gamma, new_abs_b / gamma
+            formed = tuple(map(abs, formed + (a, abs_a)))
+            # a nan needs an inf before it, and the inf fails the max
+            if not (_DBL_MIN <= min(formed) and max(formed) <= _DBL_MAX):
+                break
+            b, abs_b = new_b, new_abs_b
+            self.signs.append(-1.0 if a < 0.0 else 1.0)
+            self.mags.append(abs(a))
+            self.log_a.append(math.log(abs(a)))
+            self.log_abs.append(math.log(abs_a))
+        self._b, self._abs_b = math.frexp(b), math.frexp(abs_b)
+        self._plain = len(self.log_a) >= stop  # a break leaves the rest to _grow_scaled
+
+    def _grow_scaled(self, stop: int) -> None:
+        """The recurrence in :data:`_Scaled` numbers, which also run outside the double range."""
         mu = self.params.mu
         neg_r = (-self.r[0], self.r[1])
         while len(self.log_a) < stop:
@@ -457,16 +511,24 @@ def _power_batch(
         s = np.power(times, nu)
     log_s = nu * np.log(times)
 
-    def term(j: int) -> tuple[float, np.ndarray]:
+    def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         # sum_log_terms_batch calls this with over, invalid and divide warnings off
-        sign, mag, log_a = table.coefficient(j)
-        log_mag = np.log(mag * np.power(s, mu + j))
+        table.grow(hi)
+        js = np.arange(lo, hi)
+        # one power per row: a broadcast 2-D np.power is not always bit-identical
+        log_mag = np.empty((hi - lo,) + s.shape)
+        for row, j in zip(log_mag, js.tolist()):
+            np.power(s, mu + j, out=row)
+        log_mag *= np.array(table.mags[lo:hi])[:, None]
+        np.log(log_mag, out=log_mag)
+        signs = np.array(table.signs[lo:hi])[:, None]
+        if log_mag.max() <= -LOG_DBL_MIN and log_mag.min() >= LOG_DBL_MIN:  # false on nan
+            return signs, log_mag
         normal = np.abs(log_mag) <= -LOG_DBL_MIN
-        if normal.all():
-            return sign, log_mag
-        return sign, np.where(normal, log_mag, log_a + (mu + j) * log_s)
+        log_a = np.array(table.log_a[lo:hi])[:, None]
+        return signs, np.where(normal, log_mag, log_a + (mu + js)[:, None] * log_s)
 
-    res = sum_log_terms_batch(term, s.shape, ctl)
+    res = sum_log_terms_batch(terms, s.shape, ctl)
     # A failed element may hold any value, inf and nan included; the
     # caller evaluates it again.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -544,13 +606,15 @@ def _solve_chunk(
     def inner_sums(ns: range) -> tuple[np.ndarray, np.ndarray]:
         cols = tables.inner(ns, _FIRST_COLUMNS)
 
-        def term(m: int) -> tuple[np.ndarray | float, np.ndarray]:
+        def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
             nonlocal cols
-            if m >= cols.shape[1]:
-                cols = tables.inner(ns, 2 * m)
-            return (alternating if m % 2 else 1.0), cols[:, m] + m * log_ax
+            if hi > cols.shape[1]:
+                cols = tables.inner(ns, max(hi, 2 * cols.shape[1]))
+            ms = np.arange(lo, hi)[:, None, None]
+            signs = np.where(ms % 2 == 1, alternating, 1.0)
+            return signs, cols[:, lo:hi].T[:, None, :] + ms * log_ax
 
-        res = sum_log_terms_batch(term, (n_points, len(ns)), inner_ctl)
+        res = sum_log_terms_batch(terms, (n_points, len(ns)), inner_ctl)
         # scaled_ml is exactly 1 at x = 0; a failed sum gets a finite
         # stand-in so the outer sum runs on and the failure is reported.
         failed = res.failed & (x != 0.0)
@@ -558,29 +622,29 @@ def _solve_chunk(
 
     ml = np.empty((n_points, 0))
     ml_failed = np.empty((n_points, 0), dtype=bool)
-    read: dict[int, np.ndarray] = {}  # outer index -> failures of the inner sums it read
+    coeffs: list[tuple[float, float]] = []  # (sign, log|coeff_n|) of the outer indices in ml
     mu = prob.params.mu
 
-    def outer_term(n: int) -> tuple[np.ndarray, np.ndarray]:
+    def outer_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal ml, ml_failed
-        sign, log_coeff = k_bessel_log_coefficient(prob.params, n)
-        if log_coeff == -math.inf:
-            return np.ones(n_points), np.full(n_points, -math.inf)
-        if n >= ml.shape[1]:
+        while ml.shape[1] < hi:
             more = range(ml.shape[1], min(max(2 * ml.shape[1], _FIRST_BLOCK), ctl.max_terms))
             block, block_failed = inner_sums(more)
             ml = np.hstack([ml, block])
             ml_failed = np.hstack([ml_failed, block_failed])
-        col = ml[:, n]
-        read[n] = ml_failed[:, n]
-        with np.errstate(divide="ignore"):
-            log_mag = log_coeff + (mu + 2.0 * n) * log_hz + np.log(np.abs(col))
-        return np.where(col < 0.0, -sign, np.where(col == 0.0, 1.0, sign)), log_mag
+            coeffs.extend(k_bessel_log_coefficient(prob.params, n) for n in more)
+        sign, log_coeff = np.array(coeffs[lo:hi]).T[:, :, None]
+        zero = log_coeff == -math.inf
+        cols = ml[:, lo:hi].T
+        log_hz_power = (mu + 2.0 * np.arange(lo, hi))[:, None] * log_hz
+        log_mag = log_coeff + log_hz_power + np.log(np.abs(cols))
+        signs = np.where(cols < 0.0, -sign, np.where(cols == 0.0, 1.0, sign))
+        return np.where(zero, 1.0, signs), np.where(zero, -math.inf, log_mag)
 
-    outer = sum_log_terms_batch(outer_term, (n_points,), ctl)
-    failed = refused | outer.failed
-    for n, inner_failed in read.items():
-        failed |= inner_failed & (n < outer.terms)
+    outer = sum_log_terms_batch(outer_terms, (n_points,), ctl)
+    # a point reads the inner sums of its outer terms, except where coeff_n = 0
+    read = (np.arange(len(coeffs)) < outer.terms[:, None]) & (np.array(coeffs)[:, 1] > -math.inf)
+    failed = refused | outer.failed | (ml_failed & read).any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # failed points may hold inf or nan
         return prob.n0 * outer.value, outer.terms, abs(prob.n0) * outer.tail, failed
 
@@ -613,11 +677,36 @@ def _source_batch(
     params, mu = prob.params, prob.params.mu
     log_hz = _log_half_batch(zs)
 
-    def term(n: int) -> tuple[float, np.ndarray]:
-        sign, log_coeff = k_bessel_log_coefficient(params, n)
-        return sign, log_coeff + (mu + 2.0 * n) * log_hz
+    def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        sign, log_coeff = (np.array(c)[:, None] for c in
+                           zip(*(k_bessel_log_coefficient(params, n) for n in range(lo, hi))))
+        return sign, log_coeff + (mu + 2.0 * np.arange(lo, hi))[:, None] * log_hz
 
-    return sum_log_terms_batch(term, log_hz.shape, ctl)
+    return sum_log_terms_batch(terms, log_hz.shape, ctl)
+
+
+def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
+    """:meth:`KineticProblem.z` at every time, bit for bit; raises what it raises.
+
+    Variants 2 and 3 multiply d**nu by libm's t**nu, as the scalar z does
+    (numpy's power differs from libm's pow in the last bit on a few percent
+    of inputs).  Where that product or t is not a normal double (t = 0,
+    t < 0, nan, or where :func:`_scaled_power` takes its log route), the
+    scalar z decides, so its exact z = 0 and its refusals hold.
+    """
+    zs = times
+    if prob.variant != 1 and (times >= 0.0).all():
+        try:
+            zs = prob.d ** prob.nu * np.fromiter(map(math.pow, times.tolist(), repeat(prob.nu)),
+                                                 float, times.size)
+        except OverflowError:  # a power past the double range: every time goes to the scalar z
+            zs = np.full(times.size, math.inf)
+    odd = np.flatnonzero(~((zs >= _DBL_MIN) & (zs <= _DBL_MAX)))
+    if odd.size:
+        zs = zs.copy()
+        for i in odd.tolist():
+            zs[i] = prob.z(float(times[i]))
+    return zs
 
 
 def _evaluate_grid(
@@ -635,10 +724,7 @@ def _evaluate_grid(
     values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
     failed = np.zeros(n, dtype=bool)
     try:
-        if prob.variant == 1 and (times >= 0.0).all():
-            zs = times  # z(t) = t
-        else:  # KineticProblem.z refuses t < 0 and nan
-            zs = np.array([prob.z(t) for t in times.tolist()], dtype=float)
+        zs = _source_arguments(prob, times)
         live = zs != 0.0
         if live.any():
             values[live], terms[live], tails[live], failed[live] = batch(times[live], zs[live])

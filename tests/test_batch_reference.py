@@ -1,0 +1,137 @@
+"""The block summation and the plain-double power table against the routes they replace.
+
+``sum_log_terms_batch`` used to advance every series one term at a time.
+``_per_term_batch`` keeps that loop, driven one term at a time through the
+block callback, as the reference: on the grids below every batch the
+solvers make must give the same values, term counts, tails and failure
+marks, bit for bit.  A failed element's value, terms and tail are not
+part of the contract (the grid re-evaluates it through the scalar call),
+so they are compared only where the element succeeds.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from kkinetics import KBesselParams, KineticProblem, Theorem, kinetics, solve_grid, source_grid
+from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
+from kkinetics.kinetics import _PowerTable
+from kkinetics.series import CANCELLATION_RATIO_LIMIT, LOG_DBL_MAX, SeriesBatch
+
+FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
+
+
+def _per_term_batch(terms, shape, ctl):
+    """The former per-term ``sum_log_terms_batch``, reading the block callback term by term."""
+    total = np.zeros(shape)
+    comp = np.zeros(shape)
+    mag = np.zeros(shape)
+    prev_mag = np.zeros(shape)
+    max_mag = np.zeros(shape)
+    quiet = np.zeros(shape, dtype=np.intp)
+    count = np.zeros(shape, dtype=np.intp)
+    failed = np.zeros(shape, dtype=bool)
+    running = np.ones(shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for n in range(ctl.max_terms):
+            sign, log_mag = (np.broadcast_to(a, (1,) + shape)[0] for a in terms(n, n + 1))
+            over = log_mag > LOG_DBL_MAX
+            if over.any():
+                over &= running
+                failed |= over
+                running &= ~over
+            new_mag = np.exp(log_mag)
+            # Kahan step
+            y = sign * new_mag - comp
+            s = total + y
+            np.copyto(comp, (s - total) - y, where=running)
+            np.copyto(total, s, where=running)
+            np.copyto(prev_mag, mag, where=running)
+            np.copyto(mag, new_mag, where=running)
+            np.maximum(max_mag, mag, out=max_mag)
+            count += running
+            quiet = np.where(mag <= ctl.rel_tol * np.abs(total), quiet + 1, 0)
+            running &= quiet < ctl.stagnation_window
+            if not running.any():
+                break
+        limit = CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(total), sys.float_info.min)
+        failed |= running | (max_mag > limit)
+        decreasing = (mag > 0.0) & (mag < prev_mag)
+        ratio = np.where(decreasing, mag / prev_mag, 0.0)
+        geometric = np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag)
+    return SeriesBatch(total, count, np.where(decreasing, geometric, mag), failed)
+
+
+@pytest.fixture
+def checked_batches(monkeypatch):
+    """Run every batch of kinetics through both routes; collect the batch shapes."""
+    shapes = []
+    real = kinetics.sum_log_terms_batch
+
+    def both(terms, shape, ctl):
+        got = real(terms, shape, ctl)
+        want = _per_term_batch(terms, shape, ctl)
+        assert got.failed.tolist() == want.failed.tolist()
+        ok = ~got.failed
+        for field in ("value", "terms", "tail"):
+            assert getattr(got, field)[ok].tolist() == getattr(want, field)[ok].tolist(), field
+        shapes.append(shape)
+        return got
+
+    monkeypatch.setattr(kinetics, "sum_log_terms_batch", both)
+    return shapes
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_blocks_match_the_per_term_loop_on_figure_sweeps(fig_id, checked_batches):
+    spec = FIGURES[fig_id]
+    grid = figure_grid(spec)
+    for lam in LAMBDAS:
+        solve_grid(figure_problem(spec, lam), grid)
+    assert len(checked_batches) == len(LAMBDAS)
+
+
+def test_blocks_match_the_per_term_loop_on_the_verify_grid(checked_batches):
+    # the figure-1 job at h = 1/2048: the series grid and the source
+    grid = np.linspace(0.0, 1.0, 2049)
+    for lam in LAMBDAS:
+        prob = figure_problem(FIGURES[1], lam)
+        solve_grid(prob, grid)
+        source_grid(prob, grid)
+    assert checked_batches == [(2048,)] * (2 * len(LAMBDAS))
+
+
+@pytest.mark.parametrize("t_end", [1.0, 3.0])
+def test_blocks_match_the_per_term_loop_on_the_double_series(t_end, checked_batches):
+    # variant 1 at nu = 0.5: inner sums in (points x outer terms) batches, then the outer sums
+    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
+    solve_grid(prob, np.linspace(0.0, t_end, 1001))
+    assert any(len(shape) == 2 for shape in checked_batches)
+    assert checked_batches.count((256,)) == 3
+
+
+def _table_fields(table):
+    return table.signs, table.mags, table.log_a, table.log_abs, table._b, table._abs_b
+
+
+# Problems whose table leaves the range of plain doubles, at j = 30 and j = 10
+OUT_OF_RANGE = [
+    KineticProblem(n0=2.0, d=3.0, nu=5.0, variant=Theorem.T2, params=FIG_PARAMS),
+    # q = d**nu / 2 = 1e28: the coefficient term of j = 10 is about exp(705)
+    KineticProblem(n0=2.0, d=2e28, nu=1.0, variant=Theorem.T3, params=FIG_PARAMS, a=1e-30),
+]
+
+
+@pytest.mark.parametrize("prob", [
+    *(figure_problem(spec, lam) for spec in FIGURES.values() for lam in LAMBDAS),
+    *OUT_OF_RANGE,
+])
+def test_power_table_matches_the_scaled_recurrence(prob):
+    plain = _PowerTable(prob)
+    for stop in (1, 7, 40, 80):  # grown in steps, as the sums reach further
+        plain.grow(stop)
+    assert plain._plain == (prob not in OUT_OF_RANGE)
+    scaled = _PowerTable(prob)
+    scaled._grow_scaled(80)
+    assert _table_fields(plain) == _table_fields(scaled)
