@@ -1,8 +1,8 @@
 """Validating the closed-form solutions without trusting the series code.
 
 The oracle machinery solves the same kinetic equation directly as a
-discretized Volterra system (product-trapezoid weights, solved by recursive
-halving with FFT convolutions), measures the defining-equation residual of
+discretized Volterra system (product-trapezoid weights, solved in
+O(n log n) as one power-series division with FFT convolutions), measures the defining-equation residual of
 a candidate solution against the source samples the solve kept (the source
 is evaluated once per node), and checks the transform-domain relation
 Ntilde(p) (1 + rate^nu p^-nu) = N0 Ftilde(p) by numeric quadrature.

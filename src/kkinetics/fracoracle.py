@@ -31,21 +31,17 @@ of steps.  The scale h^nu / Gamma(nu) is formed in logs, so a grid is
 refused only when the weights themselves leave the double range.
 
 Fast Volterra solve.  N + r I^nu N = F with r = rate^nu is a
-lower-triangular Toeplitz system for N_1..N_n, and :func:`solve_volterra`
-solves it by recursive halving (the blocked fast-convolution scheme of
-Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985) 532-541):
-solve the left half of a node range, subtract its effect on the right half
-with one convolution, solve the right half.  With L nodes on the left and
-at most 2L in the range, only entries [L, 2L) of that convolution are
-needed, and a cyclic FFT of length 2L gives them exactly (a "middle
-product").  Every range of at most ``_BASE_BLOCK`` nodes has the same
-leading block of the matrix.  That block is lower-triangular Toeplitz, so
-its inverse is too: the inverse's first column is computed once per solve
-by Newton doubling on the power series 1/c(x), and each base range is one
-matrix-vector product with the inverse built from it: O(n log^2 n) in
-all.  The same
-``_convolve`` helper gives :meth:`QuadratureGrid.rl_integral`, so
-:func:`residual` is O(n log n) on long grids.
+lower-triangular Toeplitz system for N_1..N_n.  Such matrices multiply as
+power series truncated to n coefficients, so :func:`solve_volterra` solves
+it as one power-series division x = b / c mod x^n, where c holds the
+system's first column.  Newton doubling (Brent and Kung, J. ACM 25 (1978)
+581-595) gives the first ceil(n/2) coefficients of 1/c, and one
+Karp-Markstein step (ACM TOMS 23 (1997) 561-589) turns them into all n
+coefficients of x.  Every product is a convolution, and no FFT is longer
+than the power of two at or above n: O(n log n) in all, with no recursion
+and no dense matrix.  The same ``_convolve`` helper gives
+:meth:`QuadratureGrid.rl_integral`, so :func:`residual` is O(n log n) on
+long grids.
 """
 
 from __future__ import annotations
@@ -77,43 +73,9 @@ class InstabilityError(EvaluationError):
     """The diagonal 1 + rate**nu * B_1 of the Volterra system is not positive."""
 
 
-def _power_increments(m: np.ndarray, p: float) -> np.ndarray:
-    """m**p - (m-1)**p for integer m >= 1, without subtractive cancellation."""
-    out = np.empty_like(m)
-    out[m == 1.0] = 1.0
-    big = m[m > 1.0]
-    # m^p - (m-1)^p = m^p * (1 - (1 - 1/m)^p) = -m^p * expm1(p * log1p(-1/m))
-    out[m > 1.0] = -(big ** p) * np.expm1(p * np.log1p(-1.0 / big))
-    return out
-
-
-# Node ranges up to this size are solved by one shared block inverse;
-# 128-256 measured fastest at n = 32768 on a 2-vCPU VM.
-_BASE_BLOCK = 128
-
 # np.convolve beats an FFT while the shorter operand has at most this many
 # entries (measured on a 2-vCPU VM with numpy 2.4).
 _DIRECT_CONVOLVE_MAX = 256
-
-
-def _lower_toeplitz_inverse(col: np.ndarray) -> np.ndarray:
-    """Inverse of the lower-triangular Toeplitz matrix with first column ``col``.
-
-    Such matrices multiply as power series truncated to len(col)
-    coefficients, so the inverse is lower-triangular Toeplitz too, with
-    first column g = 1/c(x).  Newton doubling: if g holds the first m
-    coefficients, c g = 1 + O(x^m), and g - g (c g - 1) holds the first 2m;
-    only the coefficients m..2m-1 of c g are needed to form it.
-    """
-    size = col.size
-    g = np.array([1.0 / col[0]])
-    while g.size < size:
-        m, stop = g.size, min(2 * g.size, size)
-        defect = np.convolve(col[:stop], g)[m:stop]
-        g = np.concatenate((g, -np.convolve(g, defect)[: stop - m]))
-    # entry [i, j] is g[i - j] on and below the diagonal and 0 above it
-    padded = np.concatenate((np.zeros(size - 1), g))
-    return padded[np.subtract.outer(np.arange(size), np.arange(size)) + size - 1]
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -130,6 +92,23 @@ def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray
 
     size = 1 << (max(stop, a.size + b.size - 1 - start) - 1).bit_length()
     return fft.irfft(fft.rfft(a, size) * fft.rfft(b, size), size)[start:stop]
+
+
+def _reciprocal(col: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of the power series 1/c(x), c(x) = sum col[i] x^i.
+
+    Newton doubling: if g holds the first m coefficients, c g = 1 + O(x^m),
+    and g - g (c g - 1) holds the first 2m; only the coefficients m..2m-1
+    of c g are needed to form it.
+    """
+    g = np.array([1.0 / col[0]])
+    while g.size < n:
+        m, stop = g.size, min(2 * g.size, n)
+        # col[0] reaches only entries below m; leaving it out keeps the FFT
+        # roundoff at the scale of col[1:]
+        defect = _convolve(col[1:stop], g, m - 1, stop - 1)
+        g = np.concatenate((g, -_convolve(g, defect, 0, stop - m)))
+    return g
 
 
 class QuadratureGrid:
@@ -170,8 +149,18 @@ class QuadratureGrid:
 
         m = np.arange(0, self.n_steps + 1, dtype=float)
         m[0] = 1.0  # placeholder; index 0 is never used
-        d_nu = _power_increments(m, self.nu)
-        d_nu1 = _power_increments(m, self.nu + 1.0)
+        big = m > 1.0
+        log_step = np.log1p(-1.0 / m[big])
+        m_nu = m ** self.nu
+
+        def increments(m_p: np.ndarray, p: float) -> np.ndarray:
+            # m^p - (m-1)^p = -m^p * expm1(p * log1p(-1/m)), without subtractive cancellation
+            out = np.ones_like(m)
+            out[big] = -m_p[big] * np.expm1(p * log_step)
+            return out
+
+        d_nu = increments(m_nu, self.nu)
+        d_nu1 = increments(m ** (self.nu + 1.0), self.nu + 1.0)
         scale = math.exp(log_scale)
         a = scale * (d_nu1 / (self.nu + 1.0) - (m - 1.0) * d_nu / self.nu)
         pair_sum = scale * d_nu / self.nu  # A_m + B_m, telescoping form
@@ -188,7 +177,7 @@ class QuadratureGrid:
         self._kernel = np.concatenate((b[1:2], a[1:-1] + b[2:]))
         # every row must integrate constants exactly: sum_i w[j][i] = t_j^nu / Gamma(nu+1)
         sums = np.cumsum(pair_sum[1:])
-        exact = scale * m[1:] ** self.nu / self.nu
+        exact = scale * m_nu[1:] / self.nu
         err = np.max(np.abs(sums - exact) / exact)
         if not err <= 1e-12:
             raise EvaluationError(
@@ -228,13 +217,16 @@ def solve_volterra(
 
         (I + r K) x = F_1..F_n - r A_1..A_n N_0,   K[j][i] = kernel[j - i].
 
-    It is solved by recursive halving (see the module docstring): the left
-    half of a node range is solved first and its effect on the right half is
-    subtracted with one middle-product convolution.  Ranges of at most
-    ``_BASE_BLOCK`` nodes share the inverse of one leading block of I + r K.
+    Its matrix is c(S) for the shift S and the power series c(x) with
+    coefficients [1 + r B_1, r C_1, ..., r C_{n-1}], so x = b(x) / c(x)
+    truncated to n coefficients.  With g = 1/c to h = ceil(n/2) coefficients
+    (Newton doubling), one Karp-Markstein step gives x: x_lo = (g b)[:h],
+    then x_hi = (g (b[h:] - (c x_lo)[h:n]))[:n-h].  Products with a long
+    shorter operand go through the FFT, so the solve is O(n log n).
 
     ``source`` is called once per node, in order, with the node as a
-    Python float.
+    Python float.  A solution that leaves the double range raises
+    :class:`EvaluationError`; no partial values are returned.
     """
     if not rate > 0.0:
         raise DomainError(f"rate must be > 0, got {rate}")
@@ -244,24 +236,25 @@ def solve_volterra(
     denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
     if denom <= 0.0:
         raise InstabilityError(f"implicit step denominator {denom} <= 0")
-    x = forcing[1:] - r * grid._a[1:] * forcing[0]
-    size = min(_BASE_BLOCK, n)
-    col = r * kernel[:size]
-    col[0] = denom
-    inverse = _lower_toeplitz_inverse(col)
-
-    def halve(lo: int, hi: int) -> None:
-        width = hi - lo
-        if width <= size:  # a leading block of a triangular inverse inverts the leading block
-            x[lo:hi] = inverse[:width, :width] @ x[lo:hi]
-            return
-        half = size << (((width - 1) // size).bit_length() - 1)  # largest size * 2**k < width
-        halve(lo, lo + half)
-        x[lo + half : hi] -= r * _convolve(x[lo : lo + half], kernel[:width], half, width)
-        halve(lo + half, hi)
-
-    halve(0, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = forcing[1:] - r * grid._a[1:] * forcing[0]
+        h = n - n // 2
+        col = r * kernel[:h]
+        col[0] = denom
+        g = _reciprocal(col, h)
+        # FFT roundoff scales with the operands' norms, so the diagonal terms
+        # g[0] ~ 1 and denom ~ 1 stay out of the FFT products: g[0] is applied
+        # exactly, and (c x_lo)[h:n] = r (kernel x_lo)[h:n] since c differs
+        # from r kernel only at index 0
+        g0, g[0] = g[0], 0.0
+        x[:h] = g0 * x[:h] + _convolve(g, x[:h], 0, h)
+        if n > h:  # n = 1 has no upper half
+            x[h:] -= r * _convolve(kernel, x[:h], h, n)
+            x[h:] = g0 * x[h:] + _convolve(g, x[h:], 0, n - h)
     values = np.concatenate((forcing[:1], x))
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError(f"Volterra solution is not finite at rate {rate} on this grid: "
+                              "it leaves the double range")
     return OracleSolution(grid=grid, values=values, rate=rate, forcing=forcing)
 
 

@@ -30,7 +30,7 @@ from kkinetics import (
     solve_volterra,
 )
 from kkinetics import fracoracle
-from kkinetics.fracoracle import _BASE_BLOCK, _lower_toeplitz_inverse
+from kkinetics.fracoracle import _reciprocal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -103,6 +103,31 @@ def test_grid_refuses_a_scale_that_underflows():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match="underflows"):
             QuadratureGrid(1e-3, 4, 150.0)
+
+
+def _power_increments(m, p):
+    """m**p - (m-1)**p for integer m >= 1, one call per power: the reference
+    for the increments QuadratureGrid forms from shared m**nu and log1p(-1/m)."""
+    out = np.empty_like(m)
+    out[m == 1.0] = 1.0
+    big = m[m > 1.0]
+    out[m > 1.0] = -(big ** p) * np.expm1(p * np.log1p(-1.0 / big))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4096])
+@pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 1.5, 2.5])
+def test_grid_weights_match_the_two_call_increments_bit_for_bit(nu, n):
+    grid = QuadratureGrid(2.0, n, nu)
+    m = np.arange(0, n + 1, dtype=float)
+    m[0] = 1.0
+    d_nu, d_nu1 = _power_increments(m, nu), _power_increments(m, nu + 1.0)
+    scale = math.exp(nu * math.log(2.0 / n) - math.lgamma(nu))
+    a = scale * (d_nu1 / (nu + 1.0) - (m - 1.0) * d_nu / nu)
+    b = scale * d_nu / nu - a
+    a[0] = b[0] = 0.0
+    assert np.array_equal(grid._a, a)
+    assert np.array_equal(grid._kernel, np.concatenate((b[1:2], a[1:-1] + b[2:])))
 
 
 def test_rl_integral_of_linear_is_exact_at_unit_order():
@@ -209,7 +234,7 @@ def test_import_does_not_load_numpy_fft():
 
 
 def _forward_substitution(n0, source, rate, grid):
-    """The O(n^2) step-by-step march, the reference for the halving solve:
+    """The O(n^2) step-by-step march, the reference for the fast solve:
     N_j = (F_j - r (A_j N_0 + sum_{0<i<j} w[j][i] N_i)) / (1 + r B_1), with
     the history stored newest-first so each step dots contiguous slices."""
     forcing = n0 * np.array([source(t) for t in grid.times])
@@ -225,12 +250,11 @@ def _forward_substitution(n0, source, rate, grid):
     return hist[::-1]
 
 
-B = _BASE_BLOCK
-
-
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 1.5, 2.5])
-@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 5, 4096])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 389, 513, 1025, 4096])
 def test_volterra_matches_forward_substitution(n, nu):
+    # 513 and 1025 put the halves of the division on either side of the
+    # 256-entry cutoff between np.convolve and the FFT
     grid = QuadratureGrid(2.0, n, nu)
     for rate in (0.5, 1.3, 2.0):
         for source in (lambda t: 1.0, _wave):
@@ -248,24 +272,48 @@ def _dense_block(col):
     return np.where(lag >= 0, col[np.abs(lag)], 0.0)
 
 
-@pytest.mark.parametrize("nu, rate, n", [(0.5, 1.3, 37), (1.0, 3.0, B), (1.5, 0.5, 3 * B + 5),
-                                         (0.25, 2.0, 1000)])
-def test_base_block_inverse_matches_the_dense_inverse(nu, rate, n, monkeypatch):
+@pytest.mark.parametrize("nu, rate, n", [(0.5, 1.3, 37), (1.0, 3.0, 128), (0.75, 1.0, 257),
+                                         (1.5, 0.5, 389), (0.25, 2.0, 1000)])
+def test_base_block_inverse_matches_the_dense_inverse(nu, rate, n):
+    # the whole system is the block: 1/c(x) is column 0 of the inverse of I + r K
     grid = QuadratureGrid(2.0, n, nu)
     r = rate ** nu
-    col = r * grid._kernel[: min(B, n)]
+    col = r * grid._kernel
     col[0] = 1.0 + r * grid._kernel[0]
     dense = np.linalg.inv(_dense_block(col))
-    got = _lower_toeplitz_inverse(col)
+    got = _reciprocal(col, n)
     eps = np.finfo(float).eps
-    assert np.max(np.abs(got - dense)) <= 4.0 * eps * np.max(np.abs(dense))
-    assert np.all(np.triu(got, 1) == 0.0)
-    # the solve with the Toeplitz inverse against one with the dense inverse
-    values = solve_volterra(1.7, _wave, rate, grid).values
-    monkeypatch.setattr(fracoracle, "_lower_toeplitz_inverse",
-                        lambda c: np.linalg.inv(_dense_block(c)))
-    want = solve_volterra(1.7, _wave, rate, grid).values
-    assert np.max(np.abs(values - want)) <= 4.0 * eps * np.max(np.abs(want))
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - dense[:, 0])) <= 4.0 * eps * np.max(np.abs(dense))
+    # the solve against one with the dense inverse
+    sol = solve_volterra(1.7, _wave, rate, grid)
+    rhs = sol.forcing[1:] - r * grid._a[1:] * sol.forcing[0]
+    want = np.concatenate((sol.forcing[:1], dense @ rhs))
+    assert np.max(np.abs(sol.values - want)) <= 4.0 * eps * np.max(np.abs(want))
+
+
+def test_volterra_division_makes_logarithmically_many_products(monkeypatch):
+    n = 32768
+    grid = QuadratureGrid(2.0, n, 0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    convolve = fracoracle._convolve
+    monkeypatch.setattr(fracoracle, "_convolve", counted)
+    solve_volterra(2.0, lambda t: 1.0, 1.3, grid)
+    assert len(calls) <= 3 * math.log2(n)
+
+
+def test_volterra_refuses_a_solution_that_leaves_the_double_range():
+    # at nu = 2.5 the relaxation grows without bound; at rate 2000 a
+    # node-by-node march overflows from node 2546 of 4096, and no partial
+    # values may come back
+    grid = QuadratureGrid(2.0, 4096, 2.5)
+    with pytest.raises(EvaluationError, match="not finite"):
+        solve_volterra(1.0, lambda t: 1.0, 2000.0, grid)
 
 
 def test_volterra_zero_source_is_zero():
@@ -338,7 +386,7 @@ def test_residual_of_discrete_solution_is_roundoff():
 
 
 def test_residual_of_discrete_solution_is_roundoff_at_large_n():
-    # both FFT uses end to end: the halving solve and the residual's rl_integral
+    # both FFT uses end to end: the division solve and the residual's rl_integral
     prob = KineticProblem(n0=2.0, d=1.0, nu=0.5, variant=Theorem.T1,
                           params=fig1_problem().params)
     grid = QuadratureGrid(2.0, 32768, 0.5)
