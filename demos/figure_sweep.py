@@ -29,7 +29,7 @@ for fig_id, spec in FIGURES.items():
         bad = np.where((grid > 0) & (values <= 0.0))[0]
         if len(bad) and (first_crossing is None or grid[bad[0]] < first_crossing[0]):
             first_crossing = (float(grid[bad[0]]), lam)
-    csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control)
+    csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control, {})
     status = ("all positive" if first_crossing is None
               else f"crosses zero at t ~ {first_crossing[0]:.3f} (lambda {first_crossing[1]:g})")
     print(f"figure {fig_id} (variant {int(spec.variant)}, t_end {spec.t_end:g}): "

@@ -307,15 +307,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _write_figure(
-    fig_id: int, out_dir: Path, control: SeriesControl
+    fig_id: int, out_dir: Path, control: SeriesControl, problems: dict
 ) -> tuple[Path, Path, list[str]]:
+    """Write one figure's CSV and SVG; ``problems`` holds the problems built so far."""
     spec = FIGURES[fig_id]
     grid = figure_grid(spec)
     columns = []
     violations: list[str] = []
     for lam in LAMBDAS:
-        prob = figure_problem(spec, lam)
-        table = solve_grid(prob, grid, control)
+        # figure_problem reads only (variant, a, lam): figures 1-3, 4-5 and 6-7 share problems
+        key = (spec.variant, spec.a, lam)
+        if key not in problems:
+            problems[key] = figure_problem(spec, lam)
+        table = solve_grid(problems[key], grid, control)
         for t, v in zip(table.times, table.values):
             if t > 0.0 and not v > 0.0:
                 violations.append(
@@ -352,8 +356,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     control = _default_control()
     all_violations: list[str] = []
+    problems: dict = {}  # shared by the figures of this call only
     for fig_id in fig_ids:
-        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control)
+        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control, problems)
         print(f"wrote {csv_path} and {svg_path} ({GRID_POINTS} rows per column)")
         all_violations.extend(violations)
     if all_violations:

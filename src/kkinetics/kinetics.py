@@ -21,6 +21,8 @@ two-term recurrence (:class:`_PowerTable`).  The table is built once per
 problem and kept on it; the inner Mittag-Leffler sums disappear.  The sum
 is refused with :class:`series.CancellationError` where the sum of every
 |term (n, m)| exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times |N|.
+It runs by Horner on the table's plain doubles, and its tail bounds the
+roundoff too (:func:`series.horner_sum`).
 
 Variant 1 at nu != 1 keeps the double series.  Its Mittag-Leffler factor
 is always evaluated fused, term by term as
@@ -32,31 +34,29 @@ estimate dominates the error.
 
 Two evaluation paths for the solution, chosen by the kind of input:
 
-* :func:`solve_point` evaluates one t on the scalar path,
-  :func:`series.sum_log_terms` over the power series or over the outer
-  terms of the double series (one :func:`specfun.scaled_ml` call each).
-* :func:`solve_grid` evaluates the grid as one batch
-  (:func:`series.sum_log_terms_batch`): the power series over all points
-  at once, or the double series in chunks of up to 256 points.  Each
-  batch callback builds a block of term rows at a time: one
-  ``np.power(s, mu + j)`` per row of the power series (a broadcast 2-D
-  power is not always bit-identical to it), whole-block arithmetic for
-  the source and the double series.
+* :func:`solve_point` evaluates one t: by Horner on Python floats, or
+  :func:`series.sum_log_terms` over the outer terms of the double series
+  (one :func:`specfun.scaled_ml` call each).
+* :func:`solve_grid` evaluates the grid as one batch: the same Horner
+  operations on numpy arrays (:func:`series.horner_sum_batch`), or the
+  double series in chunks of up to 256 points
+  (:func:`series.sum_log_terms_batch`).
 
 The source has the same pair: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, and
-:func:`source_grid` sums it at every grid time as one batch over the
-outer coefficients of the double series.
+:func:`source_grid` sums it at every grid time as one log-space batch over
+the outer coefficients of the double series.
 
 Both grids follow one contract.  The batch applies the scalar summation
 rules, so it gives the same term counts and stopping decisions; values
-and tails agree to rounding (numpy's exp is not libm's).  It reads z(t)
-bit for bit as :meth:`KineticProblem.z` gives it
-(:func:`_source_arguments`) and sums the times with z(t) > 0 (a time
-with z = 0 gives 0.0 after one term).  It marks the points whose scalar
-call raises.  Those points, and every point when the batch itself
-raises, are evaluated again in order through the scalar call, so a grid
-raises what the scalar call raises at the earliest failing time.
+and tails are the same bit for bit on the power series, and agree to
+rounding elsewhere (numpy's exp is not libm's).  It reads z(t), s = t**nu
+and s**mu bit for bit as the scalar call forms them (libm's pow) and sums
+the times with z(t) > 0 (a time with z = 0 gives 0.0 after one term).  It
+marks the points whose scalar call raises or leaves the batch's route.
+Those points, and every point when the batch itself raises, are evaluated
+again in order through the scalar call, so a grid raises what the scalar
+call raises at the earliest failing time.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -69,22 +69,24 @@ import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .series import (
-    DEFAULT_CONTROL,
     CANCELLATION_RATIO_LIMIT,
+    DEFAULT_CONTROL,
     LOG_DBL_MAX,
-    LOG_DBL_MIN,
-    CancellationError,
     DomainError,
     EvaluationError,
+    HornerTable,
     OverflowLogError,
     SeriesControl,
     SeriesResult,
+    _pow,
+    _pow_batch,
+    horner_sum,
+    horner_sum_batch,
     sum_log_terms,
     sum_log_terms_batch,
 )
@@ -93,11 +95,14 @@ from .specfun import (
     KBesselParams,
     MLParams,
     _HALVING_EXACT_MIN,
+    _guard_log_sum,
     _log_half,
     _reduced_k_bessel,
     fox_wright,
+    gamma_error,
     gen_k_bessel,
     k_bessel_log_coefficient,
+    k_bessel_log_error,
     ml_negative_bound,
     scaled_ml,
 )
@@ -287,7 +292,7 @@ def _scaled_log(x: _Scaled) -> float:
     return math.log(abs(m)) + e * _LN2
 
 
-class _PowerTable:
+class _PowerTable(HornerTable):
     """Coefficients of N(t) / n0 = sum_j a_j s**(mu+j), s = t**nu, for aligned exponents.
 
     Term (n, m) of the double series carries s**(mu+2n+m) and the gamma
@@ -301,20 +306,38 @@ class _PowerTable:
     not accumulate along j.  The absolute table A_j runs the same
     recurrence on |.|, so sum_j A_j s**(mu+j) is the sum of every
     |term (n, m)|.  Both grow as the sums reach them.
+
+    While the recurrence runs in plain doubles it also fills the lists of
+    :class:`series.HornerTable`.  The error bound of b_j, in EPS, runs a
+    third recurrence: E_j = r E_{j-1} + (r_err + 1/2) r A'_{j-1} +
+    [j even] (kappa_n |e_n| + A'_j / 2), with A'_j = A_j G_j, r_err the
+    rounding of r (one ulp of pow, none at nu = 1) and kappa_n the error of
+    e_n: that of its log (:func:`specfun.k_bessel_log_error` and of
+    (mu+j) log q), one ulp of exp, a half for the product and that of G_j.
+    a_j is then off by E_j / G_j + (1/2 + error of G_j) A_j; the evaluation
+    adds (mu+j) r_err A_j for s**(mu+j), one ulp of s**mu and a half for
+    each product with n0 and with the sum.
     """
 
     def __init__(self, prob: KineticProblem):
+        super().__init__()
         self.params = prob.params
         self.nu = prob.nu
         self.r = _scaled_from_power(prob.rate, prob.nu)
-        self.log_q = (prob.nu * math.log(prob.d) if prob.variant != 1 else 0.0) - _LN2
+        log_d = prob.nu * math.log(prob.d) if prob.variant != 1 else 0.0
+        self.log_q = log_d - _LN2
         self.signs: list[float] = []
         self.mags: list[float] = []  # |a_j|, or 0 where it is not a normal double
         self.log_a: list[float] = []
         self.log_abs: list[float] = []  # log A_j
         self._b: _Scaled = (0.0, 0)
         self._abs_b: _Scaled = (0.0, 0)
+        self._err_b = 0.0
         self._plain = self.r[0] != 0.0 and -1021 <= self.r[1] <= 1024  # r is a normal double
+        self._pow_err = 0.0 if prob.nu == 1.0 else 1.0  # r = rate**nu and s = t**nu by pow
+        # the error of log q, and whether nu*(mu+j) + 1 is exact
+        self._log_q_err = 1.5 * abs(log_d) + _LN2 + 0.5 * abs(self.log_q)
+        self._gamma_exact = prob.nu == 1.0 and float(self.params.mu).is_integer()
 
     def coefficient(self, j: int) -> tuple[float, float, float]:
         """Sign, magnitude (0 outside the normal doubles) and log magnitude of a_j."""
@@ -337,15 +360,18 @@ class _PowerTable:
         gamma or coefficient term :meth:`_grow_scaled` would scale.
         """
         mu, nu, log_q = self.params.mu, self.nu, self.log_q
+        log_errors = self.params._log_errors
         r = math.ldexp(*self.r)
-        b, abs_b = math.ldexp(*self._b), math.ldexp(*self._abs_b)
+        b, abs_b, err_b = math.ldexp(*self._b), math.ldexp(*self._abs_b), self._err_b
         while len(self.log_a) < stop:
             j = len(self.log_a)
             x = nu * (mu + j) + 1.0
             if not x < 171.0:  # _scaled_gamma takes Gamma(x) from lgamma
                 break
             gamma = math.gamma(x)
+            gamma_err = gamma_error(x, 0.0 if self._gamma_exact else 1.5)
             new_b, new_abs_b = b * -r, abs_b * r
+            new_err = err_b * r + (self._pow_err + 0.5) * new_abs_b
             formed = (new_b, new_abs_b) if j else ()  # b_{-1} = 0 is exact
             if j % 2 == 0:
                 sign, log_coeff = k_bessel_log_coefficient(self.params, j // 2)
@@ -354,18 +380,27 @@ class _PowerTable:
                     break
                 e_n = sign * math.exp(log_e) * gamma
                 new_b, new_abs_b = new_b + e_n, new_abs_b + abs(e_n)
+                if j // 2 == len(log_errors):
+                    log_errors.append(k_bessel_log_error(self.params, j // 2))
+                log_e_err = (log_errors[j // 2] + (mu + j) * self._log_q_err
+                             + abs((mu + j) * log_q) + 0.5 * abs(log_e))
+                new_err += (log_e_err + 1.5 + gamma_err) * abs(e_n) + 0.5 * new_abs_b
                 formed += (e_n, new_b, new_abs_b)
             a, abs_a = new_b / gamma, new_abs_b / gamma
             formed = tuple(map(abs, formed + (a, abs_a)))
             # a nan needs an inf before it, and the inf fails the max
             if not (_DBL_MIN <= min(formed) and max(formed) <= _DBL_MAX):
                 break
-            b, abs_b = new_b, new_abs_b
+            b, abs_b, err_b = new_b, new_abs_b, new_err
             self.signs.append(-1.0 if a < 0.0 else 1.0)
             self.mags.append(abs(a))
             self.log_a.append(math.log(abs(a)))
             self.log_abs.append(math.log(abs_a))
-        self._b, self._abs_b = math.frexp(b), math.frexp(abs_b)
+            self.coeffs.append(a)
+            self.abs_coeffs.append(abs_a)
+            self.errs.append(err_b / gamma
+                             + (2.5 + gamma_err + (mu + j) * self._pow_err) * abs_a)
+        self._b, self._abs_b, self._err_b = math.frexp(b), math.frexp(abs_b), err_b
         self._plain = len(self.log_a) >= stop  # a break leaves the rest to _grow_scaled
 
     def _grow_scaled(self, stop: int) -> None:
@@ -424,8 +459,10 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     """Series solution of ``prob`` at one time t >= 0.
 
     Where the exponents align this is one sum over the power-series table
-    (see :class:`KineticProblem`), refused with :class:`CancellationError`
-    when the sum of all |terms| of the double series exceeds
+    (see :class:`KineticProblem`): by Horner, or as logs where s = t**nu,
+    s**mu or a coefficient it needs is not a normal double.  Both are
+    refused with :class:`series.CancellationError` when the sum of all
+    |terms| of the double series exceeds
     :data:`series.CANCELLATION_RATIO_LIMIT` times the value.  Otherwise the
     outer k-Bessel-type sum carries a fused Gamma*E Mittag-Leffler factor
     per term (one :func:`specfun.scaled_ml` call each).
@@ -435,11 +472,13 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
         return SeriesResult(0.0, 1, 0.0)
     ctl = ctl or DEFAULT_CONTROL
     ml_arg = prob.ml_arg(t)  # also refuses a (rate t)**nu past the double range
+    params = prob.params
     table = prob._power_table()
     if table is not None:
-        return _power_point(prob, table, t, ctl)
+        s = _pow(t, prob.nu)
+        res = horner_sum(table, s, prob.n0 * _pow(s, params.mu), ctl, "solve_point")
+        return res if res is not None else _power_logs(prob, table, t, ctl)
     inner_ctl = ctl.tightened()
-    params = prob.params
     log_hz = _log_half(z)
 
     def term(n: int) -> tuple[float, float]:
@@ -456,43 +495,26 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
 
 
-# The power-series terms |a_j| s**(mu+j) are formed as products where they
-# are normal doubles (|log| <= -LOG_DBL_MIN).  Formed as logs,
-# (mu+j) * log s would carry the rounding of log s into every term,
-# multiplied by mu+j and all in one direction.
-def _power_point(
+def _power_logs(
     prob: KineticProblem, table: _PowerTable, t: float, ctl: SeriesControl
 ) -> SeriesResult:
-    """The power series at one t > 0, guarded by its absolute table."""
-    mu, nu = prob.params.mu, prob.nu
-    try:
-        s = t ** nu
-    except OverflowError:  # the terms then take the log route
-        s = math.inf
-    log_s = nu * math.log(t)
+    """The power series at one t > 0 as logs, guarded by its absolute table.
+
+    The tail adds the rounding of the compensated sum, not that of the
+    coefficients (the scaled recurrence carries no error bound).
+    """
+    mu, log_s = prob.params.mu, prob.nu * math.log(t)
+    abs_sum = 0.0
 
     def term(j: int) -> tuple[float, float]:
-        sign, mag, log_a = table.coefficient(j)
-        try:
-            log_mag = math.log(mag * s ** (mu + j))
-        except (OverflowError, ValueError):  # the product overflows or is 0
-            log_mag = math.inf
-        if abs(log_mag) <= -LOG_DBL_MIN:
-            return sign, log_mag
+        nonlocal abs_sum
+        sign, _, log_a = table.coefficient(j)
+        log_abs = table.log_abs[j] + (mu + j) * log_s
+        abs_sum += math.exp(log_abs) if log_abs < LOG_DBL_MAX else math.inf
         return sign, log_a + (mu + j) * log_s
 
     res = sum_log_terms(term, ctl, label="solve_point")
-    log_value = math.log(max(abs(res.value), _DBL_MIN))
-    try:
-        ratio = sum(math.exp(log_abs + (mu + j) * log_s - log_value)
-                    for j, log_abs in enumerate(table.log_abs[:res.terms]))
-    except OverflowError:
-        ratio = math.inf
-    if ratio > CANCELLATION_RATIO_LIMIT:
-        raise CancellationError(
-            f"solve_point: cancellation ratio {ratio:.3g} "
-            f"exceeds {CANCELLATION_RATIO_LIMIT:.0e}; result would carry no significant digits"
-        )
+    res = _guard_log_sum(res, abs_sum, 0.0, "solve_point")
     return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
 
 
@@ -503,45 +525,11 @@ _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def _power_batch(
     prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
 ) -> _Batch:
-    """:func:`_power_point` at every time of an increasing grid as one batch."""
+    """:func:`solve_point`'s Horner route at every time of an increasing grid, bit for bit."""
     prob.ml_arg(float(times[-1]))  # |x| grows with t: the last time is refused if any time is
-    table = prob._power_table()
-    mu, nu = prob.params.mu, prob.nu
-    with np.errstate(over="ignore"):  # inf: the terms then take the log route
-        s = np.power(times, nu)
-    log_s = nu * np.log(times)
-
-    def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        # sum_log_terms_batch calls this with over, invalid and divide warnings off
-        table.grow(hi)
-        js = np.arange(lo, hi)
-        # one power per row: a broadcast 2-D np.power is not always bit-identical
-        log_mag = np.empty((hi - lo,) + s.shape)
-        for row, j in zip(log_mag, js.tolist()):
-            np.power(s, mu + j, out=row)
-        log_mag *= np.array(table.mags[lo:hi])[:, None]
-        np.log(log_mag, out=log_mag)
-        signs = np.array(table.signs[lo:hi])[:, None]
-        if log_mag.max() <= -LOG_DBL_MIN and log_mag.min() >= LOG_DBL_MIN:  # false on nan
-            return signs, log_mag
-        normal = np.abs(log_mag) <= -LOG_DBL_MIN
-        log_a = np.array(table.log_a[lo:hi])[:, None]
-        return signs, np.where(normal, log_mag, log_a + (mu + js)[:, None] * log_s)
-
-    res = sum_log_terms_batch(terms, s.shape, ctl)
-    # A failed element may hold any value, inf and nan included; the
-    # caller evaluates it again.
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_value = np.log(np.maximum(np.abs(res.value), _DBL_MIN))
-        js = np.arange(int(res.terms.max()))
-        log_abs = np.array(table.log_abs[:js.size])
-        ratio = np.empty(s.shape)
-        for lo in range(0, s.size, _GRID_CHUNK):  # (points x terms) blocks of bounded size
-            rows = slice(lo, lo + _GRID_CHUNK)
-            logs = log_abs + (mu + js) * log_s[rows, None] - log_value[rows, None]
-            ratio[rows] = np.where(js < res.terms[rows, None], np.exp(logs), 0.0).sum(axis=1)
-        failed = res.failed | ~(ratio <= CANCELLATION_RATIO_LIMIT)
-        return prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail, failed
+    s = _pow_batch(times, prob.nu)
+    pre = prob.n0 * _pow_batch(s, prob.params.mu)
+    return horner_sum_batch(prob._power_table(), s, pre, ctl)
 
 
 # Grid points that solve_grid evaluates together on the double series.  The
@@ -673,16 +661,31 @@ def _log_half_batch(zs: np.ndarray) -> np.ndarray:
 def _source_batch(
     prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
 ) -> _Batch:
-    """omega(z) at every z = ``zs`` as one batch over the outer coefficients."""
+    """omega(z) at every z = ``zs`` as one batch over the outer coefficients.
+
+    A point is also marked where :func:`specfun.gen_k_bessel`'s guard on
+    the sum of its |terms| refuses it.
+    """
     params, mu = prob.params, prob.params.mu
     log_hz = _log_half_batch(zs)
+    coeffs: list[tuple[float, float]] = []  # (sign, log|coeff_n|), read again by the guard
 
     def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        sign, log_coeff = (np.array(c)[:, None] for c in
-                           zip(*(k_bessel_log_coefficient(params, n) for n in range(lo, hi))))
+        coeffs.extend(k_bessel_log_coefficient(params, n) for n in range(len(coeffs), hi))
+        sign, log_coeff = (np.array(c)[:, None] for c in zip(*coeffs[lo:hi]))
         return sign, log_coeff + (mu + 2.0 * np.arange(lo, hi))[:, None] * log_hz
 
-    return sum_log_terms_batch(terms, log_hz.shape, ctl)
+    res = sum_log_terms_batch(terms, log_hz.shape, ctl)
+    # a failed point may report 0 terms; the guard then reads no term of it
+    _, log_mags = terms(0, max(int(res.terms.max()), 1))
+    abs_sum = np.empty(zs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, zs.size, _GRID_CHUNK):  # (terms x points) blocks of bounded size
+            rows = slice(lo, lo + _GRID_CHUNK)
+            used = np.arange(log_mags.shape[0])[:, None] < res.terms[rows]
+            abs_sum[rows] = np.where(used, np.exp(log_mags[:, rows]), 0.0).sum(axis=0)
+        guarded = abs_sum <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(res.value), _DBL_MIN)
+    return res.value, res.terms, res.tail, res.failed | ~guarded
 
 
 def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
@@ -697,8 +700,7 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
     zs = times
     if prob.variant != 1 and (times >= 0.0).all():
         try:
-            zs = prob.d ** prob.nu * np.fromiter(map(math.pow, times.tolist(), repeat(prob.nu)),
-                                                 float, times.size)
+            zs = prob.d ** prob.nu * _pow_batch(times, prob.nu)
         except OverflowError:  # a power past the double range: every time goes to the scalar z
             zs = np.full(times.size, math.inf)
     odd = np.flatnonzero(~((zs >= _DBL_MIN) & (zs <= _DBL_MAX)))

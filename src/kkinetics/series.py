@@ -19,20 +19,44 @@ digits.  A series of positive terms cannot trip the guard.
 the same rules element-wise to a numpy array of series that share an index
 and marks the elements for which the scalar sum would raise.  The batch
 takes its terms a block at a time (term axis first), so each term costs a
-few numpy calls (the Kahan step) rather than one call per rule.
+few numpy calls (the Kahan step) rather than one call per rule.  It serves
+the double series of variant 1 at nu != 1 and the k-Bessel source on a
+grid.
+
+A power series ``pre * sum_j a_j x**j`` whose coefficients are t-free plain
+doubles is summed by Horner instead (:class:`HornerTable`,
+:func:`horner_sum`, :func:`horner_sum_batch`), with no log or exp per term.
+Its length J is chosen from the absolute coefficients A_j >= |a_j| and x
+alone, by the stagnation rule above with the largest earlier |term| in
+place of the partial sum; the table turns that rule into t-free
+thresholds on x.  Beside the value, the sum gives the absolute
+polynomial ``sum_j A_j x**j`` (the sum of every |term|, which the
+cancellation guard reads) and a running roundoff bound (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
+Sec. 5.1, Algorithm 5.1).  The tail is the truncation estimate plus that
+bound plus the table's bound on the rounding of each coefficient.  The
+batch runs the scalar's operations in the same order, so the two agree
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 LOG_DBL_MAX = math.log(sys.float_info.max)
 LOG_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
+DBL_MIN = sys.float_info.min
+DBL_MAX = sys.float_info.max
+# Machine epsilon, twice the unit roundoff: an IEEE operation rounds to
+# within EPS / 2 relative, and a result within one ulp is within EPS.
+EPS = sys.float_info.epsilon
 
 # |largest term| / |sum| beyond which an alternating sum in double
 # precision retains fewer than ~4 significant digits; past it the computed
@@ -164,18 +188,34 @@ def sum_log_terms(
         raise NonConvergenceError(
             f"{label}: no stagnation within {ctl.max_terms} terms", total, ctl.max_terms
         )
-    scale = max(abs(total), sys.float_info.min)
-    if max_mag > CANCELLATION_RATIO_LIMIT * scale:
+    check_cancellation(max_mag, total, label)
+    return SeriesResult(total, n + 1, _geometric_tail(mag, prev_mag))
+
+
+def check_cancellation(size: float, value: float, label: str) -> None:
+    """Refuse ``value`` where ``size`` (a largest |term| or a sum of |terms|)
+    exceeds :data:`CANCELLATION_RATIO_LIMIT` times it."""
+    scale = max(abs(value), DBL_MIN)
+    if size > CANCELLATION_RATIO_LIMIT * scale:
         raise CancellationError(
-            f"{label}: cancellation ratio {max_mag / scale:.3g} "
+            f"{label}: cancellation ratio {size / scale:.3g} "
             f"exceeds {CANCELLATION_RATIO_LIMIT:.0e}; result would carry no significant digits"
         )
+
+
+def _geometric_tail(mag: float, prev_mag: float) -> float:
+    """The truncation estimate from the last two |terms| (see :func:`sum_log_terms`)."""
     if 0.0 < mag < prev_mag:
         ratio = mag / prev_mag
-        tail = max(2.0 * mag * ratio / (1.0 - ratio), mag)
-    else:
-        tail = mag
-    return SeriesResult(total, n + 1, tail)
+        return max(2.0 * mag * ratio / (1.0 - ratio), mag)
+    return mag
+
+
+def _geometric_tail_batch(mag: np.ndarray, prev_mag: np.ndarray) -> np.ndarray:
+    """:func:`_geometric_tail` element-wise (call with invalid warnings off)."""
+    decreasing = (mag > 0.0) & (mag < prev_mag)
+    ratio = np.where(decreasing, mag / prev_mag, 0.0)
+    return np.where(decreasing, np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag), mag)
 
 
 class SeriesBatch(NamedTuple):
@@ -311,9 +351,230 @@ def sum_log_terms_batch(
             np.fmax(max_mag, block_max, out=max_mag)
             lo = hi
         failed |= running  # out of terms
-        decreasing = (mag_at > 0.0) & (mag_at < prev_at)
-        ratio = np.where(decreasing, mag_at / prev_at, 0.0)
-        geometric = np.maximum(2.0 * mag_at * ratio / (1.0 - ratio), mag_at)
-        tail = np.where(decreasing, geometric, mag_at)
+        tail = _geometric_tail_batch(mag_at, prev_at)
     return SeriesBatch(value.reshape(shape), count.reshape(shape), tail.reshape(shape),
                        failed.reshape(shape))
+
+
+def _pow(x: float, y: float) -> float:
+    """libm's x**y for x >= 0 (x itself at y = 1), inf past the double range."""
+    if y == 1.0:
+        return x
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _pow_batch(xs: np.ndarray, y: float) -> np.ndarray:
+    """:func:`_pow` at every x >= 0, bit for bit; raises OverflowError past the double range.
+
+    numpy's power differs from libm's pow in the last bit on a few percent
+    of inputs.
+    """
+    if y == 1.0:
+        return xs
+    return np.fromiter(map(math.pow, xs.tolist(), repeat(y)), float, xs.size)
+
+
+# Coefficients added to a table's stopping thresholds at a time.
+_STOP_BLOCK = 16
+
+
+class HornerTable:
+    """Plain-double coefficients of ``sum_j a_j x**j`` for :func:`horner_sum`.
+
+    A subclass fills three lists in :meth:`grow`, one entry per power of x:
+
+    * ``coeffs[j]``: a_j;
+    * ``abs_coeffs[j]``: A_j >= |a_j|, the sum of the |contributions| that
+      a_j is formed from, so ``sum_j A_j x**j`` is the sum of every |term|;
+    * ``errs[j]``: a bound, in units of EPS, on the error of a_j as formed,
+      plus that of the rounding of x**j and of the prefactor, relative to
+      the exact series.
+
+    The lists end at the first coefficient that is not a normal double (or
+    an exact zero); a point that needs it takes its caller's log route.
+
+    The length of a sum follows :func:`sum_log_terms`'s stagnation rule,
+    with the largest earlier |term| in place of the partial sum: term j is
+    quiet when ``A_j x**j <= rel_tol * max_{i<j} A_i x**i``.  That holds
+    exactly for x up to ``theta_j = max_{i<j} (rel_tol A_i / A_j)**(1/(j-i))``,
+    so the terms j-w+1 .. j (w = ``stagnation_window``) are all quiet for x
+    up to the least of their thetas, and the rule stops at the first j
+    whose running maximum M_j of that least theta is at least x.  M is
+    t-free: it is kept per control, and a length is a binary search in it.
+    """
+
+    def __init__(self):
+        self.coeffs: list[float] = []
+        self.abs_coeffs: list[float] = []
+        self.errs: list[float] = []
+        self._stops: dict[tuple[float, int], tuple[list[float], list[float]]] = {}
+
+    def grow(self, stop: int) -> None:
+        """Extend the lists towards ``stop`` entries."""
+        raise NotImplementedError
+
+    def stop_bounds(self, x: float, ctl: SeriesControl) -> list[float]:
+        """M_j (see class docs), extended to cover x, the budget or the end of the table."""
+        key = (ctl.rel_tol, ctl.stagnation_window)
+        if key not in self._stops:
+            self._stops[key] = ([], [])
+        log_thetas, bounds = self._stops[key]
+        while not (bounds and bounds[-1] >= x) and len(bounds) < ctl.max_terms:
+            self.grow(len(bounds) + _STOP_BLOCK)
+            if len(self.abs_coeffs) == len(bounds):
+                break
+            self._extend_bounds(log_thetas, bounds, ctl)
+        return bounds
+
+    def _extend_bounds(self, log_thetas: list[float], bounds: list[float],
+                       ctl: SeriesControl) -> None:
+        start, stop = len(bounds), len(self.abs_coeffs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_abs = np.log(np.array(self.abs_coeffs[:stop]))
+            js = np.arange(start, stop)[:, None]
+            gaps = js - np.arange(stop)
+            ratios = (math.log(ctl.rel_tol) + log_abs - log_abs[js]) / gaps
+            # a zero |term| is always quiet; fmax skips the nan of two zeros
+            new = np.fmax.reduce(np.where(gaps > 0, ratios, -math.inf), axis=1, initial=-math.inf)
+            new = np.where(log_abs[start:] == -math.inf, math.inf, new)
+        log_thetas.extend(new.tolist())
+        window = ctl.stagnation_window
+        top = bounds[-1] if bounds else 0.0
+        for j in range(start, stop):
+            if j + 1 >= window:
+                least = min(log_thetas[j + 1 - window:j + 1])
+                top = max(top, math.exp(least) if least < LOG_DBL_MAX else math.inf)
+            bounds.append(top)
+
+    def length(self, x: float, ctl: SeriesControl) -> int | None:
+        """The number of terms :func:`horner_sum` takes at x: 0 past the budget, None past the table."""
+        bounds = self.stop_bounds(x, ctl)
+        j = bisect_left(bounds, x)
+        if j >= ctl.max_terms:
+            return 0
+        return j + 1 if j < len(bounds) else None
+
+
+def horner_sum(table: HornerTable, x: float, pre: float, ctl: SeriesControl, label: str
+               ) -> SeriesResult | None:
+    """``pre * sum_j a_j x**j`` by Horner over ``table``, or None off this route.
+
+    The length J comes from the table (:meth:`HornerTable.length`).  Horner
+    gives the value and its partials v_j; one forward pass over them then
+    sums, with x**j as running products, the |terms| A_j x**j (the
+    absolute polynomial, which the cancellation guard reads) and the bound
+    ``e = sum_j (|v_j| + errs[j]) x**j``: EPS sum_j |v_j| x**j is at least
+    Higham's running error bound, and EPS sum_j errs[j] x**j bounds the
+    rest.  The tail is ``pre`` times the truncation estimate of
+    :func:`sum_log_terms` (on the |terms|) plus EPS e.
+
+    None is returned where x or ``pre`` is not a normal double, where the
+    table ends before J, or where a sum leaves the double range; the
+    caller then takes its log route.  Raises :class:`NonConvergenceError`
+    past ``ctl.max_terms`` and :class:`CancellationError` where the sum of
+    every |term| exceeds :data:`CANCELLATION_RATIO_LIMIT` times the value.
+    """
+    if not (DBL_MIN <= x <= DBL_MAX and DBL_MIN <= pre <= DBL_MAX):
+        return None
+    length = table.length(x, ctl)
+    if length is None:
+        return None
+    if not length:
+        partial = pre * _horner(table, x, ctl.max_terms)[0]
+        raise NonConvergenceError(
+            f"{label}: no stagnation within {ctl.max_terms} terms", partial, ctl.max_terms)
+    v, total, e, mag, prev_mag = _horner(table, x, length)
+    value, abs_value = pre * v, pre * total
+    tail = pre * (_geometric_tail(mag, prev_mag) + EPS * e)
+    if not (DBL_MIN <= abs_value <= DBL_MAX and tail <= DBL_MAX):
+        return None
+    check_cancellation(abs_value, value, label)
+    return SeriesResult(value, length, tail)
+
+
+def _horner(table: HornerTable, x: float, length: int):
+    """Over the first ``length`` coefficients: the value, the sum of |terms|, the bound e
+    and the last two |terms| (see :func:`horner_sum`)."""
+    partials = []
+    v = 0.0
+    for a in reversed(table.coeffs[:length]):
+        v = v * x + a
+        partials.append(v)
+    total = e = mag = prev_mag = 0.0
+    power = 1.0
+    for v_j, abs_a, err in zip(reversed(partials), table.abs_coeffs, table.errs):
+        prev_mag, mag = mag, abs_a * power
+        total += mag
+        e += (abs(v_j) + err) * power
+        power *= x
+    return v, total, e, mag, prev_mag
+
+
+def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: SeriesControl
+                     ) -> SeriesBatch:
+    """:func:`horner_sum` at every element of ``x`` and ``pre``, bit for bit.
+
+    The same operations run in the same order as numpy operations over the
+    elements: each length is the same binary search in the table, and
+    numpy reduces a C-ordered array over its first axis row by row, in
+    order, as the forward pass sums.  An element for which
+    :func:`horner_sum` returns None or raises is marked in
+    :attr:`SeriesBatch.failed`.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (x >= DBL_MIN) & (x <= DBL_MAX) & (pre >= DBL_MIN) & (pre <= DBL_MAX)
+        x = np.where(ok, x, 1.0)
+        bounds = table.stop_bounds(float(x.max()) if x.size else 0.0, ctl)
+        found = np.searchsorted(np.array(bounds), x)
+        ok &= found < min(len(bounds), ctl.max_terms)
+        length = np.where(ok, found + 1, 0)
+        v, total, e, mag, prev_mag = _horner_chains(table, x, length)
+        value, abs_value = pre * v, pre * total
+        tail = pre * (_geometric_tail_batch(mag, prev_mag) + EPS * e)
+        ok &= (abs_value >= DBL_MIN) & (abs_value <= DBL_MAX) & (tail <= DBL_MAX)
+        ok &= abs_value <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
+    return SeriesBatch(value, length, tail, ~ok)
+
+
+def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """:func:`_horner` at every element over its own ``length`` (0 for none), as five rows.
+
+    An element joins Horner at step j < length.  Before that its partials
+    are 0, and 0 * x + 0 is 0, so the elements are sorted by length and
+    each step runs on the prefix that has joined.  The partials and the
+    powers x**j (running products, on the same prefixes) are kept as rows
+    that hold 0 where an element has not joined, and the forward sums run
+    down the rows.
+    """
+    n = x.size
+    top = int(length.max()) if n else 0
+    if not top:
+        return np.zeros((5, n))
+    order = np.argsort(-length, kind="stable")
+    xs = x[order]
+    joined = np.searchsorted(-length[order], -np.arange(top), side="left").tolist()
+    partials = np.zeros((top + 1, n))
+    for j, a in zip(range(top - 1, -1, -1), reversed(table.coeffs[:top])):
+        count = joined[j]
+        v_j = partials[j, :count]
+        np.multiply(partials[j + 1, :count], xs[:count], out=v_j)
+        v_j += a
+    powers = np.zeros((top, n))
+    powers[0, :joined[0]] = 1.0
+    for j in range(1, top):
+        count = joined[j]
+        np.multiply(powers[j - 1, :count], xs[:count], out=powers[j, :count])
+    value = partials[0].copy()
+    bound = np.abs(partials[:top], out=partials[:top])
+    bound += np.array(table.errs[:top])[:, None]
+    bound *= powers
+    mags = np.multiply(powers, np.array(table.abs_coeffs[:top])[:, None], out=powers)
+    last = length[order] - 1
+    at = last * n + np.arange(n)
+    out = np.empty((5, n))
+    out[:, order] = [value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0),
+                     mags.flat[at], np.where(last >= 1, mags.flat[at - n], 0.0)]
+    return out

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .series import (
     DEFAULT_CONTROL,
+    EPS,
     CancellationError,
     ConvergenceGateError,
     DomainError,
@@ -43,6 +44,7 @@ from .series import (
     OverflowLogError,
     SeriesControl,
     SeriesResult,
+    check_cancellation,
     sum_log_terms,
 )
 
@@ -80,6 +82,13 @@ class KBesselParams:
     mu: float
     b: float
     c: float
+    # log k, g = gamma/k, lgamma(g) and log|c| (-inf at c = 0): every
+    # coefficient reads them
+    _logs: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
+    # k_bessel_log_error(self, n) for n = 0, 1, ...: t-free and costly, so
+    # gen_k_bessel and the power tables of the problems sharing this
+    # instance append to it in order and read it
+    _log_errors: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k", "gamma", "lam", "mu"):
@@ -94,6 +103,9 @@ class KBesselParams:
                 f"leading k-gamma argument mu+(b+1)/2 = {self.mu + (self.b + 1.0) / 2.0} "
                 "is non-positive"
             )
+        g = self.gamma / self.k
+        log_c = math.log(abs(self.c)) if self.c != 0.0 else -math.inf
+        object.__setattr__(self, "_logs", (math.log(self.k), g, math.lgamma(g), log_c))
 
 
 # The largest double whose lgamma is finite.  MLParams keeps beta below it,
@@ -278,19 +290,80 @@ def k_bessel_log_coefficient(p: KBesselParams, n: int) -> tuple[float, float]:
     # ln Gamma_k(arg) and ln (g)_{n,k} as in log_k_gamma and log_k_pochhammer,
     # without their argument checks (KBesselParams guarantees k, g > 0):
     # this runs once per series term.
-    log_k = math.log(p.k)
+    log_k, g, lgamma_g, log_c = p._logs
     log_mag = -((arg / p.k - 1.0) * log_k + math.lgamma(arg / p.k))
     if n == 0:
         return 1.0, log_mag
     if p.c == 0.0:
         return 1.0, -math.inf
-    g = p.gamma / p.k
     log_mag += (
-        n * log_k + math.lgamma(g + n) - math.lgamma(g)
+        n * log_k + math.lgamma(g + n) - lgamma_g
         - 2.0 * math.lgamma(n + 1.0)
-        + n * math.log(abs(p.c))
+        + n * log_c
     )
     return (1.0 if n % 2 == 0 or p.c < 0.0 else -1.0), log_mag
+
+
+# Error bounds of the coefficient tables, in units of EPS (series.EPS).  An
+# IEEE operation rounds to within 1/2; libm's exp, log and pow are taken to
+# be within one ulp, so within 1.  CPython documents its own math.gamma as
+# accurate to within 10 ulps, and the same is taken for math.lgamma, counted
+# against max(|lgamma|, 1) so that it stays an absolute bound near the zeros
+# of lgamma at 1 and 2.
+GAMMA_ULPS = 10.0
+
+
+def _digamma_bound(x: float) -> float:
+    """A bound on |psi(x)| for x > 0: log x - 1/x <= psi(x) < log x, and psi(x) > -1/x - 1 below 1."""
+    return abs(math.log(x)) + 1.0 / x + 1.0
+
+
+def gamma_error(x: float, x_err: float) -> float:
+    """Relative error bound of math.gamma at x >= 1 formed with an error of x_err * EPS * x."""
+    return GAMMA_ULPS + x * _digamma_bound(x) * x_err if x_err else GAMMA_ULPS
+
+
+def k_bessel_log_error(p: KBesselParams, n: int) -> float:
+    """A bound, in EPS, on the absolute error of :func:`k_bessel_log_coefficient`'s log magnitude.
+
+    It follows the coefficient's formation step by step: each lgamma's own
+    error (against max(|lgamma|, 1)); the rounding of its argument carried
+    through by |psi| (the k-gamma argument rounds in four operations, g =
+    gamma/k and g + n in one each, n + 1 is exact); one ulp of log k and
+    of log|c|; and a half for each product and for each of the sums, whose
+    partial sums are at most the sum of the magnitudes of the pieces.
+    """
+    log_k = abs(math.log(p.k))
+    arg = p.mu + p.lam * n
+    x = (arg + (p.b + 1.0) / 2.0) / p.k
+    x_err = (1.5 * (arg + abs(p.b + 1.0) / 2.0) + 0.5 * x * p.k) / p.k
+    k_piece = abs(x - 1.0) * log_k
+    lg = abs(math.lgamma(x))
+    err = (log_k * x_err + 2.5 * k_piece + (GAMMA_ULPS + 0.5) * max(lg, 1.0)
+           + _digamma_bound(x) * x_err)
+    if n == 0 or p.c == 0.0:
+        return err
+    g = p.gamma / p.k
+    lgammas = (max(abs(math.lgamma(g + n)), 1.0) + max(abs(math.lgamma(g)), 1.0)
+               + 2.0 * max(abs(math.lgamma(n + 1.0)), 1.0))
+    return (err + (GAMMA_ULPS + 3.0) * lgammas + 4.0 * n * (log_k + abs(math.log(abs(p.c))))
+            + _digamma_bound(g + n) * (g + n) + _digamma_bound(g) * 0.5 * g + 0.5 * (k_piece + lg))
+
+
+def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str
+                   ) -> SeriesResult:
+    """A log-route sum refused or with roundoff in its tail.
+
+    ``abs_sum`` is the sum of the |terms| of the absolute series, and the
+    sum is refused with :class:`CancellationError` where it exceeds
+    :data:`series.CANCELLATION_RATIO_LIMIT` times the value, as on the
+    Horner route.  ``err_sum`` is the sum of the |terms| times a bound, in
+    EPS, on their relative error as formed from their logs; the tail adds
+    EPS times it, and EPS |value| for the compensated sum (at most twice
+    the unit roundoff of the value, to first order).
+    """
+    check_cancellation(abs_sum, res.value, label)
+    return SeriesResult(res.value, res.terms, res.tail + EPS * (err_sum + abs(res.value)))
 
 
 # Below this z, z/2 is subnormal: inexact for an odd z and 0 for the smallest.
@@ -305,7 +378,16 @@ def _log_half(z: float) -> float:
 
 
 def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
-    """The generalized k-Bessel series omega(z) for z >= 0 (see module docs)."""
+    """The generalized k-Bessel series omega(z) for z >= 0 (see module docs).
+
+    The sum is refused with :class:`CancellationError` where the sum of
+    every |term| exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times the
+    value.  The tail adds to the truncation estimate a bound on the
+    roundoff: term n is exp(L_n), L_n = log|coeff_n| + (mu+2n) log(z/2),
+    and L_n is off by at most :func:`k_bessel_log_error`, plus (mu+2n)
+    times 5/2 |log(z/2)| (one ulp of each log, halves for the sum, the
+    product and mu+2n) plus |L_n| / 2 for the last sum; exp adds one ulp.
+    """
     ctl = ctl or DEFAULT_CONTROL
     if not z >= 0.0:
         raise DomainError(f"gen_k_bessel requires z >= 0, got {z}")
@@ -313,13 +395,25 @@ def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -
         # every term carries (z/2)**(mu+2n) with mu > 0
         return SeriesResult(0.0, 1, 0.0)
     log_hz = _log_half(z)
-    mu = p.mu
+    mu, hz_err = p.mu, 2.5 * abs(log_hz)
+    errors = p._log_errors
+    abs_sum = err_sum = 0.0  # the sum of |terms|, and of their errors times |terms|
 
     def term(n: int) -> tuple[float, float]:
+        nonlocal abs_sum, err_sum
         sign, log_coeff = k_bessel_log_coefficient(p, n)
-        return sign, log_coeff + (mu + 2.0 * n) * log_hz
+        order = mu + 2.0 * n
+        log_mag = log_coeff + order * log_hz
+        if log_mag <= LOG_DBL_MAX:  # sum_log_terms raises on a larger one
+            if n == len(errors):
+                errors.append(k_bessel_log_error(p, n))
+            mag = math.exp(log_mag)
+            abs_sum += mag
+            err_sum += (errors[n] + order * hz_err + 0.5 * abs(log_mag) + 1.0) * mag
+        return sign, log_mag
 
-    return sum_log_terms(term, ctl, label="gen_k_bessel")
+    res = sum_log_terms(term, ctl, label="gen_k_bessel")
+    return _guard_log_sum(res, abs_sum, err_sum, "gen_k_bessel")
 
 
 def _reduced_k_bessel(

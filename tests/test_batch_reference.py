@@ -1,12 +1,14 @@
-"""The block summation and the plain-double power table against the routes they replace.
+"""The grid batches and the plain-double power table against one-at-a-time references.
 
 ``sum_log_terms_batch`` used to advance every series one term at a time.
 ``_per_term_batch`` keeps that loop, driven one term at a time through the
-block callback, as the reference: on the grids below every batch the
-solvers make must give the same values, term counts, tails and failure
-marks, bit for bit.  A failed element's value, terms and tail are not
-part of the contract (the grid re-evaluates it through the scalar call),
-so they are compared only where the element succeeds.
+block callback, as the reference.  ``horner_sum_batch`` is checked against
+``horner_sum`` at each element, one point at a time.  On the grids below
+every batch the solvers make must give the same values, term counts, tails
+and failure marks as its reference, bit for bit.  A failed element's value,
+terms and tail are not part of the contract (the grid re-evaluates it
+through the scalar call), so they are compared only where the element
+succeeds.
 """
 
 import sys
@@ -17,7 +19,13 @@ import pytest
 from kkinetics import KBesselParams, KineticProblem, Theorem, kinetics, solve_grid, source_grid
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
 from kkinetics.kinetics import _PowerTable
-from kkinetics.series import CANCELLATION_RATIO_LIMIT, LOG_DBL_MAX, SeriesBatch
+from kkinetics.series import (
+    CANCELLATION_RATIO_LIMIT,
+    LOG_DBL_MAX,
+    EvaluationError,
+    SeriesBatch,
+    horner_sum,
+)
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 
@@ -63,11 +71,23 @@ def _per_term_batch(terms, shape, ctl):
     return SeriesBatch(total, count, np.where(decreasing, geometric, mag), failed)
 
 
+def _per_point_horner(table, x, pre, ctl):
+    """``horner_sum`` at each element: the SeriesResult, or None where it fails."""
+    results = []
+    for x_i, pre_i in zip(x.tolist(), pre.tolist()):
+        try:
+            results.append(horner_sum(table, x_i, pre_i, ctl, "reference"))
+        except EvaluationError:
+            results.append(None)
+    return results
+
+
 @pytest.fixture
 def checked_batches(monkeypatch):
     """Run every batch of kinetics through both routes; collect the batch shapes."""
     shapes = []
     real = kinetics.sum_log_terms_batch
+    real_horner = kinetics.horner_sum_batch
 
     def both(terms, shape, ctl):
         got = real(terms, shape, ctl)
@@ -79,7 +99,18 @@ def checked_batches(monkeypatch):
         shapes.append(shape)
         return got
 
+    def both_horner(table, x, pre, ctl):
+        got = real_horner(table, x, pre, ctl)
+        want = _per_point_horner(table, x, pre, ctl)
+        assert got.failed.tolist() == [r is None for r in want]
+        for i, r in enumerate(want):
+            if r is not None:
+                assert (got.value[i], got.terms[i], got.tail[i]) == tuple(r), i
+        shapes.append(x.shape)
+        return got
+
     monkeypatch.setattr(kinetics, "sum_log_terms_batch", both)
+    monkeypatch.setattr(kinetics, "horner_sum_batch", both_horner)
     return shapes
 
 
@@ -93,7 +124,7 @@ def test_blocks_match_the_per_term_loop_on_figure_sweeps(fig_id, checked_batches
 
 
 def test_blocks_match_the_per_term_loop_on_the_verify_grid(checked_batches):
-    # the figure-1 job at h = 1/2048: the series grid and the source
+    # the figure-1 job at h = 1/2048: the series grid (by Horner) and the source
     grid = np.linspace(0.0, 1.0, 2049)
     for lam in LAMBDAS:
         prob = figure_problem(FIGURES[1], lam)

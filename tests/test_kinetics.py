@@ -181,6 +181,8 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
     count(kinetics, "scaled_ml")
     count(kinetics, "sum_log_terms")
     count(kinetics, "sum_log_terms_batch")
+    count(kinetics, "horner_sum")
+    count(kinetics, "horner_sum_batch")
     count(kinetics, "gen_k_bessel")
     count(specfun, "sum_log_terms")
     # variant 1 at nu != 1 is the double series: one scaled_ml per outer term
@@ -192,14 +194,15 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
         "kkinetics.kinetics.scaled_ml": res.terms,  # one per outer term
         "kkinetics.specfun.sum_log_terms": res.terms,
     }
-    # at nu = 1 the exponents align: one power series, no inner sums
+    # at nu = 1 the exponents align: one power series summed by Horner, with
+    # no log sums and no inner sums
     calls.clear()
     prob = fig_problem(Theorem.T1)
     assert solve_point(prob, 0.5).terms > 1
-    assert calls == {"kkinetics.kinetics.sum_log_terms": 1}
+    assert calls == {"kkinetics.kinetics.horner_sum": 1}
     calls.clear()
     solve_grid(prob, np.linspace(0.0, 1.0, 11))
-    assert calls == {"kkinetics.kinetics.sum_log_terms_batch": 1}
+    assert calls == {"kkinetics.kinetics.horner_sum_batch": 1}
     calls.clear()
     prob.source(0.5)
     assert calls == {
@@ -302,14 +305,16 @@ def test_solve_grid_fig1_metadata():
 # ---------------------------------------------------------------- batched grid vs pointwise
 
 
-def _assert_grid_matches_points(table, indices, points):
-    # term counts and stopping decisions are exact; values and tails may
-    # differ in the last bits because numpy's exp is not libm's
+def _assert_grid_matches_points(table, indices, points, rel=0.0):
+    # term counts and stopping decisions are exact.  The power series runs
+    # the same operations in the same order on both routes, so values and
+    # tails are equal; on the double series they may differ in the last
+    # bits (rel = 1e-12) because numpy's exp is not libm's
     scale = max(1.0, max(abs(r.value) for r in points))
     for i, r in zip(indices, points):
         assert table.terms[i] == r.terms, i
-        assert abs(table.values[i] - r.value) <= 1e-12 * scale, i
-        assert abs(table.tails[i] - r.tail) <= 1e-12 * r.tail, i
+        assert abs(table.values[i] - r.value) <= rel * scale, i
+        assert abs(table.tails[i] - r.tail) <= rel * r.tail, i
 
 
 def _first_non_positive(times, values):
@@ -331,6 +336,27 @@ def test_solve_grid_matches_solve_point_on_figure_sweeps(fig_id):
         )
 
 
+@pytest.mark.parametrize("nu", [0.3, 0.75, 1.7])
+@pytest.mark.parametrize("variant", [Theorem.T2, Theorem.T3])
+def test_solve_grid_matches_solve_point_at_any_order(variant, nu):
+    # s = t**nu and s**mu are libm's pow on both routes
+    a = 1.0 if variant == Theorem.T3 else None
+    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=a)
+    grid = np.linspace(0.0, 0.5, 201)
+    _assert_grid_matches_points(solve_grid(prob, grid), range(len(grid)),
+                                [solve_point(prob, t) for t in grid.tolist()])
+
+
+def test_solve_grid_matches_solve_point_on_the_verify_grid():
+    # the figure-1 job at h = 1/2048, bit for bit at every node
+    grid = np.linspace(0.0, 1.0, 2049)
+    for lam in LAMBDAS:
+        prob = figure_problem(FIGURES[1], lam)
+        table = solve_grid(prob, grid)
+        _assert_grid_matches_points(table, range(len(grid)),
+                                    [solve_point(prob, t) for t in grid.tolist()])
+
+
 def test_solve_grid_matches_solve_point_at_chunk_seams():
     # only the double series (variant 1 at nu != 1) is chunked; the figure-1
     # verify grid (h = 1/2048) spans several chunks
@@ -342,7 +368,7 @@ def test_solve_grid_matches_solve_point_at_chunk_seams():
     # the chunks cover the times with z(t) > 0, so t = 0 moves each seam by one
     indices = [i for seam in seams for i in (seam - 1, seam, seam + 1) if i < len(grid)]
     points = [solve_point(prob, float(grid[i])) for i in indices]
-    _assert_grid_matches_points(table, indices, points)
+    _assert_grid_matches_points(table, indices, points, rel=1e-12)
 
 
 def test_outer_sum_refuses_cancellation():
@@ -627,7 +653,7 @@ def _earliest_source_failure(prob, grid, ctl=None):
 @pytest.mark.parametrize(
     "nu, grid, ctl, expected",
     [
-        # the guard refuses omega from z = 3t ~ 10.15 on
+        # the guard refuses omega from z = 3t ~ 9.6 on
         (1.0, np.linspace(0.0, 5.0, 51), None, CancellationError),
         (1.0, np.linspace(0.0, 1.0, 11), SeriesControl(max_terms=2), NonConvergenceError),
         # 1.5**700 is a double, but the terms of omega there overflow
@@ -650,11 +676,13 @@ def test_source_grid_raises_like_the_scalar_source_at_earliest_failure(nu, grid,
 
 
 def test_source_grid_refuses_from_the_first_refused_time():
-    # variant 2 of the figures at lambda = 1: z = 3t passes 10.15 near t = 3.4
+    # variant 2 of the figures at lambda = 1: the sum of every |term| of
+    # omega passes 1e12 |omega| near z = 3t = 9.6 (its largest term alone
+    # only near z = 10.15, where the guard used to start)
     prob = figure_problem(FIGURES[4], 1.0)
     grid = np.linspace(0.0, 4.0, 401)
     first, _ = _earliest_source_failure(prob, grid)
-    assert 3.3 < grid[first] < 3.5
+    assert 3.15 < grid[first] < 3.25
     assert len(source_grid(prob, grid[:first])) == first
     with pytest.raises(CancellationError):
         source_grid(prob, grid[:first + 1])
