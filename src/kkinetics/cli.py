@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fracoracle
-from .figures import FIGURES, GRID_POINTS, LAMBDAS, figure_grid, figure_problem
+from .figures import FIGURES, GRID_POINTS, LAMBDAS, figure_grid, figure_params, figure_problem
 from .kinetics import KineticProblem, Theorem, solve_grid, source_grid
 from .series import EvaluationError, SeriesControl, SeriesResult
 from .specfun import (
@@ -307,9 +307,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _write_figure(
-    fig_id: int, out_dir: Path, control: SeriesControl, problems: dict
+    fig_id: int, out_dir: Path, control: SeriesControl, problems: dict, params: dict
 ) -> tuple[Path, Path, list[str]]:
-    """Write one figure's CSV and SVG; ``problems`` holds the problems built so far."""
+    """Write one figure's CSV and SVG; ``problems`` holds the problems built
+    so far, and ``params`` the source parameters of each lam."""
     spec = FIGURES[fig_id]
     grid = figure_grid(spec)
     columns = []
@@ -318,7 +319,7 @@ def _write_figure(
         # figure_problem reads only (variant, a, lam): figures 1-3, 4-5 and 6-7 share problems
         key = (spec.variant, spec.a, lam)
         if key not in problems:
-            problems[key] = figure_problem(spec, lam)
+            problems[key] = figure_problem(spec, lam, params[lam])
         table = solve_grid(problems[key], grid, control)
         for t, v in zip(table.times, table.values):
             if t > 0.0 and not v > 0.0:
@@ -356,9 +357,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     control = _default_control()
     all_violations: list[str] = []
-    problems: dict = {}  # shared by the figures of this call only
+    # shared by the figures of this call only
+    problems: dict = {}
+    params = {lam: figure_params(lam) for lam in LAMBDAS}
     for fig_id in fig_ids:
-        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control, problems)
+        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control, problems, params)
         print(f"wrote {csv_path} and {svg_path} ({GRID_POINTS} rows per column)")
         all_violations.extend(violations)
     if all_violations:

@@ -24,23 +24,21 @@ is refused with :class:`series.CancellationError` where the sum of every
 It runs by Horner on the table's plain doubles, and its tail bounds the
 roundoff too (:func:`series.horner_sum`).
 
-Variant 1 at nu != 1 keeps the double series.  Its Mittag-Leffler factor
-is always evaluated fused, term by term as
-``exp(lgamma(beta_n) - lgamma(nu*m + beta_n)) * x**m``, because
-``Gamma(beta_n)`` on its own overflows once the outer sum passes n ~ 85.
-The inner sums run at a 10x tighter relative tolerance than the outer sum
-(:meth:`series.SeriesControl.tightened`) so the reported outer tail
-estimate dominates the error.
+Variant 1 at nu != 1 does not align: term (n, m) carries t**(mu+2n) and
+(t**nu)**m.  Its t-free coefficients form one table T[n, m]
+(:class:`_BivariateTable`), N(t) = n0 t**mu sum_n u**n sum_m T[n, m] v**m
+with u = t**2 and v = t**nu, built once per problem and kept on it in the
+same slot.  The inner Mittag-Leffler sums disappear here too, and the
+sum is guarded and bounded the same way.
 
 Two evaluation paths for the solution, chosen by the kind of input:
 
-* :func:`solve_point` evaluates one t: by Horner on Python floats, or
-  :func:`series.sum_log_terms` over the outer terms of the double series
-  (one :func:`specfun.scaled_ml` call each).
+* :func:`solve_point` evaluates one t: by Horner on Python floats, or,
+  on the table of variant 1 at nu != 1, by the table's own evaluator on
+  a batch of one.
 * :func:`solve_grid` evaluates the grid as one batch: the same Horner
   operations on numpy arrays (:func:`series.horner_sum_batch`), or the
-  double series in chunks of up to 256 points
-  (:func:`series.sum_log_terms_batch`).
+  same evaluator on every time at once.
 
 The source has the same pair: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, and
@@ -49,8 +47,8 @@ the outer coefficients of the double series.
 
 Both grids follow one contract.  The batch applies the scalar summation
 rules, so it gives the same term counts and stopping decisions; values
-and tails are the same bit for bit on the power series, and agree to
-rounding elsewhere (numpy's exp is not libm's).  It reads z(t), s = t**nu
+and tails are the same bit for bit on the solution's tables, and agree
+to rounding on the source (numpy's exp is not libm's).  It reads z(t), s = t**nu
 and s**mu bit for bit as the scalar call forms them (libm's pow) and sums
 the times with z(t) > 0 (a time with z = 0 gives 0.0 after one term).  It
 marks the points whose scalar call raises or leaves the batch's route.
@@ -76,24 +74,27 @@ import numpy as np
 from .series import (
     CANCELLATION_RATIO_LIMIT,
     DEFAULT_CONTROL,
+    EPS,
     LOG_DBL_MAX,
     DomainError,
     EvaluationError,
     HornerTable,
+    NonConvergenceError,
     OverflowLogError,
     SeriesControl,
     SeriesResult,
     _pow,
     _pow_batch,
+    check_cancellation,
     horner_sum,
     horner_sum_batch,
     sum_log_terms,
     sum_log_terms_batch,
 )
 from .specfun import (
+    GAMMA_ULPS,
     FoxWrightSpec,
     KBesselParams,
-    MLParams,
     _HALVING_EXACT_MIN,
     _guard_log_sum,
     _log_half,
@@ -103,8 +104,7 @@ from .specfun import (
     gen_k_bessel,
     k_bessel_log_coefficient,
     k_bessel_log_error,
-    ml_negative_bound,
-    scaled_ml,
+    scaled_ml,  # not called here: kkbench/tracer.py patches kinetics.scaled_ml by name
 )
 
 __all__ = [
@@ -135,13 +135,16 @@ class KineticProblem:
 
         N(t) = n0 * sum_n coeff_n * (z/2)**(mu+2n) * Gamma(beta_n) E_{nu,beta_n}(x),
 
-    with coeff_n from :func:`specfun.k_bessel_log_coefficient`.
-    :meth:`z`, :meth:`ml_arg` and :meth:`beta` map a variant onto it.
+    with coeff_n from :func:`specfun.k_bessel_log_coefficient`, z = t or
+    d**nu t**nu (:meth:`z`), x = -rate**nu t**nu (:meth:`ml_arg`) and
+    beta_n = mu+2n+1 (variant 1) or nu(mu+2n)+1.
 
-    Where the exponents align (variants 2 and 3 at any nu, variant 1 at
-    nu = 1) the double series is one power series in s = t**nu,
-    N(t) = n0 * sum_j a_j s**(mu+j).  Its coefficients are tabulated on
-    the instance the first time a solver needs them, and grow from there.
+    Its t-free coefficients are tabulated on the instance the first time a
+    solver needs them, and grow from there.  Where the exponents align
+    (variants 2 and 3 at any nu, variant 1 at nu = 1) the double series is
+    one power series in s = t**nu, N(t) = n0 * sum_j a_j s**(mu+j)
+    (:class:`_PowerTable`); elsewhere the table is two-dimensional
+    (:class:`_BivariateTable`).
     """
 
     n0: float
@@ -150,7 +153,8 @@ class KineticProblem:
     variant: Theorem
     params: KBesselParams
     a: float | None = None
-    _power: "_PowerTable | None" = field(default=None, init=False, repr=False, compare=False)
+    _power: "_PowerTable | _BivariateTable | None" = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("n0", "d", "nu"):
@@ -187,18 +191,11 @@ class KineticProblem:
         """Mittag-Leffler argument at time t >= 0: -rate**nu t**nu."""
         return -_scaled_power("Mittag-Leffler argument", self.rate, t, self.nu)
 
-    def beta(self, n: int) -> float:
-        """Mittag-Leffler index of outer term n: mu+2n+1 (variant 1) or nu(mu+2n)+1."""
-        if self.variant != 1:
-            return self.nu * (self.params.mu + 2.0 * n) + 1.0
-        return self.params.mu + 2.0 * n + 1.0
-
-    def _power_table(self) -> "_PowerTable | None":
-        """The power-series table where the exponents align, else None."""
-        if self.variant == 1 and self.nu != 1.0:
-            return None
+    def _power_table(self) -> "_PowerTable | _BivariateTable":
+        """The coefficient table: one-dimensional where the exponents align."""
         if self._power is None:
-            object.__setattr__(self, "_power", _PowerTable(self))
+            aligned = self.variant != 1 or self.nu == 1.0
+            object.__setattr__(self, "_power", (_PowerTable if aligned else _BivariateTable)(self))
         return self._power
 
 
@@ -255,11 +252,7 @@ def _scaled_gamma(x: float) -> _Scaled:
     """Gamma(x) for x >= 1, from math.gamma while it is a double."""
     if x < 171.0:
         return math.frexp(math.gamma(x))
-    try:
-        return _scaled(1.0, math.lgamma(x))
-    except OverflowError:  # x is past the double range
-        raise OverflowLogError(f"solve_point: Gamma({x}) overflows double range",
-                               math.inf) from None
+    return _scaled(1.0, _lgamma(x))
 
 
 def _scaled_mul(x: _Scaled, y: _Scaled) -> _Scaled:
@@ -425,6 +418,265 @@ class _PowerTable(HornerTable):
             self.log_abs.append(_scaled_log(_scaled_div(abs_b, gamma)))
 
 
+class _Line(HornerTable):
+    """The leads (axis 0, a series in u) or the first row (axis 1, in v) of a
+    :class:`_BivariateTable`.  Only ``abs_coeffs`` is filled: a line gives
+    the lengths of the sums (:meth:`series.HornerTable.lengths`)."""
+
+    def __init__(self, table: "_BivariateTable", axis: int):
+        super().__init__()
+        self.table, self.axis = table, axis
+
+    def grow(self, stop: int) -> None:
+        self.abs_coeffs = self.table.line(self.axis, stop)
+
+
+# Why _BivariateTable.sums refuses a point: the term budget ran out (the
+# value is then the partial sum), a value it needs is not a normal double,
+# or cancellation leaves no digits.
+_BUDGET, _RANGE, _CANCELLED = 1, 2, 3
+
+
+class _BivariateTable:
+    """Coefficients of N(t) / (n0 t**mu) = sum_n u**n sum_m T[n, m] v**m, u = t**2, v = t**nu.
+
+    This is variant 1 at nu != 1.  With beta_n = mu+2n+1 and r = rate**nu,
+    term (n, m) of the double series gives
+
+        T[n, m] = c_n 2**-(mu+2n) (-r)**m Gamma(beta_n) / Gamma(nu m + beta_n),
+
+    c_n the k-Bessel coefficient.  Row n starts at its lead
+    T[n, 0] = +-exp(log|c_n| - (mu+2n) log 2) and runs along m in plain
+    doubles: T[n, m] = T[n, m-1] * (-r * rho_m), with rho_m =
+    Gamma(x_{m-1}) / Gamma(x_m), x_m = nu m + beta_n, from math.gamma while
+    x_m < 171 and exp(lgamma(x_{m-1}) - lgamma(x_m)) after that.  Each
+    gamma enters two neighbouring ratios, once above and once below the
+    line, so its rounding does not accumulate along m.
+
+    ``errs[n, m]`` bounds the relative error of T[n, m], in EPS: that of
+    the lead (the error of log|c_n|, :func:`specfun.k_bessel_log_error`;
+    2 (mu+2n) log 2 for the other product; half the exponent for the sum
+    and one ulp of exp), that of math.gamma at x_0 and x_m, with x formed
+    to within 1.5 EPS x (:func:`specfun.gamma_error`), and 5/2 per step for
+    r (one ulp of pow) and the three products.  A step on lgamma adds the
+    error of both its lgammas (GAMMA_ULPS of |lgamma|, and the argument's
+    through the digamma bound), half their difference and one more ulp
+    for exp.  errs is nondecreasing along m; it is 0 on the exact zero
+    rows of c_n = 0.
+
+    Row n holds normal doubles in its first ``extent[n]`` entries, or
+    zeros: exact ones where c_n = 0, and the entries past a step that
+    underflows while halving the row, which stay below DBL_MIN (the
+    factors -r rho_m fall along m).  A point that needs an entry past
+    them is refused.  The table grows as the lengths of the sums reach
+    further.
+    """
+
+    def __init__(self, prob: KineticProblem):
+        self.params, self.mu, self.nu = prob.params, prob.params.mu, prob.nu
+        self.r = _pow(prob.rate, prob.nu)
+        self.coeffs = self.errs = np.zeros((0, 0))
+        self.extent = np.zeros(0, dtype=np.intp)
+        self.lines = _Line(self, 0), _Line(self, 1)
+
+    def line(self, axis: int, stop: int) -> list[float]:
+        """|T| along the leads (axis 0) or the first row, grown towards ``stop``
+        entries and cut at the first that is not a normal double."""
+        if axis:
+            self.grow(0, stop)
+            return np.abs(self.coeffs[0, :self.extent[0]]).tolist()
+        self.grow(stop, 0)
+        return np.abs(self.coeffs[:np.argmin(np.append(self.extent, 0)), 0]).tolist()
+
+    def grow(self, rows: int, cols: int) -> None:
+        """Extend the table to at least ``rows`` x ``cols`` entries."""
+        old_rows, old_cols = self.coeffs.shape
+        rows, cols = max(rows, old_rows, 1), max(cols, old_cols, 1)
+        if (rows, cols) == (old_rows, old_cols):
+            return
+        grown = ((0, rows - old_rows), (0, cols - old_cols))
+        self.coeffs, self.errs = np.pad(self.coeffs, grown), np.pad(self.errs, grown)
+        self.extent = np.append(self.extent, np.zeros(rows - old_rows, dtype=np.intp))
+        self._fill(range(old_rows), old_cols, cols)
+        self._fill(range(old_rows, rows), 0, cols)
+        self.reach = np.minimum.accumulate(self.extent)  # the columns all of the first n rows hold
+
+    def _fill(self, rows: range, start: int, stop: int) -> None:
+        """Columns [start, stop) of ``rows``, going on from column start-1 (or the leads)."""
+        if not rows or start >= stop:
+            return
+        ns = np.arange(rows.start, rows.stop)
+        if start:
+            lead, lead_errs = self.coeffs[ns, start - 1], self.errs[ns, start - 1]
+        else:
+            lead, lead_errs = self._leads(ns.tolist())
+        first = max(start - 1, 0)
+        x = self.nu * np.arange(first, stop) + (self.mu + 2.0 * ns + 1.0)[:, None]
+        flat = x.ravel().tolist()
+        gammas = np.array([math.gamma(y) if y < 171.0 else 1.0 for y in flat]).reshape(x.shape)
+        # the lgammas a step past 171 reads: x_{m-1} is x_m - nu to rounding
+        lgammas = np.array([_lgamma(y) if y > 170.0 - self.nu else 0.0 for y in flat])
+        lgammas = lgammas.reshape(x.shape)
+        logged = x[:, 1:] >= 171.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma_errs = gamma_error(x, 1.5)
+            diffs = lgammas[:, :-1] - lgammas[:, 1:]
+            ratios = np.where(logged, np.exp(diffs), gammas[:, :-1] / gammas[:, 1:])
+            # the gamma errors telescope: the steps to column m sum to those at x_0 and x_m
+            steps = gamma_errs[:, 1:] - gamma_errs[:, :-1] + 2.5
+            if not start:
+                steps[:, :1] += 2.0 * gamma_errs[:, :1]
+            lgamma_errs = gamma_errs + GAMMA_ULPS * (np.maximum(np.abs(lgammas), 1.0) - 1.0)
+            steps = np.where(logged, lgamma_errs[:, :-1] + lgamma_errs[:, 1:]
+                             + 0.5 * np.abs(diffs) + 3.5, steps)
+            factors = np.column_stack((lead, -self.r * ratios))
+            block = np.multiply.accumulate(factors, axis=1)
+            zero = ((lead == 0.0) & (lead_errs == 0.0))[:, None] & (block == 0.0)
+            errs = lead_errs[:, None] + np.cumsum(np.column_stack((np.zeros(ns.size), steps)), axis=1)
+            mags = np.abs(block)
+            normal = (mags >= _DBL_MIN) & (mags <= _DBL_MAX) | zero
+            # a row that fades (see the class docs) holds zeros from there
+            fading = (mags < _DBL_MIN) & (np.abs(factors) < 0.5)
+            fading[:, 0] = bool(start)  # the column before the block: 0 once faded
+            bad = np.argmin(np.column_stack((normal, np.zeros(ns.size, bool))), axis=1)
+            faded = np.append(fading, np.zeros((ns.size, 1), bool), axis=1)[np.arange(ns.size), bad]
+            gone = faded[:, None] & (np.arange(block.shape[1]) >= bad[:, None])
+            block[gone] = 0.0
+            normal |= gone
+        cut = start - first  # the column before the block
+        self.coeffs[ns, start:stop] = block[:, cut:]
+        self.errs[ns, start:stop] = np.where(zero, 0.0, np.where(normal, errs, math.inf))[:, cut:]
+        ends = start + np.argmin(np.column_stack((normal[:, cut:], np.zeros(ns.size, bool))), axis=1)
+        self.extent[ns] = np.where(self.extent[ns] < start, self.extent[ns], ends)
+
+    def _leads(self, ns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """T[n, 0] and its error bound in EPS for the rows ``ns``."""
+        params, log_errors = self.params, self.params._log_errors
+        while len(log_errors) <= ns[-1]:
+            log_errors.append(k_bessel_log_error(params, len(log_errors)))
+        leads, errs = [], []
+        for n in ns:
+            sign, log_coeff = k_bessel_log_coefficient(params, n)
+            log_lead = log_coeff - (self.mu + 2.0 * n) * _LN2
+            leads.append(sign * math.exp(log_lead) if log_lead < LOG_DBL_MAX else math.inf)
+            exact = log_lead == -math.inf  # c = 0: an exact zero
+            errs.append(0.0 if exact else log_errors[n] + 2.0 * (self.mu + 2.0 * n) * _LN2
+                        + 0.5 * abs(log_lead) + 1.0)
+        return np.array(leads), np.array(errs)
+
+    def point(self, t: float, n0: float, ctl: SeriesControl) -> SeriesResult:
+        """The solution at one t > 0: :meth:`sums` on a batch of one, or its refusal raised."""
+        value, abs_value, tail, rows, code = (a.item() for a in self.sums(
+            np.array([t * t]), np.array([_pow(t, self.nu)]), np.array([n0 * _pow(t, self.mu)]), ctl))
+        if code == _BUDGET:
+            raise NonConvergenceError(
+                f"solve_point: no stagnation within {ctl.max_terms} terms", value, ctl.max_terms)
+        if code == _RANGE:
+            raise OverflowLogError(
+                f"solve_point: at t = {t} the double series needs a power of t, a coefficient "
+                "or a sum outside the normal doubles", math.inf)
+        check_cancellation(abs_value, value, "solve_point")
+        return SeriesResult(value, rows, tail)
+
+    def sums(self, u: np.ndarray, v: np.ndarray, pre: np.ndarray, ctl: SeriesControl):
+        """``pre`` times the double series at every u = t**2, v = t**nu, and why a point is refused.
+
+        Returns the values, the sums of every |term|, the tails, the rows
+        each point sums (its term count) and a code: 0, or _BUDGET,
+        _RANGE or _CANCELLED for a point that :meth:`point` refuses.
+
+        A point's rows and columns are the lengths of the leads at u and of
+        the first row at v.  Both suffice for every row: |T[n, m]| /
+        |T[n, k]| = r**(m-k) Gamma(nu k + beta_n) / Gamma(nu m + beta_n)
+        falls with n for m > k (log Gamma is convex), so a column quiet on
+        the first row is quiet on each row against that row's own terms,
+        and a row whose lead is quiet against the earlier leads has its
+        |row sum| quiet against the earlier |row sums|.
+
+        The tail takes rel_tol times the sum of every |term| for the rows
+        and for the columns the stop rule drops, and adds EPS times: the
+        sum of every |term| times its entry's err (err at the last column
+        read bounds its row), and the sum of every |term| times 2 m + 1.5 n
+        for m columns and n rows: Horner's rounding (Higham, Eq. 5.3) in v
+        and then in u, and that of v (one ulp of pow) and u (half an ulp)
+        raised to the powers m and n, and of ``pre``; and 2 DBL_MIN u**n
+        v**m for every entry read, which bounds the zeros a faded row holds.
+        """
+        normal = ((np.minimum(np.minimum(u, v), pre) >= _DBL_MIN)
+                  & (np.maximum(np.maximum(u, v), pre) <= _DBL_MAX))
+        rows, cols = (line.lengths(np.where(normal, x, 1.0), ctl) for line, x in zip(self.lines, (u, v)))
+        budget = (rows == 0) | (cols == 0)  # summed over the budget, for the partial sum
+        rows, cols = np.where(rows == 0, ctl.max_terms, rows), np.where(cols == 0, ctl.max_terms, cols)
+        off = ~normal | (rows < 0) | (cols < 0)
+        rows, cols = np.where(off, 1, rows), np.where(off, 1, cols)
+        off |= self.reach[rows - 1] < cols
+        codes = np.where(off, _RANGE, np.where(budget, _BUDGET, 0))
+        live = np.flatnonzero(~off)
+        u, v, pre, rows, cols = u[live], v[live], pre[live], rows[live], cols[live]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, abs_total, err_total, floor = self._horner(u, v, rows, cols)
+            value, abs_value = pre * total, pre * abs_total
+            tail = pre * (EPS * err_total + floor
+                          + (2.0 * ctl.rel_tol + EPS * (2.0 * cols + 1.5 * rows)) * abs_total)
+            cancelled = abs_value > CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), _DBL_MIN)
+            codes[live] = np.where(~((abs_value <= _DBL_MAX) & (tail <= _DBL_MAX)), _RANGE,
+                                   np.where(cancelled & (codes[live] == 0), _CANCELLED, codes[live]))
+        out = np.zeros((3, codes.size))
+        out[:, live] = value, abs_value, tail
+        terms = np.ones(codes.size, dtype=np.intp)
+        terms[live] = rows
+        return (*out, terms, codes)
+
+    def _horner(self, u: np.ndarray, v: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        """Each point's sum over its rows x cols entries, the sum of those |terms|,
+        of those |terms| times their rows' errs at the last column and of
+        2 DBL_MIN u**n v**m: Horner in v along every row, then in u down the
+        rows (:func:`_joined_horner`)."""
+        if not u.size:
+            return np.zeros((4, 0))
+        width, depth = int(rows.max()), int(cols.max())
+        coeffs = self.coeffs[:width, :depth]
+        inner = _joined_horner(v, cols, np.vstack((coeffs, np.abs(coeffs),
+                                                   np.full(depth, 2.0 * _DBL_MIN))).T.copy())
+        row_abs, floor = inner[:, width:-1], inner[:, -1:]
+        errs = row_abs * self.errs[:width, cols - 1].T
+        floors = np.broadcast_to(floor, row_abs.shape)
+        return _joined_horner(u, rows, np.stack((inner[:, :width], row_abs, errs, floors)).T).T
+
+
+def _joined_horner(x: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] x**j by Horner at every x over its own length, as one batch.
+
+    Term j is ``coeffs[j]``: one row shared by every point (2-D ``coeffs``)
+    or one row per point (3-D, the points on axis 1).  The points run
+    sorted by decreasing length and each joins at its last term, before
+    which its partial sums are 0 (and 0 * x + 0 is 0), so each takes the
+    operations of a batch of one.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    joined = np.searchsorted(-lengths[order], -np.arange(len(coeffs)), side="left").tolist()
+    per_point = coeffs.ndim == 3
+    if per_point:
+        coeffs = coeffs[:, order]
+    partials = np.zeros((x.size, coeffs.shape[-1]))
+    xs = x[order, None]
+    for j in range(len(coeffs) - 1, -1, -1):
+        part = partials[:joined[j]]
+        part *= xs[:joined[j]]
+        part += coeffs[j, :joined[j]] if per_point else coeffs[j]
+    out = np.empty_like(partials)
+    out[order] = partials
+    return out
+
+
+def _lgamma(x: float) -> float:
+    """math.lgamma, refused with :class:`OverflowLogError` past the double range."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # x is past the double range
+        raise OverflowLogError(f"solve_point: Gamma({x}) overflows double range", math.inf) from None
+
+
 def _increasing(t: np.ndarray) -> bool:
     """True if every time is above the one before it (nan never is)."""
     return bool((t[1:] > t[:-1]).all())
@@ -458,41 +710,25 @@ class SolutionTable:
 def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """Series solution of ``prob`` at one time t >= 0.
 
-    Where the exponents align this is one sum over the power-series table
-    (see :class:`KineticProblem`): by Horner, or as logs where s = t**nu,
-    s**mu or a coefficient it needs is not a normal double.  Both are
-    refused with :class:`series.CancellationError` when the sum of all
-    |terms| of the double series exceeds
-    :data:`series.CANCELLATION_RATIO_LIMIT` times the value.  Otherwise the
-    outer k-Bessel-type sum carries a fused Gamma*E Mittag-Leffler factor
-    per term (one :func:`specfun.scaled_ml` call each).
+    One sum over the problem's coefficient table (see
+    :class:`KineticProblem`).  Where the exponents align it runs by Horner,
+    or as logs where s = t**nu, s**mu or a coefficient it needs is not a
+    normal double; elsewhere by :meth:`_BivariateTable.point`.  Every
+    route is refused with :class:`series.CancellationError` when the sum
+    of all |terms| of the double series exceeds
+    :data:`series.CANCELLATION_RATIO_LIMIT` times the value.
     """
     z = prob.z(t)
     if z == 0.0:
         return SeriesResult(0.0, 1, 0.0)
     ctl = ctl or DEFAULT_CONTROL
-    ml_arg = prob.ml_arg(t)  # also refuses a (rate t)**nu past the double range
-    params = prob.params
+    prob.ml_arg(t)  # refuses a (rate t)**nu past the double range
     table = prob._power_table()
-    if table is not None:
-        s = _pow(t, prob.nu)
-        res = horner_sum(table, s, prob.n0 * _pow(s, params.mu), ctl, "solve_point")
-        return res if res is not None else _power_logs(prob, table, t, ctl)
-    inner_ctl = ctl.tightened()
-    log_hz = _log_half(z)
-
-    def term(n: int) -> tuple[float, float]:
-        sign, log_coeff = k_bessel_log_coefficient(params, n)
-        if log_coeff == -math.inf:
-            return 1.0, -math.inf
-        ml = scaled_ml(MLParams(prob.nu, prob.beta(n)), ml_arg, inner_ctl)
-        if ml.value == 0.0:
-            return 1.0, -math.inf
-        log_mag = log_coeff + (params.mu + 2.0 * n) * log_hz + math.log(abs(ml.value))
-        return (-sign if ml.value < 0.0 else sign), log_mag
-
-    res = sum_log_terms(term, ctl, label="solve_point")
-    return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
+    if type(table) is _BivariateTable:
+        return table.point(t, prob.n0, ctl)
+    s = _pow(t, prob.nu)
+    res = horner_sum(table, s, prob.n0 * _pow(s, prob.params.mu), ctl, "solve_point")
+    return res if res is not None else _power_logs(prob, table, t, ctl)
 
 
 def _power_logs(
@@ -525,126 +761,19 @@ _Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 def _power_batch(
     prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
 ) -> _Batch:
-    """:func:`solve_point`'s Horner route at every time of an increasing grid, bit for bit."""
+    """:func:`solve_point` at every time of an increasing grid, bit for bit."""
     prob.ml_arg(float(times[-1]))  # |x| grows with t: the last time is refused if any time is
+    table = prob._power_table()
     s = _pow_batch(times, prob.nu)
-    pre = prob.n0 * _pow_batch(s, prob.params.mu)
-    return horner_sum_batch(prob._power_table(), s, pre, ctl)
+    if type(table) is _BivariateTable:
+        value, _, tail, rows, codes = table.sums(
+            times * times, s, prob.n0 * _pow_batch(times, prob.params.mu), ctl)
+        return value, rows, tail, codes != 0
+    return horner_sum_batch(table, s, prob.n0 * _pow_batch(s, prob.params.mu), ctl)
 
 
-# Grid points that solve_grid evaluates together on the double series.  The
-# inner sums of a chunk are (points x outer terms) arrays, so a fixed chunk
-# keeps peak memory independent of the grid length.
+# (terms x points) blocks of the source's guard hold at most this many points.
 _GRID_CHUNK = 256
-# Outer indices in the first block of inner sums; later blocks double it.
-_FIRST_BLOCK = 16
-# Inner-sum columns built before the first growth of the lgamma table.
-_FIRST_COLUMNS = 32
-
-
-class _GridTables:
-    """The t-independent inner coefficients of one problem's double series.
-
-    ``inner(ns, m_stop)`` gives the rows lgamma(beta_n) - lgamma(nu*m + beta_n),
-    m < m_stop, for the outer indices ``ns``, and grows as the evaluation
-    needs them.
-    """
-
-    def __init__(self, prob: KineticProblem):
-        self.prob = prob
-        self._inner: list[list[float]] = []
-
-    def inner(self, ns: range, m_stop: int) -> np.ndarray:
-        nu = self.prob.nu
-        while len(self._inner) < ns.stop:
-            self._inner.append([])
-        for n in ns:
-            row = self._inner[n]
-            if len(row) < m_stop:
-                beta = self.prob.beta(n)
-                lg_beta = math.lgamma(beta)
-                row.extend(lg_beta - math.lgamma(nu * m + beta) for m in range(len(row), m_stop))
-        return np.array([self._inner[n][:m_stop] for n in ns])
-
-
-def _solve_chunk(
-    prob: KineticProblem, tables: _GridTables, times: np.ndarray, zs: np.ndarray,
-    ctl: SeriesControl,
-) -> _Batch:
-    """The double series at ``times``, where z(t) = ``zs`` > 0, as one batch.
-
-    The inner sums of every (point, n) pair advance together over m, in
-    blocks of outer indices computed as the outer sums reach them; the
-    outer sums then advance together over n.  A point fails where
-    :func:`solve_point` raises: its Mittag-Leffler argument is beyond
-    :func:`specfun.ml_negative_bound`, an inner sum its outer sum uses
-    fails, or the outer sum itself does.
-    """
-    n_points = len(times)
-    bound = ml_negative_bound(prob.nu)
-    xs = [prob.ml_arg(t) for t in times.tolist()]
-    refused = np.array([-x > bound for x in xs], dtype=bool)
-    xs = [0.0 if -x > bound else x for x in xs]  # summed at x = 0, and reported as failed
-    log_hz = _log_half_batch(zs)
-    log_ax = np.array([[math.log(abs(x)) if x != 0.0 else 0.0] for x in xs])
-    x = np.array(xs)[:, None]
-    alternating = np.where(x < 0.0, -1.0, 1.0)
-    inner_ctl = ctl.tightened()
-
-    def inner_sums(ns: range) -> tuple[np.ndarray, np.ndarray]:
-        cols = tables.inner(ns, _FIRST_COLUMNS)
-
-        def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-            nonlocal cols
-            if hi > cols.shape[1]:
-                cols = tables.inner(ns, max(hi, 2 * cols.shape[1]))
-            ms = np.arange(lo, hi)[:, None, None]
-            signs = np.where(ms % 2 == 1, alternating, 1.0)
-            return signs, cols[:, lo:hi].T[:, None, :] + ms * log_ax
-
-        res = sum_log_terms_batch(terms, (n_points, len(ns)), inner_ctl)
-        # scaled_ml is exactly 1 at x = 0; a failed sum gets a finite
-        # stand-in so the outer sum runs on and the failure is reported.
-        failed = res.failed & (x != 0.0)
-        return np.where(failed | (x == 0.0), 1.0, res.value), failed
-
-    ml = np.empty((n_points, 0))
-    ml_failed = np.empty((n_points, 0), dtype=bool)
-    coeffs: list[tuple[float, float]] = []  # (sign, log|coeff_n|) of the outer indices in ml
-    mu = prob.params.mu
-
-    def outer_terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal ml, ml_failed
-        while ml.shape[1] < hi:
-            more = range(ml.shape[1], min(max(2 * ml.shape[1], _FIRST_BLOCK), ctl.max_terms))
-            block, block_failed = inner_sums(more)
-            ml = np.hstack([ml, block])
-            ml_failed = np.hstack([ml_failed, block_failed])
-            coeffs.extend(k_bessel_log_coefficient(prob.params, n) for n in more)
-        sign, log_coeff = np.array(coeffs[lo:hi]).T[:, :, None]
-        zero = log_coeff == -math.inf
-        cols = ml[:, lo:hi].T
-        log_hz_power = (mu + 2.0 * np.arange(lo, hi))[:, None] * log_hz
-        log_mag = log_coeff + log_hz_power + np.log(np.abs(cols))
-        signs = np.where(cols < 0.0, -sign, np.where(cols == 0.0, 1.0, sign))
-        return np.where(zero, 1.0, signs), np.where(zero, -math.inf, log_mag)
-
-    outer = sum_log_terms_batch(outer_terms, (n_points,), ctl)
-    # a point reads the inner sums of its outer terms, except where coeff_n = 0
-    read = (np.arange(len(coeffs)) < outer.terms[:, None]) & (np.array(coeffs)[:, 1] > -math.inf)
-    failed = refused | outer.failed | (ml_failed & read).any(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # failed points may hold inf or nan
-        return prob.n0 * outer.value, outer.terms, abs(prob.n0) * outer.tail, failed
-
-
-def _double_series_batch(
-    prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
-) -> _Batch:
-    """:func:`_solve_chunk` over chunks of up to 256 points, sharing one table."""
-    tables = _GridTables(prob)
-    chunks = [_solve_chunk(prob, tables, times[lo:lo + _GRID_CHUNK], zs[lo:lo + _GRID_CHUNK], ctl)
-              for lo in range(0, len(times), _GRID_CHUNK)]
-    return tuple(np.concatenate(col) for col in zip(*chunks))
 
 
 def _log_half_batch(zs: np.ndarray) -> np.ndarray:
@@ -675,7 +804,7 @@ def _source_batch(
         sign, log_coeff = (np.array(c)[:, None] for c in zip(*coeffs[lo:hi]))
         return sign, log_coeff + (mu + 2.0 * np.arange(lo, hi))[:, None] * log_hz
 
-    res = sum_log_terms_batch(terms, log_hz.shape, ctl)
+    res = sum_log_terms_batch(terms, log_hz.size, ctl)
     # a failed point may report 0 terms; the guard then reads no term of it
     _, log_mags = terms(0, max(int(res.terms.max()), 1))
     abs_sum = np.empty(zs.size)
@@ -753,9 +882,8 @@ def solve_grid(
     if not _increasing(times):
         raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
-    batch = _double_series_batch if prob._power_table() is None else _power_batch
     values, terms, tails = _evaluate_grid(
-        prob, times, partial(batch, prob, ctl), lambda t: solve_point(prob, t, ctl))
+        prob, times, partial(_power_batch, prob, ctl), lambda t: solve_point(prob, t, ctl))
     return SolutionTable(
         times=tuple(times.tolist()),
         values=tuple(values.tolist()),

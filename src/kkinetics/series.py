@@ -16,12 +16,11 @@ Every sum is guarded: one whose largest term exceeds
 digits.  A series of positive terms cannot trip the guard.
 
 :func:`sum_log_terms` sums one series; :func:`sum_log_terms_batch` applies
-the same rules element-wise to a numpy array of series that share an index
+the same rules element-wise to a flat batch of series that share an index
 and marks the elements for which the scalar sum would raise.  The batch
 takes its terms a block at a time (term axis first), so each term costs a
 few numpy calls (the Kahan step) rather than one call per rule.  It serves
-the double series of variant 1 at nu != 1 and the k-Bessel source on a
-grid.
+the k-Bessel source on a grid.
 
 A power series ``pre * sum_j a_j x**j`` whose coefficients are t-free plain
 doubles is summed by Horner instead (:class:`HornerTable`,
@@ -62,10 +61,6 @@ EPS = sys.float_info.epsilon
 # precision retains fewer than ~4 significant digits; past it the computed
 # total is usually pure roundoff noise.
 CANCELLATION_RATIO_LIMIT = 1e12
-
-# How much tighter than its outer sum the inner sums of a double series
-# run, so that the outer tail estimate dominates the error.
-INNER_TOL_FACTOR = 10.0
 
 
 class EvaluationError(Exception):
@@ -131,11 +126,6 @@ class SeriesControl:
             raise DomainError(
                 f"stagnation_window must be >= 1, got {self.stagnation_window}"
             )
-
-    def tightened(self) -> "SeriesControl":
-        """Same policy with ``rel_tol`` divided by :data:`INNER_TOL_FACTOR` (for inner sums)."""
-        return SeriesControl(self.max_terms, self.rel_tol / INNER_TOL_FACTOR,
-                             self.stagnation_window)
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -243,14 +233,14 @@ _BLOCK_ELEMENTS = 1 << 13
 
 def sum_log_terms_batch(
     terms: Callable[[int, int], tuple[np.ndarray | float, np.ndarray]],
-    shape: tuple[int, ...],
+    size: int,
     ctl: SeriesControl,
 ) -> SeriesBatch:
-    """:func:`sum_log_terms` for a numpy batch of series, a block of terms at a time.
+    """:func:`sum_log_terms` for a batch of ``size`` series, a block of terms at a time.
 
     ``terms(lo, hi)`` returns ``(signs, log|terms|)`` of terms lo, ..., hi-1
-    of every series, as arrays broadcastable to ``(hi - lo,) + shape``:
-    the term axis comes first.  The first block holds 16 terms, and each
+    of every series, as arrays broadcastable to ``(hi - lo, size)``: the
+    term axis comes first.  The first block holds 16 terms, and each
     later one doubles the terms summed so far, within a fixed budget of
     elements per block; a block may run past the terms a series needs.
 
@@ -262,7 +252,6 @@ def sum_log_terms_batch(
     element for which :func:`sum_log_terms` raises is marked in
     :attr:`SeriesBatch.failed` instead.
     """
-    size = math.prod(shape)
     window = ctl.stagnation_window
     value = np.zeros(size)
     count = np.zeros(size, dtype=np.intp)
@@ -278,7 +267,7 @@ def sum_log_terms_batch(
     budget = max(1, _BLOCK_ELEMENTS // max(size, 1))
     # Block arrays, allocated once: rows [:rows] of each serve a block of that many terms.
     most = min(budget, ctl.max_terms)
-    mag_rows = np.empty((most,) + shape)
+    mag_rows = np.empty((most, size))
     part_rows = np.empty((most, size))
     total_rows = np.empty((most, size))
     stop_rows = np.empty((most, size), dtype=bool)
@@ -291,13 +280,11 @@ def sum_log_terms_batch(
         while lo < ctl.max_terms and running.any():
             hi = min(max(2 * lo, _FIRST_BLOCK_TERMS), lo + budget, ctl.max_terms)
             rows = hi - lo
-            block = (rows,) + shape
             signs, log_mags = terms(lo, hi)
             mag = mag_rows[:rows]
             np.exp(log_mags, out=mag)
             part = part_rows[:rows]
-            np.multiply(signs, mag, out=part.reshape(block))
-            mag = mag.reshape(rows, size)
+            np.multiply(signs, mag, out=part)
             # Kahan step, one term row at a time; totals[i] is the sum through term lo+i
             totals = total_rows[:rows]
             before = total
@@ -321,10 +308,10 @@ def sum_log_terms_batch(
             quiet[:window - 1] = quiet[rows:]
             over = None
             if np.fmax.reduce(log_mags, axis=None) > LOG_DBL_MAX:
-                over = np.empty(block, dtype=bool)
+                over = np.empty((rows, size), dtype=bool)
                 np.greater(log_mags, LOG_DBL_MAX, out=over)
+                stop |= over
                 over = over.ravel()
-                stop |= over.reshape(rows, size)
             # rows - (index of the first stop in the block), 0 where there is none
             left = np.maximum.reduce(stop.view(np.uint8) * countdown[most - rows:], axis=0)
             block_max = np.fmax.reduce(mag, axis=0)
@@ -352,8 +339,7 @@ def sum_log_terms_batch(
             lo = hi
         failed |= running  # out of terms
         tail = _geometric_tail_batch(mag_at, prev_at)
-    return SeriesBatch(value.reshape(shape), count.reshape(shape), tail.reshape(shape),
-                       failed.reshape(shape))
+    return SeriesBatch(value, count, tail, failed)
 
 
 def _pow(x: float, y: float) -> float:
@@ -449,6 +435,12 @@ class HornerTable:
                 top = max(top, math.exp(least) if least < LOG_DBL_MAX else math.inf)
             bounds.append(top)
 
+    def lengths(self, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
+        """:meth:`length` at every x: 0 past the budget, -1 past the table."""
+        bounds = self.stop_bounds(float(x.max()) if x.size else 0.0, ctl)
+        found = np.searchsorted(np.array(bounds), x)
+        return np.where(found >= ctl.max_terms, 0, np.where(found < len(bounds), found + 1, -1))
+
     def length(self, x: float, ctl: SeriesControl) -> int | None:
         """The number of terms :func:`horner_sum` takes at x: 0 past the budget, None past the table."""
         bounds = self.stop_bounds(x, ctl)
@@ -518,7 +510,8 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
     """:func:`horner_sum` at every element of ``x`` and ``pre``, bit for bit.
 
     The same operations run in the same order as numpy operations over the
-    elements: each length is the same binary search in the table, and
+    elements: each length is the same binary search in the table
+    (:meth:`HornerTable.lengths`), and
     numpy reduces a C-ordered array over its first axis row by row, in
     order, as the forward pass sums.  An element for which
     :func:`horner_sum` returns None or raises is marked in
@@ -527,10 +520,9 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
     with np.errstate(over="ignore", invalid="ignore"):
         ok = (x >= DBL_MIN) & (x <= DBL_MAX) & (pre >= DBL_MIN) & (pre <= DBL_MAX)
         x = np.where(ok, x, 1.0)
-        bounds = table.stop_bounds(float(x.max()) if x.size else 0.0, ctl)
-        found = np.searchsorted(np.array(bounds), x)
-        ok &= found < min(len(bounds), ctl.max_terms)
-        length = np.where(ok, found + 1, 0)
+        length = table.lengths(x, ctl)
+        ok &= length > 0
+        length = np.where(ok, length, 0)
         v, total, e, mag, prev_mag = _horner_chains(table, x, length)
         value, abs_value = pre * v, pre * total
         tail = pre * (_geometric_tail_batch(mag, prev_mag) + EPS * e)

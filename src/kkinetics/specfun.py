@@ -34,6 +34,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .series import (
     DEFAULT_CONTROL,
     EPS,
@@ -313,13 +315,14 @@ def k_bessel_log_coefficient(p: KBesselParams, n: int) -> tuple[float, float]:
 GAMMA_ULPS = 10.0
 
 
-def _digamma_bound(x: float) -> float:
+def _digamma_bound(x: float | np.ndarray) -> float | np.ndarray:
     """A bound on |psi(x)| for x > 0: log x - 1/x <= psi(x) < log x, and psi(x) > -1/x - 1 below 1."""
-    return abs(math.log(x)) + 1.0 / x + 1.0
+    return abs(np.log(x) if isinstance(x, np.ndarray) else math.log(x)) + 1.0 / x + 1.0
 
 
-def gamma_error(x: float, x_err: float) -> float:
-    """Relative error bound of math.gamma at x >= 1 formed with an error of x_err * EPS * x."""
+def gamma_error(x: float | np.ndarray, x_err: float) -> float | np.ndarray:
+    """Relative error bound of math.gamma at x >= 1 formed with an error of x_err * EPS * x
+    (element-wise for an array x)."""
     return GAMMA_ULPS + x * _digamma_bound(x) * x_err if x_err else GAMMA_ULPS
 
 

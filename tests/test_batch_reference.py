@@ -1,14 +1,15 @@
-"""The grid batches and the plain-double power table against one-at-a-time references.
+"""The grid batches and the plain-double coefficient tables against one-at-a-time references.
 
 ``sum_log_terms_batch`` used to advance every series one term at a time.
 ``_per_term_batch`` keeps that loop, driven one term at a time through the
 block callback, as the reference.  ``horner_sum_batch`` is checked against
-``horner_sum`` at each element, one point at a time.  On the grids below
-every batch the solvers make must give the same values, term counts, tails
-and failure marks as its reference, bit for bit.  A failed element's value,
-terms and tail are not part of the contract (the grid re-evaluates it
-through the scalar call), so they are compared only where the element
-succeeds.
+``horner_sum`` at each element, one point at a time, and the sums of the
+two-dimensional table against a plain nested Horner loop.  On the grids
+below every batch the solvers make must give the same values, term
+counts, tails and failure marks as its reference, bit for bit.  A failed
+element's value, terms and tail are not part of the contract (the grid
+re-evaluates it through the scalar call), so they are compared only where
+the element succeeds.
 """
 
 import sys
@@ -16,7 +17,15 @@ import sys
 import numpy as np
 import pytest
 
-from kkinetics import KBesselParams, KineticProblem, Theorem, kinetics, solve_grid, source_grid
+from kkinetics import (
+    KBesselParams,
+    KineticProblem,
+    SeriesControl,
+    Theorem,
+    kinetics,
+    solve_grid,
+    source_grid,
+)
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
 from kkinetics.kinetics import _PowerTable
 from kkinetics.series import (
@@ -30,20 +39,20 @@ from kkinetics.series import (
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 
 
-def _per_term_batch(terms, shape, ctl):
+def _per_term_batch(terms, size, ctl):
     """The former per-term ``sum_log_terms_batch``, reading the block callback term by term."""
-    total = np.zeros(shape)
-    comp = np.zeros(shape)
-    mag = np.zeros(shape)
-    prev_mag = np.zeros(shape)
-    max_mag = np.zeros(shape)
-    quiet = np.zeros(shape, dtype=np.intp)
-    count = np.zeros(shape, dtype=np.intp)
-    failed = np.zeros(shape, dtype=bool)
-    running = np.ones(shape, dtype=bool)
+    total = np.zeros(size)
+    comp = np.zeros(size)
+    mag = np.zeros(size)
+    prev_mag = np.zeros(size)
+    max_mag = np.zeros(size)
+    quiet = np.zeros(size, dtype=np.intp)
+    count = np.zeros(size, dtype=np.intp)
+    failed = np.zeros(size, dtype=bool)
+    running = np.ones(size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for n in range(ctl.max_terms):
-            sign, log_mag = (np.broadcast_to(a, (1,) + shape)[0] for a in terms(n, n + 1))
+            sign, log_mag = (np.broadcast_to(a, (1, size))[0] for a in terms(n, n + 1))
             over = log_mag > LOG_DBL_MAX
             if over.any():
                 over &= running
@@ -84,19 +93,19 @@ def _per_point_horner(table, x, pre, ctl):
 
 @pytest.fixture
 def checked_batches(monkeypatch):
-    """Run every batch of kinetics through both routes; collect the batch shapes."""
-    shapes = []
+    """Run every batch of kinetics through both routes; collect the batch sizes."""
+    sizes = []
     real = kinetics.sum_log_terms_batch
     real_horner = kinetics.horner_sum_batch
 
-    def both(terms, shape, ctl):
-        got = real(terms, shape, ctl)
-        want = _per_term_batch(terms, shape, ctl)
+    def both(terms, size, ctl):
+        got = real(terms, size, ctl)
+        want = _per_term_batch(terms, size, ctl)
         assert got.failed.tolist() == want.failed.tolist()
         ok = ~got.failed
         for field in ("value", "terms", "tail"):
             assert getattr(got, field)[ok].tolist() == getattr(want, field)[ok].tolist(), field
-        shapes.append(shape)
+        sizes.append(size)
         return got
 
     def both_horner(table, x, pre, ctl):
@@ -106,12 +115,12 @@ def checked_batches(monkeypatch):
         for i, r in enumerate(want):
             if r is not None:
                 assert (got.value[i], got.terms[i], got.tail[i]) == tuple(r), i
-        shapes.append(x.shape)
+        sizes.append(x.size)
         return got
 
     monkeypatch.setattr(kinetics, "sum_log_terms_batch", both)
     monkeypatch.setattr(kinetics, "horner_sum_batch", both_horner)
-    return shapes
+    return sizes
 
 
 @pytest.mark.parametrize("fig_id", sorted(FIGURES))
@@ -130,16 +139,38 @@ def test_blocks_match_the_per_term_loop_on_the_verify_grid(checked_batches):
         prob = figure_problem(FIGURES[1], lam)
         solve_grid(prob, grid)
         source_grid(prob, grid)
-    assert checked_batches == [(2048,)] * (2 * len(LAMBDAS))
+    assert checked_batches == [2048] * (2 * len(LAMBDAS))
+
+
+def _nested_horner(table, u, v, rows, cols):
+    """The sum over rows x cols entries of the two-dimensional table, and of their |terms|, by plain loops."""
+    sums = []
+    for coeffs in (table.coeffs, np.abs(table.coeffs)):
+        total = 0.0
+        for n in reversed(range(rows)):
+            row = 0.0
+            for m in reversed(range(cols)):
+                row = row * v + coeffs[n, m]
+            total = total * u + row
+        sums.append(total)
+    return sums
 
 
 @pytest.mark.parametrize("t_end", [1.0, 3.0])
-def test_blocks_match_the_per_term_loop_on_the_double_series(t_end, checked_batches):
-    # variant 1 at nu = 0.5: inner sums in (points x outer terms) batches, then the outer sums
+def test_bivariate_sums_match_a_nested_loop(t_end, checked_batches):
+    # variant 1 at nu = 0.5: one evaluator over the whole grid, no log or
+    # Horner batch, and each point's sums are those of two nested Horner loops
     prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
-    solve_grid(prob, np.linspace(0.0, t_end, 1001))
-    assert any(len(shape) == 2 for shape in checked_batches)
-    assert checked_batches.count((256,)) == 3
+    times = np.linspace(0.0, t_end, 201)[1:]
+    table = solve_grid(prob, times).problem._power_table()
+    assert checked_batches == []
+    u, v = times * times, times ** 0.5
+    value, abs_value, _, rows, codes = table.sums(u, v, np.ones(times.size), SeriesControl())
+    cols = [table.lines[1].length(x, SeriesControl()) for x in v.tolist()]
+    assert not codes.any()
+    for i in range(times.size):
+        want = _nested_horner(table, u[i], v[i], rows[i], cols[i])
+        assert [value[i], abs_value[i]] == want, i
 
 
 def _table_fields(table):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from kkinetics import (
 )
 from kkinetics.figures import LAMBDAS
 from kkinetics.kinetics import SolutionTable
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIG1_CONFIG = {
     "theorem": 1, "n0": 2, "d": 3, "nu": 1, "k": 2, "gamma": 1, "lambda": 1,
@@ -168,6 +174,24 @@ def test_solve_is_deterministic(tmp_path):
     cli.main(["solve", "--config", str(cfg), "--out", str(a)])
     cli.main(["solve", "--config", str(cfg), "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_solve_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # variant 1 at nu = 0.5 sums its two-dimensional table; the CSV is the
+    # same with one BLAS/OpenMP thread and with the library's default
+    cfg = write_config(tmp_path, nu=0.5, t_end=3.0, n_points=1001)
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = str(SRC)
+    outs = []
+    for name, threads in (("one.csv", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+                          ("default.csv", {})):
+        subprocess.run([sys.executable, "-m", "kkinetics.cli", "solve", "--config", str(cfg),
+                        "--out", str(tmp_path / name)], env={**base, **threads}, check=True,
+                       timeout=120)
+        outs.append((tmp_path / name).read_bytes())
+    assert outs[0].count(b"\n") == 1002
+    assert outs[0] == outs[1]
 
 
 def test_solve_svg_is_standalone(tmp_path):

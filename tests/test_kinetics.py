@@ -34,8 +34,9 @@ from kkinetics import (
 )
 from kkinetics import kinetics, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
-from kkinetics.kinetics import _GRID_CHUNK, _GridTables, _log_half_batch, _solve_chunk
+from kkinetics.kinetics import _log_half_batch
 from kkinetics.specfun import _log_half, log_k_gamma, log_k_pochhammer
+from test_tails import _mp_solution
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 KKBENCH = Path(__file__).resolve().parent.parent / "kkbench"
@@ -185,15 +186,12 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
     count(kinetics, "horner_sum_batch")
     count(kinetics, "gen_k_bessel")
     count(specfun, "sum_log_terms")
-    # variant 1 at nu != 1 is the double series: one scaled_ml per outer term
+    # variant 1 at nu != 1 sums its two-dimensional table itself, on both
+    # routes: no log sums and no inner sums
     prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
-    res = solve_point(prob, 0.5)
-    assert res.terms > 1
-    assert calls == {
-        "kkinetics.kinetics.sum_log_terms": 1,
-        "kkinetics.kinetics.scaled_ml": res.terms,  # one per outer term
-        "kkinetics.specfun.sum_log_terms": res.terms,
-    }
+    assert solve_point(prob, 0.5).terms > 1
+    solve_grid(prob, np.linspace(0.0, 1.0, 11))
+    assert calls == {}
     # at nu = 1 the exponents align: one power series summed by Horner, with
     # no log sums and no inner sums
     calls.clear()
@@ -357,18 +355,14 @@ def test_solve_grid_matches_solve_point_on_the_verify_grid():
                                     [solve_point(prob, t) for t in grid.tolist()])
 
 
-def test_solve_grid_matches_solve_point_at_chunk_seams():
-    # only the double series (variant 1 at nu != 1) is chunked; the figure-1
-    # verify grid (h = 1/2048) spans several chunks
-    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
-    grid = np.linspace(0.0, 1.0, 2049)
-    table = solve_grid(prob, grid)
-    seams = range(_GRID_CHUNK, len(grid), _GRID_CHUNK)
-    assert len(seams) >= 2
-    # the chunks cover the times with z(t) > 0, so t = 0 moves each seam by one
-    indices = [i for seam in seams for i in (seam - 1, seam, seam + 1) if i < len(grid)]
-    points = [solve_point(prob, float(grid[i])) for i in indices]
-    _assert_grid_matches_points(table, indices, points, rel=1e-12)
+@pytest.mark.parametrize("nu", [0.3, 0.5, 0.75, 1.7, 2.0])
+def test_solve_grid_matches_solve_point_on_the_double_series(nu):
+    # variant 1 at nu != 1: both routes run one evaluator, and each point
+    # takes the operations of a batch of one
+    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=Theorem.T1, params=FIG_PARAMS)
+    grid = np.linspace(0.0, 2.0, 401)
+    _assert_grid_matches_points(solve_grid(prob, grid), range(len(grid)),
+                                [solve_point(prob, t) for t in grid.tolist()])
 
 
 def test_outer_sum_refuses_cancellation():
@@ -389,16 +383,16 @@ def _earliest_point_failure(prob, grid, ctl):
 @pytest.mark.parametrize(
     "variant, nu, grid, ctl, expected, refused_by",
     [
-        # double series (variant 1 at nu != 1): the inner budget runs out
-        # first near t = 0.27, in the second chunk
+        # the two-dimensional table (variant 1 at nu != 1): the column
+        # budget runs out first near t = 0.31
         (Theorem.T1, 0.5, np.linspace(0.0, 0.5, 600), SeriesControl(max_terms=35),
-         NonConvergenceError, "scaled_ml: no stagnation"),
-        # x = -30 is beyond the refused bound 700**nu = 26.5
-        (Theorem.T1, 0.5, [0.0, 0.5, 300.0], None, CancellationError,
-         "scaled_ml: x = -30.0 is beyond"),
-        # the inner cancellation guard trips first near t = 9.5
+         NonConvergenceError, "solve_point: no stagnation"),
+        # at t = 300 the leads underflow (from n = 122) before the sum over rows stops
+        (Theorem.T1, 0.5, [0.0, 0.5, 300.0], None, OverflowLogError,
+         "solve_point: at t = 300.0 the double series needs"),
+        # the guard on the sum of every |term| trips first at t = 9.25
         (Theorem.T1, 2.0, np.linspace(0.0, 15.0, 61), None, CancellationError,
-         "scaled_ml: cancellation ratio"),
+         "solve_point: cancellation ratio"),
         # the rest is the power series, refused by its absolute table
         (Theorem.T2, 0.5, np.linspace(0.0, 60.0, 61), None, CancellationError,
          "solve_point: cancellation ratio"),
@@ -433,12 +427,12 @@ def test_solve_grid_raises_like_solve_point_at_earliest_failure(
 
 
 def test_solve_grid_reevaluates_only_the_points_its_batch_refuses(monkeypatch):
-    # the double series in three chunks; only t = 300 is refused, where
-    # x = -30 is beyond 700**0.5.  The whole chunk holding it used to be
-    # evaluated again point by point.
+    # the two-dimensional table; only t = 300 is refused, where its leads
+    # underflow before the sum over rows stops.  The whole 256-point chunk
+    # holding it used to be evaluated again point by point.
     prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
     grid = np.linspace(0.0, 1.0, 600).tolist() + [300.0]
-    with pytest.raises(CancellationError) as want:
+    with pytest.raises(OverflowLogError) as want:
         solve_point(prob, 300.0)
     calls = []
     real = kinetics.solve_point
@@ -448,7 +442,7 @@ def test_solve_grid_reevaluates_only_the_points_its_batch_refuses(monkeypatch):
         return real(prob, t, ctl)
 
     monkeypatch.setattr(kinetics, "solve_point", counted)
-    with pytest.raises(CancellationError) as got:
+    with pytest.raises(OverflowLogError) as got:
         solve_grid(prob, grid)
     assert str(got.value) == str(want.value)
     assert calls == [300.0]
@@ -460,16 +454,13 @@ def test_solve_grid_reevaluates_only_the_points_its_batch_refuses(monkeypatch):
 @pytest.mark.parametrize("nu", [0.3, 0.5, 0.75, 1.7])
 @pytest.mark.parametrize("variant", [Theorem.T2, Theorem.T3])
 def test_power_series_matches_the_double_series(variant, nu):
-    # the collapsed sum and the batched double series are two orderings of
-    # the same terms
+    # the collapsed sum and the double series summed term by term in mpmath
+    # are two orderings of the same terms
     a = 1.0 if variant == Theorem.T3 else None
     prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=a)
-    times = np.linspace(0.0, 0.5, 1001)[1:]  # z(t) > 0
-    ctl = SeriesControl()
-    want, _, _, failed = _solve_chunk(
-        prob, _GridTables(prob), times, np.array([prob.z(t) for t in times.tolist()]), ctl)
-    assert not failed.any()
-    got = np.array(solve_grid(prob, times, ctl).values)
+    times = np.linspace(0.0, 0.5, 6)[1:]  # z(t) > 0
+    want = np.array([float(_mp_solution(prob, t)[0]) for t in times.tolist()])
+    got = np.array(solve_grid(prob, times, SeriesControl()).values)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 

@@ -11,7 +11,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from kkinetics import CancellationError, KBesselParams, gen_k_bessel, solve_point
+from kkinetics import (
+    CancellationError,
+    KBesselParams,
+    KineticProblem,
+    Theorem,
+    gen_k_bessel,
+    solve_point,
+)
 from kkinetics.figures import FIGURES, LAMBDAS, figure_problem
 
 
@@ -48,20 +55,38 @@ def _mp_omega(p, z):
 
 
 def _mp_solution(prob, t):
-    # at nu = 1, Gamma(beta_n) E_{1,beta_n}(x) = 1F1(1; beta_n; x), and the sum
-    # of every |term (n, m)| takes 1F1(1; beta_n; |x|) in its place
+    """The double series of ``prob`` at t, term by term: (value, sum of every |term|).
+
+    Term (n, m) is c_n (z/2)**(mu+2n) Gamma(beta_n) x**m / Gamma(nu m + beta_n),
+    with z and x = -(rate t)**nu formed exactly.  At nu = 1 the sum over m
+    is 1F1(1; beta_n; x), and its |terms| sum to 1F1(1; beta_n; |x|).
+    """
     def series():
         p = prob.params
-        hz = mpmath.mpf(prob.z(t)) / 2
-        x = mpmath.mpf(prob.rate) * mpmath.mpf(t)
+        nu, mu, t_ = mpmath.mpf(prob.nu), mpmath.mpf(p.mu), mpmath.mpf(t)
+        hz = (t_ if prob.variant == 1 else (mpmath.mpf(prob.d) * t_) ** nu) / 2
+        x = (mpmath.mpf(prob.rate) * t_) ** nu
+        small = mpmath.mpf(10) ** -mpmath.mp.dps
         value = abs_sum = mpmath.mpf(0)
         for n in range(400):
-            coeff = _mp_coefficient(p, n) * hz ** (p.mu + 2 * n)
-            beta = p.mu + 2 * n + 1
-            value += coeff * mpmath.hyp1f1(1, beta, -x)
-            term = abs(coeff) * mpmath.hyp1f1(1, beta, x)
-            abs_sum += term
-            if n > 2 and term < abs_sum * mpmath.mpf(10) ** (-mpmath.mp.dps - 5):
+            beta = mu + 2 * n + 1 if prob.variant == 1 else nu * (mu + 2 * n) + 1
+            coeff = _mp_coefficient(p, n) * hz ** (mu + 2 * n)
+            if nu == 1:
+                inner, abs_inner = mpmath.hyp1f1(1, beta, -x), mpmath.hyp1f1(1, beta, x)
+            else:
+                inner = abs_inner = mpmath.mpf(0)
+                power = mpmath.gamma(beta)
+                for m in range(10000):
+                    term = power * mpmath.rgamma(nu * m + beta)
+                    inner += -term if m % 2 else term
+                    abs_inner += term
+                    power *= x
+                    if m > 2 and term < abs_inner * small:
+                        break
+            value += coeff * inner
+            row = abs(coeff) * abs_inner
+            abs_sum += row
+            if n > 2 and row < abs_sum * small:
                 break
         return prob.n0 * value, prob.n0 * abs_sum
 
@@ -76,6 +101,23 @@ def test_solve_point_tail_bounds_its_error_on_the_figure_family(fig_id):
         prob = figure_problem(spec, lam)
         for t in np.linspace(0.0, spec.t_end, 7)[1:].tolist():
             res = solve_point(prob, t)
+            want, _ = _mp_solution(prob, t)
+            assert abs(res.value - want) <= res.tail, (lam, t, res)
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.75, 1.7])
+def test_double_series_tail_bounds_its_error_or_refuses(nu):
+    # variant 1 at nu != 1 over the figure family's t-ranges, at the end
+    # values of lambda; its inner Mittag-Leffler sums used to drop their
+    # errors, which left tails near 5e-23 on errors near 3e-16 at t = 0.5
+    for lam in (LAMBDAS[0], LAMBDAS[-1]):
+        params = KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0)
+        prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=Theorem.T1, params=params)
+        for t in (0.5, 1.0, 2.0, 3.0):
+            try:
+                res = solve_point(prob, t)
+            except CancellationError:
+                continue
             want, _ = _mp_solution(prob, t)
             assert abs(res.value - want) <= res.tail, (lam, t, res)
 
