@@ -40,21 +40,40 @@ Two evaluation paths for the solution, chosen by the kind of input:
   operations on numpy arrays (:func:`series.horner_sum_batch`), or the
   same evaluator on every time at once.
 
-The source has the same pair: :meth:`KineticProblem.source` evaluates
-omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, and
-:func:`source_grid` sums it at every grid time as one log-space batch over
-the outer coefficients of the double series.
+The source has a pair too: :meth:`KineticProblem.source` evaluates
+omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, which sums
+logs, and :func:`source_grid` sums omega = (z/2)**mu sum_n c_n x**n,
+x = (z/2) * (z/2), at every grid time by Horner on the t-free table of
+its parameters (:meth:`specfun.KBesselParams._horner_table`).
 
-Both grids follow one contract.  The batch applies the scalar summation
-rules, so it gives the same term counts and stopping decisions; values
-and tails are the same bit for bit on the solution's tables, and agree
-to rounding on the source (numpy's exp is not libm's).  It reads z(t), s = t**nu
-and s**mu bit for bit as the scalar call forms them (libm's pow) and sums
-the times with z(t) > 0 (a time with z = 0 gives 0.0 after one term).  It
-marks the points whose scalar call raises or leaves the batch's route.
-Those points, and every point when the batch itself raises, are evaluated
-again in order through the scalar call, so a grid raises what the scalar
-call raises at the earliest failing time.
+Both grids follow one contract.  The batch is
+:func:`series.horner_sum_batch`, or the two-dimensional table's own
+evaluator, and applies the scalar summation rules.  On the solution's
+tables its values, term counts and tails are those of
+:func:`solve_point` bit for bit.  On the source each element is
+:func:`series.horner_sum` on the same table bit for bit, and its value
+agrees with :func:`specfun.gen_k_bessel` to rounding: the two form their
+terms differently and stop by different rules.  Both guard the same sum
+of |terms| (to rounding), and on z in (0, 60] at the figure parameters
+the batch answers no point that gen_k_bessel refuses.  The batch reads
+z(t), s = t**nu and s**mu bit for bit as the scalar calls form them
+(libm's pow), takes (z/2)**mu from libm's pow too, and sums the times
+with z(t) > 0 (a time with z = 0 gives 0.0 after one term).  It marks
+the points that its scalar form (:func:`solve_point`, or
+:func:`series.horner_sum` on the source) refuses or leaves to another
+route.  Those points, and every point when the
+batch itself raises, are evaluated again in order through the scalar
+call, so a grid raises what the scalar call raises at the earliest
+failing time.
+
+One edge of the source: Horner's length rule compares a term with the
+largest earlier |term|, where gen_k_bessel compares it with the partial
+sum, so it can stop a term or two sooner.  Under a ``max_terms`` that
+small the source grid may answer a point whose scalar call raises
+:class:`series.NonConvergenceError` (z = 0.96 at the figure parameters
+with lambda = 1 and ``max_terms`` = 15).  The figure tables end after
+106-151 coefficients, far below the default budget of 500, and a point
+that needs more is left to the scalar call.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -89,15 +108,12 @@ from .series import (
     horner_sum,
     horner_sum_batch,
     sum_log_terms,
-    sum_log_terms_batch,
 )
 from .specfun import (
     GAMMA_ULPS,
     FoxWrightSpec,
     KBesselParams,
-    _HALVING_EXACT_MIN,
     _guard_log_sum,
-    _log_half,
     _reduced_k_bessel,
     fox_wright,
     gamma_error,
@@ -772,49 +788,13 @@ def _power_batch(
     return horner_sum_batch(table, s, prob.n0 * _pow_batch(s, prob.params.mu), ctl)
 
 
-# (terms x points) blocks of the source's guard hold at most this many points.
-_GRID_CHUNK = 256
-
-
-def _log_half_batch(zs: np.ndarray) -> np.ndarray:
-    """:func:`specfun._log_half` at every z > 0, bit for bit.
-
-    libm's log, not numpy's: they differ in the last bit on about 0.1% of
-    inputs, and the scalar calls the grids must match use libm's.
-    """
-    if zs.min() >= _HALVING_EXACT_MIN:  # z/2 is exact, in numpy as in Python
-        return np.fromiter(map(math.log, (zs / 2.0).tolist()), float, zs.size)
-    return np.fromiter(map(_log_half, zs.tolist()), float, zs.size)
-
-
 def _source_batch(
     prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
 ) -> _Batch:
-    """omega(z) at every z = ``zs`` as one batch over the outer coefficients.
-
-    A point is also marked where :func:`specfun.gen_k_bessel`'s guard on
-    the sum of its |terms| refuses it.
-    """
-    params, mu = prob.params, prob.params.mu
-    log_hz = _log_half_batch(zs)
-    coeffs: list[tuple[float, float]] = []  # (sign, log|coeff_n|), read again by the guard
-
-    def terms(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        coeffs.extend(k_bessel_log_coefficient(params, n) for n in range(len(coeffs), hi))
-        sign, log_coeff = (np.array(c)[:, None] for c in zip(*coeffs[lo:hi]))
-        return sign, log_coeff + (mu + 2.0 * np.arange(lo, hi))[:, None] * log_hz
-
-    res = sum_log_terms_batch(terms, log_hz.size, ctl)
-    # a failed point may report 0 terms; the guard then reads no term of it
-    _, log_mags = terms(0, max(int(res.terms.max()), 1))
-    abs_sum = np.empty(zs.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, zs.size, _GRID_CHUNK):  # (terms x points) blocks of bounded size
-            rows = slice(lo, lo + _GRID_CHUNK)
-            used = np.arange(log_mags.shape[0])[:, None] < res.terms[rows]
-            abs_sum[rows] = np.where(used, np.exp(log_mags[:, rows]), 0.0).sum(axis=0)
-        guarded = abs_sum <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(res.value), _DBL_MIN)
-    return res.value, res.terms, res.tail, res.failed | ~guarded
+    """omega(z) at every z = ``zs`` by Horner on the t-free table of ``prob.params``."""
+    half = zs / 2.0
+    return horner_sum_batch(prob.params._horner_table(), half * half,
+                            _pow_batch(half, prob.params.mu), ctl)
 
 
 def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
@@ -898,8 +878,9 @@ def source_grid(
 ) -> np.ndarray:
     """The source omega(z(t)) of ``prob`` (N0-free) at every t >= 0 in ``times``.
 
-    One batch under the grid contract (see module docs), with the terms
-    :func:`specfun.gen_k_bessel` gives at each t.
+    One Horner batch on the t-free table of ``prob.params`` under the grid
+    contract (see module docs); the points it refuses or leaves go to
+    :func:`specfun.gen_k_bessel`.
     """
     times = np.array(times, dtype=float)
     ctl = ctl or DEFAULT_CONTROL

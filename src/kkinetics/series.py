@@ -1,8 +1,8 @@
-"""Truncation control and compensated log-space summation for power series.
+"""Truncation control, compensated log-space summation and Horner sums for power series.
 
-Every series in this package is assembled the same way: each term is
-produced as a ``(sign, log magnitude)`` pair, exponentiated, and added with
-Kahan compensation.  Keeping terms in log space until the last moment lets
+:func:`sum_log_terms` sums one series whose terms come as ``(sign, log
+magnitude)`` pairs: each is exponentiated and added with Kahan
+compensation.  Keeping terms in log space until the last moment lets
 gamma-heavy coefficients cancel symbolically (as differences of ``lgamma``
 values) instead of overflowing near ``Gamma(171)``.
 
@@ -15,13 +15,6 @@ Every sum is guarded: one whose largest term exceeds
 :class:`CancellationError`, because cancellation has left it no reliable
 digits.  A series of positive terms cannot trip the guard.
 
-:func:`sum_log_terms` sums one series; :func:`sum_log_terms_batch` applies
-the same rules element-wise to a flat batch of series that share an index
-and marks the elements for which the scalar sum would raise.  The batch
-takes its terms a block at a time (term axis first), so each term costs a
-few numpy calls (the Kahan step) rather than one call per rule.  It serves
-the k-Bessel source on a grid.
-
 A power series ``pre * sum_j a_j x**j`` whose coefficients are t-free plain
 doubles is summed by Horner instead (:class:`HornerTable`,
 :func:`horner_sum`, :func:`horner_sum_batch`), with no log or exp per term.
@@ -33,9 +26,10 @@ polynomial ``sum_j A_j x**j`` (the sum of every |term|, which the
 cancellation guard reads) and a running roundoff bound (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., SIAM 2002,
 Sec. 5.1, Algorithm 5.1).  The tail is the truncation estimate plus that
-bound plus the table's bound on the rounding of each coefficient.  The
-batch runs the scalar's operations in the same order, so the two agree
-bit for bit.
+bound plus the table's bound on the rounding of each coefficient.
+:func:`horner_sum_batch`, the one batch summation here, runs the
+scalar's operations in the same order over an array of x, so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -209,137 +203,16 @@ def _geometric_tail_batch(mag: np.ndarray, prev_mag: np.ndarray) -> np.ndarray:
 
 
 class SeriesBatch(NamedTuple):
-    """Element-wise results of :func:`sum_log_terms_batch`.
+    """Element-wise results of :func:`horner_sum_batch`.
 
-    ``failed`` marks the elements for which :func:`sum_log_terms` raises;
-    their ``value``, ``terms`` and ``tail`` are meaningless.
+    ``failed`` marks the elements for which :func:`horner_sum` raises or
+    returns None; their ``value``, ``terms`` and ``tail`` are meaningless.
     """
 
     value: np.ndarray
     terms: np.ndarray
     tail: np.ndarray
     failed: np.ndarray
-
-
-# Terms in the first block of a batch; each later block doubles the terms
-# summed so far, up to the budget.
-_FIRST_BLOCK_TERMS = 16
-# Elements (terms x series) in one block: 64 KiB per float array, so a
-# block's arrays stay in cache and are reused from the malloc heap.  With
-# 2**15 or more, a 2049-point grid faulted its block arrays in afresh on
-# every call and ran 10-25% slower than one term at a time.
-_BLOCK_ELEMENTS = 1 << 13
-
-
-def sum_log_terms_batch(
-    terms: Callable[[int, int], tuple[np.ndarray | float, np.ndarray]],
-    size: int,
-    ctl: SeriesControl,
-) -> SeriesBatch:
-    """:func:`sum_log_terms` for a batch of ``size`` series, a block of terms at a time.
-
-    ``terms(lo, hi)`` returns ``(signs, log|terms|)`` of terms lo, ..., hi-1
-    of every series, as arrays broadcastable to ``(hi - lo, size)``: the
-    term axis comes first.  The first block holds 16 terms, and each
-    later one doubles the terms summed so far, within a fixed budget of
-    elements per block; a block may run past the terms a series needs.
-
-    Each element follows the scalar rules: the same Kahan step, stagnation
-    rule, overflow check, term budget, cancellation guard and tail formula.
-    The Kahan step runs term by term over the block; the rest is read off
-    the whole block at each element's stopping index, so its value, term
-    count and tail are the ones :func:`sum_log_terms` returns for it.  An
-    element for which :func:`sum_log_terms` raises is marked in
-    :attr:`SeriesBatch.failed` instead.
-    """
-    window = ctl.stagnation_window
-    value = np.zeros(size)
-    count = np.zeros(size, dtype=np.intp)
-    failed = np.zeros(size, dtype=bool)
-    running = np.ones(size, dtype=bool)
-    total = np.zeros(size)
-    comp = np.zeros(size)
-    y = np.empty(size)
-    mag_at = np.zeros(size)  # |term| at each element's stop
-    prev_at = np.zeros(size)  # and the one before it
-    last_mag = np.zeros(size)  # |term lo-1|, 0 before term 0
-    max_mag = np.zeros(size)  # the largest |term| before term lo
-    budget = max(1, _BLOCK_ELEMENTS // max(size, 1))
-    # Block arrays, allocated once: rows [:rows] of each serve a block of that many terms.
-    most = min(budget, ctl.max_terms)
-    mag_rows = np.empty((most, size))
-    part_rows = np.empty((most, size))
-    total_rows = np.empty((most, size))
-    stop_rows = np.empty((most, size), dtype=bool)
-    # Quiet flags: the last window-1 of the block before, then the block's own.
-    quiet_rows = np.zeros((window - 1 + most, size), dtype=bool)
-    countdown = np.arange(most, 0, -1, dtype=np.min_scalar_type(most))[:, None]
-    lo = 0
-    # Terms past an element's stop are still computed (and may overflow) but never read.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while lo < ctl.max_terms and running.any():
-            hi = min(max(2 * lo, _FIRST_BLOCK_TERMS), lo + budget, ctl.max_terms)
-            rows = hi - lo
-            signs, log_mags = terms(lo, hi)
-            mag = mag_rows[:rows]
-            np.exp(log_mags, out=mag)
-            part = part_rows[:rows]
-            np.multiply(signs, mag, out=part)
-            # Kahan step, one term row at a time; totals[i] is the sum through term lo+i
-            totals = total_rows[:rows]
-            before = total
-            for t, s in zip(part, totals):
-                np.subtract(t, comp, out=y)
-                np.add(before, y, out=s)
-                np.subtract(s, before, out=comp)
-                np.subtract(comp, y, out=comp)
-                before = s
-            np.copyto(total, before)
-            # Term n is quiet if |term n| <= rel_tol |sum through n|.  An element
-            # stops at the first term that ends a run of `window` quiet terms.
-            np.abs(totals, out=part)
-            np.multiply(part, ctl.rel_tol, out=part)
-            quiet = quiet_rows[:window - 1 + rows]
-            np.less_equal(mag, part, out=quiet[window - 1:])
-            stop = stop_rows[:rows]
-            np.copyto(stop, quiet[window - 1:])
-            for k in range(1, window):
-                stop &= quiet[window - 1 - k:window - 1 - k + rows]
-            quiet[:window - 1] = quiet[rows:]
-            over = None
-            if np.fmax.reduce(log_mags, axis=None) > LOG_DBL_MAX:
-                over = np.empty((rows, size), dtype=bool)
-                np.greater(log_mags, LOG_DBL_MAX, out=over)
-                stop |= over
-                over = over.ravel()
-            # rows - (index of the first stop in the block), 0 where there is none
-            left = np.maximum.reduce(stop.view(np.uint8) * countdown[most - rows:], axis=0)
-            block_max = np.fmax.reduce(mag, axis=0)
-            done = np.flatnonzero(left.astype(bool) & running)
-            if done.size:
-                first = rows - left[done].astype(np.intp)
-                at = first * size + done
-                value[done] = found = totals.ravel()[at]
-                count[done] = lo + 1 + first
-                mag_at[done] = mag.ravel()[at]
-                prev_at[done] = np.where(first > 0, mag.ravel()[at - size], last_mag[done])
-                bad = over[at] if over is not None else np.zeros(done.size, dtype=bool)
-                # Cancellation guard: the block's largest term bounds the
-                # largest term through the stop; check exactly where it trips.
-                limit = CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(found), sys.float_info.min)
-                trip = np.flatnonzero(np.fmax(max_mag[done], block_max[done]) > limit)
-                if trip.size:
-                    upto = np.arange(rows)[:, None] <= first[trip]
-                    peak = np.where(upto, mag[:, done[trip]], 0.0).max(axis=0)
-                    bad[trip] |= np.maximum(max_mag[done[trip]], peak) > limit[trip]
-                failed[done] = bad
-                running[done] = False
-            np.copyto(last_mag, mag[-1])
-            np.fmax(max_mag, block_max, out=max_mag)
-            lo = hi
-        failed |= running  # out of terms
-        tail = _geometric_tail_batch(mag_at, prev_at)
-    return SeriesBatch(value, count, tail, failed)
 
 
 def _pow(x: float, y: float) -> float:

@@ -37,11 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import (
+    DBL_MIN,
     DEFAULT_CONTROL,
     EPS,
     CancellationError,
     ConvergenceGateError,
     DomainError,
+    HornerTable,
     LOG_DBL_MAX,
     OverflowLogError,
     SeriesControl,
@@ -88,9 +90,11 @@ class KBesselParams:
     # coefficient reads them
     _logs: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
     # k_bessel_log_error(self, n) for n = 0, 1, ...: t-free and costly, so
-    # gen_k_bessel and the power tables of the problems sharing this
-    # instance append to it in order and read it
+    # gen_k_bessel and the tables of this instance and of the problems
+    # sharing it append to it in order and read it
     _log_errors: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
+    # the Horner table of omega, made on first use (see _horner_table)
+    _table: "_KBesselTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k", "gamma", "lam", "mu"):
@@ -108,6 +112,12 @@ class KBesselParams:
         g = self.gamma / self.k
         log_c = math.log(abs(self.c)) if self.c != 0.0 else -math.inf
         object.__setattr__(self, "_logs", (math.log(self.k), g, math.lgamma(g), log_c))
+
+    def _horner_table(self) -> "_KBesselTable":
+        """The t-free coefficients of omega for :func:`series.horner_sum`, kept on the instance."""
+        if self._table is None:
+            object.__setattr__(self, "_table", _KBesselTable(self))
+        return self._table
 
 
 # The largest double whose lgamma is finite.  MLParams keeps beta below it,
@@ -351,6 +361,41 @@ def k_bessel_log_error(p: KBesselParams, n: int) -> float:
                + 2.0 * max(abs(math.lgamma(n + 1.0)), 1.0))
     return (err + (GAMMA_ULPS + 3.0) * lgammas + 4.0 * n * (log_k + abs(math.log(abs(p.c))))
             + _digamma_bound(g + n) * (g + n) + _digamma_bound(g) * 0.5 * g + 0.5 * (k_piece + lg))
+
+
+class _KBesselTable(HornerTable):
+    """omega(z) = (z/2)**mu * sum_n c_n x**n, x = (z/2) * (z/2), as a :class:`series.HornerTable`.
+
+    c_n = sign * exp(log|c_n|) from :func:`k_bessel_log_coefficient`; an
+    exact zero (c = 0, n > 0) stays one, with no error.  ``errs[n]`` is, in
+    EPS and relative to |c_n|: the error of the log
+    (:func:`k_bessel_log_error`) and half its magnitude for its last
+    rounding, one ulp of exp, n/2 for x**n (x rounds once; z/2 is exact
+    wherever x is normal), one ulp of the prefactor (libm's pow of z/2)
+    and a half for the product with it.  The table grows as the sums
+    reach further and ends before the first c_n that is neither a normal
+    double nor zero.
+    """
+
+    def __init__(self, params: KBesselParams):
+        super().__init__()
+        self.params = params
+
+    def grow(self, stop: int) -> None:
+        p, errors = self.params, self.params._log_errors
+        while len(self.coeffs) < stop:
+            n = len(self.coeffs)
+            sign, log_c = k_bessel_log_coefficient(p, n)
+            if not log_c < LOG_DBL_MAX:
+                break
+            c = sign * math.exp(log_c)
+            if not (DBL_MIN <= abs(c) or log_c == -math.inf):
+                break
+            if n == len(errors):
+                errors.append(k_bessel_log_error(p, n))
+            self.coeffs.append(c)
+            self.abs_coeffs.append(abs(c))
+            self.errs.append((errors[n] + 0.5 * abs(log_c) + 2.5 + 0.5 * n) * abs(c) if c else 0.0)
 
 
 def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str

@@ -1,18 +1,14 @@
 """The grid batches and the plain-double coefficient tables against one-at-a-time references.
 
-``sum_log_terms_batch`` used to advance every series one term at a time.
-``_per_term_batch`` keeps that loop, driven one term at a time through the
-block callback, as the reference.  ``horner_sum_batch`` is checked against
-``horner_sum`` at each element, one point at a time, and the sums of the
-two-dimensional table against a plain nested Horner loop.  On the grids
-below every batch the solvers make must give the same values, term
-counts, tails and failure marks as its reference, bit for bit.  A failed
+``horner_sum_batch`` is checked against ``horner_sum`` at each element,
+one point at a time, and the sums of the two-dimensional table against a
+plain nested Horner loop.  On the grids below every batch the solvers and
+the source make must give the same values, term counts, tails and
+failure marks as its reference, bit for bit.  A failed
 element's value, terms and tail are not part of the contract (the grid
 re-evaluates it through the scalar call), so they are compared only where
 the element succeeds.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -28,103 +24,42 @@ from kkinetics import (
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
 from kkinetics.kinetics import _PowerTable
-from kkinetics.series import (
-    CANCELLATION_RATIO_LIMIT,
-    LOG_DBL_MAX,
-    EvaluationError,
-    SeriesBatch,
-    horner_sum,
-)
+from kkinetics.series import EvaluationError, horner_sum
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 
 
-def _per_term_batch(terms, size, ctl):
-    """The former per-term ``sum_log_terms_batch``, reading the block callback term by term."""
-    total = np.zeros(size)
-    comp = np.zeros(size)
-    mag = np.zeros(size)
-    prev_mag = np.zeros(size)
-    max_mag = np.zeros(size)
-    quiet = np.zeros(size, dtype=np.intp)
-    count = np.zeros(size, dtype=np.intp)
-    failed = np.zeros(size, dtype=bool)
-    running = np.ones(size, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for n in range(ctl.max_terms):
-            sign, log_mag = (np.broadcast_to(a, (1, size))[0] for a in terms(n, n + 1))
-            over = log_mag > LOG_DBL_MAX
-            if over.any():
-                over &= running
-                failed |= over
-                running &= ~over
-            new_mag = np.exp(log_mag)
-            # Kahan step
-            y = sign * new_mag - comp
-            s = total + y
-            np.copyto(comp, (s - total) - y, where=running)
-            np.copyto(total, s, where=running)
-            np.copyto(prev_mag, mag, where=running)
-            np.copyto(mag, new_mag, where=running)
-            np.maximum(max_mag, mag, out=max_mag)
-            count += running
-            quiet = np.where(mag <= ctl.rel_tol * np.abs(total), quiet + 1, 0)
-            running &= quiet < ctl.stagnation_window
-            if not running.any():
-                break
-        limit = CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(total), sys.float_info.min)
-        failed |= running | (max_mag > limit)
-        decreasing = (mag > 0.0) & (mag < prev_mag)
-        ratio = np.where(decreasing, mag / prev_mag, 0.0)
-        geometric = np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag)
-    return SeriesBatch(total, count, np.where(decreasing, geometric, mag), failed)
-
-
-def _per_point_horner(table, x, pre, ctl):
-    """``horner_sum`` at each element: the SeriesResult, or None where it fails."""
-    results = []
-    for x_i, pre_i in zip(x.tolist(), pre.tolist()):
+def assert_batch_is_horner_sum(got, table, x, pre, ctl):
+    """Each element of the batch ``got`` fails where ``horner_sum`` fails, and
+    elsewhere has its value, terms and tail bit for bit."""
+    for i, (x_i, pre_i) in enumerate(zip(x.tolist(), pre.tolist())):
         try:
-            results.append(horner_sum(table, x_i, pre_i, ctl, "reference"))
+            want = horner_sum(table, x_i, pre_i, ctl, "reference")
         except EvaluationError:
-            results.append(None)
-    return results
+            want = None
+        assert got.failed[i] == (want is None), i
+        if want is not None:
+            assert (got.value[i], got.terms[i], got.tail[i]) == tuple(want), i
 
 
 @pytest.fixture
 def checked_batches(monkeypatch):
-    """Run every batch of kinetics through both routes; collect the batch sizes."""
+    """Check every Horner batch of kinetics against horner_sum; collect the batch sizes."""
     sizes = []
-    real = kinetics.sum_log_terms_batch
     real_horner = kinetics.horner_sum_batch
-
-    def both(terms, size, ctl):
-        got = real(terms, size, ctl)
-        want = _per_term_batch(terms, size, ctl)
-        assert got.failed.tolist() == want.failed.tolist()
-        ok = ~got.failed
-        for field in ("value", "terms", "tail"):
-            assert getattr(got, field)[ok].tolist() == getattr(want, field)[ok].tolist(), field
-        sizes.append(size)
-        return got
 
     def both_horner(table, x, pre, ctl):
         got = real_horner(table, x, pre, ctl)
-        want = _per_point_horner(table, x, pre, ctl)
-        assert got.failed.tolist() == [r is None for r in want]
-        for i, r in enumerate(want):
-            if r is not None:
-                assert (got.value[i], got.terms[i], got.tail[i]) == tuple(r), i
+        assert_batch_is_horner_sum(got, table, x, pre, ctl)
         sizes.append(x.size)
         return got
 
-    monkeypatch.setattr(kinetics, "sum_log_terms_batch", both)
     monkeypatch.setattr(kinetics, "horner_sum_batch", both_horner)
     return sizes
 
 
 @pytest.mark.parametrize("fig_id", sorted(FIGURES))
-def test_blocks_match_the_per_term_loop_on_figure_sweeps(fig_id, checked_batches):
+def test_horner_batches_match_horner_sum_on_figure_sweeps(fig_id, checked_batches):
     spec = FIGURES[fig_id]
     grid = figure_grid(spec)
     for lam in LAMBDAS:
@@ -132,8 +67,8 @@ def test_blocks_match_the_per_term_loop_on_figure_sweeps(fig_id, checked_batches
     assert len(checked_batches) == len(LAMBDAS)
 
 
-def test_blocks_match_the_per_term_loop_on_the_verify_grid(checked_batches):
-    # the figure-1 job at h = 1/2048: the series grid (by Horner) and the source
+def test_horner_batches_match_horner_sum_on_the_verify_grid(checked_batches):
+    # the figure-1 job at h = 1/2048: the series grid and the source, both by Horner
     grid = np.linspace(0.0, 1.0, 2049)
     for lam in LAMBDAS:
         prob = figure_problem(FIGURES[1], lam)
@@ -158,8 +93,8 @@ def _nested_horner(table, u, v, rows, cols):
 
 @pytest.mark.parametrize("t_end", [1.0, 3.0])
 def test_bivariate_sums_match_a_nested_loop(t_end, checked_batches):
-    # variant 1 at nu = 0.5: one evaluator over the whole grid, no log or
-    # Horner batch, and each point's sums are those of two nested Horner loops
+    # variant 1 at nu = 0.5: one evaluator over the whole grid, no Horner
+    # batch, and each point's sums are those of two nested Horner loops
     prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
     times = np.linspace(0.0, t_end, 201)[1:]
     table = solve_grid(prob, times).problem._power_table()

@@ -34,8 +34,8 @@ from kkinetics import (
 )
 from kkinetics import kinetics, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
-from kkinetics.kinetics import _log_half_batch
-from kkinetics.specfun import _log_half, log_k_gamma, log_k_pochhammer
+from kkinetics.specfun import log_k_gamma, log_k_pochhammer
+from test_batch_reference import assert_batch_is_horner_sum
 from test_tails import _mp_solution
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
@@ -179,12 +179,12 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
+    # kkbench/tracer.py patches these three by name, so kinetics keeps them
     count(kinetics, "scaled_ml")
     count(kinetics, "sum_log_terms")
-    count(kinetics, "sum_log_terms_batch")
+    count(kinetics, "gen_k_bessel")
     count(kinetics, "horner_sum")
     count(kinetics, "horner_sum_batch")
-    count(kinetics, "gen_k_bessel")
     count(specfun, "sum_log_terms")
     # variant 1 at nu != 1 sums its two-dimensional table itself, on both
     # routes: no log sums and no inner sums
@@ -198,6 +198,10 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
     prob = fig_problem(Theorem.T1)
     assert solve_point(prob, 0.5).terms > 1
     assert calls == {"kkinetics.kinetics.horner_sum": 1}
+    # the source on a grid it refuses nowhere: one Horner batch, no scalar call
+    calls.clear()
+    source_grid(prob, np.linspace(0.0, 1.0, 11))
+    assert calls == {"kkinetics.kinetics.horner_sum_batch": 1}
     calls.clear()
     solve_grid(prob, np.linspace(0.0, 1.0, 11))
     assert calls == {"kkinetics.kinetics.horner_sum_batch": 1}
@@ -552,15 +556,15 @@ def test_subnormal_time_is_evaluated(variant):
 
 
 def _record_batches(monkeypatch):
-    """Keep every result of ``kinetics.sum_log_terms_batch`` in the returned list."""
+    """Keep the result and arguments of every ``kinetics.horner_sum_batch`` call in the returned list."""
     batches = []
-    real = kinetics.sum_log_terms_batch
+    real = kinetics.horner_sum_batch
 
-    def recording(term, shape, ctl):
-        batches.append(real(term, shape, ctl))
-        return batches[-1]
+    def recording(table, x, pre, ctl):
+        batches.append((real(table, x, pre, ctl), table, x, pre, ctl))
+        return batches[-1][0]
 
-    monkeypatch.setattr(kinetics, "sum_log_terms_batch", recording)
+    monkeypatch.setattr(kinetics, "horner_sum_batch", recording)
     return batches
 
 
@@ -578,9 +582,10 @@ def test_source_grid_matches_gen_k_bessel_on_figure_sweeps(fig_id, monkeypatch):
         got = source_grid(prob, grid)
         points = [gen_k_bessel(prob.params, prob.z(float(t))) for t in grid]
         assert got[0] == 0.0
-        # one batch over the points with z != 0, with the scalar term counts
+        # one batch over the points with z != 0, each element scalar horner_sum
         assert len(batches) == 1
-        assert batches[0].terms.tolist() == [r.terms for r in points[1:]]
+        assert batches[0][0].terms.size == len(points) - 1
+        assert_batch_is_horner_sum(*batches[0])
         for value, r in zip(got[1:], points[1:]):
             assert value == pytest.approx(r.value, rel=1e-13, abs=0.0)
 
@@ -588,33 +593,20 @@ def test_source_grid_matches_gen_k_bessel_on_figure_sweeps(fig_id, monkeypatch):
 DBL_MIN = np.finfo(float).tiny
 
 
-@pytest.mark.parametrize("zs", [
-    # every z/2 is exact: the batch takes libm's log of z/2
-    np.random.default_rng(3).uniform(2.0 * DBL_MIN, 12.0, 20000),
-    # z/2 is inexact or 0 below 2 DBL_MIN: every z goes through _log_half
-    np.concatenate((np.random.default_rng(4).uniform(0.0, 12.0, 20000),
-                    [5e-324, 3 * 5e-324, DBL_MIN, 2.0 * DBL_MIN - 5e-324, 2.0 * DBL_MIN])),
-])
-def test_log_half_batch_is_the_scalar_log_bit_for_bit(zs):
-    # numpy's log differs from libm's in the last bit on about 0.1% of
-    # inputs, which would move gen_k_bessel's stopping decisions
-    zs = zs[zs > 0.0]
-    assert _log_half_batch(zs).tolist() == [_log_half(z) for z in zs.tolist()]
-
-
 @pytest.mark.parametrize("times", [
     [0.0, 5e-324, 3 * 5e-324, DBL_MIN, 2.0 * DBL_MIN - 5e-324, 2.0 * DBL_MIN, 1e-300, 0.5, 2.0],
     [0.0, 2.0 * DBL_MIN, 4.0 * DBL_MIN, 1e-300, 0.5, 2.0],
 ])
 def test_source_grid_matches_gen_k_bessel_across_twice_dbl_min(times, monkeypatch):
-    # variant 1 sums at z = t: the first grid straddles 2 DBL_MIN, where
-    # log(z/2) changes form, and the second lies at or above it
+    # variant 1 sums at z = t: the first grid straddles 2 DBL_MIN, below
+    # which z/2 is inexact, and the second lies at or above it; the batch
+    # leaves every z whose (z/2)**2 underflows to gen_k_bessel
     batches = _record_batches(monkeypatch)
     prob = KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=Theorem.T1, params=FIG_PARAMS)
     got = source_grid(prob, times)
     points = [gen_k_bessel(prob.params, t) for t in times]
     assert len(batches) == 1
-    assert batches[0].terms.tolist() == [r.terms for r in points[1:]]
+    assert_batch_is_horner_sum(*batches[0])
     assert got[0] == 0.0
     for value, r in zip(got[1:], points[1:]):
         assert value == pytest.approx(r.value, rel=1e-13, abs=0.0)
@@ -677,6 +669,43 @@ def test_source_grid_refuses_from_the_first_refused_time():
     assert len(source_grid(prob, grid[:first])) == first
     with pytest.raises(CancellationError):
         source_grid(prob, grid[:first + 1])
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_source_batch_answers_no_point_that_gen_k_bessel_refuses(lam):
+    # the batch stops by the largest earlier |term| where gen_k_bessel stops
+    # by its partial sum, and guards by its own sum of |terms|; under the
+    # default control neither may let through a point the scalar refuses
+    prob = KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=Theorem.T1,
+                          params=KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0))
+    zs = np.linspace(0.0, 60.0, 1201)[1:]
+    failed = kinetics._source_batch(prob, SeriesControl(), zs, zs)[3]
+    refused = np.zeros(zs.size, dtype=bool)
+    for i, z in enumerate(zs.tolist()):
+        try:
+            gen_k_bessel(prob.params, z)
+        except EvaluationError:
+            refused[i] = True
+    assert 0 < refused.sum() < zs.size
+    assert zs[refused & ~failed].tolist() == []
+
+
+@pytest.mark.parametrize("c", [0.0, -2.0])
+def test_source_grid_matches_gen_k_bessel_at_zero_and_negative_c(c, monkeypatch):
+    # c = 0: every coefficient past the first is an exact zero, so A_j = 0
+    # enters the stop thresholds; c < 0: every term is positive.  mu != 1,
+    # so the prefactor (z/2)**mu is a pow, not z/2 itself
+    batches = _record_batches(monkeypatch)
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.25, b=3.0, c=c)
+    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T2, params=params)
+    grid = np.linspace(0.0, 4.0, 101)
+    got = source_grid(prob, grid)
+    assert len(batches) == 1 and not batches[0][0].failed.any()
+    assert_batch_is_horner_sum(*batches[0])
+    assert got[0] == 0.0
+    for value, t in zip(got[1:], grid[1:].tolist()):
+        want = gen_k_bessel(params, prob.z(t)).value
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------- reduced forms

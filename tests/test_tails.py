@@ -16,10 +16,12 @@ from kkinetics import (
     KBesselParams,
     KineticProblem,
     Theorem,
+    SeriesControl,
     gen_k_bessel,
     solve_point,
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_problem
+from kkinetics.series import _pow_batch, horner_sum_batch
 
 
 def _mp_coefficient(p, n):
@@ -129,6 +131,21 @@ def test_gen_k_bessel_tail_bounds_its_error(lam):
         res = gen_k_bessel(p, z)
         want, _ = _mp_omega(p, z)
         assert abs(res.value - want) <= res.tail, (z, res)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_source_table_tail_bounds_its_error(lam):
+    # the Horner batch of source_grid, up to z = 9.55, where the figure
+    # source at lambda = 1 is last answered
+    p = KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0)
+    zs = np.linspace(0.0, 9.55, 41)[1:]
+    half = zs / 2.0
+    batch = horner_sum_batch(p._horner_table(), half * half, _pow_batch(half, p.mu), SeriesControl())
+    assert not batch.failed[zs <= 6.0].any()
+    for z, value, tail in zip(zs[~batch.failed].tolist(), batch.value[~batch.failed].tolist(),
+                              batch.tail[~batch.failed].tolist()):
+        want, _ = _mp_omega(p, z)
+        assert abs(value - want) <= tail, (z, value, tail)
 
 
 @pytest.mark.parametrize("z", [10.0, 50.0])
