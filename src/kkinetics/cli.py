@@ -278,12 +278,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_steps = max(1, math.ceil(steps_exact))
     grid = fracoracle.QuadratureGrid(job.t_end, n_steps, job.problem.nu)
     table = solve_grid(job.problem, grid.times, job.control)
-    # The source is summed once over the grid; the oracle reads it node by node.
+    # The source is summed once over the grid, and the oracle solves on that array.
     samples = source_grid(job.problem, grid.times, job.control)
-    oracle = fracoracle.solve_volterra(
-        job.problem.n0, dict(zip(grid.times.tolist(), samples.tolist())).__getitem__,
-        job.problem.rate, grid,
-    )
+    oracle = fracoracle._solve_forcing(job.problem.n0 * samples, job.problem.rate, grid)
     series = np.asarray(table.values)
     diff = float(np.max(np.abs(series - oracle.values)))
     scale = max(1.0, float(np.max(np.abs(oracle.values))))

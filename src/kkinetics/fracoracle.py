@@ -39,7 +39,9 @@ system's first column.  Newton doubling (Brent and Kung, J. ACM 25 (1978)
 Karp-Markstein step (ACM TOMS 23 (1997) 561-589) turns them into all n
 coefficients of x.  Every product is a convolution, and no FFT is longer
 than the power of two at or above n: O(n log n) in all, with no recursion
-and no dense matrix.  The same ``_convolve`` helper gives
+and no dense matrix.  The partial reciprocal g meets two operands at one
+transform length in each Newton step and in the Karp-Markstein step, and
+is transformed once for both.  The same ``_convolve`` helper gives
 :meth:`QuadratureGrid.rl_integral`, so :func:`residual` is O(n log n) on
 long grids.
 """
@@ -78,20 +80,46 @@ class InstabilityError(EvaluationError):
 _DIRECT_CONVOLVE_MAX = 256
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> np.ndarray:
+class _Spectra:
+    """An operand of several products, with its real FFT kept per transform length.
+
+    Each Newton step of :func:`_reciprocal` multiplies g by two operands at
+    one transform length, and so does the Karp-Markstein step of
+    :func:`_solve_forcing`; passing g in this form transforms it once.
+    """
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+        self.size = coeffs.size
+        self._by_length: dict[int, np.ndarray] = {}
+
+    def rfft(self, length: int) -> np.ndarray:
+        if length not in self._by_length:
+            from numpy import fft  # not at module level: loading numpy.fft slows `import kkinetics`
+
+            self._by_length[length] = fft.rfft(self.coeffs, length)
+        return self._by_length[length]
+
+
+def _convolve(a: np.ndarray | _Spectra, b: np.ndarray | _Spectra, start: int,
+              stop: int) -> np.ndarray:
     """Entries [start, stop) of the linear convolution of ``a`` and ``b``.
 
     Long operands go through a real FFT of a power-of-two length P.  A cyclic
     convolution folds entry k >= P onto k - P, and the full result has
     len(a) + len(b) - 1 entries, so P >= max(stop, len(a) + len(b) - 1 - start)
-    leaves entries [start, stop) exact.
+    leaves entries [start, stop) exact.  An operand passed as
+    :class:`_Spectra` keeps its transform for the next product.
     """
+    a, b = (x if type(x) is _Spectra else _Spectra(x) for x in (a, b))
     if min(a.size, b.size) <= _DIRECT_CONVOLVE_MAX:
-        return np.convolve(a, b)[start:stop]
-    from numpy import fft  # not at module level: loading numpy.fft slows `import kkinetics`
+        return np.convolve(a.coeffs, b.coeffs)[start:stop]
+    from numpy import fft
 
     size = 1 << (max(stop, a.size + b.size - 1 - start) - 1).bit_length()
-    return fft.irfft(fft.rfft(a, size) * fft.rfft(b, size), size)[start:stop]
+    product = a.rfft(size) * b.rfft(size)
+    del a, b  # frees a spectrum made here before the inverse transform allocates its own
+    return fft.irfft(product, size)[start:stop]
 
 
 def _reciprocal(col: np.ndarray, n: int) -> np.ndarray:
@@ -99,15 +127,17 @@ def _reciprocal(col: np.ndarray, n: int) -> np.ndarray:
 
     Newton doubling: if g holds the first m coefficients, c g = 1 + O(x^m),
     and g - g (c g - 1) holds the first 2m; only the coefficients m..2m-1
-    of c g are needed to form it.
+    of c g are needed to form it.  Both products transform at the power of
+    two at or above stop - 1, so g is transformed once.
     """
     g = np.array([1.0 / col[0]])
     while g.size < n:
         m, stop = g.size, min(2 * g.size, n)
+        shared = _Spectra(g)
         # col[0] reaches only entries below m; leaving it out keeps the FFT
         # roundoff at the scale of col[1:]
-        defect = _convolve(col[1:stop], g, m - 1, stop - 1)
-        g = np.concatenate((g, -_convolve(g, defect, 0, stop - m)))
+        defect = _convolve(col[1:stop], shared, m - 1, stop - 1)
+        g = np.concatenate((g, -_convolve(shared, defect, 0, stop - m)))
     return g
 
 
@@ -149,14 +179,13 @@ class QuadratureGrid:
 
         m = np.arange(0, self.n_steps + 1, dtype=float)
         m[0] = 1.0  # placeholder; index 0 is never used
-        big = m > 1.0
-        log_step = np.log1p(-1.0 / m[big])
+        log_step = np.log1p(-1.0 / m[2:])  # m[0] and m[1] are 1, and their increments stay 1
         m_nu = m ** self.nu
 
         def increments(m_p: np.ndarray, p: float) -> np.ndarray:
             # m^p - (m-1)^p = -m^p * expm1(p * log1p(-1/m)), without subtractive cancellation
             out = np.ones_like(m)
-            out[big] = -m_p[big] * np.expm1(p * log_step)
+            out[2:] = -m_p[2:] * np.expm1(p * log_step)
             return out
 
         d_nu = increments(m_nu, self.nu)
@@ -228,10 +257,21 @@ def solve_volterra(
     Python float.  A solution that leaves the double range raises
     :class:`EvaluationError`; no partial values are returned.
     """
+    forcing = n0 * np.fromiter(map(source, grid.times.tolist()), float, grid.n_steps + 1)
+    return _solve_forcing(forcing, rate, grid)
+
+
+def _solve_forcing(forcing: np.ndarray, rate: float, grid: QuadratureGrid) -> OracleSolution:
+    """:func:`solve_volterra` on the right-hand side n0 f(t_j) at every node.
+
+    ``forcing`` is kept as the solution's ``forcing``, not copied.
+    """
     if not rate > 0.0:
         raise DomainError(f"rate must be > 0, got {rate}")
     kernel, n = grid._kernel, grid.n_steps
-    forcing = n0 * np.fromiter(map(source, grid.times.tolist()), float, n + 1)
+    forcing = np.asarray(forcing, dtype=float)
+    if forcing.shape != grid.times.shape:
+        raise DomainError(f"need {grid.times.shape[0]} samples, got shape {forcing.shape}")
     r = rate ** grid.nu
     denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
     if denom <= 0.0:
@@ -247,10 +287,11 @@ def solve_volterra(
         # exactly, and (c x_lo)[h:n] = r (kernel x_lo)[h:n] since c differs
         # from r kernel only at index 0
         g0, g[0] = g[0], 0.0
-        x[:h] = g0 * x[:h] + _convolve(g, x[:h], 0, h)
+        shared = _Spectra(g)
+        x[:h] = g0 * x[:h] + _convolve(shared, x[:h], 0, h)
         if n > h:  # n = 1 has no upper half
             x[h:] -= r * _convolve(kernel, x[:h], h, n)
-            x[h:] = g0 * x[h:] + _convolve(g, x[h:], 0, n - h)
+            x[h:] = g0 * x[h:] + _convolve(shared, x[h:], 0, n - h)
     values = np.concatenate((forcing[:1], x))
     if not np.all(np.isfinite(values)):
         raise EvaluationError(f"Volterra solution is not finite at rate {rate} on this grid: "

@@ -336,7 +336,6 @@ class _PowerTable(HornerTable):
         log_d = prob.nu * math.log(prob.d) if prob.variant != 1 else 0.0
         self.log_q = log_d - _LN2
         self.signs: list[float] = []
-        self.mags: list[float] = []  # |a_j|, or 0 where it is not a normal double
         self.log_a: list[float] = []
         self.log_abs: list[float] = []  # log A_j
         self._b: _Scaled = (0.0, 0)
@@ -348,11 +347,11 @@ class _PowerTable(HornerTable):
         self._log_q_err = 1.5 * abs(log_d) + _LN2 + 0.5 * abs(self.log_q)
         self._gamma_exact = prob.nu == 1.0 and float(self.params.mu).is_integer()
 
-    def coefficient(self, j: int) -> tuple[float, float, float]:
-        """Sign, magnitude (0 outside the normal doubles) and log magnitude of a_j."""
+    def coefficient(self, j: int) -> tuple[float, float]:
+        """Sign and log magnitude of a_j."""
         if j >= len(self.log_a):
             self.grow(j + 1)
-        return self.signs[j], self.mags[j], self.log_a[j]
+        return self.signs[j], self.log_a[j]
 
     def grow(self, stop: int) -> None:
         """Extend both tables to at least ``stop`` coefficients."""
@@ -402,7 +401,6 @@ class _PowerTable(HornerTable):
                 break
             b, abs_b, err_b = new_b, new_abs_b, new_err
             self.signs.append(-1.0 if a < 0.0 else 1.0)
-            self.mags.append(abs(a))
             self.log_a.append(math.log(abs(a)))
             self.log_abs.append(math.log(abs_a))
             self.coeffs.append(a)
@@ -429,7 +427,6 @@ class _PowerTable(HornerTable):
             self._b, self._abs_b = b, abs_b
             a = _scaled_div(b, gamma)
             self.signs.append(-1.0 if a[0] < 0.0 else 1.0)
-            self.mags.append(abs(math.ldexp(*a)) if -1021 <= a[1] <= 1024 else 0.0)
             self.log_a.append(_scaled_log(a))
             self.log_abs.append(_scaled_log(_scaled_div(abs_b, gamma)))
 
@@ -760,7 +757,7 @@ def _power_logs(
 
     def term(j: int) -> tuple[float, float]:
         nonlocal abs_sum
-        sign, _, log_a = table.coefficient(j)
+        sign, log_a = table.coefficient(j)
         log_abs = table.log_abs[j] + (mu + j) * log_s
         abs_sum += math.exp(log_abs) if log_abs < LOG_DBL_MAX else math.inf
         return sign, log_a + (mu + j) * log_s

@@ -109,7 +109,7 @@ def test_bivariate_sums_match_a_nested_loop(t_end, checked_batches):
 
 
 def _table_fields(table):
-    return table.signs, table.mags, table.log_a, table.log_abs, table._b, table._abs_b
+    return table.signs, table.log_a, table.log_abs, table._b, table._abs_b
 
 
 # Problems whose table leaves the range of plain doubles, at j = 30 and j = 10

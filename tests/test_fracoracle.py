@@ -159,6 +159,8 @@ def test_rl_integral_needs_one_sample_per_node():
     grid = QuadratureGrid(1.0, 8, 0.7)
     with pytest.raises(DomainError):
         grid.rl_integral(np.ones(8))
+    with pytest.raises(DomainError, match="need 9 samples"):
+        fracoracle._solve_forcing(np.ones(8), 1.0, grid)
 
 
 def _dense_weights(t_end, n, nu):
@@ -251,7 +253,7 @@ def _forward_substitution(n0, source, rate, grid):
 
 
 @pytest.mark.parametrize("nu", [0.25, 0.5, 1.0, 1.5, 2.5])
-@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 389, 513, 1025, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 257, 389, 513, 1025, 4096])
 def test_volterra_matches_forward_substitution(n, nu):
     # 513 and 1025 put the halves of the division on either side of the
     # 256-entry cutoff between np.convolve and the FFT
@@ -259,6 +261,10 @@ def test_volterra_matches_forward_substitution(n, nu):
     for rate in (0.5, 1.3, 2.0):
         for source in (lambda t: 1.0, _wave):
             got = solve_volterra(1.7, source, rate, grid).values
+            # the callable form samples the source and solves on the array
+            forcing = 1.7 * np.array([source(t) for t in grid.times])
+            core = fracoracle._solve_forcing(forcing, rate, grid)
+            assert np.array_equal(got, core.values)
             want = _forward_substitution(1.7, source, rate, grid)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), (
@@ -305,6 +311,30 @@ def test_volterra_division_makes_logarithmically_many_products(monkeypatch):
     monkeypatch.setattr(fracoracle, "_convolve", counted)
     solve_volterra(2.0, lambda t: 1.0, 1.3, grid)
     assert len(calls) <= 3 * math.log2(n)
+
+
+def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch):
+    # 13 FFT products at n = 32768: two in each of the five Newton steps past
+    # the direct-convolution cutoff and three in the Karp-Markstein step.  g
+    # meets two operands at one length in each Newton step and in the
+    # Karp-Markstein step, so 26 operand transforms are 20.
+    from numpy import fft
+
+    n = 32768
+    grid = QuadratureGrid(2.0, n, 0.5)
+    rfft, irfft = fft.rfft, fft.irfft
+    counts = {"rfft": 0, "irfft": 0}
+
+    def counted(name, transform):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(fft, "rfft", counted("rfft", rfft))
+    monkeypatch.setattr(fft, "irfft", counted("irfft", irfft))
+    solve_volterra(2.0, lambda t: 1.0, 1.3, grid)
+    assert counts == {"rfft": 20, "irfft": 13}
 
 
 def test_volterra_refuses_a_solution_that_leaves_the_double_range():
