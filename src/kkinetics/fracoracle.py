@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kinetics import KineticProblem, SolutionTable
+from .kinetics import KineticProblem, SolutionTable, _scaled_power
 from .series import (LOG_DBL_MAX, LOG_DBL_MIN, DomainError, EvaluationError,
                      OverflowLogError, SeriesControl, SeriesResult)
 from .specfun import MLParams, mittag_leffler
@@ -309,7 +309,7 @@ def haubold_mathai(
         raise DomainError(f"nu must be > 0, got {nu}")
     if not t >= 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
-    r = mittag_leffler(MLParams(nu, 1.0), -(c_rate ** nu) * t ** nu, ctl)
+    r = mittag_leffler(MLParams(nu, 1.0), -_scaled_power("haubold_mathai", c_rate, t, nu), ctl)
     return SeriesResult(n0 * r.value, r.terms, abs(n0) * r.tail)
 
 

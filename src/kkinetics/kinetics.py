@@ -17,12 +17,16 @@ nu = 1, which covers every figure sweep -- term (n, m) of the double series
 is a multiple of s**(mu+2n+m), s = t**nu, divided by
 Gamma(nu*(mu+2n+m) + 1).  Grouping the terms by j = 2n+m gives one power
 series, N(t) = n0 * sum_j a_j s**(mu+j), whose t-free coefficients follow a
-two-term recurrence (:class:`_PowerTable`).  The table is built once per
-problem and kept on it; the inner Mittag-Leffler sums disappear.  The sum
-is refused with :class:`series.CancellationError` where the sum of every
-|term (n, m)| exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times |N|.
-It runs by Horner on the table's plain doubles, and its tail bounds the
-roundoff too (:func:`series.horner_sum`).
+two-term recurrence (:class:`_PowerTable`), run once in plain doubles and
+scaled by exact powers of two past Gamma(171).  The table is built once
+per problem and kept on it; the inner Mittag-Leffler sums disappear.  The
+sum is refused with :class:`series.CancellationError` where the sum of
+every |term (n, m)| exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
+|N|.  It runs by Horner on the table, and its tail bounds the roundoff
+too (:func:`series.horner_sum`).  Where s or n0 s**mu is not a normal
+double, or Horner's sums leave the doubles, the same terms are summed as
+logs, with the same coefficient bounds in the tail; a time that needs a
+coefficient past the table is refused with :class:`series.OverflowLogError`.
 
 Variant 1 at nu != 1 does not align: term (n, m) carries t**(mu+2n) and
 (t**nu)**m.  Its t-free coefficients form one table T[n, m]
@@ -113,6 +117,7 @@ from .specfun import (
     GAMMA_ULPS,
     FoxWrightSpec,
     KBesselParams,
+    _LGAMMA_ARG_MAX,
     _guard_log_sum,
     _reduced_k_bessel,
     fox_wright,
@@ -238,69 +243,6 @@ _LN2 = math.log(2.0)
 _DBL_MIN = sys.float_info.min
 _DBL_MAX = sys.float_info.max
 
-# A number m * 2**e as (m, e) with 0.5 <= |m| < 1, or m = 0.  Scaling by a
-# power of two is exact, so the power-series recurrences below round as
-# plain doubles would, and also run where a value leaves the double range.
-_Scaled = tuple[float, int]
-
-
-def _scaled(sign: float, log_mag: float) -> _Scaled:
-    """sign * exp(log_mag) as a scaled number."""
-    if log_mag == -math.inf:
-        return 0.0, 0
-    e = 0 if abs(log_mag) < 700.0 else int(log_mag / _LN2)
-    m, e2 = math.frexp(sign * math.exp(log_mag - e * _LN2))
-    return m, e + e2
-
-
-def _scaled_from_power(base: float, nu: float) -> _Scaled:
-    """base**nu for base > 0, rounded once where it is a normal double."""
-    try:
-        power = base ** nu
-    except OverflowError:
-        power = math.inf
-    if _DBL_MIN <= power < math.inf:
-        return math.frexp(power)
-    return _scaled(1.0, nu * math.log(base))
-
-
-def _scaled_gamma(x: float) -> _Scaled:
-    """Gamma(x) for x >= 1, from math.gamma while it is a double."""
-    if x < 171.0:
-        return math.frexp(math.gamma(x))
-    return _scaled(1.0, _lgamma(x))
-
-
-def _scaled_mul(x: _Scaled, y: _Scaled) -> _Scaled:
-    m, e = math.frexp(x[0] * y[0])
-    return m, x[1] + y[1] + e
-
-
-def _scaled_div(x: _Scaled, y: _Scaled) -> _Scaled:
-    m, e = math.frexp(x[0] / y[0])
-    return m, x[1] - y[1] + e
-
-
-def _scaled_add(x: _Scaled, y: _Scaled) -> _Scaled:
-    if x[0] == 0.0:
-        return y
-    if y[0] == 0.0:
-        return x
-    top = max(x[1], y[1])
-    m, e = math.frexp(math.ldexp(x[0], x[1] - top) + math.ldexp(y[0], y[1] - top))
-    return m, top + e
-
-
-def _scaled_log(x: _Scaled) -> float:
-    """log|x|, -inf for 0."""
-    m, e = x
-    if m == 0.0:
-        return -math.inf
-    if -1021 <= e <= 1024:  # m * 2**e is a normal double
-        return math.log(abs(math.ldexp(m, e)))
-    return math.log(abs(m)) + e * _LN2
-
-
 class _PowerTable(HornerTable):
     """Coefficients of N(t) / n0 = sum_j a_j s**(mu+j), s = t**nu, for aligned exponents.
 
@@ -308,127 +250,107 @@ class _PowerTable(HornerTable):
     G_j = Gamma(nu*(mu+j) + 1) of j = 2n+m, so each j shares one gamma:
     a_j = b_j / G_j with
 
-        b_j = -r * b_{j-1} + [j even] coeff_{j/2} * q**(mu+j) * G_j,   b_{-1} = 0,
+        b_j = -r * b_{j-1} + [j even] e_{j/2} * G_j,   b_{-1} = 0,
 
-    r = rate**nu and q = d**nu / 2 (variants 2 and 3) or 1/2 (variant 1).
-    Every gamma enters a_j as one ratio G_{2n} / G_j, so its rounding does
-    not accumulate along j.  The absolute table A_j runs the same
-    recurrence on |.|, so sum_j A_j s**(mu+j) is the sum of every
-    |term (n, m)|.  Both grow as the sums reach them.
+    e_n = coeff_n * q**(mu+2n), r = rate**nu and q = d**nu / 2 (variants 2
+    and 3) or 1/2 (variant 1).  Every gamma enters a_j as one ratio
+    G_{2n} / G_j, so its rounding does not accumulate along j.  The
+    absolute table A_j runs the same recurrence on |.|, so
+    sum_j A_j s**(mu+j) is the sum of every |term (n, m)|.
 
-    While the recurrence runs in plain doubles it also fills the lists of
-    :class:`series.HornerTable`.  The error bound of b_j, in EPS, runs a
-    third recurrence: E_j = r E_{j-1} + (r_err + 1/2) r A'_{j-1} +
-    [j even] (kappa_n |e_n| + A'_j / 2), with A'_j = A_j G_j, r_err the
-    rounding of r (one ulp of pow, none at nu = 1) and kappa_n the error of
-    e_n: that of its log (:func:`specfun.k_bessel_log_error` and of
-    (mu+j) log q), one ulp of exp, a half for the product and that of G_j.
-    a_j is then off by E_j / G_j + (1/2 + error of G_j) A_j; the evaluation
-    adds (mu+j) r_err A_j for s**(mu+j), one ulp of s**mu and a half for
-    each product with n0 and with the sum.
+    The recurrence runs once, in plain doubles, in units of 2**F_j: F_j = 0
+    while nu*(mu+j) + 1 < 171, where G_j is math.gamma, and past that F_j
+    is the binary exponent of G_j, whose mantissa G_j / 2**F_j comes from
+    lgamma.  The step into larger units scales by a power of two, which is
+    exact, so b_j / 2**F_j and a_j keep their true size.  A term e_n below
+    the normal doubles is left out and its size added to the error bound.
+    The table grows as the sums reach further, while a_j, A_j and every
+    value formed for them is a normal double, and fills the lists of
+    :class:`series.HornerTable`.
+
+    The error bound of b_j, in EPS, runs a third recurrence: E_j = r E_{j-1}
+    + (r_err + 1/2) r A'_{j-1} + [j even] (kappa_n |e_n G_j| + A'_j / 2),
+    with A'_j = A_j G_j, r_err the rounding of r (one ulp of pow, none at
+    nu = 1) and kappa_n the error of e_n G_j: that of its log
+    (:func:`specfun.k_bessel_log_error` and of (mu+j) log q), one ulp of
+    exp, a half for the product and that of G_j.  A left-out e_n adds
+    2 DBL_MIN G_j / EPS.  The mantissa of a gamma past 171 adds to the
+    error of math.gamma that of lgamma (GAMMA_ULPS of it) and of F_j log 2
+    (1.5 ulps), a half for their difference and one ulp of exp.  a_j is
+    then off by E_j / G_j + (1/2 + error of G_j) A_j; the evaluation adds
+    (mu+j) r_err A_j for s**(mu+j), one ulp of s**mu and a half for each
+    product with n0 and with the sum.
     """
 
     def __init__(self, prob: KineticProblem):
         super().__init__()
         self.params = prob.params
         self.nu = prob.nu
-        self.r = _scaled_from_power(prob.rate, prob.nu)
+        self.r = _pow(prob.rate, prob.nu)
         log_d = prob.nu * math.log(prob.d) if prob.variant != 1 else 0.0
         self.log_q = log_d - _LN2
-        self.signs: list[float] = []
-        self.log_a: list[float] = []
-        self.log_abs: list[float] = []  # log A_j
-        self._b: _Scaled = (0.0, 0)
-        self._abs_b: _Scaled = (0.0, 0)
-        self._err_b = 0.0
-        self._plain = self.r[0] != 0.0 and -1021 <= self.r[1] <= 1024  # r is a normal double
+        self._state = 0.0, 0.0, 0.0, 0  # b_{j-1}, A'_{j-1}, E_{j-1} in units of 2**F_{j-1}; F_{j-1}
         self._pow_err = 0.0 if prob.nu == 1.0 else 1.0  # r = rate**nu and s = t**nu by pow
-        # the error of log q, and whether nu*(mu+j) + 1 is exact
+        # the error of log q, and that of nu*(mu+j) + 1 (none where it is exact)
         self._log_q_err = 1.5 * abs(log_d) + _LN2 + 0.5 * abs(self.log_q)
-        self._gamma_exact = prob.nu == 1.0 and float(self.params.mu).is_integer()
-
-    def coefficient(self, j: int) -> tuple[float, float]:
-        """Sign and log magnitude of a_j."""
-        if j >= len(self.log_a):
-            self.grow(j + 1)
-        return self.signs[j], self.log_a[j]
+        self._x_err = 0.0 if prob.nu == 1.0 and float(self.params.mu).is_integer() else 1.5
 
     def grow(self, stop: int) -> None:
-        """Extend both tables to at least ``stop`` coefficients."""
-        if self._plain:
-            self._grow_plain(stop)
-        self._grow_scaled(stop)
-
-    def _grow_plain(self, stop: int) -> None:
-        """The recurrence in plain doubles, while every value it forms is a normal double.
-
-        Scaling by a power of two is then exact, so each value rounds as in
-        :meth:`_grow_scaled` and the tables are the same.  The loop stops
-        for good at the first coefficient that leaves that range, or whose
-        gamma or coefficient term :meth:`_grow_scaled` would scale.
-        """
-        mu, nu, log_q = self.params.mu, self.nu, self.log_q
+        """Extend the table towards ``stop`` coefficients; it ends at the first it cannot hold."""
+        mu, nu, log_q, r = self.params.mu, self.nu, self.log_q, self.r
         log_errors = self.params._log_errors
-        r = math.ldexp(*self.r)
-        b, abs_b, err_b = math.ldexp(*self._b), math.ldexp(*self._abs_b), self._err_b
-        while len(self.log_a) < stop:
-            j = len(self.log_a)
+        b, abs_b, err_b, f = self._state
+        while len(self.coeffs) < stop:
+            j = len(self.coeffs)
             x = nu * (mu + j) + 1.0
-            if not x < 171.0:  # _scaled_gamma takes Gamma(x) from lgamma
-                break
-            gamma = math.gamma(x)
-            gamma_err = gamma_error(x, 0.0 if self._gamma_exact else 1.5)
+            gamma_err = gamma_error(x, self._x_err)
             new_b, new_abs_b = b * -r, abs_b * r
             new_err = err_b * r + (self._pow_err + 0.5) * new_abs_b
-            formed = (new_b, new_abs_b) if j else ()  # b_{-1} = 0 is exact
+            new_f = f
+            if x < 171.0:
+                gamma = math.gamma(x)
+            elif x < _LGAMMA_ARG_MAX:  # G_j = gamma * 2**new_f
+                log_gamma = math.lgamma(x)
+                new_f = int(log_gamma / _LN2)
+                gamma = math.exp(log_gamma - new_f * _LN2)
+                gamma_err += (GAMMA_ULPS + 1.5) * log_gamma - GAMMA_ULPS + 1.5
+                new_b, new_abs_b = math.ldexp(new_b, f - new_f), math.ldexp(new_abs_b, f - new_f)
+                # E_{j-1} scaled before the product, which may overflow the old
+                # units; 2**-1074 keeps it a bound where the scaling rounds
+                new_err = ((math.ldexp(err_b, f - new_f) + 5e-324) * r
+                           + (self._pow_err + 0.5) * new_abs_b)
+            else:
+                break
+            formed = (new_b, new_abs_b) if j else (r,)  # b_{-1} = 0 is exact
             if j % 2 == 0:
-                sign, log_coeff = k_bessel_log_coefficient(self.params, j // 2)
+                n = j // 2
+                sign, log_coeff = k_bessel_log_coefficient(self.params, n)
                 log_e = log_coeff + (mu + j) * log_q
-                if not abs(log_e) < 700.0:  # _scaled scales exp(log_e)
+                if not log_e < LOG_DBL_MAX:
                     break
-                e_n = sign * math.exp(log_e) * gamma
-                new_b, new_abs_b = new_b + e_n, new_abs_b + abs(e_n)
-                if j // 2 == len(log_errors):
-                    log_errors.append(k_bessel_log_error(self.params, j // 2))
-                log_e_err = (log_errors[j // 2] + (mu + j) * self._log_q_err
-                             + abs((mu + j) * log_q) + 0.5 * abs(log_e))
-                new_err += (log_e_err + 1.5 + gamma_err) * abs(e_n) + 0.5 * new_abs_b
-                formed += (e_n, new_b, new_abs_b)
+                if n == len(log_errors):
+                    log_errors.append(k_bessel_log_error(self.params, n))
+                e_n = sign * math.exp(log_e)
+                if abs(e_n) >= _DBL_MIN:
+                    e_n *= gamma
+                    new_b, new_abs_b = new_b + e_n, new_abs_b + abs(e_n)
+                    log_e_err = (log_errors[n] + (mu + j) * self._log_q_err
+                                 + abs((mu + j) * log_q) + 0.5 * abs(log_e))
+                    new_err += (log_e_err + 1.5 + gamma_err) * abs(e_n) + 0.5 * new_abs_b
+                    formed += (e_n, new_b, new_abs_b)
+                elif log_e > -math.inf:  # left out (c = 0 makes an exact zero)
+                    new_err += 2.0 * _DBL_MIN / EPS * gamma
             a, abs_a = new_b / gamma, new_abs_b / gamma
             formed = tuple(map(abs, formed + (a, abs_a)))
             # a nan needs an inf before it, and the inf fails the max
             if not (_DBL_MIN <= min(formed) and max(formed) <= _DBL_MAX):
                 break
-            b, abs_b, err_b = new_b, new_abs_b, new_err
-            self.signs.append(-1.0 if a < 0.0 else 1.0)
-            self.log_a.append(math.log(abs(a)))
-            self.log_abs.append(math.log(abs_a))
+            b, abs_b, err_b, f = new_b, new_abs_b, new_err, new_f
             self.coeffs.append(a)
             self.abs_coeffs.append(abs_a)
             self.errs.append(err_b / gamma
                              + (2.5 + gamma_err + (mu + j) * self._pow_err) * abs_a)
-        self._b, self._abs_b, self._err_b = math.frexp(b), math.frexp(abs_b), err_b
-        self._plain = len(self.log_a) >= stop  # a break leaves the rest to _grow_scaled
-
-    def _grow_scaled(self, stop: int) -> None:
-        """The recurrence in :data:`_Scaled` numbers, which also run outside the double range."""
-        mu = self.params.mu
-        neg_r = (-self.r[0], self.r[1])
-        while len(self.log_a) < stop:
-            j = len(self.log_a)
-            gamma = _scaled_gamma(self.nu * (mu + j) + 1.0)
-            b = _scaled_mul(self._b, neg_r)
-            abs_b = _scaled_mul(self._abs_b, self.r)
-            if j % 2 == 0:
-                sign, log_coeff = k_bessel_log_coefficient(self.params, j // 2)
-                e_n = _scaled_mul(_scaled(sign, log_coeff + (mu + j) * self.log_q), gamma)
-                b = _scaled_add(b, e_n)
-                abs_b = _scaled_add(abs_b, (abs(e_n[0]), e_n[1]))
-            self._b, self._abs_b = b, abs_b
-            a = _scaled_div(b, gamma)
-            self.signs.append(-1.0 if a[0] < 0.0 else 1.0)
-            self.log_a.append(_scaled_log(a))
-            self.log_abs.append(_scaled_log(_scaled_div(abs_b, gamma)))
+        self._state = b, abs_b, err_b, f
 
 
 class _Line(HornerTable):
@@ -725,11 +647,14 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
 
     One sum over the problem's coefficient table (see
     :class:`KineticProblem`).  Where the exponents align it runs by Horner,
-    or as logs where s = t**nu, s**mu or a coefficient it needs is not a
-    normal double; elsewhere by :meth:`_BivariateTable.point`.  Every
-    route is refused with :class:`series.CancellationError` when the sum
-    of all |terms| of the double series exceeds
-    :data:`series.CANCELLATION_RATIO_LIMIT` times the value.
+    or by :func:`_power_logs` where s = t**nu or n0 s**mu is not a normal
+    double or Horner's sums leave the doubles; elsewhere by
+    :meth:`_BivariateTable.point`.  A time that needs a coefficient
+    outside the normal doubles is refused with
+    :class:`series.OverflowLogError`.  Every route is refused with
+    :class:`series.CancellationError` when the sum of all |terms| of the
+    double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
+    the value.
     """
     z = prob.z(t)
     if z == 0.0:
@@ -747,23 +672,39 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
 def _power_logs(
     prob: KineticProblem, table: _PowerTable, t: float, ctl: SeriesControl
 ) -> SeriesResult:
-    """The power series at one t > 0 as logs, guarded by its absolute table.
+    """The power series at one t > 0 as logs of its terms, guarded by its absolute table.
 
-    The tail adds the rounding of the compensated sum, not that of the
-    coefficients (the scaled recurrence carries no error bound).
+    Term j is sign(a_j) exp(log|a_j| + (mu+j) log s), log s = nu log t,
+    from the same table as Horner's sum.  The tail adds, through
+    :func:`specfun._guard_log_sum`, EPS times each |term| A_j s**(mu+j)
+    times errs_j / A_j and the rounding of its log: one ulp of log|a_j|,
+    5/2 |(mu+j) log s| (one ulp of log t, halves for the products with nu
+    and with mu+j and for mu+j), |log| / 2 for their sum and one ulp of
+    exp.  A time that needs a coefficient past the table is refused with
+    :class:`series.OverflowLogError`.
     """
     mu, log_s = prob.params.mu, prob.nu * math.log(t)
-    abs_sum = 0.0
+    abs_sum = err_sum = 0.0  # the sum of |terms|, and of their errors times |terms|
 
     def term(j: int) -> tuple[float, float]:
-        nonlocal abs_sum
-        sign, log_a = table.coefficient(j)
-        log_abs = table.log_abs[j] + (mu + j) * log_s
-        abs_sum += math.exp(log_abs) if log_abs < LOG_DBL_MAX else math.inf
-        return sign, log_a + (mu + j) * log_s
+        nonlocal abs_sum, err_sum
+        if j >= len(table.coeffs):
+            table.grow(j + 1)
+            if j >= len(table.coeffs):
+                raise OverflowLogError(f"solve_point: at t = {t} the power series needs a "
+                                       "coefficient outside the normal doubles", math.inf)
+        a, abs_a = table.coeffs[j], table.abs_coeffs[j]
+        power = (mu + j) * log_s
+        log_a = math.log(abs(a))
+        log_mag, log_abs = log_a + power, math.log(abs_a) + power
+        mag = math.exp(log_abs) if log_abs < LOG_DBL_MAX else math.inf
+        abs_sum += mag
+        err_sum += (table.errs[j] / abs_a + abs(log_a) + 2.5 * abs(power)
+                    + 0.5 * abs(log_mag) + 1.0) * mag
+        return (-1.0 if a < 0.0 else 1.0), log_mag
 
     res = sum_log_terms(term, ctl, label="solve_point")
-    res = _guard_log_sum(res, abs_sum, 0.0, "solve_point")
+    res = _guard_log_sum(res, abs_sum, err_sum, "solve_point")
     return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
 
 

@@ -253,7 +253,8 @@ class HornerTable:
       the exact series.
 
     The lists end at the first coefficient that is not a normal double (or
-    an exact zero); a point that needs it takes its caller's log route.
+    an exact zero); :func:`horner_sum` leaves a point that needs it to its
+    caller.
 
     The length of a sum follows :func:`sum_log_terms`'s stagnation rule,
     with the largest earlier |term| in place of the partial sum: term j is

@@ -177,7 +177,18 @@ def log_k_gamma(gamma: float, k: float) -> float:
         raise DomainError(f"log_k_gamma requires a finite gamma > 0, got {gamma}")
     if not 0.0 < k < math.inf:
         raise DomainError(f"log_k_gamma requires a finite k > 0, got {k}")
-    return (gamma / k - 1.0) * math.log(k) + math.lgamma(gamma / k)
+    g = _over_k(gamma, k, "log_k_gamma")
+    return (g - 1.0) * math.log(k) + math.lgamma(g)
+
+
+def _over_k(gamma: float, k: float, label: str) -> float:
+    """gamma / k, refused with :class:`OverflowLogError` where its lgamma
+    overflows (the k-gamma logs would be nan, or raise)."""
+    g = gamma / k
+    if not g < _LGAMMA_ARG_MAX:
+        raise OverflowLogError(f"{label}: gamma/k = {gamma}/{k} is past the range of lgamma",
+                               math.inf)
+    return g
 
 
 def k_gamma(gamma: float, k: float) -> float:
@@ -198,7 +209,7 @@ def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
         raise DomainError(f"log_k_pochhammer requires n >= 0, got {n}")
     if n == 0:
         return 0.0
-    g = gamma / k
+    g = _over_k(gamma, k, "log_k_pochhammer")
     return n * math.log(k) + math.lgamma(g + n) - math.lgamma(g)
 
 

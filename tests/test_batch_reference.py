@@ -1,4 +1,4 @@
-"""The grid batches and the plain-double coefficient tables against one-at-a-time references.
+"""The grid batches against one-at-a-time references.
 
 ``horner_sum_batch`` is checked against ``horner_sum`` at each element,
 one point at a time, and the sums of the two-dimensional table against a
@@ -23,7 +23,6 @@ from kkinetics import (
     source_grid,
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
-from kkinetics.kinetics import _PowerTable
 from kkinetics.series import EvaluationError, horner_sum
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
@@ -106,29 +105,3 @@ def test_bivariate_sums_match_a_nested_loop(t_end, checked_batches):
     for i in range(times.size):
         want = _nested_horner(table, u[i], v[i], rows[i], cols[i])
         assert [value[i], abs_value[i]] == want, i
-
-
-def _table_fields(table):
-    return table.signs, table.log_a, table.log_abs, table._b, table._abs_b
-
-
-# Problems whose table leaves the range of plain doubles, at j = 30 and j = 10
-OUT_OF_RANGE = [
-    KineticProblem(n0=2.0, d=3.0, nu=5.0, variant=Theorem.T2, params=FIG_PARAMS),
-    # q = d**nu / 2 = 1e28: the coefficient term of j = 10 is about exp(705)
-    KineticProblem(n0=2.0, d=2e28, nu=1.0, variant=Theorem.T3, params=FIG_PARAMS, a=1e-30),
-]
-
-
-@pytest.mark.parametrize("prob", [
-    *(figure_problem(spec, lam) for spec in FIGURES.values() for lam in LAMBDAS),
-    *OUT_OF_RANGE,
-])
-def test_power_table_matches_the_scaled_recurrence(prob):
-    plain = _PowerTable(prob)
-    for stop in (1, 7, 40, 80):  # grown in steps, as the sums reach further
-        plain.grow(stop)
-    assert plain._plain == (prob not in OUT_OF_RANGE)
-    scaled = _PowerTable(prob)
-    scaled._grow_scaled(80)
-    assert _table_fields(plain) == _table_fields(scaled)

@@ -115,10 +115,15 @@ def test_eval_domain_error_exits_one(capsys):
     ["ml", "--alpha", "1e306", "--beta", "1", "--x", "1"],
     ["kgamma", "--gamma", "inf", "--k", "1"],
     ["kgamma", "--gamma", "1", "--k", "inf"],
-], ids=["ml_beta_1e306", "omega_k_inf", "ml_alpha_1e306", "kgamma_gamma_inf", "kgamma_k_inf"])
+    ["kgamma", "--gamma", "1e300", "--k", "1e-10"],
+    ["kgamma", "--gamma", "1", "--k", "1e-320"],
+    ["hm-baseline", "--n0", "1", "--c", "10", "--nu", "400", "--t", "1"],
+], ids=["ml_beta_1e306", "omega_k_inf", "ml_alpha_1e306", "kgamma_gamma_inf", "kgamma_k_inf",
+        "kgamma_ratio_inf", "kgamma_k_subnormal", "hm_baseline_power"])
 def test_eval_out_of_range_parameter_exits_one(argv, capsys):
     # each used to end in a traceback (OverflowError, math domain error),
-    # except kgamma_gamma_inf, which printed nan with exit 0
+    # except kgamma_gamma_inf, kgamma_ratio_inf and kgamma_k_subnormal,
+    # which printed nan with exit 0
     rc = cli.main(["eval", *argv])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -402,16 +402,19 @@ def _earliest_point_failure(prob, grid, ctl):
          "solve_point: cancellation ratio"),
         (Theorem.T2, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0], None, CancellationError,
          "solve_point: cancellation ratio"),
-        # a term overflows at t = 0.5; the batch used to warn dividing by the
-        # zero magnitude before it
+        # r = 3**700 leaves the doubles, so the table holds no coefficient
+        # (z = 0 at t = 0.1); the batch used to warn dividing by a zero
+        # magnitude before the refusal
         (Theorem.T2, 700.0, [0.0, 0.1, 0.5], None, OverflowLogError,
-         "solve_point: term 2 overflows"),
+         "solve_point: at t = 0.5 the power series needs a coefficient outside the normal doubles"),
         (Theorem.T1, 1.0, np.linspace(0.0, 3.0, 600), SeriesControl(max_terms=35),
          NonConvergenceError, "solve_point: no stagnation"),
         (Theorem.T1, 1.0, np.linspace(0.0, 15.0, 61), None, CancellationError,
          "solve_point: cancellation ratio"),
+        # s**(mu+j) overflows Horner's sums at t = 300, and the log route
+        # needs a_j past the table (below the normal doubles from j = 244)
         (Theorem.T1, 1.0, [0.0, 0.5, 300.0], None, OverflowLogError,
-         "solve_point: term 255 overflows"),
+         "solve_point: at t = 300.0 the power series needs a coefficient outside the normal doubles"),
     ],
     ids=["budget", "ml_bound", "inner_guard", "inner_guard_half_order", "outer_guard",
          "outer_overflow", "power_budget", "power_guard", "power_overflow"],

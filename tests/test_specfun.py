@@ -119,6 +119,17 @@ def test_k_calculus_rejects_non_finite_inputs(gamma, k):
             call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: log_k_gamma(1e300, 1e-10),
+    lambda: log_k_gamma(1.0, 1e-320),
+    lambda: log_k_pochhammer(1.0, 3, 1e-320),
+], ids=["gamma_over_k_inf", "k_subnormal", "pochhammer_k_subnormal"])
+def test_k_calculus_refuses_gamma_over_k_past_lgamma(call):
+    # each returned nan: gamma/k rounds to inf, and its lgamma is inf
+    with pytest.raises(OverflowLogError):
+        call()
+
+
 # ---------------------------------------------------------------- Mittag-Leffler
 
 

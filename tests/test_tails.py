@@ -13,6 +13,7 @@ import pytest
 
 from kkinetics import (
     CancellationError,
+    EvaluationError,
     KBesselParams,
     KineticProblem,
     Theorem,
@@ -21,7 +22,7 @@ from kkinetics import (
     solve_point,
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_problem
-from kkinetics.series import _pow_batch, horner_sum_batch
+from kkinetics.series import EPS, _pow_batch, horner_sum_batch
 
 
 def _mp_coefficient(p, n):
@@ -122,6 +123,78 @@ def test_double_series_tail_bounds_its_error_or_refuses(nu):
                 continue
             want, _ = _mp_solution(prob, t)
             assert abs(res.value - want) <= res.tail, (lam, t, res)
+
+
+@pytest.mark.parametrize("d, lam, t", [
+    (3.0, 1.0, 0.861704260651629),
+    (3.0, 1.0, 1.0120050125313282),
+    (3.0, 2.0, 1.5130075187969922),
+    (10.0, 1.0, 0.26050125313283207),
+    (10.0, 2.0, 0.4108020050125313),
+])
+def test_power_series_past_gamma_171_bounds_its_error_or_refuses(d, lam, t):
+    # variant 2 at nu = 2 needs a_j past Gamma(171) here; their log route
+    # left the coefficients' rounding out of the tail, which came back
+    # near 1e-16 on errors of 5e-9 to 9e-4
+    params = KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=d, nu=2.0, variant=Theorem.T2, params=params)
+    try:
+        res = solve_point(prob, t)
+    except EvaluationError:
+        return
+    want, _ = _mp_solution(prob, t)
+    assert abs(res.value - want) <= res.tail, res
+
+
+@pytest.mark.parametrize("t", [1.0220253164556963, 1.4268354430379748])
+def test_power_series_bound_stays_finite_across_gamma_171(t):
+    # at the crossing into 2**F units (j = 17) E_16 * r overflowed the old
+    # units while b_16 * r did not, and every later bound was inf
+    params = KBesselParams(k=0.9877750016991267, gamma=2.373705840299435, lam=2.94838846193795,
+                           mu=0.9097401754213258, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=1.5236375007257736, nu=10.0, variant=Theorem.T2, params=params)
+    res = solve_point(prob, t)
+    want, _ = _mp_solution(prob, t)
+    assert abs(res.value - want) <= res.tail < math.inf, res
+
+
+def _mp_power_coefficients(prob, count):
+    """a_j = sum_{2n+m=j} c_n q**(mu+2n) G_{2n} (-r)**m / G_j for j < count, with
+    G_j = Gamma(nu (mu+j) + 1), r = rate**nu and q = d**nu / 2 (1/2 for
+    variant 1) formed exactly."""
+    p = prob.params
+    nu, mu = mpmath.mpf(prob.nu), mpmath.mpf(p.mu)
+    r = mpmath.mpf(prob.rate) ** nu
+    q = (1 if prob.variant == 1 else mpmath.mpf(prob.d) ** nu) / mpmath.mpf(2)
+    gammas = [mpmath.gamma(nu * (mu + j) + 1) for j in range(count)]
+    e = [_mp_coefficient(p, n) * q ** (mu + 2 * n) * gammas[2 * n] for n in range((count + 1) // 2)]
+    return [mpmath.fsum(e[n] * (-r) ** (j - 2 * n) for n in range(j // 2 + 1)) / gammas[j]
+            for j in range(count)]
+
+
+FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
+
+
+@pytest.mark.parametrize("prob, length", [
+    # b_j = a_j G_j leaves the doubles at j = 30, before Gamma(171)
+    (KineticProblem(n0=2.0, d=3.0, nu=5.0, variant=Theorem.T2, params=FIG_PARAMS), 30),
+    # q = d**nu / 2 = 1e28: the coefficient term of j = 10 is about exp(705)
+    (KineticProblem(n0=2.0, d=2e28, nu=1.0, variant=Theorem.T3, params=FIG_PARAMS, a=1e-30), 10),
+    # the figure problem at nu = 2 passes Gamma(171) from j = 85
+    (KineticProblem(n0=2.0, d=3.0, nu=2.0, variant=Theorem.T2, params=FIG_PARAMS), 200),
+], ids=["nu5", "q1e28", "nu2"])
+def test_power_table_coefficients_are_within_their_error_bounds(prob, length):
+    table = prob._power_table()
+    for stop in (1, 7, 40, 80, 200):  # grown in steps, as the sums reach further
+        table.grow(stop)
+    assert len(table.coeffs) == length
+    # a conditioned reference: the digits cancellation in a_j can take, plus 30
+    worst = max(a_abs / abs(a) for a, a_abs in zip(table.coeffs, table.abs_coeffs))
+    with mpmath.workdps(30 + int(math.log10(worst))):
+        want = _mp_power_coefficients(prob, len(table.coeffs))
+        for j, (a, a_abs, err) in enumerate(zip(table.coeffs, table.abs_coeffs, table.errs)):
+            assert abs(a - want[j]) <= EPS * err, j
+            assert abs(want[j]) <= a_abs * (1 + 1e-12), j
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
