@@ -43,6 +43,9 @@ from .svgchart import render_line_chart
 
 DEFAULT_GRID_STEP = 1.0 / 2048.0
 VERIFY_THRESHOLD = 1e-3
+# The most points (solve) or steps (verify) one command takes: each float
+# column of such a grid is 8 MiB, and a grid is refused before any is allocated.
+MAX_GRID_SIZE = 2 ** 20
 
 
 class ConfigError(Exception):
@@ -133,8 +136,8 @@ def load_config(path: str | Path) -> JobConfig:
     if not t_end > 0.0:
         raise ConfigError(f"config field 't_end': must be > 0, got {t_end}")
     n_points = _as_int(cfg, "n_points")
-    if n_points < 1:
-        raise ConfigError(f"config field 'n_points': must be >= 1, got {n_points}")
+    if not 1 <= n_points <= MAX_GRID_SIZE:
+        raise ConfigError(f"config field 'n_points': must be in [1, 2**20], got {n_points}")
 
     control = _default_control()
     if "max_terms" in cfg:
@@ -244,9 +247,11 @@ def _eval_hm(args: argparse.Namespace) -> int:
 
 
 def _csv(header: str, *columns) -> str:
-    """One CSV row per entry of the columns, which hold Python floats (see _fmt)."""
-    rows = (",".join(map(repr, row)) for row in zip(*columns))
-    return "\n".join([header, *rows]) + "\n"
+    """One CSV row per entry of the float columns (arrays or sequences), each
+    cell the repr of a Python float (see _fmt)."""
+    cells = np.column_stack(columns)
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    return f"{header}\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -258,7 +263,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         svg = render_line_chart(
             f"variant {int(job.problem.variant)} solution",
             "t", "N(t)",
-            [("N(t)", table.times, table.values)],
+            [("N(t)", table.times.tolist(), table.values.tolist())],
         )
         _atomic_write(Path(args.svg), svg)
     return 0
@@ -273,6 +278,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not h > 0.0:
         raise ConfigError(f"--grid-step must be > 0, got {h}")
     steps_exact = job.t_end / h
+    if not steps_exact <= MAX_GRID_SIZE:
+        raise ConfigError(f"--grid-step {h!r} needs {steps_exact:.6g} steps over t_end = "
+                          f"{job.t_end!r}; at most 2**20 are allowed")
     n_steps = int(round(steps_exact))
     if abs(steps_exact - n_steps) > 1e-9 or n_steps < 1:
         n_steps = max(1, math.ceil(steps_exact))
@@ -281,8 +289,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The source is summed once over the grid, and the oracle solves on that array.
     samples = source_grid(job.problem, grid.times, job.control)
     oracle = fracoracle._solve_forcing(job.problem.n0 * samples, job.problem.rate, grid)
-    series = np.asarray(table.values)
-    diff = float(np.max(np.abs(series - oracle.values)))
+    diff = float(np.max(np.abs(table.values - oracle.values)))
     scale = max(1.0, float(np.max(np.abs(oracle.values))))
     rel_diff = diff / scale
     res = fracoracle.residual(table, oracle)
@@ -318,24 +325,22 @@ def _write_figure(
         if key not in problems:
             problems[key] = figure_problem(spec, lam, params[lam])
         table = solve_grid(problems[key], grid, control)
-        for t, v in zip(table.times, table.values):
-            if t > 0.0 and not v > 0.0:
-                violations.append(
-                    f"positivity violated: figure {fig_id}, lambda {lam:.2f}, "
-                    f"t {_fmt(t)} gives N = {_fmt(v)}"
-                )
-                break
+        # the first t > 0 whose N is not positive (nan included)
+        bad = np.flatnonzero((table.times > 0.0) & ~(table.values > 0.0))
+        if bad.size:
+            violations.append(
+                f"positivity violated: figure {fig_id}, lambda {lam:.2f}, "
+                f"t {_fmt(table.times[bad[0]])} gives N = {_fmt(table.values[bad[0]])}"
+            )
         columns.append(table.values)
     header = "t," + ",".join(f"N_lambda_{lam:.2f}" for lam in LAMBDAS)
     csv_path = out_dir / f"fig{fig_id}.csv"
-    _atomic_write(csv_path, _csv(header, grid.tolist(), *columns))
+    _atomic_write(csv_path, _csv(header, grid, *columns))
+    ts = grid.tolist()
     svg = render_line_chart(
         f"figure {fig_id} (variant {int(spec.variant)}, t in [0, {spec.t_end:g}])",
         "t", "N(t)",
-        [
-            (f"lambda = {lam:.2f}", grid.tolist(), col)
-            for lam, col in zip(LAMBDAS, columns)
-        ],
+        [(f"lambda = {lam:.2f}", ts, col) for lam, col in zip(LAMBDAS, np.array(columns).tolist())],
     )
     svg_path = out_dir / f"fig{fig_id}.svg"
     _atomic_write(svg_path, svg)

@@ -49,6 +49,7 @@ long grids.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -145,8 +146,12 @@ class QuadratureGrid:
     """Uniform grid with product-trapezoidal weights for the RL integral."""
 
     def __init__(self, t_end: float, n_steps: int, nu: float):
-        if not t_end > 0.0:
-            raise DomainError(f"t_end must be > 0, got {t_end}")
+        if not 0.0 < t_end < math.inf:
+            raise DomainError(f"t_end must be finite and > 0, got {t_end}")
+        try:
+            n_steps = operator.index(n_steps)  # ints and numpy ints, not floats
+        except TypeError:
+            raise DomainError(f"n_steps must be an integer, got {n_steps!r}") from None
         if n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {n_steps}")
         if not nu > 0.0:
@@ -320,9 +325,9 @@ def residual(table: SolutionTable, oracle: OracleSolution) -> float:
     with the grid, rate and forcing F_j = n0 f(t_j) of ``oracle``, so no
     source is evaluated here.
     """
-    grid, values = oracle.grid, np.asarray(table.values)
+    grid, values = oracle.grid, table.values
     integral = grid.rl_integral(values)  # DomainError unless one value per node
-    if np.max(np.abs(np.asarray(table.times) - grid.times)) > 1e-12 * max(1.0, grid.t_end):
+    if np.max(np.abs(table.times - grid.times)) > 1e-12 * max(1.0, grid.t_end):
         raise DomainError("solution table times do not match the quadrature grid")
     worst = float(np.max(np.abs(values - oracle.forcing + oracle.rate ** grid.nu * integral)))
     return worst / max(1.0, float(np.max(np.abs(values))))

@@ -18,12 +18,13 @@ is a multiple of s**(mu+2n+m), s = t**nu, divided by
 Gamma(nu*(mu+2n+m) + 1).  Grouping the terms by j = 2n+m gives one power
 series, N(t) = n0 * sum_j a_j s**(mu+j), whose t-free coefficients follow a
 two-term recurrence (:class:`_PowerTable`), run once in plain doubles and
-scaled by exact powers of two past Gamma(171).  The table is built once
-per problem and kept on it; the inner Mittag-Leffler sums disappear.  The
-sum is refused with :class:`series.CancellationError` where the sum of
-every |term (n, m)| exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
-|N|.  It runs by Horner on the table, and its tail bounds the roundoff
-too (:func:`series.horner_sum`).  Where s or n0 s**mu is not a normal
+scaled by exact powers of two once a gamma passes 2**512.  The table is
+built once per problem and kept on it; the inner Mittag-Leffler sums
+disappear.  The sum is refused with :class:`series.CancellationError`
+where the sum of every |term (n, m)| exceeds
+:data:`series.CANCELLATION_RATIO_LIMIT` times |N|.  It runs by Horner on
+the table, and its tail bounds the roundoff too
+(:func:`series.horner_sum`).  Where s or n0 s**mu is not a normal
 double, or Horner's sums leave the doubles, the same terms are summed as
 logs, with the same coefficient bounds in the tail; a time that needs a
 coefficient past the table is refused with :class:`series.OverflowLogError`.
@@ -42,7 +43,12 @@ Two evaluation paths for the solution, chosen by the kind of input:
   a batch of one.
 * :func:`solve_grid` evaluates the grid as one batch: the same Horner
   operations on numpy arrays (:func:`series.horner_sum_batch`), or the
-  same evaluator on every time at once.
+  same evaluator on every time at once.  It returns a
+  :class:`SolutionTable` whose ``times``, ``values`` and ``tails`` are
+  read-only float64 arrays and whose ``terms`` is a tuple of Python ints.
+  A grid that is not one-dimensional is refused with
+  :class:`series.DomainError`; the command line also refuses a grid of
+  more than 2**20 points or steps (:data:`cli.MAX_GRID_SIZE`).
 
 The source has a pair too: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, which sums
@@ -240,6 +246,7 @@ def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
 
 
 _LN2 = math.log(2.0)
+_UNIT_GAMMA = 2.0 ** 512  # the largest gamma _PowerTable keeps in units of 1
 _DBL_MIN = sys.float_info.min
 _DBL_MAX = sys.float_info.max
 
@@ -259,10 +266,12 @@ class _PowerTable(HornerTable):
     sum_j A_j s**(mu+j) is the sum of every |term (n, m)|.
 
     The recurrence runs once, in plain doubles, in units of 2**F_j: F_j = 0
-    while nu*(mu+j) + 1 < 171, where G_j is math.gamma, and past that F_j
-    is the binary exponent of G_j, whose mantissa G_j / 2**F_j comes from
-    lgamma.  The step into larger units scales by a power of two, which is
-    exact, so b_j / 2**F_j and a_j keep their true size.  A term e_n below
+    while G_j <= 2**512, and past that F_j is the binary exponent of G_j,
+    so b_j = a_j G_j cannot overflow while a_j is a normal double.  The
+    mantissa G_j / 2**F_j is split exactly from math.gamma while
+    nu*(mu+j) + 1 < 171, and comes from lgamma past that.  The step into
+    larger units scales by a power of two, which is exact, so b_j / 2**F_j
+    and a_j keep their true size.  A term e_n below
     the normal doubles is left out and its size added to the error bound.
     The table grows as the sums reach further, while a_j, A_j and every
     value formed for them is a normal double, and fills the lists of
@@ -306,21 +315,25 @@ class _PowerTable(HornerTable):
             gamma_err = gamma_error(x, self._x_err)
             new_b, new_abs_b = b * -r, abs_b * r
             new_err = err_b * r + (self._pow_err + 0.5) * new_abs_b
-            new_f = f
+            new_f = f  # G_j = gamma * 2**new_f
             if x < 171.0:
                 gamma = math.gamma(x)
-            elif x < _LGAMMA_ARG_MAX:  # G_j = gamma * 2**new_f
+                if gamma > _UNIT_GAMMA:  # frexp splits it exactly
+                    mantissa, exponent = math.frexp(gamma)
+                    gamma, new_f = 2.0 * mantissa, exponent - 1
+            elif x < _LGAMMA_ARG_MAX:
                 log_gamma = math.lgamma(x)
                 new_f = int(log_gamma / _LN2)
                 gamma = math.exp(log_gamma - new_f * _LN2)
                 gamma_err += (GAMMA_ULPS + 1.5) * log_gamma - GAMMA_ULPS + 1.5
+            else:
+                break
+            if new_f != f:
                 new_b, new_abs_b = math.ldexp(new_b, f - new_f), math.ldexp(new_abs_b, f - new_f)
                 # E_{j-1} scaled before the product, which may overflow the old
                 # units; 2**-1074 keeps it a bound where the scaling rounds
                 new_err = ((math.ldexp(err_b, f - new_f) + 5e-324) * r
                            + (self._pow_err + 0.5) * new_abs_b)
-            else:
-                break
             formed = (new_b, new_abs_b) if j else (r,)  # b_{-1} = 0 is exact
             if j % 2 == 0:
                 n = j // 2
@@ -617,29 +630,61 @@ def _increasing(t: np.ndarray) -> bool:
     return bool((t[1:] > t[:-1]).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionTable:
-    """Solution values on a time grid plus per-point evaluation metadata."""
+    """Solution values on a time grid plus per-point evaluation metadata.
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
+    ``times``, ``values`` and ``tails`` are read-only one-dimensional
+    float64 arrays; ``terms`` is a tuple of Python ints.  Columns given in
+    another form (tuples, lists, writable arrays) are copied into that
+    form.  Two tables are equal when their problems and columns are.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
     terms: tuple[int, ...]
-    tails: tuple[float, ...]
+    tails: np.ndarray
     problem: KineticProblem
 
+    _FLOAT_COLUMNS = ("times", "values", "tails")
+
     def __post_init__(self):
+        for name in self._FLOAT_COLUMNS:
+            column = getattr(self, name)
+            if not (type(column) is np.ndarray and column.dtype == np.float64
+                    and not column.flags.writeable):
+                column = _read_only(np.array(column, dtype=float))
+                object.__setattr__(self, name, column)
+            if column.ndim != 1:
+                raise DomainError("SolutionTable columns must be one-dimensional")
+        if type(self.terms) is not tuple:
+            object.__setattr__(self, "terms", tuple(map(int, self.terms)))
         n = len(self.times)
         if not (len(self.values) == len(self.terms) == len(self.tails) == n):
             raise DomainError("SolutionTable columns must have equal length")
-        if not _increasing(np.asarray(self.times, dtype=float)):
+        if not _increasing(self.times):
             raise DomainError("SolutionTable times must be strictly increasing")
+
+    def __eq__(self, other):
+        if type(other) is not SolutionTable:
+            return NotImplemented
+        return (self.problem == other.problem and self.terms == other.terms
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in self._FLOAT_COLUMNS))
+
+    __hash__ = None
 
     def __len__(self) -> int:
         return len(self.times)
 
     @property
     def max_tail(self) -> float:
-        return max(self.tails, default=0.0)
+        return float(self.tails.max()) if len(self.tails) else 0.0
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
@@ -784,6 +829,14 @@ def _evaluate_grid(
     return values, terms, tails
 
 
+def _grid_times(grid: Sequence[float]) -> np.ndarray:
+    """The grid as a new float array, refused unless it is one-dimensional."""
+    times = np.array(grid, dtype=float)
+    if times.ndim != 1:
+        raise DomainError(f"grid times must be one-dimensional, got shape {times.shape}")
+    return times
+
+
 def solve_grid(
     prob: KineticProblem, grid: Sequence[float], ctl: SeriesControl | None = None
 ) -> SolutionTable:
@@ -793,7 +846,7 @@ def solve_grid(
     and tails :func:`solve_point` gives at each t; a partial table is
     never returned.
     """
-    times = np.array(grid, dtype=float)
+    times = _grid_times(grid)
     negative = np.flatnonzero(~(times >= 0.0))
     if negative.size:
         raise DomainError(f"grid times must be >= 0, got {float(times[negative[0]])}")
@@ -802,13 +855,8 @@ def solve_grid(
     ctl = ctl or DEFAULT_CONTROL
     values, terms, tails = _evaluate_grid(
         prob, times, partial(_power_batch, prob, ctl), lambda t: solve_point(prob, t, ctl))
-    return SolutionTable(
-        times=tuple(times.tolist()),
-        values=tuple(values.tolist()),
-        terms=tuple(terms.tolist()),
-        tails=tuple(tails.tolist()),
-        problem=prob,
-    )
+    return SolutionTable(times=_read_only(times), values=_read_only(values),
+                         terms=tuple(terms.tolist()), tails=_read_only(tails), problem=prob)
 
 
 def source_grid(
@@ -820,7 +868,7 @@ def source_grid(
     contract (see module docs); the points it refuses or leaves go to
     :func:`specfun.gen_k_bessel`.
     """
-    times = np.array(times, dtype=float)
+    times = _grid_times(times)
     ctl = ctl or DEFAULT_CONTROL
     values, _, _ = _evaluate_grid(prob, times, partial(_source_batch, prob, ctl),
                                   lambda t: gen_k_bessel(prob.params, prob.z(t), ctl))

@@ -413,7 +413,9 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray) -> np.
     each step runs on the prefix that has joined.  The partials and the
     powers x**j (running products, on the same prefixes) are kept as rows
     that hold 0 where an element has not joined, and the forward sums run
-    down the rows.
+    down the rows.  Both sets of rows come from one zeroed block: as two
+    blocks of about half a megabyte each (at a 2049-point grid), they were
+    trimmed from the heap when freed and faulted in afresh on every call.
     """
     n = x.size
     top = int(length.max()) if n else 0
@@ -422,13 +424,13 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray) -> np.
     order = np.argsort(-length, kind="stable")
     xs = x[order]
     joined = np.searchsorted(-length[order], -np.arange(top), side="left").tolist()
-    partials = np.zeros((top + 1, n))
+    rows = np.zeros((2 * top + 1, n))
+    partials, powers = rows[:top + 1], rows[top + 1:]
     for j, a in zip(range(top - 1, -1, -1), reversed(table.coeffs[:top])):
         count = joined[j]
         v_j = partials[j, :count]
         np.multiply(partials[j + 1, :count], xs[:count], out=v_j)
         v_j += a
-    powers = np.zeros((top, n))
     powers[0, :joined[0]] = 1.0
     for j in range(1, top):
         count = joined[j]

@@ -20,7 +20,8 @@ from kkinetics import (
     solve_grid,
     solve_volterra,
 )
-from kkinetics.figures import LAMBDAS
+from kkinetics import fracoracle
+from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
 from kkinetics.kinetics import SolutionTable
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -424,6 +425,44 @@ def test_verify_rejects_bad_grid_step(tmp_path):
     assert cli.main(["verify", "--config", str(cfg), "--grid-step", "-1"]) == 2
 
 
+class _Reached(Exception):
+    """A grid-building call was reached (see the oversized-grid tests)."""
+
+
+def _unreachable(*args, **kwargs):
+    raise _Reached(*args)
+
+
+@pytest.mark.parametrize("argv, overrides", [
+    (["verify", "--grid-step", "1e-9"], {}),  # 10**9 steps
+    (["verify", "--grid-step", "5e-324"], {}),  # t_end / h is inf
+    (["verify"], {"n_points": 10 ** 9}),
+    (["solve", "--out", "x.csv"], {"n_points": 10 ** 9}),
+    (["solve", "--out", "x.csv"], {"n_points": 2 ** 20 + 1}),
+], ids=["verify_step", "verify_step_inf", "verify_points", "solve_points", "solve_limit"])
+def test_oversized_grids_exit_two_before_anything_is_allocated(
+        tmp_path, capsys, monkeypatch, argv, overrides):
+    # each of these grids takes 8 GB a column: the calls that would build
+    # one fail the test instead of allocating it
+    for owner, name in ((fracoracle, "QuadratureGrid"), (cli, "solve_grid"), (np, "linspace")):
+        monkeypatch.setattr(owner, name, _unreachable)
+    cfg = write_config(tmp_path, **overrides)
+    argv = [argv[0], "--config", str(cfg)] + [str(tmp_path / a) if a == "x.csv" else a
+                                              for a in argv[1:]]
+    assert cli.main(argv) == 2
+    assert "2**20" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_grids_of_2_to_the_20_are_accepted(tmp_path, monkeypatch):
+    assert cli.load_config(write_config(tmp_path, n_points=2 ** 20)).n_points == 2 ** 20
+    monkeypatch.setattr(fracoracle, "QuadratureGrid", _unreachable)
+    cfg = write_config(tmp_path)
+    with pytest.raises(_Reached) as reached:
+        cli.main(["verify", "--config", str(cfg), "--grid-step", repr(2.0 ** -20)])
+    assert reached.value.args[1] == 2 ** 20
+
+
 # ---------------------------------------------------------------- figures
 
 
@@ -456,6 +495,46 @@ def test_figures_four_and_six_differ(tmp_path):
     a = (tmp_path / "fig4.csv").read_text()
     b = (tmp_path / "fig6.csv").read_text()
     assert a != b
+
+
+def _csv_by_rows(header, *columns):
+    """The CSV text as the writer formed it from tuples of Python floats, row by row."""
+    columns = [np.asarray(column, dtype=float).tolist() for column in columns]
+    rows = (",".join(map(repr, row)) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
+
+
+def test_csv_of_array_columns_matches_the_row_formatter():
+    # numpy 2 writes repr of an array element as np.float64(...): the writer
+    # must print every cell as the repr of a Python float
+    for fig_id, spec in FIGURES.items():
+        grid = figure_grid(spec)
+        tables = [solve_grid(figure_problem(spec, lam), grid) for lam in LAMBDAS]
+        columns = [table.values for table in tables]
+        assert cli._csv("t,N...", grid, *columns) == _csv_by_rows("t,N...", grid, *columns), fig_id
+        for table in tables:
+            assert (cli._csv("t,N", table.times, table.values)
+                    == _csv_by_rows("t,N", table.times, table.values)), fig_id
+    assert cli._csv("t,N", np.zeros(0), ()) == "t,N\n"
+
+
+def test_figures_all_reports_the_nine_sign_changes(tmp_path, capsys):
+    # figures 2 and 3 cross zero; each line names the first t > 0 with N <= 0
+    assert cli.main(["figures", "--all", "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "positivity violated: figure 2, lambda 1.00, t 1.85 gives N = -0.0008846427952695691",
+        "positivity violated: figure 2, lambda 1.25, t 1.87 gives N = -0.0007623124657397463",
+        "positivity violated: figure 2, lambda 1.50, t 1.9100000000000001 "
+        "gives N = -0.0008622339790897538",
+        "positivity violated: figure 2, lambda 1.75, t 1.97 gives N = -0.0008608218711383109",
+        "positivity violated: figure 3, lambda 1.00, t 1.845 gives N = -0.000366513481877887",
+        "positivity violated: figure 3, lambda 1.25, t 1.875 gives N = -0.0013883212708602072",
+        "positivity violated: figure 3, lambda 1.50, t 1.905 gives N = -0.00012509880704181963",
+        "positivity violated: figure 3, lambda 1.75, t 1.9649999999999999 "
+        "gives N = -3.6490730732424146e-05",
+        "positivity violated: figure 3, lambda 2.00, t 2.0549999999999997 "
+        "gives N = -0.0014289722557937964",
+    ]
 
 
 def test_figures_requires_selection(tmp_path):

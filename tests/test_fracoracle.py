@@ -71,6 +71,20 @@ def test_grid_validation():
         QuadratureGrid(1.0, 10, -0.5)
 
 
+def test_grid_refuses_an_infinite_end_and_a_fractional_step_count():
+    # t_end = inf used to warn in linspace and then raise OverflowLogError,
+    # and n_steps = 10.5 silently built 10 steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite"):
+            QuadratureGrid(math.inf, 10, 0.5)
+    for n_steps in (10.5, 10.0, np.float64(10.0)):
+        with pytest.raises(DomainError, match="integer"):
+            QuadratureGrid(1.0, n_steps, 0.5)
+    grid = QuadratureGrid(1.0, np.int64(10), 0.5)
+    assert type(grid.n_steps) is int and grid.n_steps == 10 and grid.times.size == 11
+
+
 def test_grid_refuses_an_order_whose_gamma_overflows():
     # math.gamma(700) used to end in a bare OverflowError
     with pytest.raises(OverflowLogError):

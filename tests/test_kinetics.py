@@ -294,6 +294,53 @@ def test_solve_grid_validates_ordering():
         solve_grid(prob, [-0.1, 0.5])
 
 
+def test_solve_grid_table_holds_read_only_arrays():
+    prob = fig_problem(Theorem.T1)
+    table = solve_grid(prob, np.linspace(0.0, 1.0, 101))
+    for column in (table.times, table.values, table.tails):
+        assert type(column) is np.ndarray and column.dtype == np.float64 and column.ndim == 1
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    # the benchmark's tracer writes sum(terms) into JSON: numpy ints would not serialize
+    assert type(table.terms) is tuple and all(type(n) is int for n in table.terms)
+    assert json.loads(json.dumps(sum(table.terms))) == sum(table.terms)
+    assert type(table.max_tail) is float
+    with pytest.raises(TypeError):
+        hash(table)
+
+
+def test_solution_table_from_sequences_equals_the_grid_table():
+    prob = fig_problem(Theorem.T2)
+    table = solve_grid(prob, np.linspace(0.0, 0.05, 11))
+    rebuilt = SolutionTable(tuple(table.times.tolist()), list(table.values.tolist()),
+                            np.array(table.terms), tuple(table.tails.tolist()), prob)
+    assert rebuilt == table and not rebuilt != table
+    assert type(rebuilt.terms) is tuple and all(type(n) is int for n in rebuilt.terms)
+    assert not rebuilt.values.flags.writeable
+    # a writable array given by the caller is copied, not frozen in place
+    values = np.array(table.values)
+    copied = SolutionTable(table.times, values, table.terms, table.tails, prob)
+    assert copied.values is not values and values.flags.writeable
+    values[1] += 1.0
+    assert copied == table and SolutionTable(table.times, values, table.terms, table.tails,
+                                             prob) != table
+    with pytest.raises(DomainError):
+        SolutionTable(table.times, table.values[:-1], table.terms, table.tails, prob)
+    with pytest.raises(DomainError):
+        SolutionTable(table.times[::-1], table.values, table.terms, table.tails, prob)
+
+
+def test_grids_refuse_a_grid_that_is_not_one_dimensional():
+    # a nested list used to end in a bare IndexError
+    prob = fig_problem(Theorem.T1)
+    for grid in ([[0.1, 0.2]], 0.5):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            solve_grid(prob, grid)
+        with pytest.raises(DomainError, match="one-dimensional"):
+            source_grid(prob, grid)
+
+
 def test_solve_grid_fig1_metadata():
     prob = fig_problem(Theorem.T1)
     table = solve_grid(prob, np.linspace(0.0, 1.0, 101))

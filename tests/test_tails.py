@@ -176,8 +176,9 @@ FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 
 
 @pytest.mark.parametrize("prob, length", [
-    # b_j = a_j G_j leaves the doubles at j = 30, before Gamma(171)
-    (KineticProblem(n0=2.0, d=3.0, nu=5.0, variant=Theorem.T2, params=FIG_PARAMS), 30),
+    # in units of 1, b_j = a_j G_j left the doubles at j = 30, before Gamma(171);
+    # in units of 2**F from G_j > 2**512 the table holds the 200 asked for
+    (KineticProblem(n0=2.0, d=3.0, nu=5.0, variant=Theorem.T2, params=FIG_PARAMS), 200),
     # q = d**nu / 2 = 1e28: the coefficient term of j = 10 is about exp(705)
     (KineticProblem(n0=2.0, d=2e28, nu=1.0, variant=Theorem.T3, params=FIG_PARAMS, a=1e-30), 10),
     # the figure problem at nu = 2 passes Gamma(171) from j = 85
@@ -194,7 +195,32 @@ def test_power_table_coefficients_are_within_their_error_bounds(prob, length):
         want = _mp_power_coefficients(prob, len(table.coeffs))
         for j, (a, a_abs, err) in enumerate(zip(table.coeffs, table.abs_coeffs, table.errs)):
             assert abs(a - want[j]) <= EPS * err, j
-            assert abs(want[j]) <= a_abs * (1 + 1e-12), j
+            # A_j is formed beside a_j and carries the same rounding, gamma's included
+            assert abs(want[j]) <= a_abs + EPS * err, j
+
+
+def test_power_table_holds_a_j_whose_b_j_overflows():
+    # in units of 1 this table ended at j = 30, where b_j = a_j G_j left the
+    # doubles (G_j near Gamma(151)) with |a_29| about 1.8e42, and every t
+    # from 0.5 on was refused for want of a coefficient
+    prob = KineticProblem(n0=2.0, d=3.0, nu=5.0, variant=Theorem.T2, params=FIG_PARAMS)
+    answered = []
+    for t in (0.5, 1.0, 2.0, 4.0):
+        try:
+            res = solve_point(prob, t)
+        except EvaluationError:
+            continue
+        want, _ = _mp_solution(prob, t)
+        assert abs(res.value - want) <= res.tail, (t, res)
+        answered.append(t)
+    assert answered
+    table = prob._power_table()
+    assert len(table.coeffs) > 30
+    worst = max(a_abs / abs(a) for a, a_abs in zip(table.coeffs, table.abs_coeffs))
+    with mpmath.workdps(30 + int(math.log10(worst))):
+        want = _mp_power_coefficients(prob, len(table.coeffs))
+        for j, (a, err) in enumerate(zip(table.coeffs, table.errs)):
+            assert abs(a - want[j]) <= EPS * err, j
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
