@@ -43,8 +43,10 @@ from .svgchart import render_line_chart
 
 DEFAULT_GRID_STEP = 1.0 / 2048.0
 VERIFY_THRESHOLD = 1e-3
-# The most points (solve) or steps (verify) one command takes: each float
-# column of such a grid is 8 MiB, and a grid is refused before any is allocated.
+# The most points (solve) or steps (verify) one command takes; a larger grid
+# is refused before any is allocated.  The batch Horner sum keeps 2J + 1 rows
+# of the grid (J terms), so the memory of a grid this size grows with J: one
+# verify of a 29-term job at 2**20 steps peaks near 770 MiB (see README).
 MAX_GRID_SIZE = 2 ** 20
 
 

@@ -247,8 +247,30 @@ def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
 
 _LN2 = math.log(2.0)
 _UNIT_GAMMA = 2.0 ** 512  # the largest gamma _PowerTable keeps in units of 1
+_PRODUCT_ARG_MAX = 4096.0  # Gamma(x) as a product of at most 3926 factors below this
+_PRODUCT_CHUNK = 64  # factors below 2**12 per partial product, which stays below 2**768
 _DBL_MIN = sys.float_info.min
 _DBL_MAX = sys.float_info.max
+
+
+def _gamma_product(x: float) -> tuple[float, int, int]:
+    """Gamma(x) = gamma * 2**f with gamma in [1, 2), for 171 <= x < _PRODUCT_ARG_MAX.
+
+    Formed as Gamma(y) y (y + 1) ... (x - 1) with y = x - k in [169, 170),
+    k = floor(x) - 169.  y and every factor y + i are multiples of ulp(x)
+    below x, so they are exact, and frexp splits each partial product
+    exactly; the products round at most k times, which is returned third.
+    """
+    k = math.floor(x) - 169
+    y = x - k
+    factors = np.ones(-(-k // _PRODUCT_CHUNK) * _PRODUCT_CHUNK)
+    factors[:k] = y + np.arange(k)
+    gamma, f = math.frexp(math.gamma(y))
+    for chunk in np.prod(factors.reshape(-1, _PRODUCT_CHUNK), axis=1).tolist():
+        gamma, exponent = math.frexp(gamma * chunk)
+        f += exponent
+    return 2.0 * gamma, f - 1, k
+
 
 class _PowerTable(HornerTable):
     """Coefficients of N(t) / n0 = sum_j a_j s**(mu+j), s = t**nu, for aligned exponents.
@@ -269,7 +291,9 @@ class _PowerTable(HornerTable):
     while G_j <= 2**512, and past that F_j is the binary exponent of G_j,
     so b_j = a_j G_j cannot overflow while a_j is a normal double.  The
     mantissa G_j / 2**F_j is split exactly from math.gamma while
-    nu*(mu+j) + 1 < 171, and comes from lgamma past that.  The step into
+    x = nu*(mu+j) + 1 < 171, is a product of exact factors down to
+    math.gamma below 170 while x < 4096 (:func:`_gamma_product`), and comes
+    from lgamma past that.  The step into
     larger units scales by a power of two, which is exact, so b_j / 2**F_j
     and a_j keep their true size.  A term e_n below
     the normal doubles is left out and its size added to the error bound.
@@ -283,9 +307,10 @@ class _PowerTable(HornerTable):
     nu = 1) and kappa_n the error of e_n G_j: that of its log
     (:func:`specfun.k_bessel_log_error` and of (mu+j) log q), one ulp of
     exp, a half for the product and that of G_j.  A left-out e_n adds
-    2 DBL_MIN G_j / EPS.  The mantissa of a gamma past 171 adds to the
-    error of math.gamma that of lgamma (GAMMA_ULPS of it) and of F_j log 2
-    (1.5 ulps), a half for their difference and one ulp of exp.  a_j is
+    2 DBL_MIN G_j / EPS.  A mantissa formed as a product adds a half for
+    each of its roundings; one formed from lgamma adds to the error of
+    math.gamma that of lgamma (GAMMA_ULPS of it) and of F_j log 2 (1.5
+    ulps), a half for their difference and one ulp of exp.  a_j is
     then off by E_j / G_j + (1/2 + error of G_j) A_j; the evaluation adds
     (mu+j) r_err A_j for s**(mu+j), one ulp of s**mu and a half for each
     product with n0 and with the sum.
@@ -321,6 +346,9 @@ class _PowerTable(HornerTable):
                 if gamma > _UNIT_GAMMA:  # frexp splits it exactly
                     mantissa, exponent = math.frexp(gamma)
                     gamma, new_f = 2.0 * mantissa, exponent - 1
+            elif x < _PRODUCT_ARG_MAX:
+                gamma, new_f, roundings = _gamma_product(x)
+                gamma_err += 0.5 * roundings
             elif x < _LGAMMA_ARG_MAX:
                 log_gamma = math.lgamma(x)
                 new_f = int(log_gamma / _LN2)
@@ -636,8 +664,9 @@ class SolutionTable:
 
     ``times``, ``values`` and ``tails`` are read-only one-dimensional
     float64 arrays; ``terms`` is a tuple of Python ints.  Columns given in
-    another form (tuples, lists, writable arrays) are copied into that
-    form.  Two tables are equal when their problems and columns are.
+    another form (tuples, lists, writable arrays, read-only views of
+    writable arrays) are copied into that form.  Two tables are equal when
+    their problems and columns are.
     """
 
     times: np.ndarray
@@ -651,8 +680,7 @@ class SolutionTable:
     def __post_init__(self):
         for name in self._FLOAT_COLUMNS:
             column = getattr(self, name)
-            if not (type(column) is np.ndarray and column.dtype == np.float64
-                    and not column.flags.writeable):
+            if not _frozen_float_array(column):
                 column = _read_only(np.array(column, dtype=float))
                 object.__setattr__(self, name, column)
             if column.ndim != 1:
@@ -685,6 +713,17 @@ class SolutionTable:
 def _read_only(column: np.ndarray) -> np.ndarray:
     column.flags.writeable = False
     return column
+
+
+def _frozen_float_array(column) -> bool:
+    """A read-only float64 array whose memory no writable array shares: one
+    that owns it, or a view of a read-only array (numpy points a view's
+    base at the array that owns the memory)."""
+    if not (type(column) is np.ndarray and column.dtype == np.float64
+            and not column.flags.writeable):
+        return False
+    base = column.base
+    return base is None or (type(base) is np.ndarray and not base.flags.writeable)
 
 
 def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:

@@ -325,6 +325,19 @@ def test_solution_table_from_sequences_equals_the_grid_table():
     values[1] += 1.0
     assert copied == table and SolutionTable(table.times, values, table.terms, table.tails,
                                              prob) != table
+    # so is a read-only view of one, which would change with it
+    view = values.view()
+    view.flags.writeable = False
+    for shared in (view, np.broadcast_to(values, values.shape)):
+        before = np.array(shared)
+        kept = SolutionTable(table.times, shared, table.terms, table.tails, prob)
+        values[1] += 1.0
+        assert np.array_equal(kept.values, before) and not np.array_equal(kept.values, shared)
+    # a table's own columns, and read-only views of them, are kept as they are
+    assert SolutionTable(table.times, table.values, table.terms, table.tails,
+                         prob).values is table.values
+    assert SolutionTable(table.times[:5], table.values[:5], table.terms[:5], table.tails[:5],
+                         prob).values.base is table.values
     with pytest.raises(DomainError):
         SolutionTable(table.times, table.values[:-1], table.terms, table.tails, prob)
     with pytest.raises(DomainError):
