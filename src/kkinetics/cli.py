@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fracoracle
-from .figures import FIGURES, GRID_POINTS, LAMBDAS, figure_grid, figure_params, figure_problem
+from .figures import FIGURES, GRID_POINTS, LAMBDAS, figure_grid, figure_problem
 from .kinetics import KineticProblem, Theorem, solve_grid, source_grid
 from .series import EvaluationError, SeriesControl, SeriesResult
 from .specfun import (
@@ -277,8 +277,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     job = load_config(args.config)
     h = args.grid_step
-    if not h > 0.0:
-        raise ConfigError(f"--grid-step must be > 0, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"--grid-step must be finite and > 0, got {h}")
     steps_exact = job.t_end / h
     if not steps_exact <= MAX_GRID_SIZE:
         raise ConfigError(f"--grid-step {h!r} needs {steps_exact:.6g} steps over t_end = "
@@ -312,21 +312,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- figures
 
 
-def _write_figure(
-    fig_id: int, out_dir: Path, control: SeriesControl, problems: dict, params: dict
-) -> tuple[Path, Path, list[str]]:
-    """Write one figure's CSV and SVG; ``problems`` holds the problems built
-    so far, and ``params`` the source parameters of each lam."""
+def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl
+                  ) -> tuple[Path, Path, list[str]]:
+    """Write one figure's CSV and SVG."""
     spec = FIGURES[fig_id]
     grid = figure_grid(spec)
     columns = []
     violations: list[str] = []
     for lam in LAMBDAS:
-        # figure_problem reads only (variant, a, lam): figures 1-3, 4-5 and 6-7 share problems
-        key = (spec.variant, spec.a, lam)
-        if key not in problems:
-            problems[key] = figure_problem(spec, lam, params[lam])
-        table = solve_grid(problems[key], grid, control)
+        table = solve_grid(figure_problem(spec, lam), grid, control)
         # the first t > 0 whose N is not positive (nan included)
         bad = np.flatnonzero((table.times > 0.0) & ~(table.values > 0.0))
         if bad.size:
@@ -361,11 +355,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     control = _default_control()
     all_violations: list[str] = []
-    # shared by the figures of this call only
-    problems: dict = {}
-    params = {lam: figure_params(lam) for lam in LAMBDAS}
     for fig_id in fig_ids:
-        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control, problems, params)
+        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control)
         print(f"wrote {csv_path} and {svg_path} ({GRID_POINTS} rows per column)")
         all_violations.extend(violations)
     if all_violations:

@@ -41,15 +41,10 @@ def figure_params(lam: float) -> KBesselParams:
     return KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0)
 
 
-def figure_problem(
-    spec: FigureSpec, lam: float, params: KBesselParams | None = None
-) -> KineticProblem:
-    """The sweep's problem at ``lam``.  ``params`` is ``figure_params(lam)``,
-    passed to share one instance, and its cache of coefficient error
-    bounds, between the problems of one lam."""
+def figure_problem(spec: FigureSpec, lam: float) -> KineticProblem:
+    """The sweep's problem at ``lam``."""
     return KineticProblem(
-        n0=2.0, d=3.0, nu=1.0, variant=spec.variant,
-        params=params or figure_params(lam), a=spec.a,
+        n0=2.0, d=3.0, nu=1.0, variant=spec.variant, params=figure_params(lam), a=spec.a,
     )
 
 

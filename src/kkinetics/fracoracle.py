@@ -48,6 +48,7 @@ long grids.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kinetics import KineticProblem, SolutionTable, _scaled_power
+from .kinetics import KineticProblem, SolutionTable, _read_only, _scaled_power
 from .series import (LOG_DBL_MAX, LOG_DBL_MIN, DomainError, EvaluationError,
                      OverflowLogError, SeriesControl, SeriesResult)
 from .specfun import MLParams, mittag_leffler
@@ -95,10 +96,11 @@ class _Spectra:
         self._by_length: dict[int, np.ndarray] = {}
 
     def rfft(self, length: int) -> np.ndarray:
+        """The real FFT of the operand at ``length``, read-only (a grid's is shared)."""
         if length not in self._by_length:
             from numpy import fft  # not at module level: loading numpy.fft slows `import kkinetics`
 
-            self._by_length[length] = fft.rfft(self.coeffs, length)
+            self._by_length[length] = _read_only(fft.rfft(self.coeffs, length))
         return self._by_length[length]
 
 
@@ -143,7 +145,12 @@ def _reciprocal(col: np.ndarray, n: int) -> np.ndarray:
 
 
 class QuadratureGrid:
-    """Uniform grid with product-trapezoidal weights for the RL integral."""
+    """Uniform grid with product-trapezoidal weights for the RL integral.
+
+    ``times`` is the grid's own array.  The weights and their kernel's
+    transforms are shared, read-only, by every grid of the same step count,
+    order and step (:func:`_grid_weights`).
+    """
 
     def __init__(self, t_end: float, n_steps: int, nu: float):
         if not 0.0 < t_end < math.inf:
@@ -181,42 +188,8 @@ class QuadratureGrid:
         if log_low < LOG_DBL_MIN:
             raise EvaluationError(f"h**nu / Gamma(nu + 1) = exp({log_low:.6g}) of the weights "
                                   "underflows double range")
-
-        m = np.arange(0, self.n_steps + 1, dtype=float)
-        m[0] = 1.0  # placeholder; index 0 is never used
-        log_step = np.log1p(-1.0 / m[2:])  # m[0] and m[1] are 1, and their increments stay 1
-        m_nu = m ** self.nu
-
-        def increments(m_p: np.ndarray, p: float) -> np.ndarray:
-            # m^p - (m-1)^p = -m^p * expm1(p * log1p(-1/m)), without subtractive cancellation
-            out = np.ones_like(m)
-            out[2:] = -m_p[2:] * np.expm1(p * log_step)
-            return out
-
-        d_nu = increments(m_nu, self.nu)
-        d_nu1 = increments(m ** (self.nu + 1.0), self.nu + 1.0)
-        scale = math.exp(log_scale)
-        a = scale * (d_nu1 / (self.nu + 1.0) - (m - 1.0) * d_nu / self.nu)
-        pair_sum = scale * d_nu / self.nu  # A_m + B_m, telescoping form
-        b = pair_sum - a
-        a[0] = b[0] = 0.0
-        if self.nu <= 1.0 and (np.any(a[1:] < 0.0) or np.any(b[1:] < 0.0)):
-            raise InstabilityError(
-                f"negative quadrature weight for nu = {self.nu}; weights must be "
-                "non-negative for nu <= 1"
-            )
-        # column 0 is A_j; the rest is the Toeplitz kernel [B_1, C_1, ..., C_{n-1}]
-        # with the interior coefficient C_m = A_m + B_{m+1}
-        self._a = a
-        self._kernel = np.concatenate((b[1:2], a[1:-1] + b[2:]))
-        # every row must integrate constants exactly: sum_i w[j][i] = t_j^nu / Gamma(nu+1)
-        sums = np.cumsum(pair_sum[1:])
-        exact = scale * m_nu[1:] / self.nu
-        err = np.max(np.abs(sums - exact) / exact)
-        if not err <= 1e-12:
-            raise EvaluationError(
-                f"quadrature weight rows drifted from the constant rule by {err:.3g}"
-            )
+        self._a, self._kernel, self._kernel_spectra = _grid_weights(self.n_steps, self.nu,
+                                                                    log_scale)
 
     def rl_integral(self, samples: Sequence[float]) -> np.ndarray:
         """Product-trapezoidal values of the order-nu RL integral at every node."""
@@ -224,8 +197,59 @@ class QuadratureGrid:
         if s.shape != self.times.shape:
             raise DomainError(f"need {self.times.shape[0]} samples, got shape {s.shape}")
         out = self._a * s[0]
-        out[1:] += _convolve(self._kernel, s[1:], 0, self.n_steps)
+        out[1:] += _convolve(self._kernel_spectra, s[1:], 0, self.n_steps)
         return out
+
+
+# The most weight sets one process keeps; one of 2**20 steps holds about 40 MB
+# with its kernel's spectra (see README).
+_GRID_WEIGHTS = 2
+
+
+@functools.lru_cache(maxsize=_GRID_WEIGHTS)
+def _grid_weights(n_steps: int, nu: float, log_scale: float
+                  ) -> tuple[np.ndarray, np.ndarray, _Spectra]:
+    """Column 0 (A_j) and the Toeplitz kernel of the weights, read-only, and the kernel's spectra.
+
+    The weights read only the step count, the order and log(h**nu / Gamma(nu)),
+    so every grid with these inputs shares one set.  A set is kept only once
+    it has passed the negativity and drift checks: a raised error is not.
+    """
+    m = np.arange(0, n_steps + 1, dtype=float)
+    m[0] = 1.0  # placeholder; index 0 is never used
+    log_step = np.log1p(-1.0 / m[2:])  # m[0] and m[1] are 1, and their increments stay 1
+    m_nu = m ** nu
+
+    def increments(m_p: np.ndarray, p: float) -> np.ndarray:
+        # m^p - (m-1)^p = -m^p * expm1(p * log1p(-1/m)), without subtractive cancellation
+        out = np.ones_like(m)
+        out[2:] = -m_p[2:] * np.expm1(p * log_step)
+        return out
+
+    d_nu = increments(m_nu, nu)
+    d_nu1 = increments(m ** (nu + 1.0), nu + 1.0)
+    scale = math.exp(log_scale)
+    a = scale * (d_nu1 / (nu + 1.0) - (m - 1.0) * d_nu / nu)
+    pair_sum = scale * d_nu / nu  # A_m + B_m, telescoping form
+    b = pair_sum - a
+    a[0] = b[0] = 0.0
+    if nu <= 1.0 and (np.any(a[1:] < 0.0) or np.any(b[1:] < 0.0)):
+        raise InstabilityError(
+            f"negative quadrature weight for nu = {nu}; weights must be "
+            "non-negative for nu <= 1"
+        )
+    # every row must integrate constants exactly: sum_i w[j][i] = t_j^nu / Gamma(nu+1)
+    sums = np.cumsum(pair_sum[1:])
+    exact = scale * m_nu[1:] / nu
+    err = np.max(np.abs(sums - exact) / exact)
+    if not err <= 1e-12:
+        raise EvaluationError(
+            f"quadrature weight rows drifted from the constant rule by {err:.3g}"
+        )
+    # column 0 is A_j; the rest is the Toeplitz kernel [B_1, C_1, ..., C_{n-1}]
+    # with the interior coefficient C_m = A_m + B_{m+1}
+    kernel = _read_only(np.concatenate((b[1:2], a[1:-1] + b[2:])))
+    return _read_only(a), kernel, _Spectra(kernel)
 
 
 @dataclass
@@ -295,7 +319,7 @@ def _solve_forcing(forcing: np.ndarray, rate: float, grid: QuadratureGrid) -> Or
         shared = _Spectra(g)
         x[:h] = g0 * x[:h] + _convolve(shared, x[:h], 0, h)
         if n > h:  # n = 1 has no upper half
-            x[h:] -= r * _convolve(kernel, x[:h], h, n)
+            x[h:] -= r * _convolve(grid._kernel_spectra, x[:h], h, n)
             x[h:] = g0 * x[h:] + _convolve(shared, x[h:], 0, n - h)
     values = np.concatenate((forcing[:1], x))
     if not np.all(np.isfinite(values)):

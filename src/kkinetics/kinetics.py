@@ -19,7 +19,7 @@ Gamma(nu*(mu+2n+m) + 1).  Grouping the terms by j = 2n+m gives one power
 series, N(t) = n0 * sum_j a_j s**(mu+j), whose t-free coefficients follow a
 two-term recurrence (:class:`_PowerTable`), run once in plain doubles and
 scaled by exact powers of two once a gamma passes 2**512.  The table is
-built once per problem and kept on it; the inner Mittag-Leffler sums
+built once per value (see below); the inner Mittag-Leffler sums
 disappear.  The sum is refused with :class:`series.CancellationError`
 where the sum of every |term (n, m)| exceeds
 :data:`series.CANCELLATION_RATIO_LIMIT` times |N|.  It runs by Horner on
@@ -32,9 +32,9 @@ coefficient past the table is refused with :class:`series.OverflowLogError`.
 Variant 1 at nu != 1 does not align: term (n, m) carries t**(mu+2n) and
 (t**nu)**m.  Its t-free coefficients form one table T[n, m]
 (:class:`_BivariateTable`), N(t) = n0 t**mu sum_n u**n sum_m T[n, m] v**m
-with u = t**2 and v = t**nu, built once per problem and kept on it in the
-same slot.  The inner Mittag-Leffler sums disappear here too, and the
-sum is guarded and bounded the same way.
+with u = t**2 and v = t**nu, built once per value too.  The inner
+Mittag-Leffler sums disappear here too, and the sum is guarded and
+bounded the same way.
 
 Two evaluation paths for the solution, chosen by the kind of input:
 
@@ -54,7 +54,20 @@ The source has a pair too: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, which sums
 logs, and :func:`source_grid` sums omega = (z/2)**mu sum_n c_n x**n,
 x = (z/2) * (z/2), at every grid time by Horner on the t-free table of
-its parameters (:meth:`specfun.KBesselParams._horner_table`).
+its parameters (``KBesselParams._table``).
+
+Every t-free table is built once per value, not once per instance.  A
+small registry per process, keyed by the values a table reads, hands
+equal inputs one shared object: :func:`_shared_table` for the problems'
+tables (at most 32), ``specfun._kbessel_table`` for the k-Bessel tables
+and their error bounds (at most 32), and ``fracoracle._grid_weights`` for
+the quadrature weights (at most 2, about 40 MB each at 2**20 steps).  The
+bounds are fixed; the least recently used entry goes first.  An instance
+looks its table up when it is built or first used and keeps it in a
+slot, so no scalar call pays for the lookup.  A table grown in pieces
+equals one grown at once bit for bit, so a shared table gives what a
+fresh one would.  Neither the registries nor the tables are thread-safe,
+and threads share them too: concurrent calls need one lock around them.
 
 Both grids follow one contract.  The batch is
 :func:`series.horner_sum_batch`, or the two-dimensional table's own
@@ -95,7 +108,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,8 +179,9 @@ class KineticProblem:
     d**nu t**nu (:meth:`z`), x = -rate**nu t**nu (:meth:`ml_arg`) and
     beta_n = mu+2n+1 (variant 1) or nu(mu+2n)+1.
 
-    Its t-free coefficients are tabulated on the instance the first time a
-    solver needs them, and grow from there.  Where the exponents align
+    Its t-free coefficients are tabulated the first time a solver needs
+    them, in one table shared by every problem of equal values (n0 aside),
+    and grow from there.  Where the exponents align
     (variants 2 and 3 at any nu, variant 1 at nu = 1) the double series is
     one power series in s = t**nu, N(t) = n0 * sum_j a_j s**(mu+j)
     (:class:`_PowerTable`); elsewhere the table is two-dimensional
@@ -193,6 +207,9 @@ class KineticProblem:
                 raise DomainError(f"variant 3 requires a finite a > 0, got {self.a}")
             if not abs(self.a - self.d) > 0.0:
                 raise DomainError("variant 3 requires a != d")
+        # Python floats, so that equal problems build equal tables (see KBesselParams)
+        for name in ("n0", "d", "nu") + (("a",) if self.variant == 3 else ()):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def source(self, t: float, ctl: SeriesControl | None = None) -> float:
         """Source value N0-free: omega(t) or omega(d**nu * t**nu)."""
@@ -219,10 +236,16 @@ class KineticProblem:
         return -_scaled_power("Mittag-Leffler argument", self.rate, t, self.nu)
 
     def _power_table(self) -> "_PowerTable | _BivariateTable":
-        """The coefficient table: one-dimensional where the exponents align."""
+        """The coefficient table: one-dimensional where the exponents align.
+
+        Looked up once per instance in the registry of :func:`_shared_table`,
+        by the values the table reads: n0 is not one of them.
+        """
         if self._power is None:
             aligned = self.variant != 1 or self.nu == 1.0
-            object.__setattr__(self, "_power", (_PowerTable if aligned else _BivariateTable)(self))
+            d = self.d if self.variant != 1 else None  # variant 1 reads d only as its rate
+            object.__setattr__(self, "_power",
+                               _shared_table(aligned, self.params, self.nu, self.rate, d))
         return self._power
 
 
@@ -243,6 +266,25 @@ def _scaled_power(what: str, base: float, t: float, nu: float) -> float:
         raise OverflowLogError(f"{what} at t = {t}: ({base} t)**{nu} overflows double range",
                                log_power)
     return math.exp(log_power)  # may underflow to 0
+
+
+# The most coefficient tables one process keeps (see _shared_table).
+_PROBLEM_TABLES = 32
+
+
+@lru_cache(maxsize=_PROBLEM_TABLES)
+def _shared_table(aligned: bool, params: KBesselParams, nu: float, rate: float,
+                  d: float | None) -> "_PowerTable | _BivariateTable":
+    """The one coefficient table of every problem with these values.
+
+    ``d`` is None for variant 1, whose table reads no log q.  The key holds
+    everything the table constructors read, and tables grown in pieces
+    equal tables grown at once bit for bit, so a shared table gives the
+    values, term counts and tails a new one would.
+    """
+    if aligned:
+        return _PowerTable(params, nu, rate, d)
+    return _BivariateTable(params, nu, rate)
 
 
 _LN2 = math.log(2.0)
@@ -316,18 +358,19 @@ class _PowerTable(HornerTable):
     product with n0 and with the sum.
     """
 
-    def __init__(self, prob: KineticProblem):
+    def __init__(self, params: KBesselParams, nu: float, rate: float, d: float | None):
+        """``d`` is that of variants 2 and 3, None for variant 1 (q = 1/2)."""
         super().__init__()
-        self.params = prob.params
-        self.nu = prob.nu
-        self.r = _pow(prob.rate, prob.nu)
-        log_d = prob.nu * math.log(prob.d) if prob.variant != 1 else 0.0
+        self.params = params
+        self.nu = nu
+        self.r = _pow(rate, nu)
+        log_d = nu * math.log(d) if d is not None else 0.0
         self.log_q = log_d - _LN2
         self._state = 0.0, 0.0, 0.0, 0  # b_{j-1}, A'_{j-1}, E_{j-1} in units of 2**F_{j-1}; F_{j-1}
-        self._pow_err = 0.0 if prob.nu == 1.0 else 1.0  # r = rate**nu and s = t**nu by pow
+        self._pow_err = 0.0 if nu == 1.0 else 1.0  # r = rate**nu and s = t**nu by pow
         # the error of log q, and that of nu*(mu+j) + 1 (none where it is exact)
         self._log_q_err = 1.5 * abs(log_d) + _LN2 + 0.5 * abs(self.log_q)
-        self._x_err = 0.0 if prob.nu == 1.0 and float(self.params.mu).is_integer() else 1.5
+        self._x_err = 0.0 if nu == 1.0 and params.mu.is_integer() else 1.5
 
     def grow(self, stop: int) -> None:
         """Extend the table towards ``stop`` coefficients; it ends at the first it cannot hold."""
@@ -444,13 +487,14 @@ class _BivariateTable:
     zeros: exact ones where c_n = 0, and the entries past a step that
     underflows while halving the row, which stay below DBL_MIN (the
     factors -r rho_m fall along m).  A point that needs an entry past
-    them is refused.  The table grows as the lengths of the sums reach
-    further.
+    them is refused, and the row holds zeros there.  The table grows as
+    the lengths of the sums reach further; its entries, errs, extents and
+    reach do not depend on the steps it grew by.
     """
 
-    def __init__(self, prob: KineticProblem):
-        self.params, self.mu, self.nu = prob.params, prob.params.mu, prob.nu
-        self.r = _pow(prob.rate, prob.nu)
+    def __init__(self, params: KBesselParams, nu: float, rate: float):
+        self.params, self.mu, self.nu = params, params.mu, nu
+        self.r = _pow(rate, nu)
         self.coeffs = self.errs = np.zeros((0, 0))
         self.extent = np.zeros(0, dtype=np.intp)
         self.lines = _Line(self, 0), _Line(self, 1)
@@ -500,7 +544,7 @@ class _BivariateTable:
             ratios = np.where(logged, np.exp(diffs), gammas[:, :-1] / gammas[:, 1:])
             # the gamma errors telescope: the steps to column m sum to those at x_0 and x_m
             steps = gamma_errs[:, 1:] - gamma_errs[:, :-1] + 2.5
-            if not start:
+            if not first:  # the block holds the step into column 1
                 steps[:, :1] += 2.0 * gamma_errs[:, :1]
             lgamma_errs = gamma_errs + GAMMA_ULPS * (np.maximum(np.abs(lgammas), 1.0) - 1.0)
             steps = np.where(logged, lgamma_errs[:, :-1] + lgamma_errs[:, 1:]
@@ -508,7 +552,8 @@ class _BivariateTable:
             factors = np.column_stack((lead, -self.r * ratios))
             block = np.multiply.accumulate(factors, axis=1)
             zero = ((lead == 0.0) & (lead_errs == 0.0))[:, None] & (block == 0.0)
-            errs = lead_errs[:, None] + np.cumsum(np.column_stack((np.zeros(ns.size), steps)), axis=1)
+            # one running sum from the lead's error, which a continuation takes up
+            errs = np.cumsum(np.column_stack((lead_errs, steps)), axis=1)
             mags = np.abs(block)
             normal = (mags >= _DBL_MIN) & (mags <= _DBL_MAX) | zero
             # a row that fades (see the class docs) holds zeros from there
@@ -516,9 +561,9 @@ class _BivariateTable:
             fading[:, 0] = bool(start)  # the column before the block: 0 once faded
             bad = np.argmin(np.column_stack((normal, np.zeros(ns.size, bool))), axis=1)
             faded = np.append(fading, np.zeros((ns.size, 1), bool), axis=1)[np.arange(ns.size), bad]
-            gone = faded[:, None] & (np.arange(block.shape[1]) >= bad[:, None])
-            block[gone] = 0.0
-            normal |= gone
+            past = np.arange(block.shape[1]) >= bad[:, None]
+            block[past] = 0.0  # never read past a row's end: zeros whatever the growth
+            normal |= faded[:, None] & past
         cut = start - first  # the column before the block
         self.coeffs[ns, start:stop] = block[:, cut:]
         self.errs[ns, start:stop] = np.where(zero, 0.0, np.where(normal, errs, math.inf))[:, cut:]
@@ -815,7 +860,7 @@ def _source_batch(
 ) -> _Batch:
     """omega(z) at every z = ``zs`` by Horner on the t-free table of ``prob.params``."""
     half = zs / 2.0
-    return horner_sum_batch(prob.params._horner_table(), half * half,
+    return horner_sum_batch(prob.params._table, half * half,
                             _pow_batch(half, prob.params.mu), ctl)
 
 

@@ -30,6 +30,7 @@ hard :class:`DomainError`, never a silently skipped term.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -90,11 +91,11 @@ class KBesselParams:
     # coefficient reads them
     _logs: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
     # k_bessel_log_error(self, n) for n = 0, 1, ...: t-free and costly, so
-    # gen_k_bessel and the tables of this instance and of the problems
-    # sharing it append to it in order and read it
-    _log_errors: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
-    # the Horner table of omega, made on first use (see _horner_table)
-    _table: "_KBesselTable | None" = field(default=None, init=False, repr=False, compare=False)
+    # gen_k_bessel and the tables of every equal instance and of their
+    # problems append to it in order and read it
+    _log_errors: list[float] = field(init=False, repr=False, compare=False)
+    # the Horner table of omega, shared by every equal instance (see _kbessel_table)
+    _table: "_KBesselTable" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("k", "gamma", "lam", "mu"):
@@ -103,6 +104,10 @@ class KBesselParams:
                 raise DomainError(f"KBesselParams.{name} must be finite and > 0, got {v}")
         if not (math.isfinite(self.b) and math.isfinite(self.c)):
             raise DomainError("KBesselParams.b and .c must be finite")
+        # Python floats, so that equal instances form their t-free state with
+        # equal arithmetic (an int or a numpy float32 would not).
+        for name in ("k", "gamma", "lam", "mu", "b", "c"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         # mu + lam*n + (b+1)/2 is increasing in n, so n=0 is the worst case.
         if self.b < -1.0 and self.mu + (self.b + 1.0) / 2.0 <= 0.0:
             raise DomainError(
@@ -112,12 +117,9 @@ class KBesselParams:
         g = self.gamma / self.k
         log_c = math.log(abs(self.c)) if self.c != 0.0 else -math.inf
         object.__setattr__(self, "_logs", (math.log(self.k), g, math.lgamma(g), log_c))
-
-    def _horner_table(self) -> "_KBesselTable":
-        """The t-free coefficients of omega for :func:`series.horner_sum`, kept on the instance."""
-        if self._table is None:
-            object.__setattr__(self, "_table", _KBesselTable(self))
-        return self._table
+        table = _kbessel_table(self)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_log_errors", table.log_errors)
 
 
 # The largest double whose lgamma is finite.  MLParams keeps beta below it,
@@ -374,6 +376,22 @@ def k_bessel_log_error(p: KBesselParams, n: int) -> float:
             + _digamma_bound(g + n) * (g + n) + _digamma_bound(g) * 0.5 * g + 0.5 * (k_piece + lg))
 
 
+# The most KBesselParams values whose t-free state one process keeps.
+_KBESSEL_STATES = 32
+
+
+@functools.lru_cache(maxsize=_KBESSEL_STATES)
+def _kbessel_table(params: KBesselParams) -> "_KBesselTable":
+    """The one t-free state of every instance equal to ``params``: its Horner
+    table, which also holds the list of :func:`k_bessel_log_error` values.
+
+    Keyed by value: -0.0 and 0.0 in b or c give the same coefficients and
+    bounds, which read b only as b + 1 and c only as |c|, c == 0 and c < 0.
+    The instance that first builds an entry is the one the table reads.
+    """
+    return _KBesselTable(params)
+
+
 class _KBesselTable(HornerTable):
     """omega(z) = (z/2)**mu * sum_n c_n x**n, x = (z/2) * (z/2), as a :class:`series.HornerTable`.
 
@@ -391,9 +409,10 @@ class _KBesselTable(HornerTable):
     def __init__(self, params: KBesselParams):
         super().__init__()
         self.params = params
+        self.log_errors: list[float] = []  # k_bessel_log_error(params, n), n = 0, 1, ...
 
     def grow(self, stop: int) -> None:
-        p, errors = self.params, self.params._log_errors
+        p, errors = self.params, self.log_errors
         while len(self.coeffs) < stop:
             n = len(self.coeffs)
             sign, log_c = k_bessel_log_coefficient(p, n)

@@ -463,6 +463,16 @@ def test_grids_of_2_to_the_20_are_accepted(tmp_path, monkeypatch):
     assert reached.value.args[1] == 2 ** 20
 
 
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_verify_refuses_a_non_finite_grid_step(tmp_path, capsys, monkeypatch, step):
+    # --grid-step inf used to build a one-step oracle (h = t_end) and fail
+    # its residual with exit 1, with nothing to say what h had become
+    monkeypatch.setattr(fracoracle, "QuadratureGrid", _unreachable)
+    cfg = write_config(tmp_path)
+    assert cli.main(["verify", "--config", str(cfg), "--grid-step", step]) == 2
+    assert "--grid-step must be finite and > 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- figures
 
 

@@ -331,11 +331,12 @@ def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch):
     # 13 FFT products at n = 32768: two in each of the five Newton steps past
     # the direct-convolution cutoff and three in the Karp-Markstein step.  g
     # meets two operands at one length in each Newton step and in the
-    # Karp-Markstein step, so 26 operand transforms are 20.
+    # Karp-Markstein step, so 26 operand transforms are 20.  A second grid
+    # with the same inputs shares the first one's kernel spectrum: 19.
     from numpy import fft
 
     n = 32768
-    grid = QuadratureGrid(2.0, n, 0.5)
+    fracoracle._grid_weights.cache_clear()
     rfft, irfft = fft.rfft, fft.irfft
     counts = {"rfft": 0, "irfft": 0}
 
@@ -347,8 +348,11 @@ def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch):
 
     monkeypatch.setattr(fft, "rfft", counted("rfft", rfft))
     monkeypatch.setattr(fft, "irfft", counted("irfft", irfft))
-    solve_volterra(2.0, lambda t: 1.0, 1.3, grid)
+    solve_volterra(2.0, lambda t: 1.0, 1.3, QuadratureGrid(2.0, n, 0.5))
     assert counts == {"rfft": 20, "irfft": 13}
+    counts.update(rfft=0, irfft=0)
+    solve_volterra(2.0, lambda t: 1.0, 1.3, QuadratureGrid(2.0, n, 0.5))
+    assert counts == {"rfft": 19, "irfft": 13}
 
 
 def test_volterra_refuses_a_solution_that_leaves_the_double_range():

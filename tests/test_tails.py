@@ -22,7 +22,7 @@ from kkinetics import (
     solve_point,
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_problem
-from kkinetics.kinetics import _gamma_product
+from kkinetics.kinetics import _PowerTable, _gamma_product
 from kkinetics.series import EPS, _pow_batch, horner_sum_batch
 from kkinetics.specfun import GAMMA_ULPS
 
@@ -187,7 +187,8 @@ FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
     (KineticProblem(n0=2.0, d=3.0, nu=2.0, variant=Theorem.T2, params=FIG_PARAMS), 200),
 ], ids=["nu5", "q1e28", "nu2"])
 def test_power_table_coefficients_are_within_their_error_bounds(prob, length):
-    table = prob._power_table()
+    # a table of its own: the problem's shared one may have grown further
+    table = _PowerTable(prob.params, prob.nu, prob.rate, prob.d)
     for stop in (1, 7, 40, 80, 200):  # grown in steps, as the sums reach further
         table.grow(stop)
     assert len(table.coeffs) == length
@@ -244,7 +245,7 @@ def test_source_table_tail_bounds_its_error(lam):
     p = KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0)
     zs = np.linspace(0.0, 9.55, 41)[1:]
     half = zs / 2.0
-    batch = horner_sum_batch(p._horner_table(), half * half, _pow_batch(half, p.mu), SeriesControl())
+    batch = horner_sum_batch(p._table, half * half, _pow_batch(half, p.mu), SeriesControl())
     assert not batch.failed[zs <= 6.0].any()
     for z, value, tail in zip(zs[~batch.failed].tolist(), batch.value[~batch.failed].tolist(),
                               batch.tail[~batch.failed].tolist()):
