@@ -64,7 +64,11 @@ and their error bounds (at most 32), and ``fracoracle._grid_weights`` for
 the quadrature weights (at most 2, about 40 MB each at 2**20 steps).  The
 bounds are fixed; the least recently used entry goes first.  An instance
 looks its table up when it is built or first used and keeps it in a
-slot, so no scalar call pays for the lookup.  A table grown in pieces
+slot, so no scalar call pays for the lookup.  Only a process that asks
+again for values it has asked for before gains time: a library caller
+that builds equal problems or grids, or one that calls ``cli.main``
+more than once.  A single command in its own process builds each table
+once, as before.  A table grown in pieces
 equals one grown at once bit for bit, so a shared table gives what a
 fresh one would.  Neither the registries nor the tables are thread-safe,
 and threads share them too: concurrent calls need one lock around them.
@@ -209,7 +213,9 @@ class KineticProblem:
                 raise DomainError("variant 3 requires a != d")
         # Python floats, so that equal problems build equal tables (see KBesselParams)
         for name in ("n0", "d", "nu") + (("a",) if self.variant == 3 else ()):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            v = getattr(self, name)
+            if type(v) is not float:
+                object.__setattr__(self, name, float(v))
 
     def source(self, t: float, ctl: SeriesControl | None = None) -> float:
         """Source value N0-free: omega(t) or omega(d**nu * t**nu)."""
@@ -242,10 +248,8 @@ class KineticProblem:
         by the values the table reads: n0 is not one of them.
         """
         if self._power is None:
-            aligned = self.variant != 1 or self.nu == 1.0
             d = self.d if self.variant != 1 else None  # variant 1 reads d only as its rate
-            object.__setattr__(self, "_power",
-                               _shared_table(aligned, self.params, self.nu, self.rate, d))
+            object.__setattr__(self, "_power", _shared_table(self.params, self.nu, self.rate, d))
         return self._power
 
 
@@ -273,16 +277,18 @@ _PROBLEM_TABLES = 32
 
 
 @lru_cache(maxsize=_PROBLEM_TABLES)
-def _shared_table(aligned: bool, params: KBesselParams, nu: float, rate: float,
+def _shared_table(params: KBesselParams, nu: float, rate: float,
                   d: float | None) -> "_PowerTable | _BivariateTable":
     """The one coefficient table of every problem with these values.
 
-    ``d`` is None for variant 1, whose table reads no log q.  The key holds
+    ``d`` is None for variant 1, whose table reads no log q.  The exponents
+    align, and the table is one-dimensional, for variants 2 and 3 (``d``
+    given) at any nu and for variant 1 at nu = 1.  The key holds
     everything the table constructors read, and tables grown in pieces
     equal tables grown at once bit for bit, so a shared table gives the
     values, term counts and tails a new one would.
     """
-    if aligned:
+    if d is not None or nu == 1.0:
         return _PowerTable(params, nu, rate, d)
     return _BivariateTable(params, nu, rate)
 

@@ -107,7 +107,9 @@ class KBesselParams:
         # Python floats, so that equal instances form their t-free state with
         # equal arithmetic (an int or a numpy float32 would not).
         for name in ("k", "gamma", "lam", "mu", "b", "c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            v = getattr(self, name)
+            if type(v) is not float:
+                object.__setattr__(self, name, float(v))
         # mu + lam*n + (b+1)/2 is increasing in n, so n=0 is the worst case.
         if self.b < -1.0 and self.mu + (self.b + 1.0) / 2.0 <= 0.0:
             raise DomainError(
