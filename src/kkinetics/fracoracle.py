@@ -156,7 +156,9 @@ class QuadratureGrid:
         if not 0.0 < t_end < math.inf:
             raise DomainError(f"t_end must be finite and > 0, got {t_end}")
         try:
-            n_steps = operator.index(n_steps)  # ints and numpy ints, not floats
+            if isinstance(n_steps, bool):
+                raise TypeError
+            n_steps = operator.index(n_steps)  # ints and numpy ints, not floats or bools
         except TypeError:
             raise DomainError(f"n_steps must be an integer, got {n_steps!r}") from None
         if n_steps < 1:

@@ -32,9 +32,12 @@ coefficient past the table is refused with :class:`series.OverflowLogError`.
 Variant 1 at nu != 1 does not align: term (n, m) carries t**(mu+2n) and
 (t**nu)**m.  Its t-free coefficients form one table T[n, m]
 (:class:`_BivariateTable`), N(t) = n0 t**mu sum_n u**n sum_m T[n, m] v**m
-with u = t**2 and v = t**nu, built once per value too.  The inner
-Mittag-Leffler sums disappear here too, and the sum is guarded and
-bounded the same way.
+with u = t**2 and v = t**nu, built once per value too.  It is built
+whole at the largest rows and columns a batch of sums has needed, and
+built again, whole, when a batch needs more; the lengths of the sums
+read only its leads and first row, which are built on their own.  The
+inner Mittag-Leffler sums disappear here too, and the sum is guarded
+and bounded the same way.
 
 Two evaluation paths for the solution, chosen by the kind of input:
 
@@ -68,10 +71,11 @@ slot, so no scalar call pays for the lookup.  Only a process that asks
 again for values it has asked for before gains time: a library caller
 that builds equal problems or grids, or one that calls ``cli.main``
 more than once.  A single command in its own process builds each table
-once, as before.  A table grown in pieces
-equals one grown at once bit for bit, so a shared table gives what a
-fresh one would.  Neither the registries nor the tables are thread-safe,
-and threads share them too: concurrent calls need one lock around them.
+once, as before.  A table grown in pieces, or built again at a larger
+shape, equals one built at once bit for bit, so a shared table gives
+what a fresh one would.  Neither the registries nor the tables are
+thread-safe, and threads share them too: concurrent calls need one lock
+around them.
 
 Both grids follow one contract.  The batch is
 :func:`series.horner_sum_batch`, or the two-dimensional table's own
@@ -185,7 +189,7 @@ class KineticProblem:
 
     Its t-free coefficients are tabulated the first time a solver needs
     them, in one table shared by every problem of equal values (n0 aside),
-    and grow from there.  Where the exponents align
+    and extended as the sums need more.  Where the exponents align
     (variants 2 and 3 at any nu, variant 1 at nu = 1) the double series is
     one power series in s = t**nu, N(t) = n0 * sum_j a_j s**(mu+j)
     (:class:`_PowerTable`); elsewhere the table is two-dimensional
@@ -202,6 +206,12 @@ class KineticProblem:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        try:
+            if isinstance(self.variant, bool):
+                raise ValueError
+            object.__setattr__(self, "variant", Theorem(self.variant))
+        except ValueError:
+            raise DomainError(f"variant must be 1, 2 or 3, got {self.variant!r}") from None
         for name in ("n0", "d", "nu"):
             v = getattr(self, name)
             if not 0.0 < v < math.inf:
@@ -285,7 +295,7 @@ def _shared_table(params: KBesselParams, nu: float, rate: float,
     align, and the table is one-dimensional, for variants 2 and 3 (``d``
     given) at any nu and for variant 1 at nu = 1.  The key holds
     everything the table constructors read, and tables grown in pieces
-    equal tables grown at once bit for bit, so a shared table gives the
+    equal tables built at once bit for bit, so a shared table gives the
     values, term counts and tails a new one would.
     """
     if d is not None or nu == 1.0:
@@ -493,9 +503,14 @@ class _BivariateTable:
     zeros: exact ones where c_n = 0, and the entries past a step that
     underflows while halving the row, which stay below DBL_MIN (the
     factors -r rho_m fall along m).  A point that needs an entry past
-    them is refused, and the row holds zeros there.  The table grows as
-    the lengths of the sums reach further; its entries, errs, extents and
-    reach do not depend on the steps it grew by.
+    them is refused, and the row holds zeros there.
+
+    The table is built whole, from the leads (:meth:`_build`), at the
+    largest shape a batch of sums has needed, and built again, whole, when
+    a batch needs more.  The lengths of the sums read only the leads and
+    the first row (:meth:`line`), which are built on their own.  An
+    entry, its errs and its row's extent depend on its row and column
+    alone, not on the shape built.
     """
 
     def __init__(self, params: KBesselParams, nu: float, rate: float):
@@ -506,38 +521,28 @@ class _BivariateTable:
         self.lines = _Line(self, 0), _Line(self, 1)
 
     def line(self, axis: int, stop: int) -> list[float]:
-        """|T| along the leads (axis 0) or the first row, grown towards ``stop``
-        entries and cut at the first that is not a normal double."""
+        """|T| along the leads (axis 0) or the first row, towards ``stop`` entries
+        and cut at the first that is not a normal double.  Builds only that
+        line (stop x 1 or 1 x stop) and leaves the table alone."""
         if axis:
-            self.grow(0, stop)
-            return np.abs(self.coeffs[0, :self.extent[0]]).tolist()
-        self.grow(stop, 0)
-        return np.abs(self.coeffs[:np.argmin(np.append(self.extent, 0)), 0]).tolist()
+            coeffs, _, extent = self._build(1, stop)
+            return np.abs(coeffs[0, :extent[0]]).tolist()
+        coeffs, _, extent = self._build(stop, 1)
+        return np.abs(coeffs[:np.argmin(np.append(extent, 0)), 0]).tolist()
 
     def grow(self, rows: int, cols: int) -> None:
-        """Extend the table to at least ``rows`` x ``cols`` entries."""
+        """Build the table anew at least ``rows`` x ``cols`` and at least its old shape."""
         old_rows, old_cols = self.coeffs.shape
         rows, cols = max(rows, old_rows, 1), max(cols, old_cols, 1)
-        if (rows, cols) == (old_rows, old_cols):
-            return
-        grown = ((0, rows - old_rows), (0, cols - old_cols))
-        self.coeffs, self.errs = np.pad(self.coeffs, grown), np.pad(self.errs, grown)
-        self.extent = np.append(self.extent, np.zeros(rows - old_rows, dtype=np.intp))
-        self._fill(range(old_rows), old_cols, cols)
-        self._fill(range(old_rows, rows), 0, cols)
-        self.reach = np.minimum.accumulate(self.extent)  # the columns all of the first n rows hold
+        if (rows, cols) != (old_rows, old_cols):
+            self.coeffs, self.errs, self.extent = self._build(rows, cols)
+            # the columns all of the first n rows hold
+            self.reach = np.minimum.accumulate(self.extent)
 
-    def _fill(self, rows: range, start: int, stop: int) -> None:
-        """Columns [start, stop) of ``rows``, going on from column start-1 (or the leads)."""
-        if not rows or start >= stop:
-            return
-        ns = np.arange(rows.start, rows.stop)
-        if start:
-            lead, lead_errs = self.coeffs[ns, start - 1], self.errs[ns, start - 1]
-        else:
-            lead, lead_errs = self._leads(ns.tolist())
-        first = max(start - 1, 0)
-        x = self.nu * np.arange(first, stop) + (self.mu + 2.0 * ns + 1.0)[:, None]
+    def _build(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first ``rows`` x ``cols`` entries from the leads: T, errs and extent."""
+        lead, lead_errs = self._leads(rows)
+        x = self.nu * np.arange(cols) + (self.mu + 2.0 * np.arange(rows) + 1.0)[:, None]
         flat = x.ravel().tolist()
         gammas = np.array([math.gamma(y) if y < 171.0 else 1.0 for y in flat]).reshape(x.shape)
         # the lgammas a step past 171 reads: x_{m-1} is x_m - nu to rounding
@@ -550,39 +555,35 @@ class _BivariateTable:
             ratios = np.where(logged, np.exp(diffs), gammas[:, :-1] / gammas[:, 1:])
             # the gamma errors telescope: the steps to column m sum to those at x_0 and x_m
             steps = gamma_errs[:, 1:] - gamma_errs[:, :-1] + 2.5
-            if not first:  # the block holds the step into column 1
-                steps[:, :1] += 2.0 * gamma_errs[:, :1]
+            steps[:, :1] += 2.0 * gamma_errs[:, :1]
             lgamma_errs = gamma_errs + GAMMA_ULPS * (np.maximum(np.abs(lgammas), 1.0) - 1.0)
             steps = np.where(logged, lgamma_errs[:, :-1] + lgamma_errs[:, 1:]
                              + 0.5 * np.abs(diffs) + 3.5, steps)
             factors = np.column_stack((lead, -self.r * ratios))
-            block = np.multiply.accumulate(factors, axis=1)
-            zero = ((lead == 0.0) & (lead_errs == 0.0))[:, None] & (block == 0.0)
-            # one running sum from the lead's error, which a continuation takes up
+            coeffs = np.multiply.accumulate(factors, axis=1)
+            zero = ((lead == 0.0) & (lead_errs == 0.0))[:, None] & (coeffs == 0.0)
             errs = np.cumsum(np.column_stack((lead_errs, steps)), axis=1)
-            mags = np.abs(block)
+            mags = np.abs(coeffs)
             normal = (mags >= _DBL_MIN) & (mags <= _DBL_MAX) | zero
-            # a row that fades (see the class docs) holds zeros from there
+            # a row that fades (see the class docs) holds zeros from there;
+            # one whose lead underflows ends at its lead
             fading = (mags < _DBL_MIN) & (np.abs(factors) < 0.5)
-            fading[:, 0] = bool(start)  # the column before the block: 0 once faded
-            bad = np.argmin(np.column_stack((normal, np.zeros(ns.size, bool))), axis=1)
-            faded = np.append(fading, np.zeros((ns.size, 1), bool), axis=1)[np.arange(ns.size), bad]
-            past = np.arange(block.shape[1]) >= bad[:, None]
-            block[past] = 0.0  # never read past a row's end: zeros whatever the growth
+            fading[:, 0] = False
+            extent = np.argmin(np.column_stack((normal, np.zeros(rows, bool))), axis=1)
+            faded = np.column_stack((fading, np.zeros(rows, bool)))[np.arange(rows), extent]
+            past = np.arange(cols) >= extent[:, None]
+            coeffs[past] = 0.0  # never read past a row's end
             normal |= faded[:, None] & past
-        cut = start - first  # the column before the block
-        self.coeffs[ns, start:stop] = block[:, cut:]
-        self.errs[ns, start:stop] = np.where(zero, 0.0, np.where(normal, errs, math.inf))[:, cut:]
-        ends = start + np.argmin(np.column_stack((normal[:, cut:], np.zeros(ns.size, bool))), axis=1)
-        self.extent[ns] = np.where(self.extent[ns] < start, self.extent[ns], ends)
+        errs = np.where(zero, 0.0, np.where(normal, errs, math.inf))
+        return coeffs, errs, np.where(faded, cols, extent)
 
-    def _leads(self, ns: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """T[n, 0] and its error bound in EPS for the rows ``ns``."""
+    def _leads(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        """T[n, 0] and its error bound in EPS for the first ``rows`` rows."""
         params, log_errors = self.params, self.params._log_errors
-        while len(log_errors) <= ns[-1]:
+        while len(log_errors) < rows:
             log_errors.append(k_bessel_log_error(params, len(log_errors)))
         leads, errs = [], []
-        for n in ns:
+        for n in range(rows):
             sign, log_coeff = k_bessel_log_coefficient(params, n)
             log_lead = log_coeff - (self.mu + 2.0 * n) * _LN2
             leads.append(sign * math.exp(log_lead) if log_lead < LOG_DBL_MAX else math.inf)
@@ -613,8 +614,9 @@ class _BivariateTable:
         _RANGE or _CANCELLED for a point that :meth:`point` refuses.
 
         A point's rows and columns are the lengths of the leads at u and of
-        the first row at v.  Both suffice for every row: |T[n, m]| /
-        |T[n, k]| = r**(m-k) Gamma(nu k + beta_n) / Gamma(nu m + beta_n)
+        the first row at v, and the table is grown once, to the most rows
+        and columns of the batch.  Both lengths suffice for every row:
+        |T[n, m]| / |T[n, k]| = r**(m-k) Gamma(nu k + beta_n) / Gamma(nu m + beta_n)
         falls with n for m > k (log Gamma is convex), so a column quiet on
         the first row is quiet on each row against that row's own terms,
         and a row whose lead is quiet against the earlier leads has its
@@ -636,6 +638,7 @@ class _BivariateTable:
         rows, cols = np.where(rows == 0, ctl.max_terms, rows), np.where(cols == 0, ctl.max_terms, cols)
         off = ~normal | (rows < 0) | (cols < 0)
         rows, cols = np.where(off, 1, rows), np.where(off, 1, cols)
+        self.grow(int(rows.max(initial=1)), int(cols.max(initial=1)))
         off |= self.reach[rows - 1] < cols
         codes = np.where(off, _RANGE, np.where(budget, _BUDGET, 0))
         live = np.flatnonzero(~off)
@@ -854,11 +857,13 @@ def _power_batch(
     prob.ml_arg(float(times[-1]))  # |x| grows with t: the last time is refused if any time is
     table = prob._power_table()
     s = _pow_batch(times, prob.nu)
-    if type(table) is _BivariateTable:
-        value, _, tail, rows, codes = table.sums(
-            times * times, s, prob.n0 * _pow_batch(times, prob.params.mu), ctl)
-        return value, rows, tail, codes != 0
-    return horner_sum_batch(table, s, prob.n0 * _pow_batch(s, prob.params.mu), ctl)
+    # t * t and n0 s**mu may overflow: an inf is not a normal double, and its point fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        if type(table) is _BivariateTable:
+            value, _, tail, rows, codes = table.sums(
+                times * times, s, prob.n0 * _pow_batch(times, prob.params.mu), ctl)
+            return value, rows, tail, codes != 0
+        return horner_sum_batch(table, s, prob.n0 * _pow_batch(s, prob.params.mu), ctl)
 
 
 def _source_batch(
@@ -866,8 +871,9 @@ def _source_batch(
 ) -> _Batch:
     """omega(z) at every z = ``zs`` by Horner on the t-free table of ``prob.params``."""
     half = zs / 2.0
-    return horner_sum_batch(prob.params._table, half * half,
-                            _pow_batch(half, prob.params.mu), ctl)
+    with np.errstate(over="ignore"):  # an inf x is not a normal double, and its point fails
+        return horner_sum_batch(prob.params._table, half * half,
+                                _pow_batch(half, prob.params.mu), ctl)
 
 
 def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:

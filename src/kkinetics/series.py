@@ -47,6 +47,9 @@ LOG_DBL_MAX = math.log(sys.float_info.max)
 LOG_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
 DBL_MIN = sys.float_info.min
 DBL_MAX = sys.float_info.max
+# 2**-1074, the spacing of the doubles below DBL_MIN: a term that lands
+# there is rounded to within it, whatever its relative error.
+DBL_TRUE_MIN = math.ldexp(1.0, -1074)
 # Machine epsilon, twice the unit roundoff: an IEEE operation rounds to
 # within EPS / 2 relative, and a result within one ulp is within EPS.
 EPS = sys.float_info.epsilon
@@ -136,7 +139,9 @@ def sum_log_terms(
     ``log|term| = -inf`` denotes an exactly-zero term.  The tail estimate is
     a geometric extrapolation from the last two term magnitudes; for the
     factorially-decaying series used here the term ratio shrinks with n, so
-    the extrapolation bounds the discarded remainder.
+    the extrapolation bounds the discarded remainder.  It adds
+    :data:`DBL_TRUE_MIN` for each term below the normal doubles (an exact
+    zero adds nothing).
 
     A sum whose largest term exceeds :data:`CANCELLATION_RATIO_LIMIT` times
     the sum raises :class:`CancellationError` instead of returning a
@@ -148,10 +153,13 @@ def sum_log_terms(
     prev_mag = 0.0
     mag = 0.0
     quiet = 0
+    tiny = 0  # terms below the normal doubles
     for n in range(ctl.max_terms):
         sign, log_mag = term(n)
         if log_mag > LOG_DBL_MAX:
             raise OverflowLogError(f"{label}: term {n} overflows double range", log_mag)
+        if LOG_DBL_MIN > log_mag > -math.inf:
+            tiny += 1
         prev_mag = mag
         mag = math.exp(log_mag)
         t = sign * mag
@@ -173,7 +181,7 @@ def sum_log_terms(
             f"{label}: no stagnation within {ctl.max_terms} terms", total, ctl.max_terms
         )
     check_cancellation(max_mag, total, label)
-    return SeriesResult(total, n + 1, _geometric_tail(mag, prev_mag))
+    return SeriesResult(total, n + 1, _geometric_tail(mag, prev_mag) + tiny * DBL_TRUE_MIN)
 
 
 def check_cancellation(size: float, value: float, label: str) -> None:

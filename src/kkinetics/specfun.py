@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from .series import (
     DBL_MIN,
+    DBL_TRUE_MIN,
     DEFAULT_CONTROL,
     EPS,
     CancellationError,
@@ -226,6 +228,12 @@ def k_pochhammer(gamma: float, n: int, k: float) -> float:
     """
     if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
         raise DomainError(f"k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})")
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        n = operator.index(n)  # ints and numpy ints, not floats
+    except TypeError:
+        raise DomainError(f"k_pochhammer requires an integer n, got {n!r}") from None
     if n < 0:
         raise DomainError(f"k_pochhammer requires n >= 0, got {n}")
     prod = 1.0
@@ -260,7 +268,8 @@ def _ml_sum(
     """exp(log_scale) * E_{alpha,beta}(x), with log_scale folded into every term."""
     ctl = ctl or DEFAULT_CONTROL
     if x == 0.0:
-        return SeriesResult(math.exp(log_scale - math.lgamma(p.beta)), 1, 0.0)
+        lgamma_beta = math.lgamma(p.beta)
+        return _one_term(log_scale - lgamma_beta, GAMMA_ULPS * max(abs(lgamma_beta), 1.0))
     if x < 0.0:
         if -x > ml_negative_bound(p.alpha):
             raise CancellationError(
@@ -446,6 +455,19 @@ def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str
     return SeriesResult(res.value, res.terms, res.tail + EPS * (err_sum + abs(res.value)))
 
 
+def _one_term(log_value: float, log_err: float) -> SeriesResult:
+    """exp(log_value) as a sum of one term: the shortcut of a series at a zero argument.
+
+    ``log_err`` bounds, in EPS, the absolute error of ``log_value`` as
+    formed before its last rounding.  The tail adds half of |log_value| for
+    that rounding and one ulp of exp, relative to the value, and
+    :data:`series.DBL_TRUE_MIN` for a value below the normal doubles.
+    """
+    value = math.exp(log_value)
+    tail = EPS * (log_err + 0.5 * abs(log_value) + 1.0) * value
+    return SeriesResult(value, 1, tail + DBL_TRUE_MIN if value < DBL_MIN else tail)
+
+
 # Below this z, z/2 is subnormal: inexact for an odd z and 0 for the smallest.
 _HALVING_EXACT_MIN = 2.0 * sys.float_info.min
 
@@ -507,8 +529,11 @@ def _reduced_k_bessel(
     identity tests use it as the independent reference for :func:`gen_k_bessel`.
     """
     ctl = ctl or DEFAULT_CONTROL
-    if x == 0.0:
-        return SeriesResult(math.exp(-log_k_gamma(order + shift, k)), 1, 0.0)
+    if x == 0.0:  # 1 / Gamma_k(a), a = order + shift: (g - 1) log k + lgamma(g), g = a/k
+        log_value = -log_k_gamma(order + shift, k)
+        g = (order + shift) / k  # two roundings: within 1 EPS relative
+        return _one_term(log_value, GAMMA_ULPS * max(abs(math.lgamma(g)), 1.0)
+                         + g * _digamma_bound(g) + (g + 2.0 * abs(g - 1.0)) * abs(math.log(k)))
     log_hx = math.log(abs(x) / 2.0)
 
     def term(n: int) -> tuple[float, float]:
@@ -602,7 +627,11 @@ def fox_wright(spec: FoxWrightSpec, z: float, ctl: SeriesControl | None = None) 
         return acc
 
     if z == 0.0:
-        return SeriesResult(math.exp(log_ratio(0)), 1, 0.0)
+        log_value = log_ratio(0)  # raises on a gamma argument <= 0
+        lgammas = [abs(math.lgamma(a)) for a, _ in spec.upper + spec.lower]
+        # each rounding of the sum of the lgammas is within half the sum of their magnitudes
+        return _one_term(log_value, sum(GAMMA_ULPS * max(lg, 1.0) + 0.5 * sum(lgammas)
+                                        for lg in lgammas))
     log_az = math.log(abs(z))
 
     def term(n: int) -> tuple[float, float]:

@@ -232,6 +232,26 @@ def test_solve_rejects_bad_json(tmp_path):
     assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--out", "{blocked}/x.csv"],
+    ["solve", "--out", "{tmp}/o.csv", "--svg", "{blocked}/x.svg"],
+    ["figures", "--fig", "1", "--out-dir", "{blocked}"],
+    ["figures", "--fig", "1", "--out-dir", "{blocked}/sub"],
+], ids=["out", "svg", "out_dir", "out_dir_below"])
+def test_write_failure_exits_two(tmp_path, capsys, argv):
+    # an output path below a regular file used to end in a FileExistsError
+    # or NotADirectoryError traceback
+    blocked = tmp_path / "plain"
+    blocked.write_text("")
+    args = [a.format(blocked=blocked, tmp=tmp_path) for a in argv]
+    if args[0] == "solve":
+        args[1:1] = ["--config", str(write_config(tmp_path))]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: cannot write {blocked}"), err
+    assert not list(tmp_path.glob("**/*.tmp"))
+
+
 def test_solve_rejects_equal_rates_for_variant_three(tmp_path):
     cfg = write_config(tmp_path, theorem=3, a=3)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2

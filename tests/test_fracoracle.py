@@ -78,7 +78,7 @@ def test_grid_refuses_an_infinite_end_and_a_fractional_step_count():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite"):
             QuadratureGrid(math.inf, 10, 0.5)
-    for n_steps in (10.5, 10.0, np.float64(10.0)):
+    for n_steps in (10.5, 10.0, np.float64(10.0), True):  # True was one step
         with pytest.raises(DomainError, match="integer"):
             QuadratureGrid(1.0, n_steps, 0.5)
     grid = QuadratureGrid(1.0, np.int64(10), 0.5)

@@ -59,6 +59,10 @@ def test_problem_validation():
         KineticProblem(n0=1, d=2, nu=1, variant=Theorem.T3, params=FIG_PARAMS)  # no a
     with pytest.raises(DomainError):
         KineticProblem(n0=1, d=2, nu=1, variant=Theorem.T3, params=FIG_PARAMS, a=2.0)
+    for variant in (4, "2"):  # each was solved as variant 2
+        with pytest.raises(DomainError, match="variant must be 1, 2 or 3"):
+            KineticProblem(n0=1, d=2, nu=1, variant=variant, params=FIG_PARAMS)
+    assert KineticProblem(n0=1, d=2, nu=1, variant=2, params=FIG_PARAMS).variant is Theorem.T2
 
 
 @pytest.mark.parametrize("field", ["n0", "d", "nu", "a"])
@@ -419,11 +423,16 @@ def test_solve_grid_matches_solve_point_on_the_verify_grid():
                                     [solve_point(prob, t) for t in grid.tolist()])
 
 
-@pytest.mark.parametrize("nu", [0.3, 0.5, 0.75, 1.7, 2.0])
-def test_solve_grid_matches_solve_point_on_the_double_series(nu):
+@pytest.mark.parametrize("nu, params", [
+    (0.3, FIG_PARAMS), (0.5, FIG_PARAMS), (0.75, FIG_PARAMS), (1.7, FIG_PARAMS), (2.0, FIG_PARAMS),
+    # rows of c_n = 0 (exact zeros), and gamma ratios past Gamma(171)
+    (0.5, KBesselParams(k=1.0, gamma=1.0, lam=1.0, mu=0.5, b=1.0, c=0.0)),
+    (60.0, KBesselParams(k=1.0, gamma=1.0, lam=1.0, mu=0.5, b=1.0, c=1.0)),
+], ids=["0.3", "0.5", "0.75", "1.7", "2.0", "c0", "nu60"])
+def test_solve_grid_matches_solve_point_on_the_double_series(nu, params):
     # variant 1 at nu != 1: both routes run one evaluator, and each point
     # takes the operations of a batch of one
-    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=Theorem.T1, params=FIG_PARAMS)
+    prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=Theorem.T1, params=params)
     grid = np.linspace(0.0, 2.0, 401)
     _assert_grid_matches_points(solve_grid(prob, grid), range(len(grid)),
                                 [solve_point(prob, t) for t in grid.tolist()])
@@ -491,6 +500,30 @@ def test_solve_grid_raises_like_solve_point_at_earliest_failure(
         solve_grid(prob, grid, ctl)
     assert type(got.value) is type(want)
     assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("variant, n0, nu, grid, source", [
+    (Theorem.T1, 2.0, 0.5, [0.0, 0.5, 1e200], False),  # t * t overflows
+    (Theorem.T2, 1e300, 1.0, [0.0, 0.5, 1e10], False),  # n0 s**mu overflows
+    (Theorem.T1, 2.0, 1.0, [0.0, 0.5, 1e300], True),  # (z/2)**2 overflows
+], ids=["square", "prefactor", "source"])
+def test_grid_prefactor_overflow_raises_like_the_scalar_call(variant, n0, nu, grid, source):
+    # each batch formed its inf outside np.errstate: the grid ended in a
+    # RuntimeWarning (an error in this suite) where the scalar call refuses
+    prob = KineticProblem(n0=n0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS)
+    if source:
+        scalar, grid_call = (lambda t: gen_k_bessel(prob.params, prob.z(t))), source_grid
+    else:
+        scalar, grid_call = (lambda t: solve_point(prob, t)), solve_grid
+    for t in grid:
+        try:
+            scalar(t)
+        except EvaluationError as exc:
+            want = exc
+            break
+    with pytest.raises(EvaluationError) as got:
+        grid_call(prob, grid)
+    assert type(got.value) is type(want) and str(got.value) == str(want)
 
 
 def test_solve_grid_reevaluates_only_the_points_its_batch_refuses(monkeypatch):

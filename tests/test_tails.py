@@ -14,14 +14,19 @@ import pytest
 from kkinetics import (
     CancellationError,
     EvaluationError,
+    FoxWrightSpec,
     KBesselParams,
     KineticProblem,
+    MLParams,
     Theorem,
     SeriesControl,
+    fox_wright,
     gen_k_bessel,
+    k_bessel_j,
+    mittag_leffler,
     solve_point,
 )
-from kkinetics.figures import FIGURES, LAMBDAS, figure_problem
+from kkinetics.figures import FIGURES, LAMBDAS, figure_params, figure_problem
 from kkinetics.kinetics import _PowerTable, _gamma_product
 from kkinetics.series import EPS, _pow_batch, horner_sum_batch
 from kkinetics.specfun import GAMMA_ULPS
@@ -266,3 +271,41 @@ def test_gen_k_bessel_refuses_or_bounds_at_large_argument(z):
         hz = mpmath.mpf(z) / 2
         want = mpmath.fsum(_mp_coefficient(p, n) * hz ** (p.mu + 2 * n) for n in range(400))
     assert math.isfinite(res.value) and abs(res.value - want) <= res.tail
+
+
+def _mp_k_gamma(x, k):
+    x, k = mpmath.mpf(x), mpmath.mpf(k)
+    return k ** (x / k - 1) * mpmath.gamma(x / k)
+
+
+def test_zero_argument_shortcuts_bound_their_error():
+    # each shortcut returned a rounded exp(-lgamma(...)) with a tail of 0.0:
+    # E_{1,3}(0) came back as 0.5000000000000002, and 1/Gamma(beta) was
+    # outside its tail at every beta here
+    with mpmath.workdps(40):
+        cases = [(mittag_leffler(MLParams(1.3, beta), 0.0), mpmath.rgamma(beta))
+                 for beta in np.linspace(0.3, 170.5, 12).tolist()]
+        cases += [
+            (mittag_leffler(MLParams(1.0, 3.0), 0.0), mpmath.rgamma(3)),
+            (k_bessel_j(2.0, 1.0, 1.0, 0.7, 0.0), 1 / _mp_k_gamma(mpmath.mpf(0.7) + 1, 2.0)),
+            (fox_wright(FoxWrightSpec(((0.7, 1.0),), ((2.3, 1.0),)), 0.0),
+             mpmath.gamma(0.7) / mpmath.gamma(2.3)),
+        ]
+        for res, want in cases:
+            assert abs(res.value - want) <= res.tail, res
+
+
+def test_terms_below_the_normal_doubles_are_in_the_tail():
+    # each came back with a tail of 0.0; the last two are 0.0 against
+    # 9.0e-328 and 9.8e-613, and gen_k_bessel was 2.3e-324 off
+    prob = KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=Theorem.T2, params=FIG_PARAMS)
+    with mpmath.workdps(40):
+        cases = [
+            (gen_k_bessel(figure_params(1.0), 1e-320), _mp_omega(figure_params(1.0), 1e-320)[0]),
+            (solve_point(prob, 1e-320), _mp_solution(prob, 1e-320)[0]),
+            (mittag_leffler(MLParams(1.0, 180.0), 0.0), mpmath.rgamma(180)),
+            (mittag_leffler(MLParams(1.0, 300.0), -1.0),
+             mpmath.fsum((-1) ** n * mpmath.rgamma(n + 300) for n in range(60))),
+        ]
+        for res, want in cases:
+            assert abs(res.value - want) <= res.tail, res
