@@ -14,6 +14,7 @@ job config takes precedence over both.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -44,8 +45,8 @@ from .svgchart import render_line_chart
 DEFAULT_GRID_STEP = 1.0 / 2048.0
 VERIFY_THRESHOLD = 1e-3
 # The most points (solve) or steps (verify) one command takes; a larger grid
-# is refused before any is allocated.  The batch Horner sum keeps 2J + 1 rows
-# of the grid (J terms), so the memory of a grid this size grows with J: one
+# is refused before any is allocated.  The batch Horner sum of a grid this
+# size keeps 2J + 1 rows of it (J terms), so its memory grows with J: one
 # verify of a 29-term job at 2**20 steps peaks near 770 MiB (see README).
 MAX_GRID_SIZE = 2 ** 20
 
@@ -177,19 +178,30 @@ def load_config(path: str | Path) -> JobConfig:
     return JobConfig(problem=problem, t_end=t_end, n_points=n_points, control=control)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it; a write
-    that fails is a :class:`ConfigError` (exit 2), and leaves no temporary file."""
-    tmp = None
+def _atomic_write(*outputs: tuple[Path, str]) -> None:
+    """Write each ``(path, text)`` through a temporary file beside its path,
+    all or none: every temporary file is written before any path is
+    replaced.  A write that fails is a :class:`ConfigError` (exit 2), and
+    leaves every path as it was and no temporary file."""
+    tmps = []
+    path = None
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            tmps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        # os.replace refuses a directory: find one before any path is replaced
+        for path, _ in outputs:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for (path, _), tmp in zip(outputs, tmps):
+            os.replace(tmp, path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {path}: {exc}") from None
         raise
@@ -265,14 +277,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     job = load_config(args.config)
     grid = np.linspace(0.0, job.t_end, job.n_points)
     table = solve_grid(job.problem, grid, job.control)
-    _atomic_write(Path(args.out), _csv("t,N", table.times, table.values))
+    outputs = [(Path(args.out), _csv("t,N", table.times, table.values))]
     if args.svg:
         svg = render_line_chart(
             f"variant {int(job.problem.variant)} solution",
             "t", "N(t)",
             [("N(t)", table.times.tolist(), table.values.tolist())],
         )
-        _atomic_write(Path(args.svg), svg)
+        outputs.append((Path(args.svg), svg))
+    _atomic_write(*outputs)
     return 0
 
 
@@ -336,7 +349,6 @@ def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl
         columns.append(table.values)
     header = "t," + ",".join(f"N_lambda_{lam:.2f}" for lam in LAMBDAS)
     csv_path = out_dir / f"fig{fig_id}.csv"
-    _atomic_write(csv_path, _csv(header, grid, *columns))
     ts = grid.tolist()
     svg = render_line_chart(
         f"figure {fig_id} (variant {int(spec.variant)}, t in [0, {spec.t_end:g}])",
@@ -344,7 +356,7 @@ def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl
         [(f"lambda = {lam:.2f}", ts, col) for lam, col in zip(LAMBDAS, np.array(columns).tolist())],
     )
     svg_path = out_dir / f"fig{fig_id}.svg"
-    _atomic_write(svg_path, svg)
+    _atomic_write((csv_path, _csv(header, grid, *columns)), (svg_path, svg))
     return csv_path, svg_path, violations
 
 

@@ -89,7 +89,11 @@ of |terms| (to rounding), and on z in (0, 60] at the figure parameters
 the batch answers no point that gen_k_bessel refuses.  The batch reads
 z(t), s = t**nu and s**mu bit for bit as the scalar calls form them
 (libm's pow), takes (z/2)**mu from libm's pow too, and sums the times
-with z(t) > 0 (a time with z = 0 gives 0.0 after one term).  It marks
+with z(t) > 0 (a time with z = 0 gives 0.0 after one term).  The
+Horner batch runs each step over whole rows, in the grid's order, for
+at most ``series._FULL_WIDTH_MAX`` (512) times, and on the times sorted
+by length past that: both run the scalar's operations, so a time's
+value, terms and tail do not depend on the grid's size or order.  It marks
 the points that its scalar form (:func:`solve_point`, or
 :func:`series.horner_sum` on the source) refuses or leaves to another
 route.  Those points, and every point when the
@@ -943,10 +947,11 @@ def solve_grid(
     never returned.
     """
     times = _grid_times(grid)
-    negative = np.flatnonzero(~(times >= 0.0))
-    if negative.size:
-        raise DomainError(f"grid times must be >= 0, got {float(times[negative[0]])}")
-    if not _increasing(times):
+    # increasing times from a first time >= 0 are all >= 0; the diagnosis runs on failure
+    if not ((times.size == 0 or times[0] >= 0.0) and _increasing(times)):
+        negative = np.flatnonzero(~(times >= 0.0))
+        if negative.size:
+            raise DomainError(f"grid times must be >= 0, got {float(times[negative[0]])}")
         raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
     values, terms, tails = _evaluate_grid(

@@ -400,7 +400,8 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
     :attr:`SeriesBatch.failed`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = (x >= DBL_MIN) & (x <= DBL_MAX) & (pre >= DBL_MIN) & (pre <= DBL_MAX)
+        # nan fails both tests: np.minimum and np.maximum return it
+        ok = (np.minimum(x, pre) >= DBL_MIN) & (np.maximum(x, pre) <= DBL_MAX)
         x = np.where(ok, x, 1.0)
         length = table.lengths(x, ctl)
         ok &= length > 0
@@ -408,31 +409,88 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
         v, total, e, mag, prev_mag = _horner_chains(table, x, length)
         value, abs_value = pre * v, pre * total
         tail = pre * (_geometric_tail_batch(mag, prev_mag) + EPS * e)
-        ok &= (abs_value >= DBL_MIN) & (abs_value <= DBL_MAX) & (tail <= DBL_MAX)
+        ok &= (abs_value >= DBL_MIN) & (np.maximum(abs_value, tail) <= DBL_MAX)
         ok &= abs_value <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
     return SeriesBatch(value, length, tail, ~ok)
 
 
-def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray) -> np.ndarray:
+def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
+                   ) -> list[np.ndarray]:
     """:func:`_horner` at every element over its own ``length`` (0 for none), as five rows.
 
     An element joins Horner at step j < length.  Before that its partials
-    are 0, and 0 * x + 0 is 0, so the elements are sorted by length and
-    each step runs on the prefix that has joined.  The partials and the
-    powers x**j (running products, on the same prefixes) are kept as rows
-    that hold 0 where an element has not joined, and the forward sums run
-    down the rows.  Both sets of rows come from one zeroed block: as two
-    blocks of about half a megabyte each (at a 2049-point grid), they were
-    trimmed from the heap when freed and faulted in afresh on every call.
+    are +0: the coefficient it would add is 0, and 0 * x + 0 is +0 for the
+    normal positive x the batch passes.  The partials and the powers x**j
+    are kept as rows that hold 0 where an element has not joined, and the
+    forward sums run down the rows, in the order of the scalar loop.
+
+    The rows are formed one of two ways, chosen by the batch size.  At most
+    :data:`_FULL_WIDTH_MAX` elements (a figure sweep of 200 times) run
+    every step over whole rows in the caller's order (:func:`_full_rows`):
+    each term is three ufunc calls, and the call has no slicing, sort or
+    scatter, which on rows this short cost more than the arithmetic they
+    save.  Larger batches
+    (verify's 2048 times) sort the elements by length and run each step
+    on the prefix that has joined (:func:`_prefix_rows`), so no step
+    touches an element that has not joined: there the arithmetic
+    outweighs the calls.  Timed by ``solve_grid`` and ``source_grid`` on
+    figures 1 and 3 (Intel Xeon, 2 cores, numpy 2.4), whole rows were
+    faster on every grid of up to 513 points (by 5-20%), and the prefixes
+    on every solve grid of 1001 points or more (by 4-12%); in between the
+    winner changed with the problem.
     """
     n = x.size
     top = int(length.max()) if n else 0
     if not top:
-        return np.zeros((5, n))
+        return list(np.zeros((5, n)))
+    if n <= _FULL_WIDTH_MAX:
+        return _forward_sums(table, *_full_rows(table, x, length, top), length)
     order = np.argsort(-length, kind="stable")
-    xs = x[order]
-    joined = np.searchsorted(-length[order], -np.arange(top), side="left").tolist()
-    rows = np.zeros((2 * top + 1, n))
+    out = np.empty((5, n))
+    out[:, order] = _forward_sums(table, *_prefix_rows(table, x[order], length[order], top),
+                                  length[order])
+    return list(out)
+
+
+# The most elements a batch runs over whole rows (see _horner_chains).
+_FULL_WIDTH_MAX = 512
+
+
+def _full_rows(table: HornerTable, x: np.ndarray, length: np.ndarray, top: int):
+    """The partials (``top`` + 1 rows) and powers (``top`` rows) of
+    :func:`_horner_chains`, every step over whole rows.
+
+    Row j of the coefficients holds a_j where j < length and 0 elsewhere.
+    The powers past each length are zeroed once, after the running
+    products: there they may have overflowed.
+    """
+    rows = np.zeros((3 * top + 1, x.size))
+    partials, powers, coeffs = rows[:top + 1], rows[top + 1:2 * top + 1], rows[2 * top + 1:]
+    past = np.arange(top)[:, None] >= length
+    np.copyto(coeffs, np.array(table.coeffs[:top])[:, None])
+    np.copyto(coeffs, 0.0, where=past)
+    v, a = list(partials), list(coeffs)
+    for j in range(top - 1, -1, -1):
+        np.multiply(v[j + 1], x, out=v[j])
+        np.add(v[j], a[j], out=v[j])
+    powers[0] = 1.0
+    p = list(powers)
+    for j in range(1, top):
+        np.multiply(p[j - 1], x, out=p[j])
+    np.copyto(powers, 0.0, where=past)
+    return partials, powers
+
+
+def _prefix_rows(table: HornerTable, xs: np.ndarray, length: np.ndarray, top: int):
+    """The partials and powers of :func:`_horner_chains` for elements sorted
+    by decreasing ``length``, each step on the prefix that has joined.
+
+    Both sets of rows come from one zeroed block: as two blocks of about
+    half a megabyte each (at a 2049-point grid), they were trimmed from the
+    heap when freed and faulted in afresh on every call.
+    """
+    joined = np.searchsorted(-length, -np.arange(top), side="left").tolist()
+    rows = np.zeros((2 * top + 1, xs.size))
     partials, powers = rows[:top + 1], rows[top + 1:]
     for j, a in zip(range(top - 1, -1, -1), reversed(table.coeffs[:top])):
         count = joined[j]
@@ -443,14 +501,20 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray) -> np.
     for j in range(1, top):
         count = joined[j]
         np.multiply(powers[j - 1, :count], xs[:count], out=powers[j, :count])
+    return partials, powers
+
+
+def _forward_sums(table: HornerTable, partials: np.ndarray, powers: np.ndarray,
+                  length: np.ndarray) -> list[np.ndarray]:
+    """The value, the sum of |terms|, the bound e and the last two |terms| of
+    each column, from rows that hold 0 past its length; overwrites both sets."""
+    top, n = powers.shape
     value = partials[0].copy()
     bound = np.abs(partials[:top], out=partials[:top])
     bound += np.array(table.errs[:top])[:, None]
     bound *= powers
     mags = np.multiply(powers, np.array(table.abs_coeffs[:top])[:, None], out=powers)
-    last = length[order] - 1
+    last = length - 1
     at = last * n + np.arange(n)
-    out = np.empty((5, n))
-    out[:, order] = [value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0),
-                     mags.flat[at], np.where(last >= 1, mags.flat[at - n], 0.0)]
-    return out
+    return [value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0),
+            mags.flat[at], np.where(last >= 1, mags.flat[at - n], 0.0)]

@@ -205,12 +205,24 @@ def k_gamma(gamma: float, k: float) -> float:
     return math.exp(lg)
 
 
+def _integer_n(n: int, label: str) -> int:
+    """n as an int (ints and numpy ints); a bool, a float or any other type is
+    refused with :class:`DomainError`."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{label} requires an integer n, got {n!r}") from None
+
+
 def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
     """ln (gamma)_{n,k} through the Gamma_k ratio form."""
     if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
         raise DomainError(
             f"log_k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})"
         )
+    n = _integer_n(n, "log_k_pochhammer")
     if n < 0:
         raise DomainError(f"log_k_pochhammer requires n >= 0, got {n}")
     if n == 0:
@@ -228,12 +240,7 @@ def k_pochhammer(gamma: float, n: int, k: float) -> float:
     """
     if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
         raise DomainError(f"k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})")
-    try:
-        if isinstance(n, bool):
-            raise TypeError
-        n = operator.index(n)  # ints and numpy ints, not floats
-    except TypeError:
-        raise DomainError(f"k_pochhammer requires an integer n, got {n!r}") from None
+    n = _integer_n(n, "k_pochhammer")
     if n < 0:
         raise DomainError(f"k_pochhammer requires n >= 0, got {n}")
     prod = 1.0

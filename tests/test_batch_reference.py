@@ -16,9 +16,11 @@ import pytest
 from kkinetics import (
     KBesselParams,
     KineticProblem,
+    OverflowLogError,
     SeriesControl,
     Theorem,
     kinetics,
+    series,
     solve_grid,
     source_grid,
 )
@@ -74,6 +76,42 @@ def test_horner_batches_match_horner_sum_on_the_verify_grid(checked_batches):
         solve_grid(prob, grid)
         source_grid(prob, grid)
     assert checked_batches == [2048] * (2 * len(LAMBDAS))
+
+
+@pytest.mark.parametrize("size", [series._FULL_WIDTH_MAX, series._FULL_WIDTH_MAX + 1, 1000],
+                         ids=["whole_rows", "prefixes", "solve_1001"])
+def test_horner_batches_match_horner_sum_at_both_widths(size, checked_batches):
+    # batches of at most _FULL_WIDTH_MAX elements run over whole rows, larger
+    # ones on sorted prefixes; 1000 is the batch of a 1001-point solve grid
+    # (t = 0 is not batched)
+    for spec in (FIGURES[1], FIGURES[3], FIGURES[6]):
+        prob = figure_problem(spec, 1.5)
+        grid = np.linspace(0.0, spec.t_end, size + 1)
+        solve_grid(prob, grid)
+        source_grid(prob, grid)
+    assert checked_batches == [size] * 6
+
+
+def test_source_batch_on_shuffled_times(checked_batches):
+    # the whole-row path keeps the caller's order: unsorted x and lengths
+    prob = figure_problem(FIGURES[3], 1.0)
+    times = np.random.default_rng(7).permutation(np.linspace(0.0, 6.0, 301))
+    order = np.argsort(times)
+    assert np.array_equal(source_grid(prob, times)[order], source_grid(prob, times[order]))
+    assert checked_batches == [300, 300]
+
+
+def test_horner_batches_mark_the_elements_they_leave(checked_batches):
+    # a subnormal time (s is not a normal double) and a time past the table
+    # are failed in the batch; the second is refused by its scalar call
+    prob = figure_problem(FIGURES[1], 1.0)
+    times = np.concatenate([[5e-324], np.linspace(0.1, 5.0, 50), [40.0]])
+    with pytest.raises(OverflowLogError, match="t = 40.0"):
+        solve_grid(prob, times)
+    assert checked_batches == [52]
+    table = prob._power_table()
+    batch = series.horner_sum_batch(table, times, np.ones(times.size), SeriesControl())
+    assert batch.failed.tolist() == [True] + [False] * 50 + [True]
 
 
 def _nested_horner(table, u, v, rows, cols):

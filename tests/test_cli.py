@@ -20,7 +20,7 @@ from kkinetics import (
     solve_grid,
     solve_volterra,
 )
-from kkinetics import fracoracle
+from kkinetics import fracoracle, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
 from kkinetics.kinetics import SolutionTable
 
@@ -237,12 +237,19 @@ def test_solve_rejects_bad_json(tmp_path):
     ["solve", "--out", "{tmp}/o.csv", "--svg", "{blocked}/x.svg"],
     ["figures", "--fig", "1", "--out-dir", "{blocked}"],
     ["figures", "--fig", "1", "--out-dir", "{blocked}/sub"],
-], ids=["out", "svg", "out_dir", "out_dir_below"])
+    ["figures", "--fig", "1", "--out-dir", "{tmp}"],
+], ids=["out", "svg", "out_dir", "out_dir_below", "svg_is_a_directory"])
 def test_write_failure_exits_two(tmp_path, capsys, argv):
     # an output path below a regular file used to end in a FileExistsError
-    # or NotADirectoryError traceback
+    # or NotADirectoryError traceback; a pair whose second path failed used
+    # to leave its first path written
     blocked = tmp_path / "plain"
     blocked.write_text("")
+    earlier = tmp_path / "fig1.csv"
+    earlier.write_text("an earlier run\n")
+    if argv[-1] == "{tmp}":
+        blocked = tmp_path / "fig1.svg"
+        blocked.mkdir()
     args = [a.format(blocked=blocked, tmp=tmp_path) for a in argv]
     if args[0] == "solve":
         args[1:1] = ["--config", str(write_config(tmp_path))]
@@ -250,6 +257,8 @@ def test_write_failure_exits_two(tmp_path, capsys, argv):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: cannot write {blocked}"), err
     assert not list(tmp_path.glob("**/*.tmp"))
+    assert not (tmp_path / "o.csv").exists()
+    assert earlier.read_text() == "an earlier run\n"
 
 
 def test_solve_rejects_equal_rates_for_variant_three(tmp_path):
@@ -565,6 +574,29 @@ def test_figures_all_reports_the_nine_sign_changes(tmp_path, capsys):
         "positivity violated: figure 3, lambda 2.00, t 2.0549999999999997 "
         "gives N = -0.0014289722557937964",
     ]
+
+
+def test_figures_bytes_do_not_depend_on_warm_tables(tmp_path, capsys):
+    # figures --all in a fresh interpreter, then twice in this process with
+    # the table registries emptied first: the second run reads warm tables
+    fresh = tmp_path / "fresh"
+    proc = subprocess.run([sys.executable, "-m", "kkinetics.cli", "figures", "--all",
+                           "--out-dir", str(fresh)], env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, timeout=300)
+    runs = [(fresh, proc.returncode, proc.stderr)]
+    specfun._kbessel_table.cache_clear()
+    kinetics._shared_table.cache_clear()
+    fracoracle._grid_weights.cache_clear()
+    for name in ("cold", "warm"):
+        rc = cli.main(["figures", "--all", "--out-dir", str(tmp_path / name)])
+        runs.append((tmp_path / name, rc, capsys.readouterr().err.encode()))
+    names = sorted(path.name for path in fresh.iterdir())
+    assert len(names) == 2 * len(FIGURES)
+    for out_dir, rc, err in runs:
+        assert (rc, err) == (1, runs[0][2]), out_dir
+        assert sorted(path.name for path in out_dir.iterdir()) == names, out_dir
+        for name in names:
+            assert (out_dir / name).read_bytes() == (fresh / name).read_bytes(), (out_dir, name)
 
 
 def test_figures_requires_selection(tmp_path):

@@ -108,6 +108,10 @@ def test_k_pochhammer_rejects_negative_n():
         k_pochhammer(1.0, -1, 1.0)
     with pytest.raises(DomainError, match="integer n"):  # a bare TypeError from range()
         k_pochhammer(1.0, 2.5, 1.0)
+    # the log form used to return ln Gamma(3.5) and 0.0 for these
+    for n in (2.5, True):
+        with pytest.raises(DomainError, match="integer n"):
+            log_k_pochhammer(1.0, n, 1.0)
 
 
 @pytest.mark.parametrize("gamma,k", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
