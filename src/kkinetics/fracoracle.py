@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,7 +57,7 @@ import numpy as np
 
 from .kinetics import KineticProblem, SolutionTable, _read_only, _scaled_power
 from .series import (LOG_DBL_MAX, LOG_DBL_MIN, DomainError, EvaluationError,
-                     OverflowLogError, SeriesControl, SeriesResult)
+                     OverflowLogError, SeriesControl, SeriesResult, _integer_n)
 from .specfun import MLParams, mittag_leffler
 
 __all__ = [
@@ -155,18 +154,13 @@ class QuadratureGrid:
     def __init__(self, t_end: float, n_steps: int, nu: float):
         if not 0.0 < t_end < math.inf:
             raise DomainError(f"t_end must be finite and > 0, got {t_end}")
-        try:
-            if isinstance(n_steps, bool):
-                raise TypeError
-            n_steps = operator.index(n_steps)  # ints and numpy ints, not floats or bools
-        except TypeError:
-            raise DomainError(f"n_steps must be an integer, got {n_steps!r}") from None
+        n_steps = _integer_n(n_steps, "QuadratureGrid", "n_steps")
         if n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {n_steps}")
         if not nu > 0.0:
             raise DomainError(f"nu must be > 0, got {nu}")
         self.t_end = float(t_end)
-        self.n_steps = int(n_steps)
+        self.n_steps = n_steps
         self.nu = float(nu)
         self.h = self.t_end / self.n_steps
         self.times = np.linspace(0.0, self.t_end, self.n_steps + 1)

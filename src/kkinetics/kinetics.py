@@ -73,9 +73,13 @@ that builds equal problems or grids, or one that calls ``cli.main``
 more than once.  A single command in its own process builds each table
 once, as before.  A table grown in pieces, or built again at a larger
 shape, equals one built at once bit for bit, so a shared table gives
-what a fresh one would.  Neither the registries nor the tables are
-thread-safe, and threads share them too: concurrent calls need one lock
-around them.
+what a fresh one would.  Threads share the registries and the tables
+too.  Each table grows only through its own methods, and every growth
+runs under one process-wide lock (``series.TABLE_LOCK``); readers take
+none (see :class:`series.HornerTable`).  So equal instances solved in
+several threads give the single-thread bits.  Two threads that miss a
+registry at once may each build the table (``lru_cache`` does not lock
+while it builds); both tables give equal bits.
 
 Both grids follow one contract.  The batch is
 :func:`series.horner_sum_batch`, or the two-dimensional table's own
@@ -137,6 +141,7 @@ from .series import (
     OverflowLogError,
     SeriesControl,
     SeriesResult,
+    TABLE_LOCK,
     _pow,
     _pow_batch,
     check_cancellation,
@@ -155,7 +160,6 @@ from .specfun import (
     gamma_error,
     gen_k_bessel,
     k_bessel_log_coefficient,
-    k_bessel_log_error,
     scaled_ml,  # not called here: kkbench/tracer.py patches kinetics.scaled_ml by name
 )
 
@@ -395,7 +399,6 @@ class _PowerTable(HornerTable):
     def grow(self, stop: int) -> None:
         """Extend the table towards ``stop`` coefficients; it ends at the first it cannot hold."""
         mu, nu, log_q, r = self.params.mu, self.nu, self.log_q, self.r
-        log_errors = self.params._log_errors
         b, abs_b, err_b, f = self._state
         while len(self.coeffs) < stop:
             j = len(self.coeffs)
@@ -432,13 +435,12 @@ class _PowerTable(HornerTable):
                 log_e = log_coeff + (mu + j) * log_q
                 if not log_e < LOG_DBL_MAX:
                     break
-                if n == len(log_errors):
-                    log_errors.append(k_bessel_log_error(self.params, n))
+                log_error = self.params._table.extend_log_errors(n + 1)[n]
                 e_n = sign * math.exp(log_e)
                 if abs(e_n) >= _DBL_MIN:
                     e_n *= gamma
                     new_b, new_abs_b = new_b + e_n, new_abs_b + abs(e_n)
-                    log_e_err = (log_errors[n] + (mu + j) * self._log_q_err
+                    log_e_err = (log_error + (mu + j) * self._log_q_err
                                  + abs((mu + j) * log_q) + 0.5 * abs(log_e))
                     new_err += (log_e_err + 1.5 + gamma_err) * abs(e_n) + 0.5 * new_abs_b
                     formed += (e_n, new_b, new_abs_b)
@@ -535,13 +537,22 @@ class _BivariateTable:
         return np.abs(coeffs[:np.argmin(np.append(extent, 0)), 0]).tolist()
 
     def grow(self, rows: int, cols: int) -> None:
-        """Build the table anew at least ``rows`` x ``cols`` and at least its old shape."""
-        old_rows, old_cols = self.coeffs.shape
-        rows, cols = max(rows, old_rows, 1), max(cols, old_cols, 1)
-        if (rows, cols) != (old_rows, old_cols):
-            self.coeffs, self.errs, self.extent = self._build(rows, cols)
-            # the columns all of the first n rows hold
-            self.reach = np.minimum.accumulate(self.extent)
+        """Build the table anew at least ``rows`` x ``cols`` and at least its old shape.
+
+        The one writer of the table, under :data:`series.TABLE_LOCK`.  ``coeffs``
+        is replaced last, so a reader that finds it large enough finds the
+        other arrays built at least as large, and takes no lock.
+        """
+        if rows <= self.coeffs.shape[0] and cols <= self.coeffs.shape[1]:
+            return
+        with TABLE_LOCK:
+            old_rows, old_cols = self.coeffs.shape
+            rows, cols = max(rows, old_rows, 1), max(cols, old_cols, 1)
+            if (rows, cols) != (old_rows, old_cols):
+                coeffs, self.errs, self.extent = self._build(rows, cols)
+                # the columns all of the first n rows hold
+                self.reach = np.minimum.accumulate(self.extent)
+                self.coeffs = coeffs
 
     def _build(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The first ``rows`` x ``cols`` entries from the leads: T, errs and extent."""
@@ -583,9 +594,8 @@ class _BivariateTable:
 
     def _leads(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
         """T[n, 0] and its error bound in EPS for the first ``rows`` rows."""
-        params, log_errors = self.params, self.params._log_errors
-        while len(log_errors) < rows:
-            log_errors.append(k_bessel_log_error(params, len(log_errors)))
+        params = self.params
+        log_errors = params._table.extend_log_errors(rows)
         leads, errs = [], []
         for n in range(rows):
             sign, log_coeff = k_bessel_log_coefficient(params, n)
@@ -830,11 +840,9 @@ def _power_logs(
 
     def term(j: int) -> tuple[float, float]:
         nonlocal abs_sum, err_sum
-        if j >= len(table.coeffs):
-            table.grow(j + 1)
-            if j >= len(table.coeffs):
-                raise OverflowLogError(f"solve_point: at t = {t} the power series needs a "
-                                       "coefficient outside the normal doubles", math.inf)
+        if j >= table.extend(j + 1):
+            raise OverflowLogError(f"solve_point: at t = {t} the power series needs a "
+                                   "coefficient outside the normal doubles", math.inf)
         a, abs_a = table.coeffs[j], table.abs_coeffs[j]
         power = (mu + j) * log_s
         log_a = math.log(abs(a))

@@ -35,7 +35,9 @@ agree bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
@@ -101,6 +103,17 @@ class SeriesResult(NamedTuple):
     tail: float
 
 
+def _integer_n(n: int, label: str, name: str = "n") -> int:
+    """n as an int (ints and numpy ints); a bool, a float or any other type is
+    refused with :class:`DomainError`."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{label} requires an integer {name}, got {n!r}") from None
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy shared by all series evaluators.
@@ -115,6 +128,8 @@ class SeriesControl:
     stagnation_window: int = 3
 
     def __post_init__(self):
+        for name in ("max_terms", "stagnation_window"):
+            object.__setattr__(self, name, _integer_n(getattr(self, name), "SeriesControl", name))
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
         if not 0.0 < self.rel_tol < 1.0:
@@ -247,6 +262,12 @@ def _pow_batch(xs: np.ndarray, y: float) -> np.ndarray:
 # Coefficients added to a table's stopping thresholds at a time.
 _STOP_BLOCK = 16
 
+# The one lock that orders the growth of every shared t-free table: Horner
+# tables with their stop bounds, the k-Bessel error lists and the
+# two-dimensional tables.  Re-entrant, since one table's growth extends
+# another's (a power table extends an error list).
+TABLE_LOCK = threading.RLock()
+
 
 class HornerTable:
     """Plain-double coefficients of ``sum_j a_j x**j`` for :func:`horner_sum`.
@@ -260,6 +281,8 @@ class HornerTable:
       plus that of the rounding of x**j and of the prefactor, relative to
       the exact series.
 
+    A_j bounds a_j as formed; the exact |a_j| is below A_j + EPS errs[j].
+
     The lists end at the first coefficient that is not a normal double (or
     an exact zero); :func:`horner_sum` leaves a point that needs it to its
     caller.
@@ -272,6 +295,13 @@ class HornerTable:
     up to the least of their thetas, and the rule stops at the first j
     whose running maximum M_j of that least theta is at least x.  M is
     t-free: it is kept per control, and a length is a binary search in it.
+
+    A table is shared by every equal problem, in every thread, and has one
+    writer: :meth:`grow` runs only from :meth:`stop_bounds` and
+    :meth:`extend`, under :data:`TABLE_LOCK`.  Entries are only appended,
+    ``errs`` last, and never change; the bounds are extended only after
+    the entries they cover.  So a reader takes no lock: it reads no entry
+    past a length it took from the bounds or from ``errs``.
     """
 
     def __init__(self):
@@ -281,20 +311,29 @@ class HornerTable:
         self._stops: dict[tuple[float, int], tuple[list[float], list[float]]] = {}
 
     def grow(self, stop: int) -> None:
-        """Extend the lists towards ``stop`` entries."""
+        """Extend the lists towards ``stop`` entries (see the class docs for who calls it)."""
         raise NotImplementedError
+
+    def extend(self, stop: int) -> int:
+        """Extend the lists towards ``stop`` entries; the number that all three hold."""
+        if len(self.errs) < stop:
+            with TABLE_LOCK:
+                self.grow(stop)
+        return len(self.errs)
 
     def stop_bounds(self, x: float, ctl: SeriesControl) -> list[float]:
         """M_j (see class docs), extended to cover x, the budget or the end of the table."""
         key = (ctl.rel_tol, ctl.stagnation_window)
-        if key not in self._stops:
-            self._stops[key] = ([], [])
-        log_thetas, bounds = self._stops[key]
-        while not (bounds and bounds[-1] >= x) and len(bounds) < ctl.max_terms:
-            self.grow(len(bounds) + _STOP_BLOCK)
-            if len(self.abs_coeffs) == len(bounds):
-                break
-            self._extend_bounds(log_thetas, bounds, ctl)
+        _, bounds = self._stops.get(key, ((), ()))
+        if bounds and bounds[-1] >= x:
+            return bounds
+        with TABLE_LOCK:
+            log_thetas, bounds = self._stops.setdefault(key, ([], []))
+            while not (bounds and bounds[-1] >= x) and len(bounds) < ctl.max_terms:
+                self.grow(len(bounds) + _STOP_BLOCK)
+                if len(self.abs_coeffs) == len(bounds):
+                    break
+                self._extend_bounds(log_thetas, bounds, ctl)
         return bounds
 
     def _extend_bounds(self, log_thetas: list[float], bounds: list[float],
@@ -319,9 +358,9 @@ class HornerTable:
 
     def lengths(self, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
         """:meth:`length` at every x: 0 past the budget, -1 past the table."""
-        bounds = self.stop_bounds(float(x.max()) if x.size else 0.0, ctl)
-        found = np.searchsorted(np.array(bounds), x)
-        return np.where(found >= ctl.max_terms, 0, np.where(found < len(bounds), found + 1, -1))
+        bounds = np.array(self.stop_bounds(float(x.max()) if x.size else 0.0, ctl))
+        found = np.searchsorted(bounds, x)
+        return np.where(found >= ctl.max_terms, 0, np.where(found < bounds.size, found + 1, -1))
 
     def length(self, x: float, ctl: SeriesControl) -> int | None:
         """The number of terms :func:`horner_sum` takes at x: 0 past the budget, None past the table."""

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -51,6 +50,8 @@ from .series import (
     OverflowLogError,
     SeriesControl,
     SeriesResult,
+    TABLE_LOCK,
+    _integer_n,
     check_cancellation,
     sum_log_terms,
 )
@@ -92,11 +93,10 @@ class KBesselParams:
     # log k, g = gamma/k, lgamma(g) and log|c| (-inf at c = 0): every
     # coefficient reads them
     _logs: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
-    # k_bessel_log_error(self, n) for n = 0, 1, ...: t-free and costly, so
-    # gen_k_bessel and the tables of every equal instance and of their
-    # problems append to it in order and read it
-    _log_errors: list[float] = field(init=False, repr=False, compare=False)
-    # the Horner table of omega, shared by every equal instance (see _kbessel_table)
+    # the t-free state shared by every equal instance (see _kbessel_table):
+    # the Horner table of omega and the k_bessel_log_error values, which
+    # gen_k_bessel and the tables of the problems read; each grows only
+    # through its own method
     _table: "_KBesselTable" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,9 +121,7 @@ class KBesselParams:
         g = self.gamma / self.k
         log_c = math.log(abs(self.c)) if self.c != 0.0 else -math.inf
         object.__setattr__(self, "_logs", (math.log(self.k), g, math.lgamma(g), log_c))
-        table = _kbessel_table(self)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_log_errors", table.log_errors)
+        object.__setattr__(self, "_table", _kbessel_table(self))
 
 
 # The largest double whose lgamma is finite.  MLParams keeps beta below it,
@@ -203,17 +201,6 @@ def k_gamma(gamma: float, k: float) -> float:
     if lg > LOG_DBL_MAX:
         raise OverflowLogError(f"k_gamma({gamma}, {k}) overflows double range", lg)
     return math.exp(lg)
-
-
-def _integer_n(n: int, label: str) -> int:
-    """n as an int (ints and numpy ints); a bool, a float or any other type is
-    refused with :class:`DomainError`."""
-    try:
-        if isinstance(n, bool):
-            raise TypeError
-        return operator.index(n)
-    except TypeError:
-        raise DomainError(f"{label} requires an integer n, got {n!r}") from None
 
 
 def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
@@ -422,15 +409,28 @@ class _KBesselTable(HornerTable):
     and a half for the product with it.  The table grows as the sums
     reach further and ends before the first c_n that is neither a normal
     double nor zero.
+
+    ``log_errors[n]`` is :func:`k_bessel_log_error` of the parameters and
+    n, for n = 0, 1, ...: t-free and costly, so it is kept here for every
+    reader.  Only :meth:`extend_log_errors` appends to it.
     """
 
     def __init__(self, params: KBesselParams):
         super().__init__()
         self.params = params
-        self.log_errors: list[float] = []  # k_bessel_log_error(params, n), n = 0, 1, ...
+        self.log_errors: list[float] = []
+
+    def extend_log_errors(self, stop: int) -> list[float]:
+        """``log_errors``, extended to at least ``stop`` entries under :data:`series.TABLE_LOCK`."""
+        errors = self.log_errors
+        if len(errors) < stop:
+            with TABLE_LOCK:
+                while len(errors) < stop:
+                    errors.append(k_bessel_log_error(self.params, len(errors)))
+        return errors
 
     def grow(self, stop: int) -> None:
-        p, errors = self.params, self.log_errors
+        p = self.params
         while len(self.coeffs) < stop:
             n = len(self.coeffs)
             sign, log_c = k_bessel_log_coefficient(p, n)
@@ -439,11 +439,10 @@ class _KBesselTable(HornerTable):
             c = sign * math.exp(log_c)
             if not (DBL_MIN <= abs(c) or log_c == -math.inf):
                 break
-            if n == len(errors):
-                errors.append(k_bessel_log_error(p, n))
+            log_error = self.extend_log_errors(n + 1)[n]
             self.coeffs.append(c)
             self.abs_coeffs.append(abs(c))
-            self.errs.append((errors[n] + 0.5 * abs(log_c) + 2.5 + 0.5 * n) * abs(c) if c else 0.0)
+            self.errs.append((log_error + 0.5 * abs(log_c) + 2.5 + 0.5 * n) * abs(c) if c else 0.0)
 
 
 def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str
@@ -505,7 +504,8 @@ def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -
         return SeriesResult(0.0, 1, 0.0)
     log_hz = _log_half(z)
     mu, hz_err = p.mu, 2.5 * abs(log_hz)
-    errors = p._log_errors
+    table = p._table
+    errors = table.log_errors
     abs_sum = err_sum = 0.0  # the sum of |terms|, and of their errors times |terms|
 
     def term(n: int) -> tuple[float, float]:
@@ -514,8 +514,8 @@ def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -
         order = mu + 2.0 * n
         log_mag = log_coeff + order * log_hz
         if log_mag <= LOG_DBL_MAX:  # sum_log_terms raises on a larger one
-            if n == len(errors):
-                errors.append(k_bessel_log_error(p, n))
+            if n >= len(errors):
+                table.extend_log_errors(n + 1)
             mag = math.exp(log_mag)
             abs_sum += mag
             err_sum += (errors[n] + order * hz_err + 0.5 * abs(log_mag) + 1.0) * mag

@@ -20,7 +20,7 @@ from kkinetics import (
     solve_grid,
     solve_volterra,
 )
-from kkinetics import fracoracle, specfun
+from kkinetics import fracoracle
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
 from kkinetics.kinetics import SolutionTable
 
@@ -576,7 +576,7 @@ def test_figures_all_reports_the_nine_sign_changes(tmp_path, capsys):
     ]
 
 
-def test_figures_bytes_do_not_depend_on_warm_tables(tmp_path, capsys):
+def test_figures_bytes_do_not_depend_on_warm_tables(tmp_path, capsys, empty_registries):
     # figures --all in a fresh interpreter, then twice in this process with
     # the table registries emptied first: the second run reads warm tables
     fresh = tmp_path / "fresh"
@@ -584,9 +584,6 @@ def test_figures_bytes_do_not_depend_on_warm_tables(tmp_path, capsys):
                            "--out-dir", str(fresh)], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, timeout=300)
     runs = [(fresh, proc.returncode, proc.stderr)]
-    specfun._kbessel_table.cache_clear()
-    kinetics._shared_table.cache_clear()
-    fracoracle._grid_weights.cache_clear()
     for name in ("cold", "warm"):
         rc = cli.main(["figures", "--all", "--out-dir", str(tmp_path / name)])
         runs.append((tmp_path / name, rc, capsys.readouterr().err.encode()))

@@ -327,7 +327,7 @@ def test_volterra_division_makes_logarithmically_many_products(monkeypatch):
     assert len(calls) <= 3 * math.log2(n)
 
 
-def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch):
+def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch, empty_registries):
     # 13 FFT products at n = 32768: two in each of the five Newton steps past
     # the direct-convolution cutoff and three in the Karp-Markstein step.  g
     # meets two operands at one length in each Newton step and in the
@@ -336,7 +336,6 @@ def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch):
     from numpy import fft
 
     n = 32768
-    fracoracle._grid_weights.cache_clear()
     rfft, irfft = fft.rfft, fft.irfft
     counts = {"rfft": 0, "irfft": 0}
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from kkinetics.series import (
@@ -22,6 +23,15 @@ def test_control_validation():
         SeriesControl(rel_tol=1.5)
     with pytest.raises(DomainError):
         SeriesControl(stagnation_window=0)
+    # a fractional or bool count used to construct, and solve_point then
+    # raised a bare TypeError from a slice
+    for count in (1.5, True, np.float64(3.0)):
+        for name in ("max_terms", "stagnation_window"):
+            with pytest.raises(DomainError, match=f"integer {name}"):
+                SeriesControl(**{name: count})
+    ctl = SeriesControl(max_terms=np.int64(40), stagnation_window=np.int32(2))
+    assert (type(ctl.max_terms), type(ctl.stagnation_window)) == (int, int)
+    assert ctl == SeriesControl(max_terms=40, stagnation_window=2)
 
 
 def test_control_defaults():

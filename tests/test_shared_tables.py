@@ -25,12 +25,6 @@ def problem(params=None, **fields):
     return KineticProblem(params=params or figure_params(1.5), **{**BASE, **fields})
 
 
-def clear_registries():
-    specfun._kbessel_table.cache_clear()
-    kinetics._shared_table.cache_clear()
-    fracoracle._grid_weights.cache_clear()
-
-
 # ---------------------------------------------------------------- sharing
 
 
@@ -70,11 +64,11 @@ def test_equal_kbessel_params_share_their_state():
               KBesselParams(k=2, gamma=1, lam=1.5, mu=1, b=-0.0, c=2),
               KBesselParams(k=np.float32(2.0), gamma=1.0, lam=np.float32(1.5), mu=1.0, b=0.0,
                             c=2.0)):
-        assert q._table is p._table and q._log_errors is p._log_errors
+        assert q._table is p._table and q._table.log_errors is p._table.log_errors
         assert all(type(getattr(q, name)) is float
                    for name in ("k", "gamma", "lam", "mu", "b", "c"))
     other = KBesselParams(k=2.0, gamma=1.0, lam=1.5, mu=1.0, b=0.0, c=2.5)
-    assert other._table is not p._table and other._log_errors is not p._log_errors
+    assert other._table is not p._table and other._table.log_errors is not p._table.log_errors
 
 
 def test_problem_fields_are_floats():
@@ -143,17 +137,17 @@ def test_two_dimensional_table_does_not_depend_on_its_growth(params, nu, rate):
 
 @pytest.mark.parametrize("make", [
     lambda: _PowerTable(figure_params(1.5), 1.0, 3.0, None),
-    lambda: _PowerTable(figure_params(1.0), 5.0, 3.0, 3.0),  # past Gamma(171) and 4096
+    lambda: _PowerTable(figure_params(1.0), 5.0, 3.0, 3.0),  # past Gamma(171), to x = 1416
     lambda: _PowerTable(figure_params(2.0), 0.5, 1.0, 3.0),
     lambda: specfun._KBesselTable(KBesselParams(k=2.0, gamma=1.0, lam=1.5, mu=1.0, b=3.0, c=2.0)),
 ], ids=["power_nu1", "power_nu5", "power_nu0.5", "kbessel"])
 def test_horner_tables_and_stop_bounds_do_not_depend_on_their_growth(make):
     ctl = SeriesControl()
     once = make()
-    once.grow(900)
+    once.extend(900)
     pieces = make()
     for stop in (1, 2, 17, 40, 41, 300, 900):
-        pieces.grow(stop)
+        pieces.extend(stop)
     assert _same_arrays(pieces, once, ("coeffs", "abs_coeffs", "errs"))
     # stop bounds extended in steps of a growing x, or at once at the last,
     # or on a table grown past them: they end where the table or x does
@@ -198,8 +192,7 @@ def _equal(x, y):
     return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
 
 
-def test_cold_and_warm_registries_give_the_same_bits():
-    clear_registries()
+def test_cold_and_warm_registries_give_the_same_bits(empty_registries):
     cold = (_figure_sweeps(), _verify_grids())
     # grow every shared table far past what the sweeps read, then run them again
     for fig_id, spec in FIGURES.items():

@@ -27,7 +27,7 @@ from kkinetics import (
     solve_point,
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_params, figure_problem
-from kkinetics.kinetics import _PowerTable, _gamma_product
+from kkinetics.kinetics import _PRODUCT_ARG_MAX, _PowerTable, _gamma_product
 from kkinetics.series import EPS, _pow_batch, horner_sum_batch
 from kkinetics.specfun import GAMMA_ULPS
 
@@ -190,12 +190,17 @@ FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
     (KineticProblem(n0=2.0, d=2e28, nu=1.0, variant=Theorem.T3, params=FIG_PARAMS, a=1e-30), 10),
     # the figure problem at nu = 2 passes Gamma(171) from j = 85
     (KineticProblem(n0=2.0, d=3.0, nu=2.0, variant=Theorem.T2, params=FIG_PARAMS), 200),
-], ids=["nu5", "q1e28", "nu2"])
+    # every gamma mantissa from lgamma (x = nu (mu+j) + 1 >= 4096), with d
+    # = (2 Gamma(4097)**(1/4096))**(1/nu) so that a_0 = 1
+    (KineticProblem(n0=2.0, d=(2.0 * math.exp(math.lgamma(4097.0) / 4096.0)) ** (1 / 1.5),
+                    nu=1.5, variant=Theorem.T2,
+                    params=KBesselParams(k=1, gamma=1, lam=1, mu=4096, b=1, c=1)), 200),
+], ids=["nu5", "q1e28", "nu2", "lgamma"])
 def test_power_table_coefficients_are_within_their_error_bounds(prob, length):
     # a table of its own: the problem's shared one may have grown further
     table = _PowerTable(prob.params, prob.nu, prob.rate, prob.d)
     for stop in (1, 7, 40, 80, 200):  # grown in steps, as the sums reach further
-        table.grow(stop)
+        table.extend(stop)
     assert len(table.coeffs) == length
     # a conditioned reference: the digits cancellation in a_j can take, plus 30
     worst = max(a_abs / abs(a) for a, a_abs in zip(table.coeffs, table.abs_coeffs))
@@ -203,7 +208,12 @@ def test_power_table_coefficients_are_within_their_error_bounds(prob, length):
         want = _mp_power_coefficients(prob, len(table.coeffs))
         for j, (a, a_abs, err) in enumerate(zip(table.coeffs, table.abs_coeffs, table.errs)):
             assert abs(a - want[j]) <= EPS * err, j
-            assert abs(want[j]) <= a_abs * (1 + 1e-12), j
+            # A_j bounds the formed |a_j|, so the exact one by A_j + EPS errs_j
+            assert abs(a) <= a_abs and abs(want[j]) <= a_abs + EPS * err, j
+            # which is within 1e-12 of A_j while the gamma mantissa is exact to
+            # a few ulps; one from lgamma (at j = 1 here 4.3e-12 above A_1) is not
+            if prob.nu * (prob.params.mu + j) + 1.0 < _PRODUCT_ARG_MAX:
+                assert abs(want[j]) <= a_abs * (1 + 1e-12), j
 
 
 @pytest.mark.parametrize("x", [171.0, 171.5, 921.0, 2000.25, 4095.75])
