@@ -396,8 +396,8 @@ def laplace_transform(fn: Callable[[float], float], p: float, rel_tol: float = 1
     drops below 1e-16 of its running peak; adaptive Simpson then integrates
     [0, T*] to a relative tolerance of ``rel_tol``.
     """
-    if not p > 0.0:
-        raise DomainError(f"p must be > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise DomainError(f"p must be finite and > 0, got {p}")
 
     def g(t: float) -> float:
         return math.exp(-p * t) * fn(t)

@@ -28,6 +28,10 @@ the table, and its tail bounds the roundoff too
 double, or Horner's sums leave the doubles, the same terms are summed as
 logs, with the same coefficient bounds in the tail; a time that needs a
 coefficient past the table is refused with :class:`series.OverflowLogError`.
+Every table takes its k-Bessel coefficients, c_n q**(mu+2n) with the
+bound on their logs, from one reader (``specfun._KBesselTable.scaled``),
+which refuses parameters whose gamma arguments leave the range of lgamma
+with :class:`series.OverflowLogError` too.
 
 Variant 1 at nu != 1 does not align: term (n, m) carries t**(mu+2n) and
 (t**nu)**m.  Its t-free coefficients form one table T[n, m]
@@ -35,9 +39,9 @@ Variant 1 at nu != 1 does not align: term (n, m) carries t**(mu+2n) and
 with u = t**2 and v = t**nu, built once per value too.  It is built
 whole at the largest rows and columns a batch of sums has needed, and
 built again, whole, when a batch needs more; the lengths of the sums
-read only its leads and first row, which are built on their own.  The
-inner Mittag-Leffler sums disappear here too, and the sum is guarded
-and bounded the same way.
+read only its leads, straight from the coefficient reader, and its first
+row, which is built on its own.  The inner Mittag-Leffler sums disappear
+here too, and the sum is guarded and bounded the same way.
 
 Two evaluation paths for the solution, chosen by the kind of input:
 
@@ -159,7 +163,6 @@ from .specfun import (
     fox_wright,
     gamma_error,
     gen_k_bessel,
-    k_bessel_log_coefficient,
     scaled_ml,  # not called here: kkbench/tracer.py patches kinetics.scaled_ml by name
 )
 
@@ -348,10 +351,12 @@ class _PowerTable(HornerTable):
         b_j = -r * b_{j-1} + [j even] e_{j/2} * G_j,   b_{-1} = 0,
 
     e_n = coeff_n * q**(mu+2n), r = rate**nu and q = d**nu / 2 (variants 2
-    and 3) or 1/2 (variant 1).  Every gamma enters a_j as one ratio
-    G_{2n} / G_j, so its rounding does not accumulate along j.  The
-    absolute table A_j runs the same recurrence on |.|, so
-    sum_j A_j s**(mu+j) is the sum of every |term (n, m)|.
+    and 3) or 1/2 (variant 1), read as a double with the bound on its log
+    from the coefficient reader (:meth:`specfun._KBesselTable.scaled`).
+    Every gamma enters a_j as one ratio G_{2n} / G_j, so its rounding does
+    not accumulate along j.  The absolute table A_j runs the same
+    recurrence on |.|, so sum_j A_j s**(mu+j) is the sum of every
+    |term (n, m)|.
 
     The recurrence runs once, in plain doubles, in units of 2**F_j: F_j = 0
     while G_j <= 2**512, and past that F_j is the binary exponent of G_j,
@@ -361,8 +366,12 @@ class _PowerTable(HornerTable):
     math.gamma below 170 while x < 4096 (:func:`_gamma_product`), and comes
     from lgamma past that.  The step into
     larger units scales by a power of two, which is exact, so b_j / 2**F_j
-    and a_j keep their true size.  A term e_n below
-    the normal doubles is left out and its size added to the error bound.
+    and a_j keep their true size.  The table ends where the bound on the
+    error of G_j reaches 1 / EPS (x near 1e13 on the lgamma route): there
+    G_j carries no digit, and that is long before x nears the range of
+    lgamma, where F_j log 2 would no longer split off a mantissa.  A term
+    e_n below the normal doubles is left out and its size added to the
+    error bound.
     The table grows as the sums reach further, while a_j, A_j and every
     value formed for them is a normal double, and fills the lists of
     :class:`series.HornerTable`.
@@ -370,10 +379,10 @@ class _PowerTable(HornerTable):
     The error bound of b_j, in EPS, runs a third recurrence: E_j = r E_{j-1}
     + (r_err + 1/2) r A'_{j-1} + [j even] (kappa_n |e_n G_j| + A'_j / 2),
     with A'_j = A_j G_j, r_err the rounding of r (one ulp of pow, none at
-    nu = 1) and kappa_n the error of e_n G_j: that of its log
-    (:func:`specfun.k_bessel_log_error` and of (mu+j) log q), one ulp of
-    exp, a half for the product and that of G_j.  A left-out e_n adds
-    2 DBL_MIN G_j / EPS.  A mantissa formed as a product adds a half for
+    nu = 1) and kappa_n the error of e_n G_j: that of its log (from the
+    reader: :func:`specfun.k_bessel_log_error` and that of (mu+j) log q),
+    one ulp of exp, a half for the product and that of G_j.  A left-out
+    e_n adds 2 DBL_MIN G_j / EPS.  A mantissa formed as a product adds a half for
     each of its roundings; one formed from lgamma adds to the error of
     math.gamma that of lgamma (GAMMA_ULPS of it) and of F_j log 2 (1.5
     ulps), a half for their difference and one ulp of exp.  a_j is
@@ -417,9 +426,11 @@ class _PowerTable(HornerTable):
                 gamma_err += 0.5 * roundings
             elif x < _LGAMMA_ARG_MAX:
                 log_gamma = math.lgamma(x)
+                gamma_err += (GAMMA_ULPS + 1.5) * log_gamma - GAMMA_ULPS + 1.5
+                if not gamma_err * EPS < 1.0:  # G_j would carry no digit
+                    break
                 new_f = int(log_gamma / _LN2)
                 gamma = math.exp(log_gamma - new_f * _LN2)
-                gamma_err += (GAMMA_ULPS + 1.5) * log_gamma - GAMMA_ULPS + 1.5
             else:
                 break
             if new_f != f:
@@ -430,18 +441,12 @@ class _PowerTable(HornerTable):
                            + (self._pow_err + 0.5) * new_abs_b)
             formed = (new_b, new_abs_b) if j else (r,)  # b_{-1} = 0 is exact
             if j % 2 == 0:
-                n = j // 2
-                sign, log_coeff = k_bessel_log_coefficient(self.params, n)
-                log_e = log_coeff + (mu + j) * log_q
-                if not log_e < LOG_DBL_MAX:
+                e_n, log_e, log_e_err = self.params._table.scaled(j // 2, log_q, self._log_q_err)
+                if not abs(e_n) <= _DBL_MAX:
                     break
-                log_error = self.params._table.extend_log_errors(n + 1)[n]
-                e_n = sign * math.exp(log_e)
                 if abs(e_n) >= _DBL_MIN:
                     e_n *= gamma
                     new_b, new_abs_b = new_b + e_n, new_abs_b + abs(e_n)
-                    log_e_err = (log_error + (mu + j) * self._log_q_err
-                                 + abs((mu + j) * log_q) + 0.5 * abs(log_e))
                     new_err += (log_e_err + 1.5 + gamma_err) * abs(e_n) + 0.5 * new_abs_b
                     formed += (e_n, new_b, new_abs_b)
                 elif log_e > -math.inf:  # left out (c = 0 makes an exact zero)
@@ -495,9 +500,11 @@ class _BivariateTable:
     line, so its rounding does not accumulate along m.
 
     ``errs[n, m]`` bounds the relative error of T[n, m], in EPS: that of
-    the lead (the error of log|c_n|, :func:`specfun.k_bessel_log_error`;
-    2 (mu+2n) log 2 for the other product; half the exponent for the sum
-    and one ulp of exp), that of math.gamma at x_0 and x_m, with x formed
+    the lead (from the coefficient reader at q = 1/2,
+    :meth:`specfun._KBesselTable.scaled`: the error of log|c_n|,
+    :func:`specfun.k_bessel_log_error`; 2 (mu+2n) log 2 for the other
+    product; half the exponent for the sum; and one ulp of exp), that of
+    math.gamma at x_0 and x_m, with x formed
     to within 1.5 EPS x (:func:`specfun.gamma_error`), and 5/2 per step for
     r (one ulp of pow) and the three products.  A step on lgamma adds the
     error of both its lgammas (GAMMA_ULPS of |lgamma|, and the argument's
@@ -513,10 +520,10 @@ class _BivariateTable:
 
     The table is built whole, from the leads (:meth:`_build`), at the
     largest shape a batch of sums has needed, and built again, whole, when
-    a batch needs more.  The lengths of the sums read only the leads and
-    the first row (:meth:`line`), which are built on their own.  An
-    entry, its errs and its row's extent depend on its row and column
-    alone, not on the shape built.
+    a batch needs more.  The lengths of the sums read only the leads
+    (:meth:`_leads`, with no build) and the first row, which is built on
+    its own (:meth:`line`).  An entry, its errs and its row's extent
+    depend on its row and column alone, not on the shape built.
     """
 
     def __init__(self, params: KBesselParams, nu: float, rate: float):
@@ -528,13 +535,16 @@ class _BivariateTable:
 
     def line(self, axis: int, stop: int) -> list[float]:
         """|T| along the leads (axis 0) or the first row, towards ``stop`` entries
-        and cut at the first that is not a normal double.  Builds only that
-        line (stop x 1 or 1 x stop) and leaves the table alone."""
+        and cut at the first that is neither a normal double nor an exact
+        zero.  Reads only that line (:meth:`_leads`, or a 1 x stop build) and
+        leaves the table alone."""
         if axis:
             coeffs, _, extent = self._build(1, stop)
             return np.abs(coeffs[0, :extent[0]]).tolist()
-        coeffs, _, extent = self._build(stop, 1)
-        return np.abs(coeffs[:np.argmin(np.append(extent, 0)), 0]).tolist()
+        lead, errs = self._leads(stop)
+        mags = np.abs(lead)
+        held = (mags >= _DBL_MIN) & (mags <= _DBL_MAX) | (errs == 0.0)  # errs 0: an exact zero
+        return mags[:np.argmin(np.append(held, False))].tolist()
 
     def grow(self, rows: int, cols: int) -> None:
         """Build the table anew at least ``rows`` x ``cols`` and at least its old shape.
@@ -593,17 +603,12 @@ class _BivariateTable:
         return coeffs, errs, np.where(faded, cols, extent)
 
     def _leads(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """T[n, 0] and its error bound in EPS for the first ``rows`` rows."""
-        params = self.params
-        log_errors = params._table.extend_log_errors(rows)
-        leads, errs = [], []
+        """T[n, 0] and its error bound in EPS (0 for an exact zero) for the first ``rows`` rows."""
+        table, leads, errs = self.params._table, [], []
         for n in range(rows):
-            sign, log_coeff = k_bessel_log_coefficient(params, n)
-            log_lead = log_coeff - (self.mu + 2.0 * n) * _LN2
-            leads.append(sign * math.exp(log_lead) if log_lead < LOG_DBL_MAX else math.inf)
-            exact = log_lead == -math.inf  # c = 0: an exact zero
-            errs.append(0.0 if exact else log_errors[n] + 2.0 * (self.mu + 2.0 * n) * _LN2
-                        + 0.5 * abs(log_lead) + 1.0)
+            lead, log_lead, err = table.scaled(n, -_LN2, _LN2)  # log 2 within one ulp
+            leads.append(lead)
+            errs.append(0.0 if log_lead == -math.inf else err + 1.0)  # one ulp of exp
         return np.array(leads), np.array(errs)
 
     def point(self, t: float, n0: float, ctl: SeriesControl) -> SeriesResult:
@@ -655,29 +660,21 @@ class _BivariateTable:
         self.grow(int(rows.max(initial=1)), int(cols.max(initial=1)))
         off |= self.reach[rows - 1] < cols
         codes = np.where(off, _RANGE, np.where(budget, _BUDGET, 0))
-        live = np.flatnonzero(~off)
-        u, v, pre, rows, cols = u[live], v[live], pre[live], rows[live], cols[live]
         with np.errstate(over="ignore", invalid="ignore"):
             total, abs_total, err_total, floor = self._horner(u, v, rows, cols)
             value, abs_value = pre * total, pre * abs_total
             tail = pre * (EPS * err_total + floor
                           + (2.0 * ctl.rel_tol + EPS * (2.0 * cols + 1.5 * rows)) * abs_total)
             cancelled = abs_value > CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), _DBL_MIN)
-            codes[live] = np.where(~((abs_value <= _DBL_MAX) & (tail <= _DBL_MAX)), _RANGE,
-                                   np.where(cancelled & (codes[live] == 0), _CANCELLED, codes[live]))
-        out = np.zeros((3, codes.size))
-        out[:, live] = value, abs_value, tail
-        terms = np.ones(codes.size, dtype=np.intp)
-        terms[live] = rows
-        return (*out, terms, codes)
+            codes = np.where(~((abs_value <= _DBL_MAX) & (tail <= _DBL_MAX)), _RANGE,
+                             np.where(cancelled & (codes == 0), _CANCELLED, codes))
+        return value, abs_value, tail, rows, codes
 
     def _horner(self, u: np.ndarray, v: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         """Each point's sum over its rows x cols entries, the sum of those |terms|,
         of those |terms| times their rows' errs at the last column and of
         2 DBL_MIN u**n v**m: Horner in v along every row, then in u down the
         rows (:func:`_joined_horner`)."""
-        if not u.size:
-            return np.zeros((4, 0))
         width, depth = int(rows.max()), int(cols.max())
         coeffs = self.coeffs[:width, :depth]
         inner = _joined_horner(v, cols, np.vstack((coeffs, np.abs(coeffs),

@@ -160,7 +160,9 @@ def sum_log_terms(
 
     A sum whose largest term exceeds :data:`CANCELLATION_RATIO_LIMIT` times
     the sum raises :class:`CancellationError` instead of returning a
-    digit-starved result.
+    digit-starved result.  A bare ``OverflowError`` that ``term`` raises
+    (math.lgamma past the double range) is refused as
+    :class:`OverflowLogError`.
     """
     total = 0.0
     comp = 0.0
@@ -169,32 +171,37 @@ def sum_log_terms(
     mag = 0.0
     quiet = 0
     tiny = 0  # terms below the normal doubles
-    for n in range(ctl.max_terms):
-        sign, log_mag = term(n)
-        if log_mag > LOG_DBL_MAX:
-            raise OverflowLogError(f"{label}: term {n} overflows double range", log_mag)
-        if LOG_DBL_MIN > log_mag > -math.inf:
-            tiny += 1
-        prev_mag = mag
-        mag = math.exp(log_mag)
-        t = sign * mag
-        # Kahan step
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        if mag > max_mag:
-            max_mag = mag
-        if mag <= ctl.rel_tol * abs(total):
-            quiet += 1
-            if quiet >= ctl.stagnation_window:
-                break
+    try:
+        for n in range(ctl.max_terms):
+            sign, log_mag = term(n)
+            if log_mag > LOG_DBL_MAX:
+                raise OverflowLogError(f"{label}: term {n} overflows double range", log_mag)
+            if LOG_DBL_MIN > log_mag > -math.inf:
+                tiny += 1
+            prev_mag = mag
+            mag = math.exp(log_mag)
+            t = sign * mag
+            # Kahan step
+            y = t - comp
+            s = total + y
+            comp = (s - total) - y
+            total = s
+            if mag > max_mag:
+                max_mag = mag
+            if mag <= ctl.rel_tol * abs(total):
+                quiet += 1
+                if quiet >= ctl.stagnation_window:
+                    break
+            else:
+                quiet = 0
         else:
-            quiet = 0
-    else:
-        raise NonConvergenceError(
-            f"{label}: no stagnation within {ctl.max_terms} terms", total, ctl.max_terms
-        )
+            raise NonConvergenceError(
+                f"{label}: no stagnation within {ctl.max_terms} terms", total, ctl.max_terms
+            )
+    except OverflowLogError:
+        raise
+    except OverflowError:
+        raise OverflowLogError(f"{label}: term {n} leaves the double range", math.inf) from None
     check_cancellation(max_mag, total, label)
     return SeriesResult(total, n + 1, _geometric_tail(mag, prev_mag) + tiny * DBL_TRUE_MIN)
 

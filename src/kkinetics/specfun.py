@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .series import (
+    DBL_MAX,
     DBL_MIN,
     DBL_TRUE_MIN,
     DEFAULT_CONTROL,
@@ -112,13 +113,14 @@ class KBesselParams:
             v = getattr(self, name)
             if type(v) is not float:
                 object.__setattr__(self, name, float(v))
-        # mu + lam*n + (b+1)/2 is increasing in n, so n=0 is the worst case.
-        if self.b < -1.0 and self.mu + (self.b + 1.0) / 2.0 <= 0.0:
+        # (mu + lam*n + (b+1)/2) / k is increasing in n, so n=0 is the worst
+        # case; it may also underflow to 0, whose lgamma is a domain error
+        lead = self.mu + (self.b + 1.0) / 2.0
+        if not lead / self.k > 0.0:
             raise DomainError(
-                f"leading k-gamma argument mu+(b+1)/2 = {self.mu + (self.b + 1.0) / 2.0} "
-                "is non-positive"
+                f"leading k-gamma argument (mu+(b+1)/2)/k = {lead}/{self.k} is not positive"
             )
-        g = self.gamma / self.k
+        g = _over_k(self.gamma, self.k, "KBesselParams")
         log_c = math.log(abs(self.c)) if self.c != 0.0 else -math.inf
         object.__setattr__(self, "_logs", (math.log(self.k), g, math.lgamma(g), log_c))
         object.__setattr__(self, "_table", _kbessel_table(self))
@@ -161,9 +163,11 @@ class FoxWrightSpec:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((float(a), float(w)) for a, w in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(w)) for b, w in self.lower))
+        # a value past the range of lgamma leaves term 0 out of range at every z
         for a, w in self.upper + self.lower:
-            if not (math.isfinite(a) and math.isfinite(w)):
-                raise DomainError("Fox-Wright parameters must be finite")
+            if not (abs(a) < _LGAMMA_ARG_MAX and math.isfinite(w)):
+                raise DomainError("Fox-Wright parameters must be finite, with values "
+                                  "inside the range of lgamma")
         if self.margin < -1.0:
             raise ConvergenceGateError(
                 f"Fox-Wright convergence gate violated: sum(beta)-sum(alpha) = "
@@ -187,9 +191,10 @@ def log_k_gamma(gamma: float, k: float) -> float:
 
 def _over_k(gamma: float, k: float, label: str) -> float:
     """gamma / k, refused with :class:`OverflowLogError` where its lgamma
-    overflows (the k-gamma logs would be nan, or raise)."""
+    overflows (the k-gamma logs would be nan, or raise): past
+    :data:`_LGAMMA_ARG_MAX`, or at a quotient that underflows to 0."""
     g = gamma / k
-    if not g < _LGAMMA_ARG_MAX:
+    if not 0.0 < g < _LGAMMA_ARG_MAX:
         raise OverflowLogError(f"{label}: gamma/k = {gamma}/{k} is past the range of lgamma",
                                math.inf)
     return g
@@ -278,15 +283,7 @@ def _ml_sum(
     def term(n: int) -> tuple[float, float]:
         return _sign_pow(x, n), log_scale - math.lgamma(alpha * n + beta) + n * log_ax
 
-    try:
-        return sum_log_terms(term, ctl, label=label)
-    except OverflowLogError:
-        raise
-    except OverflowError:  # math.lgamma: alpha*n + beta is past the double range
-        raise OverflowLogError(
-            f"{label}: Gamma(alpha*n + beta) overflows double range for alpha = {alpha}",
-            math.inf,
-        ) from None
+    return sum_log_terms(term, ctl, label=label)
 
 
 def mittag_leffler(p: MLParams, x: float, ctl: SeriesControl | None = None) -> SeriesResult:
@@ -400,15 +397,13 @@ def _kbessel_table(params: KBesselParams) -> "_KBesselTable":
 class _KBesselTable(HornerTable):
     """omega(z) = (z/2)**mu * sum_n c_n x**n, x = (z/2) * (z/2), as a :class:`series.HornerTable`.
 
-    c_n = sign * exp(log|c_n|) from :func:`k_bessel_log_coefficient`; an
-    exact zero (c = 0, n > 0) stays one, with no error.  ``errs[n]`` is, in
-    EPS and relative to |c_n|: the error of the log
-    (:func:`k_bessel_log_error`) and half its magnitude for its last
-    rounding, one ulp of exp, n/2 for x**n (x rounds once; z/2 is exact
-    wherever x is normal), one ulp of the prefactor (libm's pow of z/2)
-    and a half for the product with it.  The table grows as the sums
-    reach further and ends before the first c_n that is neither a normal
-    double nor zero.
+    c_n comes from :meth:`scaled` at q = 1; an exact zero (c = 0, n > 0)
+    stays one, with no error.  ``errs[n]`` is, in EPS and relative to
+    |c_n|: the error of its log (:meth:`scaled`), one ulp of exp, n/2 for
+    x**n (x rounds once; z/2 is exact wherever x is normal), one ulp of
+    the prefactor (libm's pow of z/2) and a half for the product with it.
+    The table grows as the sums reach further and ends before the first
+    c_n that is neither a normal double nor zero.
 
     ``log_errors[n]`` is :func:`k_bessel_log_error` of the parameters and
     n, for n = 0, 1, ...: t-free and costly, so it is kept here for every
@@ -429,20 +424,39 @@ class _KBesselTable(HornerTable):
                     errors.append(k_bessel_log_error(self.params, len(errors)))
         return errors
 
+    def scaled(self, n: int, log_q: float, log_q_err: float) -> tuple[float, float, float]:
+        """c_n q**(mu+2n) as a double (inf past the double range), its log and
+        a bound, in EPS, on the absolute error of that log.
+
+        c_n is the z-free factor of :func:`k_bessel_log_coefficient` and
+        ``log_q_err`` bounds the error of ``log_q`` in EPS.  The bound is
+        :func:`k_bessel_log_error`, (mu+2n) times the error and the size of
+        log q (for the product) and half |log| for the sum; 0 for an exact
+        zero (c = 0, n > 0).  A gamma argument past the range of lgamma is
+        refused with :class:`OverflowLogError`.
+        """
+        try:
+            sign, log_c = k_bessel_log_coefficient(self.params, n)
+            log_error = self.extend_log_errors(n + 1)[n]
+        except OverflowError:  # math.lgamma: a gamma argument past the double range
+            raise OverflowLogError(f"k-Bessel coefficient {n}: a gamma "
+                                   "argument is past the range of lgamma", math.inf) from None
+        order = self.params.mu + 2.0 * n
+        log_e = log_c + order * log_q
+        if log_e == -math.inf:
+            return 0.0, log_e, 0.0
+        return ((sign * math.exp(log_e) if log_e < LOG_DBL_MAX else math.inf), log_e,
+                log_error + order * log_q_err + abs(order * log_q) + 0.5 * abs(log_e))
+
     def grow(self, stop: int) -> None:
-        p = self.params
         while len(self.coeffs) < stop:
             n = len(self.coeffs)
-            sign, log_c = k_bessel_log_coefficient(p, n)
-            if not log_c < LOG_DBL_MAX:
+            c, log_c, log_c_err = self.scaled(n, 0.0, 0.0)
+            if not (DBL_MIN <= abs(c) <= DBL_MAX or log_c == -math.inf):
                 break
-            c = sign * math.exp(log_c)
-            if not (DBL_MIN <= abs(c) or log_c == -math.inf):
-                break
-            log_error = self.extend_log_errors(n + 1)[n]
             self.coeffs.append(c)
             self.abs_coeffs.append(abs(c))
-            self.errs.append((log_error + 0.5 * abs(log_c) + 2.5 + 0.5 * n) * abs(c) if c else 0.0)
+            self.errs.append((log_c_err + 2.5 + 0.5 * n) * abs(c))
 
 
 def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str
@@ -455,10 +469,16 @@ def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str
     Horner route.  ``err_sum`` is the sum of the |terms| times a bound, in
     EPS, on their relative error as formed from their logs; the tail adds
     EPS times it, and EPS |value| for the compensated sum (at most twice
-    the unit roundoff of the value, to first order).
+    the unit roundoff of the value, to first order).  A tail that is not
+    finite (a bound past the double range) is refused with
+    :class:`OverflowLogError`.
     """
     check_cancellation(abs_sum, res.value, label)
-    return SeriesResult(res.value, res.terms, res.tail + EPS * (err_sum + abs(res.value)))
+    tail = res.tail + EPS * (err_sum + abs(res.value))
+    if not tail < math.inf:
+        raise OverflowLogError(f"{label}: the error bound of the sum leaves the double range",
+                               math.inf)
+    return SeriesResult(res.value, res.terms, tail)
 
 
 def _one_term(log_value: float, log_err: float) -> SeriesResult:
@@ -513,7 +533,8 @@ def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -
         sign, log_coeff = k_bessel_log_coefficient(p, n)
         order = mu + 2.0 * n
         log_mag = log_coeff + order * log_hz
-        if log_mag <= LOG_DBL_MAX:  # sum_log_terms raises on a larger one
+        # sum_log_terms raises on a larger one, and an exact zero (c = 0) adds nothing
+        if -math.inf < log_mag <= LOG_DBL_MAX:
             if n >= len(errors):
                 table.extend_log_errors(n + 1)
             mag = math.exp(log_mag)

@@ -119,15 +119,53 @@ def test_eval_domain_error_exits_one(capsys):
     ["kgamma", "--gamma", "1e300", "--k", "1e-10"],
     ["kgamma", "--gamma", "1", "--k", "1e-320"],
     ["hm-baseline", "--n0", "1", "--c", "10", "--nu", "400", "--t", "1"],
+    ["omega", "--k", "2", "--gamma", "1", "--lambda", "1", "--mu", "1e306",
+     "--b", "3", "--c", "2", "--z", "0.8"],
+    ["omega", "--k", "1", "--gamma", "1e306", "--lambda", "1", "--mu", "1",
+     "--b", "3", "--c", "2", "--z", "0.8"],
+    ["omega", "--k", "2", "--gamma", "1", "--lambda", "1", "--mu", "1e305",
+     "--b", "3", "--c", "2", "--z", "0.8"],
 ], ids=["ml_beta_1e306", "omega_k_inf", "ml_alpha_1e306", "kgamma_gamma_inf", "kgamma_k_inf",
-        "kgamma_ratio_inf", "kgamma_k_subnormal", "hm_baseline_power"])
+        "kgamma_ratio_inf", "kgamma_k_subnormal", "hm_baseline_power", "omega_mu_1e306",
+        "omega_gamma_1e306", "omega_mu_1e305"])
 def test_eval_out_of_range_parameter_exits_one(argv, capsys):
     # each used to end in a traceback (OverflowError, math domain error),
     # except kgamma_gamma_inf, kgamma_ratio_inf and kgamma_k_subnormal,
-    # which printed nan with exit 0
+    # which printed nan with exit 0, and omega_mu_1e305, which printed
+    # 0.0 with a nan tail
     rc = cli.main(["eval", *argv])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_eval_omega_at_zero_c_prints_a_finite_tail(capsys):
+    # the exact zero terms used to make the tail nan, printed with exit 0
+    rc = cli.main(["eval", "omega", "--k", "2", "--gamma", "1", "--lambda", "1", "--mu", "1",
+                   "--b", "3", "--c", "0", "--z", "0.8"])
+    assert rc == 0
+    value, terms, tail = capsys.readouterr().out.splitlines()
+    assert value == "0.31915382432114625"
+    assert math.isfinite(float(tail.removeprefix("tail: ")))
+
+
+@pytest.mark.parametrize("command, overrides, code", [
+    ("solve", {"mu": 2e305}, 1),
+    ("solve", {"theorem": 2, "mu": 1e305}, 1),
+    ("verify", {"mu": 2e305}, 1),
+    ("verify", {"theorem": 3, "nu": 0.5, "a": 2, "mu": 2e305}, 1),
+    ("solve", {"k": 1, "gamma": 1e306}, 2),
+], ids=["solve_v1_mu_2e305", "solve_v2_mu_1e305", "verify_v1_mu_2e305",
+        "verify_v3_half_order_mu_2e305", "solve_gamma_over_k_1e306"])
+def test_extreme_k_bessel_parameters_exit_with_a_message(tmp_path, capsys, command, overrides,
+                                                         code):
+    # each printed a traceback (ZeroDivisionError, or OverflowError from the
+    # power table or from lgamma(gamma/k))
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "x.csv"
+    argv = ["--config", str(cfg)] + (["--out", str(out)] if command == "solve" else [])
+    assert cli.main([command, *argv]) == code
+    assert capsys.readouterr().err.startswith("error: " if code == 1 else "config error: ")
+    assert not out.exists()
 
 
 def test_eval_unknown_function_exits_two():
@@ -447,6 +485,52 @@ def test_verify_fails_on_nan_metrics(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL (residual nan > 1e-03; max-rel-diff nan > 1e-03)" in out
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"k": "two"}, "config field 'k': expected a number, got 'two'"),
+    ({"n_points": 10.5}, "config field 'n_points': expected an integer, got 10.5"),
+    ({"theorem": 4}, "config field 'theorem': must be 1, 2 or 3, got 4"),
+    ({"t_end": 0}, "config field 't_end': must be > 0, got 0.0"),
+    ({"max_terms": 0}, "config field 'max_terms': must be >= 1, got 0"),
+    ({"rel_tol": 1.5}, "config field 'rel_tol': must be in (0, 1), got 1.5"),
+], ids=["non_number", "non_integer", "theorem_4", "t_end_0", "max_terms_0", "rel_tol_1.5"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_config_field_errors_exit_two(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    argv = ["--out", str(tmp_path / "x.csv")] if command == "solve" else []
+    assert cli.main([command, "--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_config_that_is_a_json_list_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps([FIG1_CONFIG]))
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+
+
+def test_env_budget_of_zero_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KKINETICS_MAX_TERMS", "0")
+    assert cli.main(["eval", "ml", "--alpha", "1", "--beta", "1", "--x", "1"]) == 2
+    assert cli.main(["verify", "--config", str(write_config(tmp_path))]) == 2
+    assert "KKINETICS_MAX_TERMS must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_foxwright_pair_without_a_weight_exits_two(capsys):
+    assert cli.main(["eval", "foxwright", "--upper", "1", "--z", "0.5"]) == 2
+    assert "expected 'value,weight', got '1'" in capsys.readouterr().err
+
+
+def test_verify_rounds_a_step_that_does_not_divide_t_end_up_to_whole_steps(tmp_path, capsys):
+    # t_end / 0.3 = 3.33 steps: verify runs ceil(3.33) = 4 steps of 0.25,
+    # and prints what --grid-step 0.25 prints (a FAIL, on a grid this coarse)
+    cfg = write_config(tmp_path)
+    outputs = []
+    for step in ("0.3", "0.25", str(1 / 3)):
+        code = cli.main(["verify", "--config", str(cfg), "--grid-step", step])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1] != outputs[2]
 
 
 def test_verify_rejects_bad_grid_step(tmp_path):

@@ -550,3 +550,35 @@ def test_laplace_check_on_series_solution():
     prob = fig1_problem()
     defect = laplace_check(prob, lambda t: solve_point(prob, t).value, 10.0)
     assert defect <= 1e-3
+
+
+# ---------------------------------------------------------------- refusals
+
+
+def test_volterra_refuses_a_zero_rate():
+    with pytest.raises(DomainError, match="rate must be > 0"):
+        solve_volterra(1.0, lambda t: 1.0, 0.0, QuadratureGrid(1.0, 4, 0.5))
+
+
+@pytest.mark.parametrize("c_rate, nu, message", [
+    (0.0, 0.5, "c_rate must be > 0"), (-1.0, 0.5, "c_rate must be > 0"),
+    (1.0, 0.0, "nu must be > 0"), (1.0, -0.5, "nu must be > 0"),
+])
+def test_haubold_mathai_refuses_a_rate_or_order_at_or_below_zero(c_rate, nu, message):
+    with pytest.raises(DomainError, match=message):
+        haubold_mathai(1.0, c_rate, nu, 1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
+def test_laplace_transform_refuses_a_p_that_is_not_finite_and_positive(p):
+    # p = inf used to warn (inf * 0 in the integrand) and then fail in the
+    # adaptive Simpson on [0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="p must be finite and > 0"):
+            laplace_transform(lambda t: 1.0, p)
+
+
+def test_laplace_transform_refuses_an_integrand_that_does_not_decay():
+    with pytest.raises(EvaluationError, match="did not decay within 400/p"):
+        laplace_transform(math.exp, 1.0)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -88,6 +89,60 @@ def test_large_order_overflow_is_an_evaluation_error(d, nu, variant, t):
         solve_point(prob, t)
     with pytest.raises(OverflowLogError):
         solve_grid(prob, [0.0, t])
+
+
+def _extreme(**fields):
+    return KBesselParams(**{"k": 2.0, "gamma": 1.0, "lam": 1.0, "mu": 1.0, "b": 3.0, "c": 2.0,
+                            **fields})
+
+
+def _solve_extreme(how, variant, nu, mu):
+    prob = KineticProblem(n0=1.0, d=1.0, nu=nu, variant=variant, params=_extreme(mu=mu),
+                          a=2.0 if variant == 3 else None)
+    return solve_point(prob, 0.8) if how == "point" else solve_grid(prob, [0.5, 0.8])
+
+
+_EXTREME_CALLS = {
+    "gamma_over_k_1e306": lambda: KBesselParams(k=1.0, gamma=1e306, lam=1.0, mu=1.0, b=1.0,
+                                                c=1.0),
+    # gamma/k, or the leading k-gamma argument over k, underflows to 0, whose
+    # lgamma is a math domain error (a bare ValueError from gen_k_bessel)
+    "gamma_over_k_underflow": lambda: KBesselParams(k=1e300, gamma=1e-300, lam=1.0, mu=1.0,
+                                                    b=1.0, c=1.0),
+    "leading_argument_underflow": lambda: KBesselParams(k=1e300, gamma=1.0, lam=1.0,
+                                                        mu=1e-300, b=-1.0, c=1.0),
+    "omega_mu_1e306": lambda: gen_k_bessel(_extreme(mu=1e306), 0.8),
+    "omega_lam_1e306": lambda: gen_k_bessel(_extreme(lam=1e306), 0.8),
+    "omega_mu_1e305": lambda: gen_k_bessel(_extreme(mu=1e305), 0.8),
+    "source_grid_mu_1e306": lambda: source_grid(
+        KineticProblem(n0=1.0, d=1.0, nu=1.0, variant=Theorem.T2, params=_extreme(mu=1e306)),
+        [0.5, 1.0]),
+    "psi_form_mu_1e306": lambda: psi_form_source(_extreme(mu=1e306), 0.8),
+    **{f"v{int(variant)}_nu_{nu}_{how}_mu_{mu:.0e}": partial(_solve_extreme, how, variant, nu, mu)
+       for variant, nu, mu in [(Theorem.T1, 0.5, 1e306), (Theorem.T1, 1.0, 1e305),
+                               (Theorem.T2, 1.0, 1e305), (Theorem.T1, 1.0, 2e305),
+                               (Theorem.T2, 1.0, 2e305), (Theorem.T2, 0.5, 2e305),
+                               (Theorem.T3, 0.5, 2e305)]
+       for how in ("point", "grid")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREME_CALLS))
+def test_extreme_k_bessel_parameters_are_refused(name):
+    # each ended in a bare OverflowError or ZeroDivisionError, or (omega at
+    # mu = 1e305) answered 0.0 with a nan tail: a lgamma past the double
+    # range, a log bound that overflowed, or F log 2 that no longer split off
+    # a mantissa in the power table's lgamma route
+    with pytest.raises(EvaluationError):
+        _EXTREME_CALLS[name]()
+
+
+@pytest.mark.parametrize("nu, length", [(1e13, 1), (2e13, 0)])
+def test_power_table_ends_where_its_gamma_bound_reaches_one(nu, length):
+    # the lgamma route's bound on G_0 = Gamma(nu mu + 1), in EPS, is about
+    # 0.7 / EPS at nu = 1e13 and 1.5 / EPS at nu = 2e13: the table ends there
+    prob = KineticProblem(n0=1.0, d=1.0, nu=nu, variant=Theorem.T2, params=FIG_PARAMS)
+    assert prob._power_table().extend(4) == length
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1])
@@ -346,6 +401,20 @@ def test_solution_table_from_sequences_equals_the_grid_table():
         SolutionTable(table.times, table.values[:-1], table.terms, table.tails, prob)
     with pytest.raises(DomainError):
         SolutionTable(table.times[::-1], table.values, table.terms, table.tails, prob)
+
+
+def test_solution_table_refuses_two_dimensional_columns_and_compares_only_tables():
+    prob = fig_problem(Theorem.T2)
+    with pytest.raises(DomainError, match="columns must be one-dimensional"):
+        SolutionTable([[0.0, 0.5]], [[0.0, 1.0]], (1,), [[0.0, 0.0]], prob)
+    table = solve_grid(prob, [0.0, 0.05])
+    assert (table == object()) is False and table != object()
+
+
+def test_problem_refuses_a_bool_variant():
+    # True == 1, so Theorem(True) would have solved variant 1
+    with pytest.raises(DomainError, match="variant must be 1, 2 or 3, got True"):
+        KineticProblem(n0=1, d=2, nu=1, variant=True, params=FIG_PARAMS)
 
 
 def test_grids_refuse_a_grid_that_is_not_one_dimensional():

@@ -31,7 +31,12 @@ from kkinetics import (
     mittag_leffler,
     scaled_ml,
 )
-from kkinetics.specfun import _LGAMMA_ARG_MAX, log_k_gamma, log_k_pochhammer
+from kkinetics.specfun import (
+    _LGAMMA_ARG_MAX,
+    k_bessel_log_coefficient,
+    log_k_gamma,
+    log_k_pochhammer,
+)
 
 mpmath.mp.dps = 40
 
@@ -321,7 +326,12 @@ def test_gen_k_bessel_zero_c_keeps_leading_term_only():
     p = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=0.0)
     z = 0.8
     expect = (z / 2.0) ** p.mu / k_gamma(p.mu + 2.0, p.k)
-    assert gen_k_bessel(p, z).value == pytest.approx(expect, rel=1e-14)
+    res = gen_k_bessel(p, z)
+    assert res.value == pytest.approx(expect, rel=1e-14)
+    # the exact zero terms past n = 0 used to add 0.5 |-inf| * 0 = nan to the tail
+    exact = mpmath.mpf(z) / 2 / (mpmath.sqrt(2) * mpmath.gamma(mpmath.mpf(3) / 2))  # Gamma_2(3)
+    assert math.isfinite(res.tail)
+    assert abs(res.value - exact) <= res.tail
 
 
 def test_params_reject_invalid_leading_gamma_argument():
@@ -483,3 +493,40 @@ def test_tail_estimate_bounds_refinement(evaluate):
     tight = evaluate(SeriesControl(max_terms=1000, rel_tol=1e-15, stagnation_window=3))
     assert tight.terms >= loose.terms
     assert abs(tight.value - loose.value) <= loose.tail
+
+
+# ---------------------------------------------------------------- refusals
+
+
+def test_k_bessel_coefficient_refuses_a_non_positive_gamma_argument():
+    with pytest.raises(DomainError, match="k-gamma argument -2.0 <= 0 at term index -5"):
+        k_bessel_log_coefficient(FIG_PARAMS, -5)
+
+
+def test_log_k_pochhammer_refuses_a_negative_n():
+    with pytest.raises(DomainError, match="requires n >= 0, got -1"):
+        log_k_pochhammer(1.0, -1, 1.0)
+
+
+@pytest.mark.parametrize("pairs", [
+    dict(upper=((math.nan, 1.0),), lower=()),
+    dict(upper=(), lower=((1.0, math.nan),)),
+    # term 0 reads lgamma(1e306): at z = 0 that was a bare OverflowError
+    dict(upper=((1e306, 1.0),), lower=((1.0, 1.0),)),
+], ids=["nan_value", "nan_weight", "value_past_lgamma"])
+def test_fox_wright_spec_refuses_a_nan_or_out_of_range_pair(pairs):
+    with pytest.raises(DomainError, match="Fox-Wright parameters must be finite"):
+        FoxWrightSpec(**pairs)
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("function, names", [
+    (k_bessel_j, ("k", "gamma", "lam", "nu_order")),
+    (k_wright_w, ("k", "gamma", "lam", "mu")),
+], ids=["k_bessel_j", "k_wright_w"])
+def test_reduced_k_bessel_sums_refuse_a_parameter_at_or_below_zero(function, names, index):
+    for bad in (0.0, -1.0):
+        args = [1.0, 1.0, 1.0, 1.0, 0.5]
+        args[index] = bad
+        with pytest.raises(DomainError, match=f"requires {names[index]} > 0"):
+            function(*args)

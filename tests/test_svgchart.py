@@ -55,3 +55,10 @@ def test_two_series_chart_is_byte_identical():
         ("b", np.array([0.0, 0.3, 1.0]), (0.25, 0.125, 2.0 / 3.0)),
     ])
     assert svg == EXPECTED
+
+
+def test_constant_series_chart_spans_a_unit_range():
+    # equal x (or y) values would divide by a zero span: the span becomes 1
+    svg = render_line_chart("flat", "t", "N(t)", [("c", [0.5, 0.5], [2.0, 2.0])])
+    assert 'points="70.00,540.00 70.00,540.00"' in svg
+    assert svg.count("<polyline") == 1

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from kkinetics import KineticProblem, Theorem, gen_k_bessel, kinetics, solve_point, specfun
+from kkinetics import KineticProblem, Theorem, gen_k_bessel, solve_point, specfun
 from kkinetics.figures import figure_params
 from kkinetics.specfun import k_bessel_log_error
 
@@ -89,7 +89,7 @@ def test_power_table_grown_by_two_threads_gives_the_single_thread_bits(
     # appended after it: it returned 0.0444712... with other bits, or raised
     want = solve_point(_problem(), 9.0)
     empty_registries()
-    parked, release = _park_at(kinetics, "k_bessel_log_coefficient", 20, monkeypatch)
+    parked, release = _park_at(specfun, "k_bessel_log_coefficient", 20, monkeypatch)
     got = _parked_and_other(lambda: solve_point(_problem(), 9.0),
                             lambda: solve_point(_problem(), 9.0), parked, release)
     assert got == (tuple(want), tuple(want))
