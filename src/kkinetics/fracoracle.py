@@ -353,10 +353,14 @@ def residual(table: SolutionTable, oracle: OracleSolution) -> float:
     return worst / max(1.0, float(np.max(np.abs(values))))
 
 
-def _adaptive_simpson(
-    g: Callable[[float], float], a: float, b: float, atol: float, max_depth: int = 40
-) -> float:
-    """Classic adaptive Simpson with Richardson acceptance."""
+# The deepest bisection of adaptive Simpson, and the relative tolerance of
+# every Laplace transform.
+_SIMPSON_MAX_DEPTH = 40
+_LAPLACE_REL_TOL = 1e-8
+
+
+def _adaptive_simpson(g: Callable[[float], float], a: float, b: float, atol: float) -> float:
+    """Classic adaptive Simpson with Richardson acceptance, to ``_SIMPSON_MAX_DEPTH`` halvings."""
 
     def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
@@ -378,7 +382,7 @@ def _adaptive_simpson(
         err = s_left + s_right - s_whole
         if abs(err) <= 15.0 * tol:
             total += s_left + s_right + err / 15.0
-        elif depth >= max_depth:
+        elif depth >= _SIMPSON_MAX_DEPTH:
             raise EvaluationError(
                 f"adaptive Simpson failed to converge on [{x0}, {x2}]"
             )
@@ -389,12 +393,12 @@ def _adaptive_simpson(
     return total
 
 
-def laplace_transform(fn: Callable[[float], float], p: float, rel_tol: float = 1e-8) -> float:
+def laplace_transform(fn: Callable[[float], float], p: float) -> float:
     """int_0^inf exp(-p t) fn(t) dt, truncated where the integrand is negligible.
 
     The cutoff T* is found by scanning in steps of 1/p until the integrand
     drops below 1e-16 of its running peak; adaptive Simpson then integrates
-    [0, T*] to a relative tolerance of ``rel_tol``.
+    [0, T*] to a relative tolerance of ``_LAPLACE_REL_TOL`` (1e-8).
     """
     if not 0.0 < p < math.inf:
         raise DomainError(f"p must be finite and > 0, got {p}")
@@ -429,7 +433,7 @@ def laplace_transform(fn: Callable[[float], float], p: float, rel_tol: float = 1
     coarse = (t_star / (6.0 * panels)) * (
         gs[0] + gs[-1] + 4.0 * np.sum(gs[1::2]) + 2.0 * np.sum(gs[2:-1:2])
     )
-    atol = rel_tol * max(abs(coarse), peak * t_star * 1e-12)
+    atol = _LAPLACE_REL_TOL * max(abs(coarse), peak * t_star * 1e-12)
     return _adaptive_simpson(g, 0.0, t_star, atol)
 
 
@@ -437,7 +441,6 @@ def laplace_check(
     prob: KineticProblem,
     series_solver: Callable[[float], float],
     p: float,
-    rel_tol: float = 1e-8,
 ) -> float:
     """Relative defect of the transform-domain identity
     Ntilde(p) * (1 + rate**nu * p**-nu) = n0 * Ftilde(p).
@@ -447,8 +450,8 @@ def laplace_check(
     """
     if not (p > prob.d and p > prob.rate):
         raise DomainError(f"laplace_check requires p > rate, got p={p}")
-    n_tilde = laplace_transform(series_solver, p, rel_tol)
-    f_tilde = laplace_transform(prob.source, p, rel_tol)
+    n_tilde = laplace_transform(series_solver, p)
+    f_tilde = laplace_transform(prob.source, p)
     lhs = n_tilde * (1.0 + prob.rate ** prob.nu * p ** (-prob.nu))
     rhs = prob.n0 * f_tilde
     if rhs == 0.0:

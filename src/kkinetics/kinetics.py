@@ -43,14 +43,17 @@ read only its leads, straight from the coefficient reader, and its first
 row, which is built on its own.  The inner Mittag-Leffler sums disappear
 here too, and the sum is guarded and bounded the same way.
 
-Two evaluation paths for the solution, chosen by the kind of input:
+Each table sums its own solution, through two methods: ``point(t, n0,
+ctl)`` and ``batch(times, n0, ctl)``.  Two evaluation paths for the
+solution, chosen by the kind of input, call them:
 
-* :func:`solve_point` evaluates one t: by Horner on Python floats, or,
-  on the table of variant 1 at nu != 1, by the table's own evaluator on
-  a batch of one.
-* :func:`solve_grid` evaluates the grid as one batch: the same Horner
-  operations on numpy arrays (:func:`series.horner_sum_batch`), or the
-  same evaluator on every time at once.  It returns a
+* :func:`solve_point` evaluates one t through ``point``: by Horner on
+  Python floats, or, on the table of variant 1 at nu != 1, by the table's
+  own evaluator on a batch of one.
+* :func:`solve_grid` evaluates the grid as one batch through ``batch``:
+  the same Horner operations on numpy arrays
+  (:func:`series.horner_sum_batch`), or the same evaluator on every time
+  at once.  It returns a
   :class:`SolutionTable` whose ``times``, ``values`` and ``tails`` are
   read-only float64 arrays and whose ``terms`` is a tuple of Python ints.
   A grid that is not one-dimensional is refused with
@@ -94,10 +97,15 @@ tables its values, term counts and tails are those of
 agrees with :func:`specfun.gen_k_bessel` to rounding: the two form their
 terms differently and stop by different rules.  Both guard the same sum
 of |terms| (to rounding), and on z in (0, 60] at the figure parameters
-the batch answers no point that gen_k_bessel refuses.  The batch reads
-z(t), s = t**nu and s**mu bit for bit as the scalar calls form them
-(libm's pow), takes (z/2)**mu from libm's pow too, and sums the times
-with z(t) > 0 (a time with z = 0 gives 0.0 after one term).  The
+the batch answers no point that gen_k_bessel refuses.  Each batch reads
+one array.  The solution's reads the times: it forms s = t**nu and s**mu
+(or t**2, t**nu and t**mu) bit for bit as the scalar call forms them
+(libm's pow) and sums every t > 0, also where z(t) underflows to 0;
+t = 0 gives 0.0 after one term.  It forms z(t) and x(t) only at the last
+time, where they are largest, so that the batch raises if any time's
+are refused.  The source's batch reads z(t), formed bit for bit as the
+scalar z forms it, takes (z/2)**mu from libm's pow too and sums every
+z(t) > 0; z = 0 gives 0.0 after one term.  The
 Horner batch runs each step over whole rows, in the grid's order, for
 at most ``series._FULL_WIDTH_MAX`` (512) times, and on the times sorted
 by length past that: both run the scalar's operations, so a time's
@@ -125,7 +133,6 @@ family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache, partial
@@ -135,6 +142,8 @@ import numpy as np
 
 from .series import (
     CANCELLATION_RATIO_LIMIT,
+    DBL_MAX,
+    DBL_MIN,
     DEFAULT_CONTROL,
     EPS,
     LOG_DBL_MAX,
@@ -143,6 +152,7 @@ from .series import (
     HornerTable,
     NonConvergenceError,
     OverflowLogError,
+    SeriesBatch,
     SeriesControl,
     SeriesResult,
     TABLE_LOCK,
@@ -318,8 +328,6 @@ _LN2 = math.log(2.0)
 _UNIT_GAMMA = 2.0 ** 512  # the largest gamma _PowerTable keeps in units of 1
 _PRODUCT_ARG_MAX = 4096.0  # Gamma(x) as a product of at most 3926 factors below this
 _PRODUCT_CHUNK = 64  # factors below 2**12 per partial product, which stays below 2**768
-_DBL_MIN = sys.float_info.min
-_DBL_MAX = sys.float_info.max
 
 
 def _gamma_product(x: float) -> tuple[float, int, int]:
@@ -442,19 +450,19 @@ class _PowerTable(HornerTable):
             formed = (new_b, new_abs_b) if j else (r,)  # b_{-1} = 0 is exact
             if j % 2 == 0:
                 e_n, log_e, log_e_err = self.params._table.scaled(j // 2, log_q, self._log_q_err)
-                if not abs(e_n) <= _DBL_MAX:
+                if not abs(e_n) <= DBL_MAX:
                     break
-                if abs(e_n) >= _DBL_MIN:
+                if abs(e_n) >= DBL_MIN:
                     e_n *= gamma
                     new_b, new_abs_b = new_b + e_n, new_abs_b + abs(e_n)
                     new_err += (log_e_err + 1.5 + gamma_err) * abs(e_n) + 0.5 * new_abs_b
                     formed += (e_n, new_b, new_abs_b)
                 elif log_e > -math.inf:  # left out (c = 0 makes an exact zero)
-                    new_err += 2.0 * _DBL_MIN / EPS * gamma
+                    new_err += 2.0 * DBL_MIN / EPS * gamma
             a, abs_a = new_b / gamma, new_abs_b / gamma
             formed = tuple(map(abs, formed + (a, abs_a)))
             # a nan needs an inf before it, and the inf fails the max
-            if not (_DBL_MIN <= min(formed) and max(formed) <= _DBL_MAX):
+            if not (DBL_MIN <= min(formed) and max(formed) <= DBL_MAX):
                 break
             b, abs_b, err_b, f = new_b, new_abs_b, new_err, new_f
             self.coeffs.append(a)
@@ -462,6 +470,52 @@ class _PowerTable(HornerTable):
             self.errs.append(err_b / gamma
                              + (2.5 + gamma_err + (mu + j) * self._pow_err) * abs_a)
         self._state = b, abs_b, err_b, f
+
+    def point(self, t: float, n0: float, ctl: SeriesControl) -> SeriesResult:
+        """The solution at one t > 0 by Horner, or by :meth:`_logs` where
+        s = t**nu or n0 s**mu is not a normal double or Horner's sums leave the doubles."""
+        s = _pow(t, self.nu)
+        res = horner_sum(self, s, n0 * _pow(s, self.params.mu), ctl, "solve_point")
+        return res if res is not None else self._logs(t, n0, ctl)
+
+    def batch(self, times: np.ndarray, n0: float, ctl: SeriesControl) -> SeriesBatch:
+        """:meth:`point` at every t > 0, bit for bit; the points it leaves to its logs fail."""
+        s = _pow_batch(times, self.nu)
+        return horner_sum_batch(self, s, n0 * _pow_batch(s, self.params.mu), ctl)
+
+    def _logs(self, t: float, n0: float, ctl: SeriesControl) -> SeriesResult:
+        """The power series at one t > 0 as logs of its terms, guarded by its absolute table.
+
+        Term j is sign(a_j) exp(log|a_j| + (mu+j) log s), log s = nu log t,
+        from the same table as Horner's sum.  The tail adds, through
+        :func:`specfun._guard_log_sum`, EPS times each |term| A_j s**(mu+j)
+        times errs_j / A_j and the rounding of its log: one ulp of log|a_j|,
+        5/2 |(mu+j) log s| (one ulp of log t, halves for the products with nu
+        and with mu+j and for mu+j), |log| / 2 for their sum and one ulp of
+        exp.  A time that needs a coefficient past the table is refused with
+        :class:`series.OverflowLogError`.
+        """
+        mu, log_s = self.params.mu, self.nu * math.log(t)
+        abs_sum = err_sum = 0.0  # the sum of |terms|, and of their errors times |terms|
+
+        def term(j: int) -> tuple[float, float]:
+            nonlocal abs_sum, err_sum
+            if j >= self.extend(j + 1):
+                raise OverflowLogError(f"solve_point: at t = {t} the power series needs a "
+                                       "coefficient outside the normal doubles", math.inf)
+            a, abs_a = self.coeffs[j], self.abs_coeffs[j]
+            power = (mu + j) * log_s
+            log_a = math.log(abs(a))
+            log_mag, log_abs = log_a + power, math.log(abs_a) + power
+            mag = math.exp(log_abs) if log_abs < LOG_DBL_MAX else math.inf
+            abs_sum += mag
+            err_sum += (self.errs[j] / abs_a + abs(log_a) + 2.5 * abs(power)
+                        + 0.5 * abs(log_mag) + 1.0) * mag
+            return (-1.0 if a < 0.0 else 1.0), log_mag
+
+        res = sum_log_terms(term, ctl, label="solve_point")
+        res = _guard_log_sum(res, abs_sum, err_sum, "solve_point")
+        return SeriesResult(n0 * res.value, res.terms, abs(n0) * res.tail)
 
 
 class _Line(HornerTable):
@@ -543,7 +597,7 @@ class _BivariateTable:
             return np.abs(coeffs[0, :extent[0]]).tolist()
         lead, errs = self._leads(stop)
         mags = np.abs(lead)
-        held = (mags >= _DBL_MIN) & (mags <= _DBL_MAX) | (errs == 0.0)  # errs 0: an exact zero
+        held = (mags >= DBL_MIN) & (mags <= DBL_MAX) | (errs == 0.0)  # errs 0: an exact zero
         return mags[:np.argmin(np.append(held, False))].tolist()
 
     def grow(self, rows: int, cols: int) -> None:
@@ -589,10 +643,10 @@ class _BivariateTable:
             zero = ((lead == 0.0) & (lead_errs == 0.0))[:, None] & (coeffs == 0.0)
             errs = np.cumsum(np.column_stack((lead_errs, steps)), axis=1)
             mags = np.abs(coeffs)
-            normal = (mags >= _DBL_MIN) & (mags <= _DBL_MAX) | zero
+            normal = (mags >= DBL_MIN) & (mags <= DBL_MAX) | zero
             # a row that fades (see the class docs) holds zeros from there;
             # one whose lead underflows ends at its lead
-            fading = (mags < _DBL_MIN) & (np.abs(factors) < 0.5)
+            fading = (mags < DBL_MIN) & (np.abs(factors) < 0.5)
             fading[:, 0] = False
             extent = np.argmin(np.column_stack((normal, np.zeros(rows, bool))), axis=1)
             faded = np.column_stack((fading, np.zeros(rows, bool)))[np.arange(rows), extent]
@@ -625,6 +679,12 @@ class _BivariateTable:
         check_cancellation(abs_value, value, "solve_point")
         return SeriesResult(value, rows, tail)
 
+    def batch(self, times: np.ndarray, n0: float, ctl: SeriesControl) -> SeriesBatch:
+        """:meth:`point` at every t > 0, bit for bit; the points it refuses fail."""
+        value, _, tail, rows, codes = self.sums(
+            times * times, _pow_batch(times, self.nu), n0 * _pow_batch(times, self.mu), ctl)
+        return SeriesBatch(value, rows, tail, codes != 0)
+
     def sums(self, u: np.ndarray, v: np.ndarray, pre: np.ndarray, ctl: SeriesControl):
         """``pre`` times the double series at every u = t**2, v = t**nu, and why a point is refused.
 
@@ -650,8 +710,8 @@ class _BivariateTable:
         raised to the powers m and n, and of ``pre``; and 2 DBL_MIN u**n
         v**m for every entry read, which bounds the zeros a faded row holds.
         """
-        normal = ((np.minimum(np.minimum(u, v), pre) >= _DBL_MIN)
-                  & (np.maximum(np.maximum(u, v), pre) <= _DBL_MAX))
+        normal = ((np.minimum(np.minimum(u, v), pre) >= DBL_MIN)
+                  & (np.maximum(np.maximum(u, v), pre) <= DBL_MAX))
         rows, cols = (line.lengths(np.where(normal, x, 1.0), ctl) for line, x in zip(self.lines, (u, v)))
         budget = (rows == 0) | (cols == 0)  # summed over the budget, for the partial sum
         rows, cols = np.where(rows == 0, ctl.max_terms, rows), np.where(cols == 0, ctl.max_terms, cols)
@@ -665,8 +725,8 @@ class _BivariateTable:
             value, abs_value = pre * total, pre * abs_total
             tail = pre * (EPS * err_total + floor
                           + (2.0 * ctl.rel_tol + EPS * (2.0 * cols + 1.5 * rows)) * abs_total)
-            cancelled = abs_value > CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), _DBL_MIN)
-            codes = np.where(~((abs_value <= _DBL_MAX) & (tail <= _DBL_MAX)), _RANGE,
+            cancelled = abs_value > CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
+            codes = np.where(~((abs_value <= DBL_MAX) & (tail <= DBL_MAX)), _RANGE,
                              np.where(cancelled & (codes == 0), _CANCELLED, codes))
         return value, abs_value, tail, rows, codes
 
@@ -678,7 +738,7 @@ class _BivariateTable:
         width, depth = int(rows.max()), int(cols.max())
         coeffs = self.coeffs[:width, :depth]
         inner = _joined_horner(v, cols, np.vstack((coeffs, np.abs(coeffs),
-                                                   np.full(depth, 2.0 * _DBL_MIN))).T.copy())
+                                                   np.full(depth, 2.0 * DBL_MIN))).T.copy())
         row_abs, floor = inner[:, width:-1], inner[:, -1:]
         errs = row_abs * self.errs[:width, cols - 1].T
         floors = np.broadcast_to(floor, row_abs.shape)
@@ -795,89 +855,39 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     """Series solution of ``prob`` at one time t >= 0.
 
     One sum over the problem's coefficient table (see
-    :class:`KineticProblem`).  Where the exponents align it runs by Horner,
-    or by :func:`_power_logs` where s = t**nu or n0 s**mu is not a normal
-    double or Horner's sums leave the doubles; elsewhere by
-    :meth:`_BivariateTable.point`.  A time that needs a coefficient
-    outside the normal doubles is refused with
-    :class:`series.OverflowLogError`.  Every route is refused with
-    :class:`series.CancellationError` when the sum of all |terms| of the
-    double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
-    the value.
+    :class:`KineticProblem`), by the table's own :meth:`_PowerTable.point`
+    or :meth:`_BivariateTable.point`.  z(t) is formed first, so a time
+    it refuses is refused.  t = 0 gives 0.0 after one term; so does a
+    time whose z(t) underflows to 0 where the table refuses it.  Else a
+    time that needs a coefficient outside the normal doubles is refused
+    with :class:`series.OverflowLogError`, and every route is refused
+    with :class:`series.CancellationError` when the sum of all |terms|
+    of the double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT`
+    times the value.
     """
     z = prob.z(t)
-    if z == 0.0:
+    if t == 0.0:
         return SeriesResult(0.0, 1, 0.0)
-    ctl = ctl or DEFAULT_CONTROL
-    prob.ml_arg(t)  # refuses a (rate t)**nu past the double range
-    table = prob._power_table()
-    if type(table) is _BivariateTable:
-        return table.point(t, prob.n0, ctl)
-    s = _pow(t, prob.nu)
-    res = horner_sum(table, s, prob.n0 * _pow(s, prob.params.mu), ctl, "solve_point")
-    return res if res is not None else _power_logs(prob, table, t, ctl)
+    try:
+        prob.ml_arg(t)  # refuses a (rate t)**nu past the double range
+        return prob._power_table().point(t, prob.n0, ctl or DEFAULT_CONTROL)
+    except EvaluationError:
+        if z != 0.0:
+            raise
+        return SeriesResult(0.0, 1, 0.0)  # z(t) underflows and the table refuses t: 0, as before
 
 
-def _power_logs(
-    prob: KineticProblem, table: _PowerTable, t: float, ctl: SeriesControl
-) -> SeriesResult:
-    """The power series at one t > 0 as logs of its terms, guarded by its absolute table.
-
-    Term j is sign(a_j) exp(log|a_j| + (mu+j) log s), log s = nu log t,
-    from the same table as Horner's sum.  The tail adds, through
-    :func:`specfun._guard_log_sum`, EPS times each |term| A_j s**(mu+j)
-    times errs_j / A_j and the rounding of its log: one ulp of log|a_j|,
-    5/2 |(mu+j) log s| (one ulp of log t, halves for the products with nu
-    and with mu+j and for mu+j), |log| / 2 for their sum and one ulp of
-    exp.  A time that needs a coefficient past the table is refused with
-    :class:`series.OverflowLogError`.
-    """
-    mu, log_s = prob.params.mu, prob.nu * math.log(t)
-    abs_sum = err_sum = 0.0  # the sum of |terms|, and of their errors times |terms|
-
-    def term(j: int) -> tuple[float, float]:
-        nonlocal abs_sum, err_sum
-        if j >= table.extend(j + 1):
-            raise OverflowLogError(f"solve_point: at t = {t} the power series needs a "
-                                   "coefficient outside the normal doubles", math.inf)
-        a, abs_a = table.coeffs[j], table.abs_coeffs[j]
-        power = (mu + j) * log_s
-        log_a = math.log(abs(a))
-        log_mag, log_abs = log_a + power, math.log(abs_a) + power
-        mag = math.exp(log_abs) if log_abs < LOG_DBL_MAX else math.inf
-        abs_sum += mag
-        err_sum += (table.errs[j] / abs_a + abs(log_a) + 2.5 * abs(power)
-                    + 0.5 * abs(log_mag) + 1.0) * mag
-        return (-1.0 if a < 0.0 else 1.0), log_mag
-
-    res = sum_log_terms(term, ctl, label="solve_point")
-    res = _guard_log_sum(res, abs_sum, err_sum, "solve_point")
-    return SeriesResult(prob.n0 * res.value, res.terms, abs(prob.n0) * res.tail)
-
-
-# A grid batch's values, term counts, tails and failure mask (see _evaluate_grid).
-_Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _power_batch(
-    prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
-) -> _Batch:
-    """:func:`solve_point` at every time of an increasing grid, bit for bit."""
-    prob.ml_arg(float(times[-1]))  # |x| grows with t: the last time is refused if any time is
-    table = prob._power_table()
-    s = _pow_batch(times, prob.nu)
+def _power_batch(prob: KineticProblem, ctl: SeriesControl, times: np.ndarray) -> SeriesBatch:
+    """:func:`solve_point` at every time > 0 of an increasing grid, bit for bit."""
+    last = float(times[-1])  # z and |x| grow with t: the last time is refused if any time is
+    prob.z(last)
+    prob.ml_arg(last)
     # t * t and n0 s**mu may overflow: an inf is not a normal double, and its point fails
     with np.errstate(over="ignore", invalid="ignore"):
-        if type(table) is _BivariateTable:
-            value, _, tail, rows, codes = table.sums(
-                times * times, s, prob.n0 * _pow_batch(times, prob.params.mu), ctl)
-            return value, rows, tail, codes != 0
-        return horner_sum_batch(table, s, prob.n0 * _pow_batch(s, prob.params.mu), ctl)
+        return prob._power_table().batch(times, prob.n0, ctl)
 
 
-def _source_batch(
-    prob: KineticProblem, ctl: SeriesControl, times: np.ndarray, zs: np.ndarray
-) -> _Batch:
+def _source_batch(prob: KineticProblem, ctl: SeriesControl, zs: np.ndarray) -> SeriesBatch:
     """omega(z) at every z = ``zs`` by Horner on the t-free table of ``prob.params``."""
     half = zs / 2.0
     with np.errstate(over="ignore"):  # an inf x is not a normal double, and its point fails
@@ -900,7 +910,7 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
             zs = prob.d ** prob.nu * _pow_batch(times, prob.nu)
         except OverflowError:  # a power past the double range: every time goes to the scalar z
             zs = np.full(times.size, math.inf)
-    odd = np.flatnonzero(~((zs >= _DBL_MIN) & (zs <= _DBL_MAX)))
+    odd = np.flatnonzero(~((zs >= DBL_MIN) & (zs <= DBL_MAX)))
     if odd.size:
         zs = zs.copy()
         for i in odd.tolist():
@@ -909,25 +919,27 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_grid(
-    prob: KineticProblem,
     times: np.ndarray,
-    batch: Callable[[np.ndarray, np.ndarray], _Batch],
+    arguments: Callable[[np.ndarray], np.ndarray],
+    batch: Callable[[np.ndarray], SeriesBatch],
     scalar: Callable[[float], SeriesResult],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, term counts and tails at ``times`` under the grid contract (see module docs).
 
-    ``batch(times, zs)`` gets the times with z(t) > 0 and their z(t), as
-    arrays; ``scalar(t)`` evaluates one time.
+    ``arguments(times)`` gives what ``batch`` reads at each time: the time
+    itself, or its z(t).  ``batch`` gets those that are not 0, as an
+    array; a zero gives 0.0 after one term.  ``scalar(t)`` evaluates one
+    time.
     """
     n = times.size
     values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
     failed = np.zeros(n, dtype=bool)
     try:
-        zs = _source_arguments(prob, times)
-        live = zs != 0.0
+        args = arguments(times)
+        live = args != 0.0
         if live.any():
-            values[live], terms[live], tails[live], failed[live] = batch(times[live], zs[live])
-    except (OverflowError, EvaluationError):  # t < 0, or a value past the double range
+            values[live], terms[live], tails[live], failed[live] = batch(args[live])
+    except (OverflowError, EvaluationError):  # a refused argument, or a value past the double range
         failed[:] = True
     for i in np.flatnonzero(failed):
         values[i], terms[i], tails[i] = scalar(float(times[i]))
@@ -959,8 +971,8 @@ def solve_grid(
             raise DomainError(f"grid times must be >= 0, got {float(times[negative[0]])}")
         raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
-    values, terms, tails = _evaluate_grid(
-        prob, times, partial(_power_batch, prob, ctl), lambda t: solve_point(prob, t, ctl))
+    values, terms, tails = _evaluate_grid(times, lambda ts: ts, partial(_power_batch, prob, ctl),
+                                          lambda t: solve_point(prob, t, ctl))
     return SolutionTable(times=_read_only(times), values=_read_only(values),
                          terms=tuple(terms.tolist()), tails=_read_only(tails), problem=prob)
 
@@ -976,7 +988,8 @@ def source_grid(
     """
     times = _grid_times(times)
     ctl = ctl or DEFAULT_CONTROL
-    values, _, _ = _evaluate_grid(prob, times, partial(_source_batch, prob, ctl),
+    values, _, _ = _evaluate_grid(times, partial(_source_arguments, prob),
+                                  partial(_source_batch, prob, ctl),
                                   lambda t: gen_k_bessel(prob.params, prob.z(t), ctl))
     return values
 
@@ -987,7 +1000,7 @@ def _half_power(z: float, mu: float) -> float:
     The reference routes below form their own prefactor, apart from the
     log(z/2) of :func:`specfun.gen_k_bessel` that they are checked against.
     """
-    if z < 2.0 * _DBL_MIN:
+    if z < 2.0 * DBL_MIN:
         return math.exp(mu * (math.log(z) - math.log(2.0)))
     return (z / 2.0) ** mu
 

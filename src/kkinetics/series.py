@@ -233,10 +233,11 @@ def _geometric_tail_batch(mag: np.ndarray, prev_mag: np.ndarray) -> np.ndarray:
 
 
 class SeriesBatch(NamedTuple):
-    """Element-wise results of :func:`horner_sum_batch`.
+    """Element-wise results of :func:`horner_sum_batch` (or of a kinetic table's ``batch``).
 
     ``failed`` marks the elements for which :func:`horner_sum` raises or
-    returns None; their ``value``, ``terms`` and ``tail`` are meaningless.
+    returns None (or the table's ``point`` raises or takes another
+    route); their ``value``, ``terms`` and ``tail`` are meaningless.
     """
 
     value: np.ndarray

@@ -154,6 +154,33 @@ def test_large_order_in_range_source_argument_is_evaluated(t):
     assert solve_grid(prob, [t]).values == (0.0,)
 
 
+def test_underflowing_source_argument_is_summed_by_the_table():
+    # z = d t = 1e-325 underflows to 0, but t and the table are in range: the
+    # solution is n0 c_0 (z/2)**mu, not 0 (mpmath, z formed exactly from the doubles)
+    prob = KineticProblem(n0=2.0, d=1e-10, nu=1.0, variant=Theorem.T2,
+                          params=KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.25, b=3.0, c=2.0))
+    t = 1e-315
+    assert prob.z(t) == 0.0
+    res = solve_point(prob, t)
+    assert abs(res.value - 9.20897904589039e-82) <= res.tail < 1e-12 * res.value
+    grid = solve_grid(prob, [0.0, t])
+    assert grid.values[1] == res.value and grid.terms[1] == res.terms
+    assert grid.tails[1] == res.tail
+
+
+def test_solution_grid_forms_no_source_argument(monkeypatch):
+    calls = []
+    source_arguments = kinetics._source_arguments
+    monkeypatch.setattr(kinetics, "_source_arguments",
+                        lambda prob, times: calls.append(times) or source_arguments(prob, times))
+    prob = KineticProblem(n0=2.0, d=3.0, nu=0.5, variant=Theorem.T2, params=FIG_PARAMS)
+    times = np.linspace(0.0, 0.5, 101)
+    solve_grid(prob, times)
+    assert calls == []
+    source_grid(prob, times)
+    assert len(calls) == 1
+
+
 def test_power_arguments_are_finite_or_refused():
     # d * t past the double range: a finite (d t)**nu is returned, never inf
     prob = KineticProblem(n0=1.0, d=1e300, nu=0.5, variant=Theorem.T2, params=FIG_PARAMS)
@@ -844,7 +871,7 @@ def test_source_batch_answers_no_point_that_gen_k_bessel_refuses(lam):
     prob = KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=Theorem.T1,
                           params=KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0))
     zs = np.linspace(0.0, 60.0, 1201)[1:]
-    failed = kinetics._source_batch(prob, SeriesControl(), zs, zs)[3]
+    failed = kinetics._source_batch(prob, SeriesControl(), zs)[3]
     refused = np.zeros(zs.size, dtype=bool)
     for i, z in enumerate(zs.tolist()):
         try:
