@@ -73,7 +73,7 @@ __all__ = [
 
 
 class InstabilityError(EvaluationError):
-    """The diagonal 1 + rate**nu * B_1 of the Volterra system is not positive."""
+    """The diagonal 1 + rate**nu * B_1 of the Volterra system is not a positive double."""
 
 
 # np.convolve beats an FFT while the shorter operand has at most this many
@@ -164,10 +164,8 @@ class QuadratureGrid:
         self.nu = float(nu)
         self.h = self.t_end / self.n_steps
         self.times = np.linspace(0.0, self.t_end, self.n_steps + 1)
-        log_gamma_nu1 = math.lgamma(self.nu + 1.0)  # leaves the double range above nu ~ 170.6
-        if log_gamma_nu1 > LOG_DBL_MAX:
-            raise OverflowLogError(f"Gamma({self.nu + 1.0}) of the weights overflows double range",
-                                   log_gamma_nu1)
+        # the three checks below, on n**(nu+1), t_end**nu / Gamma(nu) and
+        # h**nu / Gamma(nu + 1), bound every value the weights form at any nu
         log_peak = (self.nu + 1.0) * math.log(self.n_steps)
         if log_peak > LOG_DBL_MAX:
             raise OverflowLogError(f"{self.n_steps}**{self.nu + 1.0} of the weights overflows "
@@ -297,11 +295,11 @@ def _solve_forcing(forcing: np.ndarray, rate: float, grid: QuadratureGrid) -> Or
     forcing = np.asarray(forcing, dtype=float)
     if forcing.shape != grid.times.shape:
         raise DomainError(f"need {grid.times.shape[0]} samples, got shape {forcing.shape}")
-    r = rate ** grid.nu
-    denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
-    if denom <= 0.0:
-        raise InstabilityError(f"implicit step denominator {denom} <= 0")
+    r = _scaled_power("Volterra rate**nu", rate, 1.0, grid.nu)
     with np.errstate(over="ignore", invalid="ignore"):
+        denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
+        if not 0.0 < denom < math.inf:
+            raise InstabilityError(f"implicit step denominator {denom} is not a positive double")
         x = forcing[1:] - r * grid._a[1:] * forcing[0]
         h = n - n // 2
         col = r * kernel[:h]
@@ -343,13 +341,16 @@ def residual(table: SolutionTable, oracle: OracleSolution) -> float:
 
     Returns max_j |N_j - F_j + rate**nu (I^nu N)(t_j)| / max(1, max_j |N_j|)
     with the grid, rate and forcing F_j = n0 f(t_j) of ``oracle``, so no
-    source is evaluated here.
+    source is evaluated here.  A defect past the double range reads inf,
+    and a nan candidate gives nan.
     """
     grid, values = oracle.grid, table.values
     integral = grid.rl_integral(values)  # DomainError unless one value per node
     if np.max(np.abs(table.times - grid.times)) > 1e-12 * max(1.0, grid.t_end):
         raise DomainError("solution table times do not match the quadrature grid")
-    worst = float(np.max(np.abs(values - oracle.forcing + oracle.rate ** grid.nu * integral)))
+    r = _scaled_power("residual rate**nu", oracle.rate, 1.0, grid.nu)
+    with np.errstate(over="ignore", invalid="ignore"):  # a defect past the doubles reads inf
+        worst = float(np.max(np.abs(values - oracle.forcing + r * integral)))
     return worst / max(1.0, float(np.max(np.abs(values))))
 
 
@@ -452,7 +453,8 @@ def laplace_check(
         raise DomainError(f"laplace_check requires p > rate, got p={p}")
     n_tilde = laplace_transform(series_solver, p)
     f_tilde = laplace_transform(prob.source, p)
-    lhs = n_tilde * (1.0 + prob.rate ** prob.nu * p ** (-prob.nu))
+    lhs = n_tilde * (1.0 + _scaled_power("laplace_check rate**nu", prob.rate, 1.0, prob.nu)
+                     * _scaled_power("laplace_check p**-nu", p, 1.0, -prob.nu))
     rhs = prob.n0 * f_tilde
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf

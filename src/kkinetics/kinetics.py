@@ -92,10 +92,11 @@ Both grids follow one contract.  The batch is
 :func:`series.horner_sum_batch`, or the two-dimensional table's own
 evaluator, and applies the scalar summation rules.  On the solution's
 tables its values, term counts and tails are those of
-:func:`solve_point` bit for bit.  On the source each element is
-:func:`series.horner_sum` on the same table bit for bit, and its value
-agrees with :func:`specfun.gen_k_bessel` to rounding: the two form their
-terms differently and stop by different rules.  Both guard the same sum
+:func:`solve_point` bit for bit, on a grid of one time too.  On the
+source each element is :func:`series.horner_sum` on the same table bit
+for bit, and its value agrees with :func:`specfun.gen_k_bessel` to
+rounding: the two form their terms differently and stop by different
+rules.  Both guard the same sum
 of |terms| (to rounding), and on z in (0, 60] at the figure parameters
 the batch answers no point that gen_k_bessel refuses.  Each batch reads
 one array.  The solution's reads the times: it forms s = t**nu and s**mu
@@ -907,7 +908,8 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
     zs = times
     if prob.variant != 1 and (times >= 0.0).all():
         try:
-            zs = prob.d ** prob.nu * _pow_batch(times, prob.nu)
+            with np.errstate(over="ignore"):  # an inf product goes to the scalar z below
+                zs = prob.d ** prob.nu * _pow_batch(times, prob.nu)
         except OverflowError:  # a power past the double range: every time goes to the scalar z
             zs = np.full(times.size, math.inf)
     odd = np.flatnonzero(~((zs >= DBL_MIN) & (zs <= DBL_MAX)))

@@ -6,8 +6,9 @@ compensation.  Keeping terms in log space until the last moment lets
 gamma-heavy coefficients cancel symbolically (as differences of ``lgamma``
 values) instead of overflowing near ``Gamma(171)``.
 
-Truncation policy: stop once ``stagnation_window`` consecutive terms are
-below ``rel_tol`` times the running partial sum.  A single small term is not
+Truncation policy: stop once three consecutive terms
+(``SeriesControl.stagnation_window``, a constant of the rule) are below
+``rel_tol`` times the running partial sum.  A single small term is not
 enough because alternating series stall near sign changes.
 
 Every sum is guarded: one whose largest term exceeds
@@ -41,7 +42,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -118,26 +119,23 @@ def _integer_n(n: int, label: str, name: str = "n") -> int:
 class SeriesControl:
     """Truncation policy shared by all series evaluators.
 
-    ``max_terms`` bounds the term budget, ``rel_tol`` is the relative size
-    below which a term counts as negligible, and ``stagnation_window`` is
-    how many consecutive negligible terms are required before stopping.
+    ``max_terms`` bounds the term budget and ``rel_tol`` is the relative
+    size below which a term counts as negligible.  ``stagnation_window``,
+    how many consecutive negligible terms are required before stopping, is
+    a constant of the rule, not a field.
     """
 
     max_terms: int = 500
     rel_tol: float = 1e-15
-    stagnation_window: int = 3
+    stagnation_window: ClassVar[int] = 3
 
     def __post_init__(self):
-        for name in ("max_terms", "stagnation_window"):
-            object.__setattr__(self, name, _integer_n(getattr(self, name), "SeriesControl", name))
+        object.__setattr__(self, "max_terms",
+                           _integer_n(self.max_terms, "SeriesControl", "max_terms"))
         if self.max_terms < 1:
             raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.stagnation_window < 1:
-            raise DomainError(
-                f"stagnation_window must be >= 1, got {self.stagnation_window}"
-            )
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -299,10 +297,11 @@ class HornerTable:
     with the largest earlier |term| in place of the partial sum: term j is
     quiet when ``A_j x**j <= rel_tol * max_{i<j} A_i x**i``.  That holds
     exactly for x up to ``theta_j = max_{i<j} (rel_tol A_i / A_j)**(1/(j-i))``,
-    so the terms j-w+1 .. j (w = ``stagnation_window``) are all quiet for x
-    up to the least of their thetas, and the rule stops at the first j
-    whose running maximum M_j of that least theta is at least x.  M is
-    t-free: it is kept per control, and a length is a binary search in it.
+    so the terms j-w+1 .. j (w = ``SeriesControl.stagnation_window``) are
+    all quiet for x up to the least of their thetas, and the rule stops at
+    the first j whose running maximum M_j of that least theta is at least
+    x.  M is t-free: it is kept per ``rel_tol``, and a length is a binary
+    search in it.
 
     A table is shared by every equal problem, in every thread, and has one
     writer: :meth:`grow` runs only from :meth:`stop_bounds` and
@@ -316,7 +315,7 @@ class HornerTable:
         self.coeffs: list[float] = []
         self.abs_coeffs: list[float] = []
         self.errs: list[float] = []
-        self._stops: dict[tuple[float, int], tuple[list[float], list[float]]] = {}
+        self._stops: dict[float, tuple[list[float], list[float]]] = {}
 
     def grow(self, stop: int) -> None:
         """Extend the lists towards ``stop`` entries (see the class docs for who calls it)."""
@@ -331,12 +330,11 @@ class HornerTable:
 
     def stop_bounds(self, x: float, ctl: SeriesControl) -> list[float]:
         """M_j (see class docs), extended to cover x, the budget or the end of the table."""
-        key = (ctl.rel_tol, ctl.stagnation_window)
-        _, bounds = self._stops.get(key, ((), ()))
+        _, bounds = self._stops.get(ctl.rel_tol, ((), ()))
         if bounds and bounds[-1] >= x:
             return bounds
         with TABLE_LOCK:
-            log_thetas, bounds = self._stops.setdefault(key, ([], []))
+            log_thetas, bounds = self._stops.setdefault(ctl.rel_tol, ([], []))
             while not (bounds and bounds[-1] >= x) and len(bounds) < ctl.max_terms:
                 self.grow(len(bounds) + _STOP_BLOCK)
                 if len(self.abs_coeffs) == len(bounds):
@@ -441,8 +439,9 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
     The same operations run in the same order as numpy operations over the
     elements: each length is the same binary search in the table
     (:meth:`HornerTable.lengths`), and
-    numpy reduces a C-ordered array over its first axis row by row, in
-    order, as the forward pass sums.  An element for which
+    numpy reduces a C-ordered array of two or more columns over its first
+    axis row by row, in order, as the forward pass sums.  A lone column it
+    sums pairwise, so a batch of one runs as a pair.  An element for which
     :func:`horner_sum` returns None or raises is marked in
     :attr:`SeriesBatch.failed`.
     """
@@ -490,6 +489,8 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
     top = int(length.max()) if n else 0
     if not top:
         return list(np.zeros((5, n)))
+    if n == 1:  # summed as a pair (see horner_sum_batch)
+        return [row[:1] for row in _horner_chains(table, np.repeat(x, 2), np.repeat(length, 2))]
     if n <= _FULL_WIDTH_MAX:
         return _forward_sums(table, *_full_rows(table, x, length, top), length)
     order = np.argsort(-length, kind="stable")

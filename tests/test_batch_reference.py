@@ -22,6 +22,7 @@ from kkinetics import (
     kinetics,
     series,
     solve_grid,
+    solve_point,
     source_grid,
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
@@ -112,6 +113,33 @@ def test_horner_batches_mark_the_elements_they_leave(checked_batches):
     table = prob._power_table()
     batch = series.horner_sum_batch(table, times, np.ones(times.size), SeriesControl())
     assert batch.failed.tolist() == [True] + [False] * 50 + [True]
+
+
+# numpy sums a lone column pairwise, not row by row as the scalar loop does:
+# a batch of one used to differ from its scalar call in the sum of |terms|
+# and the tail (and so, at the edge, in the cancellation guard)
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_a_grid_of_one_time_is_its_point_bit_for_bit(fig_id, checked_batches):
+    spec = FIGURES[fig_id]
+    lams = (1.0, 1.5, 2.0)
+    for lam in lams:
+        prob = figure_problem(spec, lam)
+        for t in np.linspace(0.0, spec.t_end, 41)[1:].tolist():
+            table = solve_grid(prob, [0.0, t])  # t = 0 is not batched
+            got = (table.values[1], table.terms[1], table.tails[1])
+            assert got == tuple(solve_point(prob, t)), (lam, t)
+    assert checked_batches == [1] * (40 * len(lams))
+
+
+def test_a_horner_batch_of_one_is_horner_sum():
+    # the figure k-Bessel table, one z at a time
+    table, ctl = FIG_PARAMS._table, SeriesControl()
+    for z in np.linspace(0.0, 6.0, 121)[1:].tolist():
+        x, pre = np.array([z * z / 4.0]), np.array([z / 2.0])
+        assert_batch_is_horner_sum(series.horner_sum_batch(table, x, pre, ctl), table, x, pre,
+                                   ctl)
 
 
 def _nested_horner(table, u, v, rows, cols):

@@ -3,10 +3,12 @@ a finite tail >= 0, and every failure is an :class:`EvaluationError`.
 
 The sweep covers ``gen_k_bessel`` over a grid of k-Bessel parameters and
 arguments z from 1e-300 to 6, the Mittag-Leffler sums, the reduced J/W
-sums and Fox-Wright at a few arguments, and ``solve_point`` on sampled
-problems of all three variants.  It checks no value against a reference:
-only that no answer carries a nan or infinite value or tail and that no
-bare Python exception escapes.
+sums and Fox-Wright at a few arguments, ``solve_point`` on sampled
+problems of all three variants, and the Volterra oracle
+(``QuadratureGrid``, ``solve_volterra`` and ``residual``) at orders up to
+400 and rates up to 1e3.  It checks no value against a reference: only
+that no answer carries a nan or infinite value or tail and that no bare
+Python exception escapes.
 
 Run it as a script to print the counts for a seed (27 by default):
 
@@ -27,13 +29,18 @@ from kkinetics import (
     KBesselParams,
     KineticProblem,
     MLParams,
+    QuadratureGrid,
+    SeriesResult,
+    SolutionTable,
     fox_wright,
     gen_k_bessel,
     k_bessel_j,
     k_wright_w,
     mittag_leffler,
+    residual,
     scaled_ml,
     solve_point,
+    solve_volterra,
 )
 
 SEED = 27
@@ -85,6 +92,30 @@ def _solve_calls(rng, problems=40, times=6):
             yield f"solve_point v{variant}", lambda prob=prob, t=t: solve_point(prob, t)
 
 
+def _oracle_solution(t_end, n, nu, rate):
+    """The largest |value| of the oracle's solution on a grid, after its own residual.
+
+    The residual is a defect, which may read inf past the doubles: only
+    that it raises no bare exception is checked.
+    """
+    grid = QuadratureGrid(t_end, n, nu)
+    oracle = solve_volterra(1.0, math.cos, rate, grid)
+    prob = KineticProblem(n0=1.0, d=rate, nu=nu, variant=1,
+                          params=KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0))
+    residual(SolutionTable(grid.times, oracle.values, (1,) * (n + 1), np.zeros(n + 1), prob),
+             oracle)
+    return SeriesResult(float(np.max(np.abs(oracle.values))), n + 1, 0.0)
+
+
+def _oracle_calls(rng, grids=120):
+    for _ in range(grids):
+        # weights in the double range need a step near nu / e or longer at a large nu
+        nu, scale, rate = (10.0 ** rng.uniform((-1.0, -2.0, -3.0),
+                                               (math.log10(400.0), 1.0, 3.0))).tolist()
+        t_end, n = max(nu, 1.0) * scale, int(2.0 ** rng.uniform(0.0, 6.0))
+        yield "oracle", lambda a=(t_end, n, nu, rate): _oracle_solution(*a)
+
+
 def sweep(seed=SEED) -> Counter:
     """Counts by outcome and kind: ``answered``, ``refused`` (by error type),
     ``non-finite`` (an answer whose value or tail is not finite, or whose
@@ -92,7 +123,8 @@ def sweep(seed=SEED) -> Counter:
     EvaluationError)."""
     rng = np.random.default_rng(seed)
     counts = Counter()
-    calls = itertools.chain(_k_bessel_calls(rng), _reference_calls(), _solve_calls(rng))
+    calls = itertools.chain(_k_bessel_calls(rng), _reference_calls(), _solve_calls(rng),
+                            _oracle_calls(rng))
     for kind, call in calls:
         try:
             res = call()
@@ -112,7 +144,7 @@ def test_every_answer_is_finite_and_every_failure_an_evaluation_error():
     assert not bad
     answered = Counter(key[1] for key in counts if key[0] == "answered")
     assert set(answered) >= {"gen_k_bessel", "mittag_leffler", "k_bessel_j", "fox_wright",
-                             "solve_point v1", "solve_point v2", "solve_point v3"}
+                             "solve_point v1", "solve_point v2", "solve_point v3", "oracle"}
 
 
 if __name__ == "__main__":

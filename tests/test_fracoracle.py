@@ -30,7 +30,7 @@ from kkinetics import (
     solve_volterra,
 )
 from kkinetics import fracoracle
-from kkinetics.fracoracle import _reciprocal
+from kkinetics.fracoracle import InstabilityError, _reciprocal
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,7 +86,8 @@ def test_grid_refuses_an_infinite_end_and_a_fractional_step_count():
 
 
 def test_grid_refuses_an_order_whose_gamma_overflows():
-    # math.gamma(700) used to end in a bare OverflowError
+    # math.gamma(700) used to end in a bare OverflowError; 8**701 of the
+    # weights refuses it now
     with pytest.raises(OverflowLogError):
         QuadratureGrid(1.0, 8, 700.0)
 
@@ -104,6 +105,17 @@ def test_grid_forms_its_scale_in_logs():
         grid = QuadratureGrid(100.0, 1, 160.0)
     want = math.exp(160.0 * math.log(100.0) - math.lgamma(161.0))
     assert grid.rl_integral(np.ones(2))[1] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_end, n, nu", [(10.0, 4, 200.0), (100.0, 8, 300.0),
+                                          (30.0, 16, 180.0)])
+def test_grid_builds_past_the_order_where_gamma_overflows(t_end, n, nu):
+    # Gamma(nu + 1) is past the doubles, but the weights form it only in logs:
+    # these grids were refused, and they integrate ones to t**nu / Gamma(nu + 1)
+    grid = QuadratureGrid(t_end, n, nu)
+    got = grid.rl_integral(np.ones(n + 1))[1:]
+    want = np.exp(nu * np.log(grid.times[1:]) - math.lgamma(nu + 1.0))
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
 
 
 def test_grid_refuses_a_scale_that_overflows():
@@ -363,6 +375,19 @@ def test_volterra_refuses_a_solution_that_leaves_the_double_range():
         solve_volterra(1.0, lambda t: 1.0, 2000.0, grid)
 
 
+def test_volterra_refuses_a_rate_power_past_the_doubles():
+    # 100**160 overflows: it used to end in a bare OverflowError
+    with pytest.raises(OverflowLogError, match="rate"):
+        solve_volterra(1.0, lambda t: 1.0, 100.0, QuadratureGrid(100.0, 16, 160.0))
+
+
+def test_volterra_refuses_a_diagonal_past_the_doubles():
+    # 12**220 is a double, but 12**220 * B_1 is not: numpy's multiply used to
+    # warn, and the solve went on with an infinite diagonal
+    with pytest.raises(InstabilityError, match="not a positive double"):
+        solve_volterra(1.0, lambda t: 1.0, 12.0, QuadratureGrid(200.0, 1, 220.0))
+
+
 def test_volterra_zero_source_is_zero():
     grid = QuadratureGrid(1.0, 64, 0.5)
     sol = solve_volterra(3.0, lambda t: 0.0, 1.0, grid)
@@ -462,6 +487,16 @@ def test_residual_detects_perturbation():
     assert residual(table, oracle) >= 5e-3
 
 
+def test_residual_past_the_double_range_reads_inf():
+    # rate**nu * (I^nu N) = 1e10 * ~1e300 overflows: it used to raise a
+    # RuntimeWarning (an error in this suite) from numpy's multiply
+    prob = fig1_problem()
+    grid = QuadratureGrid(1.0, 4, 0.5)
+    oracle = solve_volterra(1.0, lambda t: 1.0, 1e20, grid)
+    table = _table_from_values(prob, grid, np.full(5, 1e300))
+    assert residual(table, oracle) == math.inf
+
+
 def test_residual_rejects_mismatched_grid():
     prob = fig1_problem()
     grid = QuadratureGrid(1.0, 64, prob.nu)
@@ -542,6 +577,14 @@ def test_laplace_check_requires_p_beyond_rate():
     prob = fig1_problem()
     with pytest.raises(DomainError):
         laplace_check(prob, lambda t: 0.0, 2.0)
+
+
+def test_laplace_check_refuses_a_rate_power_past_the_doubles():
+    # a**nu = 100**160 overflows: it used to end in a bare OverflowError
+    prob = KineticProblem(n0=2.0, d=0.5, nu=160.0, variant=Theorem.T3, a=100.0,
+                          params=fig1_problem().params)
+    with pytest.raises(OverflowLogError, match="rate"):
+        laplace_check(prob, lambda t: 0.0, 200.0)
 
 
 def test_laplace_check_on_series_solution():

@@ -622,6 +622,17 @@ def test_grid_prefactor_overflow_raises_like_the_scalar_call(variant, n0, nu, gr
     assert type(got.value) is type(want) and str(got.value) == str(want)
 
 
+def test_source_grid_refuses_an_argument_product_past_the_doubles_like_the_scalar_call():
+    # d**nu * t**nu = 1e350 was formed outside np.errstate: the grid ended in
+    # a RuntimeWarning (an error in this suite), not in the scalar refusal
+    prob = KineticProblem(n0=2.0, d=1e100, nu=1.0, variant=Theorem.T2, params=FIG_PARAMS)
+    with pytest.raises(OverflowLogError) as want:
+        gen_k_bessel(prob.params, prob.z(1.0))
+    with pytest.raises(OverflowLogError) as got:
+        source_grid(prob, [1.0, 1e250])
+    assert str(got.value) == str(want.value)
+
+
 def test_solve_grid_reevaluates_only_the_points_its_batch_refuses(monkeypatch):
     # the two-dimensional table; only t = 300 is refused, where its leads
     # underflow before the sum over rows stops.  The whole 256-point chunk

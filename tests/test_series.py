@@ -1,5 +1,6 @@
 """Truncation-control plumbing: validation, stopping, failure modes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,17 +22,14 @@ def test_control_validation():
         SeriesControl(rel_tol=0.0)
     with pytest.raises(DomainError):
         SeriesControl(rel_tol=1.5)
-    with pytest.raises(DomainError):
-        SeriesControl(stagnation_window=0)
     # a fractional or bool count used to construct, and solve_point then
     # raised a bare TypeError from a slice
     for count in (1.5, True, np.float64(3.0)):
-        for name in ("max_terms", "stagnation_window"):
-            with pytest.raises(DomainError, match=f"integer {name}"):
-                SeriesControl(**{name: count})
-    ctl = SeriesControl(max_terms=np.int64(40), stagnation_window=np.int32(2))
-    assert (type(ctl.max_terms), type(ctl.stagnation_window)) == (int, int)
-    assert ctl == SeriesControl(max_terms=40, stagnation_window=2)
+        with pytest.raises(DomainError, match="integer max_terms"):
+            SeriesControl(max_terms=count)
+    ctl = SeriesControl(max_terms=np.int64(40))
+    assert type(ctl.max_terms) is int
+    assert ctl == SeriesControl(max_terms=40)
 
 
 def test_control_defaults():
@@ -39,6 +37,16 @@ def test_control_defaults():
     assert ctl.max_terms == 500
     assert ctl.rel_tol == 1e-15
     assert ctl.stagnation_window == 3
+
+
+def test_stagnation_window_is_a_constant_of_the_rule():
+    # the window is not a field: a control carries the budget and the tolerance only
+    assert [f.name for f in dataclasses.fields(SeriesControl)] == ["max_terms", "rel_tol"]
+    assert SeriesControl.stagnation_window == 3
+    with pytest.raises(TypeError):
+        SeriesControl(stagnation_window=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SeriesControl().stagnation_window = 2
 
 
 def test_geometric_sum_converges():

@@ -160,6 +160,16 @@ def test_horner_tables_and_stop_bounds_do_not_depend_on_their_growth(make):
         assert n and other[:n] == fresh[:n]
 
 
+def test_stop_bounds_are_kept_per_tolerance():
+    # the stop window is a constant of the rule, so one set of bounds serves
+    # every control with the same rel_tol, whatever its budget
+    table = _PowerTable(figure_params(1.5), 1.0, 3.0, None)
+    bounds = table.stop_bounds(4.0, SeriesControl())
+    assert table.stop_bounds(4.0, SeriesControl(max_terms=60)) is bounds
+    table.stop_bounds(4.0, SeriesControl(rel_tol=1e-6))
+    assert list(table._stops) == [1e-15, 1e-6]
+
+
 # ---------------------------------------------------------------- cold and warm
 
 

@@ -489,8 +489,8 @@ def test_fox_wright_pole_within_horizon_names_index():
 def test_tail_estimate_bounds_refinement(evaluate):
     # the tail reported by a loose run must bound how much the value still
     # moves when the truncation horizon is effectively doubled or more
-    loose = evaluate(SeriesControl(max_terms=500, rel_tol=1e-6, stagnation_window=2))
-    tight = evaluate(SeriesControl(max_terms=1000, rel_tol=1e-15, stagnation_window=3))
+    loose = evaluate(SeriesControl(max_terms=500, rel_tol=1e-6))
+    tight = evaluate(SeriesControl(max_terms=1000, rel_tol=1e-15))
     assert tight.terms >= loose.terms
     assert abs(tight.value - loose.value) <= loose.tail
 
