@@ -109,7 +109,8 @@ scalar z forms it, takes (z/2)**mu from libm's pow too and sums every
 z(t) > 0; z = 0 gives 0.0 after one term.  The
 Horner batch runs each step over whole rows, in the grid's order, for
 at most ``series._FULL_WIDTH_MAX`` (512) times, and on the times sorted
-by length past that: both run the scalar's operations, so a time's
+by length past that, in chunks of at most ``series._CHUNK_MAX`` (4096)
+times: all run the scalar's operations, so a time's
 value, terms and tail do not depend on the grid's size or order.  It marks
 the points that its scalar form (:func:`solve_point`, or
 :func:`series.horner_sum` on the source) refuses or leaves to another
@@ -781,7 +782,7 @@ def _lgamma(x: float) -> float:
 
 def _increasing(t: np.ndarray) -> bool:
     """True if every time is above the one before it (nan never is)."""
-    return bool((t[1:] > t[:-1]).all())
+    return np.count_nonzero(t[1:] > t[:-1]) == max(t.size - 1, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -818,6 +819,14 @@ class SolutionTable:
             raise DomainError("SolutionTable columns must have equal length")
         if not _increasing(self.times):
             raise DomainError("SolutionTable times must be strictly increasing")
+
+    @classmethod
+    def _checked(cls, **columns) -> "SolutionTable":
+        """A table of columns already in the form and order that :meth:`__post_init__`
+        checks (:func:`solve_grid`'s), built without running those checks again."""
+        table = object.__new__(cls)
+        table.__dict__.update(columns)
+        return table
 
     def __eq__(self, other):
         if type(other) is not SolutionTable:
@@ -859,7 +868,10 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     :class:`KineticProblem`), by the table's own :meth:`_PowerTable.point`
     or :meth:`_BivariateTable.point`.  z(t) is formed first, so a time
     it refuses is refused.  t = 0 gives 0.0 after one term; so does a
-    time whose z(t) underflows to 0 where the table refuses it.  Else a
+    time whose z(t) underflows to 0 where the table refuses it, unless
+    r = rate**nu underflows: that table holds no coefficient, so its
+    refusal says nothing of the size of N (n0 = 2, d = 1e-200, nu = 2
+    gives about 1.6e-100 at t = 1), and the time is refused.  Else a
     time that needs a coefficient outside the normal doubles is refused
     with :class:`series.OverflowLogError`, and every route is refused
     with :class:`series.CancellationError` when the sum of all |terms|
@@ -873,7 +885,8 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
         prob.ml_arg(t)  # refuses a (rate t)**nu past the double range
         return prob._power_table().point(t, prob.n0, ctl or DEFAULT_CONTROL)
     except EvaluationError:
-        if z != 0.0:
+        # a table whose r = rate**nu underflows holds no coefficient: its refusal tells nothing of N
+        if z != 0.0 or _pow(prob.rate, prob.nu) < DBL_MIN:
             raise
         return SeriesResult(0.0, 1, 0.0)  # z(t) underflows and the table refuses t: 0, as before
 
@@ -938,12 +951,14 @@ def _evaluate_grid(
     failed = np.zeros(n, dtype=bool)
     try:
         args = arguments(times)
-        live = args != 0.0
-        if live.any():
+        zeros = n - np.count_nonzero(args)
+        # on an increasing grid only the first argument (t = 0) can be 0: a slice, not a mask
+        live = slice(zeros, None) if zeros == 0 or (zeros == 1 and args[0] == 0.0) else args != 0.0
+        if zeros < n:
             values[live], terms[live], tails[live], failed[live] = batch(args[live])
     except (OverflowError, EvaluationError):  # a refused argument, or a value past the double range
         failed[:] = True
-    for i in np.flatnonzero(failed):
+    for i in failed.nonzero()[0].tolist():
         values[i], terms[i], tails[i] = scalar(float(times[i]))
     return values, terms, tails
 
@@ -975,8 +990,8 @@ def solve_grid(
     ctl = ctl or DEFAULT_CONTROL
     values, terms, tails = _evaluate_grid(times, lambda ts: ts, partial(_power_batch, prob, ctl),
                                           lambda t: solve_point(prob, t, ctl))
-    return SolutionTable(times=_read_only(times), values=_read_only(values),
-                         terms=tuple(terms.tolist()), tails=_read_only(tails), problem=prob)
+    return SolutionTable._checked(times=_read_only(times), values=_read_only(values),
+                                 terms=tuple(terms.tolist()), tails=_read_only(tails), problem=prob)
 
 
 def source_grid(

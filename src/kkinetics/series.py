@@ -42,7 +42,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,8 +224,10 @@ def _geometric_tail(mag: float, prev_mag: float) -> float:
 
 
 def _geometric_tail_batch(mag: np.ndarray, prev_mag: np.ndarray) -> np.ndarray:
-    """:func:`_geometric_tail` element-wise (call with invalid warnings off)."""
-    decreasing = (mag > 0.0) & (mag < prev_mag)
+    """:func:`_geometric_tail` at every finite mag >= 0, bit for bit (call with invalid
+    warnings off).  A zero mag below prev_mag takes the first branch: its estimate
+    is max(0, 0), the same 0."""
+    decreasing = mag < prev_mag
     ratio = np.where(decreasing, mag / prev_mag, 0.0)
     return np.where(decreasing, np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag), mag)
 
@@ -308,14 +310,21 @@ class HornerTable:
     :meth:`extend`, under :data:`TABLE_LOCK`.  Entries are only appended,
     ``errs`` last, and never change; the bounds are extended only after
     the entries they cover.  So a reader takes no lock: it reads no entry
-    past a length it took from the bounds or from ``errs``.
+    past a length it took from the bounds or from ``errs``.  For the batch
+    sum the writer also keeps ``abs_coeffs`` and ``errs`` as the rows of one
+    array, ``columns``, and each rel_tol's bounds as an array; it replaces
+    them whole, columns first, after the lists they copy.  A batch that
+    takes its lengths from an array older than the bounds list marks the
+    points past it failed, and those go to the scalar call.
     """
 
     def __init__(self):
         self.coeffs: list[float] = []
         self.abs_coeffs: list[float] = []
         self.errs: list[float] = []
-        self._stops: dict[float, tuple[list[float], list[float]]] = {}
+        self.columns = np.zeros((2, 0))
+        # per rel_tol: the log thetas, the bounds M_j and those bounds as an array
+        self._stops: dict[float, tuple[list[float], list[float], np.ndarray]] = {}
 
     def grow(self, stop: int) -> None:
         """Extend the lists towards ``stop`` entries (see the class docs for who calls it)."""
@@ -330,16 +339,19 @@ class HornerTable:
 
     def stop_bounds(self, x: float, ctl: SeriesControl) -> list[float]:
         """M_j (see class docs), extended to cover x, the budget or the end of the table."""
-        _, bounds = self._stops.get(ctl.rel_tol, ((), ()))
+        _, bounds, _ = self._stops.get(ctl.rel_tol, ((), (), None))
         if bounds and bounds[-1] >= x:
             return bounds
         with TABLE_LOCK:
-            log_thetas, bounds = self._stops.setdefault(ctl.rel_tol, ([], []))
+            log_thetas, bounds, _ = self._stops.get(ctl.rel_tol, ([], [], None))
             while not (bounds and bounds[-1] >= x) and len(bounds) < ctl.max_terms:
                 self.grow(len(bounds) + _STOP_BLOCK)
                 if len(self.abs_coeffs) == len(bounds):
                     break
                 self._extend_bounds(log_thetas, bounds, ctl)
+            held = len(self.errs)
+            self.columns = np.array((self.abs_coeffs[:held], self.errs[:held]))
+            self._stops[ctl.rel_tol] = log_thetas, bounds, np.array(bounds)
         return bounds
 
     def _extend_bounds(self, log_thetas: list[float], bounds: list[float],
@@ -364,8 +376,12 @@ class HornerTable:
 
     def lengths(self, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
         """:meth:`length` at every x: 0 past the budget, -1 past the table."""
-        bounds = np.array(self.stop_bounds(float(x.max()) if x.size else 0.0, ctl))
+        x_max = float(x.max()) if x.size else 0.0
+        self.stop_bounds(x_max, ctl)
+        bounds = self._stops[ctl.rel_tol][2]
         found = np.searchsorted(bounds, x)
+        if bounds.size and bounds[min(ctl.max_terms, bounds.size) - 1] >= x_max:
+            return found + 1  # every x is within the table and the budget
         return np.where(found >= ctl.max_terms, 0, np.where(found < bounds.size, found + 1, -1))
 
     def length(self, x: float, ctl: SeriesControl) -> int | None:
@@ -448,10 +464,11 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
     with np.errstate(over="ignore", invalid="ignore"):
         # nan fails both tests: np.minimum and np.maximum return it
         ok = (np.minimum(x, pre) >= DBL_MIN) & (np.maximum(x, pre) <= DBL_MAX)
-        x = np.where(ok, x, 1.0)
+        if not ok.all():
+            x = np.where(ok, x, 1.0)
         length = table.lengths(x, ctl)
         ok &= length > 0
-        length = np.where(ok, length, 0)
+        length *= ok
         v, total, e, mag, prev_mag = _horner_chains(table, x, length)
         value, abs_value = pre * v, pre * total
         tail = pre * (_geometric_tail_batch(mag, prev_mag) + EPS * e)
@@ -461,84 +478,94 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
 
 
 def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
-                   ) -> list[np.ndarray]:
+                   ) -> Sequence[np.ndarray]:
     """:func:`_horner` at every element over its own ``length`` (0 for none), as five rows.
 
-    An element joins Horner at step j < length.  Before that its partials
-    are +0: the coefficient it would add is 0, and 0 * x + 0 is +0 for the
-    normal positive x the batch passes.  The partials and the powers x**j
-    are kept as rows that hold 0 where an element has not joined, and the
-    forward sums run down the rows, in the order of the scalar loop.
+    An element joins Horner at step j < length, where its partial is
+    formed from 0 as the scalar forms its first (0 * x + a_j is a_j for
+    the normal positive x the batch passes).  The partials and the powers
+    x**j are kept as rows, the powers 0 past each length, and the forward
+    sums run down the rows, in the order of the scalar loop.
 
     The rows are formed one of two ways, chosen by the batch size.  At most
     :data:`_FULL_WIDTH_MAX` elements (a figure sweep of 200 times) run
     every step over whole rows in the caller's order (:func:`_full_rows`):
-    each term is three ufunc calls, and the call has no slicing, sort or
-    scatter, which on rows this short cost more than the arithmetic they
-    save.  Larger batches
+    a Horner step is two ufunc calls, one accumulated product forms every
+    power, and the call has no slicing, sort or scatter, which on rows
+    this short cost more than the arithmetic they save.  Larger batches
     (verify's 2048 times) sort the elements by length and run each step
     on the prefix that has joined (:func:`_prefix_rows`), so no step
     touches an element that has not joined: there the arithmetic
-    outweighs the calls.  Timed by ``solve_grid`` and ``source_grid`` on
-    figures 1 and 3 (Intel Xeon, 2 cores, numpy 2.4), whole rows were
-    faster on every grid of up to 513 points (by 5-20%), and the prefixes
-    on every solve grid of 1001 points or more (by 4-12%); in between the
-    winner changed with the problem.
+    outweighs the calls.  Past :data:`_CHUNK_MAX` elements the sorted
+    elements run in chunks of that many, each a batch of its own, so the
+    rows of one chunk, not of the whole batch, are held at once.  Timed
+    warm by ``solve_grid`` and ``source_grid`` on figures 1 and 3 (Intel
+    Xeon, 2 cores, numpy 2.4), whole rows were faster on every grid of up
+    to 257 points (by 2-19%), and the prefixes on every grid of 513 points
+    or more (by 7-36%).
     """
     n = x.size
     top = int(length.max()) if n else 0
     if not top:
-        return list(np.zeros((5, n)))
+        return np.zeros((5, n))
     if n == 1:  # summed as a pair (see horner_sum_batch)
         return [row[:1] for row in _horner_chains(table, np.repeat(x, 2), np.repeat(length, 2))]
     if n <= _FULL_WIDTH_MAX:
         return _forward_sums(table, *_full_rows(table, x, length, top), length)
     order = np.argsort(-length, kind="stable")
     out = np.empty((5, n))
+    if n > _CHUNK_MAX:  # sorted chunks, each a batch of its own
+        for part in np.split(order, range(_CHUNK_MAX, n, _CHUNK_MAX)):
+            out[:, part] = _horner_chains(table, x[part], length[part])
+        return out
     out[:, order] = _forward_sums(table, *_prefix_rows(table, x[order], length[order], top),
                                   length[order])
-    return list(out)
+    return out
 
 
 # The most elements a batch runs over whole rows (see _horner_chains).
 _FULL_WIDTH_MAX = 512
+# The most elements whose prefix rows are held at once (see _horner_chains).
+_CHUNK_MAX = 4096
 
 
 def _full_rows(table: HornerTable, x: np.ndarray, length: np.ndarray, top: int):
-    """The partials (``top`` + 1 rows) and powers (``top`` rows) of
-    :func:`_horner_chains`, every step over whole rows.
+    """The partials and the powers of :func:`_horner_chains` (``top`` rows, and ``top`` + 1
+    rows of which the last is 0), every step over whole rows.
 
-    Row j of the coefficients holds a_j where j < length and 0 elsewhere.
-    The powers past each length are zeroed once, after the running
-    products: there they may have overflowed.
+    Row j > 0 of the factors holds x where j < length and 0 elsewhere, and
+    row 0 holds 1.  The power x**j is the power before times factor j, so
+    each power past a length is 0, never an overflow; one accumulated
+    product forms them all, in that order.  The partial v_j is v_{j+1}
+    times factor j+1, plus a_j: past a length that is a_j exactly, and at
+    j = length-1 it is +-0 + a_j = a_j, as the scalar forms it from 0.
+    The rows are laid out as :func:`_prefix_rows` lays them out.
     """
-    rows = np.zeros((3 * top + 1, x.size))
-    partials, powers, coeffs = rows[:top + 1], rows[top + 1:2 * top + 1], rows[2 * top + 1:]
-    past = np.arange(top)[:, None] >= length
-    np.copyto(coeffs, np.array(table.coeffs[:top])[:, None])
-    np.copyto(coeffs, 0.0, where=past)
-    v, a = list(partials), list(coeffs)
-    for j in range(top - 1, -1, -1):
-        np.multiply(v[j + 1], x, out=v[j])
-        np.add(v[j], a[j], out=v[j])
-    powers[0] = 1.0
-    p = list(powers)
-    for j in range(1, top):
-        np.multiply(p[j - 1], x, out=p[j])
-    np.copyto(powers, 0.0, where=past)
-    return partials, powers
+    factors = np.zeros((top + 1, x.size))
+    np.copyto(factors, x, where=np.arange(top + 1)[:, None] < length)
+    factors[0] = 1.0
+    rows = np.zeros((2 * top + 2, x.size))
+    v = list(rows[:top + 1])
+    for v_j, v_next, factor, a in zip(v[-2::-1], v[:0:-1], factors[top:0:-1],
+                                      reversed(table.coeffs[:top])):
+        np.multiply(v_next, factor, v_j)
+        np.add(v_j, a, v_j)
+    np.multiply.accumulate(factors[:top], axis=0, out=rows[top + 1:2 * top + 1])
+    return rows[:top], rows[top + 1:]
 
 
 def _prefix_rows(table: HornerTable, xs: np.ndarray, length: np.ndarray, top: int):
-    """The partials and powers of :func:`_horner_chains` for elements sorted
-    by decreasing ``length``, each step on the prefix that has joined.
+    """The partials and the powers of :func:`_horner_chains` (``top`` rows, and ``top`` + 1
+    rows of which the last is 0) for elements sorted by decreasing ``length``, each
+    step on the prefix that has joined.
 
-    Both sets of rows come from one zeroed block: as two blocks of about
-    half a megabyte each (at a 2049-point grid), they were trimmed from the
+    Both sets of rows come from one zeroed block, and the powers end with
+    a row of zeros (see :func:`_forward_sums`): as two blocks of about half
+    a megabyte each (at a 2049-point grid), they were trimmed from the
     heap when freed and faulted in afresh on every call.
     """
     joined = np.searchsorted(-length, -np.arange(top), side="left").tolist()
-    rows = np.zeros((2 * top + 1, xs.size))
+    rows = np.zeros((2 * top + 2, xs.size))
     partials, powers = rows[:top + 1], rows[top + 1:]
     for j, a in zip(range(top - 1, -1, -1), reversed(table.coeffs[:top])):
         count = joined[j]
@@ -549,20 +576,26 @@ def _prefix_rows(table: HornerTable, xs: np.ndarray, length: np.ndarray, top: in
     for j in range(1, top):
         count = joined[j]
         np.multiply(powers[j - 1, :count], xs[:count], out=powers[j, :count])
-    return partials, powers
+    return partials[:top], powers
 
 
 def _forward_sums(table: HornerTable, partials: np.ndarray, powers: np.ndarray,
-                  length: np.ndarray) -> list[np.ndarray]:
+                  length: np.ndarray) -> tuple[np.ndarray, ...]:
     """The value, the sum of |terms|, the bound e and the last two |terms| of
-    each column, from rows that hold 0 past its length; overwrites both sets."""
-    top, n = powers.shape
+    each column, from the partials v_j and the powers x**j (rows j = 0 ..
+    top-1; the powers are 0 past each column's length); overwrites both.
+
+    ``powers`` has one more row, of zeros, which a column of length 1
+    reads as the |term| before its first (index -1 wraps to it).
+    """
+    top, n = partials.shape
+    abs_coeffs, errs = table.columns[:, :top, None]
     value = partials[0].copy()
-    bound = np.abs(partials[:top], out=partials[:top])
-    bound += np.array(table.errs[:top])[:, None]
-    bound *= powers
-    mags = np.multiply(powers, np.array(table.abs_coeffs[:top])[:, None], out=powers)
-    last = length - 1
-    at = last * n + np.arange(n)
-    return [value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0),
-            mags.flat[at], np.where(last >= 1, mags.flat[at - n], 0.0)]
+    bound = np.abs(partials, out=partials)
+    bound += errs
+    bound *= powers[:top]
+    mags = np.multiply(powers[:top], abs_coeffs, out=powers[:top])
+    at = length * n
+    at += np.arange(-n, 0)
+    return (value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0),
+            powers.take(at), powers.take(at - n))

@@ -93,6 +93,19 @@ def test_horner_batches_match_horner_sum_at_both_widths(size, checked_batches):
     assert checked_batches == [size] * 6
 
 
+@pytest.mark.parametrize("size", [series._CHUNK_MAX + 1, 2 * series._CHUNK_MAX + 3])
+def test_horner_batches_above_the_chunk_size_match_horner_sum(size, checked_batches):
+    # past _CHUNK_MAX elements a batch runs as sorted chunks, each a batch of
+    # its own: the last one here is a batch of one (a pair) or of three
+    # (whole rows); the shuffled times sort into the same chunks
+    prob = figure_problem(FIGURES[1], 1.0)
+    grid = np.linspace(0.0, 1.0, size + 1)
+    solve_grid(prob, grid)
+    source_grid(prob, grid)
+    source_grid(prob, np.random.default_rng(11).permutation(grid))
+    assert checked_batches == [size] * 3
+
+
 def test_source_batch_on_shuffled_times(checked_batches):
     # the whole-row path keeps the caller's order: unsorted x and lengths
     prob = figure_problem(FIGURES[3], 1.0)
@@ -113,6 +126,21 @@ def test_horner_batches_mark_the_elements_they_leave(checked_batches):
     table = prob._power_table()
     batch = series.horner_sum_batch(table, times, np.ones(times.size), SeriesControl())
     assert batch.failed.tolist() == [True] + [False] * 50 + [True]
+
+
+@pytest.mark.parametrize("fig_id", sorted(FIGURES))
+def test_figure_sweeps_are_their_point_calls_bit_for_bit(fig_id):
+    # values, terms and tails at all 201 nodes, +-0 and the last bit included
+    spec = FIGURES[fig_id]
+    grid = figure_grid(spec)
+    for lam in LAMBDAS:
+        prob = figure_problem(spec, lam)
+        table = solve_grid(prob, grid)
+        points = [solve_point(prob, t) for t in grid.tolist()]
+        assert table.terms == tuple(r.terms for r in points)
+        for column, field in ((table.values, "value"), (table.tails, "tail")):
+            want = np.array([getattr(r, field) for r in points])
+            assert np.array_equal(column.view(np.int64), want.view(np.int64)), (lam, field)
 
 
 # numpy sums a lone column pairwise, not row by row as the scalar loop does:

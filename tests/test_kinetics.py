@@ -168,6 +168,26 @@ def test_underflowing_source_argument_is_summed_by_the_table():
     assert grid.tails[1] == res.tail
 
 
+def test_rate_power_that_underflows_is_refused_not_answered_zero():
+    # r = d**nu = 1e-400 underflows, so the power table holds no coefficient,
+    # and z(t) = (d t)**nu underflows to 0 too: the point used to answer 0
+    # with tail 0, where the leading term n0 c_0 (z/2)**mu alone is normal
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.25, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=1e-200, nu=2.0, variant=Theorem.T2, params=params)
+    assert prob._power_table().extend(1) == 0
+    _, log_c0 = specfun.k_bessel_log_coefficient(params, 0)
+    for t, lead in ((1e-10, 1.6e-105), (1.0, 1.6e-100)):
+        assert prob.z(t) == 0.0
+        log_half_z = prob.nu * (math.log(prob.d) + math.log(t)) - math.log(2.0)
+        assert math.exp(math.log(prob.n0) + log_c0 + params.mu * log_half_z) == pytest.approx(
+            lead, rel=0.05)
+        with pytest.raises(EvaluationError) as point:
+            solve_point(prob, t)
+        with pytest.raises(EvaluationError) as grid:
+            solve_grid(prob, [0.0, t])
+        assert type(grid.value) is type(point.value) and str(grid.value) == str(point.value)
+
+
 def test_solution_grid_forms_no_source_argument(monkeypatch):
     calls = []
     source_arguments = kinetics._source_arguments
@@ -428,6 +448,49 @@ def test_solution_table_from_sequences_equals_the_grid_table():
         SolutionTable(table.times, table.values[:-1], table.terms, table.tails, prob)
     with pytest.raises(DomainError):
         SolutionTable(table.times[::-1], table.values, table.terms, table.tails, prob)
+
+
+def test_solve_grid_tables_equal_tables_the_constructor_builds():
+    # solve_grid builds its table without running the constructor's checks
+    # again: it must be the table the constructor builds from its columns
+    for spec in FIGURES.values():
+        grid = figure_grid(spec)
+        for lam in (LAMBDAS[0], LAMBDAS[-1]):
+            prob = figure_problem(spec, lam)
+            table = solve_grid(prob, grid)
+            columns = (table.times, table.values, table.terms, table.tails)
+            for built in (SolutionTable(*columns, prob),
+                          SolutionTable(*(list(column) for column in columns), prob)):
+                assert built == table and table == built
+                assert all(type(n) is int for n in built.terms)
+
+
+def test_solve_grid_columns_are_read_only_and_shared_with_no_caller_array():
+    prob = fig_problem(Theorem.T2)
+    grid = np.linspace(0.0, 0.05, 201)
+    table = solve_grid(prob, grid)
+    for column in (table.times, table.values, table.tails):
+        assert kinetics._frozen_float_array(column)
+        with pytest.raises(ValueError):
+            column[1] = 1.0
+    times = table.times.copy()
+    grid[1] = 0.5
+    assert np.array_equal(table.times, times)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([-0.1, 0.0, 0.1], "grid times must be >= 0, got -0.1"),
+    ([0.0, -0.1, 0.1], "grid times must be >= 0, got -0.1"),
+    ([0.0, 0.2, 0.1], "grid times must be strictly increasing"),
+    ([0.0, 0.1, 0.1], "grid times must be strictly increasing"),
+    ([0.1, 0.0], "grid times must be strictly increasing"),
+    ([math.nan, 0.1], "grid times must be >= 0, got nan"),
+    ([0.0, math.nan, 0.1], "grid times must be >= 0, got nan"),
+    ([0.0, 0.1, math.nan], "grid times must be >= 0, got nan"),
+])
+def test_solve_grid_refuses_negative_unordered_and_nan_grids(grid, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        solve_grid(fig_problem(Theorem.T2), grid)
 
 
 def test_solution_table_refuses_two_dimensional_columns_and_compares_only_tables():

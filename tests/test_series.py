@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kkinetics import series
 from kkinetics.series import (
     DomainError,
     NonConvergenceError,
@@ -78,3 +79,16 @@ def test_exact_zero_terms_stop_with_zero_tail():
     res = sum_log_terms(term, SeriesControl())
     assert res.value == 1.0
     assert res.tail == 0.0
+
+
+def test_batch_geometric_tail_is_the_scalar_one_at_every_finite_mag():
+    # equal, rising and zero last terms, subnormal and huge ones, and a zero
+    # or infinite term before them
+    rng = np.random.default_rng(5)
+    values = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 1.7e308],
+                             rng.random(40), 10.0 ** rng.uniform(-320, 308, 40)])
+    mag, prev = (grid.ravel() for grid in np.meshgrid(values, np.append(values, math.inf)))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        got = series._geometric_tail_batch(mag, prev)
+    want = [series._geometric_tail(m, p) for m, p in zip(mag.tolist(), prev.tolist())]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))

@@ -3,8 +3,8 @@
 Equal ``KBesselParams`` and ``KineticProblem`` instances share one t-free
 table per value, so threads grow and read the same tables.  The first two
 tests park one thread inside a table's growth and run a second thread on
-an equal instance meanwhile; the last interleaves four threads at a short
-switch interval.
+an equal instance meanwhile; the last two interleave four threads at a
+short switch interval, on points and on grids.
 """
 
 import sys
@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from kkinetics import KineticProblem, Theorem, gen_k_bessel, solve_point, specfun
+from kkinetics import KineticProblem, Theorem, gen_k_bessel, solve_grid, solve_point, specfun
 from kkinetics.figures import figure_params
 from kkinetics.specfun import k_bessel_log_error
 
@@ -139,4 +139,37 @@ def test_threads_solving_equal_problems_agree_with_one_thread(variant, empty_reg
             assert not thread.is_alive()
         trials += 1
         wrong += [(t, got) for part in answers for t, got in part if got != want[t]]
+    assert trials >= 1 and not wrong, (trials, wrong[:5])
+
+
+def _grid_answer(end):
+    table = solve_grid(_problem(), np.linspace(0.0, end, 41))
+    return table.values.tobytes(), table.terms, table.tails.tobytes()
+
+
+def test_threads_solving_equal_grids_agree_with_one_thread(empty_registries, fast_switching):
+    # the batch reads a table's columns and stop bounds as arrays that its
+    # growth replaces whole; four threads on emptied registries, two taking
+    # grids that reach further each call and two the other way, grow the
+    # shared table while the others read it; the trials stop after 2 s
+    ends = np.linspace(0.5, 9.5, 19).tolist()
+    want = {end: _answer(lambda: _grid_answer(end)) for end in ends}
+    deadline, trials, wrong = time.monotonic() + 2.0, 0, []
+    while trials < 20 and time.monotonic() < deadline:
+        empty_registries()
+        answers, start = [None] * 4, threading.Barrier(4)
+
+        def run(i):
+            order = ends if i % 2 == 0 else ends[::-1]
+            start.wait(5.0)
+            answers[i] = [(end, _answer(lambda: _grid_answer(end))) for end in order]
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        trials += 1
+        wrong += [(end, got) for part in answers for end, got in part if got != want[end]]
     assert trials >= 1 and not wrong, (trials, wrong[:5])
