@@ -41,7 +41,10 @@ coefficients of x.  Every product is a convolution, and no FFT is longer
 than the power of two at or above n: O(n log n) in all, with no recursion
 and no dense matrix.  The partial reciprocal g meets two operands at one
 transform length in each Newton step and in the Karp-Markstein step, and
-is transformed once for both.  The same ``_convolve`` helper gives
+is transformed once for both.  g reads only the weights and r, so each
+weights set keeps the last rate's g with its transform (12 MiB at 2**20
+steps), and a solve at that rate goes straight to the Karp-Markstein
+step; another rate replaces it.  The same ``_convolve`` helper gives
 :meth:`QuadratureGrid.rl_integral`, so :func:`residual` is O(n log n) on
 long grids.
 """
@@ -56,7 +59,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kinetics import KineticProblem, SolutionTable, _read_only, _scaled_power
-from .series import (LOG_DBL_MAX, LOG_DBL_MIN, DomainError, EvaluationError,
+from .series import (LOG_DBL_MAX, LOG_DBL_MIN, TABLE_LOCK, DomainError, EvaluationError,
                      OverflowLogError, SeriesControl, SeriesResult, _integer_n)
 from .specfun import MLParams, mittag_leffler
 
@@ -132,14 +135,22 @@ def _reciprocal(col: np.ndarray, n: int) -> np.ndarray:
     of c g are needed to form it.  Both products transform at the power of
     two at or above stop - 1, so g is transformed once.
     """
-    g = np.array([1.0 / col[0]])
-    while g.size < n:
-        m, stop = g.size, min(2 * g.size, n)
-        shared = _Spectra(g)
+    g = np.empty(n)
+    g[0] = 1.0 / col[0]
+    m = 1
+    while m < n:
+        stop = min(2 * m, n)
         # col[0] reaches only entries below m; leaving it out keeps the FFT
         # roundoff at the scale of col[1:]
-        defect = _convolve(col[1:stop], shared, m - 1, stop - 1)
-        g = np.concatenate((g, -_convolve(shared, defect, 0, stop - m)))
+        if m <= _DIRECT_CONVOLVE_MAX:  # both products direct, as _convolve would run them
+            defect = np.convolve(col[1:stop], g[:m])[m - 1:stop - 1]
+            step = np.convolve(g[:m], defect)[:stop - m]
+        else:
+            shared = _Spectra(g[:m])
+            defect = _convolve(col[1:stop], shared, m - 1, stop - 1)
+            step = _convolve(shared, defect, 0, stop - m)
+        np.negative(step, out=g[m:stop])
+        m = stop
     return g
 
 
@@ -182,8 +193,8 @@ class QuadratureGrid:
         if log_low < LOG_DBL_MIN:
             raise EvaluationError(f"h**nu / Gamma(nu + 1) = exp({log_low:.6g}) of the weights "
                                   "underflows double range")
-        self._a, self._kernel, self._kernel_spectra = _grid_weights(self.n_steps, self.nu,
-                                                                    log_scale)
+        self._a, self._kernel, self._kernel_spectra, self._inverse = _grid_weights(
+            self.n_steps, self.nu, log_scale)
 
     def rl_integral(self, samples: Sequence[float]) -> np.ndarray:
         """Product-trapezoidal values of the order-nu RL integral at every node."""
@@ -195,15 +206,28 @@ class QuadratureGrid:
         return out
 
 
+class _InverseStore:
+    """The store of one weights set's system inverse: ``last`` is the latest
+    rate's (r, g0, g) of :func:`_solve_forcing`, or None.
+
+    Written whole, under :data:`series.TABLE_LOCK`; a reader reads ``last``
+    once and takes no lock.
+    """
+
+    last: tuple[float, float, _Spectra] | None = None
+
+
 # The most weight sets one process keeps; one of 2**20 steps holds about 40 MB
-# with its kernel's spectra (see README).
+# with its kernel's spectra, and 12 MiB more with a rate's inverse: 4 MiB of
+# coefficients and 8 MiB of transform (see README).
 _GRID_WEIGHTS = 2
 
 
 @functools.lru_cache(maxsize=_GRID_WEIGHTS)
 def _grid_weights(n_steps: int, nu: float, log_scale: float
-                  ) -> tuple[np.ndarray, np.ndarray, _Spectra]:
-    """Column 0 (A_j) and the Toeplitz kernel of the weights, read-only, and the kernel's spectra.
+                  ) -> tuple[np.ndarray, np.ndarray, _Spectra, _InverseStore]:
+    """Column 0 (A_j) and the Toeplitz kernel of the weights, read-only, the kernel's
+    spectra and the store of the system inverse (empty).
 
     The weights read only the step count, the order and log(h**nu / Gamma(nu)),
     so every grid with these inputs shares one set.  A set is kept only once
@@ -243,7 +267,7 @@ def _grid_weights(n_steps: int, nu: float, log_scale: float
     # column 0 is A_j; the rest is the Toeplitz kernel [B_1, C_1, ..., C_{n-1}]
     # with the interior coefficient C_m = A_m + B_{m+1}
     kernel = _read_only(np.concatenate((b[1:2], a[1:-1] + b[2:])))
-    return _read_only(a), kernel, _Spectra(kernel)
+    return _read_only(a), kernel, _Spectra(kernel), _InverseStore()
 
 
 @dataclass
@@ -280,7 +304,8 @@ def solve_volterra(
     Python float.  A solution that leaves the double range raises
     :class:`EvaluationError`; no partial values are returned.
     """
-    forcing = n0 * np.fromiter(map(source, grid.times.tolist()), float, grid.n_steps + 1)
+    forcing = np.fromiter(map(source, memoryview(grid.times)), float, grid.n_steps + 1)
+    forcing *= n0
     return _solve_forcing(forcing, rate, grid)
 
 
@@ -296,26 +321,43 @@ def _solve_forcing(forcing: np.ndarray, rate: float, grid: QuadratureGrid) -> Or
     if forcing.shape != grid.times.shape:
         raise DomainError(f"need {grid.times.shape[0]} samples, got shape {forcing.shape}")
     r = _scaled_power("Volterra rate**nu", rate, 1.0, grid.nu)
+    h, stored = n - n // 2, grid._inverse.last
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
-        if not 0.0 < denom < math.inf:
-            raise InstabilityError(f"implicit step denominator {denom} is not a positive double")
-        x = forcing[1:] - r * grid._a[1:] * forcing[0]
-        h = n - n // 2
-        col = r * kernel[:h]
-        col[0] = denom
-        g = _reciprocal(col, h)
+        if stored is None or stored[0] != r:  # g = 1/c reads only the weights and r
+            denom = 1.0 + r * kernel[0]  # the diagonal weight w[j][j] = B_1
+            if not 0.0 < denom < math.inf:
+                raise InstabilityError(
+                    f"implicit step denominator {denom} is not a positive double")
+            col = r * kernel[:h]
+            col[0] = denom
+            g = _reciprocal(col, h)
+            g0, g[0] = g[0], 0.0
+            stored = r, g0, _Spectra(_read_only(g))
+            with TABLE_LOCK:
+                grid._inverse.last = stored
+        _, g0, shared = stored
+        values = np.empty(n + 1)
+        values[0] = forcing[0]
+        # x = F_1..F_n - r A_1..A_n N_0, then x_lo and x_hi in place
+        x = values[1:]
+        np.multiply(r, grid._a[1:], out=x)
+        x *= forcing[0]
+        np.subtract(forcing[1:], x, out=x)
+        lo, hi = x[:h], x[h:]
         # FFT roundoff scales with the operands' norms, so the diagonal terms
         # g[0] ~ 1 and denom ~ 1 stay out of the FFT products: g[0] is applied
         # exactly, and (c x_lo)[h:n] = r (kernel x_lo)[h:n] since c differs
         # from r kernel only at index 0
-        g0, g[0] = g[0], 0.0
-        shared = _Spectra(g)
-        x[:h] = g0 * x[:h] + _convolve(shared, x[:h], 0, h)
+        product = _convolve(shared, lo, 0, h)
+        lo *= g0
+        lo += product
         if n > h:  # n = 1 has no upper half
-            x[h:] -= r * _convolve(grid._kernel_spectra, x[:h], h, n)
-            x[h:] = g0 * x[h:] + _convolve(shared, x[h:], 0, n - h)
-    values = np.concatenate((forcing[:1], x))
+            product = _convolve(grid._kernel_spectra, lo, h, n)
+            product *= r
+            hi -= product
+            product = _convolve(shared, hi, 0, n - h)
+            hi *= g0
+            hi += product
     if not np.all(np.isfinite(values)):
         raise EvaluationError(f"Volterra solution is not finite at rate {rate} on this grid: "
                               "it leaves the double range")

@@ -71,7 +71,8 @@ small registry per process, keyed by the values a table reads, hands
 equal inputs one shared object: :func:`_shared_table` for the problems'
 tables (at most 32), ``specfun._kbessel_table`` for the k-Bessel tables
 and their error bounds (at most 32), and ``fracoracle._grid_weights`` for
-the quadrature weights (at most 2, about 40 MB each at 2**20 steps).  The
+the quadrature weights (at most 2, about 40 MB each at 2**20 steps, and
+12 MiB more with the Volterra oracle's inverse at its last rate).  The
 bounds are fixed; the least recently used entry goes first.  An instance
 looks its table up when it is built or first used and keeps it in a
 slot, so no scalar call pays for the lookup.  Only a process that asks

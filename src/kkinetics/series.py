@@ -496,13 +496,18 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
     (verify's 2048 times) sort the elements by length and run each step
     on the prefix that has joined (:func:`_prefix_rows`), so no step
     touches an element that has not joined: there the arithmetic
-    outweighs the calls.  Past :data:`_CHUNK_MAX` elements the sorted
-    elements run in chunks of that many, each a batch of its own, so the
-    rows of one chunk, not of the whole batch, are held at once.  Timed
-    warm by ``solve_grid`` and ``source_grid`` on figures 1 and 3 (Intel
-    Xeon, 2 cores, numpy 2.4), whole rows were faster on every grid of up
-    to 257 points (by 2-19%), and the prefixes on every grid of 513 points
-    or more (by 7-36%).
+    outweighs the calls.  Where the lengths never fall along the batch,
+    as on an increasing grid, whose x grows with t, the reversed batch is
+    already sorted and runs as views, with no sort, gather or scatter.
+    Past :data:`_CHUNK_MAX` elements the sorted elements run in chunks of
+    that many, each a batch of its own, so the rows of one chunk, not of
+    the whole batch, are held at once.  Timed warm by ``solve_grid`` and
+    ``source_grid`` on figures 1 and 3 (Intel Xeon, 2 cores, numpy 2.4),
+    whole rows were faster on every grid of up to 257 points (by 2-19%),
+    and the prefixes on every grid of 513 points or more (by 7-36%).
+    Timed cold, after a pure-Python loop as the benchmark runs them, the
+    unsorted prefixes were 7-12% slower at 201 and 257 points, 1-5%
+    slower at 385 and 4-6% faster at 513.
     """
     n = x.size
     top = int(length.max()) if n else 0
@@ -512,6 +517,10 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
         return [row[:1] for row in _horner_chains(table, np.repeat(x, 2), np.repeat(length, 2))]
     if n <= _FULL_WIDTH_MAX:
         return _forward_sums(table, *_full_rows(table, x, length, top), length)
+    if n <= _CHUNK_MAX and not np.any(length[1:] < length[:-1]):
+        x, length = x[::-1], length[::-1]
+        return [row[::-1] for row in _forward_sums(table, *_prefix_rows(table, x, length, top),
+                                                   length)]
     order = np.argsort(-length, kind="stable")
     out = np.empty((5, n))
     if n > _CHUNK_MAX:  # sorted chunks, each a batch of its own

@@ -143,6 +143,32 @@ def test_figure_sweeps_are_their_point_calls_bit_for_bit(fig_id):
             assert np.array_equal(column.view(np.int64), want.view(np.int64)), (lam, field)
 
 
+def test_rising_and_shuffled_batches_give_the_same_bits(monkeypatch):
+    # lengths that never fall (an increasing grid) run on reversed views with
+    # no sort; the same elements shuffled are sorted, gathered and scattered
+    # back.  Both paths give each element the bits of horner_sum.  The first
+    # two elements fail: x = 0 and a subnormal x
+    table, ctl = FIG_PARAMS._table, SeriesControl()
+    z = np.concatenate(([0.0, 1e-160], np.linspace(0.0, 6.0, 2000)[1:]))
+    x, pre = z * z / 4.0, z / 2.0
+    reversed_views, prefix_rows = [], series._prefix_rows
+
+    def spy(table, xs, length, top):
+        reversed_views.append(xs.strides[0] < 0)
+        return prefix_rows(table, xs, length, top)
+
+    monkeypatch.setattr(series, "_prefix_rows", spy)
+    rising = series.horner_sum_batch(table, x, pre, ctl)
+    order = np.random.default_rng(5).permutation(x.size)
+    shuffled = series.horner_sum_batch(table, x[order], pre[order], ctl)
+    assert reversed_views == [True, False]
+    assert rising.failed[:2].all() and not rising.failed[2:].any()
+    assert np.all(np.diff(rising.terms) >= 0) and rising.terms[-1] > rising.terms[2]
+    assert_batch_is_horner_sum(rising, table, x, pre, ctl)
+    for field in series.SeriesBatch._fields:
+        assert getattr(rising, field)[order].tobytes() == getattr(shuffled, field).tobytes()
+
+
 # numpy sums a lone column pairwise, not row by row as the scalar loop does:
 # a batch of one used to differ from its scalar call in the sum of |terms|
 # and the tail (and so, at the edge, in the cancellation guard)

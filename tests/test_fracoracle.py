@@ -324,7 +324,8 @@ def test_base_block_inverse_matches_the_dense_inverse(nu, rate, n):
     assert np.max(np.abs(sol.values - want)) <= 4.0 * eps * np.max(np.abs(want))
 
 
-def test_volterra_division_makes_logarithmically_many_products(monkeypatch):
+def test_volterra_division_makes_logarithmically_many_products(monkeypatch, empty_registries):
+    # cold: a weights set that kept this rate's inverse would skip the division
     n = 32768
     grid = QuadratureGrid(2.0, n, 0.5)
     calls = []
@@ -344,7 +345,9 @@ def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch, empty
     # the direct-convolution cutoff and three in the Karp-Markstein step.  g
     # meets two operands at one length in each Newton step and in the
     # Karp-Markstein step, so 26 operand transforms are 20.  A second grid
-    # with the same inputs shares the first one's kernel spectrum: 19.
+    # with the same inputs shares the first one's kernel spectrum: 19 at a
+    # new rate.  Another solve at that rate reuses the stored inverse and
+    # its transform, so only the Karp-Markstein step's three products remain.
     from numpy import fft
 
     n = 32768
@@ -362,8 +365,24 @@ def test_volterra_division_transforms_g_once_per_product_pair(monkeypatch, empty
     solve_volterra(2.0, lambda t: 1.0, 1.3, QuadratureGrid(2.0, n, 0.5))
     assert counts == {"rfft": 20, "irfft": 13}
     counts.update(rfft=0, irfft=0)
-    solve_volterra(2.0, lambda t: 1.0, 1.3, QuadratureGrid(2.0, n, 0.5))
+    solve_volterra(2.0, lambda t: 1.0, 0.9, QuadratureGrid(2.0, n, 0.5))
     assert counts == {"rfft": 19, "irfft": 13}
+    counts.update(rfft=0, irfft=0)
+    solve_volterra(2.0, lambda t: 1.0, 0.9, QuadratureGrid(2.0, n, 0.5))
+    assert counts == {"rfft": 3, "irfft": 3}
+
+
+def test_volterra_calls_the_source_once_per_node_in_order_with_python_floats():
+    grid = QuadratureGrid(2.0, 300, 0.5)
+    seen = []
+
+    def source(t):
+        seen.append(t)
+        return 1.0 + t
+
+    solve_volterra(1.5, source, 1.3, grid)
+    assert all(type(t) is float for t in seen)
+    assert seen == grid.times.tolist()
 
 
 def test_volterra_refuses_a_solution_that_leaves_the_double_range():

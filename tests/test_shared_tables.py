@@ -91,6 +91,45 @@ def test_equal_grids_share_read_only_weights():
     assert QuadratureGrid(1.0, 64, 0.75)._kernel is not grid._kernel
 
 
+def _oracle_bits(rate, grid):
+    return fracoracle.solve_volterra(1.5, lambda t: 1.0 + t, rate, grid).values.tobytes()
+
+
+def test_the_stored_inverse_gives_the_cold_bits(empty_registries):
+    # a weights set keeps the last rate's inverse: a solve at that rate reuses
+    # it, and any other rate replaces it; every answer is a cold solve's
+    args, rates = (2.0, 4096, 0.5), (1.3, 0.7)
+    cold = {}
+    for rate in rates:
+        empty_registries()
+        cold[rate] = _oracle_bits(rate, QuadratureGrid(*args))
+    empty_registries()
+    grid = QuadratureGrid(*args)
+    assert grid._inverse.last is None
+    for rate in (1.3, 0.7, 1.3):
+        assert _oracle_bits(rate, grid) == cold[rate]
+        assert grid._inverse.last[0] == rate ** 0.5
+    stored = grid._inverse.last
+    assert not stored[2].coeffs.flags.writeable and stored[2].coeffs[0] == 0.0
+    again = QuadratureGrid(*args)  # the same weights, so the same store
+    assert again._inverse is grid._inverse
+    assert _oracle_bits(1.3, again) == cold[1.3]
+    assert grid._inverse.last is stored
+    assert _oracle_bits(0.7, again) == cold[0.7]
+    assert QuadratureGrid(2.0, 4096, 0.75)._inverse is not grid._inverse
+
+
+def test_a_refused_rate_leaves_the_stored_inverse(empty_registries):
+    # at rate 12 the diagonal 1 + 12**220 B_1 overflows on this grid
+    grid = QuadratureGrid(200.0, 1, 220.0)
+    cold = _oracle_bits(0.5, grid)
+    stored = grid._inverse.last
+    with pytest.raises(fracoracle.InstabilityError):
+        _oracle_bits(12.0, grid)
+    assert grid._inverse.last is stored
+    assert _oracle_bits(0.5, grid) == cold
+
+
 def test_registries_hold_at_most_their_bound():
     registries = ((specfun._kbessel_table, specfun._KBESSEL_STATES),
                   (kinetics._shared_table, kinetics._PROBLEM_TABLES),

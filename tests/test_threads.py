@@ -4,7 +4,9 @@ Equal ``KBesselParams`` and ``KineticProblem`` instances share one t-free
 table per value, so threads grow and read the same tables.  The first two
 tests park one thread inside a table's growth and run a second thread on
 an equal instance meanwhile; the last two interleave four threads at a
-short switch interval, on points and on grids.
+short switch interval, on points and on grids.  The last has four threads
+solve the Volterra oracle at two rates on one grid, whose weights keep one
+rate's inverse.
 """
 
 import sys
@@ -14,7 +16,8 @@ import time
 import numpy as np
 import pytest
 
-from kkinetics import KineticProblem, Theorem, gen_k_bessel, solve_grid, solve_point, specfun
+from kkinetics import (KineticProblem, QuadratureGrid, Theorem, gen_k_bessel, solve_grid,
+                       solve_point, solve_volterra, specfun)
 from kkinetics.figures import figure_params
 from kkinetics.specfun import k_bessel_log_error
 
@@ -173,3 +176,42 @@ def test_threads_solving_equal_grids_agree_with_one_thread(empty_registries, fas
         trials += 1
         wrong += [(end, got) for part in answers for end, got in part if got != want[end]]
     assert trials >= 1 and not wrong, (trials, wrong[:5])
+
+
+def _oracle_answer(rate, grid):
+    return solve_volterra(1.5, lambda t: 1.0 + t, rate, grid).values.tobytes()
+
+
+def test_threads_solving_two_rates_on_one_grid_agree_with_one_thread(empty_registries,
+                                                                     fast_switching):
+    # the grid's weights keep the last rate's inverse; four threads, two on
+    # each rate, replace and read it in turn for many rounds, and every solve
+    # must give the cold bits; the rounds stop after 2 s
+    rates = (1.3, 0.7)
+    want = {}
+    for rate in rates:
+        empty_registries()
+        want[rate] = _oracle_answer(rate, QuadratureGrid(2.0, 4096, 0.5))
+    empty_registries()
+    grid = QuadratureGrid(2.0, 4096, 0.5)
+    deadline, rounds, wrong = time.monotonic() + 2.0, {}, []
+    start = threading.Barrier(4)
+
+    def run(i, rate):
+        start.wait(5.0)
+        done = 0
+        while done < 100 and time.monotonic() < deadline:
+            got = _answer(lambda: (_oracle_answer(rate, grid),))
+            if got != (want[rate],):
+                wrong.append((rate, got))
+            done += 1
+        rounds[i] = done
+
+    threads = [threading.Thread(target=run, args=(i, rates[i % 2]), daemon=True)
+               for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10.0)
+        assert not thread.is_alive()
+    assert len(rounds) == 4 and min(rounds.values()) >= 1 and not wrong, (rounds, wrong[:2])
