@@ -142,13 +142,9 @@ def _reciprocal(col: np.ndarray, n: int) -> np.ndarray:
         stop = min(2 * m, n)
         # col[0] reaches only entries below m; leaving it out keeps the FFT
         # roundoff at the scale of col[1:]
-        if m <= _DIRECT_CONVOLVE_MAX:  # both products direct, as _convolve would run them
-            defect = np.convolve(col[1:stop], g[:m])[m - 1:stop - 1]
-            step = np.convolve(g[:m], defect)[:stop - m]
-        else:
-            shared = _Spectra(g[:m])
-            defect = _convolve(col[1:stop], shared, m - 1, stop - 1)
-            step = _convolve(shared, defect, 0, stop - m)
+        shared = _Spectra(g[:m])
+        defect = _convolve(col[1:stop], shared, m - 1, stop - 1)
+        step = _convolve(shared, defect, 0, stop - m)
         np.negative(step, out=g[m:stop])
         m = stop
     return g

@@ -102,12 +102,12 @@ of |terms| (to rounding), and on z in (0, 60] at the figure parameters
 the batch answers no point that gen_k_bessel refuses.  Each batch reads
 one array.  The solution's reads the times: it forms s = t**nu and s**mu
 (or t**2, t**nu and t**mu) bit for bit as the scalar call forms them
-(libm's pow) and sums every t > 0, also where z(t) underflows to 0;
-t = 0 gives 0.0 after one term.  It forms z(t) and x(t) only at the last
-time, where they are largest, so that the batch raises if any time's
-are refused.  The source's batch reads z(t), formed bit for bit as the
+(libm's pow) and sums every t > 0; t = 0 gives 0.0 after one term.  It
+forms neither z(t) nor (rate t)**nu: the table alone answers or refuses
+each time.  The source's batch reads z(t), formed bit for bit as the
 scalar z forms it, takes (z/2)**mu from libm's pow too and sums every
-z(t) > 0; z = 0 gives 0.0 after one term.  The
+z(t) > 0; z = 0 gives 0.0 after one term, at t = 0 or where omega
+rounds to 0 with it (:meth:`KineticProblem.source`).  The
 Horner batch runs each step over whole rows, in the grid's order, for
 at most ``series._FULL_WIDTH_MAX`` (512) times, and on the times sorted
 by length past that, in chunks of at most ``series._CHUNK_MAX`` (4096)
@@ -144,9 +144,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .series import (
-    CANCELLATION_RATIO_LIMIT,
     DBL_MAX,
     DBL_MIN,
+    DBL_TRUE_MIN,
     DEFAULT_CONTROL,
     EPS,
     LOG_DBL_MAX,
@@ -165,6 +165,7 @@ from .series import (
     horner_sum,
     horner_sum_batch,
     sum_log_terms,
+    within_cancellation_limit,
 )
 from .specfun import (
     GAMMA_ULPS,
@@ -208,8 +209,8 @@ class KineticProblem:
         N(t) = n0 * sum_n coeff_n * (z/2)**(mu+2n) * Gamma(beta_n) E_{nu,beta_n}(x),
 
     with coeff_n from :func:`specfun.k_bessel_log_coefficient`, z = t or
-    d**nu t**nu (:meth:`z`), x = -rate**nu t**nu (:meth:`ml_arg`) and
-    beta_n = mu+2n+1 (variant 1) or nu(mu+2n)+1.
+    d**nu t**nu (:meth:`z`), x = -rate**nu t**nu and beta_n = mu+2n+1
+    (variant 1) or nu(mu+2n)+1.
 
     Its t-free coefficients are tabulated the first time a solver needs
     them, in one table shared by every problem of equal values (n0 aside),
@@ -217,7 +218,8 @@ class KineticProblem:
     (variants 2 and 3 at any nu, variant 1 at nu = 1) the double series is
     one power series in s = t**nu, N(t) = n0 * sum_j a_j s**(mu+j)
     (:class:`_PowerTable`); elsewhere the table is two-dimensional
-    (:class:`_BivariateTable`).
+    (:class:`_BivariateTable`).  The solvers read t alone: z and x are
+    folded into the table, and only the source forms z.
     """
 
     n0: float
@@ -252,8 +254,33 @@ class KineticProblem:
                 object.__setattr__(self, name, float(v))
 
     def source(self, t: float, ctl: SeriesControl | None = None) -> float:
-        """Source value N0-free: omega(t) or omega(d**nu * t**nu)."""
-        return gen_k_bessel(self.params, self.z(t), ctl).value
+        """Source value N0-free: omega(t) or omega(d**nu * t**nu), at the
+        argument :meth:`_source_z` gives or refuses."""
+        return gen_k_bessel(self.params, self._source_z(t), ctl).value
+
+    def _source_z(self, t: float) -> float:
+        """:meth:`z`, refused with :class:`series.OverflowLogError` where it
+        underflows to 0 at t > 0 but omega(z) would not round to 0.
+
+        Term 0 of omega is c_0 (z/2)**mu.  Its log is formed here from
+        log(z/2) = nu (log d + log t) - log 2 by the coefficient reader
+        (:meth:`specfun._KBesselTable.scaled`), with its error bound.  Each
+        later term is smaller by a factor below (z/2)**2 |c_{n+1} / c_n|,
+        and (z/2)**2 is below 2**-2148 where z underflows.  So z = 0 stands
+        only where term 0, raised by its error bound, is below half of
+        :data:`series.DBL_TRUE_MIN`, which rounds to 0.
+        """
+        z = self.z(t)
+        if z == 0.0 and t > 0.0:
+            log_d, log_t = math.log(self.d), math.log(t)
+            # log q = log(z/2) and its error in EPS: an ulp for each log and for
+            # log 2, and halves for the sum, the product and the difference
+            _, log_lead, log_err = self.params._table.scaled(
+                0, self.nu * (log_d + log_t) - _LN2, 2.5 * self.nu * (abs(log_d) + abs(log_t)) + 1.5)
+            if not log_lead + EPS * log_err < _LOG_HALF_TRUE_MIN:
+                raise OverflowLogError(f"source argument at t = {t}: ({self.d} t)**{self.nu} "
+                                       "underflows to 0 where omega does not", log_lead)
+        return z
 
     # These run once per time point or outer term, so they compare the variant
     # with plain ints: on CPython 3.11 looking up Theorem.T1 alone takes ~0.15 us.
@@ -270,10 +297,6 @@ class KineticProblem:
         if not t >= 0.0:
             raise DomainError(f"t must be >= 0, got {t}")
         return t
-
-    def ml_arg(self, t: float) -> float:
-        """Mittag-Leffler argument at time t >= 0: -rate**nu t**nu."""
-        return -_scaled_power("Mittag-Leffler argument", self.rate, t, self.nu)
 
     def _power_table(self) -> "_PowerTable | _BivariateTable":
         """The coefficient table: one-dimensional where the exponents align.
@@ -328,6 +351,7 @@ def _shared_table(params: KBesselParams, nu: float, rate: float,
 
 
 _LN2 = math.log(2.0)
+_LOG_HALF_TRUE_MIN = math.log(DBL_TRUE_MIN) - _LN2  # below half of DBL_TRUE_MIN a value rounds to 0
 _UNIT_GAMMA = 2.0 ** 512  # the largest gamma _PowerTable keeps in units of 1
 _PRODUCT_ARG_MAX = 4096.0  # Gamma(x) as a product of at most 3926 factors below this
 _PRODUCT_CHUNK = 64  # factors below 2**12 per partial product, which stays below 2**768
@@ -728,9 +752,9 @@ class _BivariateTable:
             value, abs_value = pre * total, pre * abs_total
             tail = pre * (EPS * err_total + floor
                           + (2.0 * ctl.rel_tol + EPS * (2.0 * cols + 1.5 * rows)) * abs_total)
-            cancelled = abs_value > CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
+            kept = within_cancellation_limit(abs_value, value)
             codes = np.where(~((abs_value <= DBL_MAX) & (tail <= DBL_MAX)), _RANGE,
-                             np.where(cancelled & (codes == 0), _CANCELLED, codes))
+                             np.where(~kept & (codes == 0), _CANCELLED, codes))
         return value, abs_value, tail, rows, codes
 
     def _horner(self, u: np.ndarray, v: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -865,59 +889,38 @@ def _frozen_float_array(column) -> bool:
 def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """Series solution of ``prob`` at one time t >= 0.
 
-    One sum over the problem's coefficient table (see
-    :class:`KineticProblem`), by the table's own :meth:`_PowerTable.point`
-    or :meth:`_BivariateTable.point`.  z(t) is formed first, so a time
-    it refuses is refused.  t = 0 gives 0.0 after one term; so does a
-    time whose z(t) underflows to 0 where the table refuses it, unless
-    r = rate**nu underflows: that table holds no coefficient, so its
-    refusal says nothing of the size of N (n0 = 2, d = 1e-200, nu = 2
-    gives about 1.6e-100 at t = 1), and the time is refused.  Else a
-    time that needs a coefficient outside the normal doubles is refused
-    with :class:`series.OverflowLogError`, and every route is refused
-    with :class:`series.CancellationError` when the sum of all |terms|
-    of the double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT`
-    times the value.
+    t = 0 gives 0.0 after one term.  Any other t is one sum over the
+    problem's coefficient table (see :class:`KineticProblem`), by the
+    table's own :meth:`_PowerTable.point` or :meth:`_BivariateTable.point`,
+    which answers or refuses it alone: a time that needs a coefficient,
+    a power of t or a sum outside the normal doubles is refused with
+    :class:`series.OverflowLogError`, and every route is refused with
+    :class:`series.CancellationError` when the sum of all |terms| of the
+    double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
+    the value.  Neither z(t) nor (rate t)**nu is formed: a time where
+    they leave the doubles is summed, or refused, like any other.
     """
-    z = prob.z(t)
+    if not t >= 0.0:
+        raise DomainError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return SeriesResult(0.0, 1, 0.0)
-    try:
-        prob.ml_arg(t)  # refuses a (rate t)**nu past the double range
-        return prob._power_table().point(t, prob.n0, ctl or DEFAULT_CONTROL)
-    except EvaluationError:
-        # a table whose r = rate**nu underflows holds no coefficient: its refusal tells nothing of N
-        if z != 0.0 or _pow(prob.rate, prob.nu) < DBL_MIN:
-            raise
-        return SeriesResult(0.0, 1, 0.0)  # z(t) underflows and the table refuses t: 0, as before
-
-
-def _power_batch(prob: KineticProblem, ctl: SeriesControl, times: np.ndarray) -> SeriesBatch:
-    """:func:`solve_point` at every time > 0 of an increasing grid, bit for bit."""
-    last = float(times[-1])  # z and |x| grow with t: the last time is refused if any time is
-    prob.z(last)
-    prob.ml_arg(last)
-    # t * t and n0 s**mu may overflow: an inf is not a normal double, and its point fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        return prob._power_table().batch(times, prob.n0, ctl)
+    return prob._power_table().point(t, prob.n0, ctl or DEFAULT_CONTROL)
 
 
 def _source_batch(prob: KineticProblem, ctl: SeriesControl, zs: np.ndarray) -> SeriesBatch:
     """omega(z) at every z = ``zs`` by Horner on the t-free table of ``prob.params``."""
     half = zs / 2.0
-    with np.errstate(over="ignore"):  # an inf x is not a normal double, and its point fails
-        return horner_sum_batch(prob.params._table, half * half,
-                                _pow_batch(half, prob.params.mu), ctl)
+    return horner_sum_batch(prob.params._table, half * half, _pow_batch(half, prob.params.mu), ctl)
 
 
 def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
-    """:meth:`KineticProblem.z` at every time, bit for bit; raises what it raises.
+    """:meth:`KineticProblem._source_z` at every time, bit for bit; raises what it raises.
 
     Variants 2 and 3 multiply d**nu by libm's t**nu, as the scalar z does
     (numpy's power differs from libm's pow in the last bit on a few percent
     of inputs).  Where that product or t is not a normal double (t = 0,
     t < 0, nan, or where :func:`_scaled_power` takes its log route), the
-    scalar z decides, so its exact z = 0 and its refusals hold.
+    scalar call decides, so its z = 0 and its refusals hold.
     """
     zs = times
     if prob.variant != 1 and (times >= 0.0).all():
@@ -930,7 +933,7 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
     if odd.size:
         zs = zs.copy()
         for i in odd.tolist():
-            zs[i] = prob.z(float(times[i]))
+            zs[i] = prob._source_z(float(times[i]))
     return zs
 
 
@@ -944,8 +947,10 @@ def _evaluate_grid(
 
     ``arguments(times)`` gives what ``batch`` reads at each time: the time
     itself, or its z(t).  ``batch`` gets those that are not 0, as an
-    array; a zero gives 0.0 after one term.  ``scalar(t)`` evaluates one
-    time.
+    array, and runs with numpy's overflow and invalid warnings off: a
+    power, a square or a prefactor past the doubles is an inf, which is
+    not a normal double, and its point fails.  A zero gives 0.0 after one
+    term.  ``scalar(t)`` evaluates one time.
     """
     n = times.size
     values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
@@ -956,7 +961,8 @@ def _evaluate_grid(
         # on an increasing grid only the first argument (t = 0) can be 0: a slice, not a mask
         live = slice(zeros, None) if zeros == 0 or (zeros == 1 and args[0] == 0.0) else args != 0.0
         if zeros < n:
-            values[live], terms[live], tails[live], failed[live] = batch(args[live])
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[live], terms[live], tails[live], failed[live] = batch(args[live])
     except (OverflowError, EvaluationError):  # a refused argument, or a value past the double range
         failed[:] = True
     for i in failed.nonzero()[0].tolist():
@@ -989,7 +995,8 @@ def solve_grid(
             raise DomainError(f"grid times must be >= 0, got {float(times[negative[0]])}")
         raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
-    values, terms, tails = _evaluate_grid(times, lambda ts: ts, partial(_power_batch, prob, ctl),
+    values, terms, tails = _evaluate_grid(times, lambda ts: ts,
+                                          lambda ts: prob._power_table().batch(ts, prob.n0, ctl),
                                           lambda t: solve_point(prob, t, ctl))
     return SolutionTable._checked(times=_read_only(times), values=_read_only(values),
                                  terms=tuple(terms.tolist()), tails=_read_only(tails), problem=prob)
@@ -1008,7 +1015,7 @@ def source_grid(
     ctl = ctl or DEFAULT_CONTROL
     values, _, _ = _evaluate_grid(times, partial(_source_arguments, prob),
                                   partial(_source_batch, prob, ctl),
-                                  lambda t: gen_k_bessel(prob.params, prob.z(t), ctl))
+                                  lambda t: gen_k_bessel(prob.params, prob._source_z(t), ctl))
     return values
 
 

@@ -215,6 +215,12 @@ def check_cancellation(size: float, value: float, label: str) -> None:
         )
 
 
+def within_cancellation_limit(size: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """:func:`check_cancellation`'s test at every element: True where it passes
+    (call with overflow warnings off).  A nan in either array fails."""
+    return size <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
+
+
 def _geometric_tail(mag: float, prev_mag: float) -> float:
     """The truncation estimate from the last two |terms| (see :func:`sum_log_terms`)."""
     if 0.0 < mag < prev_mag:
@@ -473,7 +479,7 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
         value, abs_value = pre * v, pre * total
         tail = pre * (_geometric_tail_batch(mag, prev_mag) + EPS * e)
         ok &= (abs_value >= DBL_MIN) & (np.maximum(abs_value, tail) <= DBL_MAX)
-        ok &= abs_value <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
+        ok &= within_cancellation_limit(abs_value, value)
     return SeriesBatch(value, length, tail, ~ok)
 
 

@@ -697,3 +697,17 @@ def test_no_command_exits_two():
 
 def test_help_exits_zero():
     assert cli.main(["--help"]) == 0
+
+
+def test_readme_job_config_solves_and_verifies(tmp_path, capsys):
+    # the documented schema must load as cli.load_config reads it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```json\n")[1:]
+    assert len(blocks) == 1
+    config = tmp_path / "job.json"
+    config.write_text(blocks[0].split("```")[0])
+    assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    assert (tmp_path / "out.csv").read_text().count("\n") == json.loads(config.read_text())["n_points"] + 1
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verification: PASS"

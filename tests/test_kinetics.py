@@ -148,10 +148,22 @@ def test_power_table_ends_where_its_gamma_bound_reaches_one(nu, length):
 @pytest.mark.parametrize("t", [0.0, 0.1])
 def test_large_order_in_range_source_argument_is_evaluated(t):
     # 3**700 alone overflows, but (3 t)**700 is 0 at t = 0 and underflows to 0
-    # at t = 0.1; both points used to be refused
+    # at t = 0.1, where omega = c_0 z/2 (about 1e-366) rounds to 0 too; both
+    # points used to be refused
     prob = KineticProblem(n0=1.0, d=3.0, nu=700.0, variant=Theorem.T2, params=FIG_PARAMS)
-    assert solve_point(prob, t).value == 0.0
-    assert solve_grid(prob, [t]).values == (0.0,)
+    assert prob.source(t) == 0.0
+    assert source_grid(prob, [t]) == (0.0,)
+    if t == 0.0:
+        assert solve_point(prob, t).value == 0.0
+        assert solve_grid(prob, [t]).values == (0.0,)
+        return
+    # r = 3**700 leaves the doubles, so the solution's table holds no
+    # coefficient and refuses t = 0.1; it used to answer 0 with tail 0
+    with pytest.raises(OverflowLogError) as point:
+        solve_point(prob, t)
+    with pytest.raises(OverflowLogError) as grid:
+        solve_grid(prob, [0.0, t])
+    assert str(grid.value) == str(point.value)
 
 
 def test_underflowing_source_argument_is_summed_by_the_table():
@@ -188,6 +200,92 @@ def test_rate_power_that_underflows_is_refused_not_answered_zero():
         assert type(grid.value) is type(point.value) and str(grid.value) == str(point.value)
 
 
+def _refusal(call):
+    with pytest.raises(EvaluationError) as refused:
+        call()
+    return type(refused.value), str(refused.value)
+
+
+@pytest.mark.parametrize("variant, d, a, nu, mu, t, lead", [
+    (Theorem.T2, 0.01, None, 40.0, 0.5, 1e-8, 1.3e-200),
+    (Theorem.T3, 0.5, 1.0, 300.0, 0.1, 0.01, 1.7e-69),
+    (Theorem.T2, 3.0, None, 700.0, 0.25, 0.1, 5.1e-92),
+])
+def test_a_time_the_table_refuses_is_refused_not_answered_zero(variant, d, a, nu, mu, t, lead):
+    # z(t) = (d t)**nu underflows to 0 and the table refuses t: each point
+    # used to answer 0 with tail 0, where the leading term n0 c_0 (z/2)**mu
+    # alone is a normal double
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=mu, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=d, nu=nu, variant=variant, params=params, a=a)
+    assert prob.z(t) == 0.0
+    _, log_c0 = specfun.k_bessel_log_coefficient(params, 0)
+    log_half_z = nu * (math.log(d) + math.log(t)) - math.log(2.0)
+    assert math.exp(math.log(prob.n0) + log_c0 + mu * log_half_z) == pytest.approx(lead, rel=0.05)
+    refused = _refusal(lambda: solve_point(prob, t))
+    assert refused[0] is OverflowLogError
+    assert refused == _refusal(lambda: solve_grid(prob, [0.0, t]))
+
+
+def test_seeded_slice_answers_no_zero_at_a_positive_time():
+    # variants 2 and 3 at large nu, where z(t) underflows over much of the
+    # range: every answer at t > 0 comes from the table, and a grid answers
+    # or refuses as its point call does
+    rng = np.random.default_rng(33)
+    answered = 0
+    for _ in range(300):
+        variant = int(rng.integers(2, 4))
+        nu = float(rng.uniform(20.0, 700.0))
+        d, a = (float(x) for x in 10.0 ** rng.uniform(-2.0, 1.0, 2))
+        mu = float(rng.choice([0.1, 0.25, 0.5, 1.0, 2.0]))
+        t = float(10.0 ** rng.uniform(-10.0, 0.0))
+        prob = KineticProblem(n0=2.0, d=d, nu=nu, variant=variant, a=a,
+                              params=KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=mu, b=3.0, c=2.0))
+        try:
+            res = solve_point(prob, t)
+        except EvaluationError as exc:
+            assert _refusal(lambda: solve_grid(prob, [0.0, t])) == (type(exc), str(exc))
+            continue
+        answered += 1
+        assert not (res.value == 0.0 and res.tail == 0.0)
+        grid = solve_grid(prob, [0.0, t])
+        assert (grid.values[1], grid.terms[1], grid.tails[1]) == res
+    assert answered > 0
+
+
+def test_solvers_form_no_source_or_rate_argument(monkeypatch):
+    # the table alone answers or refuses each time: no solver forms z(t) or (rate t)**nu
+    calls = []
+    z = KineticProblem.z
+    monkeypatch.setattr(KineticProblem, "z", lambda prob, t: calls.append(t) or z(prob, t))
+    assert not hasattr(KineticProblem, "ml_arg")
+    for spec in FIGURES.values():
+        for lam in LAMBDAS:
+            prob = figure_problem(spec, lam)
+            solve_grid(prob, figure_grid(spec))
+            for t in figure_grid(spec)[::25].tolist():
+                solve_point(prob, t)
+    assert calls == []
+    prob = fig_problem(Theorem.T2)
+    prob.source(0.5)
+    assert calls == [0.5]
+
+
+def test_source_refuses_an_argument_that_underflows_where_omega_does_not():
+    # z = (0.01 t)**40 underflows to 0 at t = 1e-8, where omega is about
+    # 6.6e-201; at t = 1e-6, z = 1e-320 is subnormal and omega is summed
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.5, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=0.01, nu=40.0, variant=Theorem.T2, params=params)
+    assert prob.source(1e-6) == pytest.approx(6.560002457378334e-161, rel=1e-13)
+    assert prob.z(1e-8) == 0.0
+    refused = _refusal(lambda: prob.source(1e-8))
+    assert refused[0] is OverflowLogError and "underflows to 0" in refused[1]
+    assert _refusal(lambda: source_grid(prob, [0.0, 1e-6, 1e-8, 1.0])) == refused
+    # at t = 1e-16, z = 1e-720 and c_0 (z/2)**mu is about 1e-361: omega
+    # rounds to 0, and so 0 stands; at t = 1e-12 it is about 1e-281
+    assert prob.source(1e-16) == 0.0
+    assert _refusal(lambda: prob.source(1e-12))[0] is OverflowLogError
+
+
 def test_solution_grid_forms_no_source_argument(monkeypatch):
     calls = []
     source_arguments = kinetics._source_arguments
@@ -205,12 +303,9 @@ def test_power_arguments_are_finite_or_refused():
     # d * t past the double range: a finite (d t)**nu is returned, never inf
     prob = KineticProblem(n0=1.0, d=1e300, nu=0.5, variant=Theorem.T2, params=FIG_PARAMS)
     assert prob.z(1e300) == pytest.approx(1e300, rel=1e-14)
-    assert prob.ml_arg(1e300) == pytest.approx(-1e300, rel=1e-14)
     prob = KineticProblem(n0=1.0, d=1e300, nu=1.0, variant=Theorem.T2, params=FIG_PARAMS)
     with pytest.raises(OverflowLogError):
         prob.z(1e300)
-    with pytest.raises(OverflowLogError):
-        prob.ml_arg(1e300)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0])
@@ -220,7 +315,7 @@ def test_negative_time_is_a_domain_error(variant, nu):
     # a nan time passed `t < 0` and ran the whole term budget on nan terms
     prob = KineticProblem(n0=2.0, d=3.0, nu=nu, variant=variant, params=FIG_PARAMS, a=1.0)
     for t, shown in ((-0.5, r"-0\.5"), (math.nan, "nan")):
-        for evaluate in (prob.z, prob.ml_arg, prob.source, lambda t: solve_point(prob, t),
+        for evaluate in (prob.z, prob.source, lambda t: solve_point(prob, t),
                          lambda t: source_grid(prob, [0.0, t])):
             with pytest.raises(DomainError, match=rf"^t must be >= 0, got {shown}$"):
                 evaluate(t)
@@ -631,10 +726,11 @@ def _earliest_point_failure(prob, grid, ctl):
         (Theorem.T2, 1.0, [0.0, 1.0, 2.0, 3.0, 4.0], None, CancellationError,
          "solve_point: cancellation ratio"),
         # r = 3**700 leaves the doubles, so the table holds no coefficient
-        # (z = 0 at t = 0.1); the batch used to warn dividing by a zero
-        # magnitude before the refusal
+        # and refuses t = 0.1, where z underflows to 0 (it used to answer 0
+        # there); the batch used to warn dividing by a zero magnitude before
+        # the refusal
         (Theorem.T2, 700.0, [0.0, 0.1, 0.5], None, OverflowLogError,
-         "solve_point: at t = 0.5 the power series needs a coefficient outside the normal doubles"),
+         "solve_point: at t = 0.1 the power series needs a coefficient outside the normal doubles"),
         (Theorem.T1, 1.0, np.linspace(0.0, 3.0, 600), SeriesControl(max_terms=35),
          NonConvergenceError, "solve_point: no stagnation"),
         (Theorem.T1, 1.0, np.linspace(0.0, 15.0, 61), None, CancellationError,

@@ -92,3 +92,19 @@ def test_batch_geometric_tail_is_the_scalar_one_at_every_finite_mag():
         got = series._geometric_tail_batch(mag, prev)
     want = [series._geometric_tail(m, p) for m, p in zip(mag.tolist(), prev.tolist())]
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_array_cancellation_test_passes_where_the_scalar_check_does():
+    limit, tiny = series.CANCELLATION_RATIO_LIMIT, series.DBL_MIN
+    sizes = [1.0, limit, limit * 1.0000001, limit * tiny, limit * tiny * 2.0, math.nan, 1.0]
+    values = [1.0, -1.0, 1.0, 0.0, 0.0, 1.0, math.nan]
+    with np.errstate(invalid="ignore"):
+        kept = series.within_cancellation_limit(np.array(sizes), np.array(values))
+    for size, value, passes in zip(sizes, values, kept.tolist()):
+        try:
+            series.check_cancellation(size, value, "test")
+            scalar = not math.isnan(size + value)  # a nan compares False: the array fails it
+        except series.CancellationError:
+            scalar = False
+        assert passes is scalar
+    assert kept.tolist() == [True, True, False, True, False, False, False]
