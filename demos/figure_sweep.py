@@ -15,21 +15,22 @@ import numpy as np
 
 from kkinetics import solve_grid
 from kkinetics.cli import _write_figure, _default_control
-from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
+from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_params, figure_problem
 
 out_dir = Path("figure_output")
 control = _default_control()
+params = {lam: figure_params(lam) for lam in LAMBDAS}
 
 for fig_id, spec in FIGURES.items():
     grid = figure_grid(spec)
     first_crossing = None
     for lam in LAMBDAS:
-        table = solve_grid(figure_problem(spec, lam), grid, control)
+        table = solve_grid(figure_problem(spec, lam, params[lam]), grid, control)
         values = np.asarray(table.values)
         bad = np.where((grid > 0) & (values <= 0.0))[0]
         if len(bad) and (first_crossing is None or grid[bad[0]] < first_crossing[0]):
             first_crossing = (float(grid[bad[0]]), lam)
-    csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control)
+    csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control, params)
     status = ("all positive" if first_crossing is None
               else f"crosses zero at t ~ {first_crossing[0]:.3f} (lambda {first_crossing[1]:g})")
     print(f"figure {fig_id} (variant {int(spec.variant)}, t_end {spec.t_end:g}): "

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fracoracle
-from .figures import FIGURES, GRID_POINTS, LAMBDAS, figure_grid, figure_problem
+from .figures import (FIGURES, GRID_POINTS, LAMBDAS, figure_grid, figure_params,
+                      figure_problem)
 from .kinetics import KineticProblem, Theorem, solve_grid, source_grid
 from .series import EvaluationError, SeriesControl, SeriesResult
 from .specfun import (
@@ -187,12 +188,19 @@ def _atomic_write(*outputs: tuple[Path, str]) -> None:
     tmps = []
     path = None
     try:
+        made = set()  # each directory is made once
         for path, text in outputs:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.parent not in made:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                made.add(path.parent)
             fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
             tmps.append(tmp)
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+            try:
+                data = memoryview(text.encode("utf-8"))
+                while data:  # os.write may write less than it was given
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         # os.replace refuses a directory: find one before any path is replaced
         for path, _ in outputs:
             if path.is_dir():
@@ -283,7 +291,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         svg = render_line_chart(
             f"variant {int(job.problem.variant)} solution",
             "t", "N(t)",
-            [("N(t)", table.times.tolist(), table.values.tolist())],
+            [("N(t)", table.times, table.values)],
         )
         outputs.append((Path(args.svg), svg))
     _atomic_write(*outputs)
@@ -331,15 +339,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- figures
 
 
-def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl
-                  ) -> tuple[Path, Path, list[str]]:
-    """Write one figure's CSV and SVG."""
+def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl,
+                  params: dict[float, KBesselParams]) -> tuple[Path, Path, list[str]]:
+    """Write one figure's CSV and SVG; ``params`` holds :func:`figures.figure_params`
+    of each lambda."""
     spec = FIGURES[fig_id]
     grid = figure_grid(spec)
     columns = []
     violations: list[str] = []
     for lam in LAMBDAS:
-        table = solve_grid(figure_problem(spec, lam), grid, control)
+        table = solve_grid(figure_problem(spec, lam, params[lam]), grid, control)
         # the first t > 0 whose N is not positive (nan included)
         bad = np.flatnonzero((table.times > 0.0) & ~(table.values > 0.0))
         if bad.size:
@@ -350,11 +359,10 @@ def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl
         columns.append(table.values)
     header = "t," + ",".join(f"N_lambda_{lam:.2f}" for lam in LAMBDAS)
     csv_path = out_dir / f"fig{fig_id}.csv"
-    ts = grid.tolist()
     svg = render_line_chart(
         f"figure {fig_id} (variant {int(spec.variant)}, t in [0, {spec.t_end:g}])",
         "t", "N(t)",
-        [(f"lambda = {lam:.2f}", ts, col) for lam, col in zip(LAMBDAS, np.array(columns).tolist())],
+        [(f"lambda = {lam:.2f}", grid, col) for lam, col in zip(LAMBDAS, columns)],
     )
     svg_path = out_dir / f"fig{fig_id}.svg"
     _atomic_write((csv_path, _csv(header, grid, *columns)), (svg_path, svg))
@@ -372,9 +380,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
         raise ConfigError("one of --fig or --all is required")
     out_dir = Path(args.out_dir)
     control = _default_control()
+    params = {lam: figure_params(lam) for lam in LAMBDAS}
     all_violations: list[str] = []
     for fig_id in fig_ids:
-        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control)
+        csv_path, svg_path, violations = _write_figure(fig_id, out_dir, control, params)
         print(f"wrote {csv_path} and {svg_path} ({GRID_POINTS} rows per column)")
         all_violations.extend(violations)
     if all_violations:

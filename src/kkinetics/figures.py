@@ -41,11 +41,13 @@ def figure_params(lam: float) -> KBesselParams:
     return KBesselParams(k=2.0, gamma=1.0, lam=lam, mu=1.0, b=3.0, c=2.0)
 
 
-def figure_problem(spec: FigureSpec, lam: float) -> KineticProblem:
-    """The sweep's problem at ``lam``."""
-    return KineticProblem(
-        n0=2.0, d=3.0, nu=1.0, variant=spec.variant, params=figure_params(lam), a=spec.a,
-    )
+def figure_problem(spec: FigureSpec, lam: float, params: KBesselParams | None = None
+                   ) -> KineticProblem:
+    """The sweep's problem at ``lam``; ``params``, if given, is the caller's
+    :func:`figure_params` of ``lam``, built once for every figure."""
+    if params is None:
+        params = figure_params(lam)
+    return KineticProblem(n0=2.0, d=3.0, nu=1.0, variant=spec.variant, params=params, a=spec.a)
 
 
 def figure_grid(spec: FigureSpec) -> np.ndarray:

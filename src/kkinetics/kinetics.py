@@ -109,7 +109,7 @@ scalar z forms it, takes (z/2)**mu from libm's pow too and sums every
 z(t) > 0; z = 0 gives 0.0 after one term, at t = 0 or where omega
 rounds to 0 with it (:meth:`KineticProblem.source`).  The
 Horner batch runs each step over whole rows, in the grid's order, for
-at most ``series._FULL_WIDTH_MAX`` (512) times, and on the times sorted
+at most ``series._FULL_WIDTH_MAX`` (352) times, and on the times sorted
 by length past that, in chunks of at most ``series._CHUNK_MAX`` (4096)
 times: all run the scalar's operations, so a time's
 value, terms and tail do not depend on the grid's size or order.  It marks
@@ -871,7 +871,7 @@ class SolutionTable:
 
 
 def _read_only(column: np.ndarray) -> np.ndarray:
-    column.flags.writeable = False
+    column.setflags(write=False)
     return column
 
 
@@ -951,10 +951,14 @@ def _evaluate_grid(
     power, a square or a prefactor past the doubles is an inf, which is
     not a normal double, and its point fails.  A zero gives 0.0 after one
     term.  ``scalar(t)`` evaluates one time.
+
+    Where no argument but the first is 0 and no point fails, the columns
+    are the batch's own, after that zero's entries if it has one;
+    otherwise the batch is scattered into them and each point that fails
+    is evaluated alone.
     """
     n = times.size
-    values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
-    failed = np.zeros(n, dtype=bool)
+    res, refused = None, False
     try:
         args = arguments(times)
         zeros = n - np.count_nonzero(args)
@@ -962,9 +966,18 @@ def _evaluate_grid(
         live = slice(zeros, None) if zeros == 0 or (zeros == 1 and args[0] == 0.0) else args != 0.0
         if zeros < n:
             with np.errstate(over="ignore", invalid="ignore"):
-                values[live], terms[live], tails[live], failed[live] = batch(args[live])
+                res = batch(args[live])
+            if type(live) is slice and not res.failed.any():
+                if not zeros:
+                    return res.value, res.terms, res.tail
+                return (np.concatenate(([0.0], res.value)), np.concatenate(([1], res.terms)),
+                        np.concatenate(([0.0], res.tail)))
     except (OverflowError, EvaluationError):  # a refused argument, or a value past the double range
-        failed[:] = True
+        refused = True
+    values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
+    failed = np.full(n, refused)
+    if res is not None:
+        values[live], terms[live], tails[live], failed[live] = res
     for i in failed.nonzero()[0].tolist():
         values[i], terms[i], tails[i] = scalar(float(times[i]))
     return values, terms, tails

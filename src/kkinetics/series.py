@@ -234,6 +234,9 @@ def _geometric_tail_batch(mag: np.ndarray, prev_mag: np.ndarray) -> np.ndarray:
     warnings off).  A zero mag below prev_mag takes the first branch: its estimate
     is max(0, 0), the same 0."""
     decreasing = mag < prev_mag
+    if decreasing.all():
+        ratio = mag / prev_mag
+        return np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag)
     ratio = np.where(decreasing, mag / prev_mag, 0.0)
     return np.where(decreasing, np.maximum(2.0 * mag * ratio / (1.0 - ratio), mag), mag)
 
@@ -382,13 +385,19 @@ class HornerTable:
 
     def lengths(self, x: np.ndarray, ctl: SeriesControl) -> np.ndarray:
         """:meth:`length` at every x: 0 past the budget, -1 past the table."""
-        x_max = float(x.max()) if x.size else 0.0
+        return self._lengths(x, float(x.max()) if x.size else 0.0, ctl)[0]
+
+    def _lengths(self, x: np.ndarray, x_max: float, ctl: SeriesControl
+                 ) -> tuple[np.ndarray, bool]:
+        """:meth:`lengths` at every x, whose largest is ``x_max``, and whether
+        every x is within the table and the budget (every length is >= 1)."""
         self.stop_bounds(x_max, ctl)
         bounds = self._stops[ctl.rel_tol][2]
         found = np.searchsorted(bounds, x)
         if bounds.size and bounds[min(ctl.max_terms, bounds.size) - 1] >= x_max:
-            return found + 1  # every x is within the table and the budget
-        return np.where(found >= ctl.max_terms, 0, np.where(found < bounds.size, found + 1, -1))
+            return found + 1, True
+        return np.where(found >= ctl.max_terms, 0,
+                        np.where(found < bounds.size, found + 1, -1)), False
 
     def length(self, x: float, ctl: SeriesControl) -> int | None:
         """The number of terms :func:`horner_sum` takes at x: 0 past the budget, None past the table."""
@@ -466,21 +475,49 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
     sums pairwise, so a batch of one runs as a pair.  An element for which
     :func:`horner_sum` returns None or raises is marked in
     :attr:`SeriesBatch.failed`.
+
+    Each guard is first tested on reductions (the least and the largest
+    input, value and tail): where they pass, every element passes, and
+    the batch makes no mask.  Where one does not (a nan makes it fail),
+    the guard is tested element by element.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        # nan fails both tests: np.minimum and np.maximum return it
-        ok = (np.minimum(x, pre) >= DBL_MIN) & (np.maximum(x, pre) <= DBL_MAX)
-        if not ok.all():
-            x = np.where(ok, x, 1.0)
-        length = table.lengths(x, ctl)
-        ok &= length > 0
-        length *= ok
+        x_max = float(x.max()) if x.size else 0.0
+        if (x.size and DBL_MIN <= x.min() and x_max <= DBL_MAX
+                and DBL_MIN <= pre.min() and pre.max() <= DBL_MAX):
+            length, within = table._lengths(x, x_max, ctl)
+            ok = None if within else length > 0  # None: every element passes so far
+        else:
+            # nan fails both tests: np.minimum and np.maximum return it
+            ok = (np.minimum(x, pre) >= DBL_MIN) & (np.maximum(x, pre) <= DBL_MAX)
+            if not ok.all():
+                x = np.where(ok, x, 1.0)
+            length = table.lengths(x, ctl)
+            ok &= length > 0
+        if ok is not None:
+            length *= ok
         v, total, e, mag, prev_mag = _horner_chains(table, x, length)
         value, abs_value = pre * v, pre * total
         tail = pre * (_geometric_tail_batch(mag, prev_mag) + EPS * e)
-        ok &= (abs_value >= DBL_MIN) & (np.maximum(abs_value, tail) <= DBL_MAX)
-        ok &= within_cancellation_limit(abs_value, value)
-    return SeriesBatch(value, length, tail, ~ok)
+        if ok is None and _all_outputs_pass(abs_value, value, tail):
+            return SeriesBatch(value, length, tail, np.zeros(x.size, dtype=bool))
+        passed = ((abs_value >= DBL_MIN) & (np.maximum(abs_value, tail) <= DBL_MAX)
+                  & within_cancellation_limit(abs_value, value))
+        if ok is not None:
+            passed &= ok
+    return SeriesBatch(value, length, tail, ~passed)
+
+
+def _all_outputs_pass(abs_value: np.ndarray, value: np.ndarray, tail: np.ndarray) -> bool:
+    """True if every element passes :func:`horner_sum_batch`'s output guards,
+    as found from reductions alone; False where they cannot tell (a nan, or
+    a batch whose least |value| is too small for its largest sum of |terms|)."""
+    abs_max = abs_value.max()
+    if not (DBL_MIN <= abs_value.min() and abs_max <= DBL_MAX and tail.max() <= DBL_MAX):
+        return False
+    smallest = np.abs(value).min()
+    # the limit at every element is at least the one at the smallest |value|
+    return smallest >= 0.0 and abs_max <= CANCELLATION_RATIO_LIMIT * max(smallest, DBL_MIN)
 
 
 def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
@@ -511,9 +548,12 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
     ``source_grid`` on figures 1 and 3 (Intel Xeon, 2 cores, numpy 2.4),
     whole rows were faster on every grid of up to 257 points (by 2-19%),
     and the prefixes on every grid of 513 points or more (by 7-36%).
-    Timed cold, after a pure-Python loop as the benchmark runs them, the
-    unsorted prefixes were 7-12% slower at 201 and 257 points, 1-5%
-    slower at 385 and 4-6% faster at 513.
+    Timed cold, each call after a pure-Python loop of about a millisecond
+    as the benchmark runs them, with both engines forced in turn (median
+    ratio of 150 alternating pairs, prefixes over whole rows, the four
+    calls on figures 1 and 3): 1.06-1.11 at 201 points, 1.02-1.07 at
+    257, 0.97-1.03 at 321, 0.96-1.01 at 353, 0.93-0.98 at 385 and
+    0.84-0.95 at 513.  The switch sits at that crossover.
     """
     n = x.size
     top = int(length.max()) if n else 0
@@ -539,7 +579,7 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
 
 
 # The most elements a batch runs over whole rows (see _horner_chains).
-_FULL_WIDTH_MAX = 512
+_FULL_WIDTH_MAX = 352
 # The most elements whose prefix rows are held at once (see _horner_chains).
 _CHUNK_MAX = 4096
 
@@ -557,7 +597,7 @@ def _full_rows(table: HornerTable, x: np.ndarray, length: np.ndarray, top: int):
     The rows are laid out as :func:`_prefix_rows` lays them out.
     """
     factors = np.zeros((top + 1, x.size))
-    np.copyto(factors, x, where=np.arange(top + 1)[:, None] < length)
+    np.copyto(factors, x, where=np.less.outer(np.arange(top + 1), length))
     factors[0] = 1.0
     rows = np.zeros((2 * top + 2, x.size))
     v = list(rows[:top + 1])
@@ -610,7 +650,6 @@ def _forward_sums(table: HornerTable, partials: np.ndarray, powers: np.ndarray,
     bound += errs
     bound *= powers[:top]
     mags = np.multiply(powers[:top], abs_coeffs, out=powers[:top])
-    at = length * n
-    at += np.arange(-n, 0)
-    return (value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0),
-            powers.take(at), powers.take(at - n))
+    # the last |term| of each column and the one before it, in one gather
+    mag, prev_mag = powers[length - [[1], [2]], np.arange(n)]
+    return value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0), mag, prev_mag

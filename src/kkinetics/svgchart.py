@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -21,13 +22,24 @@ def render_line_chart(
     y_label: str,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
 ) -> str:
-    """Render (label, xs, ys) series as an SVG 1.1 document string."""
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+    """Render (label, xs, ys) series as an SVG 1.1 document string.
+
+    Each series draws its first min(len(xs), len(ys)) points; the axes span
+    every x and every y given.  A coordinate that is not finite, or axes
+    whose span is not, raise :class:`ValueError`.  Series that share one xs
+    object (a figure's common grid) format its pixel coordinates once.
+    """
+    columns = [(label, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+               for label, xs, ys in series]
+    if not any(xs.size for _, xs, _ in columns):
         raise ValueError("nothing to plot")
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    xs_all = np.concatenate([xs for _, xs, _ in columns])
+    ys_all = np.concatenate([ys for _, _, ys in columns])
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
+    # min and max return nan where any coordinate is nan
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi, x_hi - x_lo, y_hi - y_lo))):
+        raise ValueError("every coordinate, and the span of each axis, must be finite")
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -85,14 +97,14 @@ def render_line_chart(
         f'font-family="sans-serif" '
         f'transform="rotate(-90 20 {_MT + px_h / 2:.1f})">{_esc(y_label)}</text>'
     )
-    for idx, (label, xs, ys) in enumerate(series):
+    x_points = None  # the xs object, point count and "x,%.2f" template last formatted
+    for idx, (label, xs, ys) in enumerate(columns):
         color = _COLORS[idx % len(_COLORS)]
         n = min(len(xs), len(ys))
-        # xp and yp on arrays round as on floats; Python float arithmetic never warns
-        with np.errstate(all="ignore"):
-            xy = np.column_stack((xp(np.asarray(xs[:n], dtype=float)),
-                                  yp(np.asarray(ys[:n], dtype=float))))
-        pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
+        # xp and yp on arrays round as on floats, and within finite spans never overflow
+        if x_points is None or x_points[0] is not xs or x_points[1] != n:
+            x_points = xs, n, " ".join(["%.2f,%%.2f"] * n) % tuple(xp(xs[:n]).tolist())
+        pts = x_points[2] % tuple(yp(ys[:n]).tolist())
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.8" points="{pts}"/>'
         )

@@ -128,6 +128,36 @@ def test_horner_batches_mark_the_elements_they_leave(checked_batches):
     assert batch.failed.tolist() == [True] + [False] * 50 + [True]
 
 
+_X = np.linspace(1e-3, 20.0, 64)
+
+
+@pytest.mark.parametrize("x,pre,max_terms,all_pass", [
+    (_X, np.ones(64), 500, True),  # every guard decided by reductions
+    # one element each: past the cancellation limit, past the table, a nan x,
+    # a nan, an inf and a zero prefactor, a subnormal x
+    (np.append(_X, 25.0), np.ones(65), 500, False),
+    (np.append(_X, 200.0), np.ones(65), 500, False),
+    (np.append(_X, np.nan), np.ones(65), 500, False),
+    (_X, np.append(np.ones(63), np.nan), 500, False),
+    (_X, np.append(np.ones(63), np.inf), 500, False),
+    (_X, np.append(np.ones(63), 0.0), 500, False),
+    (np.append(_X, 5e-324), np.ones(65), 500, False),
+    (_X, np.ones(64), 8, False),  # past the budget
+    # every element passes, but the reductions cannot tell: the guards run element-wise
+    (np.full(64, 1e-3), np.geomspace(1e-300, 1.0, 64), 500, True),
+], ids=["normal", "cancelled", "past_table", "nan_x", "nan_pre", "inf_pre", "zero_pre",
+        "subnormal_x", "budget", "wide_range"])
+def test_horner_batch_reductions_decide_as_the_masks_would(x, pre, max_terms, all_pass):
+    # each guard is tested on reductions first and on masks where they cannot
+    # tell: either way the batch is horner_sum at each element, nan failing
+    table, ctl = FIG_PARAMS._table, SeriesControl(max_terms=max_terms)
+    got = series.horner_sum_batch(table, x, pre, ctl)
+    assert_batch_is_horner_sum(got, table, x, pre, ctl)
+    assert got.failed.any() != all_pass
+    if np.isnan(x).any() or np.isnan(pre).any():
+        assert got.failed[-1]
+
+
 @pytest.mark.parametrize("fig_id", sorted(FIGURES))
 def test_figure_sweeps_are_their_point_calls_bit_for_bit(fig_id):
     # values, terms and tails at all 201 nodes, +-0 and the last bit included

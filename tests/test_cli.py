@@ -299,6 +299,18 @@ def test_write_failure_exits_two(tmp_path, capsys, argv):
     assert earlier.read_text() == "an earlier run\n"
 
 
+def test_atomic_write_finishes_short_writes(tmp_path, monkeypatch):
+    # os.write may write fewer bytes than it is given: every byte still lands
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:7])))
+    texts = ["t,N\n" + "0.1,\u00e9\n" * 50, "<svg>\u2013</svg>\n"]
+    paths = [tmp_path / "sub" / "a.csv", tmp_path / "sub" / "b.svg"]
+    cli._atomic_write(*zip(paths, texts))
+    monkeypatch.undo()
+    assert [path.read_bytes() for path in paths] == [text.encode() for text in texts]
+    assert not list(tmp_path.glob("**/*.tmp"))
+
+
 def test_solve_rejects_equal_rates_for_variant_three(tmp_path):
     cfg = write_config(tmp_path, theorem=3, a=3)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2

@@ -90,8 +90,13 @@ def test_batch_geometric_tail_is_the_scalar_one_at_every_finite_mag():
     mag, prev = (grid.ravel() for grid in np.meshgrid(values, np.append(values, math.inf)))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         got = series._geometric_tail_batch(mag, prev)
-    want = [series._geometric_tail(m, p) for m, p in zip(mag.tolist(), prev.tolist())]
-    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+    want = np.array([series._geometric_tail(m, p) for m, p in zip(mag.tolist(), prev.tolist())])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # where every last term falls, the batch takes no mask
+    falling = mag < prev
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = series._geometric_tail_batch(mag[falling], prev[falling])
+    assert np.array_equal(got.view(np.int64), want[falling].view(np.int64))
 
 
 def test_array_cancellation_test_passes_where_the_scalar_check_does():
