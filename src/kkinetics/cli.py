@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -183,7 +182,8 @@ def load_config(path: str | Path) -> JobConfig:
 def _atomic_write(*outputs: tuple[Path, str]) -> None:
     """Write each ``(path, text)`` through a temporary file beside its path,
     all or none: every temporary file is written before any path is
-    replaced.  A write that fails is a :class:`ConfigError` (exit 2), and
+    replaced.  Each file gets mode 0o666 less the umask, as open() gives a
+    new file.  A write that fails is a :class:`ConfigError` (exit 2), and
     leaves every path as it was and no temporary file."""
     tmps = []
     path = None
@@ -193,7 +193,9 @@ def _atomic_write(*outputs: tuple[Path, str]) -> None:
             if path.parent not in made:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 made.add(path.parent)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            # the kernel applies the umask to 0o666 (mkstemp's 0o600 would survive the replace)
+            tmp = str(path.parent / f"{path.name}{os.urandom(6).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)
             try:
                 data = memoryview(text.encode("utf-8"))

@@ -64,7 +64,10 @@ The source has a pair too: :meth:`KineticProblem.source` evaluates
 omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, which sums
 logs, and :func:`source_grid` sums omega = (z/2)**mu sum_n c_n x**n,
 x = (z/2) * (z/2), at every grid time by Horner on the t-free table of
-its parameters (``KBesselParams._table``).
+its parameters (``KBesselParams._table``).  Where z = (d t)**nu of
+variants 2 and 3 is 0 or subnormal at t > 0, it carries few digits or
+none: there the scalar source sums the same logs at log(z/2) =
+nu (log d + log t) - log 2, formed from t with its error bound.
 
 Every t-free table is built once per value, not once per instance.  A
 small registry per process, keyed by the values a table reads, hands
@@ -105,9 +108,10 @@ one array.  The solution's reads the times: it forms s = t**nu and s**mu
 (libm's pow) and sums every t > 0; t = 0 gives 0.0 after one term.  It
 forms neither z(t) nor (rate t)**nu: the table alone answers or refuses
 each time.  The source's batch reads z(t), formed bit for bit as the
-scalar z forms it, takes (z/2)**mu from libm's pow too and sums every
-z(t) > 0; z = 0 gives 0.0 after one term, at t = 0 or where omega
-rounds to 0 with it (:meth:`KineticProblem.source`).  The
+scalar z forms it where it is a normal double, takes (z/2)**mu from
+libm's pow too and sums it; t = 0 gives 0.0 after one term.  At every
+other time (z = 0 or subnormal, z past the doubles, t < 0 or nan) it
+reads nan, which it fails (:func:`_source_arguments`).  The
 Horner batch runs each step over whole rows, in the grid's order, for
 at most ``series._FULL_WIDTH_MAX`` (352) times, and on the times sorted
 by length past that, in chunks of at most ``series._CHUNK_MAX`` (4096)
@@ -146,7 +150,6 @@ import numpy as np
 from .series import (
     DBL_MAX,
     DBL_MIN,
-    DBL_TRUE_MIN,
     DEFAULT_CONTROL,
     EPS,
     LOG_DBL_MAX,
@@ -173,6 +176,7 @@ from .specfun import (
     KBesselParams,
     _LGAMMA_ARG_MAX,
     _guard_log_sum,
+    _k_bessel_log_sum,
     _reduced_k_bessel,
     fox_wright,
     gamma_error,
@@ -254,33 +258,33 @@ class KineticProblem:
                 object.__setattr__(self, name, float(v))
 
     def source(self, t: float, ctl: SeriesControl | None = None) -> float:
-        """Source value N0-free: omega(t) or omega(d**nu * t**nu), at the
-        argument :meth:`_source_z` gives or refuses."""
-        return gen_k_bessel(self.params, self._source_z(t), ctl).value
+        """Source value N0-free: omega(t) or omega(d**nu * t**nu) (see :meth:`_source_sum`)."""
+        return self._source_sum(t, ctl).value
 
-    def _source_z(self, t: float) -> float:
-        """:meth:`z`, refused with :class:`series.OverflowLogError` where it
-        underflows to 0 at t > 0 but omega(z) would not round to 0.
+    def _source_sum(self, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
+        """omega(z(t)) with its term count and tail.
 
-        Term 0 of omega is c_0 (z/2)**mu.  Its log is formed here from
-        log(z/2) = nu (log d + log t) - log 2 by the coefficient reader
-        (:meth:`specfun._KBesselTable.scaled`), with its error bound.  Each
-        later term is smaller by a factor below (z/2)**2 |c_{n+1} / c_n|,
-        and (z/2)**2 is below 2**-2148 where z underflows.  So z = 0 stands
-        only where term 0, raised by its error bound, is below half of
-        :data:`series.DBL_TRUE_MIN`, which rounds to 0.
+        :func:`specfun.gen_k_bessel` at z = :meth:`z` where z is a normal
+        double, at t = 0 and on variant 1, whose z is t itself.  Elsewhere
+        (d t)**nu is 0 or subnormal, so it carries few digits or none: the
+        same log sum (:func:`specfun._k_bessel_log_sum`) runs on log(z/2) =
+        nu (log d + log t) - log 2, formed from t.  Its error, in EPS, is
+        at most nu (|log d| + |log t|) for an ulp of each log, carried
+        through the product; nu |log d + log t| / 2 and
+        |nu (log d + log t)| / 2 for the sum and the product; log 2 for an
+        ulp of log 2; and |log(z/2)| / 2 for the difference.  The product
+        with mu+2n and the rounding of mu+2n add |log(z/2)| / 2 each.
         """
         z = self.z(t)
-        if z == 0.0 and t > 0.0:
-            log_d, log_t = math.log(self.d), math.log(t)
-            # log q = log(z/2) and its error in EPS: an ulp for each log and for
-            # log 2, and halves for the sum, the product and the difference
-            _, log_lead, log_err = self.params._table.scaled(
-                0, self.nu * (log_d + log_t) - _LN2, 2.5 * self.nu * (abs(log_d) + abs(log_t)) + 1.5)
-            if not log_lead + EPS * log_err < _LOG_HALF_TRUE_MIN:
-                raise OverflowLogError(f"source argument at t = {t}: ({self.d} t)**{self.nu} "
-                                       "underflows to 0 where omega does not", log_lead)
-        return z
+        if z >= DBL_MIN or t == 0.0 or self.variant == 1:
+            return gen_k_bessel(self.params, z, ctl)
+        log_d, log_t = math.log(self.d), math.log(t)
+        log_dt = log_d + log_t
+        power = self.nu * log_dt
+        log_hz = power - _LN2
+        log_hz_err = (self.nu * (abs(log_d) + abs(log_t) + 0.5 * abs(log_dt)) + 0.5 * abs(power)
+                      + _LN2 + 0.5 * abs(log_hz))
+        return _k_bessel_log_sum(self.params, log_hz, log_hz_err + abs(log_hz), ctl)
 
     # These run once per time point or outer term, so they compare the variant
     # with plain ints: on CPython 3.11 looking up Theorem.T1 alone takes ~0.15 us.
@@ -351,7 +355,6 @@ def _shared_table(params: KBesselParams, nu: float, rate: float,
 
 
 _LN2 = math.log(2.0)
-_LOG_HALF_TRUE_MIN = math.log(DBL_TRUE_MIN) - _LN2  # below half of DBL_TRUE_MIN a value rounds to 0
 _UNIT_GAMMA = 2.0 ** 512  # the largest gamma _PowerTable keeps in units of 1
 _PRODUCT_ARG_MAX = 4096.0  # Gamma(x) as a product of at most 3926 factors below this
 _PRODUCT_CHUNK = 64  # factors below 2**12 per partial product, which stays below 2**768
@@ -914,43 +917,41 @@ def _source_batch(prob: KineticProblem, ctl: SeriesControl, zs: np.ndarray) -> S
 
 
 def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
-    """:meth:`KineticProblem._source_z` at every time, bit for bit; raises what it raises.
+    """:meth:`KineticProblem.z` at every time where it is a normal double, bit
+    for bit; 0 at t = 0, and nan at every other time.
 
     Variants 2 and 3 multiply d**nu by libm's t**nu, as the scalar z does
     (numpy's power differs from libm's pow in the last bit on a few percent
-    of inputs).  Where that product or t is not a normal double (t = 0,
-    t < 0, nan, or where :func:`_scaled_power` takes its log route), the
-    scalar call decides, so its z = 0 and its refusals hold.
+    of inputs).  A nan fails the batch, so the scalar source decides, in
+    order, each time whose z is not a normal double (z = 0 or subnormal,
+    or past the doubles, or where :func:`_scaled_power` takes its log
+    route) and each negative or nan time.
     """
     zs = times
-    if prob.variant != 1 and (times >= 0.0).all():
+    if prob.variant != 1:
         try:
-            with np.errstate(over="ignore"):  # an inf product goes to the scalar z below
-                zs = prob.d ** prob.nu * _pow_batch(times, prob.nu)
-        except OverflowError:  # a power past the double range: every time goes to the scalar z
-            zs = np.full(times.size, math.inf)
-    odd = np.flatnonzero(~((zs >= DBL_MIN) & (zs <= DBL_MAX)))
-    if odd.size:
-        zs = zs.copy()
-        for i in odd.tolist():
-            zs[i] = prob._source_z(float(times[i]))
-    return zs
+            with np.errstate(over="ignore"):  # an inf product is not normal
+                zs = prob.d ** prob.nu * _pow_batch(np.where(times >= 0.0, times, math.nan),
+                                                    prob.nu)
+        except OverflowError:  # a power past the double range: every t > 0 goes to the scalar
+            zs = times * math.nan
+    return np.where((zs >= DBL_MIN) & (zs <= DBL_MAX), zs, np.where(times == 0.0, 0.0, math.nan))
 
 
 def _evaluate_grid(
     times: np.ndarray,
-    arguments: Callable[[np.ndarray], np.ndarray],
+    args: np.ndarray,
     batch: Callable[[np.ndarray], SeriesBatch],
     scalar: Callable[[float], SeriesResult],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, term counts and tails at ``times`` under the grid contract (see module docs).
 
-    ``arguments(times)`` gives what ``batch`` reads at each time: the time
-    itself, or its z(t).  ``batch`` gets those that are not 0, as an
-    array, and runs with numpy's overflow and invalid warnings off: a
-    power, a square or a prefactor past the doubles is an inf, which is
-    not a normal double, and its point fails.  A zero gives 0.0 after one
-    term.  ``scalar(t)`` evaluates one time.
+    ``args`` is what ``batch`` reads at each time: the time itself, or its
+    z(t).  ``batch`` gets those that are not 0, as an array, and runs with
+    numpy's overflow and invalid warnings off: a power, a square or a
+    prefactor past the doubles is an inf, which is not a normal double,
+    and its point fails, as does a nan.  A zero gives 0.0 after one term.
+    ``scalar(t)`` evaluates one time.
 
     Where no argument but the first is 0 and no point fails, the columns
     are the batch's own, after that zero's entries if it has one;
@@ -959,11 +960,10 @@ def _evaluate_grid(
     """
     n = times.size
     res, refused = None, False
+    zeros = n - np.count_nonzero(args)
+    # on an increasing grid only the first argument (t = 0) can be 0: a slice, not a mask
+    live = slice(zeros, None) if zeros == 0 or (zeros == 1 and args[0] == 0.0) else args != 0.0
     try:
-        args = arguments(times)
-        zeros = n - np.count_nonzero(args)
-        # on an increasing grid only the first argument (t = 0) can be 0: a slice, not a mask
-        live = slice(zeros, None) if zeros == 0 or (zeros == 1 and args[0] == 0.0) else args != 0.0
         if zeros < n:
             with np.errstate(over="ignore", invalid="ignore"):
                 res = batch(args[live])
@@ -972,7 +972,7 @@ def _evaluate_grid(
                     return res.value, res.terms, res.tail
                 return (np.concatenate(([0.0], res.value)), np.concatenate(([1], res.terms)),
                         np.concatenate(([0.0], res.tail)))
-    except (OverflowError, EvaluationError):  # a refused argument, or a value past the double range
+    except (OverflowError, EvaluationError):  # a power past the double range, or a refused coefficient
         refused = True
     values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
     failed = np.full(n, refused)
@@ -1008,7 +1008,7 @@ def solve_grid(
             raise DomainError(f"grid times must be >= 0, got {float(times[negative[0]])}")
         raise DomainError("grid times must be strictly increasing")
     ctl = ctl or DEFAULT_CONTROL
-    values, terms, tails = _evaluate_grid(times, lambda ts: ts,
+    values, terms, tails = _evaluate_grid(times, times,
                                           lambda ts: prob._power_table().batch(ts, prob.n0, ctl),
                                           lambda t: solve_point(prob, t, ctl))
     return SolutionTable._checked(times=_read_only(times), values=_read_only(values),
@@ -1022,13 +1022,13 @@ def source_grid(
 
     One Horner batch on the t-free table of ``prob.params`` under the grid
     contract (see module docs); the points it refuses or leaves go to
-    :func:`specfun.gen_k_bessel`.
+    :meth:`KineticProblem.source`.
     """
     times = _grid_times(times)
     ctl = ctl or DEFAULT_CONTROL
-    values, _, _ = _evaluate_grid(times, partial(_source_arguments, prob),
+    values, _, _ = _evaluate_grid(times, _source_arguments(prob, times),
                                   partial(_source_batch, prob, ctl),
-                                  lambda t: gen_k_bessel(prob.params, prob._source_z(t), ctl))
+                                  lambda t: prob._source_sum(t, ctl))
     return values
 
 

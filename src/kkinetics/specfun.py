@@ -508,23 +508,36 @@ def _log_half(z: float) -> float:
 def gen_k_bessel(p: KBesselParams, z: float, ctl: SeriesControl | None = None) -> SeriesResult:
     """The generalized k-Bessel series omega(z) for z >= 0 (see module docs).
 
-    The sum is refused with :class:`CancellationError` where the sum of
-    every |term| exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times the
-    value.  The tail adds to the truncation estimate a bound on the
-    roundoff: term n is exp(L_n), L_n = log|coeff_n| + (mu+2n) log(z/2),
-    and L_n is off by at most :func:`k_bessel_log_error`, plus (mu+2n)
-    times 5/2 |log(z/2)| (one ulp of each log, halves for the sum, the
-    product and mu+2n) plus |L_n| / 2 for the last sum; exp adds one ulp.
+    The terms are summed as logs by :func:`_k_bessel_log_sum`, which
+    states the tail.  log(z/2) is off by at most 3/2 |log(z/2)| EPS: one
+    ulp of each log, and a half for the difference where z/2 is
+    subnormal.  The product with mu+2n and the rounding of mu+2n add a
+    half each, so ``hz_err`` is 5/2 |log(z/2)|.
     """
-    ctl = ctl or DEFAULT_CONTROL
     if not z >= 0.0:
         raise DomainError(f"gen_k_bessel requires z >= 0, got {z}")
     if z == 0.0:
         # every term carries (z/2)**(mu+2n) with mu > 0
         return SeriesResult(0.0, 1, 0.0)
     log_hz = _log_half(z)
-    mu, hz_err = p.mu, 2.5 * abs(log_hz)
-    table = p._table
+    return _k_bessel_log_sum(p, log_hz, 2.5 * abs(log_hz), ctl)
+
+
+def _k_bessel_log_sum(p: KBesselParams, log_hz: float, hz_err: float,
+                      ctl: SeriesControl | None) -> SeriesResult:
+    """omega summed as the logs of its terms at log(z/2) = ``log_hz``.
+
+    ``hz_err`` bounds, in EPS, the absolute error of (mu+2n) log(z/2) as
+    formed, over mu+2n.  The sum is refused with :class:`CancellationError`
+    where the sum of every |term| exceeds
+    :data:`series.CANCELLATION_RATIO_LIMIT` times the value.  The tail
+    adds to the truncation estimate a bound on the roundoff: term n is
+    exp(L_n), L_n = log|coeff_n| + (mu+2n) log(z/2), and L_n is off by at
+    most :func:`k_bessel_log_error`, plus (mu+2n) ``hz_err``, plus |L_n| / 2
+    for the last sum; exp adds one ulp.
+    """
+    ctl = ctl or DEFAULT_CONTROL
+    mu, table = p.mu, p._table
     errors = table.log_errors
     abs_sum = err_sum = 0.0  # the sum of |terms|, and of their errors times |terms|
 

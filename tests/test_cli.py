@@ -311,6 +311,21 @@ def test_atomic_write_finishes_short_writes(tmp_path, monkeypatch):
     assert not list(tmp_path.glob("**/*.tmp"))
 
 
+def test_written_files_take_their_mode_from_the_umask(tmp_path):
+    # each file kept the 0600 of its temporary file through the rename
+    out, svg, fig_dir = tmp_path / "o.csv", tmp_path / "o.svg", tmp_path / "figs"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["solve", "--config", str(write_config(tmp_path)), "--out", str(out),
+                         "--svg", str(svg)]) == 0
+        assert cli.main(["figures", "--fig", "4", "--out-dir", str(fig_dir)]) == 0
+    finally:
+        os.umask(old)
+    written = [out, svg, *fig_dir.iterdir()]
+    assert len(written) == 4
+    assert {oct(path.stat().st_mode & 0o777) for path in written} == {oct(0o644)}
+
+
 def test_solve_rejects_equal_rates_for_variant_three(tmp_path):
     cfg = write_config(tmp_path, theorem=3, a=3)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2

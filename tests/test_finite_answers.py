@@ -4,7 +4,10 @@ a finite tail >= 0, and every failure is an :class:`EvaluationError`.
 The sweep covers ``gen_k_bessel`` over a grid of k-Bessel parameters and
 arguments z from 1e-300 to 6, the Mittag-Leffler sums, the reduced J/W
 sums and Fox-Wright at a few arguments, ``solve_point`` on sampled
-problems of all three variants, and the Volterra oracle
+problems of all three variants, the source of variants 2 and 3
+(``KineticProblem.source`` with its tail, and ``source_grid``) where its
+argument z = (d t)**nu is normal, subnormal, 0 or past the doubles, and
+the Volterra oracle
 (``QuadratureGrid``, ``solve_volterra`` and ``residual``) at orders up to
 400 and rates up to 1e3.  It checks no value against a reference: only
 that no answer carries a nan or infinite value or tail and that no bare
@@ -41,6 +44,7 @@ from kkinetics import (
     scaled_ml,
     solve_point,
     solve_volterra,
+    source_grid,
 )
 
 SEED = 27
@@ -92,6 +96,37 @@ def _solve_calls(rng, problems=40, times=6):
             yield f"solve_point v{variant}", lambda prob=prob, t=t: solve_point(prob, t)
 
 
+# (d, nu, times): z = (d t)**nu is a normal double at the first time,
+# subnormal at the second and 0 at the third; the fourth is t = 0, a
+# second normal z, or one past the doubles (3**700 alone is past them,
+# and 1e-200**2 is 0)
+_SOURCE_CASES = (
+    (0.01, 40.0, (0.5, 1e-6, 1e-8, 0.0)),
+    (1e-3, 2.0, (1.0, 1e-155, 1e-170, 0.0)),
+    (3.0, 700.0, (0.3, 0.118, 0.1, 1.0)),
+    (1e-200, 2.0, (1e150, 1e42, 1.0, 1e160)),
+)
+
+
+def _grid_answer(values):
+    """A grid's values as one answer: the largest |value| (nan if any is nan)."""
+    return SeriesResult(float(np.abs(values).max()), len(values), 0.0)
+
+
+def _source_calls(rng, problems=4):
+    for (d, nu, times), variant in itertools.product(_SOURCE_CASES, (2, 3)):
+        for _ in range(problems):
+            params = KBesselParams(k=rng.choice(_STRIDES), gamma=rng.choice(_GAMMAS),
+                                   lam=rng.choice(_STRIDES), mu=rng.choice(_MUS),
+                                   b=rng.choice(_BS), c=rng.choice(_CS))
+            prob = KineticProblem(n0=1.0, d=d, nu=nu, variant=variant, params=params,
+                                  a=2.0 if variant == 3 else None)
+            for t in times:
+                yield f"source v{variant}", lambda prob=prob, t=t: prob._source_sum(t)
+            yield f"source_grid v{variant}", lambda prob=prob, times=times: _grid_answer(
+                source_grid(prob, times))
+
+
 def _oracle_solution(t_end, n, nu, rate):
     """The largest |value| of the oracle's solution on a grid, after its own residual.
 
@@ -124,7 +159,7 @@ def sweep(seed=SEED) -> Counter:
     rng = np.random.default_rng(seed)
     counts = Counter()
     calls = itertools.chain(_k_bessel_calls(rng), _reference_calls(), _solve_calls(rng),
-                            _oracle_calls(rng))
+                            _oracle_calls(rng), _source_calls(rng))
     for kind, call in calls:
         try:
             res = call()
@@ -144,7 +179,8 @@ def test_every_answer_is_finite_and_every_failure_an_evaluation_error():
     assert not bad
     answered = Counter(key[1] for key in counts if key[0] == "answered")
     assert set(answered) >= {"gen_k_bessel", "mittag_leffler", "k_bessel_j", "fox_wright",
-                             "solve_point v1", "solve_point v2", "solve_point v3", "oracle"}
+                             "solve_point v1", "solve_point v2", "solve_point v3", "oracle",
+                             "source v2", "source v3", "source_grid v2", "source_grid v3"}
 
 
 if __name__ == "__main__":

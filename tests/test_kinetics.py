@@ -37,7 +37,7 @@ from kkinetics import kinetics, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
 from kkinetics.specfun import log_k_gamma, log_k_pochhammer
 from test_batch_reference import assert_batch_is_horner_sum
-from test_tails import _mp_solution
+from test_tails import _mp_solution, _mp_source
 
 FIG_PARAMS = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=1.0, b=3.0, c=2.0)
 KKBENCH = Path(__file__).resolve().parent.parent / "kkbench"
@@ -192,7 +192,7 @@ def test_rate_power_that_underflows_is_refused_not_answered_zero():
         assert prob.z(t) == 0.0
         log_half_z = prob.nu * (math.log(prob.d) + math.log(t)) - math.log(2.0)
         assert math.exp(math.log(prob.n0) + log_c0 + params.mu * log_half_z) == pytest.approx(
-            lead, rel=0.05)
+            lead, rel=0.05, abs=0.0)
         with pytest.raises(EvaluationError) as point:
             solve_point(prob, t)
         with pytest.raises(EvaluationError) as grid:
@@ -220,7 +220,8 @@ def test_a_time_the_table_refuses_is_refused_not_answered_zero(variant, d, a, nu
     assert prob.z(t) == 0.0
     _, log_c0 = specfun.k_bessel_log_coefficient(params, 0)
     log_half_z = nu * (math.log(d) + math.log(t)) - math.log(2.0)
-    assert math.exp(math.log(prob.n0) + log_c0 + mu * log_half_z) == pytest.approx(lead, rel=0.05)
+    assert math.exp(math.log(prob.n0) + log_c0 + mu * log_half_z) == pytest.approx(
+        lead, rel=0.05, abs=0.0)
     refused = _refusal(lambda: solve_point(prob, t))
     assert refused[0] is OverflowLogError
     assert refused == _refusal(lambda: solve_grid(prob, [0.0, t]))
@@ -270,20 +271,26 @@ def test_solvers_form_no_source_or_rate_argument(monkeypatch):
     assert calls == [0.5]
 
 
-def test_source_refuses_an_argument_that_underflows_where_omega_does_not():
-    # z = (0.01 t)**40 underflows to 0 at t = 1e-8, where omega is about
-    # 6.6e-201; at t = 1e-6, z = 1e-320 is subnormal and omega is summed
-    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.5, b=3.0, c=2.0)
-    prob = KineticProblem(n0=2.0, d=0.01, nu=40.0, variant=Theorem.T2, params=params)
-    assert prob.source(1e-6) == pytest.approx(6.560002457378334e-161, rel=1e-13)
-    assert prob.z(1e-8) == 0.0
-    refused = _refusal(lambda: prob.source(1e-8))
-    assert refused[0] is OverflowLogError and "underflows to 0" in refused[1]
-    assert _refusal(lambda: source_grid(prob, [0.0, 1e-6, 1e-8, 1.0])) == refused
-    # at t = 1e-16, z = 1e-720 and c_0 (z/2)**mu is about 1e-361: omega
-    # rounds to 0, and so 0 stands; at t = 1e-12 it is about 1e-281
-    assert prob.source(1e-16) == 0.0
-    assert _refusal(lambda: prob.source(1e-12))[0] is OverflowLogError
+@pytest.mark.parametrize("mu, d, nu, t, want", [
+    # z = (0.01 t)**40 is the subnormal 1e-320 at t = 1e-6: summed at that
+    # rounded z, omega was 6.560002457378334e-161, 2.2e7 tails off
+    (0.5, 0.01, 40.0, 1e-6, 6.560038973337526e-161),
+    # z underflows to 0 at t = 1e-8 and 1e-12, where omega is normal: both were refused
+    (0.5, 0.01, 40.0, 1e-8, 6.560038973337535e-201),
+    (0.5, 0.01, 40.0, 1e-12, 6.560038973337529e-281),
+    # z = 1e-720: omega, about 6.6e-361, rounds to 0 within its tail
+    (0.5, 0.01, 40.0, 1e-16, 0.0),
+    # z = (1e-3 t)**2 is the subnormal 1e-316: 3.3e4 tails off at the rounded z
+    (0.25, 1e-3, 2.0, 1e-155, 8.188068915501398e-80),
+], ids=["subnormal", "zero", "zero_1e-12", "omega_zero", "subnormal_mu_quarter"])
+def test_source_sums_an_argument_that_is_not_a_normal_double_from_t(mu, d, nu, t, want):
+    params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=mu, b=3.0, c=2.0)
+    prob = KineticProblem(n0=2.0, d=d, nu=nu, variant=Theorem.T2, params=params)
+    assert prob.z(t) < DBL_MIN
+    res = prob._source_sum(t)
+    assert res.value == prob.source(t) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert abs(res.value - _mp_source(prob, t)) <= res.tail
+    assert source_grid(prob, [0.0, t, 1.0])[1] == res.value
 
 
 def test_solution_grid_forms_no_source_argument(monkeypatch):
@@ -1110,7 +1117,7 @@ def test_reference_sources_at_subnormal_z(z):
     # value 7.5% high at z = 3 * 5e-324, where it rounds to 2 * 5e-324
     params = KBesselParams(k=2.0, gamma=1.0, lam=1.0, mu=0.25, b=1.0, c=1.0)
     want = gen_k_bessel(params, z).value
-    assert want == pytest.approx(1.13e-81 if z == 5e-324 else 1.49e-81, rel=1e-2)
+    assert want == pytest.approx(1.13e-81 if z == 5e-324 else 1.49e-81, rel=1e-2, abs=0.0)
     assert corollary_source(params, z).value == pytest.approx(want, rel=1e-13, abs=0.0)
     assert psi_form_source(params, z).value == pytest.approx(want, rel=1e-13, abs=0.0)
 

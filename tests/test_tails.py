@@ -6,6 +6,7 @@ so cancellation cannot eat the reference's own digits.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from kkinetics import (
     k_bessel_j,
     mittag_leffler,
     solve_point,
+    source_grid,
 )
 from kkinetics.figures import FIGURES, LAMBDAS, figure_params, figure_problem
 from kkinetics.kinetics import _PRODUCT_ARG_MAX, _PowerTable, _gamma_product
@@ -50,8 +52,10 @@ def _conditioned(series):
 
 
 def _mp_omega(p, z):
+    """omega(z) summed in mpmath; ``z`` is a number, or a callable that forms
+    it at the working precision."""
     def series():
-        hz = mpmath.mpf(z) / 2
+        hz = (z() if callable(z) else mpmath.mpf(z)) / 2
         value = abs_sum = mpmath.mpf(0)
         for n in range(400):
             term = _mp_coefficient(p, n) * hz ** (p.mu + 2 * n)
@@ -62,6 +66,11 @@ def _mp_omega(p, z):
         return value, abs_sum
 
     return _conditioned(series)
+
+
+def _mp_source(prob, t):
+    """The source value of a variant 2 or 3 problem at t, with z = (d t)**nu formed exactly."""
+    return _mp_omega(prob.params, lambda: (mpmath.mpf(prob.d) * mpmath.mpf(t)) ** prob.nu)[0]
 
 
 def _mp_solution(prob, t):
@@ -319,3 +328,30 @@ def test_terms_below_the_normal_doubles_are_in_the_tail():
         ]
         for res, want in cases:
             assert abs(res.value - want) <= res.tail, res
+
+
+def test_source_tail_bounds_its_error_where_z_is_not_a_normal_double():
+    # variants 2 and 3 with t in [1e-300, 1], most aimed at z = (d t)**nu in
+    # [1e-800, 1e-300]: the source sums log(z/2) formed from t.  It used to
+    # sum a subnormal z as rounded (up to 2.2e7 tails off) and to refuse
+    # most z = 0 where omega is normal.  The grid gives the scalar's value.
+    rng = np.random.default_rng(35)
+    kinds = set()
+    for _ in range(300):
+        variant = int(rng.integers(2, 4))
+        nu, d = (10.0 ** rng.uniform((-0.3, -3.0), (math.log10(700.0), 1.0))).tolist()
+        params = KBesselParams(k=rng.choice([0.5, 1.0, 2.0]), gamma=rng.choice([0.5, 1.0, 3.0]),
+                               lam=rng.choice([0.5, 1.0, 2.0]),
+                               mu=rng.choice([0.1, 0.25, 0.5, 1.0, 3.0]),
+                               b=rng.choice([-1.0, 1.0, 3.0]), c=rng.choice([-2.0, 0.0, 1.0, 2.0]))
+        aimed = float(10.0 ** (rng.uniform(-800.0, -300.0) / nu) / d)
+        t = aimed if rng.random() < 0.7 else float(10.0 ** rng.uniform(-300.0, 0.0))
+        prob = KineticProblem(n0=2.0, d=d, nu=nu, variant=variant, params=params,
+                              a=2.0 if variant == 3 else None)
+        if not 1e-300 <= t <= 1.0 or prob.z(t) >= sys.float_info.min:
+            continue
+        kinds.add(prob.z(t) > 0.0)
+        res = prob._source_sum(t)
+        assert abs(res.value - _mp_source(prob, t)) <= res.tail, (prob, t, res)
+        assert source_grid(prob, [0.0, t])[1] == res.value
+    assert kinds == {False, True}  # z = 0 and subnormal z

@@ -1,0 +1,109 @@
+"""Compare the benchmark's end-to-end metrics of two checkouts in alternating pairs.
+
+    python tools/bench_pairs.py PARENT CHANGE [--pairs N] [--workload W ...]
+        [--seconds S] [--seed SEED] [--tiny]
+
+runs ``python3 kkbench/run.py --workload W --seed SEED+i --seconds S
+--trace 0`` once on each checkout for pair i = 0 .. N-1 (default 10 pairs),
+one process at a time: the parent first in even pairs and the change
+first in odd ones, with the same seed on both sides of a pair.  Each side
+runs from a copy of its ``src/`` and ``kkbench/`` without ``__pycache__``,
+under ``PYTHONDONTWRITEBYTECODE=1``, so both compile every module from
+source on every run, whatever bytecode the checkouts hold.
+
+It prints, for each workload and each end-to-end metric that the change's
+``BENCHMARK.json`` names, the median and quartiles of each side and the
+pairs in which the change reads better (ties count for neither), and the
+failed and attempted ops of each side.  ``--tiny`` passes ``--tiny`` to
+the benchmark, for a smoke test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("figures", "verify", "relaxation", "points")
+
+
+def _copy(checkout: Path, dest: Path) -> Path:
+    """The parts of ``checkout`` that the benchmark reads, without bytecode."""
+    for part in ("src", "kkbench"):
+        shutil.copytree(checkout / part, dest / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc", ".kkbench-*"))
+    return dest
+
+
+def _run(root: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
+    """The JSON line that ends one benchmark run of one workload."""
+    argv = [sys.executable, "kkbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"] + (["--tiny"] if tiny else [])
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    if done.returncode != 0:
+        raise SystemExit(f"bench_pairs: {workload} run in {root} exited {done.returncode}:\n"
+                         f"{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--tiny", action="store_true")
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = args.workload or list(WORKLOADS)
+    sides = ("parent", "change")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = {side: _copy(getattr(args, side).resolve(), Path(tmp) / side) for side in sides}
+        runs = {(w, side): [] for w in workloads for side in sides}
+        for i in range(args.pairs):
+            for workload in workloads:
+                for side in (sides if i % 2 == 0 else sides[::-1]):
+                    runs[workload, side].append(
+                        _run(roots[side], workload, args.seed + i, seconds, args.tiny))
+    print(f"{'workload':10} {'metric':12} {'parent median [q1, q3]':>34} "
+          f"{'change median [q1, q3]':>34} {'wins':>6}")
+    for workload in workloads:
+        for name, better in metrics.items():
+            values = {side: [run["metrics"][name]["value"] for run in runs[workload, side]]
+                      for side in sides}
+            sign = 1.0 if better == "lower" else -1.0
+            wins = sum(sign * (c - p) < 0.0 for p, c in zip(values["parent"], values["change"]))
+            cells = []
+            for side in sides:
+                q1, q2, q3 = _quartiles(values[side])
+                cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
+            print(f"{workload:10} {name:12} {cells[0]:>34} {cells[1]:>34} "
+                  f"{wins:>3}/{args.pairs}")
+        counts = ["{} of {} failed, correct {}".format(
+            sum(run["failed"] for run in runs[workload, side]),
+            sum(run["attempted"] for run in runs[workload, side]),
+            all(run["correct"] for run in runs[workload, side])) for side in sides]
+        print(f"{workload:10} {'ops':12} {counts[0]:>34} {counts[1]:>34}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
