@@ -56,24 +56,17 @@ class ConfigError(Exception):
     """Invalid job configuration or environment override."""
 
 
-def _env_max_terms() -> int | None:
+def _default_control() -> SeriesControl:
     raw = os.environ.get("KKINETICS_MAX_TERMS")
     if raw is None:
-        return None
+        return SeriesControl()
     try:
         value = int(raw)
     except ValueError:
         raise ConfigError(f"KKINETICS_MAX_TERMS must be an integer, got {raw!r}")
     if value < 1:
         raise ConfigError(f"KKINETICS_MAX_TERMS must be >= 1, got {value}")
-    return value
-
-
-def _default_control() -> SeriesControl:
-    env = _env_max_terms()
-    if env is not None:
-        return SeriesControl(max_terms=env)
-    return SeriesControl()
+    return SeriesControl(max_terms=value)
 
 
 _REQUIRED_KEYS = {
@@ -372,14 +365,7 @@ def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl,
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    if args.all:
-        fig_ids = sorted(FIGURES)
-    elif args.fig is not None:
-        if args.fig not in FIGURES:
-            raise ConfigError(f"--fig must be one of {sorted(FIGURES)}, got {args.fig}")
-        fig_ids = [args.fig]
-    else:
-        raise ConfigError("one of --fig or --all is required")
+    fig_ids = sorted(FIGURES) if args.all else [args.fig]
     out_dir = Path(args.out_dir)
     control = _default_control()
     params = {lam: figure_params(lam) for lam in LAMBDAS}
@@ -398,7 +384,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="kkinetics",
         description="fractional kinetic equation series solutions and checks",
@@ -462,23 +450,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("figures", help="reproduce the built-in parameter sweeps")
-    p.add_argument("--fig", type=int)
-    p.add_argument("--all", action="store_true")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--fig", type=int, choices=sorted(FIGURES))
+    which.add_argument("--all", action="store_true")
     p.add_argument("--out-dir", default="figures")
     p.set_defaults(func=cmd_figures)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built once per process (parsing does not change it)."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

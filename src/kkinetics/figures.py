@@ -20,20 +20,19 @@ GRID_POINTS = 201
 
 @dataclass(frozen=True)
 class FigureSpec:
-    fig_id: int
     variant: Theorem
     t_end: float
     a: float | None = None
 
 
 FIGURES: dict[int, FigureSpec] = {
-    1: FigureSpec(1, Theorem.T1, 1.0),
-    2: FigureSpec(2, Theorem.T1, 2.0),
-    3: FigureSpec(3, Theorem.T1, 3.0),
-    4: FigureSpec(4, Theorem.T2, 0.05),
-    5: FigureSpec(5, Theorem.T2, 0.06),
-    6: FigureSpec(6, Theorem.T3, 0.05, a=1.0),
-    7: FigureSpec(7, Theorem.T3, 0.06, a=1.0),
+    1: FigureSpec(Theorem.T1, 1.0),
+    2: FigureSpec(Theorem.T1, 2.0),
+    3: FigureSpec(Theorem.T1, 3.0),
+    4: FigureSpec(Theorem.T2, 0.05),
+    5: FigureSpec(Theorem.T2, 0.06),
+    6: FigureSpec(Theorem.T3, 0.05, a=1.0),
+    7: FigureSpec(Theorem.T3, 0.06, a=1.0),
 }
 
 

@@ -364,6 +364,8 @@ def haubold_mathai(
     n0: float, c_rate: float, nu: float, t: float, ctl: SeriesControl | None = None
 ) -> SeriesResult:
     """Relaxation baseline n0 * E_{nu,1}(-(c_rate * t)**nu) for a constant source."""
+    if not math.isfinite(n0):
+        raise DomainError(f"n0 must be finite, got {n0}")
     if not c_rate > 0.0:
         raise DomainError(f"c_rate must be > 0, got {c_rate}")
     if not nu > 0.0:

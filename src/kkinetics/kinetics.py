@@ -818,10 +818,10 @@ class SolutionTable:
     """Solution values on a time grid plus per-point evaluation metadata.
 
     ``times``, ``values`` and ``tails`` are read-only one-dimensional
-    float64 arrays; ``terms`` is a tuple of Python ints.  Columns given in
-    another form (tuples, lists, writable arrays, read-only views of
-    writable arrays) are copied into that form.  Two tables are equal when
-    their problems and columns are.
+    float64 arrays; ``terms`` is a tuple of Python ints.  The constructor
+    copies each float column it is given (a sequence or any array) into a
+    new read-only array, so a table shares no memory with its caller.  Two
+    tables are equal when their problems and columns are.
     """
 
     times: np.ndarray
@@ -834,10 +834,8 @@ class SolutionTable:
 
     def __post_init__(self):
         for name in self._FLOAT_COLUMNS:
-            column = getattr(self, name)
-            if not _frozen_float_array(column):
-                column = _read_only(np.array(column, dtype=float))
-                object.__setattr__(self, name, column)
+            column = _read_only(np.array(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, column)
             if column.ndim != 1:
                 raise DomainError("SolutionTable columns must be one-dimensional")
         if type(self.terms) is not tuple:
@@ -868,25 +866,10 @@ class SolutionTable:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def max_tail(self) -> float:
-        return float(self.tails.max()) if len(self.tails) else 0.0
-
 
 def _read_only(column: np.ndarray) -> np.ndarray:
     column.setflags(write=False)
     return column
-
-
-def _frozen_float_array(column) -> bool:
-    """A read-only float64 array whose memory no writable array shares: one
-    that owns it, or a view of a read-only array (numpy points a view's
-    base at the array that owns the memory)."""
-    if not (type(column) is np.ndarray and column.dtype == np.float64
-            and not column.flags.writeable):
-        return False
-    base = column.base
-    return base is None or (type(base) is np.ndarray and not base.flags.writeable)
 
 
 def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None) -> SeriesResult:

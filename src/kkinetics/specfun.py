@@ -209,7 +209,11 @@ def k_gamma(gamma: float, k: float) -> float:
 
 
 def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
-    """ln (gamma)_{n,k} through the Gamma_k ratio form."""
+    """ln (gamma)_{n,k}, with g = gamma/k: n ln k + lgamma(g + n) - lgamma(g)
+    for g <= n.  Past that the lgamma difference cancels (it loses every
+    digit once g >> n), so the sum is taken as n ln gamma plus the logs of
+    the factors' ratios to gamma: one log1p each for n <= 4096, else
+    Stirling's series of the lgamma difference to its 1/(12 x) terms."""
     if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
         raise DomainError(
             f"log_k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})"
@@ -220,7 +224,14 @@ def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
     if n == 0:
         return 0.0
     g = _over_k(gamma, k, "log_k_pochhammer")
-    return n * math.log(k) + math.lgamma(g + n) - math.lgamma(g)
+    if g <= n:
+        return n * math.log(k) + math.lgamma(g + n) - math.lgamma(g)
+    if n <= 4096:
+        return n * math.log(gamma) + math.fsum(math.log1p(i / g) for i in range(1, n))
+    # g > n > 4096: the first term left out is below 1 / (360 g**3) < 1e-13,
+    # under an ulp of the sum
+    return (n * math.log(gamma) + (g + n - 0.5) * math.log1p(n / g) - n
+            - n / (12.0 * g * (g + n)))
 
 
 def k_pochhammer(gamma: float, n: int, k: float) -> float:

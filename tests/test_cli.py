@@ -103,6 +103,14 @@ def test_eval_hm_baseline(capsys):
     assert float(out[0]) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-13)
 
 
+@pytest.mark.parametrize("n0", ["inf", "nan"])
+def test_eval_hm_baseline_refuses_a_non_finite_n0(n0, capsys):
+    # inf used to print inf with exit 0
+    rc = cli.main(["eval", "hm-baseline", "--n0", n0, "--c", "1", "--nu", "0.5", "--t", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: n0 must be finite, got {n0}\n"
+
+
 def test_eval_domain_error_exits_one(capsys):
     rc = cli.main(["eval", "kgamma", "--gamma", "-1", "--k", "2"])
     assert rc == 1
@@ -309,6 +317,15 @@ def test_atomic_write_finishes_short_writes(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert [path.read_bytes() for path in paths] == [text.encode() for text in texts]
     assert not list(tmp_path.glob("**/*.tmp"))
+
+
+def test_atomic_write_removes_its_temporary_files_on_any_error(tmp_path):
+    # a lone surrogate cannot be encoded: the error is not an OSError, so it
+    # is raised as it is, after every temporary file is gone
+    paths = [tmp_path / "a.csv", tmp_path / "b.svg"]
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write((paths[0], "t,N\n"), (paths[1], "<svg>\ud800</svg>\n"))
+    assert not any(tmp_path.iterdir())
 
 
 def test_written_files_take_their_mode_from_the_umask(tmp_path):
@@ -713,6 +730,12 @@ def test_figures_requires_selection(tmp_path):
 
 def test_figures_rejects_unknown_id(tmp_path):
     assert cli.main(["figures", "--fig", "9", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_figures_refuses_fig_and_all_together(tmp_path, capsys):
+    assert cli.main(["figures", "--fig", "2", "--all", "--out-dir", str(tmp_path)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------- misc

@@ -62,6 +62,18 @@ def test_weights_nonnegative_for_low_order(nu):
         assert np.all(grid.rl_integral(impulse) >= 0.0), f"column {i}"
 
 
+def test_grid_refuses_weights_that_drift_from_the_constant_rule():
+    # at a tiny order the increments m**nu - (m-1)**nu fall below half an ulp
+    # of their running sum, which then drops them
+    with pytest.raises(EvaluationError, match="drifted from the constant rule"):
+        QuadratureGrid(1.0, 2 ** 17, 1e-12)
+
+
+def test_grid_refuses_negative_weights_at_a_vanishing_order():
+    with pytest.raises(InstabilityError, match="negative quadrature weight for nu = 1e-300"):
+        QuadratureGrid(1.0, 64, 1e-300)
+
+
 def test_grid_validation():
     with pytest.raises(DomainError):
         QuadratureGrid(0.0, 10, 0.5)
@@ -539,6 +551,13 @@ def test_haubold_mathai_rejects_negative_and_nan_time(t, shown):
         haubold_mathai(2.0, 1.0, 0.5, t)
 
 
+@pytest.mark.parametrize("n0", [math.inf, -math.inf, math.nan])
+def test_haubold_mathai_refuses_a_non_finite_n0(n0):
+    # inf used to come back as (inf, 39, inf), and nan as nan
+    with pytest.raises(DomainError, match=f"^n0 must be finite, got {n0}$"):
+        haubold_mathai(n0, 1.0, 0.5, 1.0)
+
+
 def test_haubold_mathai_unit_order_is_exponential():
     got = haubold_mathai(2.0, 1.0, 1.0, 1.0).value
     assert got == pytest.approx(2.0 * 0.36787944117144233, rel=1e-13)
@@ -590,6 +609,19 @@ def test_laplace_identity_for_unit_order_closed_forms():
     f_tilde = laplace_transform(lambda t: 1.0, p)
     defect = abs(n_tilde * (1.0 + d / p) - n0 * f_tilde) / (n0 * f_tilde)
     assert defect <= 1e-6
+
+
+def test_laplace_transform_refuses_an_integrand_it_cannot_converge_on():
+    with pytest.raises(EvaluationError, match="adaptive Simpson failed to converge"):
+        laplace_transform(lambda t: math.nan, 1.0)
+
+
+def test_laplace_check_where_the_source_side_rounds_to_zero():
+    # n0 * Ftilde(p) underflows to 0 at the least n0: the defect is 0 for a
+    # zero candidate and inf for any other
+    prob = fig1_problem(n0=5e-324)
+    assert laplace_check(prob, lambda t: 0.0, 10.0) == 0.0
+    assert laplace_check(prob, lambda t: 1.0, 10.0) == math.inf
 
 
 def test_laplace_check_requires_p_beyond_rate():

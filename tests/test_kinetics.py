@@ -489,7 +489,7 @@ def test_solve_grid_empty_and_singleton():
     prob = fig_problem(Theorem.T1)
     empty = solve_grid(prob, [])
     assert empty == SolutionTable((), (), (), (), prob)
-    assert len(empty) == 0 and empty.max_tail == 0.0
+    assert len(empty) == 0
     single = solve_grid(prob, [0.0])
     assert single == SolutionTable((0.0,), (0.0,), (1,), (0.0,), prob)
 
@@ -513,7 +513,6 @@ def test_solve_grid_table_holds_read_only_arrays():
     # the benchmark's tracer writes sum(terms) into JSON: numpy ints would not serialize
     assert type(table.terms) is tuple and all(type(n) is int for n in table.terms)
     assert json.loads(json.dumps(sum(table.terms))) == sum(table.terms)
-    assert type(table.max_tail) is float
     with pytest.raises(TypeError):
         hash(table)
 
@@ -541,11 +540,12 @@ def test_solution_table_from_sequences_equals_the_grid_table():
         kept = SolutionTable(table.times, shared, table.terms, table.tails, prob)
         values[1] += 1.0
         assert np.array_equal(kept.values, before) and not np.array_equal(kept.values, shared)
-    # a table's own columns, and read-only views of them, are kept as they are
-    assert SolutionTable(table.times, table.values, table.terms, table.tails,
-                         prob).values is table.values
-    assert SolutionTable(table.times[:5], table.values[:5], table.terms[:5], table.tails[:5],
-                         prob).values.base is table.values
+    # so are a table's own read-only columns, and read-only views of them
+    for column in (table.values, table.values[:5]):
+        n = len(column)
+        built = SolutionTable(table.times[:n], column, table.terms[:n], table.tails[:n], prob)
+        assert not np.shares_memory(built.values, table.values) and not built.values.flags.writeable
+        assert np.array_equal(built.values, column)
     with pytest.raises(DomainError):
         SolutionTable(table.times, table.values[:-1], table.terms, table.tails, prob)
     with pytest.raises(DomainError):
@@ -572,12 +572,34 @@ def test_solve_grid_columns_are_read_only_and_shared_with_no_caller_array():
     grid = np.linspace(0.0, 0.05, 201)
     table = solve_grid(prob, grid)
     for column in (table.times, table.values, table.tails):
-        assert kinetics._frozen_float_array(column)
+        assert type(column) is np.ndarray and column.dtype == np.float64
+        assert not column.flags.writeable and not np.shares_memory(column, grid)
         with pytest.raises(ValueError):
             column[1] = 1.0
     times = table.times.copy()
     grid[1] = 0.5
     assert np.array_equal(table.times, times)
+
+
+def test_solve_grid_at_sums_past_the_doubles_is_the_point_calls():
+    # at n0 = 1e308 the sum of |terms| overflows at t = 1 although the value
+    # does not: the batch fails those points, and the point call's Horner
+    # sum hands them to its log route
+    prob = fig_problem(Theorem.T1, n0=1e308)
+    grid = np.linspace(0.0, 1.0, 5)
+    table = solve_grid(prob, grid)
+    for t, value, terms, tail in zip(grid.tolist(), table.values.tolist(), table.terms,
+                                     table.tails.tolist()):
+        res = solve_point(prob, t)
+        assert (res.value, res.terms, res.tail) == (value, terms, tail)
+    assert 0.0 < table.values[-1] < math.inf
+
+
+def test_power_table_ends_where_a_gamma_argument_leaves_lgamma():
+    # at nu = 1e306 the first gamma argument nu * mu + 1 is past the range of lgamma
+    prob = KineticProblem(n0=1.0, d=1.0, nu=1e306, variant=Theorem.T2, params=FIG_PARAMS)
+    with pytest.raises(OverflowLogError, match="needs a coefficient outside the normal doubles"):
+        solve_point(prob, 1.0)
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -623,7 +645,7 @@ def test_solve_grid_fig1_metadata():
     prob = fig_problem(Theorem.T1)
     table = solve_grid(prob, np.linspace(0.0, 1.0, 101))
     assert len(table) == 101
-    assert table.max_tail <= 1e-12
+    assert max(table.tails) <= 1e-12
     assert all(n >= 1 for n in table.terms)
     assert table.problem is prob
 

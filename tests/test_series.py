@@ -99,6 +99,12 @@ def test_batch_geometric_tail_is_the_scalar_one_at_every_finite_mag():
     assert np.array_equal(got.view(np.int64), want[falling].view(np.int64))
 
 
+def test_horner_table_base_grows_no_rows():
+    # each table type supplies its own rows
+    with pytest.raises(NotImplementedError):
+        series.HornerTable().extend(1)
+
+
 def test_array_cancellation_test_passes_where_the_scalar_check_does():
     limit, tiny = series.CANCELLATION_RATIO_LIMIT, series.DBL_MIN
     sizes = [1.0, limit, limit * 1.0000001, limit * tiny, limit * tiny * 2.0, math.nan, 1.0]

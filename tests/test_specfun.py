@@ -22,6 +22,7 @@ from kkinetics import (
     NonConvergenceError,
     OverflowLogError,
     SeriesControl,
+    corollary_source,
     fox_wright,
     gen_k_bessel,
     k_bessel_j,
@@ -36,6 +37,7 @@ from kkinetics.specfun import (
     k_bessel_log_coefficient,
     log_k_gamma,
     log_k_pochhammer,
+    ml_negative_bound,
 )
 
 mpmath.mp.dps = 40
@@ -119,6 +121,40 @@ def test_k_pochhammer_rejects_negative_n():
             log_k_pochhammer(1.0, n, 1.0)
 
 
+def _conditioned_dps(gamma: float, k: float) -> int:
+    """Digits for an mpmath reference at gamma/k: ln Gamma(gamma/k) is formed
+    to its last digit, however large it is (at a fixed 60 digits no digit
+    of ln (gamma)_{n,k} is right at gamma/k = 1e50)."""
+    return 30 + int(math.log10(max(abs(math.lgamma(gamma / k)), 1.0)))
+
+
+def _mp_log_k_pochhammer(gamma: float, n: int, k: float) -> float:
+    with mpmath.workdps(_conditioned_dps(gamma, k)):
+        g = mpmath.mpf(gamma) / mpmath.mpf(k)
+        return float(n * mpmath.log(k) + mpmath.loggamma(g + n) - mpmath.loggamma(g))
+
+
+def test_log_k_pochhammer_keeps_its_digits_at_large_gamma_over_k():
+    # ln Gamma(g + n) - ln Gamma(g) cancels once g >> n: it read 0.0 at
+    # gamma = 1e300 and 128.0 at 1e16 (n = 5, k = 1)
+    assert log_k_pochhammer(1e300, 5, 1.0) == pytest.approx(5 * math.log(1e300), rel=1e-15)
+    assert log_k_pochhammer(1e16, 5, 1.0) == pytest.approx(184.2068074395237, rel=1e-15)
+    for j in range(-3, 301):
+        for n in (1, 2, 3, 7, 50, 1000, 4096, 4097, 10 ** 5, 10 ** 8):
+            for k in (0.5, 1.0, 2.0):
+                gamma = 10.0 ** j * k
+                want = _mp_log_k_pochhammer(gamma, n, k)
+                got = log_k_pochhammer(gamma, n, k)
+                err = abs(got - want) / abs(want) if want else abs(got)
+                assert err <= 1e-14, (gamma, n, k, got, want)
+
+
+def test_k_pochhammer_overflow_reports_the_log_value():
+    with pytest.raises(OverflowLogError, match="overflows double range") as exc:
+        k_pochhammer(1e300, 5, 1.0)
+    assert exc.value.log_value == pytest.approx(3453.8776394910684, rel=1e-15)
+
+
 @pytest.mark.parametrize("gamma,k", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
                                      (1.0, math.nan)])
 def test_k_calculus_rejects_non_finite_inputs(gamma, k):
@@ -188,6 +224,13 @@ def test_ml_negative_guard_pre_bound():
     # |x| beyond 700**alpha is rejected before any summation
     with pytest.raises(CancellationError):
         mittag_leffler(MLParams(1, 1), -750.0)
+
+
+def test_ml_negative_bound_is_unbounded_past_the_doubles():
+    # 700**200 overflows: no double x lies beyond the bound, and the sum runs
+    assert ml_negative_bound(200.0) == math.inf
+    res = mittag_leffler(MLParams(200.0, 1.0), -1.0)
+    assert res.value == pytest.approx(1.0, rel=1e-15)
 
 
 def test_ml_negative_guard_runtime_monitor():
@@ -410,6 +453,41 @@ def test_reduction_identities_randomized():
             assert lhs == pytest.approx(rhs, rel=1e-12), (k, g, lam, mu, z, "W")
 
 
+def _mp_reduced(k: float, gamma: float, lam: float, order: float, x: float) -> float:
+    """sum_n (gamma)_{n,k} / Gamma_k(lam n + order) * (x/2)^n / (n!)^2, summed in mpmath."""
+    dps = _conditioned_dps(gamma, k)
+    with mpmath.workdps(dps):
+        k, g, hx = mpmath.mpf(k), mpmath.mpf(gamma) / mpmath.mpf(k), mpmath.mpf(x) / 2
+        total, n = mpmath.mpf(0), 0
+        while True:
+            a = (lam * n + order) / k
+            term = (k ** n * mpmath.rf(g, n) / (k ** (a - 1) * mpmath.gamma(a))
+                    * hx ** n / mpmath.factorial(n) ** 2)
+            total += term
+            if n > 5 and abs(term) < mpmath.mpf(10) ** -dps * abs(total):
+                return float(total)
+            n += 1
+
+
+@pytest.mark.parametrize("gamma", [1e5, 1e8, 1e12, 1e16, 1e100])
+def test_reduced_routes_keep_their_digits_at_large_gamma(gamma):
+    # (gamma)_{n,k} at gamma/k >> n used to lose every digit: k_bessel_j(1, 1e16,
+    # 1, 1, 1e-16) read -5623.6, and corollary_source at gamma = 1e16, z = 2e-8
+    # read -4.4996e-4 for 5.405e-9.  Arguments of order k / gamma keep the
+    # sums of order 1.  Their tails leave out roundoff, so the check is relative.
+    for k in (0.5, 1.0, 2.0):
+        w = k / gamma
+        got = k_bessel_j(k, gamma, 1.0, 1.0, w).value
+        assert got == pytest.approx(_mp_reduced(k, gamma, 1.0, 2.0, -w), rel=1e-12), k
+        got = k_wright_w(k, gamma, 1.0, 0.5, w).value
+        assert got == pytest.approx(_mp_reduced(k, gamma, 1.0, 0.5, w), rel=1e-12), k
+        z = 2.0 * math.sqrt(k / gamma)
+        for b in (1.0, -1.0):
+            params = KBesselParams(k=k, gamma=gamma, lam=1.0, mu=1.0, b=b, c=1.0)
+            want = z / 2.0 * _mp_reduced(k, gamma, 1.0, 1.0 + (b + 1.0) / 2.0, -z * z / 2.0)
+            assert corollary_source(params, z).value == pytest.approx(want, rel=1e-12), (k, b)
+
+
 def test_wright_reduction_at_unit_parameters():
     lhs = gen_k_bessel(KBesselParams(1, 1, 1, 1, -1.0, 1.0), 1.0).value / 0.5
     rhs = k_wright_w(1.0, 1.0, 1.0, 1.0, -0.5).value
@@ -463,6 +541,14 @@ def test_fox_wright_pole_within_horizon_names_index():
     # lower argument 2.5 - n crosses zero at n = 3
     spec = FoxWrightSpec(upper=((1.0, 1.0),), lower=((2.5, -1.0), (1.0, 3.0),))
     with pytest.raises(DomainError, match="term index 3"):
+        fox_wright(spec, 0.5)
+
+
+def test_fox_wright_upper_pole_within_horizon_names_index():
+    # upper argument 2.5 - n crosses zero at n = 3
+    spec = FoxWrightSpec(upper=((2.5, -1.0),), lower=((1.0, 1.0),))
+    with pytest.raises(DomainError,
+                       match=r"upper gamma argument -0\.5 <= 0 \(pair 0\) at term index 3"):
         fox_wright(spec, 0.5)
 
 

@@ -81,6 +81,12 @@ def test_non_finite_coordinates_are_refused(bad, where, axis):
         render_line_chart("t", "x", "y", [("a", coords["x"], coords["y"])])
 
 
+@pytest.mark.parametrize("series", [[], [("a", [], [])]])
+def test_a_chart_with_no_point_is_refused(series):
+    with pytest.raises(ValueError, match="nothing to plot"):
+        render_line_chart("t", "x", "y", series)
+
+
 def test_axes_whose_span_overflows_are_refused():
     with pytest.raises(ValueError, match="finite"):
         render_line_chart("t", "x", "y", [("a", [-1e308, 1e308], [0.0, 1.0])])
