@@ -10,87 +10,19 @@ The package has four layers:
   trapezoidal Riemann-Liouville quadrature, a direct Volterra solver,
   residual and Laplace-domain checks.
 * :mod:`kkinetics.cli` — the ``kkinetics`` command.
+
+The package exports the ``__all__`` of :mod:`kkinetics.series` (the error
+types, ``SeriesControl`` and ``SeriesResult``), ``specfun``, ``kinetics``
+and ``fracoracle``; each name is declared there alone.
 """
 
-from .series import (
-    CancellationError,
-    ConvergenceGateError,
-    DomainError,
-    EvaluationError,
-    NonConvergenceError,
-    OverflowLogError,
-    SeriesControl,
-    SeriesResult,
-)
-from .specfun import (
-    FoxWrightSpec,
-    KBesselParams,
-    MLParams,
-    fox_wright,
-    gen_k_bessel,
-    k_bessel_j,
-    k_gamma,
-    k_pochhammer,
-    k_wright_w,
-    mittag_leffler,
-    scaled_ml,
-)
-from .kinetics import (
-    KineticProblem,
-    SolutionTable,
-    Theorem,
-    corollary_source,
-    psi_form_source,
-    solve_grid,
-    solve_point,
-    source_grid,
-)
-from .fracoracle import (
-    OracleSolution,
-    QuadratureGrid,
-    haubold_mathai,
-    laplace_check,
-    laplace_transform,
-    residual,
-    solve_volterra,
-)
+from . import fracoracle, kinetics, series, specfun
+from .series import *
+from .specfun import *
+from .kinetics import *
+from .fracoracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CancellationError",
-    "ConvergenceGateError",
-    "DomainError",
-    "EvaluationError",
-    "NonConvergenceError",
-    "OverflowLogError",
-    "SeriesControl",
-    "SeriesResult",
-    "FoxWrightSpec",
-    "KBesselParams",
-    "MLParams",
-    "fox_wright",
-    "gen_k_bessel",
-    "k_bessel_j",
-    "k_gamma",
-    "k_pochhammer",
-    "k_wright_w",
-    "mittag_leffler",
-    "scaled_ml",
-    "KineticProblem",
-    "SolutionTable",
-    "Theorem",
-    "corollary_source",
-    "psi_form_source",
-    "solve_grid",
-    "solve_point",
-    "source_grid",
-    "OracleSolution",
-    "QuadratureGrid",
-    "haubold_mathai",
-    "laplace_check",
-    "laplace_transform",
-    "residual",
-    "solve_volterra",
-    "__version__",
-]
+__all__ = [*series.__all__, *specfun.__all__, *kinetics.__all__, *fracoracle.__all__,
+           "__version__"]

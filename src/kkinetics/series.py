@@ -46,6 +46,17 @@ from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
+__all__ = [
+    "EvaluationError",
+    "DomainError",
+    "ConvergenceGateError",
+    "OverflowLogError",
+    "NonConvergenceError",
+    "CancellationError",
+    "SeriesResult",
+    "SeriesControl",
+]
+
 LOG_DBL_MAX = math.log(sys.float_info.max)
 LOG_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
 DBL_MIN = sys.float_info.min
