@@ -905,19 +905,33 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
 
     Variants 2 and 3 multiply d**nu by libm's t**nu, as the scalar z does
     (numpy's power differs from libm's pow in the last bit on a few percent
-    of inputs).  A nan fails the batch, so the scalar source decides, in
-    order, each time whose z is not a normal double (z = 0 or subnormal,
-    or past the doubles, or where :func:`_scaled_power` takes its log
-    route) and each negative or nan time.
+    of inputs).  Where that product is 0 or inf at t > 0 (d**nu or t**nu
+    alone leaves the doubles), z is the scalar's own, from
+    :func:`_scaled_power`'s log route.  A nan fails the batch, so the
+    scalar source decides, in order, each time whose z is not a normal
+    double (z = 0 or subnormal, or past the doubles) and each negative or
+    nan time.
     """
     zs = times
     if prob.variant != 1:
+        d, nu = prob.d, prob.nu
         try:
-            with np.errstate(over="ignore"):  # an inf product is not normal
-                zs = prob.d ** prob.nu * _pow_batch(np.where(times >= 0.0, times, math.nan),
-                                                    prob.nu)
-        except OverflowError:  # a power past the double range: every t > 0 goes to the scalar
-            zs = times * math.nan
+            scale = d ** nu
+        except OverflowError:
+            scale = math.inf
+        positive = np.where(times >= 0.0, times, math.nan)
+        try:
+            powers = _pow_batch(positive, nu)
+        except OverflowError:
+            powers = np.array([_pow(t, nu) for t in positive.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan
+            zs = scale * powers
+            logged = np.flatnonzero((times > 0.0) & ~((zs > 0.0) & (zs < math.inf)))
+        for i in logged.tolist():
+            try:
+                zs[i] = _scaled_power("source argument", d, float(times[i]), nu)
+            except OverflowLogError:  # z past the doubles: the scalar refuses it
+                zs[i] = math.nan
     return np.where((zs >= DBL_MIN) & (zs <= DBL_MAX), zs, np.where(times == 0.0, 0.0, math.nan))
 
 

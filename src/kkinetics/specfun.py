@@ -213,7 +213,10 @@ def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
     for g <= n.  Past that the lgamma difference cancels (it loses every
     digit once g >> n), so the sum is taken as n ln gamma plus the logs of
     the factors' ratios to gamma: one log1p each for n <= 4096, else
-    Stirling's series of the lgamma difference to its 1/(12 x) terms."""
+    Stirling's series of the lgamma difference to its 1/(12 x) terms,
+    g [(1+x) log1p(x) - x] - log1p(x) / 2 with x = n/g.  The bracket,
+    about x**2 / 2, cancels for a small x; there it is summed from its
+    series sum_{j>=2} (-x)**j / (j (j-1))."""
     if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
         raise DomainError(
             f"log_k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})"
@@ -230,8 +233,16 @@ def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
         return n * math.log(gamma) + math.fsum(math.log1p(i / g) for i in range(1, n))
     # g > n > 4096: the first term left out is below 1 / (360 g**3) < 1e-13,
     # under an ulp of the sum
-    return (n * math.log(gamma) + (g + n - 0.5) * math.log1p(n / g) - n
-            - n / (12.0 * g * (g + n)))
+    x = n / g
+    if x < 0.5:
+        bracket, power, j = 0.0, x * x, 2
+        while abs(power) > EPS * bracket:
+            bracket += power / (j * (j - 1))
+            power *= -x
+            j += 1
+    else:
+        bracket = (1.0 + x) * math.log1p(x) - x
+    return n * math.log(gamma) + g * bracket - 0.5 * math.log1p(x) - n / (12.0 * g * (g + n))
 
 
 def k_pochhammer(gamma: float, n: int, k: float) -> float:

@@ -35,6 +35,7 @@ from kkinetics import (
 )
 from kkinetics import kinetics, specfun
 from kkinetics.figures import FIGURES, LAMBDAS, figure_grid, figure_problem
+from kkinetics.series import horner_sum
 from kkinetics.specfun import log_k_gamma, log_k_pochhammer
 from test_batch_reference import assert_batch_is_horner_sum
 from test_tails import _mp_solution, _mp_source
@@ -819,6 +820,25 @@ def test_source_grid_refuses_an_argument_product_past_the_doubles_like_the_scala
     with pytest.raises(OverflowLogError) as got:
         source_grid(prob, [1.0, 1e250])
     assert str(got.value) == str(want.value)
+
+
+def test_source_grid_keeps_a_normal_argument_on_its_batch_where_one_factor_leaves_the_doubles(
+        monkeypatch):
+    # d**nu underflows to 0 and t**nu overflows, while z = (d t)**nu runs
+    # from 1 to 9: the batch read nan at every t and left each to a log sum
+    prob = KineticProblem(n0=2.0, d=0.062, nu=286.0, variant=Theorem.T2, params=FIG_PARAMS)
+    times = np.linspace(16.13, 16.25, 41)
+    zs = [prob.z(t) for t in times.tolist()]
+    assert 1.0 < min(zs) and max(zs) < 9.0
+    batches = _record_batches(monkeypatch)
+    monkeypatch.setattr(KineticProblem, "_source_sum", None)  # no time leaves the batch
+    got = source_grid(prob, times)
+    assert len(batches) == 1 and not batches[0][0].failed.any()
+    for value, z in zip(got.tolist(), zs):
+        half = z / 2.0
+        want = horner_sum(prob.params._table, half * half, half ** prob.params.mu,
+                          SeriesControl(), "reference")
+        assert value == want.value
 
 
 def test_solve_grid_reevaluates_only_the_points_its_batch_refuses(monkeypatch):

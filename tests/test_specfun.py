@@ -149,6 +149,24 @@ def test_log_k_pochhammer_keeps_its_digits_at_large_gamma_over_k():
                 assert err <= 1e-14, (gamma, n, k, got, want)
 
 
+def test_log_k_pochhammer_keeps_its_digits_where_n_ln_gamma_is_small():
+    # past n = 4096 with gamma/k > n, (g + n - 1/2) log1p(n/g) - n cancelled
+    # to about n**2 / 2g: at gamma = 1 it read 0.0049999498296529 at
+    # k = 1e-12, n = 1e5 (relative error 7.4e-10), and 4.1e-11 off at
+    # k = 1e-9, n = 5000
+    assert log_k_pochhammer(1.0, 10 ** 5, 1e-12) == pytest.approx(
+        _mp_log_k_pochhammer(1.0, 10 ** 5, 1e-12), rel=1e-14, abs=0.0)
+    for gamma in (0.5, 1.0, 1.5):
+        for j in range(4, 17):
+            for n in (4097, 5000, 10 ** 5, 10 ** 8):
+                k = 10.0 ** -j
+                if gamma / k <= n:
+                    continue
+                want = _mp_log_k_pochhammer(gamma, n, k)
+                got = log_k_pochhammer(gamma, n, k)
+                assert abs(got - want) <= 1e-14 * abs(want), (gamma, n, k, got, want)
+
+
 def test_k_pochhammer_overflow_reports_the_log_value():
     with pytest.raises(OverflowLogError, match="overflows double range") as exc:
         k_pochhammer(1e300, 5, 1.0)
