@@ -22,7 +22,8 @@ scaled by exact powers of two once a gamma passes 2**512.  The table is
 built once per value (see below); the inner Mittag-Leffler sums
 disappear.  The sum is refused with :class:`series.CancellationError`
 where the sum of every |term (n, m)| exceeds
-:data:`series.CANCELLATION_RATIO_LIMIT` times |N|.  It runs by Horner on
+:data:`series.CANCELLATION_RATIO_LIMIT` times |N|, or where its tail is
+at least |N| (:func:`series.check_tail`).  It runs by Horner on
 the table, and its tail bounds the roundoff too
 (:func:`series.horner_sum`).  Where s or n0 s**mu is not a normal
 double, or Horner's sums leave the doubles, the same terms are summed as
@@ -165,10 +166,12 @@ from .series import (
     _pow,
     _pow_batch,
     check_cancellation,
+    check_tail,
     horner_sum,
     horner_sum_batch,
     sum_log_terms,
     within_cancellation_limit,
+    within_tail_limit,
 )
 from .specfun import (
     GAMMA_ULPS,
@@ -545,7 +548,9 @@ class _PowerTable(HornerTable):
 
         res = sum_log_terms(term, ctl, label="solve_point")
         res = _guard_log_sum(res, abs_sum, err_sum, "solve_point")
-        return SeriesResult(n0 * res.value, res.terms, abs(n0) * res.tail)
+        value, tail = n0 * res.value, abs(n0) * res.tail
+        check_tail(value, tail, "solve_point")  # n0 may lift the tail past DBL_MIN
+        return SeriesResult(value, res.terms, tail)
 
 
 class _Line(HornerTable):
@@ -563,7 +568,7 @@ class _Line(HornerTable):
 
 # Why _BivariateTable.sums refuses a point: the term budget ran out (the
 # value is then the partial sum), a value it needs is not a normal double,
-# or cancellation leaves no digits.
+# or cancellation leaves no digits (the tail is at least |value| too).
 _BUDGET, _RANGE, _CANCELLED = 1, 2, 3
 
 
@@ -707,6 +712,7 @@ class _BivariateTable:
                 f"solve_point: at t = {t} the double series needs a power of t, a coefficient "
                 "or a sum outside the normal doubles", math.inf)
         check_cancellation(abs_value, value, "solve_point")
+        check_tail(value, tail, "solve_point")
         return SeriesResult(value, rows, tail)
 
     def batch(self, times: np.ndarray, n0: float, ctl: SeriesControl) -> SeriesBatch:
@@ -755,7 +761,7 @@ class _BivariateTable:
             value, abs_value = pre * total, pre * abs_total
             tail = pre * (EPS * err_total + floor
                           + (2.0 * ctl.rel_tol + EPS * (2.0 * cols + 1.5 * rows)) * abs_total)
-            kept = within_cancellation_limit(abs_value, value)
+            kept = within_cancellation_limit(abs_value, value) & within_tail_limit(value, tail)
             codes = np.where(~((abs_value <= DBL_MAX) & (tail <= DBL_MAX)), _RANGE,
                              np.where(~kept & (codes == 0), _CANCELLED, codes))
         return value, abs_value, tail, rows, codes
@@ -883,7 +889,7 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     :class:`series.OverflowLogError`, and every route is refused with
     :class:`series.CancellationError` when the sum of all |terms| of the
     double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
-    the value.  Neither z(t) nor (rate t)**nu is formed: a time where
+    the value, or when the tail is at least |value|.  Neither z(t) nor (rate t)**nu is formed: a time where
     they leave the doubles is summed, or refused, like any other.
     """
     if not t >= 0.0:

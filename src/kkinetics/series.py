@@ -14,7 +14,8 @@ enough because alternating series stall near sign changes.
 Every sum is guarded: one whose largest term exceeds
 :data:`CANCELLATION_RATIO_LIMIT` times the sum raises
 :class:`CancellationError`, because cancellation has left it no reliable
-digits.  A series of positive terms cannot trip the guard.
+digits.  A series of positive terms cannot trip the guard.  So does one
+whose final tail is at least |value| (:func:`check_tail`).
 
 A power series ``pre * sum_j a_j x**j`` whose coefficients are t-free plain
 doubles is summed by Horner instead (:class:`HornerTable`,
@@ -168,8 +169,8 @@ def sum_log_terms(
     zero adds nothing).
 
     A sum whose largest term exceeds :data:`CANCELLATION_RATIO_LIMIT` times
-    the sum raises :class:`CancellationError` instead of returning a
-    digit-starved result.  A bare ``OverflowError`` that ``term`` raises
+    the sum, or whose tail is at least |sum| (:func:`check_tail`), raises
+    :class:`CancellationError` instead of returning a digit-starved result.  A bare ``OverflowError`` that ``term`` raises
     (math.lgamma past the double range) is refused as
     :class:`OverflowLogError`.
     """
@@ -212,7 +213,9 @@ def sum_log_terms(
     except OverflowError:
         raise OverflowLogError(f"{label}: term {n} leaves the double range", math.inf) from None
     check_cancellation(max_mag, total, label)
-    return SeriesResult(total, n + 1, _geometric_tail(mag, prev_mag) + tiny * DBL_TRUE_MIN)
+    tail = _geometric_tail(mag, prev_mag) + tiny * DBL_TRUE_MIN
+    check_tail(total, tail, label)
+    return SeriesResult(total, n + 1, tail)
 
 
 def check_cancellation(size: float, value: float, label: str) -> None:
@@ -230,6 +233,27 @@ def within_cancellation_limit(size: np.ndarray, value: np.ndarray) -> np.ndarray
     """:func:`check_cancellation`'s test at every element: True where it passes
     (call with overflow warnings off).  A nan in either array fails."""
     return size <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
+
+
+def check_tail(value: float, tail: float, label: str) -> None:
+    """Refuse ``value`` where its ``tail`` is at least |value|: such an answer
+    carries no digit, not even its sign.
+
+    A tail below DBL_MIN is kept whatever the value: it is informative at
+    the doubles' edge, where t = 0 answers 0 with tail 0 and a source
+    omega that rounds to 0 answers it with a tail below DBL_MIN.
+    """
+    if tail >= abs(value) and tail >= DBL_MIN:
+        raise CancellationError(
+            f"{label}: tail {tail:.3g} is at least |value| {abs(value):.3g}; "
+            "result would carry no significant digits"
+        )
+
+
+def within_tail_limit(value: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """:func:`check_tail`'s test at every element: True where it passes.  A nan
+    in either array fails."""
+    return (tail < np.abs(value)) | (tail < DBL_MIN)
 
 
 def _geometric_tail(mag: float, prev_mag: float) -> float:
@@ -436,7 +460,8 @@ def horner_sum(table: HornerTable, x: float, pre: float, ctl: SeriesControl, lab
     table ends before J, or where a sum leaves the double range; the
     caller then takes its log route.  Raises :class:`NonConvergenceError`
     past ``ctl.max_terms`` and :class:`CancellationError` where the sum of
-    every |term| exceeds :data:`CANCELLATION_RATIO_LIMIT` times the value.
+    every |term| exceeds :data:`CANCELLATION_RATIO_LIMIT` times the value
+    or where the tail is at least |value| (:func:`check_tail`).
     """
     if not (DBL_MIN <= x <= DBL_MAX and DBL_MIN <= pre <= DBL_MAX):
         return None
@@ -453,6 +478,7 @@ def horner_sum(table: HornerTable, x: float, pre: float, ctl: SeriesControl, lab
     if not (DBL_MIN <= abs_value <= DBL_MAX and tail <= DBL_MAX):
         return None
     check_cancellation(abs_value, value, label)
+    check_tail(value, tail, label)
     return SeriesResult(value, length, tail)
 
 
@@ -513,7 +539,7 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
         if ok is None and _all_outputs_pass(abs_value, value, tail):
             return SeriesBatch(value, length, tail, np.zeros(x.size, dtype=bool))
         passed = ((abs_value >= DBL_MIN) & (np.maximum(abs_value, tail) <= DBL_MAX)
-                  & within_cancellation_limit(abs_value, value))
+                  & within_cancellation_limit(abs_value, value) & within_tail_limit(value, tail))
         if ok is not None:
             passed &= ok
     return SeriesBatch(value, length, tail, ~passed)
@@ -522,13 +548,15 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
 def _all_outputs_pass(abs_value: np.ndarray, value: np.ndarray, tail: np.ndarray) -> bool:
     """True if every element passes :func:`horner_sum_batch`'s output guards,
     as found from reductions alone; False where they cannot tell (a nan, or
-    a batch whose least |value| is too small for its largest sum of |terms|)."""
-    abs_max = abs_value.max()
-    if not (DBL_MIN <= abs_value.min() and abs_max <= DBL_MAX and tail.max() <= DBL_MAX):
+    a batch whose least |value| is too small for its largest sum of |terms|
+    or not above its largest tail)."""
+    abs_max, tail_max = abs_value.max(), tail.max()
+    if not (DBL_MIN <= abs_value.min() and abs_max <= DBL_MAX and tail_max <= DBL_MAX):
         return False
     smallest = np.abs(value).min()
-    # the limit at every element is at least the one at the smallest |value|
-    return smallest >= 0.0 and abs_max <= CANCELLATION_RATIO_LIMIT * max(smallest, DBL_MIN)
+    # the limits at every element are at least those at the smallest |value|
+    return (tail_max < smallest
+            and abs_max <= CANCELLATION_RATIO_LIMIT * max(smallest, DBL_MIN))
 
 
 def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray

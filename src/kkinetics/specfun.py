@@ -54,6 +54,7 @@ from .series import (
     TABLE_LOCK,
     _integer_n,
     check_cancellation,
+    check_tail,
     sum_log_terms,
 )
 
@@ -493,13 +494,15 @@ def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str
     EPS times it, and EPS |value| for the compensated sum (at most twice
     the unit roundoff of the value, to first order).  A tail that is not
     finite (a bound past the double range) is refused with
-    :class:`OverflowLogError`.
+    :class:`OverflowLogError`, and one that is at least |value| with
+    :class:`CancellationError` (:func:`series.check_tail`).
     """
     check_cancellation(abs_sum, res.value, label)
     tail = res.tail + EPS * (err_sum + abs(res.value))
     if not tail < math.inf:
         raise OverflowLogError(f"{label}: the error bound of the sum leaves the double range",
                                math.inf)
+    check_tail(res.value, tail, label)
     return SeriesResult(res.value, res.terms, tail)
 
 

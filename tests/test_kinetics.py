@@ -934,6 +934,20 @@ def test_figure_sweeps_match_the_benchmark_reference():
     assert checked == 35
 
 
+def test_solution_refuses_a_tail_at_least_its_value():
+    # the two-dimensional table's floor term for its faded entries: t = 6.38
+    # answered 0.527 with a tail of 6.6e286
+    prob = KineticProblem(n0=2.0, d=0.00415, nu=216.96, variant=Theorem.T1, params=FIG_PARAMS)
+    for t in (6.0, 6.38):
+        with pytest.raises(CancellationError, match=r"^solve_point: tail .* is at least \|value\| "):
+            solve_point(prob, t)
+    with pytest.raises(CancellationError) as want:
+        solve_point(prob, 6.0)
+    with pytest.raises(CancellationError) as got:
+        solve_grid(prob, [0.0, 1.0, 6.0, 6.38])
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("t", [7.0, 8.0])
 def test_unit_order_refuses_where_cancellation_leaves_no_digits(t):
     # the sum of every |term| is 1.9e12 |N| at t = 7 and 7e13 |N| at t = 8.

@@ -14,6 +14,7 @@ from kkinetics.series import (
     SeriesControl,
     sum_log_terms,
 )
+from test_batch_reference import assert_batch_is_horner_sum
 
 
 def test_control_validation():
@@ -119,3 +120,43 @@ def test_array_cancellation_test_passes_where_the_scalar_check_does():
             scalar = False
         assert passes is scalar
     assert kept.tolist() == [True, True, False, True, False, False, False]
+
+
+def test_array_tail_test_passes_where_the_scalar_check_does():
+    tiny = series.DBL_MIN
+    values = [1.0, -1.0, 1.0, 0.0, 0.0, tiny, 1.0, math.nan]
+    tails = [0.5, 1.0, 2.0, 0.0, tiny / 2.0, tiny, math.nan, 0.5]
+    kept = series.within_tail_limit(np.array(values), np.array(tails))
+    for value, tail, passes in zip(values, tails, kept.tolist()):
+        try:
+            series.check_tail(value, tail, "test")
+            scalar = not math.isnan(value + tail)  # a nan compares False: the array fails it
+        except series.CancellationError:
+            scalar = False
+        assert passes is scalar
+    # a tail below DBL_MIN is kept: t = 0 answers 0 with tail 0
+    assert kept.tolist() == [True, False, False, True, True, False, False, False]
+
+
+class _ExpTable(series.HornerTable):
+    """exp(x) = sum_j x**j / j!, with 1e17 EPS of error charged to a_1."""
+
+    def grow(self, stop):
+        while len(self.coeffs) < min(stop, 40):
+            a = 1.0 / math.factorial(len(self.coeffs))
+            self.coeffs.append(a)
+            self.abs_coeffs.append(a)
+            self.errs.append(1e17 * a if len(self.errs) == 1 else 0.0)
+
+
+def test_horner_sums_refuse_a_tail_at_least_the_value():
+    # the tail is about 22 x against a value of exp(x)
+    table, ctl = _ExpTable(), SeriesControl()
+    assert series.horner_sum(table, 0.01, 1.0, ctl, "exp").tail < 1.02
+    with pytest.raises(series.CancellationError, match=r"^exp: tail .* is at least \|value\| "):
+        series.horner_sum(table, 0.5, 1.0, ctl, "exp")
+    for xs in ([0.01, 0.02], [0.01, 0.5, 0.02, 1.0]):
+        x = np.array(xs)
+        got = series.horner_sum_batch(table, x, np.ones(x.size), ctl)
+        assert got.failed.tolist() == [v > 0.02 for v in xs]
+        assert_batch_is_horner_sum(got, table, x, np.ones(x.size), ctl)

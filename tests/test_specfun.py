@@ -22,6 +22,7 @@ from kkinetics import (
     NonConvergenceError,
     OverflowLogError,
     SeriesControl,
+    SeriesResult,
     corollary_source,
     fox_wright,
     gen_k_bessel,
@@ -34,6 +35,7 @@ from kkinetics import (
 )
 from kkinetics.specfun import (
     _LGAMMA_ARG_MAX,
+    _guard_log_sum,
     k_bessel_log_coefficient,
     log_k_gamma,
     log_k_pochhammer,
@@ -354,6 +356,14 @@ def test_gen_k_bessel_refuses_cancellation(z):
     # the true value is about 0.262; z = 20 used to return -8.6e18
     with pytest.raises(CancellationError, match="^gen_k_bessel: cancellation ratio"):
         gen_k_bessel(FIG_PARAMS, z)
+
+
+def test_log_sum_guard_refuses_a_tail_at_least_the_value():
+    # 1e17 EPS of roundoff on |terms| summing to 1 makes a tail of about 22
+    res = SeriesResult(1.0, 3, 0.0)
+    assert _guard_log_sum(res, 1.0, 1e14, "log sum").tail < 1.0
+    with pytest.raises(CancellationError, match=r"^log sum: tail .* is at least \|value\| "):
+        _guard_log_sum(res, 1.0, 1e17, "log sum")
 
 
 def test_gen_k_bessel_matches_half_j_at_unit_selectors():
