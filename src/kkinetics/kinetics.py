@@ -889,8 +889,9 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     :class:`series.OverflowLogError`, and every route is refused with
     :class:`series.CancellationError` when the sum of all |terms| of the
     double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
-    the value, or when the tail is at least |value|.  Neither z(t) nor (rate t)**nu is formed: a time where
-    they leave the doubles is summed, or refused, like any other.
+    the value, or when the tail is at least |value|.  Neither z(t) nor
+    (rate t)**nu is formed: a time where they leave the doubles is summed,
+    or refused, like any other.
     """
     if not t >= 0.0:
         raise DomainError(f"t must be >= 0, got {t}")

@@ -14,8 +14,8 @@ enough because alternating series stall near sign changes.
 Every sum is guarded: one whose largest term exceeds
 :data:`CANCELLATION_RATIO_LIMIT` times the sum raises
 :class:`CancellationError`, because cancellation has left it no reliable
-digits.  A series of positive terms cannot trip the guard.  So does one
-whose final tail is at least |value| (:func:`check_tail`).
+digits.  A series of positive terms cannot trip the guard.  A sum whose
+final tail is at least |value| raises it too (:func:`check_tail`).
 
 A power series ``pre * sum_j a_j x**j`` whose coefficients are t-free plain
 doubles is summed by Horner instead (:class:`HornerTable`,
@@ -170,9 +170,9 @@ def sum_log_terms(
 
     A sum whose largest term exceeds :data:`CANCELLATION_RATIO_LIMIT` times
     the sum, or whose tail is at least |sum| (:func:`check_tail`), raises
-    :class:`CancellationError` instead of returning a digit-starved result.  A bare ``OverflowError`` that ``term`` raises
-    (math.lgamma past the double range) is refused as
-    :class:`OverflowLogError`.
+    :class:`CancellationError` instead of returning a digit-starved result.
+    A bare ``OverflowError`` that ``term`` raises (math.lgamma past the
+    double range) is refused as :class:`OverflowLogError`.
     """
     total = 0.0
     comp = 0.0

@@ -19,11 +19,30 @@ def test_prints_each_end_to_end_metric_of_one_tiny_pair(capsys):
     assert _tool().main([str(ROOT), str(ROOT), "--pairs", "1", "--workload", "points",
                          "--seconds", "0.1", "--tiny"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split()[:2] == ["workload", "metric"]
+    assert lines[0].split()[:2] == ["workload", "metric"] and lines[0].split()[-1] == "verdict"
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     rows = [line.split() for line in lines[1:]]
     assert [row[:2] for row in rows] == [["points", name] for name in names] + [["points", "ops"]]
     for row in rows[:-1]:
-        assert row[-1] in ("0/1", "1/1") and float(row[2]) > 0.0 and float(row[5]) > 0.0
+        assert row[-2] in ("0/1", "1/1") and float(row[2]) > 0.0 and float(row[5]) > 0.0
+        assert row[-1] in ("gain", "worse", "unresolved", "holds")
     assert rows[-1].count("True") == 2
     assert not list(ROOT.glob(".kkbench-*"))
+
+
+def test_verdict_follows_the_pair_rules():
+    verdict = _tool().verdict
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # interquartile range 0.2
+    # better in 9 of 10 pairs and by more than that range; in 8 of 10 it only holds
+    assert verdict(parent, [v - 0.5 for v in parent[:9]] + [10.5], "lower", 0.25) == "gain"
+    assert verdict(parent, [v - 0.5 for v in parent[:8]] + [10.5, 10.5], "lower", 0.25) == "holds"
+    # higher is better: the same runs negated
+    assert verdict([-v for v in parent], [0.5 - v for v in parent], "higher", 0.25) == "gain"
+    assert verdict(parent, [v * 1.3 for v in parent], "lower", 0.25) == "worse"
+    assert verdict(parent, [v * 1.2 for v in parent], "lower", 0.25) == "holds"
+    assert verdict(parent, [v * 1.2 for v in parent], "lower", 0.1) == "worse"
+    # a spread wider than the bound decides nothing, unless every change run reads better
+    wide = [5.0, 15.0, 8.0, 12.0, 10.0, 6.0, 14.0, 9.0, 11.0, 10.0]
+    assert verdict(wide, wide, "lower", 0.25) == "unresolved"
+    assert verdict(wide, [4.0] * 9 + [4.5], "lower", 0.25) == "gain"
+    assert verdict(wide, [4.9] * 4 + [20.0] * 6, "lower", 0.25) == "worse"

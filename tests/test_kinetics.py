@@ -939,7 +939,7 @@ def test_solution_refuses_a_tail_at_least_its_value():
     # answered 0.527 with a tail of 6.6e286
     prob = KineticProblem(n0=2.0, d=0.00415, nu=216.96, variant=Theorem.T1, params=FIG_PARAMS)
     for t in (6.0, 6.38):
-        with pytest.raises(CancellationError, match=r"^solve_point: tail .* is at least \|value\| "):
+        with pytest.raises(CancellationError, match=r"^solve_point: tail .* at least \|value\| "):
             solve_point(prob, t)
     with pytest.raises(CancellationError) as want:
         solve_point(prob, 6.0)

@@ -12,10 +12,10 @@ under ``PYTHONDONTWRITEBYTECODE=1``, so both compile every module from
 source on every run, whatever bytecode the checkouts hold.
 
 It prints, for each workload and each end-to-end metric that the change's
-``BENCHMARK.json`` names, the median and quartiles of each side and the
-pairs in which the change reads better (ties count for neither), and the
-failed and attempted ops of each side.  ``--tiny`` passes ``--tiny`` to
-the benchmark, for a smoke test.
+``BENCHMARK.json`` names, the median and quartiles of each side, the
+pairs in which the change reads better (ties count for neither) and a
+verdict (:func:`verdict`), and the failed and attempted ops of each side.
+``--tiny`` passes ``--tiny`` to the benchmark, for a smoke test.
 """
 
 from __future__ import annotations
@@ -60,6 +60,39 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _costs(values: list[float], better: str) -> list[float]:
+    """The values with the sign that makes lower better."""
+    return [v if better == "lower" else -v for v in values]
+
+
+def _wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change reads better (ties count for neither)."""
+    return sum(c < p for p, c in zip(_costs(parent, better), _costs(change, better)))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The change's verdict on one metric, from the runs of each side in pair order.
+
+    ``gain``: the change reads better in at least 9 of 10 pairs, and the
+    medians differ by more than the parent's interquartile range.
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound``, a fraction of the parent's median.  ``unresolved``: the
+    parent's interquartile range is wider than that bound, and not every
+    run of the change reads better than every run of the parent.
+    ``holds``: none of these.
+    """
+    q1, median, q3 = _quartiles(parent)
+    costs = _costs(parent, better), _costs(change, better)
+    gap = statistics.median(costs[1]) - statistics.median(costs[0])  # > 0: the change is worse
+    if 10 * _wins(parent, change, better) >= 9 * len(parent) and -gap > q3 - q1:
+        return "gain"
+    if gap > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not max(costs[1]) < min(costs[0]):
+        return "unresolved"
+    return "holds"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -72,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     workloads = args.workload or list(WORKLOADS)
     sides = ("parent", "change")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -84,19 +117,18 @@ def main(argv: list[str] | None = None) -> int:
                     runs[workload, side].append(
                         _run(roots[side], workload, args.seed + i, seconds, args.tiny))
     print(f"{'workload':10} {'metric':12} {'parent median [q1, q3]':>34} "
-          f"{'change median [q1, q3]':>34} {'wins':>6}")
+          f"{'change median [q1, q3]':>34} {'wins':>6} {'verdict':>10}")
     for workload in workloads:
-        for name, better in metrics.items():
-            values = {side: [run["metrics"][name]["value"] for run in runs[workload, side]]
-                      for side in sides}
-            sign = 1.0 if better == "lower" else -1.0
-            wins = sum(sign * (c - p) < 0.0 for p, c in zip(values["parent"], values["change"]))
+        for name, (better, bound) in metrics.items():
+            parent, change = ([run["metrics"][name]["value"] for run in runs[workload, side]]
+                              for side in sides)
             cells = []
-            for side in sides:
-                q1, q2, q3 = _quartiles(values[side])
+            for values in (parent, change):
+                q1, q2, q3 = _quartiles(values)
                 cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
             print(f"{workload:10} {name:12} {cells[0]:>34} {cells[1]:>34} "
-                  f"{wins:>3}/{args.pairs}")
+                  f"{_wins(parent, change, better):>3}/{args.pairs} "
+                  f"{verdict(parent, change, better, bound):>10}")
         counts = ["{} of {} failed, correct {}".format(
             sum(run["failed"] for run in runs[workload, side]),
             sum(run["attempted"] for run in runs[workload, side]),
