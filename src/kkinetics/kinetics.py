@@ -922,17 +922,13 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
     zs = times
     if prob.variant != 1:
         d, nu = prob.d, prob.nu
-        try:
-            scale = d ** nu
-        except OverflowError:
-            scale = math.inf
         positive = np.where(times >= 0.0, times, math.nan)
         try:
             powers = _pow_batch(positive, nu)
         except OverflowError:
             powers = np.array([_pow(t, nu) for t in positive.tolist()])
         with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan
-            zs = scale * powers
+            zs = _pow(d, nu) * powers
             logged = np.flatnonzero((times > 0.0) & ~((zs > 0.0) & (zs < math.inf)))
         for i in logged.tolist():
             try:
