@@ -61,13 +61,15 @@ solution, chosen by the kind of input, call them:
   :class:`series.DomainError`; the command line also refuses a grid of
   more than 2**20 points or steps (:data:`cli.MAX_GRID_SIZE`).
 
-The source has a pair too: :meth:`KineticProblem.source` evaluates
-omega(z(t)) at one t through :func:`specfun.gen_k_bessel`, which sums
-logs, and :func:`source_grid` sums omega = (z/2)**mu sum_n c_n x**n,
-x = (z/2) * (z/2), at every grid time by Horner on the t-free table of
-its parameters (``KBesselParams._table``).  Where z = (d t)**nu of
-variants 2 and 3 is 0 or subnormal at t > 0, it carries few digits or
-none: there the scalar source sums the same logs at log(z/2) =
+The source is one sum too: :meth:`KineticProblem.source` sums omega =
+(z/2)**mu sum_n c_n x**n, x = (z/2) * (z/2), at one t by Horner on the
+t-free table of its parameters (``KBesselParams._table``), and
+:func:`source_grid` runs the same sum at every grid time.  The scalar
+source keeps logs only where Horner cannot run: it calls
+:func:`specfun.gen_k_bessel` where the table ends or a sum leaves the
+doubles, at t = 0 and at a subnormal z = t of variant 1.  Where z =
+(d t)**nu of variants 2 and 3 is 0 or subnormal at t > 0, it carries few
+digits or none: there the scalar source sums the same logs at log(z/2) =
 nu (log d + log t) - log 2, formed from t with its error bound.
 
 Every t-free table is built once per value, not once per instance.  A
@@ -95,44 +97,27 @@ while it builds); both tables give equal bits.
 
 Both grids follow one contract.  The batch is
 :func:`series.horner_sum_batch`, or the two-dimensional table's own
-evaluator, and applies the scalar summation rules.  On the solution's
-tables its values, term counts and tails are those of
-:func:`solve_point` bit for bit, on a grid of one time too.  On the
-source each element is :func:`series.horner_sum` on the same table bit
-for bit, and its value agrees with :func:`specfun.gen_k_bessel` to
-rounding: the two form their terms differently and stop by different
-rules.  Both guard the same sum
-of |terms| (to rounding), and on z in (0, 60] at the figure parameters
-the batch answers no point that gen_k_bessel refuses.  Each batch reads
-one array.  The solution's reads the times: it forms s = t**nu and s**mu
-(or t**2, t**nu and t**mu) bit for bit as the scalar call forms them
-(libm's pow) and sums every t > 0; t = 0 gives 0.0 after one term.  It
-forms neither z(t) nor (rate t)**nu: the table alone answers or refuses
-each time.  The source's batch reads z(t), formed bit for bit as the
-scalar z forms it where it is a normal double, takes (z/2)**mu from
-libm's pow too and sums it; t = 0 gives 0.0 after one term.  At every
-other time (z = 0 or subnormal, z past the doubles, t < 0 or nan) it
-reads nan, which it fails (:func:`_source_arguments`).  The
-Horner batch runs each step over whole rows, in the grid's order, for
-at most ``series._FULL_WIDTH_MAX`` (352) times, and on the times sorted
-by length past that, in chunks of at most ``series._CHUNK_MAX`` (4096)
-times: all run the scalar's operations, so a time's
-value, terms and tail do not depend on the grid's size or order.  It marks
-the points that its scalar form (:func:`solve_point`, or
-:func:`series.horner_sum` on the source) refuses or leaves to another
-route.  Those points, and every point when the
-batch itself raises, are evaluated again in order through the scalar
-call, so a grid raises what the scalar call raises at the earliest
-failing time.
-
-One edge of the source: Horner's length rule compares a term with the
-largest earlier |term|, where gen_k_bessel compares it with the partial
-sum, so it can stop a term or two sooner.  Under a ``max_terms`` that
-small the source grid may answer a point whose scalar call raises
-:class:`series.NonConvergenceError` (z = 0.96 at the figure parameters
-with lambda = 1 and ``max_terms`` = 15).  The figure tables end after
-106-151 coefficients, far below the default budget of 500, and a point
-that needs more is left to the scalar call.
+evaluator, and applies the scalar summation rules.  Its values, term
+counts and tails are those of the scalar call (:func:`solve_point`, or
+the Horner sum of :meth:`KineticProblem.source`) bit for bit, on a grid
+of one time too.  Each batch reads one array.  The solution's reads the
+times: it forms s = t**nu and s**mu (or t**2, t**nu and t**mu) bit for
+bit as the scalar call forms them (libm's pow) and sums every t > 0; t =
+0 gives 0.0 after one term.  It forms neither z(t) nor (rate t)**nu: the
+table alone answers or refuses each time.  The source's batch reads
+z(t), formed bit for bit as the scalar z forms it where it is a normal
+double, takes (z/2)**mu from libm's pow too and sums it; t = 0 gives 0.0
+after one term.  At every other time (z = 0 or subnormal, z past the
+doubles, t < 0 or nan) it reads nan, which it fails
+(:func:`_source_arguments`).  The Horner batch runs each step over whole
+rows, in the grid's order, for at most ``series._FULL_WIDTH_MAX`` (352)
+times, and on the times sorted by length past that, in chunks of at most
+``series._CHUNK_MAX`` (4096) times: all run the scalar's operations, so
+a time's value, terms and tail do not depend on the grid's size or
+order.  It marks the points that its scalar call refuses or leaves to
+another route.  Those points, and every point when the batch itself
+raises, are evaluated again in order through the scalar call, so a grid
+raises what the scalar call raises at the earliest failing time.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -261,24 +246,34 @@ class KineticProblem:
                 object.__setattr__(self, name, float(v))
 
     def source(self, t: float, ctl: SeriesControl | None = None) -> float:
-        """Source value N0-free: omega(t) or omega(d**nu * t**nu) (see :meth:`_source_sum`)."""
+        """Source value N0-free: omega(t) or omega(d**nu * t**nu) (see :meth:`_source_sum`),
+        the element of :func:`source_grid` at t bit for bit."""
         return self._source_sum(t, ctl).value
 
     def _source_sum(self, t: float, ctl: SeriesControl | None = None) -> SeriesResult:
         """omega(z(t)) with its term count and tail.
 
-        :func:`specfun.gen_k_bessel` at z = :meth:`z` where z is a normal
-        double, at t = 0 and on variant 1, whose z is t itself.  Elsewhere
-        (d t)**nu is 0 or subnormal, so it carries few digits or none: the
-        same log sum (:func:`specfun._k_bessel_log_sum`) runs on log(z/2) =
-        nu (log d + log t) - log 2, formed from t.  Its error, in EPS, is
-        at most nu (|log d| + |log t|) for an ulp of each log, carried
-        through the product; nu |log d + log t| / 2 and
+        Where z = :meth:`z` is a normal double, :func:`series.horner_sum`
+        on the t-free table of the parameters (``KBesselParams._table``)
+        at x = (z/2) * (z/2) with libm's (z/2)**mu, formed as
+        :func:`source_grid` forms them, so the point is its grid element
+        bit for bit.  :func:`specfun.gen_k_bessel` sums the logs where
+        Horner leaves the sum (the table ends, or a sum leaves the
+        doubles), at t = 0 and on variant 1, whose z is t itself.
+        Elsewhere (d t)**nu is 0 or subnormal, so it carries few digits or
+        none: the same log sum (:func:`specfun._k_bessel_log_sum`) runs on
+        log(z/2) = nu (log d + log t) - log 2, formed from t.  Its error,
+        in EPS, is at most nu (|log d| + |log t|) for an ulp of each log,
+        carried through the product; nu |log d + log t| / 2 and
         |nu (log d + log t)| / 2 for the sum and the product; log 2 for an
         ulp of log 2; and |log(z/2)| / 2 for the difference.  The product
         with mu+2n and the rounding of mu+2n add |log(z/2)| / 2 each.
         """
-        z = self.z(t)
+        half = (z := self.z(t)) / 2.0  # below a normal z, x = half * half is not normal either
+        res = horner_sum(self.params._table, half * half, _pow(half, self.params.mu),
+                         ctl or DEFAULT_CONTROL, "gen_k_bessel")
+        if res is not None:
+            return res
         if z >= DBL_MIN or t == 0.0 or self.variant == 1:
             return gen_k_bessel(self.params, z, ctl)
         log_d, log_t = math.log(self.d), math.log(t)
@@ -951,7 +946,8 @@ def _evaluate_grid(
     numpy's overflow and invalid warnings off: a power, a square or a
     prefactor past the doubles is an inf, which is not a normal double,
     and its point fails, as does a nan.  A zero gives 0.0 after one term.
-    ``scalar(t)`` evaluates one time.
+    ``scalar(t)`` evaluates one time: it gives each element the batch
+    answers bit for bit, and it decides each point that fails.
 
     Where no argument but the first is 0 and no point fails, the columns
     are the batch's own, after that zero's entries if it has one;
@@ -1021,8 +1017,9 @@ def source_grid(
     """The source omega(z(t)) of ``prob`` (N0-free) at every t >= 0 in ``times``.
 
     One Horner batch on the t-free table of ``prob.params`` under the grid
-    contract (see module docs); the points it refuses or leaves go to
-    :meth:`KineticProblem.source`.
+    contract (see module docs): each value is that of
+    :meth:`KineticProblem.source` at its time bit for bit, and the points
+    the batch refuses or leaves go to it.
     """
     times = _grid_times(times)
     ctl = ctl or DEFAULT_CONTROL

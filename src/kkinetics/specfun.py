@@ -210,10 +210,13 @@ def k_gamma(gamma: float, k: float) -> float:
 
 
 def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
-    """ln (gamma)_{n,k}, with g = gamma/k: n ln k + lgamma(g + n) - lgamma(g)
-    for g <= n.  Past that the lgamma difference cancels (it loses every
-    digit once g >> n), so the sum is taken as n ln gamma plus the logs of
-    the factors' ratios to gamma: one log1p each for n <= 4096, else
+    """ln (gamma)_{n,k}, with g = gamma/k.  For g <= n it sums the logs of
+    the factors, ln(gamma + i k), with math.fsum while n <= 4096 and every
+    factor is finite, and takes n ln k + lgamma(g + n) - lgamma(g) past
+    that; the lgamma form cancels against n ln k where the value is near 0.
+    For g > n the lgamma difference cancels (it loses every digit once
+    g >> n), so the sum is taken as n ln gamma plus the logs of the
+    factors' ratios to gamma: one log1p each for n <= 4096, else
     Stirling's series of the lgamma difference to its 1/(12 x) terms,
     g [(1+x) log1p(x) - x] - log1p(x) / 2 with x = n/g.  The bracket,
     about x**2 / 2, cancels for a small x; there it is summed from its
@@ -229,6 +232,9 @@ def log_k_pochhammer(gamma: float, n: int, k: float) -> float:
         return 0.0
     g = _over_k(gamma, k, "log_k_pochhammer")
     if g <= n:
+        # n ln k and the lgamma difference cancel where the sum is near 0
+        if n <= 4096 and gamma + (n - 1) * k < math.inf:
+            return math.fsum(math.log(gamma + i * k) for i in range(n))
         return n * math.log(k) + math.lgamma(g + n) - math.lgamma(g)
     if n <= 4096:
         return n * math.log(gamma) + math.fsum(math.log1p(i / g) for i in range(1, n))

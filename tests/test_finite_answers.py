@@ -11,7 +11,11 @@ the Volterra oracle
 (``QuadratureGrid``, ``solve_volterra`` and ``residual``) at orders up to
 400 and rates up to 1e3.  It checks no value against a reference: only
 that no answer carries a nan or infinite value or tail and that no bare
-Python exception escapes.
+Python exception escapes.  A second test checks the grid contract on the
+sweep's own problems: ``solve_grid`` gives ``solve_point``'s values,
+terms and tails, and ``source_grid`` the scalar source's values, bit for
+bit, and each grid raises the error type its point call raises at the
+earliest time it refuses.
 
 Run it as a script to print the counts for a seed (27 by default):
 
@@ -25,6 +29,7 @@ import time
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from kkinetics import (
     EvaluationError,
@@ -42,6 +47,7 @@ from kkinetics import (
     mittag_leffler,
     residual,
     scaled_ml,
+    solve_grid,
     solve_point,
     solve_volterra,
     source_grid,
@@ -83,7 +89,8 @@ def _reference_calls():
         yield "fox_wright", lambda spec=spec, z=z: fox_wright(spec, z)
 
 
-def _solve_calls(rng, problems=40, times=6):
+def _solve_problems(rng, problems=40, times=6):
+    """Sampled problems of all three variants, each with its times."""
     for _ in range(problems):
         variant = int(rng.integers(1, 4))
         params = KBesselParams(k=rng.choice(_STRIDES), gamma=rng.choice(_GAMMAS),
@@ -92,8 +99,13 @@ def _solve_calls(rng, problems=40, times=6):
         prob = KineticProblem(n0=1.0, d=rng.choice((0.5, 1.0, 3.0)),
                               nu=rng.choice((0.5, 0.75, 1.0, 1.7)), variant=variant,
                               params=params, a=2.0 if variant == 3 else None)
-        for t in [1e-300, *(10.0 ** rng.uniform(-12.0, 1.0, times - 1))]:
-            yield f"solve_point v{variant}", lambda prob=prob, t=t: solve_point(prob, t)
+        yield prob, [1e-300, *(10.0 ** rng.uniform(-12.0, 1.0, times - 1)).tolist()]
+
+
+def _solve_calls(rng):
+    for prob, times in _solve_problems(rng):
+        for t in times:
+            yield f"solve_point v{int(prob.variant)}", lambda prob=prob, t=t: solve_point(prob, t)
 
 
 # (d, nu, times): z = (d t)**nu is a normal double at the first time,
@@ -113,18 +125,24 @@ def _grid_answer(values):
     return SeriesResult(float(np.abs(values).max()), len(values), 0.0)
 
 
-def _source_calls(rng, problems=4):
+def _source_problems(rng, problems=4):
+    """Problems of variants 2 and 3 on each of :data:`_SOURCE_CASES`, each with its times."""
     for (d, nu, times), variant in itertools.product(_SOURCE_CASES, (2, 3)):
         for _ in range(problems):
             params = KBesselParams(k=rng.choice(_STRIDES), gamma=rng.choice(_GAMMAS),
                                    lam=rng.choice(_STRIDES), mu=rng.choice(_MUS),
                                    b=rng.choice(_BS), c=rng.choice(_CS))
-            prob = KineticProblem(n0=1.0, d=d, nu=nu, variant=variant, params=params,
-                                  a=2.0 if variant == 3 else None)
-            for t in times:
-                yield f"source v{variant}", lambda prob=prob, t=t: prob._source_sum(t)
-            yield f"source_grid v{variant}", lambda prob=prob, times=times: _grid_answer(
-                source_grid(prob, times))
+            yield KineticProblem(n0=1.0, d=d, nu=nu, variant=variant, params=params,
+                                 a=2.0 if variant == 3 else None), times
+
+
+def _source_calls(rng):
+    for prob, times in _source_problems(rng):
+        variant = int(prob.variant)
+        for t in times:
+            yield f"source v{variant}", lambda prob=prob, t=t: prob._source_sum(t)
+        yield f"source_grid v{variant}", lambda prob=prob, times=times: _grid_answer(
+            source_grid(prob, times))
 
 
 def _oracle_solution(t_end, n, nu, rate):
@@ -182,6 +200,50 @@ def test_every_answer_is_finite_and_every_failure_an_evaluation_error():
                              "solve_point v1", "solve_point v2", "solve_point v3", "oracle",
                              "source v2", "source v3", "source_grid v2", "source_grid v3"}
 
+
+
+def _earliest_refusal(point, times):
+    """The results of ``point`` at ``times`` up to the first refusal, and that refusal (or None)."""
+    results = []
+    for t in times:
+        try:
+            results.append(point(t))
+        except EvaluationError as exc:
+            return results, exc
+    return results, None
+
+
+def _assert_grid_is_its_points(grid, point, times):
+    """``grid(times)`` gives ``point(t)`` at every time, or raises the type that
+    ``point`` raises at the earliest time it refuses, and answers the times before it."""
+    results, refusal = _earliest_refusal(point, times)
+    if refusal is not None:
+        with pytest.raises(EvaluationError) as got:
+            grid(times)
+        assert type(got.value) is type(refusal)
+        times = times[:len(results)]
+    assert grid(times) == results
+
+
+def test_every_grid_is_its_point_calls_on_the_sweep():
+    # the sweep's own problems: its generators draw from one rng in this order
+    rng = np.random.default_rng(SEED)
+    for _ in _k_bessel_calls(rng):
+        pass
+    solve_problems = list(_solve_problems(rng))
+    for _ in _oracle_calls(rng):
+        pass
+    source_problems = list(_source_problems(rng))
+    for prob, times in solve_problems:
+        def table(ts, prob=prob):
+            got = solve_grid(prob, ts)
+            return list(zip(got.values.tolist(), got.terms, got.tails.tolist()))
+
+        _assert_grid_is_its_points(table, lambda t, prob=prob: tuple(solve_point(prob, t)),
+                                   [0.0, *sorted(times)])
+    for prob, times in source_problems:
+        _assert_grid_is_its_points(lambda ts, prob=prob: source_grid(prob, ts).tolist(),
+                                   lambda t, prob=prob: prob._source_sum(t).value, list(times))
 
 if __name__ == "__main__":
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else SEED

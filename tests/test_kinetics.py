@@ -414,12 +414,10 @@ def test_layers_are_reached_through_module_attributes(monkeypatch):
     calls.clear()
     solve_grid(prob, np.linspace(0.0, 1.0, 11))
     assert calls == {"kkinetics.kinetics.horner_sum_batch": 1}
+    # the scalar source sums on the same table as its grid: one Horner sum
     calls.clear()
     prob.source(0.5)
-    assert calls == {
-        "kkinetics.kinetics.gen_k_bessel": 1,
-        "kkinetics.specfun.sum_log_terms": 1,
-    }
+    assert calls == {"kkinetics.kinetics.horner_sum": 1}
     calls.clear()
     specfun.mittag_leffler(MLParams(0.5, 1.0), -1.0)
     specfun.scaled_ml(MLParams(0.5, 3.0), -1.0)
@@ -1013,6 +1011,21 @@ def test_source_grid_matches_gen_k_bessel_on_figure_sweeps(fig_id, monkeypatch):
         assert_batch_is_horner_sum(*batches[0])
         for value, r in zip(got[1:], points[1:]):
             assert value == pytest.approx(r.value, rel=1e-13, abs=0.0)
+        # the scalar source sums on the same table: each point is its grid element
+        assert got.tolist() == [prob.source(t) for t in grid.tolist()]
+
+
+def test_source_point_answers_where_its_grid_does_under_a_small_budget():
+    # Horner's length rule stops a term or two before the log route's; at
+    # max_terms = 15 the scalar source raised NonConvergenceError at t = 0.96
+    # (figure 1, lambda = 1), where its grid answered 0.29047377
+    prob = figure_problem(FIGURES[1], 1.0)
+    ctl = SeriesControl(max_terms=15)
+    with pytest.raises(NonConvergenceError):
+        gen_k_bessel(prob.params, 0.96, ctl)
+    res = prob._source_sum(0.96, ctl)
+    assert res.terms == 15
+    assert res.value == source_grid(prob, [0.0, 0.96], ctl)[1] == pytest.approx(0.29047377, rel=1e-8)
 
 
 DBL_MIN = np.finfo(float).tiny

@@ -41,6 +41,7 @@ from kkinetics.specfun import (
     log_k_pochhammer,
     ml_negative_bound,
 )
+from kkinetics.series import EPS
 
 mpmath.mp.dps = 40
 
@@ -149,6 +150,26 @@ def test_log_k_pochhammer_keeps_its_digits_at_large_gamma_over_k():
                 got = log_k_pochhammer(gamma, n, k)
                 err = abs(got - want) / abs(want) if want else abs(got)
                 assert err <= 1e-14, (gamma, n, k, got, want)
+
+
+def test_log_k_pochhammer_keeps_its_digits_where_n_ln_k_and_lgamma_cancel():
+    # at g = gamma/k <= n, n ln k + lgamma(g + n) - lgamma(g) cancels where
+    # the value is near 0: it read 1.3e-14 relative at gamma = 0.684, n = 6,
+    # k = 0.145, and up to 5.3e-14 of sum |ln(gamma + i k)| at n = 1
+    def reference(gamma, n, k):
+        with mpmath.workdps(60):
+            factors = [mpmath.log(mpmath.mpf(gamma) + i * mpmath.mpf(k)) for i in range(n)]
+            return float(mpmath.fsum(factors)), float(mpmath.fsum(map(abs, factors)))
+
+    want, _ = reference(0.684, 6, 0.145)
+    assert abs(log_k_pochhammer(0.684, 6, 0.145) - want) <= 1e-15 * abs(want)
+    rng = np.random.default_rng(38)
+    for _ in range(400):
+        k = float(10.0 ** rng.uniform(-3.0, 1.0))
+        n = int(rng.integers(1, 61))
+        gamma = float(rng.uniform(0.0, n)) * k or k
+        want, size = reference(gamma, n, k)
+        assert abs(log_k_pochhammer(gamma, n, k) - want) <= 4.0 * EPS * size, (gamma, n, k)
 
 
 def test_log_k_pochhammer_keeps_its_digits_where_n_ln_gamma_is_small():

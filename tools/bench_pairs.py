@@ -1,7 +1,10 @@
-"""Compare the benchmark's end-to-end metrics of two checkouts in alternating pairs.
+"""Compare the benchmark's end-to-end metrics of two checkouts in alternating pairs,
+or record one checkout's runs to a JSON file.
 
     python tools/bench_pairs.py PARENT CHANGE [--pairs N] [--workload W ...]
         [--seconds S] [--seed SEED] [--tiny]
+    python tools/bench_pairs.py CHECKOUT --record PATH [--runs R] [--seconds S]
+        [--seed SEED] [--tiny]
 
 runs ``python3 kkbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`` once on each checkout for pair i = 0 .. N-1 (default 10 pairs),
@@ -16,6 +19,12 @@ It prints, for each workload and each end-to-end metric that the change's
 pairs in which the change reads better (ties count for neither) and a
 verdict (:func:`verdict`), and the failed and attempted ops of each side.
 ``--tiny`` passes ``--tiny`` to the benchmark, for a smoke test.
+
+``--record PATH`` runs every workload R times (default 5) on one
+bytecode-free copy of CHECKOUT, seed SEED+i in round i, the workloads in
+order in even rounds and reversed in odd ones, and writes PATH
+(:func:`record`).  ``--seconds`` defaults to ``run_seconds`` of the
+checkout's ``BENCHMARK.json`` in both modes.
 """
 
 from __future__ import annotations
@@ -23,6 +32,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -41,8 +52,19 @@ def _copy(checkout: Path, dest: Path) -> Path:
     return dest
 
 
+# What a run prints besides its JSON line: each pattern's first group, as a float
+_PRINTED = {
+    "speed_factor": r"median speed factor ([^ ]+)",
+    "wall_s_measured": r"^wall_s .*; ([^ ]+) s measured",
+    "refused": r"^failed_frac .*; (\d+) refused",
+    "max_err": r"^max_err +([^ ]+)",
+    "tail_exceeded_frac": r"^tail_exceeded_frac +([^ ]+)",
+}
+
+
 def _run(root: Path, workload: str, seed: int, seconds: float, tiny: bool) -> dict:
-    """The JSON line that ends one benchmark run of one workload."""
+    """The JSON line that ends one benchmark run of one workload, with the
+    :data:`_PRINTED` values the run printed under ``printed``."""
     argv = [sys.executable, "kkbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"] + (["--tiny"] if tiny else [])
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -50,7 +72,10 @@ def _run(root: Path, workload: str, seed: int, seconds: float, tiny: bool) -> di
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: {workload} run in {root} exited {done.returncode}:\n"
                          f"{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    run = json.loads(done.stdout.strip().splitlines()[-1])
+    run["printed"] = {name: float(found.group(1)) for name, pattern in _PRINTED.items()
+                      if (found := re.search(pattern, done.stdout, re.MULTILINE))}
+    return run
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,23 +118,78 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "holds"
 
 
+def _machine(root: Path) -> dict:
+    """What decides whether two records compare: the interpreter, numpy, the CPU and the commit."""
+    import numpy
+
+    cpu = re.search(r"^model name\s*: (.*)$", Path("/proc/cpuinfo").read_text(), re.MULTILINE) \
+        if Path("/proc/cpuinfo").is_file() else None
+    git = [subprocess.run(["git", "-C", str(root), *cmd], capture_output=True, text=True).stdout
+           for cmd in (["rev-parse", "HEAD"], ["status", "--porcelain", "--", "src", "kkbench"])]
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "nproc": os.cpu_count(), "cpu": cpu.group(1) if cpu else platform.processor(),
+            "git_head": git[0].strip() or None, "src_or_kkbench_modified": bool(git[1].strip())}
+
+
+def record(root: Path, path: Path, runs: int, seconds: float, seed: int, tiny: bool) -> dict:
+    """Run every workload ``runs`` times on one copy of ``root`` and write the record to ``path``.
+
+    Per workload it holds each end-to-end metric of ``root``'s
+    ``BENCHMARK.json`` (every run's value, the median and quartiles), and
+    per run the failed, refused and attempted ops, ``max_err``,
+    ``tail_exceeded_frac`` (``points`` only), the measured wall time and
+    the median speed factor.
+    """
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
+        copy = _copy(root.resolve(), Path(tmp))
+        done = {w: [] for w in WORKLOADS}
+        for i in range(runs):
+            for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
+                done[workload].append(_run(copy, workload, seed + i, seconds, tiny))
+    workloads = {}
+    for workload, results in done.items():
+        metrics = {}
+        for m in spec["end_to_end"]:
+            values = [run["metrics"][m["name"]]["value"] for run in results]
+            q1, median, q3 = _quartiles(values)
+            metrics[m["name"]] = {"unit": m["unit"], "values": values, "median": median,
+                                  "q1": q1, "q3": q3}
+        per_run = {key: [run[key] for run in results] for key in ("failed", "attempted", "correct")}
+        per_run.update({name: [run["printed"].get(name) for run in results] for name in _PRINTED
+                        if any(name in run["printed"] for run in results)})
+        workloads[workload] = {"metrics": metrics, "runs": per_run}
+    out = {"seeds": [seed + i for i in range(runs)], "seconds": seconds, "tiny": tiny,
+           "bytecode": "none: a copy without __pycache__, under PYTHONDONTWRITEBYTECODE=1",
+           "machine": _machine(root), "workloads": workloads}
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("checkouts", type=Path, nargs="+", metavar="PARENT CHANGE | CHECKOUT")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--tiny", action="store_true")
+    parser.add_argument("--record", type=Path, metavar="PATH")
+    parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    if len(args.checkouts) != (1 if args.record else 2):
+        parser.error("give PARENT and CHANGE, or one CHECKOUT with --record")
+    spec = json.loads((args.checkouts[-1] / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    if args.record:
+        record(args.checkouts[0], args.record, args.runs, seconds, args.seed, args.tiny)
+        return 0
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     workloads = args.workload or list(WORKLOADS)
     sides = ("parent", "change")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {side: _copy(getattr(args, side).resolve(), Path(tmp) / side) for side in sides}
+        roots = {side: _copy(checkout.resolve(), Path(tmp) / side)
+                 for side, checkout in zip(sides, args.checkouts)}
         runs = {(w, side): [] for w in workloads for side in sides}
         for i in range(args.pairs):
             for workload in workloads:
