@@ -131,7 +131,7 @@ def _machine(root: Path) -> dict:
             "git_head": git[0].strip() or None, "src_or_kkbench_modified": bool(git[1].strip())}
 
 
-def record(root: Path, path: Path, runs: int, seconds: float, seed: int, tiny: bool) -> dict:
+def record(root: Path, path: Path, runs: int, seconds: float, seed: int, tiny: bool) -> None:
     """Run every workload ``runs`` times on one copy of ``root`` and write the record to ``path``.
 
     Per workload it holds each end-to-end metric of ``root``'s
@@ -163,12 +163,12 @@ def record(root: Path, path: Path, runs: int, seconds: float, seed: int, tiny: b
            "bytecode": "none: a copy without __pycache__, under PYTHONDONTWRITEBYTECODE=1",
            "machine": _machine(root), "workloads": workloads}
     path.write_text(json.dumps(out, indent=1) + "\n")
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("checkouts", type=Path, nargs="+", metavar="PARENT CHANGE | CHECKOUT")
+    parser.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT",
+                        help="PARENT and CHANGE, or one CHECKOUT with --record")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seconds", type=float)
