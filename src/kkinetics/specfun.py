@@ -607,14 +607,16 @@ def _reduced_k_bessel(
         return _one_term(log_value, GAMMA_ULPS * max(abs(math.lgamma(g)), 1.0)
                          + g * _digamma_bound(g) + (g + 2.0 * abs(g - 1.0)) * abs(math.log(k)))
     log_hx = math.log(abs(x) / 2.0)
+    # at g = gamma/k <= n, log_k_pochhammer's lgamma form: one lgamma a term where
+    # its fsum takes n logs, and this sum's log budget is absolute
+    g = gamma / k
+    log_k, lgamma_g = math.log(k), (math.lgamma(g) if g > 0.0 else math.nan)
 
     def term(n: int) -> tuple[float, float]:
-        log_mag = (
-            log_k_pochhammer(gamma, n, k)
-            - log_k_gamma(lam * n + order + shift, k)
-            + n * log_hx
-            - 2.0 * math.lgamma(n + 1.0)
-        )
+        log_poch = (n * log_k + math.lgamma(g + n) - lgamma_g if 0.0 < g <= n
+                    else log_k_pochhammer(gamma, n, k))
+        log_mag = (log_poch - log_k_gamma(lam * n + order + shift, k) + n * log_hx
+                   - 2.0 * math.lgamma(n + 1.0))
         return _sign_pow(x, n), log_mag
 
     return sum_log_terms(term, ctl, label=label)

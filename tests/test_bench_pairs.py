@@ -50,22 +50,22 @@ def test_verdict_follows_the_pair_rules():
 
 def test_records_every_run_of_every_workload_with_its_machine(tmp_path):
     path = tmp_path / "BENCH.json"
-    assert _tool().main([str(ROOT), "--record", str(path), "--runs", "2", "--seconds", "0.1",
-                         "--tiny"]) == 0
+    tool = _tool()
+    assert tool.main([str(ROOT), "--record", str(path), "--seconds", "0.1", "--tiny"]) == 0
     record = json.loads(path.read_text())
-    assert record["seeds"] == [1, 2] and record["seconds"] == 0.1
+    assert record["seeds"] == list(range(1, tool.RUNS + 1)) and record["seconds"] == 0.1
     assert set(record["machine"]) == {"python", "numpy", "nproc", "cpu", "git_head",
                                       "src_or_kkbench_modified"}
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
-    assert sorted(record["workloads"]) == sorted(_tool().WORKLOADS)
+    assert sorted(record["workloads"]) == sorted(tool.WORKLOADS)
     for workload, entry in record["workloads"].items():
         assert list(entry["metrics"]) == names
         for metric in entry["metrics"].values():
-            assert len(metric["values"]) == 2
+            assert len(metric["values"]) == tool.RUNS
             assert metric["q1"] <= metric["median"] <= metric["q3"]
         runs = entry["runs"]
         keys = {"failed", "attempted", "correct", "refused", "max_err", "speed_factor",
                 "wall_s_measured"} | ({"tail_exceeded_frac"} if workload == "points" else set())
-        assert set(runs) == keys and all(len(v) == 2 for v in runs.values())
+        assert set(runs) == keys and all(len(v) == tool.RUNS for v in runs.values())
         assert all(runs["correct"]) and min(runs["speed_factor"]) > 0.0
     assert not list(ROOT.glob(".kkbench-*"))

@@ -201,7 +201,6 @@ def test_every_answer_is_finite_and_every_failure_an_evaluation_error():
                              "source v2", "source v3", "source_grid v2", "source_grid v3"}
 
 
-
 def _earliest_refusal(point, times):
     """The results of ``point`` at ``times`` up to the first refusal, and that refusal (or None)."""
     results = []
@@ -226,24 +225,17 @@ def _assert_grid_is_its_points(grid, point, times):
 
 
 def test_every_grid_is_its_point_calls_on_the_sweep():
-    # the sweep's own problems: its generators draw from one rng in this order
-    rng = np.random.default_rng(SEED)
-    for _ in _k_bessel_calls(rng):
-        pass
-    solve_problems = list(_solve_problems(rng))
-    for _ in _oracle_calls(rng):
-        pass
-    source_problems = list(_source_problems(rng))
-    for prob, times in solve_problems:
+    for prob, times in _solve_problems(np.random.default_rng(SEED)):
         def table(ts, prob=prob):
             got = solve_grid(prob, ts)
             return list(zip(got.values.tolist(), got.terms, got.tails.tolist()))
 
         _assert_grid_is_its_points(table, lambda t, prob=prob: tuple(solve_point(prob, t)),
                                    [0.0, *sorted(times)])
-    for prob, times in source_problems:
+    for prob, times in _source_problems(np.random.default_rng(SEED)):
         _assert_grid_is_its_points(lambda ts, prob=prob: source_grid(prob, ts).tolist(),
                                    lambda t, prob=prob: prob._source_sum(t).value, list(times))
+
 
 if __name__ == "__main__":
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else SEED

@@ -3,8 +3,8 @@ or record one checkout's runs to a JSON file.
 
     python tools/bench_pairs.py PARENT CHANGE [--pairs N] [--workload W ...]
         [--seconds S] [--seed SEED] [--tiny]
-    python tools/bench_pairs.py CHECKOUT --record PATH [--runs R] [--seconds S]
-        [--seed SEED] [--tiny]
+    python tools/bench_pairs.py CHECKOUT --record PATH [--seconds S] [--seed SEED]
+        [--tiny]
 
 runs ``python3 kkbench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`` once on each checkout for pair i = 0 .. N-1 (default 10 pairs),
@@ -20,7 +20,7 @@ pairs in which the change reads better (ties count for neither) and a
 verdict (:func:`verdict`), and the failed and attempted ops of each side.
 ``--tiny`` passes ``--tiny`` to the benchmark, for a smoke test.
 
-``--record PATH`` runs every workload R times (default 5) on one
+``--record PATH`` runs every workload :data:`RUNS` times on one
 bytecode-free copy of CHECKOUT, seed SEED+i in round i, the workloads in
 order in even rounds and reversed in odd ones, and writes PATH
 (:func:`record`).  ``--seconds`` defaults to ``run_seconds`` of the
@@ -42,6 +42,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("figures", "verify", "relaxation", "points")
+RUNS = 5  # the runs of each workload in a record
 
 
 def _copy(checkout: Path, dest: Path) -> Path:
@@ -131,8 +132,8 @@ def _machine(root: Path) -> dict:
             "git_head": git[0].strip() or None, "src_or_kkbench_modified": bool(git[1].strip())}
 
 
-def record(root: Path, path: Path, runs: int, seconds: float, seed: int, tiny: bool) -> None:
-    """Run every workload ``runs`` times on one copy of ``root`` and write the record to ``path``.
+def record(root: Path, path: Path, seconds: float, seed: int, tiny: bool) -> None:
+    """Run every workload :data:`RUNS` times on one copy of ``root`` and write the record to ``path``.
 
     Per workload it holds each end-to-end metric of ``root``'s
     ``BENCHMARK.json`` (every run's value, the median and quartiles), and
@@ -144,7 +145,7 @@ def record(root: Path, path: Path, runs: int, seconds: float, seed: int, tiny: b
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
         copy = _copy(root.resolve(), Path(tmp))
         done = {w: [] for w in WORKLOADS}
-        for i in range(runs):
+        for i in range(RUNS):
             for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
                 done[workload].append(_run(copy, workload, seed + i, seconds, tiny))
     workloads = {}
@@ -159,7 +160,7 @@ def record(root: Path, path: Path, runs: int, seconds: float, seed: int, tiny: b
         per_run.update({name: [run["printed"].get(name) for run in results] for name in _PRINTED
                         if any(name in run["printed"] for run in results)})
         workloads[workload] = {"metrics": metrics, "runs": per_run}
-    out = {"seeds": [seed + i for i in range(runs)], "seconds": seconds, "tiny": tiny,
+    out = {"seeds": [seed + i for i in range(RUNS)], "seconds": seconds, "tiny": tiny,
            "bytecode": "none: a copy without __pycache__, under PYTHONDONTWRITEBYTECODE=1",
            "machine": _machine(root), "workloads": workloads}
     path.write_text(json.dumps(out, indent=1) + "\n")
@@ -175,14 +176,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--tiny", action="store_true")
     parser.add_argument("--record", type=Path, metavar="PATH")
-    parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args(argv)
     if len(args.checkouts) != (1 if args.record else 2):
         parser.error("give PARENT and CHANGE, or one CHECKOUT with --record")
     spec = json.loads((args.checkouts[-1] / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     if args.record:
-        record(args.checkouts[0], args.record, args.runs, seconds, args.seed, args.tiny)
+        record(args.checkouts[0], args.record, seconds, args.seed, args.tiny)
         return 0
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     workloads = args.workload or list(WORKLOADS)
