@@ -39,9 +39,10 @@ Variant 1 at nu != 1 does not align: term (n, m) carries t**(mu+2n) and
 (:class:`_BivariateTable`), N(t) = n0 t**mu sum_n u**n sum_m T[n, m] v**m
 with u = t**2 and v = t**nu, built once per value too.  It is built
 whole at the largest rows and columns a batch of sums has needed, and
-built again, whole, when a batch needs more; the lengths of the sums
-read only its leads, straight from the coefficient reader, and its first
-row, which is built on its own.  The inner Mittag-Leffler sums disappear
+built again, whole, when a batch needs more, each side that grows at
+least doubled; the lengths of the sums read only its leads, straight
+from the coefficient reader, and its first row, which is built on its
+own and doubles too.  The inner Mittag-Leffler sums disappear
 here too, and the sum is guarded and bounded the same way.
 
 Each table sums its own solution, through two methods: ``point(t, n0,
@@ -111,10 +112,15 @@ after one term.  At every other time (z = 0 or subnormal, z past the
 doubles, t < 0 or nan) it reads nan, which it fails
 (:func:`_source_arguments`).  The Horner batch runs each step over whole
 rows, in the grid's order, for at most ``series._FULL_WIDTH_MAX`` (352)
-times, and on the times sorted by length past that, in chunks of at most
-``series._CHUNK_MAX`` (4096) times: all run the scalar's operations, so
-a time's value, terms and tail do not depend on the grid's size or
-order.  It marks the points that its scalar call refuses or leaves to
+times.  Past that it runs in one join order, owned by :mod:`series`:
+ascending by term count, each step on the suffix of times that has
+joined, in contiguous chunks of at most ``series._CHUNK_MAX`` (4096)
+times.  A grid whose counts never fall, as on increasing times, is in
+that order already and is not sorted; any other is sorted once.  The
+two-dimensional table's Horner (``series._joined_horner``) runs in the
+same order, so this module holds no Horner loop.  All run the scalar's
+operations, so a time's value, terms and tail do not depend on the
+grid's size or order.  It marks the points that its scalar call refuses or leaves to
 another route.  Those points, and every point when the batch itself
 raises, are evaluated again in order through the scalar call, so a grid
 raises what the scalar call raises at the earliest failing time.
@@ -148,6 +154,7 @@ from .series import (
     SeriesControl,
     SeriesResult,
     TABLE_LOCK,
+    _joined_horner,
     _pow,
     _pow_batch,
     check_cancellation,
@@ -558,7 +565,7 @@ class _Line(HornerTable):
         self.table, self.axis = table, axis
 
     def grow(self, stop: int) -> None:
-        self.abs_coeffs = self.table.line(self.axis, stop)
+        self.abs_coeffs = self.table.line(self.axis, max(stop, 2 * len(self.abs_coeffs)))
 
 
 # Why _BivariateTable.sums refuses a point: the term budget ran out (the
@@ -604,9 +611,10 @@ class _BivariateTable:
 
     The table is built whole, from the leads (:meth:`_build`), at the
     largest shape a batch of sums has needed, and built again, whole, when
-    a batch needs more.  The lengths of the sums read only the leads
-    (:meth:`_leads`, with no build) and the first row, which is built on
-    its own (:meth:`line`).  An entry, its errs and its row's extent
+    a batch needs more (:meth:`grow`: a side that grows at least doubles).
+    The lengths of the sums read only the leads (:meth:`_leads`, with no
+    build) and the first row, which is built on its own (:meth:`line`)
+    and doubles as it grows too.  An entry, its errs and its row's extent
     depend on its row and column alone, not on the shape built.
     """
 
@@ -633,15 +641,17 @@ class _BivariateTable:
     def grow(self, rows: int, cols: int) -> None:
         """Build the table anew at least ``rows`` x ``cols`` and at least its old shape.
 
-        The one writer of the table, under :data:`series.TABLE_LOCK`.  ``coeffs``
-        is replaced last, so a reader that finds it large enough finds the
-        other arrays built at least as large, and takes no lock.
+        A side that grows at least doubles, and never passes twice what is
+        asked, so a run of ever larger asks builds a logarithmic number of
+        times.  The one writer of the table, under :data:`series.TABLE_LOCK`.
+        ``coeffs`` is replaced last, so a reader that finds it large enough
+        finds the other arrays built at least as large, and takes no lock.
         """
         if rows <= self.coeffs.shape[0] and cols <= self.coeffs.shape[1]:
             return
         with TABLE_LOCK:
             old_rows, old_cols = self.coeffs.shape
-            rows, cols = max(rows, old_rows, 1), max(cols, old_cols, 1)
+            rows, cols = (max(a, 2 * h) if a > h else h for a, h in ((rows, old_rows), (cols, old_cols)))
             if (rows, cols) != (old_rows, old_cols):
                 coeffs, self.errs, self.extent = self._build(rows, cols)
                 # the columns all of the first n rows hold
@@ -765,7 +775,7 @@ class _BivariateTable:
         """Each point's sum over its rows x cols entries, the sum of those |terms|,
         of those |terms| times their rows' errs at the last column and of
         2 DBL_MIN u**n v**m: Horner in v along every row, then in u down the
-        rows (:func:`_joined_horner`)."""
+        rows (:func:`series._joined_horner`)."""
         width, depth = int(rows.max()), int(cols.max())
         coeffs = self.coeffs[:width, :depth]
         inner = _joined_horner(v, cols, np.vstack((coeffs, np.abs(coeffs),
@@ -774,31 +784,6 @@ class _BivariateTable:
         errs = row_abs * self.errs[:width, cols - 1].T
         floors = np.broadcast_to(floor, row_abs.shape)
         return _joined_horner(u, rows, np.stack((inner[:, :width], row_abs, errs, floors)).T).T
-
-
-def _joined_horner(x: np.ndarray, lengths: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[j] x**j by Horner at every x over its own length, as one batch.
-
-    Term j is ``coeffs[j]``: one row shared by every point (2-D ``coeffs``)
-    or one row per point (3-D, the points on axis 1).  The points run
-    sorted by decreasing length and each joins at its last term, before
-    which its partial sums are 0 (and 0 * x + 0 is 0), so each takes the
-    operations of a batch of one.
-    """
-    order = np.argsort(-lengths, kind="stable")
-    joined = np.searchsorted(-lengths[order], -np.arange(len(coeffs)), side="left").tolist()
-    per_point = coeffs.ndim == 3
-    if per_point:
-        coeffs = coeffs[:, order]
-    partials = np.zeros((x.size, coeffs.shape[-1]))
-    xs = x[order, None]
-    for j in range(len(coeffs) - 1, -1, -1):
-        part = partials[:joined[j]]
-        part *= xs[:joined[j]]
-        part += coeffs[j, :joined[j]] if per_point else coeffs[j]
-    out = np.empty_like(partials)
-    out[order] = partials
-    return out
 
 
 def _lgamma(x: float) -> float:

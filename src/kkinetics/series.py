@@ -575,24 +575,26 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
     a Horner step is two ufunc calls, one accumulated product forms every
     power, and the call has no slicing, sort or scatter, which on rows
     this short cost more than the arithmetic they save.  Larger batches
-    (verify's 2048 times) sort the elements by length and run each step
-    on the prefix that has joined (:func:`_prefix_rows`), so no step
-    touches an element that has not joined: there the arithmetic
-    outweighs the calls.  Where the lengths never fall along the batch,
-    as on an increasing grid, whose x grows with t, the reversed batch is
-    already sorted and runs as views, with no sort, gather or scatter.
-    Past :data:`_CHUNK_MAX` elements the sorted elements run in chunks of
-    that many, each a batch of its own, so the rows of one chunk, not of
-    the whole batch, are held at once.  Timed warm by ``solve_grid`` and
-    ``source_grid`` on figures 1 and 3 (Intel Xeon, 2 cores, numpy 2.4),
-    whole rows were faster on every grid of up to 257 points (by 2-19%),
-    and the prefixes on every grid of 513 points or more (by 7-36%).
-    Timed cold, each call after a pure-Python loop of about a millisecond
-    as the benchmark runs them, with both engines forced in turn (median
-    ratio of 150 alternating pairs, prefixes over whole rows, the four
-    calls on figures 1 and 3): 1.06-1.11 at 201 points, 1.02-1.07 at
-    257, 0.97-1.03 at 321, 0.96-1.01 at 353, 0.93-0.98 at 385 and
-    0.84-0.95 at 513.  The switch sits at that crossover.
+    (verify's 2048 times) run in the join order, ascending by length, and
+    each step runs on the suffix that has joined (:func:`_prefix_rows`),
+    so no step touches an element that has not joined: there the
+    arithmetic outweighs the calls.  A batch whose lengths never fall, as
+    on an increasing grid, whose x grows with t, is in that order already
+    and runs as the caller gave it; any other is sorted once
+    (:func:`_join_order`) and its results scattered back.  Past
+    :data:`_CHUNK_MAX` elements the ordered batch runs in contiguous
+    chunks of that many, each a batch of its own, so the rows of one
+    chunk, not of the whole batch, are held at once.  Timed warm by
+    ``solve_grid`` and ``source_grid`` on figures 1 and 3 (Intel Xeon, 2
+    cores, numpy 2.4), whole rows were faster on every grid of up to 257
+    points (by 2-19%), and the prefixes on every grid of 513 points or
+    more (by 7-36%).  Timed cold, each call after a pure-Python loop of
+    about a millisecond as the benchmark runs them, with both engines
+    forced in turn (median ratio of 150 alternating pairs, prefixes over
+    whole rows, the four calls on figures 1 and 3): 1.06-1.11 at 201
+    points, 1.02-1.07 at 257, 0.97-1.03 at 321, 0.96-1.01 at 353,
+    0.93-0.98 at 385 and 0.84-0.95 at 513.  The switch sits at that
+    crossover.
     """
     n = x.size
     top = int(length.max()) if n else 0
@@ -602,25 +604,31 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
         return [row[:1] for row in _horner_chains(table, np.repeat(x, 2), np.repeat(length, 2))]
     if n <= _FULL_WIDTH_MAX:
         return _forward_sums(table, *_full_rows(table, x, length, top), length)
-    if n <= _CHUNK_MAX and not np.any(length[1:] < length[:-1]):
-        x, length = x[::-1], length[::-1]
-        return [row[::-1] for row in _forward_sums(table, *_prefix_rows(table, x, length, top),
-                                                   length)]
-    order = np.argsort(-length, kind="stable")
-    out = np.empty((5, n))
-    if n > _CHUNK_MAX:  # sorted chunks, each a batch of its own
-        for part in np.split(order, range(_CHUNK_MAX, n, _CHUNK_MAX)):
-            out[:, part] = _horner_chains(table, x[part], length[part])
+    order = _join_order(length)
+    if order is not None:
+        out = np.empty((5, n))
+        out[:, order] = _horner_chains(table, x[order], length[order])
         return out
-    out[:, order] = _forward_sums(table, *_prefix_rows(table, x[order], length[order], top),
-                                  length[order])
-    return out
+    if n > _CHUNK_MAX:  # contiguous chunks, each a batch of its own
+        return np.hstack([_horner_chains(table, x[i:i + _CHUNK_MAX], length[i:i + _CHUNK_MAX])
+                          for i in range(0, n, _CHUNK_MAX)])
+    return _forward_sums(table, *_prefix_rows(table, x, length, top), length)
 
 
 # The most elements a batch runs over whole rows (see _horner_chains).
 _FULL_WIDTH_MAX = 352
 # The most elements whose prefix rows are held at once (see _horner_chains).
 _CHUNK_MAX = 4096
+
+
+def _join_order(length: np.ndarray) -> np.ndarray | None:
+    """None where ``length`` never falls along the batch, which is then in the
+    join order; else the stable argsort that puts it in that order, ascending.
+
+    In that order the elements that have joined at step j (length > j)
+    are a suffix, from ``np.searchsorted(length, j, side="right")`` on.
+    """
+    return np.argsort(length, kind="stable") if np.any(length[1:] < length[:-1]) else None
 
 
 def _full_rows(table: HornerTable, x: np.ndarray, length: np.ndarray, top: int):
@@ -650,26 +658,26 @@ def _full_rows(table: HornerTable, x: np.ndarray, length: np.ndarray, top: int):
 
 def _prefix_rows(table: HornerTable, xs: np.ndarray, length: np.ndarray, top: int):
     """The partials and the powers of :func:`_horner_chains` (``top`` rows, and ``top`` + 1
-    rows of which the last is 0) for elements sorted by decreasing ``length``, each
-    step on the prefix that has joined.
+    rows of which the last is 0) for elements in the join order (ascending
+    ``length``), each step on the suffix that has joined.
 
     Both sets of rows come from one zeroed block, and the powers end with
     a row of zeros (see :func:`_forward_sums`): as two blocks of about half
     a megabyte each (at a 2049-point grid), they were trimmed from the
     heap when freed and faulted in afresh on every call.
     """
-    joined = np.searchsorted(-length, -np.arange(top), side="left").tolist()
+    first = np.searchsorted(length, np.arange(top), side="right").tolist()
     rows = np.zeros((2 * top + 2, xs.size))
     partials, powers = rows[:top + 1], rows[top + 1:]
     for j, a in zip(range(top - 1, -1, -1), reversed(table.coeffs[:top])):
-        count = joined[j]
-        v_j = partials[j, :count]
-        np.multiply(partials[j + 1, :count], xs[:count], out=v_j)
+        lo = first[j]
+        v_j = partials[j, lo:]
+        np.multiply(partials[j + 1, lo:], xs[lo:], out=v_j)
         v_j += a
-    powers[0, :joined[0]] = 1.0
+    powers[0, first[0]:] = 1.0
     for j in range(1, top):
-        count = joined[j]
-        np.multiply(powers[j - 1, :count], xs[:count], out=powers[j, :count])
+        lo = first[j]
+        np.multiply(powers[j - 1, lo:], xs[lo:], out=powers[j, lo:])
     return partials[:top], powers
 
 
@@ -692,3 +700,31 @@ def _forward_sums(table: HornerTable, partials: np.ndarray, powers: np.ndarray,
     # the last |term| of each column and the one before it, in one gather
     mag, prev_mag = powers[length - [[1], [2]], np.arange(n)]
     return value, np.add.reduce(mags, axis=0), np.add.reduce(bound, axis=0), mag, prev_mag
+
+
+def _joined_horner(x: np.ndarray, length: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] x**j by Horner at every x over its own length, as one batch.
+
+    Term j is ``coeffs[j]``: one row shared by every point (2-D ``coeffs``)
+    or one row per point (3-D, the points on axis 1).  The points run in
+    the join order of :func:`_horner_chains`, sorted only where their
+    lengths fall (:func:`_join_order`), and each step runs on the suffix
+    that has joined.  A point joins at its last term, before which its
+    partial sums are 0 (and 0 * x + 0 is 0), so each takes the operations
+    of a batch of one.
+    """
+    order = _join_order(length)
+    per_point = coeffs.ndim == 3
+    if order is not None:
+        x, length, coeffs = x[order], length[order], coeffs[:, order] if per_point else coeffs
+    first = np.searchsorted(length, np.arange(len(coeffs)), side="right").tolist()
+    partials = np.zeros((x.size, coeffs.shape[-1]))
+    for j in range(len(coeffs) - 1, -1, -1):
+        part = partials[first[j]:]
+        part *= x[first[j]:, None]
+        part += coeffs[j, first[j]:] if per_point else coeffs[j]
+    if order is None:
+        return partials
+    out = np.empty_like(partials)
+    out[order] = partials
+    return out

@@ -173,30 +173,77 @@ def test_figure_sweeps_are_their_point_calls_bit_for_bit(fig_id):
             assert np.array_equal(column.view(np.int64), want.view(np.int64)), (lam, field)
 
 
-def test_rising_and_shuffled_batches_give_the_same_bits(monkeypatch):
-    # lengths that never fall (an increasing grid) run on reversed views with
-    # no sort; the same elements shuffled are sorted, gathered and scattered
-    # back.  Both paths give each element the bits of horner_sum.  The first
-    # two elements fail: x = 0 and a subnormal x
+@pytest.fixture
+def argsorts(monkeypatch):
+    """Count the calls of np.argsort."""
+    calls = []
+    real_argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+def test_rising_and_shuffled_batches_give_the_same_bits(monkeypatch, argsorts):
+    # lengths that never fall (an increasing grid) run in the caller's order
+    # with no sort; the same elements shuffled are sorted once, gathered and
+    # scattered back.  Both paths give each element the bits of horner_sum.
+    # The first two elements fail (x = 0 and a subnormal x): the batch reads
+    # them as 1.0 with length 0, so its x is not ascending, but its lengths are
     table, ctl = FIG_PARAMS._table, SeriesControl()
     z = np.concatenate(([0.0, 1e-160], np.linspace(0.0, 6.0, 2000)[1:]))
     x, pre = z * z / 4.0, z / 2.0
-    reversed_views, prefix_rows = [], series._prefix_rows
+    reached, prefix_rows = [], series._prefix_rows
 
     def spy(table, xs, length, top):
-        reversed_views.append(xs.strides[0] < 0)
+        reached.append((xs.copy(), length.copy()))
         return prefix_rows(table, xs, length, top)
 
     monkeypatch.setattr(series, "_prefix_rows", spy)
     rising = series.horner_sum_batch(table, x, pre, ctl)
+    assert argsorts == []
+    (xs, length), = reached
+    assert xs.tobytes() == np.where(x >= series.DBL_MIN, x, 1.0).tobytes()
+    assert length.tolist() == rising.terms.tolist() and xs[0] > xs[2]
     order = np.random.default_rng(5).permutation(x.size)
     shuffled = series.horner_sum_batch(table, x[order], pre[order], ctl)
-    assert reversed_views == [True, False]
+    assert len(argsorts) == 1 and np.all(np.diff(reached[1][1]) >= 0)
     assert rising.failed[:2].all() and not rising.failed[2:].any()
     assert np.all(np.diff(rising.terms) >= 0) and rising.terms[-1] > rising.terms[2]
     assert_batch_is_horner_sum(rising, table, x, pre, ctl)
     for field in series.SeriesBatch._fields:
         assert getattr(rising, field)[order].tobytes() == getattr(shuffled, field).tobytes()
+
+
+@pytest.mark.parametrize("size", [2000, series._CHUNK_MAX + 5])
+def test_a_rising_batch_that_ends_past_the_table_is_sorted_once(size, argsorts):
+    # the last x lie past the table: their lengths read 0, so the lengths fall
+    # at the end of an otherwise rising batch, which is sorted once (its
+    # chunks, if any, are slices of the sorted batch and are not sorted again)
+    table, ctl = FIG_PARAMS._table, SeriesControl()
+    x = np.append(np.linspace(1e-3, 9.0, size - 3), [150.0, 200.0, 300.0])
+    pre = np.sqrt(x)
+    got = series.horner_sum_batch(table, x, pre, ctl)
+    assert len(argsorts) == 1
+    assert got.failed[-3:].all() and not got.failed[:-3].any()
+    assert_batch_is_horner_sum(got, table, x, pre, ctl)
+
+
+def test_variant_one_grid_on_rising_times_takes_no_sort(argsorts):
+    # variant 1 at nu = 0.5 sums by the two-dimensional table's Horner: on
+    # increasing times its rows and columns never fall, so neither pass sorts
+    prob = KineticProblem(n0=2.0, d=1.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
+    grid = np.linspace(0.0, 2.0, 1001)
+    table = solve_grid(prob, grid)
+    assert argsorts == []
+    points = [solve_point(prob, t) for t in grid.tolist()]
+    assert table.terms == tuple(r.terms for r in points)
+    for column, field in ((table.values, "value"), (table.tails, "tail")):
+        want = np.array([getattr(r, field) for r in points])
+        assert column.tobytes() == want.tobytes(), field
 
 
 # numpy sums a lone column pairwise, not row by row as the scalar loop does:

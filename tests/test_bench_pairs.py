@@ -68,4 +68,12 @@ def test_records_every_run_of_every_workload_with_its_machine(tmp_path):
                 "wall_s_measured"} | ({"tail_exceeded_frac"} if workload == "points" else set())
         assert set(runs) == keys and all(len(v) == tool.RUNS for v in runs.values())
         assert all(runs["correct"]) and min(runs["speed_factor"]) > 0.0
+    assert set(record["import_s"]) == {"no_bytecode", "compileall"}
+    for times in record["import_s"].values():
+        assert len(times["values"]) == tool.RUNS and min(times["values"]) > 0.0
+        assert times["median"] in times["values"]
+    lines = record["code_lines"]
+    modules = sorted(path.name for path in (ROOT / "src" / "kkinetics").glob("*.py"))
+    assert sorted(lines) == sorted(modules + ["total"]) and "kinetics.py" in lines
+    assert lines["total"] == sum(lines[name] for name in modules) > 0
     assert not list(ROOT.glob(".kkbench-*"))

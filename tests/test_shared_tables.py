@@ -174,6 +174,29 @@ def test_two_dimensional_table_does_not_depend_on_its_growth(params, nu, rate):
         assert _same_arrays(pieces, once, ("coeffs", "errs", "extent", "reach")), steps
 
 
+def test_cold_points_at_growing_times_build_the_two_dimensional_table_a_few_times(
+        monkeypatch, empty_registries):
+    # each larger time needs a larger table: the table and its first row at
+    # least double when they grow, so five times take at most 6 builds (9
+    # when each grew to the shape asked), and give the bits of a table built
+    # once at the final shape
+    builds, build = [], _BivariateTable._build
+
+    def counted(self, rows, cols):
+        builds.append((rows, cols))
+        return build(self, rows, cols)
+
+    monkeypatch.setattr(_BivariateTable, "_build", counted)
+    prob = KineticProblem(n0=2.0, d=1.0, nu=0.5, variant=Theorem.T1, params=figure_params(1.371))
+    times = (0.1, 0.5, 1.0, 2.0, 3.0)
+    got = [kinetics.solve_point(prob, t) for t in times]
+    assert len(builds) <= 6
+    grown = prob._power_table()
+    once = _BivariateTable(prob.params, prob.nu, prob.rate)
+    once.grow(*grown.coeffs.shape)
+    assert [once.point(t, prob.n0, SeriesControl()) for t in times] == got
+
+
 @pytest.mark.parametrize("make", [
     lambda: _PowerTable(figure_params(1.5), 1.0, 3.0, None),
     lambda: _PowerTable(figure_params(1.0), 5.0, 3.0, 3.0),  # past Gamma(171), to x = 1416

@@ -22,14 +22,17 @@ verdict (:func:`verdict`), and the failed and attempted ops of each side.
 
 ``--record PATH`` runs every workload :data:`RUNS` times on one
 bytecode-free copy of CHECKOUT, seed SEED+i in round i, the workloads in
-order in even rounds and reversed in odd ones, and writes PATH
-(:func:`record`).  ``--seconds`` defaults to ``run_seconds`` of the
+order in even rounds and reversed in odd ones, times :data:`RUNS` fresh
+interpreters' ``import kkinetics`` on that copy without bytecode and
+then with ``compileall`` bytecode, and writes PATH (:func:`record`) with
+the module counts of ``tools/code_lines.py``.  ``--seconds`` defaults to ``run_seconds`` of the
 checkout's ``BENCHMARK.json`` in both modes.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -132,6 +135,22 @@ def _machine(root: Path) -> dict:
             "git_head": git[0].strip() or None, "src_or_kkbench_modified": bool(git[1].strip())}
 
 
+def _import_times(copy: Path) -> list[float]:
+    """The seconds of ``import kkinetics`` from ``copy``'s ``src/`` in each of
+    :data:`RUNS` fresh interpreters, which write no bytecode."""
+    code = "import time; t = time.perf_counter(); import kkinetics; print(time.perf_counter() - t)"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
+    return [float(subprocess.run([sys.executable, "-c", code], cwd=copy, env=env, check=True,
+                                 capture_output=True, text=True).stdout) for _ in range(RUNS)]
+
+
+def _code_lines(package: Path) -> dict[str, int]:
+    """``tools/code_lines.py``'s count of each module of ``package``, and the total."""
+    done = subprocess.run([sys.executable, str(Path(__file__).with_name("code_lines.py")),
+                           str(package)], check=True, capture_output=True, text=True)
+    return {name: int(count) for name, count in map(str.split, done.stdout.splitlines())}
+
+
 def record(root: Path, path: Path, seconds: float, seed: int, tiny: bool) -> None:
     """Run every workload :data:`RUNS` times on one copy of ``root`` and write the record to ``path``.
 
@@ -139,7 +158,10 @@ def record(root: Path, path: Path, seconds: float, seed: int, tiny: bool) -> Non
     ``BENCHMARK.json`` (every run's value, the median and quartiles), and
     per run the failed, refused and attempted ops, ``max_err``,
     ``tail_exceeded_frac`` (``points`` only), the measured wall time and
-    the median speed factor.
+    the median speed factor.  Beside the runs it holds the import times
+    (:func:`_import_times`, each run's value and the median) without
+    bytecode and with ``compileall`` bytecode, and the code lines of
+    ``root``'s ``src/kkinetics`` (:func:`_code_lines`).
     """
     spec = json.loads((root / "BENCHMARK.json").read_text())
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
@@ -148,6 +170,9 @@ def record(root: Path, path: Path, seconds: float, seed: int, tiny: bool) -> Non
         for i in range(RUNS):
             for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
                 done[workload].append(_run(copy, workload, seed + i, seconds, tiny))
+        imports = {"no_bytecode": _import_times(copy)}
+        compileall.compile_dir(copy / "src", quiet=1)
+        imports["compileall"] = _import_times(copy)
     workloads = {}
     for workload, results in done.items():
         metrics = {}
@@ -162,7 +187,10 @@ def record(root: Path, path: Path, seconds: float, seed: int, tiny: bool) -> Non
         workloads[workload] = {"metrics": metrics, "runs": per_run}
     out = {"seeds": [seed + i for i in range(RUNS)], "seconds": seconds, "tiny": tiny,
            "bytecode": "none: a copy without __pycache__, under PYTHONDONTWRITEBYTECODE=1",
-           "machine": _machine(root), "workloads": workloads}
+           "machine": _machine(root), "workloads": workloads,
+           "import_s": {kind: {"values": values, "median": statistics.median(values)}
+                        for kind, values in imports.items()},
+           "code_lines": _code_lines(root / "src" / "kkinetics")}
     path.write_text(json.dumps(out, indent=1) + "\n")
 
 
