@@ -31,7 +31,10 @@ Sec. 5.1, Algorithm 5.1).  The tail is the truncation estimate plus that
 bound plus the table's bound on the rounding of each coefficient.
 :func:`horner_sum_batch`, the one batch summation here, runs the
 scalar's operations in the same order over an array of x, so the two
-agree bit for bit.
+agree bit for bit.  This module owns the order in which a batch's
+elements join Horner, ascending by term count (:func:`_join_order`); the
+two-dimensional table of :mod:`kkinetics.kinetics` sums on the same
+order (:func:`_joined_horner`).
 """
 
 from __future__ import annotations
