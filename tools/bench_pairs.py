@@ -25,8 +25,8 @@ bytecode-free copy of CHECKOUT, seed SEED+i in round i, the workloads in
 order in even rounds and reversed in odd ones, times :data:`RUNS` fresh
 interpreters' ``import kkinetics`` on that copy without bytecode and
 then with ``compileall`` bytecode, and writes PATH (:func:`record`) with
-the module counts of ``tools/code_lines.py``.  ``--seconds`` defaults to ``run_seconds`` of the
-checkout's ``BENCHMARK.json`` in both modes.
+the module counts of ``tools/code_lines.py``.  ``--seconds`` defaults to
+``run_seconds`` of the checkout's ``BENCHMARK.json`` in both modes.
 """
 
 from __future__ import annotations
