@@ -45,10 +45,11 @@ from .svgchart import render_line_chart
 DEFAULT_GRID_STEP = 1.0 / 2048.0
 VERIFY_THRESHOLD = 1e-3
 # The most points (solve) or steps (verify) one command takes; a larger grid
-# is refused before any is allocated.  The batch Horner sum runs a grid this
-# size in chunks of at most 4096 times and keeps 2J + 2 rows of one chunk (J
-# terms) at once: one verify of a 29-term job at 2**20 steps peaks near
-# 231 MiB (see README).
+# is refused before any is allocated.  Every grid sums its times in batches
+# of at most 4096 (kinetics._CHUNK_MAX), on either kind of coefficient
+# table, so only the grid's columns grow with it: one verify of a 29-term
+# job at 2**20 steps peaks near 232 MiB, and one variant-1 solve at
+# nu = 0.5 and 2**20 points near 235 MiB (see README).
 MAX_GRID_SIZE = 2 ** 20
 
 

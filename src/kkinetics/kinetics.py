@@ -52,10 +52,10 @@ solution, chosen by the kind of input, call them:
 * :func:`solve_point` evaluates one t through ``point``: by Horner on
   Python floats, or, on the table of variant 1 at nu != 1, by the table's
   own evaluator on a batch of one.
-* :func:`solve_grid` evaluates the grid as one batch through ``batch``:
+* :func:`solve_grid` evaluates the grid in batches through ``batch``:
   the same Horner operations on numpy arrays
-  (:func:`series.horner_sum_batch`), or the same evaluator on every time
-  at once.  It returns a
+  (:func:`series.horner_sum_batch`), or the same evaluator on many
+  times at once.  It returns a
   :class:`SolutionTable` whose ``times``, ``values`` and ``tails`` are
   read-only float64 arrays and whose ``terms`` is a tuple of Python ints.
   A grid that is not one-dimensional is refused with
@@ -110,20 +110,23 @@ z(t), formed bit for bit as the scalar z forms it where it is a normal
 double, takes (z/2)**mu from libm's pow too and sums it; t = 0 gives 0.0
 after one term.  At every other time (z = 0 or subnormal, z past the
 doubles, t < 0 or nan) it reads nan, which it fails
-(:func:`_source_arguments`).  The Horner batch runs each step over whole
-rows, in the grid's order, for at most ``series._FULL_WIDTH_MAX`` (352)
-times.  Past that it runs in one join order, owned by :mod:`series`:
-ascending by term count, each step on the suffix of times that has
-joined, in contiguous chunks of at most ``series._CHUNK_MAX`` (4096)
-times.  A grid whose counts never fall, as on increasing times, is in
-that order already and is not sorted; any other is sorted once.  The
-two-dimensional table's Horner (``series._joined_horner``) runs in the
-same order, so this module holds no Horner loop.  All run the scalar's
-operations, so a time's value, terms and tail do not depend on the
-grid's size or order.  It marks the points that its scalar call refuses or leaves to
-another route.  Those points, and every point when the batch itself
-raises, are evaluated again in order through the scalar call, so a grid
-raises what the scalar call raises at the earliest failing time.
+(:func:`_source_arguments`).  One driver (:func:`_evaluate_grid`) hands
+every batch, of either table or of the source, at most :data:`_CHUNK_MAX`
+(4096) times at once, in the grid's order, and writes each into the
+grid's columns, so the memory a batch holds does not grow with the grid.
+The Horner batch runs each step over whole rows, in the chunk's order,
+for at most ``series._FULL_WIDTH_MAX`` (352) times.  Past that it runs
+in one join order, owned by :mod:`series`: ascending by term count, each
+step on the suffix of times that has joined.  A chunk whose counts never
+fall, as on increasing times, is in that order already and is not
+sorted; any other is sorted once.  The two-dimensional table's Horner
+(``series._joined_horner``) runs in the same order, so this module holds
+no Horner loop.  All run the scalar's operations, so a time's value,
+terms and tail do not depend on the grid's size or order.  A batch marks
+the points that its scalar call refuses or leaves to another route.
+Those points, and every point of a chunk whose batch raises, are
+evaluated again in order through the scalar call, so a grid raises what
+the scalar call raises at the earliest failing time.
 
 :func:`corollary_source` evaluates the source through its reduced form, the
 family picked by the selectors (b = c = 1: k-Bessel J; b = -1, c = 1: k-Wright W).
@@ -918,6 +921,10 @@ def _source_arguments(prob: KineticProblem, times: np.ndarray) -> np.ndarray:
     return np.where((zs >= DBL_MIN) & (zs <= DBL_MAX), zs, np.where(times == 0.0, 0.0, math.nan))
 
 
+# The most times one batch sums at once (see _evaluate_grid).
+_CHUNK_MAX = 4096
+
+
 def _evaluate_grid(
     times: np.ndarray,
     args: np.ndarray,
@@ -927,38 +934,33 @@ def _evaluate_grid(
     """Values, term counts and tails at ``times`` under the grid contract (see module docs).
 
     ``args`` is what ``batch`` reads at each time: the time itself, or its
-    z(t).  ``batch`` gets those that are not 0, as an array, and runs with
-    numpy's overflow and invalid warnings off: a power, a square or a
-    prefactor past the doubles is an inf, which is not a normal double,
-    and its point fails, as does a nan.  A zero gives 0.0 after one term.
-    ``scalar(t)`` evaluates one time: it gives each element the batch
-    answers bit for bit, and it decides each point that fails.
-
-    Where no argument but the first is 0 and no point fails, the columns
-    are the batch's own, after that zero's entries if it has one;
-    otherwise the batch is scattered into them and each point that fails
-    is evaluated alone.
+    z(t).  ``batch`` gets those that are not 0, as arrays of at most
+    :data:`_CHUNK_MAX` in the grid's order (slices where only a first
+    argument is 0, as on an increasing grid from t = 0; index chunks
+    otherwise), and runs with numpy's overflow and invalid warnings off: a
+    power, a square or a prefactor past the doubles is an inf, which is
+    not a normal double, and its point fails, as does a nan.  Each chunk
+    is written into the columns, so the memory a batch holds does not
+    grow with the grid.  A zero gives 0.0 after one term.  A chunk whose
+    batch raises fails as a whole.  ``scalar(t)`` evaluates one time: it
+    gives each element the batch answers bit for bit, and it decides each
+    point that fails, in order.
     """
     n = times.size
-    res, refused = None, False
-    zeros = n - np.count_nonzero(args)
-    # on an increasing grid only the first argument (t = 0) can be 0: a slice, not a mask
-    live = slice(zeros, None) if zeros == 0 or (zeros == 1 and args[0] == 0.0) else args != 0.0
-    try:
-        if zeros < n:
-            with np.errstate(over="ignore", invalid="ignore"):
-                res = batch(args[live])
-            if type(live) is slice and not res.failed.any():
-                if not zeros:
-                    return res.value, res.terms, res.tail
-                return (np.concatenate(([0.0], res.value)), np.concatenate(([1], res.terms)),
-                        np.concatenate(([0.0], res.tail)))
-    except (OverflowError, EvaluationError):  # a power past the double range, or a refused coefficient
-        refused = True
     values, terms, tails = np.zeros(n), np.ones(n, dtype=np.intp), np.zeros(n)
-    failed = np.full(n, refused)
-    if res is not None:
-        values[live], terms[live], tails[live], failed[live] = res
+    failed = np.zeros(n, dtype=bool)
+    zeros = n - np.count_nonzero(args)
+    if zeros == 0 or (zeros == 1 and args[0] == 0.0):
+        chunks = [slice(i, i + _CHUNK_MAX) for i in range(zeros, n, _CHUNK_MAX)]
+    else:
+        live = np.flatnonzero(args)
+        chunks = [live[i:i + _CHUNK_MAX] for i in range(0, live.size, _CHUNK_MAX)]
+    for chunk in chunks:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[chunk], terms[chunk], tails[chunk], failed[chunk] = batch(args[chunk])
+        except (OverflowError, EvaluationError):  # a power past the double range, or a refused coefficient
+            failed[chunk] = True
     for i in failed.nonzero()[0].tolist():
         values[i], terms[i], tails[i] = scalar(float(times[i]))
     return values, terms, tails
@@ -977,7 +979,7 @@ def solve_grid(
 ) -> SolutionTable:
     """Evaluate the variant solution on a strictly increasing grid of t >= 0.
 
-    One batch under the grid contract (see module docs), with the terms
+    Batches under the grid contract (see module docs), with the terms
     and tails :func:`solve_point` gives at each t; a partial table is
     never returned.
     """
@@ -1001,10 +1003,10 @@ def source_grid(
 ) -> np.ndarray:
     """The source omega(z(t)) of ``prob`` (N0-free) at every t >= 0 in ``times``.
 
-    One Horner batch on the t-free table of ``prob.params`` under the grid
+    Horner batches on the t-free table of ``prob.params`` under the grid
     contract (see module docs): each value is that of
     :meth:`KineticProblem.source` at its time bit for bit, and the points
-    the batch refuses or leaves go to it.
+    the batches refuse or leave go to it.
     """
     times = _grid_times(times)
     ctl = ctl or DEFAULT_CONTROL

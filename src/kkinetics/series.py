@@ -520,6 +520,11 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
     input, value and tail): where they pass, every element passes, and
     the batch makes no mask.  Where one does not (a nan makes it fail),
     the guard is tested element by element.
+
+    The batch holds about 2J + 2 rows of its elements at once
+    (:func:`_horner_chains`), so its memory grows with its size; the grids
+    of :mod:`kinetics` call it on at most ``kinetics._CHUNK_MAX`` elements
+    at a time (``kinetics._evaluate_grid``).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         x_max = float(x.max()) if x.size else 0.0
@@ -584,10 +589,9 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
     arithmetic outweighs the calls.  A batch whose lengths never fall, as
     on an increasing grid, whose x grows with t, is in that order already
     and runs as the caller gave it; any other is sorted once
-    (:func:`_join_order`) and its results scattered back.  Past
-    :data:`_CHUNK_MAX` elements the ordered batch runs in contiguous
-    chunks of that many, each a batch of its own, so the rows of one
-    chunk, not of the whole batch, are held at once.  Timed warm by
+    (:func:`_join_order`) and its results scattered back.  The rows of
+    the whole batch are held at once: a grid hands its batches at most
+    ``kinetics._CHUNK_MAX`` (4096) elements each.  Timed warm by
     ``solve_grid`` and ``source_grid`` on figures 1 and 3 (Intel Xeon, 2
     cores, numpy 2.4), whole rows were faster on every grid of up to 257
     points (by 2-19%), and the prefixes on every grid of 513 points or
@@ -612,16 +616,11 @@ def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray
         out = np.empty((5, n))
         out[:, order] = _horner_chains(table, x[order], length[order])
         return out
-    if n > _CHUNK_MAX:  # contiguous chunks, each a batch of its own
-        return np.hstack([_horner_chains(table, x[i:i + _CHUNK_MAX], length[i:i + _CHUNK_MAX])
-                          for i in range(0, n, _CHUNK_MAX)])
     return _forward_sums(table, *_prefix_rows(table, x, length, top), length)
 
 
 # The most elements a batch runs over whole rows (see _horner_chains).
 _FULL_WIDTH_MAX = 352
-# The most elements whose prefix rows are held at once (see _horner_chains).
-_CHUNK_MAX = 4096
 
 
 def _join_order(length: np.ndarray) -> np.ndarray | None:

@@ -93,17 +93,63 @@ def test_horner_batches_match_horner_sum_at_both_widths(size, checked_batches):
     assert checked_batches == [size] * 6
 
 
-@pytest.mark.parametrize("size", [series._CHUNK_MAX + 1, 2 * series._CHUNK_MAX + 3])
+@pytest.mark.parametrize("size", [kinetics._CHUNK_MAX + 1, 2 * kinetics._CHUNK_MAX + 3])
 def test_horner_batches_above_the_chunk_size_match_horner_sum(size, checked_batches):
-    # past _CHUNK_MAX elements a batch runs as sorted chunks, each a batch of
-    # its own: the last one here is a batch of one (a pair) or of three
-    # (whole rows); the shuffled times sort into the same chunks
+    # past _CHUNK_MAX times a grid runs as chunks in its own order, each a
+    # batch of its own: the last one here is a batch of one (a pair) or of
+    # three (whole rows); the shuffled times chunk the same way, unsorted
     prob = figure_problem(FIGURES[1], 1.0)
     grid = np.linspace(0.0, 1.0, size + 1)
     solve_grid(prob, grid)
     source_grid(prob, grid)
     source_grid(prob, np.random.default_rng(11).permutation(grid))
-    assert checked_batches == [size] * 3
+    chunks = [kinetics._CHUNK_MAX] * (size // kinetics._CHUNK_MAX) + [size % kinetics._CHUNK_MAX]
+    assert checked_batches == chunks * 3
+
+
+def test_a_variant_one_grid_above_the_chunk_size_sums_in_chunks(monkeypatch):
+    # the two-dimensional table's batch sees at most _CHUNK_MAX times too,
+    # and each time keeps the bits of its point call
+    prob = KineticProblem(n0=2.0, d=1.0, nu=0.5, variant=Theorem.T1, params=FIG_PARAMS)
+    grid = np.linspace(0.0, 2.0, 2 * kinetics._CHUNK_MAX + 4)
+    sizes, real_sums = [], kinetics._BivariateTable.sums
+
+    def counted(self, u, v, pre, ctl):
+        sizes.append(u.size)
+        return real_sums(self, u, v, pre, ctl)
+
+    monkeypatch.setattr(kinetics._BivariateTable, "sums", counted)
+    table = solve_grid(prob, grid)
+    assert sizes == [kinetics._CHUNK_MAX, kinetics._CHUNK_MAX, 3]
+    for i in range(0, grid.size, 97):
+        want = solve_point(prob, float(grid[i]))
+        assert (table.values[i], table.terms[i], table.tails[i]) == tuple(want), i
+        assert table.values[i].tobytes() == np.float64(want.value).tobytes(), i
+
+
+def test_a_grid_that_leaves_the_table_in_a_later_chunk_raises_its_first_refusal():
+    # figure 1 at lambda = 1 cancels from t = 6.82 (the first chunk) and
+    # leaves its power table at t = 21.04 (the second): the grid raises the
+    # refusal of its earliest failing time, as its point call does
+    prob = figure_problem(FIGURES[1], 1.0)
+    grid = np.linspace(0.0, 40.0, 9001)
+    with pytest.raises(EvaluationError) as caught:
+        solve_grid(prob, grid)
+    refusals = [(t, _refused(prob, t)) for t in grid.tolist()]
+    failing = [(t, exc) for t, exc in refusals if exc is not None]
+    left = next(t for t, exc in failing if isinstance(exc, OverflowLogError))
+    t, want = failing[0]
+    assert t < grid[kinetics._CHUNK_MAX] < left
+    assert type(caught.value) is type(want) and str(caught.value) == str(want)
+
+
+def _refused(prob, t):
+    """The error ``solve_point`` raises at t, or None."""
+    try:
+        solve_point(prob, t)
+    except EvaluationError as exc:
+        return exc
+    return None
 
 
 def test_source_batch_on_shuffled_times(checked_batches):
@@ -218,11 +264,11 @@ def test_rising_and_shuffled_batches_give_the_same_bits(monkeypatch, argsorts):
         assert getattr(rising, field)[order].tobytes() == getattr(shuffled, field).tobytes()
 
 
-@pytest.mark.parametrize("size", [2000, series._CHUNK_MAX + 5])
+@pytest.mark.parametrize("size", [2000, kinetics._CHUNK_MAX + 5])
 def test_a_rising_batch_that_ends_past_the_table_is_sorted_once(size, argsorts):
     # the last x lie past the table: their lengths read 0, so the lengths fall
-    # at the end of an otherwise rising batch, which is sorted once (its
-    # chunks, if any, are slices of the sorted batch and are not sorted again)
+    # at the end of an otherwise rising batch, which is sorted once, past the
+    # grid's chunk size too
     table, ctl = FIG_PARAMS._table, SeriesControl()
     x = np.append(np.linspace(1e-3, 9.0, size - 3), [150.0, 200.0, 300.0])
     pre = np.sqrt(x)

@@ -22,10 +22,13 @@ def test_prints_each_end_to_end_metric_of_one_tiny_pair(capsys):
     assert lines[0].split()[:2] == ["workload", "metric"] and lines[0].split()[-1] == "verdict"
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     rows = [line.split() for line in lines[1:]]
-    assert [row[:2] for row in rows] == [["points", name] for name in names] + [["points", "ops"]]
-    for row in rows[:-1]:
+    measured = ["wall_s_measured", "speed_factor"]
+    assert [row[:2] for row in rows] == [["points", name] for name in names + measured + ["ops"]]
+    for row in rows[:len(names)]:
         assert row[-2] in ("0/1", "1/1") and float(row[2]) > 0.0 and float(row[5]) > 0.0
         assert row[-1] in ("gain", "worse", "unresolved", "holds")
+    for row in rows[len(names):-1]:  # the median and quartiles of each side, unjudged
+        assert len(row) == 8 and float(row[2]) > 0.0 and float(row[5]) > 0.0
     assert rows[-1].count("True") == 2
     assert not list(ROOT.glob(".kkbench-*"))
 

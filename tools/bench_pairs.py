@@ -17,7 +17,9 @@ source on every run, whatever bytecode the checkouts hold.
 It prints, for each workload and each end-to-end metric that the change's
 ``BENCHMARK.json`` names, the median and quartiles of each side, the
 pairs in which the change reads better (ties count for neither) and a
-verdict (:func:`verdict`), and the failed and attempted ops of each side.
+verdict (:func:`verdict`); the median and quartiles of each side's
+measured wall time and speed factor, which the runs print beside the
+time metrics they scale; and the failed and attempted ops of each side.
 ``--tiny`` passes ``--tiny`` to the benchmark, for a smoke test.
 
 ``--record PATH`` runs every workload :data:`RUNS` times on one
@@ -87,6 +89,12 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def _cell(values: list[float]) -> str:
+    """The median and quartiles of ``values``, as one column of compare mode."""
+    q1, q2, q3 = _quartiles(values)
+    return f"{q2:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
 def _costs(values: list[float], better: str) -> list[float]:
@@ -224,24 +232,24 @@ def main(argv: list[str] | None = None) -> int:
                 for side in (sides if i % 2 == 0 else sides[::-1]):
                     runs[workload, side].append(
                         _run(roots[side], workload, args.seed + i, seconds, args.tiny))
-    print(f"{'workload':10} {'metric':12} {'parent median [q1, q3]':>34} "
+    print(f"{'workload':10} {'metric':15} {'parent median [q1, q3]':>34} "
           f"{'change median [q1, q3]':>34} {'wins':>6} {'verdict':>10}")
     for workload in workloads:
         for name, (better, bound) in metrics.items():
             parent, change = ([run["metrics"][name]["value"] for run in runs[workload, side]]
                               for side in sides)
-            cells = []
-            for values in (parent, change):
-                q1, q2, q3 = _quartiles(values)
-                cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
-            print(f"{workload:10} {name:12} {cells[0]:>34} {cells[1]:>34} "
+            print(f"{workload:10} {name:15} {_cell(parent):>34} {_cell(change):>34} "
                   f"{_wins(parent, change, better):>3}/{args.pairs} "
                   f"{verdict(parent, change, better, bound):>10}")
+        for name in ("wall_s_measured", "speed_factor"):  # shown beside the metrics, unjudged
+            cells = [_cell([run["printed"][name] for run in runs[workload, side]])
+                     for side in sides]
+            print(f"{workload:10} {name:15} {cells[0]:>34} {cells[1]:>34}")
         counts = ["{} of {} failed, correct {}".format(
             sum(run["failed"] for run in runs[workload, side]),
             sum(run["attempted"] for run in runs[workload, side]),
             all(run["correct"] for run in runs[workload, side])) for side in sides]
-        print(f"{workload:10} {'ops':12} {counts[0]:>34} {counts[1]:>34}")
+        print(f"{workload:10} {'ops':15} {counts[0]:>34} {counts[1]:>34}")
     return 0
 
 
