@@ -135,8 +135,7 @@ def test_a_grid_that_leaves_the_table_in_a_later_chunk_raises_its_first_refusal(
     grid = np.linspace(0.0, 40.0, 9001)
     with pytest.raises(EvaluationError) as caught:
         solve_grid(prob, grid)
-    refusals = [(t, _refused(prob, t)) for t in grid.tolist()]
-    failing = [(t, exc) for t, exc in refusals if exc is not None]
+    failing = [(t, exc) for t in grid.tolist() if (exc := _refused(prob, t)) is not None]
     left = next(t for t, exc in failing if isinstance(exc, OverflowLogError))
     t, want = failing[0]
     assert t < grid[kinetics._CHUNK_MAX] < left
