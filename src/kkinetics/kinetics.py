@@ -110,7 +110,7 @@ z(t), formed bit for bit as the scalar z forms it where it is a normal
 double, takes (z/2)**mu from libm's pow too and sums it; t = 0 gives 0.0
 after one term.  At every other time (z = 0 or subnormal, z past the
 doubles, t < 0 or nan) it reads nan, which it fails
-(:func:`_source_arguments`).  One driver (:func:`_evaluate_grid`) hands
+(:func:`_source_arguments`).  One function (:func:`_evaluate_grid`) hands
 every batch, of either table or of the source, at most :data:`_CHUNK_MAX`
 (4096) times at once, in the grid's order, and writes each into the
 grid's columns, so the memory a batch holds does not grow with the grid.
