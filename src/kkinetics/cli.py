@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,9 +48,10 @@ VERIFY_THRESHOLD = 1e-3
 # The most points (solve) or steps (verify) one command takes; a larger grid
 # is refused before any is allocated.  Every grid sums its times in batches
 # of at most 4096 (kinetics._CHUNK_MAX), on either kind of coefficient
-# table, so only the grid's columns grow with it: one verify of a 29-term
-# job at 2**20 steps peaks near 232 MiB, and one variant-1 solve at
-# nu = 0.5 and 2**20 points near 235 MiB (see README).
+# table, and a CSV is written 4096 rows at a time (_CSV_BLOCK), so only the
+# grid's columns grow with it: one verify of a 29-term job at 2**20 steps
+# peaks near 232 MiB, and one variant-1 solve at nu = 0.5 and 2**20 points
+# near 88 MiB, what its solve_grid alone takes (see README).
 MAX_GRID_SIZE = 2 ** 20
 
 
@@ -159,26 +161,27 @@ def load_config(path: str | Path) -> JobConfig:
             c=_as_number(cfg, "c"),
         )
         variant = Theorem(theorem)
-        a = _as_number(cfg, "a") if ("a" in cfg and variant == Theorem.T3) else None
+        a = _as_number(cfg, "a") if "a" in cfg else None
         problem = KineticProblem(
             n0=_as_number(cfg, "n0"),
             d=_as_number(cfg, "d"),
             nu=_as_number(cfg, "nu"),
             variant=variant,
             params=params,
-            a=a,
+            a=a if variant == Theorem.T3 else None,
         )
     except EvaluationError as exc:
         raise ConfigError(f"invalid problem parameters: {exc}")
     return JobConfig(problem=problem, t_end=t_end, n_points=n_points, control=control)
 
 
-def _atomic_write(*outputs: tuple[Path, str]) -> None:
-    """Write each ``(path, text)`` through a temporary file beside its path,
-    all or none: every temporary file is written before any path is
-    replaced.  Each file gets mode 0o666 less the umask, as open() gives a
-    new file.  A write that fails is a :class:`ConfigError` (exit 2), and
-    leaves every path as it was and no temporary file."""
+def _atomic_write(*outputs: tuple[Path, Iterable[str]]) -> None:
+    """Write each ``(path, text)``, the text an iterable of strings written
+    one at a time, through a temporary file beside its path, all or none:
+    every temporary file is written before any path is replaced.  Each
+    file gets mode 0o666 less the umask, as open() gives a new file.  A
+    write that fails is a :class:`ConfigError` (exit 2), and leaves every
+    path as it was and no temporary file."""
     tmps = []
     path = None
     try:
@@ -192,9 +195,10 @@ def _atomic_write(*outputs: tuple[Path, str]) -> None:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmps.append(tmp)
             try:
-                data = memoryview(text.encode("utf-8"))
-                while data:  # os.write may write less than it was given
-                    data = data[os.write(fd, data):]
+                for block in text:
+                    data = memoryview(block.encode("utf-8"))
+                    while data:  # os.write may write less than it was given
+                        data = data[os.write(fd, data):]
             finally:
                 os.close(fd)
         # os.replace refuses a directory: find one before any path is replaced
@@ -270,12 +274,21 @@ def _eval_hm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- solve
 
 
-def _csv(header: str, *columns) -> str:
+# The most CSV rows formatted at once: a CSV is written a block at a time,
+# so its text is never held whole.
+_CSV_BLOCK = 4096
+
+
+def _csv(header: str, *columns) -> Iterator[str]:
     """One CSV row per entry of the float columns (arrays or sequences), each
-    cell the repr of a Python float (see _fmt)."""
-    cells = np.column_stack(columns)
+    cell the repr of a Python float (see _fmt): the header line, then
+    blocks of at most :data:`_CSV_BLOCK` rows."""
+    yield f"{header}\n"
+    columns = [np.asarray(column, dtype=float) for column in columns]
     row = ",".join(["%r"] * len(columns)) + "\n"
-    return f"{header}\n" + (row * len(cells)) % tuple(cells.ravel().tolist())
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = np.column_stack([column[start:start + _CSV_BLOCK] for column in columns])
+        yield (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -289,7 +302,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "t", "N(t)",
             [("N(t)", table.times, table.values)],
         )
-        outputs.append((Path(args.svg), svg))
+        outputs.append((Path(args.svg), [svg]))
     _atomic_write(*outputs)
     return 0
 
@@ -361,7 +374,7 @@ def _write_figure(fig_id: int, out_dir: Path, control: SeriesControl,
         [(f"lambda = {lam:.2f}", grid, col) for lam, col in zip(LAMBDAS, columns)],
     )
     svg_path = out_dir / f"fig{fig_id}.svg"
-    _atomic_write((csv_path, _csv(header, grid, *columns)), (svg_path, svg))
+    _atomic_write((csv_path, _csv(header, grid, *columns)), (svg_path, [svg]))
     return csv_path, svg_path, violations
 
 

@@ -20,11 +20,10 @@ series, N(t) = n0 * sum_j a_j s**(mu+j), whose t-free coefficients follow a
 two-term recurrence (:class:`_PowerTable`), run once in plain doubles and
 scaled by exact powers of two once a gamma passes 2**512.  The table is
 built once per value (see below); the inner Mittag-Leffler sums
-disappear.  The sum is refused with :class:`series.CancellationError`
-where the sum of every |term (n, m)| exceeds
-:data:`series.CANCELLATION_RATIO_LIMIT` times |N|, or where its tail is
-at least |N| (:func:`series.check_tail`).  It runs by Horner on
-the table, and its tail bounds the roundoff too
+disappear.  The sum is refused by the one rule, :func:`series.accept`,
+on the sum of every |term (n, m)|: with :class:`series.CancellationError`
+where that exceeds 1e12 |N| or where the tail is at least |N|.  It runs
+by Horner on the table, and its tail bounds the roundoff too
 (:func:`series.horner_sum`).  Where s or n0 s**mu is not a normal
 double, or Horner's sums leave the doubles, the same terms are summed as
 logs, with the same coefficient bounds in the tail; a time that needs a
@@ -160,13 +159,11 @@ from .series import (
     _joined_horner,
     _pow,
     _pow_batch,
-    check_cancellation,
-    check_tail,
+    accept,
+    accepted,
     horner_sum,
     horner_sum_batch,
     sum_log_terms,
-    within_cancellation_limit,
-    within_tail_limit,
 )
 from .specfun import (
     GAMMA_ULPS,
@@ -554,7 +551,11 @@ class _PowerTable(HornerTable):
         res = sum_log_terms(term, ctl, label="solve_point")
         res = _guard_log_sum(res, abs_sum, err_sum, "solve_point")
         value, tail = n0 * res.value, abs(n0) * res.tail
-        check_tail(value, tail, "solve_point")  # n0 may lift the tail past DBL_MIN
+        # n0 may lift the tail past DBL_MIN, so the tail test runs again, on
+        # size 0.0: the size test ran on the sum before n0 scaled it.  Scaled,
+        # it could refuse anew where n0 lifts a |value| below DBL_MIN, which
+        # the unscaled test measured against DBL_MIN.
+        accept(value, tail, 0.0, "solve_point")
         return SeriesResult(value, res.terms, tail)
 
 
@@ -719,8 +720,7 @@ class _BivariateTable:
             raise OverflowLogError(
                 f"solve_point: at t = {t} the double series needs a power of t, a coefficient "
                 "or a sum outside the normal doubles", math.inf)
-        check_cancellation(abs_value, value, "solve_point")
-        check_tail(value, tail, "solve_point")
+        accept(value, tail, abs_value, "solve_point")
         return SeriesResult(value, rows, tail)
 
     def batch(self, times: np.ndarray, n0: float, ctl: SeriesControl) -> SeriesBatch:
@@ -769,7 +769,7 @@ class _BivariateTable:
             value, abs_value = pre * total, pre * abs_total
             tail = pre * (EPS * err_total + floor
                           + (2.0 * ctl.rel_tol + EPS * (2.0 * cols + 1.5 * rows)) * abs_total)
-            kept = within_cancellation_limit(abs_value, value) & within_tail_limit(value, tail)
+            kept = accepted(value, tail, abs_value)
             codes = np.where(~((abs_value <= DBL_MAX) & (tail <= DBL_MAX)), _RANGE,
                              np.where(~kept & (codes == 0), _CANCELLED, codes))
         return value, abs_value, tail, rows, codes
@@ -869,10 +869,9 @@ def solve_point(prob: KineticProblem, t: float, ctl: SeriesControl | None = None
     table's own :meth:`_PowerTable.point` or :meth:`_BivariateTable.point`,
     which answers or refuses it alone: a time that needs a coefficient,
     a power of t or a sum outside the normal doubles is refused with
-    :class:`series.OverflowLogError`, and every route is refused with
-    :class:`series.CancellationError` when the sum of all |terms| of the
-    double series exceeds :data:`series.CANCELLATION_RATIO_LIMIT` times
-    the value, or when the tail is at least |value|.  Neither z(t) nor
+    :class:`series.OverflowLogError`, and every route is refused by
+    :func:`series.accept` on the sum of all |terms| of the double series,
+    with :class:`series.CancellationError`.  Neither z(t) nor
     (rate t)**nu is formed: a time where they leave the doubles is summed,
     or refused, like any other.
     """

@@ -11,11 +11,12 @@ Truncation policy: stop once three consecutive terms
 ``rel_tol`` times the running partial sum.  A single small term is not
 enough because alternating series stall near sign changes.
 
-Every sum is guarded: one whose largest term exceeds
-:data:`CANCELLATION_RATIO_LIMIT` times the sum raises
+Every sum is guarded by one refusal rule, :func:`accept` (and its array
+form :func:`accepted`): a sum whose guarded size (here its largest term)
+exceeds :data:`CANCELLATION_RATIO_LIMIT` times the sum raises
 :class:`CancellationError`, because cancellation has left it no reliable
-digits.  A series of positive terms cannot trip the guard.  A sum whose
-final tail is at least |value| raises it too (:func:`check_tail`).
+digits, and so does a sum whose final tail is at least |value|.  A series
+of positive terms cannot trip the size test.
 
 A power series ``pre * sum_j a_j x**j`` whose coefficients are t-free plain
 doubles is summed by Horner instead (:class:`HornerTable`,
@@ -171,8 +172,7 @@ def sum_log_terms(
     :data:`DBL_TRUE_MIN` for each term below the normal doubles (an exact
     zero adds nothing).
 
-    A sum whose largest term exceeds :data:`CANCELLATION_RATIO_LIMIT` times
-    the sum, or whose tail is at least |sum| (:func:`check_tail`), raises
+    The sum is refused by :func:`accept` on its largest term: it raises
     :class:`CancellationError` instead of returning a digit-starved result.
     A bare ``OverflowError`` that ``term`` raises (math.lgamma past the
     double range) is refused as :class:`OverflowLogError`.
@@ -215,37 +215,30 @@ def sum_log_terms(
         raise
     except OverflowError:
         raise OverflowLogError(f"{label}: term {n} leaves the double range", math.inf) from None
-    check_cancellation(max_mag, total, label)
     tail = _geometric_tail(mag, prev_mag) + tiny * DBL_TRUE_MIN
-    check_tail(total, tail, label)
+    accept(total, tail, max_mag, label)
     return SeriesResult(total, n + 1, tail)
 
 
-def check_cancellation(size: float, value: float, label: str) -> None:
-    """Refuse ``value`` where ``size`` (a largest |term| or a sum of |terms|)
-    exceeds :data:`CANCELLATION_RATIO_LIMIT` times it."""
+def accept(value: float, tail: float, size: float, label: str) -> None:
+    """The one refusal rule: raise :class:`CancellationError` where ``value``
+    carries no significant digit.
+
+    It is refused where ``size`` (a largest |term| or a sum of |terms|)
+    exceeds :data:`CANCELLATION_RATIO_LIMIT` times |value|, as cancellation
+    has left it no reliable digit, and then where its ``tail`` is at least
+    |value|, as it carries no digit, not even its sign.  A tail below
+    DBL_MIN is kept whatever the value: it is informative at the doubles'
+    edge, where t = 0 answers 0 with tail 0 and a source omega that rounds
+    to 0 answers it with a tail below DBL_MIN.  A nan passes here, where
+    :func:`accepted` fails it.
+    """
     scale = max(abs(value), DBL_MIN)
     if size > CANCELLATION_RATIO_LIMIT * scale:
         raise CancellationError(
             f"{label}: cancellation ratio {size / scale:.3g} "
             f"exceeds {CANCELLATION_RATIO_LIMIT:.0e}; result would carry no significant digits"
         )
-
-
-def within_cancellation_limit(size: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """:func:`check_cancellation`'s test at every element: True where it passes
-    (call with overflow warnings off).  A nan in either array fails."""
-    return size <= CANCELLATION_RATIO_LIMIT * np.maximum(np.abs(value), DBL_MIN)
-
-
-def check_tail(value: float, tail: float, label: str) -> None:
-    """Refuse ``value`` where its ``tail`` is at least |value|: such an answer
-    carries no digit, not even its sign.
-
-    A tail below DBL_MIN is kept whatever the value: it is informative at
-    the doubles' edge, where t = 0 answers 0 with tail 0 and a source
-    omega that rounds to 0 answers it with a tail below DBL_MIN.
-    """
     if tail >= abs(value) and tail >= DBL_MIN:
         raise CancellationError(
             f"{label}: tail {tail:.3g} is at least |value| {abs(value):.3g}; "
@@ -253,10 +246,12 @@ def check_tail(value: float, tail: float, label: str) -> None:
         )
 
 
-def within_tail_limit(value: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """:func:`check_tail`'s test at every element: True where it passes.  A nan
-    in either array fails."""
-    return (tail < np.abs(value)) | (tail < DBL_MIN)
+def accepted(value: np.ndarray, tail: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """:func:`accept`'s rule at every element: True where it passes (call with
+    overflow warnings off).  A nan in any array fails."""
+    abs_value = np.abs(value)
+    return ((size <= CANCELLATION_RATIO_LIMIT * np.maximum(abs_value, DBL_MIN))
+            & ((tail < abs_value) | (tail < DBL_MIN)))
 
 
 def _geometric_tail(mag: float, prev_mag: float) -> float:
@@ -462,9 +457,8 @@ def horner_sum(table: HornerTable, x: float, pre: float, ctl: SeriesControl, lab
     None is returned where x or ``pre`` is not a normal double, where the
     table ends before J, or where a sum leaves the double range; the
     caller then takes its log route.  Raises :class:`NonConvergenceError`
-    past ``ctl.max_terms`` and :class:`CancellationError` where the sum of
-    every |term| exceeds :data:`CANCELLATION_RATIO_LIMIT` times the value
-    or where the tail is at least |value| (:func:`check_tail`).
+    past ``ctl.max_terms``, and :func:`accept` refuses the sum on the sum of
+    every |term| with :class:`CancellationError`.
     """
     if not (DBL_MIN <= x <= DBL_MAX and DBL_MIN <= pre <= DBL_MAX):
         return None
@@ -480,8 +474,7 @@ def horner_sum(table: HornerTable, x: float, pre: float, ctl: SeriesControl, lab
     tail = pre * (_geometric_tail(mag, prev_mag) + EPS * e)
     if not (DBL_MIN <= abs_value <= DBL_MAX and tail <= DBL_MAX):
         return None
-    check_cancellation(abs_value, value, label)
-    check_tail(value, tail, label)
+    accept(value, tail, abs_value, label)
     return SeriesResult(value, length, tail)
 
 
@@ -547,7 +540,7 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
         if ok is None and _all_outputs_pass(abs_value, value, tail):
             return SeriesBatch(value, length, tail, np.zeros(x.size, dtype=bool))
         passed = ((abs_value >= DBL_MIN) & (np.maximum(abs_value, tail) <= DBL_MAX)
-                  & within_cancellation_limit(abs_value, value) & within_tail_limit(value, tail))
+                  & accepted(value, tail, abs_value))
         if ok is not None:
             passed &= ok
     return SeriesBatch(value, length, tail, ~passed)
@@ -556,15 +549,14 @@ def horner_sum_batch(table: HornerTable, x: np.ndarray, pre: np.ndarray, ctl: Se
 def _all_outputs_pass(abs_value: np.ndarray, value: np.ndarray, tail: np.ndarray) -> bool:
     """True if every element passes :func:`horner_sum_batch`'s output guards,
     as found from reductions alone; False where they cannot tell (a nan, or
-    a batch whose least |value| is too small for its largest sum of |terms|
-    or not above its largest tail)."""
+    a batch whose least |value|, with its largest tail and largest sum of
+    |terms|, fails :func:`accepted`)."""
     abs_max, tail_max = abs_value.max(), tail.max()
     if not (DBL_MIN <= abs_value.min() and abs_max <= DBL_MAX and tail_max <= DBL_MAX):
         return False
-    smallest = np.abs(value).min()
-    # the limits at every element are at least those at the smallest |value|
-    return (tail_max < smallest
-            and abs_max <= CANCELLATION_RATIO_LIMIT * max(smallest, DBL_MIN))
+    # the rule passes every element where it passes the smallest |value| with
+    # the largest tail and the largest sum of |terms|
+    return bool(accepted(np.abs(value).min(), tail_max, abs_max))
 
 
 def _horner_chains(table: HornerTable, x: np.ndarray, length: np.ndarray

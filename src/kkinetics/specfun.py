@@ -25,7 +25,9 @@ Conventions used throughout:
 
 All parameters are restricted to the real ranges stated on each type; any
 gamma argument that becomes non-positive within the truncation horizon is a
-hard :class:`DomainError`, never a silently skipped term.
+hard :class:`DomainError`, never a silently skipped term.  A sum that
+carries no significant digit is refused with :class:`CancellationError` by
+the one refusal rule, :func:`series.accept`.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ from .series import (
     SeriesResult,
     TABLE_LOCK,
     _integer_n,
-    check_cancellation,
-    check_tail,
+    accept,
     sum_log_terms,
 )
 
@@ -257,7 +258,8 @@ def k_pochhammer(gamma: float, n: int, k: float) -> float:
 
     Evaluated as a left-to-right product so that
     ``k_pochhammer(g, n+1, k) == k_pochhammer(g, n, k) * (g + n*k)`` holds
-    bit for bit.
+    bit for bit.  The loop stops at the first partial product that is inf,
+    which is refused, or 0, which every later factor keeps at 0.
     """
     if not (0.0 < gamma < math.inf and 0.0 < k < math.inf):
         raise DomainError(f"k_pochhammer requires finite gamma, k > 0, got ({gamma}, {k})")
@@ -267,6 +269,8 @@ def k_pochhammer(gamma: float, n: int, k: float) -> float:
     prod = 1.0
     for i in range(n):
         prod *= gamma + i * k
+        if prod == 0.0 or prod == math.inf:
+            break
     if math.isinf(prod):
         raise OverflowLogError(
             f"k_pochhammer({gamma}, {n}, {k}) overflows double range",
@@ -492,23 +496,22 @@ def _guard_log_sum(res: SeriesResult, abs_sum: float, err_sum: float, label: str
                    ) -> SeriesResult:
     """A log-route sum refused or with roundoff in its tail.
 
-    ``abs_sum`` is the sum of the |terms| of the absolute series, and the
-    sum is refused with :class:`CancellationError` where it exceeds
-    :data:`series.CANCELLATION_RATIO_LIMIT` times the value, as on the
-    Horner route.  ``err_sum`` is the sum of the |terms| times a bound, in
-    EPS, on their relative error as formed from their logs; the tail adds
-    EPS times it, and EPS |value| for the compensated sum (at most twice
-    the unit roundoff of the value, to first order).  A tail that is not
-    finite (a bound past the double range) is refused with
-    :class:`OverflowLogError`, and one that is at least |value| with
-    :class:`CancellationError` (:func:`series.check_tail`).
+    ``abs_sum`` is the sum of the |terms| of the absolute series, and
+    :func:`series.accept` refuses the sum on it, as on the Horner route.
+    ``err_sum`` is the sum of the |terms| times a bound, in EPS, on their
+    relative error as formed from their logs; the tail adds EPS times it,
+    and EPS |value| for the compensated sum (at most twice the unit
+    roundoff of the value, to first order).  The tests run in this order:
+    the size test, then a tail that is not finite (a bound past the double
+    range), refused with :class:`OverflowLogError`, then the tail test.
     """
-    check_cancellation(abs_sum, res.value, label)
     tail = res.tail + EPS * (err_sum + abs(res.value))
-    if not tail < math.inf:
+    finite = tail < math.inf
+    # a tail that is not finite skips the tail test, to be refused below
+    accept(res.value, tail if finite else 0.0, abs_sum, label)
+    if not finite:
         raise OverflowLogError(f"{label}: the error bound of the sum leaves the double range",
                                math.inf)
-    check_tail(res.value, tail, label)
     return SeriesResult(res.value, res.terms, tail)
 
 
@@ -559,9 +562,8 @@ def _k_bessel_log_sum(p: KBesselParams, log_hz: float, hz_err: float,
     """omega summed as the logs of its terms at log(z/2) = ``log_hz``.
 
     ``hz_err`` bounds, in EPS, the absolute error of (mu+2n) log(z/2) as
-    formed, over mu+2n.  The sum is refused with :class:`CancellationError`
-    where the sum of every |term| exceeds
-    :data:`series.CANCELLATION_RATIO_LIMIT` times the value.  The tail
+    formed, over mu+2n.  :func:`series.accept` refuses the sum on the sum
+    of every |term| (:func:`_guard_log_sum`).  The tail
     adds to the truncation estimate a bound on the roundoff: term n is
     exp(L_n), L_n = log|coeff_n| + (mu+2n) log(z/2), and L_n is off by at
     most :func:`k_bessel_log_error`, plus (mu+2n) ``hz_err``, plus |L_n| / 2

@@ -311,11 +311,11 @@ def test_atomic_write_finishes_short_writes(tmp_path, monkeypatch):
     # os.write may write fewer bytes than it is given: every byte still lands
     real_write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:7])))
-    texts = ["t,N\n" + "0.1,\u00e9\n" * 50, "<svg>\u2013</svg>\n"]
+    texts = [["t,N\n", "0.1,\u00e9\n" * 50, "0.2,\u00e9\n" * 3], ["<svg>\u2013</svg>\n"]]
     paths = [tmp_path / "sub" / "a.csv", tmp_path / "sub" / "b.svg"]
     cli._atomic_write(*zip(paths, texts))
     monkeypatch.undo()
-    assert [path.read_bytes() for path in paths] == [text.encode() for text in texts]
+    assert [path.read_bytes() for path in paths] == ["".join(text).encode() for text in texts]
     assert not list(tmp_path.glob("**/*.tmp"))
 
 
@@ -324,7 +324,7 @@ def test_atomic_write_removes_its_temporary_files_on_any_error(tmp_path):
     # is raised as it is, after every temporary file is gone
     paths = [tmp_path / "a.csv", tmp_path / "b.svg"]
     with pytest.raises(UnicodeEncodeError):
-        cli._atomic_write((paths[0], "t,N\n"), (paths[1], "<svg>\ud800</svg>\n"))
+        cli._atomic_write((paths[0], ["t,N\n"]), (paths[1], ["<svg>\ud800</svg>\n"]))
     assert not any(tmp_path.iterdir())
 
 
@@ -538,7 +538,11 @@ def test_verify_fails_on_nan_metrics(tmp_path, capsys, monkeypatch):
     ({"t_end": 0}, "config field 't_end': must be > 0, got 0.0"),
     ({"max_terms": 0}, "config field 'max_terms': must be >= 1, got 0"),
     ({"rel_tol": 1.5}, "config field 'rel_tol': must be in (0, 1), got 1.5"),
-], ids=["non_number", "non_integer", "theorem_4", "t_end_0", "max_terms_0", "rel_tol_1.5"])
+    # a theorem-1 job does not use a, but every number in a config is checked
+    ({"a": math.nan}, "config field 'a': expected a finite number, got nan"),
+    ({"a": "not a number"}, "config field 'a': expected a number, got 'not a number'"),
+], ids=["non_number", "non_integer", "theorem_4", "t_end_0", "max_terms_0", "rel_tol_1.5",
+        "a_nan_theorem_1", "a_non_number_theorem_1"])
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_config_field_errors_exit_two(tmp_path, capsys, command, overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -678,11 +682,17 @@ def test_csv_of_array_columns_matches_the_row_formatter():
         grid = figure_grid(spec)
         tables = [solve_grid(figure_problem(spec, lam), grid) for lam in LAMBDAS]
         columns = [table.values for table in tables]
-        assert cli._csv("t,N...", grid, *columns) == _csv_by_rows("t,N...", grid, *columns), fig_id
+        assert ("".join(cli._csv("t,N...", grid, *columns))
+                == _csv_by_rows("t,N...", grid, *columns)), fig_id
         for table in tables:
-            assert (cli._csv("t,N", table.times, table.values)
+            assert ("".join(cli._csv("t,N", table.times, table.values))
                     == _csv_by_rows("t,N", table.times, table.values)), fig_id
-    assert cli._csv("t,N", np.zeros(0), ()) == "t,N\n"
+    assert list(cli._csv("t,N", np.zeros(0), ())) == ["t,N\n"]
+    # a longer CSV comes as the header and then blocks of at most _CSV_BLOCK rows
+    columns = np.random.default_rng(41).standard_normal((2, 2 * cli._CSV_BLOCK + 1))
+    blocks = list(cli._csv("a,b", *columns))
+    assert [block.count("\n") for block in blocks] == [1, cli._CSV_BLOCK, cli._CSV_BLOCK, 1]
+    assert "".join(blocks) == _csv_by_rows("a,b", *columns)
 
 
 def test_figures_all_reports_the_nine_sign_changes(tmp_path, capsys):

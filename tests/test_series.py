@@ -106,36 +106,42 @@ def test_horner_table_base_grows_no_rows():
         series.HornerTable().extend(1)
 
 
-def test_array_cancellation_test_passes_where_the_scalar_check_does():
+def test_array_rule_passes_where_the_scalar_rule_does():
     limit, tiny = series.CANCELLATION_RATIO_LIMIT, series.DBL_MIN
-    sizes = [1.0, limit, limit * 1.0000001, limit * tiny, limit * tiny * 2.0, math.nan, 1.0]
-    values = [1.0, -1.0, 1.0, 0.0, 0.0, 1.0, math.nan]
+    # (value, tail, size, message of the scalar refusal or None, mask)
+    cases = [
+        # the size test
+        (1.0, 0.0, 1.0, None, True),
+        (-1.0, 0.0, limit, None, True),
+        (1.0, 0.0, limit * 1.0000001, "cancellation ratio", False),
+        (0.0, 0.0, limit * tiny, None, True),
+        (0.0, 0.0, limit * tiny * 2.0, "cancellation ratio", False),
+        (1.0, 0.0, math.nan, None, False),
+        (math.nan, 0.0, 1.0, None, False),
+        # the tail test; a tail below DBL_MIN is kept: t = 0 answers 0 with tail 0
+        (1.0, 0.5, 0.0, None, True),
+        (-1.0, 1.0, 0.0, "tail", False),
+        (1.0, 2.0, 0.0, "tail", False),
+        (0.0, 0.0, 0.0, None, True),
+        (0.0, tiny / 2.0, 0.0, None, True),
+        (tiny, tiny, 0.0, "tail", False),
+        (1.0, math.nan, 0.0, None, False),
+        (math.nan, 0.5, 0.0, None, False),
+        # both tests fail: the size test's message wins
+        (1.0, 2.0, limit * 2.0, "cancellation ratio", False),
+    ]
+    values, tails, sizes, messages, masks = map(list, zip(*cases))
     with np.errstate(invalid="ignore"):
-        kept = series.within_cancellation_limit(np.array(sizes), np.array(values))
-    for size, value, passes in zip(sizes, values, kept.tolist()):
-        try:
-            series.check_cancellation(size, value, "test")
-            scalar = not math.isnan(size + value)  # a nan compares False: the array fails it
-        except series.CancellationError:
-            scalar = False
-        assert passes is scalar
-    assert kept.tolist() == [True, True, False, True, False, False, False]
-
-
-def test_array_tail_test_passes_where_the_scalar_check_does():
-    tiny = series.DBL_MIN
-    values = [1.0, -1.0, 1.0, 0.0, 0.0, tiny, 1.0, math.nan]
-    tails = [0.5, 1.0, 2.0, 0.0, tiny / 2.0, tiny, math.nan, 0.5]
-    kept = series.within_tail_limit(np.array(values), np.array(tails))
-    for value, tail, passes in zip(values, tails, kept.tolist()):
-        try:
-            series.check_tail(value, tail, "test")
-            scalar = not math.isnan(value + tail)  # a nan compares False: the array fails it
-        except series.CancellationError:
-            scalar = False
-        assert passes is scalar
-    # a tail below DBL_MIN is kept: t = 0 answers 0 with tail 0
-    assert kept.tolist() == [True, False, False, True, True, False, False, False]
+        kept = series.accepted(np.array(values), np.array(tails), np.array(sizes))
+    assert kept.tolist() == masks
+    for value, tail, size, message, passes in cases:
+        if message is None:
+            series.accept(value, tail, size, "test")
+            # a nan compares False: the scalar rule passes it, the array rule fails it
+            assert passes is not math.isnan(value + tail + size)
+        else:
+            with pytest.raises(series.CancellationError, match=f"^test: {message} "):
+                series.accept(value, tail, size, "test")
 
 
 class _ExpTable(series.HornerTable):

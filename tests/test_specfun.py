@@ -7,6 +7,7 @@ snippets are quoted next to each value.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -194,6 +195,17 @@ def test_k_pochhammer_overflow_reports_the_log_value():
     with pytest.raises(OverflowLogError, match="overflows double range") as exc:
         k_pochhammer(1e300, 5, 1.0)
     assert exc.value.log_value == pytest.approx(3453.8776394910684, rel=1e-15)
+
+
+def test_k_pochhammer_stops_at_the_first_product_that_is_inf_or_zero():
+    # it used to multiply all 10**12 factors, for about a day
+    start = time.perf_counter()
+    with pytest.raises(OverflowLogError, match=r"^k_pochhammer\(1.0, 1000000000000, 1.0\) ") as exc:
+        k_pochhammer(1.0, 10 ** 12, 1.0)
+    assert exc.value.log_value == log_k_pochhammer(1.0, 10 ** 12, 1.0)
+    # 5e-324 (5e-324 + 1e-10) rounds to 0, and no later factor lifts it
+    assert k_pochhammer(5e-324, 10 ** 12, 1e-10) == 0.0
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("gamma,k", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),

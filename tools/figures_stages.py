@@ -9,7 +9,9 @@ between sweeps would: numpy's calls then run cold.  Each stage is timed by
 wrapping the ``cli`` function that does it:
 
 * sweeps: ``solve_grid``, the 7 x 5 lambda sweeps;
-* csv: ``_csv``, the text of the 7 CSV files;
+* csv: ``_csv``, the text of the 7 CSV files, formed whole here (the
+  command forms it a block at a time as it writes) so that it is timed
+  apart from the writes;
 * svg: ``render_line_chart``, the text of the 7 charts;
 * writes: ``_atomic_write``, the 14 files written and renamed;
 * rest: the pass's wall time less the stages above and the loops.
@@ -56,7 +58,8 @@ def _timed(cli, attr: str, spent: list[float], loop_spent: list[float] | None):
     def wrapper(*args, **kwargs):
         start = perf_counter()
         try:
-            return original(*args, **kwargs)
+            result = original(*args, **kwargs)
+            return list(result) if attr == "_csv" else result
         finally:
             spent.append(perf_counter() - start)
             if loop_spent is not None:
