@@ -106,30 +106,10 @@ def test_horner_table_base_grows_no_rows():
         series.HornerTable().extend(1)
 
 
-def test_array_rule_passes_where_the_scalar_rule_does():
-    limit, tiny = series.CANCELLATION_RATIO_LIMIT, series.DBL_MIN
-    # (value, tail, size, message of the scalar refusal or None, mask)
-    cases = [
-        # the size test
-        (1.0, 0.0, 1.0, None, True),
-        (-1.0, 0.0, limit, None, True),
-        (1.0, 0.0, limit * 1.0000001, "cancellation ratio", False),
-        (0.0, 0.0, limit * tiny, None, True),
-        (0.0, 0.0, limit * tiny * 2.0, "cancellation ratio", False),
-        (1.0, 0.0, math.nan, None, False),
-        (math.nan, 0.0, 1.0, None, False),
-        # the tail test; a tail below DBL_MIN is kept: t = 0 answers 0 with tail 0
-        (1.0, 0.5, 0.0, None, True),
-        (-1.0, 1.0, 0.0, "tail", False),
-        (1.0, 2.0, 0.0, "tail", False),
-        (0.0, 0.0, 0.0, None, True),
-        (0.0, tiny / 2.0, 0.0, None, True),
-        (tiny, tiny, 0.0, "tail", False),
-        (1.0, math.nan, 0.0, None, False),
-        (math.nan, 0.5, 0.0, None, False),
-        # both tests fail: the size test's message wins
-        (1.0, 2.0, limit * 2.0, "cancellation ratio", False),
-    ]
+def _assert_accept_matches_accepted(cases):
+    """``accept`` refuses with ``message`` where ``accepted`` gives False, and
+    passes where it gives True; ``cases`` holds (value, tail, size, message of
+    the scalar refusal or None, mask)."""
     values, tails, sizes, messages, masks = map(list, zip(*cases))
     with np.errstate(invalid="ignore"):
         kept = series.accepted(np.array(values), np.array(tails), np.array(sizes))
@@ -142,6 +122,36 @@ def test_array_rule_passes_where_the_scalar_rule_does():
         else:
             with pytest.raises(series.CancellationError, match=f"^test: {message} "):
                 series.accept(value, tail, size, "test")
+
+
+def test_array_cancellation_test_passes_where_the_scalar_check_does():
+    limit, tiny = series.CANCELLATION_RATIO_LIMIT, series.DBL_MIN
+    _assert_accept_matches_accepted([
+        (1.0, 0.0, 1.0, None, True),
+        (-1.0, 0.0, limit, None, True),
+        (1.0, 0.0, limit * 1.0000001, "cancellation ratio", False),
+        (0.0, 0.0, limit * tiny, None, True),
+        (0.0, 0.0, limit * tiny * 2.0, "cancellation ratio", False),
+        (1.0, 0.0, math.nan, None, False),
+        (math.nan, 0.0, 1.0, None, False),
+        # both tests fail: the size test's message wins
+        (1.0, 2.0, limit * 2.0, "cancellation ratio", False),
+    ])
+
+
+def test_array_tail_test_passes_where_the_scalar_check_does():
+    tiny = series.DBL_MIN
+    # a tail below DBL_MIN is kept: t = 0 answers 0 with tail 0
+    _assert_accept_matches_accepted([
+        (1.0, 0.5, 0.0, None, True),
+        (-1.0, 1.0, 0.0, "tail", False),
+        (1.0, 2.0, 0.0, "tail", False),
+        (0.0, 0.0, 0.0, None, True),
+        (0.0, tiny / 2.0, 0.0, None, True),
+        (tiny, tiny, 0.0, "tail", False),
+        (1.0, math.nan, 0.0, None, False),
+        (math.nan, 0.5, 0.0, None, False),
+    ])
 
 
 class _ExpTable(series.HornerTable):
